@@ -72,8 +72,8 @@ def _tenant_loop(port: int, idx: int, oids, errors,
             for round_no in range(ROUNDS):
                 t0 = time.perf_counter_ns()
                 client.attach("bench")
-                # Raw bytes: the client moves them over the v2 binary
-                # sidecar (or base64s them itself on a v1 wire).
+                # Raw bytes: the client moves them over the frame's
+                # binary sidecar.
                 client.pipeline([("write", {"oid": packed,
                                             "data": payload})
                                  for _ in range(PIPELINE_DEPTH)])

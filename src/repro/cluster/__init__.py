@@ -5,8 +5,7 @@ exposure accounting partitions cleanly by PMOID, so the cluster runs N
 worker shards — each a full :class:`~repro.service.server.TerpService`
 owning a partition of the PMO namespace, its own sweeper, and (when
 durable) its own store directory — behind an asyncio router that
-speaks the existing hello-negotiated wire protocol to unmodified v1
-and v2 clients.
+speaks the daemon's wire protocol to unmodified clients.
 
 Modules:
 

@@ -10,8 +10,7 @@ Examples::
         --pool-dir /var/lib/terpd --state-file cluster_state.json
 
 Existing clients connect to the front port unmodified — the router
-speaks the same hello-negotiated wire protocol (v1 and v2) as a
-standalone daemon.
+speaks the same wire protocol as a standalone daemon.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster",
         description="terpd cluster: N sharded daemons behind a "
-                    "v2-speaking router on one front port.")
+                    "router on one front port.")
     parser.add_argument("--shards", type=int, default=2,
                         help="worker shard processes "
                              "(default: %(default)s)")

@@ -1,24 +1,29 @@
 """The cluster front-end: one wire endpoint over N terpd shards.
 
-:class:`TerpRouter` terminates client sessions (hello, version
-negotiation, resume tokens) itself and forwards everything else to
-the shard that owns the PMO being operated on:
+:class:`TerpRouter` terminates client sessions (hello, resume tokens
+— through the same :meth:`~repro.service.sessions.SessionRegistry
+.hello` the daemon uses) itself and forwards everything else to the
+shard that owns the PMO being operated on.  Which rule applies to an
+op is its ``route`` key in the op table (:mod:`repro.service.ops`),
+never a list kept here:
 
-* **name-addressed ops** (create/open/attach/psync/…) route by the
+* ``name`` ops (create/open/attach/psync/…) route by the
   consistent-hash ring over the PMO name;
-* **oid-addressed ops** (read/write/pfree/…) route arithmetically —
-  shard ``i`` of ``N`` only ever mints pmo_ids in the residue class
-  ``i+1 (mod N)`` (see :meth:`PmoManager.set_id_namespace`), so the
-  Oid's pool id alone names the owner, with zero routing state;
+* ``oid`` ops (read/write/pfree/…) route arithmetically — shard ``i``
+  of ``N`` only ever mints pmo_ids in the residue class ``i+1 (mod
+  N)`` (see :meth:`PmoManager.set_id_namespace`), so the Oid's pool
+  id alone names the owner, with zero routing state;
+* ``fanout`` ops (ping/metrics/trace/prometheus/repl_status) go to
+  every shard and are merged by the ``_fanout_<op>`` method (see
+  :mod:`repro.cluster.aggregate`);
+* ``session`` ops (hello/goodbye) are answered by the router itself;
 * **batch frames** are split per-item across shards (each item's
   slice of the binary sidecar travels with it), the sub-batches run
-  concurrently, and the responses are re-merged in client item order;
-* **observability ops** (ping/metrics/trace/prometheus) fan out to
-  every shard and merge (see :mod:`repro.cluster.aggregate`).
+  concurrently, and the responses are re-merged in client item order.
 
 The relay is byte-transparent on the fast path: a single op's request
 body and sidecar are forwarded verbatim and the shard's response
-frame is returned verbatim, so v1 and v2 clients work unmodified.
+frame is returned verbatim.
 
 Failure model: a shard dying mid-request aborts the *client's*
 transport, which lands the client on the typed
@@ -41,169 +46,109 @@ from repro.cluster.aggregate import (
 from repro.cluster.ring import HashRing
 from repro.pmo.object_id import OFFSET_BITS
 from repro.service import protocol
-from repro.service.protocol import (
-    PROTOCOL_V1, PROTOCOL_VERSION, WireError, error_response,
-    ok_response)
+from repro.service.client import (
+    OPEN, RECV, SEND, ConnectionLost, RemoteError, TerpClient)
+from repro.service.ops import FANOUT, NAME, OID, SESSION, Op
+from repro.service.protocol import WireError, ok_response
 from repro.service.server import (
-    DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS)
-from repro.service.sessions import Session, SessionRegistry
-
-#: Ops routed by the PMO *name* in their args.
-NAME_OPS = frozenset({
-    "create", "open", "close", "destroy", "attach", "detach",
-    "pmalloc", "psync", "tx_begin", "tx_abort"})
-#: Ops routed by the packed Oid in their args.
-OID_OPS = frozenset({"pfree", "read", "write", "read_u64",
-                     "write_u64"})
-#: Observability ops the router answers by fanning out to every shard.
-FANOUT_OPS = frozenset({"ping", "metrics", "trace", "prometheus"})
+    DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS, Conn, admit)
+from repro.service.sessions import SessionRegistry
 
 
 class UpstreamLost(Exception):
     """A shard connection died mid-request; the client must retry."""
 
 
-class UpstreamError(TerpError):
-    """A shard answered the router's own request with an error."""
+class Upstream(TerpClient):
+    """One router->shard connection: the asyncio client — so hello,
+    resume after a shard restart and the fresh-session fallback are
+    the client core's, and the shard-side identity lives on this
+    object across reconnects — plus a verbatim frame relay.
 
-
-class UpstreamConn:
-    """One router->shard connection: frames in, frames out, in order.
-
-    Serialized by an asyncio lock: a connection carries one request at
-    a time (batch fan-out parallelism comes from using *different*
-    connections per shard), so responses match requests by position
-    with no id bookkeeping.
+    One request at a time (the client's lock): batch fan-out
+    parallelism comes from using *different* connections per shard.
     """
 
-    def __init__(self, shard: int, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
+    def __init__(self, shard: int, addr: Tuple[str, int],
+                 **hello: Any) -> None:
+        super().__init__(host=addr[0], port=addr[1], **hello)
         self.shard = shard
-        self.reader = reader
-        self.writer = writer
-        self.alive = True
-        self._lock = asyncio.Lock()
-        #: the shard-side session this connection carries, once hello'd
-        self.session_id: Optional[int] = None
-        self.token: str = ""
-        #: rids for the router's *own* requests on this connection.
-        #: Negative and descending: client rids are positive, and the
-        #: shard's per-session replay cache is keyed by rid — a
-        #: router-originated metrics poll must never collide with a
-        #: relayed client op (or with a previous router request) and
-        #: get the wrong cached response replayed at it.
-        self._next_rid = 0
 
-    def next_rid(self) -> int:
-        self._next_rid -= 1
-        return self._next_rid
+    def next_id(self) -> int:
+        # The router's *own* requests count down from -1: client rids
+        # are positive, and the shard's per-session replay cache is
+        # keyed by rid — a router-originated metrics poll must never
+        # collide with a relayed client op (or with a previous router
+        # request) and get the wrong cached response replayed at it.
+        self._next_id -= 1
+        return self._next_id
 
-    @classmethod
-    async def open(cls, shard: int, host: str,
-                   port: int) -> "UpstreamConn":
+    @property
+    def alive(self) -> bool:
+        return self._writer is not None
+
+    async def dial(self, *, hello: bool) -> "Upstream":
+        """(Re)open the connection; with ``hello``, also establish
+        (resume, else replace) the shard-side session."""
         try:
-            reader, writer = await asyncio.open_connection(host, port)
-        except OSError as exc:
+            await (self.connect() if hello else self._do(OPEN))
+        except (OSError, TerpError) as exc:
+            await self.close()
             raise UpstreamLost(
-                f"shard {shard} unreachable: {exc}") from None
-        return cls(shard, reader, writer)
+                f"shard {self.shard} unreachable: {exc}") from None
+        return self
 
-    async def request_raw(self, body: bytes,
-                          sidecar: bytes) -> Tuple[bytes, bytes]:
+    async def relay(self, body: bytes,
+                    sidecar: bytes) -> Tuple[bytes, bytes]:
         """Send one pre-encoded request frame, await the response."""
         async with self._lock:
             try:
-                self.writer.write(
-                    protocol.frame_from_body(body, sidecar or None))
-                await self.writer.drain()
-                got = await protocol.read_frame_raw(self.reader)
-            except (WireError, ConnectionError, OSError) as exc:
-                self.alive = False
+                await self._do(SEND, protocol.frame_from_body(
+                    body, sidecar or None))
+                got = await self._do(RECV)
+            except ConnectionLost as exc:
                 raise UpstreamLost(
                     f"shard {self.shard} dropped: {exc}") from None
             if got is None:
-                self.alive = False
+                await self.close()
                 raise UpstreamLost(f"shard {self.shard} closed the "
                                    "connection")
             return got
 
-    async def request(self, payload: Any,
-                      sidecar: bytes = b"") -> Tuple[Any, bytes]:
-        """Encoded-object convenience over :meth:`request_raw`."""
-        body, side = await self.request_raw(
-            protocol.encode_body(payload), sidecar)
-        return protocol.decode_frame(body), side
-
-    async def hello(self, args: Dict[str, Any]) -> Dict[str, Any]:
-        response, _ = await self.request(
-            {"id": self.next_rid(), "op": "hello", "args": args})
-        if not response.get("ok"):
-            error = response.get("error") or {}
-            raise UpstreamError(error.get("message", "hello failed"))
-        result = response["result"]
-        self.session_id = int(result["session"])
-        self.token = str(result.get("token", ""))
-        return result
-
-    def close(self) -> None:
-        self.alive = False
+    async def ask(self, op: str, args: Dict[str, Any]
+                  ) -> Tuple[Optional[Any], List[dict]]:
+        """One of the router's *own* requests (goodbye, a fan-out
+        poll): ``(result, events)``; an error response is ``None``."""
         try:
-            self.writer.close()
-        except Exception:
-            pass
+            result = await self._call(op, args)
+        except ConnectionLost as exc:
+            raise UpstreamLost(
+                f"shard {self.shard} dropped: {exc}") from None
+        except RemoteError:
+            result = None
+        events, self.events = self.events, []
+        return result, events
 
 
-class _SessionExt:
-    """Router-side per-session state the wire Session doesn't carry."""
-
-    __slots__ = ("upstreams", "identities")
-
-    def __init__(self) -> None:
-        #: live shard connections, keyed by shard index
-        self.upstreams: Dict[int, UpstreamConn] = {}
-        #: (shard session id, resume token) per shard — survives the
-        #: connection so a restarted shard's session can be resumed.
-        self.identities: Dict[int, Tuple[int, str]] = {}
-
-    def close_all(self) -> None:
-        for conn in self.upstreams.values():
-            conn.close()
-        self.upstreams.clear()
+async def _close_all(upstreams: Dict[int, Upstream]) -> None:
+    for up in upstreams.values():
+        await up.close()
 
 
-class _RouterConn:
-    """Per client-connection state."""
-
-    __slots__ = ("session", "generation", "version", "peer")
-
-    def __init__(self, peer: str) -> None:
-        self.session: Optional[Session] = None
-        self.generation = 0
-        self.version = PROTOCOL_V1
-        self.peer = peer
-
-
-def _bin_len(obj: Any) -> int:
-    """Total sidecar bytes a request's args claim, in marker order."""
-    if isinstance(obj, dict):
-        if set(obj) == {"bin"} and isinstance(obj["bin"], int):
-            return obj["bin"]
-        return sum(_bin_len(v) for v in obj.values())
-    if isinstance(obj, list):
-        return sum(_bin_len(v) for v in obj)
-    return 0
+def _reply(rid: Any, result: Any,
+           events: Optional[List[dict]] = None) -> bytes:
+    return protocol.encode_body(ok_response(rid, result, events))
 
 
 class TerpRouter:
-    """The v2-speaking, session-pinning, batch-splitting front-end."""
+    """The session-pinning, batch-splitting front-end."""
 
     def __init__(self, *, shard_addrs: List[Tuple[str, int]],
                  host: str = "127.0.0.1", port: Optional[int] = 0,
                  reuse_port: bool = False,
                  session_ew_ns: int = DEFAULT_SESSION_EW_NS,
                  session_linger_ns: int = DEFAULT_SESSION_LINGER_NS,
-                 seed: int = 2022,
-                 protocol_version: int = PROTOCOL_VERSION) -> None:
+                 seed: int = 2022) -> None:
         self.shard_addrs = list(shard_addrs)
         self.shard_count = len(self.shard_addrs)
         if not self.shard_count:
@@ -212,7 +157,6 @@ class TerpRouter:
         self.port = port
         self.reuse_port = reuse_port
         self.session_linger_ns = session_linger_ns
-        self.protocol_version = protocol_version
         self.ring = HashRing(range(self.shard_count), seed=seed)
         #: Router-local sessions: the client-facing identity.  The
         #: budget the router reports is what the shards enforce — the
@@ -221,10 +165,13 @@ class TerpRouter:
         #: upstream hellos.
         self.registry = SessionRegistry(
             default_ew_budget_ns=session_ew_ns, token_seed=seed)
-        self._ext: Dict[int, _SessionExt] = {}
+        #: per client session: its shard connections by shard index.
+        #: A closed one stays — it remembers the shard session to
+        #: resume once the client (or the shard) comes back.
+        self._upstreams: Dict[int, Dict[int, Upstream]] = {}
         #: sessionless connections for observability fan-out, one per
         #: shard, dialed lazily and re-dialed after a shard restart.
-        self._admin: Dict[int, UpstreamConn] = {}
+        self._admin: Dict[int, Upstream] = {}
         self._servers: List[asyncio.AbstractServer] = []
         self._writers: set = set()
         self._purge_task: Optional[asyncio.Task] = None
@@ -258,19 +205,12 @@ class TerpRouter:
         for server in self._servers:
             server.close()
             await server.wait_closed()
-        for ext in self._ext.values():
-            ext.close_all()
-        for conn in self._admin.values():
-            conn.close()
+        for upstreams in self._upstreams.values():
+            await _close_all(upstreams)
+        for up in self._admin.values():
+            await up.close()
         for writer in list(self._writers):
             writer.close()
-
-    async def serve_forever(self) -> None:
-        await self.start()
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await self.stop()
 
     async def _purge_loop(self) -> None:
         """Expire lingering (dropped, never resumed) sessions."""
@@ -280,16 +220,14 @@ class TerpRouter:
             for session in self.registry.lingering():
                 if session.linger_expired(now, self.session_linger_ns):
                     self.registry.remove(session.session_id)
-                    ext = self._ext.pop(session.session_id, None)
-                    if ext is not None:
-                        ext.close_all()
+                    await _close_all(self._upstreams.pop(
+                        session.session_id, {}))
 
     # -- connection handling ----------------------------------------------
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        peer = writer.get_extra_info("peername") or "?"
-        conn = _RouterConn(str(peer))
+        conn = Conn()
         self._writers.add(writer)
         transport = writer.transport
         try:
@@ -327,9 +265,8 @@ class TerpRouter:
                 # force-releases this session's windows on teardown
                 # ("connection lost"), exactly as a direct client's
                 # death would.  Identity lingers for a token resume.
-                ext = self._ext.get(session.session_id)
-                if ext is not None:
-                    ext.close_all()
+                await _close_all(
+                    self._upstreams.get(session.session_id, {}))
                 session.unbind(self.now_ns())
             writer.close()
             try:
@@ -339,297 +276,166 @@ class TerpRouter:
 
     # -- routing -----------------------------------------------------------
 
-    def _home_shard(self, conn: _RouterConn) -> int:
+    def _home_shard(self, conn: Conn) -> int:
         if conn.session is not None:
             return self.ring.owner(
                 f"session:{conn.session.session_id}")
         return 0
 
-    def _route(self, op: str, args: Any, conn: _RouterConn) -> int:
-        if isinstance(args, dict):
-            if op in NAME_OPS:
-                name = args.get("name")
-                if isinstance(name, str):
-                    return self.ring.owner(name)
-            elif op in OID_OPS:
-                oid = args.get("oid")
-                if isinstance(oid, (int, float)):
-                    pool_id = int(oid) >> OFFSET_BITS
-                    if pool_id >= 1:
-                        return (pool_id - 1) % self.shard_count
+    def _route(self, spec: Op, args: Dict[str, Any],
+               conn: Conn) -> int:
+        if spec.route == NAME:
+            name = args.get("name")
+            if isinstance(name, str):
+                return self.ring.owner(name)
+        elif spec.route == OID:
+            oid = args.get("oid")
+            if isinstance(oid, (int, float)):
+                pool_id = int(oid) >> OFFSET_BITS
+                if pool_id >= 1:
+                    return (pool_id - 1) % self.shard_count
         # Unroutable (malformed args, null oid): any shard will
         # produce the same typed error; keep it session-sticky.
         return self._home_shard(conn)
 
-    async def _upstream(self, conn: _RouterConn,
-                        shard: int) -> UpstreamConn:
+    async def _upstream(self, conn: Conn, shard: int) -> Upstream:
         session = conn.session
         assert session is not None
-        ext = self._ext[session.session_id]
-        up = ext.upstreams.get(shard)
-        if up is not None and up.alive:
-            return up
-        host, port = self.shard_addrs[shard]
-        up = await UpstreamConn.open(shard, host, port)
-        hello_args: Dict[str, Any] = {
-            "user": session.user,
-            "version": conn.version,
-            "ew_budget_us": session.ew_budget_ns / 1_000,
-        }
-        identity = ext.identities.get(shard)
-        try:
-            if identity is not None:
-                try:
-                    await up.hello(dict(hello_args,
-                                        resume=identity[0],
-                                        token=identity[1]))
-                except UpstreamError:
-                    # The shard restarted cold (or the linger lapsed):
-                    # fall back to a fresh shard session.  Replay
-                    # de-duplication is lost for that shard, exactly
-                    # as for a direct client whose resume fails.
-                    await up.hello(hello_args)
-            else:
-                await up.hello(hello_args)
-        except UpstreamLost:
-            up.close()
-            raise
-        ext.identities[shard] = (up.session_id or 0, up.token)
-        ext.upstreams[shard] = up
-        return up
+        upstreams = self._upstreams[session.session_id]
+        up = upstreams.get(shard)
+        if up is None:
+            up = upstreams[shard] = Upstream(
+                shard, self.shard_addrs[shard], user=session.user,
+                ew_budget_us=session.ew_budget_ns / 1_000)
+        # A dead connection (its shard restarted) resumes the shard
+        # session it remembers; if the shard came back cold, it falls
+        # back to a fresh one and replay de-duplication is lost for
+        # that shard, exactly as for a direct client.
+        return up if up.alive else await up.dial(hello=True)
 
-    async def _admin_conn(self, shard: int) -> UpstreamConn:
+    async def _admin_conn(self, shard: int) -> Upstream:
         up = self._admin.get(shard)
-        if up is not None and up.alive:
-            return up
-        host, port = self.shard_addrs[shard]
-        up = await UpstreamConn.open(shard, host, port)
-        self._admin[shard] = up
-        return up
+        if up is None:
+            up = self._admin[shard] = Upstream(
+                shard, self.shard_addrs[shard])
+        return up if up.alive else await up.dial(hello=False)
 
     # -- single-op path ----------------------------------------------------
 
-    async def _handle_single(self, conn: _RouterConn, payload: Any,
+    async def _handle_single(self, conn: Conn, payload: Any,
                              raw_body: bytes,
                              sidecar: bytes) -> bytes:
         rid = payload.get("id") if isinstance(payload, dict) else None
         try:
-            if not isinstance(payload, dict) or \
-                    not isinstance(payload.get("op"), str):
-                raise WireError("request must be an object with an "
-                                "'op'")
-            op = payload["op"]
-            args = payload.get("args") or {}
-            if not isinstance(args, dict):
-                raise WireError("'args' must be an object")
-            if op == "hello":
-                result = self._op_hello(conn, args)
-                return protocol.frame_from_body(protocol.encode_body(
-                    ok_response(rid, result, None)))
-            if conn.session is None and op not in FANOUT_OPS:
-                raise TerpError(f"op {op!r} requires a session; "
-                                "say hello first")
-            if op == "goodbye":
-                result = await self._op_goodbye(conn)
-                return protocol.frame_from_body(protocol.encode_body(
-                    ok_response(rid, result, None)))
-            if op in FANOUT_OPS:
-                return await self._fanout(conn, rid, op, args)
-        except UpstreamLost:
-            raise
-        except (TerpError, WireError) as exc:
-            return protocol.frame_from_body(protocol.encode_body(
-                error_response(rid, type(exc).__name__, str(exc),
-                               None)))
-        except (KeyError, TypeError, ValueError) as exc:
-            return protocol.frame_from_body(protocol.encode_body(
-                error_response(rid, "BadRequest",
-                               f"malformed arguments: {exc!r}")))
+            spec, args = admit(payload,
+                               has_session=conn.session is not None)
+            if spec.route == SESSION:
+                result = await getattr(self, f"_op_{spec.name}")(
+                    conn, spec, args)
+                return protocol.frame_from_body(_reply(rid, result))
+            if spec.route == FANOUT:
+                result, events = await getattr(
+                    self, f"_fanout_{spec.name}")(conn, spec, args)
+                return protocol.frame_from_body(
+                    _reply(rid, result, events or None))
+        except (TerpError, KeyError, TypeError, ValueError) as exc:
+            return protocol.frame_from_body(protocol.refusal(rid, exc))
         # The relay fast path: the owning shard sees the client's
         # exact bytes and its response travels back untouched.
-        shard = self._route(op, args, conn)
-        up = await self._upstream(conn, shard)
-        rbody, rside = await up.request_raw(raw_body, sidecar)
+        up = await self._upstream(conn, self._route(spec, args, conn))
+        rbody, rside = await up.relay(raw_body, sidecar)
         return protocol.frame_from_body(rbody, rside or None)
 
-    def _op_hello(self, conn: _RouterConn,
-                  args: Dict[str, Any]) -> Dict[str, Any]:
-        if conn.session is not None:
-            raise TerpError("connection already has a session")
-        version = int(args.get("version", PROTOCOL_V1))
-        if version < PROTOCOL_V1 or \
-                (self.protocol_version <= PROTOCOL_V1 and
-                 version != PROTOCOL_V1):
-            raise TerpError(f"protocol version {version} unsupported; "
-                            f"server speaks {self.protocol_version}")
-        negotiated = min(version, self.protocol_version)
-        resume = args.get("resume")
-        if resume is not None:
-            session = self._resume_session(int(resume),
-                                           str(args.get("token", "")))
-        else:
-            budget_us = args.get("ew_budget_us")
-            budget_ns = None if budget_us is None else int(
-                float(budget_us) * 1_000)
-            session = self.registry.create(
-                user=str(args.get("user", "root")),
-                ew_budget_ns=budget_ns)
-            self._ext[session.session_id] = _SessionExt()
-        conn.generation = session.bind()
+    async def _op_hello(self, conn: Conn, spec: Op,
+                        args: Dict[str, Any]) -> Dict[str, Any]:
+        session, result = self.registry.hello(args, current=conn.session)
+        self._upstreams.setdefault(session.session_id, {})
         conn.session = session
-        conn.version = negotiated
-        return {"session": session.session_id,
-                "entity": session.entity_id,
-                "version": negotiated,
-                "ew_budget_us": session.ew_budget_ns / 1_000,
-                "token": session.resume_token,
-                "resumed": resume is not None}
+        conn.generation = session.generation
+        return result
 
-    def _resume_session(self, session_id: int, token: str) -> Session:
-        session = self.registry.find(session_id)
-        if session is None or session.closed:
-            raise TerpError(f"no session {session_id} to resume")
-        if not token or token != session.resume_token:
-            raise TerpError(f"bad resume token for session "
-                            f"{session_id}")
-        if session.bound:
-            raise TerpError(f"session {session_id} is still bound "
-                            "to a live connection")
-        return session
-
-    async def _op_goodbye(self, conn: _RouterConn) -> Dict[str, Any]:
+    async def _op_goodbye(self, conn: Conn, spec: Op,
+                          args: Dict[str, Any]) -> Dict[str, Any]:
         session = conn.session
         assert session is not None
-        ext = self._ext.pop(session.session_id, None)
+        upstreams = self._upstreams.pop(session.session_id, {})
         released = 0
-        if ext is not None:
-            for up in list(ext.upstreams.values()):
-                if not up.alive:
-                    continue
-                try:
-                    response, _ = await up.request(
-                        {"id": up.next_rid(), "op": "goodbye",
-                         "args": {}})
-                    if response.get("ok"):
-                        released += int(
-                            response["result"].get("released", 0))
-                except UpstreamLost:
-                    pass
-            ext.close_all()
+        for up in upstreams.values():
+            if not up.alive:
+                continue
+            try:
+                result, _ = await up.ask(spec.name, {})
+                released += int((result or {}).get("released", 0))
+            except UpstreamLost:
+                pass
+        await _close_all(upstreams)
         self.registry.remove(session.session_id)
         conn.session = None
         return {"released": released}
 
     # -- fan-out path ------------------------------------------------------
 
-    async def _fanout_targets(self, conn: _RouterConn
-                              ) -> List[Tuple[int, UpstreamConn]]:
-        """One connection per shard: the session's own where it has
-        one (so per-session metrics and pending events ride along),
-        a shared sessionless one otherwise.  Unreachable shards are
-        skipped — a restarting shard must not fail a survivor's
-        metrics poll."""
-        targets: List[Tuple[int, UpstreamConn]] = []
-        ext = None
-        if conn.session is not None:
-            ext = self._ext.get(conn.session.session_id)
-        for shard in range(self.shard_count):
-            up = None
-            if ext is not None:
-                up = ext.upstreams.get(shard)
-                if up is not None and not up.alive:
-                    up = None
-            if up is None:
-                try:
-                    up = await self._admin_conn(shard)
-                except UpstreamLost:
-                    continue
-            targets.append((shard, up))
-        return targets
+    async def _poll(self, conn: Conn, spec: Op,
+                    args: Dict[str, Any], *, own_only: bool = False
+                    ) -> Tuple[List[Tuple[int, Any]], List[dict]]:
+        """Ask every shard: ``([(shard, result)], pending events)``.
 
-    async def _fanout(self, conn: _RouterConn, rid: Any, op: str,
-                      args: Dict[str, Any]) -> bytes:
-        if op == "ping":
-            result, events = await self._fanout_ping(conn, args)
-        elif op == "metrics":
-            result, events = await self._fanout_metrics(conn, args)
-        elif op == "trace":
-            result, events = await self._fanout_trace(conn, args)
-        else:
-            result, events = await self._fanout_prometheus(conn, args)
-        return protocol.frame_from_body(protocol.encode_body(
-            ok_response(rid, result, events or None)))
+        One connection per shard: the session's own where it has one
+        (so per-session metrics and pending events ride along), a
+        shared sessionless one otherwise — or, with ``own_only``, the
+        session's own and nothing else.  Shards that are unreachable,
+        die mid-poll or answer an error are left out — a restarting
+        shard must not fail a survivor's metrics poll.
+        """
+        own = self._upstreams.get(conn.session.session_id, {}) \
+            if conn.session is not None else {}
 
-    async def _collect(self, targets: List[Tuple[int, UpstreamConn]],
-                       op: str, args: Dict[str, Any]
-                       ) -> List[Tuple[int, Dict[str, Any]]]:
-        """Send one op to every target; drop targets that die."""
-        async def one(shard: int, up: UpstreamConn):
+        async def one(shard: int):
+            up = own.get(shard)
             try:
-                response, _ = await up.request(
-                    {"id": up.next_rid(), "op": op, "args": args})
+                if up is None or not up.alive:
+                    if own_only:
+                        return None
+                    up = await self._admin_conn(shard)
+                return (shard, *await up.ask(spec.name, args))
             except UpstreamLost:
                 return None
-            return shard, response
-        answers = await asyncio.gather(
-            *(one(shard, up) for shard, up in targets))
-        return [a for a in answers if a is not None]
+        answers = [a for a in await asyncio.gather(
+            *(one(shard) for shard in range(self.shard_count))) if a]
+        return ([(shard, result) for shard, result, _ in answers
+                 if result is not None],
+                [event for *_, events in answers for event in events])
 
-    @staticmethod
-    def _merge_events(answers: List[Tuple[int, Dict[str, Any]]]
-                      ) -> List[dict]:
-        events: List[dict] = []
-        for _, response in answers:
-            events.extend(response.get("events") or [])
-        return events
-
-    async def _fanout_ping(self, conn: _RouterConn,
+    async def _fanout_ping(self, conn: Conn, spec: Op,
                            args: Dict[str, Any]):
         # Ping only needs the session's own shards: that is where its
         # pending events (forced detaches) queue, and where clock
         # movement matters to it.  A session-less ping answers locally.
-        targets: List[Tuple[int, UpstreamConn]] = []
-        if conn.session is not None:
-            ext = self._ext.get(conn.session.session_id)
-            if ext is not None:
-                targets = [(s, up) for s, up in ext.upstreams.items()
-                           if up.alive]
-        answers = await self._collect(targets, "ping", args)
-        now = max((a[1].get("result", {}).get("now_ns", 0)
-                   for a in answers if a[1].get("ok")),
+        results, events = await self._poll(conn, spec, args,
+                                           own_only=True)
+        now = max((result.get("now_ns", 0) for _, result in results),
                   default=self.now_ns())
-        return ({"now_ns": now, "sessions": len(self.registry)},
-                self._merge_events(answers))
+        return {"now_ns": now, "sessions": len(self.registry)}, events
 
-    async def _fanout_metrics(self, conn: _RouterConn,
+    async def _fanout_metrics(self, conn: Conn, spec: Op,
                               args: Dict[str, Any]):
-        targets = await self._fanout_targets(conn)
-        answers = await self._collect(targets, "metrics",
-                                      dict(args, raw=True))
-        reports = []
-        for shard, response in answers:
-            if not response.get("ok"):
-                continue
-            report = response["result"]
+        results, events = await self._poll(conn, spec,
+                                           dict(args, raw=True))
+        for shard, report in results:
             report.setdefault("shard", shard)
-            reports.append(report)
-        merged = aggregate_metrics(reports,
+        merged = aggregate_metrics([report for _, report in results],
                                    sessions=len(self.registry))
         merged["cluster"]["unreachable"] = \
-            self.shard_count - len(reports)
-        return merged, self._merge_events(answers)
+            self.shard_count - len(results)
+        return merged, events
 
-    async def _fanout_trace(self, conn: _RouterConn,
+    async def _fanout_trace(self, conn: Conn, spec: Op,
                             args: Dict[str, Any]):
-        targets = await self._fanout_targets(conn)
-        answers = await self._collect(targets, "trace", args)
+        results, events = await self._poll(conn, spec, args)
         spans: List[dict] = []
         audit: List[dict] = []
         open_windows: List[dict] = []
-        for shard, response in answers:
-            if not response.get("ok"):
-                continue
-            result = response["result"]
+        for shard, result in results:
             spans.extend(result.get("spans") or [])
             for event in result.get("audit") or []:
                 event["shard"] = shard
@@ -638,66 +444,70 @@ class TerpRouter:
                 window["shard"] = shard
                 open_windows.append(window)
         audit.sort(key=lambda e: e.get("at_ns", 0))
-        return ({"spans": spans, "audit": audit,
-                 "open_windows": open_windows},
-                self._merge_events(answers))
+        return {"spans": spans, "audit": audit,
+                "open_windows": open_windows}, events
 
-    async def _fanout_prometheus(self, conn: _RouterConn,
+    async def _fanout_prometheus(self, conn: Conn, spec: Op,
                                  args: Dict[str, Any]):
-        targets = await self._fanout_targets(conn)
-        answers = await self._collect(targets, "prometheus", args)
-        texts = [label_prometheus(
-                     response["result"].get("text", ""), shard)
-                 for shard, response in answers if response.get("ok")]
-        return {"text": "".join(texts)}, self._merge_events(answers)
+        results, events = await self._poll(conn, spec, args)
+        return {"text": "".join(
+            label_prometheus(result.get("text", ""), shard)
+            for shard, result in results)}, events
+
+    async def _fanout_repl_status(self, conn: Conn, spec: Op,
+                                  args: Dict[str, Any]):
+        """Replication health per shard: each shard ships to its own
+        standby, so the statuses are kept apart, never summed."""
+        results, events = await self._poll(conn, spec, args)
+        shards = {str(shard): status for shard, status in results}
+        return {"enabled": any(status.get("enabled")
+                               for status in shards.values()),
+                "shards": shards,
+                "unreachable": self.shard_count - len(shards)}, events
 
     # -- batch path --------------------------------------------------------
 
-    async def _handle_batch(self, conn: _RouterConn, items: List[Any],
+    async def _handle_batch(self, conn: Conn, items: List[Any],
                             sidecar: bytes) -> bytes:
         """Split per owning shard, run concurrently, merge in order.
 
         Each item keeps its slice of the combined request sidecar (in
-        item order, the v2 batch contract) and contributes its
+        item order, the batch contract) and contributes its
         response chunks to the combined response sidecar, also in
         item order.  A shard error stays isolated to its items'
         slots; a shard *death* aborts the whole client connection
         (the retry re-splits identically).
         """
         bins = protocol.BinReader(sidecar)
-        # parts[i] is either pre-encoded response bytes (local errors)
-        # or None until the owning shard's sub-batch answers.
+        # parts[i] is either pre-encoded response bytes (the router's
+        # own refusals) or None until the owning shard's sub-batch
+        # answers.
         parts: List[Any] = [None] * len(items)
         chunks: List[bytes] = [b""] * len(items)
         by_shard: Dict[int, List[Tuple[int, Any, bytes]]] = {}
         for index, item in enumerate(items):
-            op = item.get("op") if isinstance(item, dict) else None
-            rid = item.get("id") if isinstance(item, dict) else None
-            args = item.get("args") if isinstance(item, dict) else None
-            take = bins.take(_bin_len(args)) if args else b""
-            if not isinstance(item, dict) or not isinstance(op, str):
-                parts[index] = protocol.encode_body(error_response(
-                    rid, "WireError",
-                    "request must be an object with an 'op'"))
-                continue
-            if op in ("hello", "goodbye"):
-                parts[index] = protocol.encode_body(error_response(
-                    rid, "TerpError",
-                    f"op {op!r} must be sent standalone, not in a "
-                    "batch"))
-                continue
-            if conn.session is None:
-                parts[index] = protocol.encode_body(error_response(
-                    rid, "TerpError",
-                    f"op {op!r} requires a session; say hello first"))
+            try:
+                spec, args = admit(
+                    item, has_session=conn.session is not None)
+                take = bins.take(protocol.bin_length(
+                    args[spec.bin_arg])) \
+                    if spec.bin_arg in args else b""
+                if spec.route == SESSION:
+                    raise TerpError(f"op {spec.name!r} must be sent "
+                                    "standalone, not in a batch")
+                if conn.session is None:
+                    raise TerpError(f"op {spec.name!r} requires a "
+                                    "session; say hello first")
+            except TerpError as exc:
+                parts[index] = protocol.refusal(
+                    item.get("id") if isinstance(item, dict) else None,
+                    exc)
                 continue
             # Fan-out ops inside a batch are pinned to the session's
             # home shard: a batched ping is a liveness probe, not a
             # cluster census.
-            if op in FANOUT_OPS:
-                shard = self._home_shard(conn)
-            else:
-                shard = self._route(op, args or {}, conn)
+            shard = self._home_shard(conn) if spec.route == FANOUT \
+                else self._route(spec, args, conn)
             by_shard.setdefault(shard, []).append((index, item, take))
 
         async def run_shard(shard: int,
@@ -706,7 +516,7 @@ class TerpRouter:
             body = protocol.encode_body([item for _, item, _ in
                                          grouped])
             side = b"".join(chunk for _, _, chunk in grouped)
-            rbody, rside = await up.request_raw(body, side)
+            rbody, rside = await up.relay(body, side)
             responses = protocol.decode_frame(rbody)
             if not isinstance(responses, list) or \
                     len(responses) != len(grouped):

@@ -96,8 +96,12 @@ class AddressSpace:
         raise TerpError("could not find a free randomized slot")
 
     def _overlaps(self, base: int, span: int) -> bool:
+        # A mapping occupies its whole embedded subtree's span, not
+        # just ``size_bytes``: a smaller PMO placed anywhere inside
+        # that span would collide with the installed subtree root.
         for m in self._mappings.values():
-            if base < m.base_va + m.size_bytes and m.base_va < base + span:
+            if base < m.base_va + self.alignment_for(m.subtree_level) \
+                    and m.base_va < base + span:
                 return True
         return False
 

@@ -249,7 +249,13 @@ class PageTable:
                 f"base VA {base_va:#x} not aligned to subtree span {span:#x}")
         parent = self._ensure_path(base_va, subtree.level + 1)
         idx = index_at_level(base_va, subtree.level + 1)
-        if parent.lookup(idx) is not None:
+        existing = parent.lookup(idx)
+        if existing is not None and not (
+                isinstance(existing, PageTableNode)
+                and not existing.entries):
+            # An *empty* node maps nothing: it is the intermediate
+            # node a smaller subtree's path created and its detach
+            # left behind, and the slot is free to take.
             raise TerpError(f"VA {base_va:#x} already mapped")
         parent.set(idx, subtree)
         self.pte_writes += 1

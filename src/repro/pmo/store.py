@@ -126,14 +126,18 @@ class _StoreEntry:
     """One registered PMO's durable state."""
 
     __slots__ = ("pmo", "path", "journal_path", "flush_seq",
-                 "scrub_cursor")
+                 "committed_seq", "scrub_cursor")
 
     def __init__(self, pmo: "Pmo", path: Path,
                  journal_path: Path) -> None:
         self.pmo = pmo
         self.path = path
         self.journal_path = journal_path
+        #: last seq *claimed* by a snapshot (under the metadata lock).
         self.flush_seq = 0
+        #: seq of the last batch on media (under the I/O lock); trails
+        #: ``flush_seq`` while snapshots wait on the group committer.
+        self.committed_seq = 0
         self.scrub_cursor = 0
 
 
@@ -200,7 +204,8 @@ class GroupCommitter:
         self.interval_s = max(0, interval_us) / 1e6
         self.max_batch = max(1, max_batch)
         self._cond = threading.Condition()
-        self._queue: List[Tuple["_StoreEntry",
+        #: (entry, the seq its snapshot claimed, pages, ticket)
+        self._queue: List[Tuple["_StoreEntry", int,
                                 List[Tuple[int, bytes]],
                                 CommitTicket]] = []
         self._thread: Optional[threading.Thread] = None
@@ -210,14 +215,14 @@ class GroupCommitter:
         self.batches = 0
         self.submitted = 0
 
-    def submit(self, entry: "_StoreEntry",
+    def submit(self, entry: "_StoreEntry", seq: int,
                pages: List[Tuple[int, bytes]]) -> CommitTicket:
         ticket = CommitTicket()
         with self._cond:
             if self._aborted or self._stopping:
                 ticket.fail(PmoError("group committer is stopped"))
                 return ticket
-            self._queue.append((entry, pages, ticket))
+            self._queue.append((entry, seq, pages, ticket))
             self.submitted += 1
             if self._thread is None:
                 self._thread = threading.Thread(
@@ -244,7 +249,7 @@ class GroupCommitter:
             if batch:
                 self._commit_batch(batch)
 
-    def _commit_batch(self, batch: List[Tuple["_StoreEntry",
+    def _commit_batch(self, batch: List[Tuple["_StoreEntry", int,
                                               List[Tuple[int, bytes]],
                                               CommitTicket]]) -> None:
         self.batches += 1
@@ -257,22 +262,21 @@ class GroupCommitter:
                 # forces concurrent psyncs to merge deterministically.
                 time.sleep(rule.delay_ns / 1e9)
         # Merge same-PMO snapshots in submit order: later snapshots of
-        # a page supersede earlier ones within the combined journal.
-        groups: Dict[int, Tuple["_StoreEntry", Dict[int, bytes],
-                                List[Tuple[CommitTicket, int]]]] = {}
-        for entry, pages, ticket in batch:
-            key = id(entry)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = (entry, dict(pages),
-                               [(ticket, len(pages))])
-            else:
-                group[1].update(pages)
-                group[2].append((ticket, len(pages)))
-        for entry, merged, tickets in groups.values():
+        # a page supersede earlier ones within the combined journal,
+        # and the merged batch carries the last (highest) seq claimed.
+        # The seq is the one each snapshot claimed under the metadata
+        # lock, never ``entry.flush_seq`` re-read here: a snapshot
+        # taken while this batch commits has already bumped that.
+        groups: Dict[int, List[Any]] = {}
+        for entry, seq, pages, ticket in batch:
+            group = groups.setdefault(id(entry), [entry, seq, {}, []])
+            group[1] = seq
+            group[2].update(pages)
+            group[3].append((ticket, len(pages)))
+        for entry, seq, merged, tickets in groups.values():
             pages = sorted(merged.items())
             try:
-                self._store._commit_entry(entry, pages)
+                self._store._commit_entry(entry, seq, pages)
             except BaseException as exc:
                 for ticket, _ in tickets:
                     ticket.fail(exc)
@@ -288,8 +292,7 @@ class GroupCommitter:
                     # never raises: a dead or absent standby degrades
                     # replication, never local durability.
                     shipper.ship_commit(entry.pmo.name,
-                                        entry.pmo.pmo_id,
-                                        entry.flush_seq, pages)
+                                        entry.pmo.pmo_id, seq, pages)
                 for ticket, count in tickets:
                     ticket.complete(count)
 
@@ -299,7 +302,7 @@ class GroupCommitter:
         with self._cond:
             self._stopping = True
             if not drain:
-                for _, _, ticket in self._queue:
+                for *_, ticket in self._queue:
                     ticket.fail(PmoError("group committer stopped "
                                          "before the commit"))
                 self._queue.clear()
@@ -318,7 +321,7 @@ class GroupCommitter:
         with self._cond:
             self._aborted = True
             self._stopping = True
-            for _, _, ticket in self._queue:
+            for *_, ticket in self._queue:
                 ticket.fail(PmoError("daemon crashed before the "
                                      "commit"))
             self._queue.clear()
@@ -472,8 +475,9 @@ class PmoStore:
     # -- flush (the durability point) --------------------------------------
 
     def _snapshot(self, pmo: "Pmo") -> Optional[
-            Tuple[_StoreEntry, List[Tuple[int, bytes]]]]:
+            Tuple[_StoreEntry, int, List[Tuple[int, bytes]]]]:
         """Stage a flush: copy the dirty pages and claim a flush_seq.
+        Returns ``(entry, claimed seq, pages)``.
 
         Metadata-lock only — no file I/O — so the serving thread pays
         microseconds here while the fsyncs happen on the committer's
@@ -496,9 +500,9 @@ class PmoStore:
             pages = [(index, bytes(resident.get(index, blank)))
                      for index in dirty]
             storage.dirty.clear()
-            return entry, pages
+            return entry, entry.flush_seq, pages
 
-    def _commit_entry(self, entry: _StoreEntry,
+    def _commit_entry(self, entry: _StoreEntry, seq: int,
                       pages: List[Tuple[int, bytes]]) -> None:
         """Make one PMO's page batch durable: journal-before-home.
 
@@ -516,8 +520,9 @@ class PmoStore:
                 # it, or the torn page would lose its repair source.
                 self._apply_pages(entry.path, pending)
                 entry.journal_path.unlink(missing_ok=True)
-            self._write_journal(entry, pages)
+            self._write_journal(entry, seq, pages)
             torn_pages, rot_pages = self._write_home(entry, pages)
+            entry.committed_seq = seq
             if not torn_pages:
                 # The batch is fully home: retire the journal.  A torn
                 # write (injected or real) keeps it — that journal is
@@ -550,22 +555,20 @@ class PmoStore:
         snap = self._snapshot(pmo)
         if snap is None:
             return None
-        entry, pages = snap
-        return self.committer.submit(entry, pages)
+        return self.committer.submit(*snap)
 
-    def _write_journal(self, entry: _StoreEntry,
+    def _write_journal(self, entry: _StoreEntry, seq: int,
                        pages: List[Tuple[int, bytes]]) -> None:
         # Single joined write: the journal blob is assembled in memory
         # (headers pre-packed per page) and hits the file in one
         # syscall before the one fsync.
         crc32 = zlib.crc32
         jrn_page = _JRN_PAGE.pack
-        parts = [_JRN_HEAD.pack(JOURNAL_MAGIC, entry.flush_seq,
-                                len(pages))]
+        parts = [_JRN_HEAD.pack(JOURNAL_MAGIC, seq, len(pages))]
         for index, page in pages:
             parts.append(jrn_page(index, crc32(page) & 0xFFFFFFFF))
             parts.append(page)
-        parts.append(_JRN_COMMIT.pack(JOURNAL_COMMIT, entry.flush_seq))
+        parts.append(_JRN_COMMIT.pack(JOURNAL_COMMIT, seq))
         with open(entry.journal_path, "wb") as fh:
             fh.write(b"".join(parts))
             fh.flush()
@@ -770,8 +773,11 @@ class PmoStore:
             entry = self._entries.get(name)
             if entry is None:
                 raise PmoError(f"PMO {name!r} is not registered")
-            flush_seq = entry.flush_seq
             with self._io_lock:
+                # The seq of what is on media, not the last *claimed*
+                # one: a snapshot still queued on the committer is not
+                # in these bytes, and its batch must still ship.
+                flush_seq = entry.committed_seq
                 raw = entry.path.read_bytes()
                 journal = self._journal_pages(entry.journal_path)
         header = bytes(raw[:HEADER_SPAN]).ljust(HEADER_SPAN, b"\x00")

@@ -8,8 +8,8 @@ frame::
     u32 total_len | u32 header_len | header JSON | payload bytes
 
 The JSON header carries the message type and metadata; bulk page
-images ride the binary payload untouched (the same split the v2
-client protocol uses for reads and writes).  Message types:
+images ride the binary payload untouched (the same split the
+client protocol's sidecar makes for reads and writes).  Message types:
 
 ``hello`` / ``hello-ack``
     version negotiation, sent once per connection in each direction.

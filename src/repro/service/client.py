@@ -1,34 +1,40 @@
-"""terpd clients: asyncio and blocking, both pipelining-capable.
+"""terpd clients: one sans-IO core, two transports that move bytes.
 
-Two clients over the same wire protocol:
+:class:`ClientCore` is the whole client, written once and doing no
+I/O: request preparation and request-id allocation, response
+matching (:meth:`~ClientCore.take_result`), the hello / resume /
+fresh-session decision, and the retry + circuit-breaker attempt loop.
+It expresses every operation as a generator of *steps* — open the
+byte stream, close it, send these frame bytes, receive one frame's
+bytes, sleep — and a transport's only job is to carry the steps out:
 
-* :class:`TerpClient` — asyncio.  ``submit()`` fires a request without
-  waiting (pipelining: the server answers in order per connection, so
-  responses are matched FIFO and checked against the request id);
-  ``call()`` is submit-and-await.
 * :class:`SyncTerpClient` — a plain blocking socket, for threads,
-  scripts, and load generators.  ``pipeline()`` sends a burst of
-  request frames back-to-back before collecting the responses;
-  ``batch()`` packs them into a single array frame instead.
+  scripts, and load generators;
+* :class:`TerpClient` — asyncio streams; every method returns an
+  awaitable.
 
-Both surface the Table I API as methods (``create``/``open``/
-``attach``/``detach``/``pmalloc``/``pfree``/``read``/``write``/
-``psync``/``destroy``), translate error responses into
-:class:`RemoteError`, and collect out-of-band ``forced-detach``
-events into :attr:`events`.
+So both expose the same surface: ``call()`` (one request, one
+response), ``pipeline()`` (a burst of request frames sent back-to-back
+before any response is read), ``batch()`` (the burst packed into one
+array frame), and one typed method per row of the op table
+(:mod:`repro.service.ops` — ``create``/``open``/``attach``/``detach``/
+``pmalloc``/``pfree``/``read``/``write``/``psync``/``destroy``/...),
+generated from the table rather than written out.  Error responses
+become :class:`RemoteError`; out-of-band ``forced-detach`` events
+collect in :attr:`~ClientCore.events`.
 
 Robustness (opt-in via the ``retry`` / ``breaker`` constructor
-arguments; without them the clients behave exactly as before):
+arguments; without them a failure simply raises):
 
 * a lost connection surfaces as :class:`ConnectionLost` — typed, so
   callers can tell "the server said no" from "the server went away";
 * with a :class:`~repro.service.retry.RetryPolicy`, a lost connection
   triggers reconnect + session resume + replay of the *same request
-  id* after a jittered exponential backoff.  The server's per-session
+  ids* after a jittered exponential backoff.  The server's per-session
   replay cache makes the retry idempotent: a request that executed
   but whose response was lost is answered from the cache, never run
   twice.  Retryable error kinds (``Busy``, ``InjectedFault``) are
-  retried in place on the live connection.
+  retried in place on the live connection (``call()`` only).
 * with a :class:`~repro.service.retry.CircuitBreaker`, consecutive
   connection failures open the circuit and the client degrades to
   read-only operations until a probe succeeds.
@@ -37,18 +43,24 @@ arguments; without them the clients behave exactly as before):
 from __future__ import annotations
 
 import asyncio
-import collections
-import os
 import socket
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.errors import TerpError
 from repro.pmo.object_id import Oid
 from repro.service import protocol
+from repro.service.ops import OPS, REQUIRED, Op
 from repro.service.protocol import WireError
 from repro.service.retry import (
     READ_ONLY_OPS, RETRYABLE_KINDS, CircuitBreaker, CircuitOpenError,
     RetryPolicy)
+
+#: The steps a core generator yields; the transport executes each and
+#: sends its value (or throws its failure) back in.  ``OPEN`` replaces
+#: any existing byte stream; ``RECV`` answers ``(body, sidecar)`` bytes
+#: or ``None`` on clean EOF; ``SLEEP`` carries the seconds to wait.
+OPEN, CLOSE, SEND, RECV, SLEEP = "open", "close", "send", "recv", "sleep"
+Steps = Generator[Tuple[Any, ...], Any, Any]
 
 
 class RemoteError(TerpError):
@@ -83,14 +95,24 @@ class SessionLost(RemoteError):
         super().__init__("SessionLost", message)
 
 
-class _ClientCore:
-    """Response bookkeeping shared by both clients."""
+class ClientCore:
+    """The sans-IO client: state, request/response logic, and the
+    attempt loop, as step generators a transport's ``_run`` drives."""
 
-    def __init__(self) -> None:
+    def __init__(self, *, user: str, ew_budget_us: Optional[float],
+                 retry: Optional[RetryPolicy],
+                 breaker: Optional[CircuitBreaker],
+                 strict_resume: bool) -> None:
+        self._user, self._budget = user, ew_budget_us
+        self._retry = retry
+        self._breaker = breaker
+        self._strict_resume = strict_resume
         self.session_id: Optional[int] = None
         self.entity_id: Optional[int] = None
         self.ew_budget_us: Optional[float] = None
         self.resume_token: str = ""
+        #: the wire revision ``hello`` confirmed (None until connected).
+        self.protocol_version: Optional[int] = None
         #: out-of-band events (forced detaches) seen on any response.
         #: Delivery is at-least-once: a replayed response repeats the
         #: events that rode on the original.
@@ -100,13 +122,10 @@ class _ClientCore:
         #: reconnects where resume failed and a fresh session was opened.
         self.sessions_lost = 0
         self._next_id = 0
-        #: the revision offered in ``hello``; ``TERP_PROTOCOL_VERSION=1``
-        #: in the environment forces the legacy JSON-only wire.
-        env = os.environ.get("TERP_PROTOCOL_VERSION")
-        self._want_version = int(env) if env else \
-            protocol.PROTOCOL_VERSION
-        #: the revision actually negotiated (v1 until hello says more).
-        self.protocol_version = protocol.PROTOCOL_V1
+
+    def _run(self, steps: Steps) -> Any:
+        """Execute ``steps`` against the byte stream (the transport)."""
+        raise NotImplementedError
 
     def next_id(self) -> int:
         self._next_id += 1
@@ -116,6 +135,38 @@ class _ClientCore:
     def forced_detaches(self) -> int:
         return sum(1 for e in self.events
                    if e.get("event") == "forced-detach")
+
+    # -- frames in, frames out ----------------------------------------------
+
+    @staticmethod
+    def _prep(rid: int, op: str, args: Dict[str, Any]
+              ) -> Tuple[Dict[str, Any], bytes]:
+        """One request object plus its sidecar bytes.  The op table
+        names the argument whose ``bytes`` leave the JSON for the
+        sidecar; the caller's dict is never mutated, so a retry
+        re-preps the same request."""
+        spec = OPS.get(op)
+        field = spec.bin_arg if spec is not None else None
+        data = args.get(field) if field is not None else None
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            return protocol.request(rid, op, args), b""
+        return protocol.request(
+            rid, op, dict(args, **{field: {"bin": len(data)}})), \
+            bytes(data)
+
+    @staticmethod
+    def _decode(got: Optional[Tuple[bytes, bytes]]) -> Any:
+        """A received frame's payload, sidecar folded in; ``None`` on
+        EOF.  A torn frame (e.g. the server died mid-write) is a
+        connection failure, not a protocol dispute."""
+        if got is None:
+            return None
+        try:
+            payload = protocol.decode_frame(got[0])
+            return protocol.absorb_sidecar(payload, got[1]) \
+                if got[1] else payload
+        except WireError as exc:
+            raise ConnectionLost(str(exc)) from exc
 
     def take_result(self, response: Any, expect_id: int) -> Any:
         if response is None:
@@ -133,39 +184,231 @@ class _ClientCore:
                               str(error.get("message", "unknown")))
         return response.get("result")
 
-    def note_hello(self, result: Dict) -> None:
+    def _outcome(self, response: Any, rid: int) -> Any:
+        """:meth:`take_result`, with an error *response* returned as a
+        value: the slot was answered, later slots must still be read."""
+        try:
+            return self.take_result(response, rid)
+        except ConnectionLost:
+            raise
+        except RemoteError as exc:
+            return exc
+
+    # -- hello / resume ------------------------------------------------------
+
+    def _hello_steps(self, extra: Dict[str, Any]) -> Steps:
+        args: Dict[str, Any] = {"user": self._user}
+        if self._budget is not None:
+            args["ew_budget_us"] = self._budget
+        rid = self.next_id()
+        yield SEND, protocol.encode_frame(protocol.request(
+            rid, "hello", dict(args, **extra,
+                               version=protocol.PROTOCOL_VERSION)))
+        result = self.take_result(self._decode((yield (RECV,))), rid)
         self.session_id = result["session"]
         self.entity_id = result["entity"]
         self.ew_budget_us = result["ew_budget_us"]
         self.resume_token = str(result.get("token", ""))
-        self.protocol_version = int(
-            result.get("version", protocol.PROTOCOL_V1))
+        self.protocol_version = int(result["version"])
 
-    def _prep_args(self, args: Dict[str, Any]
-                   ) -> Tuple[Dict[str, Any], List[bytes]]:
-        """Encode a request's binary payload for the negotiated wire.
+    def _connect_steps(self) -> Steps:
+        """(Re)open the byte stream and establish the session.
 
-        ``bytes`` under ``"data"`` ride the v2 sidecar (returned as
-        chunks) or get base64'd for a v1 connection.  The caller's
-        dict is never mutated, so a retry after reconnect re-preps the
-        same request for whatever version the new connection speaks.
+        Resume first (same session id, entity id, and replay cache);
+        if the server no longer knows the session, fall back to a
+        fresh one — unless ``strict_resume`` asked for a typed
+        :class:`SessionLost` instead.
         """
-        data = args.get("data")
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            return args, []
-        data = bytes(data)
-        if self.protocol_version >= 2:
-            return dict(args, data={"bin": len(data)}), [data]
-        return dict(args, data=protocol.encode_bytes(data)), []
+        yield (OPEN,)
+        if self.session_id is not None and self.resume_token:
+            try:
+                yield from self._hello_steps(
+                    {"resume": self.session_id,
+                     "token": self.resume_token})
+                self.resumes += 1
+                return self
+            except ConnectionLost:
+                raise
+            except RemoteError as exc:
+                self.sessions_lost += 1
+                if self._strict_resume:
+                    raise SessionLost(
+                        f"session {self.session_id} not resumable: "
+                        f"{exc.remote_message}") from exc
+        yield from self._hello_steps({})
+        return self
 
-    def _version_rejected(self, exc: "RemoteError") -> bool:
-        """Did the server refuse our ``hello`` version offer?"""
-        return not isinstance(exc, ConnectionLost) and \
-            self._want_version > protocol.PROTOCOL_V1 and \
-            "version" in exc.remote_message
+    def connect(self) -> Any:
+        return self._run(self._connect_steps())
+
+    #: what recovery tests and chaos harnesses call after re-pointing
+    #: a client at a restarted or promoted daemon.
+    _reconnect = connect
+
+    # -- the attempt loop ----------------------------------------------------
+
+    def _exchange_steps(self, requests: List[Tuple[str, Dict]], *,
+                        batch: bool = False,
+                        single: Optional[Callable[[Any], Any]] = None
+                        ) -> Steps:
+        """Send ``requests`` (one frame each, or one array frame when
+        ``batch``), read every reply, return the results in order —
+        or, for the one request of a ``call()``, ``single(result)``.
+
+        Every outstanding reply is drained before the first error
+        response is raised at its slot, so the connection is never
+        left mid-stream.  With a retry policy, a connection lost
+        mid-exchange re-sends only the *unanswered* request ids after
+        reconnect + resume: answered slots are kept and already-
+        executed stragglers come from the server's replay cache.
+        A ``call()`` also retries a retryable error *response*
+        (``Busy``, ``InjectedFault``) in place.
+        """
+        items = [(self.next_id(), op, args) for op, args in requests]
+        retry, breaker = self._retry, self._breaker
+        outcomes: List[Any] = []
+        attempt = 0
+        while True:
+            if breaker is not None and not breaker.allow(readonly=all(
+                    op in READ_ONLY_OPS for _, op, _ in items)):
+                raise CircuitOpenError(
+                    f"circuit open: refusing "
+                    f"{items[0][1] if items else 'ping'!r}; only "
+                    "read-only operations pass until the server "
+                    "recovers")
+            try:
+                if batch:
+                    yield from self._batch_steps(items, outcomes)
+                else:
+                    for rid, op, args in items[len(outcomes):]:
+                        payload, sidecar = self._prep(rid, op, args)
+                        yield SEND, protocol.encode_frame(
+                            payload, sidecar or None)
+                    while len(outcomes) < len(items):
+                        outcomes.append(self._outcome(
+                            self._decode((yield (RECV,))),
+                            items[len(outcomes)][0]))
+            except ConnectionLost:
+                yield (CLOSE,)
+                if breaker is not None:
+                    breaker.record_failure()
+                if retry is None or attempt >= retry.max_retries:
+                    raise
+                yield SLEEP, retry.delay_for(attempt)
+                attempt += 1
+                # Best effort: if this fails, the next attempt finds
+                # no connection, fails, and counts.
+                try:
+                    yield from self._connect_steps()
+                except SessionLost:
+                    raise
+                except (OSError, TerpError):
+                    yield (CLOSE,)
+                continue
+            errors = [o for o in outcomes if isinstance(o, RemoteError)]
+            if breaker is not None:
+                # An error *response* still round-tripped.  Busy is the
+                # exception — a half-open probe answered Busy must
+                # re-open the circuit, not close it (the server is
+                # shedding load, not serving).
+                if any(e.kind == "Busy" for e in errors):
+                    breaker.record_busy()
+                else:
+                    breaker.record_success()
+            if not errors:
+                return outcomes if single is None \
+                    else single(outcomes[0])
+            if single is not None and retry is not None and \
+                    errors[0].kind in RETRYABLE_KINDS and \
+                    attempt < retry.max_retries:
+                yield SLEEP, retry.delay_for(attempt)
+                attempt += 1
+                outcomes.clear()
+                continue
+            raise errors[0]
+
+    def _batch_steps(self, items: List[Tuple[int, str, Dict]],
+                     outcomes: List[Any]) -> Steps:
+        """One array frame each way; the items' binary payloads travel
+        as one combined sidecar, concatenated in item order."""
+        prepped = [self._prep(*item) for item in items]
+        yield SEND, protocol.encode_frame(
+            [payload for payload, _ in prepped],
+            b"".join(sidecar for _, sidecar in prepped) or None)
+        responses = self._decode((yield (RECV,)))
+        if responses is None:
+            raise ConnectionLost(
+                "server closed before the batch response")
+        if not isinstance(responses, list) or \
+                len(responses) != len(items):
+            raise WireError("batch response shape mismatch")
+        outcomes[:] = [self._outcome(response, rid) for response,
+                       (rid, _, _) in zip(responses, items)]
+
+    def _call(self, op: str, args: Dict[str, Any],
+              finish: Callable[[Any], Any] = lambda result: result
+              ) -> Any:
+        return self._run(self._exchange_steps([(op, args)],
+                                              single=finish))
+
+    def call(self, op: str, **args: Any) -> Any:
+        """One request, one response — with retry if configured."""
+        return self._call(op, args)
+
+    def pipeline(self, requests: List[Tuple[str, Dict]]) -> Any:
+        """Send every request frame before reading any response;
+        results come back in request order."""
+        return self._run(self._exchange_steps(requests))
+
+    def batch(self, requests: List[Tuple[str, Dict]]) -> Any:
+        """Pack many requests into one frame (one syscall each way)."""
+        return self._run(self._exchange_steps(requests, batch=True))
 
 
-class SyncTerpClient(_ClientCore):
+def _typed_method(spec: Op) -> Callable[..., Any]:
+    """The typed client method for one op-table row."""
+    names = [name for name, _ in spec.params]
+    known = frozenset(names)
+    defaults = dict(spec.params)
+
+    def finish(result: Any) -> Any:
+        if spec.returns is None:
+            return result
+        if spec.returns == "":
+            return None
+        value = result[spec.returns]
+        return Oid.unpack(value) if spec.returns == "oid" else value
+
+    def method(self: ClientCore, *args: Any, **kwargs: Any) -> Any:
+        if len(args) > len(names) or not kwargs.keys() <= known:
+            raise TypeError(f"{spec.method}() takes {names}")
+        given = dict(zip(names, args), **kwargs)
+        wire: Dict[str, Any] = {}
+        for name in names:
+            value = given.get(name, defaults[name])
+            if value is REQUIRED:
+                raise TypeError(f"{spec.method}() needs {name!r}")
+            if name == "oid":
+                value = value.pack()
+            elif name == spec.bin_arg:
+                value = bytes(value)
+            if value is not None:
+                wire[name] = value
+        return self._call(spec.name, wire, finish)
+
+    method.__name__ = method.__qualname__ = str(spec.method)
+    method.__doc__ = (
+        f"``{spec.name}`` ({', '.join(names) or 'no arguments'}): one "
+        "row of :data:`repro.service.ops.OPS`.")
+    return method
+
+
+for _spec in OPS.values():
+    if _spec.method is not None:
+        setattr(ClientCore, _spec.method, _typed_method(_spec))
+
+
+class SyncTerpClient(ClientCore):
     """Blocking terpd client over TCP or a Unix socket."""
 
     def __init__(self, *, host: str = "127.0.0.1",
@@ -177,56 +420,44 @@ class SyncTerpClient(_ClientCore):
                  retry: Optional[RetryPolicy] = None,
                  breaker: Optional[CircuitBreaker] = None,
                  strict_resume: bool = False) -> None:
-        super().__init__()
+        super().__init__(user=user, ew_budget_us=ew_budget_us,
+                         retry=retry, breaker=breaker,
+                         strict_resume=strict_resume)
         if (port is None) == (unix_path is None):
             raise TerpError("give exactly one of port / unix_path")
         self._sock: Optional[socket.socket] = None
         self._host, self._port, self._unix = host, port, unix_path
-        self._user, self._budget = user, ew_budget_us
         self._timeout = timeout
-        self._retry = retry
-        self._breaker = breaker
-        self._strict_resume = strict_resume
 
-    # -- connection lifecycle ----------------------------------------------
-
-    def connect(self) -> "SyncTerpClient":
-        self._open_socket()
-        self.note_hello(self._hello(self._hello_args()))
-        return self
-
-    def _hello(self, args: Dict[str, Any]) -> Any:
-        """Say hello, negotiating the protocol version.
-
-        A legacy (v1-only) server rejects the v2 offer outright with a
-        "version unsupported" error; the client downgrades its offer
-        and re-hellos, after which everything — including this whole
-        session's reads and writes — stays on the v1 JSON wire.
-        """
+    def _run(self, steps: Steps) -> Any:
         try:
-            return self._raw_call(
-                "hello", dict(args, version=self._want_version))
-        except RemoteError as exc:
-            if not self._version_rejected(exc):
-                raise
-            self._want_version = protocol.PROTOCOL_V1
-            return self._raw_call(
-                "hello", dict(args, version=protocol.PROTOCOL_V1))
+            step = next(steps)
+            while True:
+                try:
+                    value = self._do(*step)
+                except (OSError, TerpError) as exc:
+                    step = steps.throw(exc)
+                else:
+                    step = steps.send(value)
+        except StopIteration as stop:
+            return stop.value
 
-    def close(self) -> None:
+    def _do(self, kind: str, arg: Any = None) -> Any:
+        if kind == SEND or kind == RECV:
+            if self._sock is None:
+                raise ConnectionLost("not connected")
+            try:
+                if kind == SEND:
+                    return self._sock.sendall(arg)
+                return protocol.recv_frame_raw(self._sock)
+            except (OSError, WireError) as exc:
+                self._drop_socket()
+                raise ConnectionLost(f"{kind} failed: {exc}") from exc
+        if kind == SLEEP:
+            return self._retry.sleep(arg)
         self._drop_socket()
-
-    def __enter__(self) -> "SyncTerpClient":
-        return self.connect()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _hello_args(self) -> Dict[str, Any]:
-        args: Dict[str, Any] = {"user": self._user}
-        if self._budget is not None:
-            args["ew_budget_us"] = self._budget
-        return args
+        if kind == OPEN:
+            self._open_socket()
 
     def _open_socket(self) -> None:
         if self._unix is not None:
@@ -248,308 +479,23 @@ class SyncTerpClient(_ClientCore):
             finally:
                 self._sock = None
 
-    def _reconnect(self) -> None:
-        """Reopen the transport and restore the session.
-
-        Resume first (same session id, entity id, and replay cache);
-        if the server no longer knows the session, fall back to a
-        fresh one — unless ``strict_resume`` asked for a typed
-        :class:`SessionLost` instead.
-        """
+    def close(self) -> None:
         self._drop_socket()
-        self._open_socket()
-        args = self._hello_args()
-        if self.session_id is not None and self.resume_token:
-            try:
-                self.note_hello(self._hello(
-                    dict(args, resume=self.session_id,
-                         token=self.resume_token)))
-                self.resumes += 1
-                return
-            except ConnectionLost:
-                raise
-            except RemoteError as exc:
-                self.sessions_lost += 1
-                if self._strict_resume:
-                    raise SessionLost(
-                        f"session {self.session_id} not resumable: "
-                        f"{exc.remote_message}") from exc
-        self.note_hello(self._hello(args))
 
-    def _try_reconnect(self) -> None:
-        """Best-effort reconnect between retry attempts: a failure
-        here just leaves the next attempt to fail (and count)."""
-        try:
-            self._reconnect()
-        except SessionLost:
-            raise
-        except (OSError, TerpError):
-            self._drop_socket()
+    def __enter__(self) -> "SyncTerpClient":
+        return self.connect()
 
-    # -- request plumbing -------------------------------------------------
-
-    def _send(self, payload: Any,
-              sidecar: Optional[bytes] = None) -> None:
-        if self._sock is None:
-            raise ConnectionLost("not connected")
-        try:
-            protocol.send_frame(self._sock, payload, sidecar)
-        except OSError as exc:
-            self._drop_socket()
-            raise ConnectionLost(f"send failed: {exc}") from exc
-
-    def _recv(self) -> Any:
-        if self._sock is None:
-            raise ConnectionLost("not connected")
-        try:
-            got = protocol.recv_frame_ex(self._sock)
-        except OSError as exc:
-            self._drop_socket()
-            raise ConnectionLost(f"recv failed: {exc}") from exc
-        except WireError as exc:
-            # A torn frame (e.g. the server died mid-write) is a
-            # connection failure, not a protocol dispute.
-            self._drop_socket()
-            raise ConnectionLost(str(exc)) from exc
-        if got is None:
-            return None
-        payload, sidecar = got
-        if sidecar:
-            try:
-                protocol.absorb_sidecar(payload, sidecar)
-            except WireError as exc:
-                self._drop_socket()
-                raise ConnectionLost(str(exc)) from exc
-        return payload
-
-    def _raw_call(self, op: str, args: Dict[str, Any]) -> Any:
-        """One round-trip with no retry/breaker involvement."""
-        rid = self.next_id()
-        self._send(protocol.request(rid, op, args))
-        return self.take_result(self._recv(), rid)
-
-    def _check_breaker(self, op: str, *, readonly: bool) -> None:
-        if self._breaker is not None and \
-                not self._breaker.allow(readonly=readonly):
-            raise CircuitOpenError(
-                f"circuit open: refusing {op!r}; only read-only "
-                "operations pass until the server recovers")
-
-    def call(self, op: str, **args: Any) -> Any:
-        """One request, one response — with retry if configured."""
-        return self._call(self.next_id(), op, args)
-
-    def _call(self, rid: int, op: str, args: Dict[str, Any]) -> Any:
-        attempt = 0
-        while True:
-            self._check_breaker(op, readonly=op in READ_ONLY_OPS)
-            try:
-                prepped, chunks = self._prep_args(args)
-                self._send(protocol.request(rid, op, prepped),
-                           b"".join(chunks) if chunks else None)
-                result = self.take_result(self._recv(), rid)
-            except ConnectionLost:
-                self._drop_socket()
-                if self._breaker is not None:
-                    self._breaker.record_failure()
-                if self._retry is None or \
-                        attempt >= self._retry.max_retries:
-                    raise
-                self._retry.backoff(attempt)
-                attempt += 1
-                # Same rid on the restored session: if the lost
-                # request executed, the replay cache answers it.
-                self._try_reconnect()
-                continue
-            except RemoteError as exc:
-                # An error *response*: the connection round-tripped.
-                # Busy is the exception — a half-open probe answered
-                # Busy must re-open the circuit, not close it (the
-                # server is shedding load, not serving).
-                if self._breaker is not None:
-                    if exc.kind == "Busy":
-                        self._breaker.record_busy()
-                    else:
-                        self._breaker.record_success()
-                if self._retry is not None and \
-                        exc.kind in RETRYABLE_KINDS and \
-                        attempt < self._retry.max_retries:
-                    self._retry.backoff(attempt)
-                    attempt += 1
-                    continue
-                raise
-            if self._breaker is not None:
-                self._breaker.record_success()
-            return result
-
-    def pipeline(self, requests: List[Tuple[str, Dict]]) -> List[Any]:
-        """Send every request frame before reading any response.
-
-        Returns results in request order; a failed request raises only
-        when its slot is reached, after all frames were sent — matching
-        how a pipelined server consumes them.  With retry configured, a
-        connection lost mid-pipeline re-sends only the *unacknowledged*
-        request ids after reconnect + resume; acknowledged results are
-        kept and already-executed stragglers come from the replay
-        cache.
-        """
-        pending = [(self.next_id(), op, args) for op, args in requests]
-        readonly = all(op in READ_ONLY_OPS for _, op, _ in pending)
-        results: List[Any] = []
-        attempt = 0
-        while True:
-            self._check_breaker(pending[0][1] if pending else "ping",
-                                readonly=readonly)
-            try:
-                for rid, op, args in pending[len(results):]:
-                    prepped, chunks = self._prep_args(args)
-                    self._send(protocol.request(rid, op, prepped),
-                               b"".join(chunks) if chunks else None)
-                while len(results) < len(pending):
-                    rid = pending[len(results)][0]
-                    results.append(self.take_result(self._recv(), rid))
-                if self._breaker is not None:
-                    self._breaker.record_success()
-                return results
-            except ConnectionLost:
-                self._drop_socket()
-                if self._breaker is not None:
-                    self._breaker.record_failure()
-                if self._retry is None or \
-                        attempt >= self._retry.max_retries:
-                    raise
-                self._retry.backoff(attempt)
-                attempt += 1
-                self._try_reconnect()
-
-    def batch(self, requests: List[Tuple[str, Dict]]) -> List[Any]:
-        """Pack many requests into one frame (one syscall each way).
-
-        On a v2 connection the items' binary payloads travel as one
-        combined sidecar, concatenated in item order.  The frame is
-        re-packed per attempt: a reconnect may have renegotiated the
-        protocol version.
-        """
-        items = [(self.next_id(), op, args) for op, args in requests]
-        rids = [rid for rid, _, _ in items]
-        readonly = all(op in READ_ONLY_OPS for op, _ in requests)
-        attempt = 0
-        while True:
-            self._check_breaker(requests[0][0] if requests else "ping",
-                                readonly=readonly)
-            try:
-                packed = []
-                chunks: List[bytes] = []
-                for rid, op, args in items:
-                    prepped, ch = self._prep_args(args)
-                    chunks.extend(ch)
-                    packed.append(protocol.request(rid, op, prepped))
-                self._send(packed,
-                           b"".join(chunks) if chunks else None)
-                responses = self._recv()
-                if responses is None:
-                    raise ConnectionLost(
-                        "server closed before the batch response")
-                if not isinstance(responses, list) or \
-                        len(responses) != len(rids):
-                    raise WireError("batch response shape mismatch")
-                results = [self.take_result(response, rid)
-                           for response, rid in zip(responses, rids)]
-                if self._breaker is not None:
-                    self._breaker.record_success()
-                return results
-            except ConnectionLost:
-                self._drop_socket()
-                if self._breaker is not None:
-                    self._breaker.record_failure()
-                if self._retry is None or \
-                        attempt >= self._retry.max_retries:
-                    raise
-                self._retry.backoff(attempt)
-                attempt += 1
-                self._try_reconnect()
-
-    # -- Table I convenience ----------------------------------------------
-
-    def create(self, name: str, size: int, mode: int = 0o600) -> Dict:
-        return self.call("create", name=name, size=size, mode=mode)
-
-    def open(self, name: str, access: str = "rw") -> Dict:
-        return self.call("open", name=name, access=access)
-
-    def close_pmo(self, name: str) -> Dict:
-        return self.call("close", name=name)
-
-    def destroy(self, name: str) -> Dict:
-        return self.call("destroy", name=name)
-
-    def attach(self, name: str, access: str = "rw") -> Dict:
-        return self.call("attach", name=name, access=access)
-
-    def detach(self, name: str) -> Dict:
-        return self.call("detach", name=name)
-
-    def pmalloc(self, name: str, size: int) -> Oid:
-        return Oid.unpack(self.call("pmalloc", name=name,
-                                    size=size)["oid"])
-
-    def pfree(self, oid: Oid) -> None:
-        self.call("pfree", oid=oid.pack())
-
-    def read(self, oid: Oid, n: int) -> bytes:
-        data = self.call("read", oid=oid.pack(), n=n)["data"]
-        return data if isinstance(data, bytes) else \
-            protocol.decode_bytes(data)
-
-    def write(self, oid: Oid, data: bytes) -> int:
-        return self.call("write", oid=oid.pack(),
-                         data=bytes(data))["n"]
-
-    def read_u64(self, oid: Oid) -> int:
-        return self.call("read_u64", oid=oid.pack())["value"]
-
-    def write_u64(self, oid: Oid, value: int) -> None:
-        self.call("write_u64", oid=oid.pack(), value=value)
-
-    def psync(self, name: str) -> int:
-        return self.call("psync", name=name)["flushed"]
-
-    def tx_begin(self, name: str) -> int:
-        return self.call("tx_begin", name=name)["tx"]
-
-    def tx_abort(self, name: str) -> None:
-        self.call("tx_abort", name=name)
-
-    def metrics(self) -> Dict:
-        return self.call("metrics")
-
-    def trace(self, limit: int = 100, *,
-              pmo: Optional[str] = None,
-              kind: Optional[str] = None,
-              name: Optional[str] = None) -> Dict:
-        """Recent spans + exposure audit events, optionally filtered."""
-        args: Dict[str, Any] = {"limit": limit}
-        if pmo is not None:
-            args["pmo"] = pmo
-        if kind is not None:
-            args["kind"] = kind
-        if name is not None:
-            args["name"] = name
-        return self.call("trace", **args)
-
-    def prometheus(self) -> str:
-        """The daemon's registry in Prometheus text exposition."""
-        return self.call("prometheus")["text"]
-
-    def ping(self) -> Dict:
-        return self.call("ping")
-
-    def goodbye(self) -> Dict:
-        return self.call("goodbye")
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
-class TerpClient(_ClientCore):
-    """Asyncio terpd client with FIFO-pipelined requests."""
+class TerpClient(ClientCore):
+    """Asyncio terpd client: the same surface, every method awaitable.
+
+    One exchange runs at a time per client (an ``asyncio.Lock``
+    serializes concurrent tasks); in-flight parallelism on one
+    connection is what ``pipeline()`` and ``batch()`` are for.
+    """
 
     def __init__(self, *, host: str = "127.0.0.1",
                  port: Optional[int] = None,
@@ -559,243 +505,64 @@ class TerpClient(_ClientCore):
                  retry: Optional[RetryPolicy] = None,
                  breaker: Optional[CircuitBreaker] = None,
                  strict_resume: bool = False) -> None:
-        super().__init__()
+        super().__init__(user=user, ew_budget_us=ew_budget_us,
+                         retry=retry, breaker=breaker,
+                         strict_resume=strict_resume)
         if (port is None) == (unix_path is None):
             raise TerpError("give exactly one of port / unix_path")
         self._host, self._port, self._unix = host, port, unix_path
-        self._user, self._budget = user, ew_budget_us
-        self._retry = retry
-        self._breaker = breaker
-        self._strict_resume = strict_resume
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        self._pending: Deque[Tuple[int, asyncio.Future]] = \
-            collections.deque()
-        self._pump: Optional[asyncio.Task] = None
+        self._lock = asyncio.Lock()
 
-    def _hello_args(self) -> Dict[str, Any]:
-        args: Dict[str, Any] = {"user": self._user}
-        if self._budget is not None:
-            args["ew_budget_us"] = self._budget
-        return args
+    async def _run(self, steps: Steps) -> Any:
+        async with self._lock:
+            try:
+                step = next(steps)
+                while True:
+                    try:
+                        value = await self._do(*step)
+                    except (OSError, TerpError) as exc:
+                        step = steps.throw(exc)
+                    else:
+                        step = steps.send(value)
+            except StopIteration as stop:
+                return stop.value
 
-    async def connect(self) -> "TerpClient":
-        await self._open_transport()
-        self.note_hello(await self._hello(self._hello_args()))
-        return self
-
-    async def _hello(self, args: Dict[str, Any]) -> Any:
-        """``hello`` with version negotiation + v1 fallback (see
-        :meth:`SyncTerpClient._hello`)."""
-        try:
-            return await (await self._submit(
-                self.next_id(), "hello",
-                dict(args, version=self._want_version)))
-        except RemoteError as exc:
-            if not self._version_rejected(exc):
-                raise
-            self._want_version = protocol.PROTOCOL_V1
-            return await (await self._submit(
-                self.next_id(), "hello",
-                dict(args, version=protocol.PROTOCOL_V1)))
-
-    async def _open_transport(self) -> None:
-        if self._unix is not None:
-            self._reader, self._writer = \
-                await asyncio.open_unix_connection(self._unix)
-        else:
-            self._reader, self._writer = \
-                await asyncio.open_connection(self._host, self._port)
-        self._pump = asyncio.create_task(self._pump_responses())
+    async def _do(self, kind: str, arg: Any = None) -> Any:
+        if kind == SEND or kind == RECV:
+            if self._writer is None:
+                raise ConnectionLost("not connected")
+            try:
+                if kind == SEND:
+                    self._writer.write(arg)
+                    return await self._writer.drain()
+                return await protocol.read_frame_raw(self._reader)
+            except (OSError, WireError) as exc:
+                await self.close()
+                raise ConnectionLost(f"{kind} failed: {exc}") from exc
+        if kind == SLEEP:
+            return await asyncio.sleep(arg)
+        await self.close()
+        if kind == OPEN:
+            if self._unix is not None:
+                self._reader, self._writer = \
+                    await asyncio.open_unix_connection(self._unix)
+            else:
+                self._reader, self._writer = \
+                    await asyncio.open_connection(self._host, self._port)
 
     async def close(self) -> None:
-        if self._pump is not None:
-            self._pump.cancel()
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.close()
             try:
-                await self._pump
-            except asyncio.CancelledError:
-                pass
-            self._pump = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
+                await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
-            self._writer = None
-
-    async def _reconnect(self) -> None:
-        """Transport back up, then resume (or replace) the session."""
-        await self.close()
-        await self._open_transport()
-        args = self._hello_args()
-        if self.session_id is not None and self.resume_token:
-            try:
-                result = await self._hello(
-                    dict(args, resume=self.session_id,
-                         token=self.resume_token))
-                self.note_hello(result)
-                self.resumes += 1
-                return
-            except ConnectionLost:
-                raise
-            except RemoteError as exc:
-                self.sessions_lost += 1
-                if self._strict_resume:
-                    raise SessionLost(
-                        f"session {self.session_id} not resumable: "
-                        f"{exc.remote_message}") from exc
-        self.note_hello(await self._hello(args))
 
     async def __aenter__(self) -> "TerpClient":
         return await self.connect()
 
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
-
-    async def _pump_responses(self) -> None:
-        """Match response frames to pending futures, FIFO."""
-        try:
-            while True:
-                got = await protocol.read_frame_ex(self._reader)
-                if got is None:
-                    raise ConnectionLost("server closed the connection")
-                response, sidecar = got
-                if sidecar:
-                    protocol.absorb_sidecar(response, sidecar)
-                if not self._pending:
-                    raise WireError("unsolicited response frame")
-                rid, future = self._pending.popleft()
-                if not future.done():
-                    try:
-                        future.set_result(
-                            self.take_result(response, rid))
-                    except (RemoteError, WireError) as exc:
-                        future.set_exception(exc)
-        except (WireError, ConnectionResetError, ConnectionLost) as exc:
-            while self._pending:
-                _, future = self._pending.popleft()
-                if not future.done():
-                    future.set_exception(ConnectionLost(str(exc)))
-        except asyncio.CancelledError:
-            while self._pending:
-                _, future = self._pending.popleft()
-                if not future.done():
-                    future.set_exception(
-                        ConnectionLost("client closed"))
-            raise
-
-    async def _submit(self, rid: int, op: str,
-                      args: Dict[str, Any]) -> "asyncio.Future":
-        if self._writer is None:
-            raise ConnectionLost("not connected")
-        future = asyncio.get_running_loop().create_future()
-        self._pending.append((rid, future))
-        prepped, chunks = self._prep_args(args)
-        try:
-            await protocol.write_frame(
-                self._writer, protocol.request(rid, op, prepped),
-                b"".join(chunks) if chunks else None)
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            raise ConnectionLost(f"send failed: {exc}") from exc
-        return future
-
-    async def submit(self, op: str, **args: Any) -> "asyncio.Future":
-        """Fire a request; returns the future of its result."""
-        return await self._submit(self.next_id(), op, args)
-
-    async def call(self, op: str, **args: Any) -> Any:
-        rid = self.next_id()
-        attempt = 0
-        while True:
-            if self._breaker is not None and not self._breaker.allow(
-                    readonly=op in READ_ONLY_OPS):
-                raise CircuitOpenError(
-                    f"circuit open: refusing {op!r}; only read-only "
-                    "operations pass until the server recovers")
-            try:
-                result = await (await self._submit(rid, op, args))
-            except ConnectionLost:
-                if self._breaker is not None:
-                    self._breaker.record_failure()
-                if self._retry is None or \
-                        attempt >= self._retry.max_retries:
-                    raise
-                await asyncio.sleep(self._retry.delay_for(attempt))
-                attempt += 1
-                try:
-                    await self._reconnect()
-                except SessionLost:
-                    raise
-                except (OSError, TerpError):
-                    pass
-                continue
-            except RemoteError as exc:
-                if self._breaker is not None:
-                    # Busy re-opens a half-open circuit instead of
-                    # closing it (see SyncTerpClient._call).
-                    if exc.kind == "Busy":
-                        self._breaker.record_busy()
-                    else:
-                        self._breaker.record_success()
-                if self._retry is not None and \
-                        exc.kind in RETRYABLE_KINDS and \
-                        attempt < self._retry.max_retries:
-                    await asyncio.sleep(self._retry.delay_for(attempt))
-                    attempt += 1
-                    continue
-                raise
-            if self._breaker is not None:
-                self._breaker.record_success()
-            return result
-
-    # -- Table I convenience ----------------------------------------------
-
-    async def attach(self, name: str, access: str = "rw") -> Dict:
-        return await self.call("attach", name=name, access=access)
-
-    async def detach(self, name: str) -> Dict:
-        return await self.call("detach", name=name)
-
-    async def create(self, name: str, size: int,
-                     mode: int = 0o600) -> Dict:
-        return await self.call("create", name=name, size=size,
-                               mode=mode)
-
-    async def open(self, name: str, access: str = "rw") -> Dict:
-        return await self.call("open", name=name, access=access)
-
-    async def pmalloc(self, name: str, size: int) -> Oid:
-        result = await self.call("pmalloc", name=name, size=size)
-        return Oid.unpack(result["oid"])
-
-    async def pfree(self, oid: Oid) -> None:
-        await self.call("pfree", oid=oid.pack())
-
-    async def read(self, oid: Oid, n: int) -> bytes:
-        data = (await self.call("read", oid=oid.pack(), n=n))["data"]
-        return data if isinstance(data, bytes) else \
-            protocol.decode_bytes(data)
-
-    async def write(self, oid: Oid, data: bytes) -> int:
-        result = await self.call("write", oid=oid.pack(),
-                                 data=bytes(data))
-        return result["n"]
-
-    async def psync(self, name: str) -> int:
-        return (await self.call("psync", name=name))["flushed"]
-
-    async def destroy(self, name: str) -> Dict:
-        return await self.call("destroy", name=name)
-
-    async def metrics(self) -> Dict:
-        return await self.call("metrics")
-
-    async def trace(self, limit: int = 100) -> Dict:
-        return await self.call("trace", limit=limit)
-
-    async def prometheus(self) -> str:
-        return (await self.call("prometheus"))["text"]
-
-    async def goodbye(self) -> Dict:
-        return await self.call("goodbye")

@@ -24,31 +24,29 @@ Error response::
 notifications — today the only kind is ``forced-detach``, emitted when
 the sweeper closed one of the session's exposure windows by force.
 
-Protocol v1 carries binary payloads (PMO data) base64-encoded inside
-the JSON body; OIDs travel as their packed 64-bit integer
-(:meth:`repro.pmo.object_id.Oid.pack`).
+OIDs travel as their packed 64-bit integer
+(:meth:`repro.pmo.object_id.Oid.pack`).  ``hello`` must offer
+``"version": 2`` — the only revision there is; anything else (absent
+included) is refused with a typed "protocol version N unsupported"
+error.  Which ops exist, and which of their fields are binary, is
+declared once in :mod:`repro.service.ops`.
 
-**Protocol v2 — the binary fast path.**  Negotiated in ``hello``
-(``min(client, server)``; a client that omits ``version`` is v1).  A
-v2 frame may append a *binary sidecar* after the JSON body::
+**The binary sidecar.**  Binary payloads (PMO data) never enter the
+JSON.  A frame may append a *binary sidecar* after the JSON body::
 
     u32be (SIDECAR_FLAG | body_len) | body | u32be sidecar_len | sidecar
 
 The top bit of the length word marks the sidecar's presence — legal
-because ``MAX_FRAME_BYTES`` is far below 2**31, so a v1 endpoint that
-receives a flagged length sees an impossible frame size and raises
-:class:`WireError` immediately instead of desyncing or hanging.  JSON
-marks each binary value with ``{"bin": <len>}`` in place of the base64
-string; consumers take ``len`` bytes off the sidecar in request (or
-response) order via :class:`BinReader`.  A batch frame has one
-combined sidecar: the concatenation of its items' chunks, in item
-order.
+because ``MAX_FRAME_BYTES`` is far below 2**31.  JSON marks each
+binary value with ``{"bin": <len>}``; consumers take ``len`` bytes
+off the sidecar in request (or response) order via
+:class:`BinReader`.  A batch frame has one combined sidecar: the
+concatenation of its items' chunks, in item order.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
 import json
 import socket
 import struct
@@ -64,9 +62,7 @@ HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: Upper bound on a frame's binary sidecar (a batch of large reads).
 MAX_SIDECAR_BYTES = 64 * 1024 * 1024
-#: The legacy JSON-only protocol revision.
-PROTOCOL_V1 = 1
-#: Current protocol revision, negotiated in ``hello``.
+#: The one protocol revision; ``hello`` must offer exactly this.
 PROTOCOL_VERSION = 2
 #: Top bit of the length word: a binary sidecar follows the body.
 SIDECAR_FLAG = 0x80000000
@@ -139,50 +135,35 @@ def decode_frame(body: bytes) -> Any:
         raise WireError(f"undecodable frame: {exc}") from None
 
 
-async def read_frame_ex(reader: asyncio.StreamReader
-                        ) -> Optional[Tuple[Any, bytes]]:
-    """Read one frame + sidecar from an asyncio stream.
-
-    Returns ``(payload, sidecar)`` — ``sidecar`` is ``b""`` for a
-    plain v1 frame — or ``None`` on clean EOF.  A stream that ends
-    mid-header, mid-body, or mid-sidecar raises :class:`WireError`:
-    truncation is always a typed error, never a hang.
-    """
-    try:
-        header = await reader.readexactly(HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise WireError("stream truncated mid-header") from None
-    (word,) = HEADER.unpack(header)
+def _body_length(word: int) -> int:
     length = word & LEN_MASK
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise WireError("stream truncated mid-frame") from None
-    sidecar = b""
-    if word & SIDECAR_FLAG:
-        try:
-            side_head = await reader.readexactly(HEADER.size)
-            (side_len,) = HEADER.unpack(side_head)
-            if side_len > MAX_SIDECAR_BYTES:
-                raise WireError(f"sidecar length {side_len} exceeds "
-                                f"{MAX_SIDECAR_BYTES}")
-            sidecar = await reader.readexactly(side_len)
-        except asyncio.IncompleteReadError:
-            raise WireError("stream truncated mid-sidecar") from None
-    return decode_frame(body), sidecar
+    return length
+
+
+def _sidecar_length(side_head: bytes) -> int:
+    (side_len,) = HEADER.unpack(side_head)
+    if side_len > MAX_SIDECAR_BYTES:
+        raise WireError(f"sidecar length {side_len} exceeds "
+                        f"{MAX_SIDECAR_BYTES}")
+    return side_len
+
+
+def _decoded(got: Optional[Tuple[bytes, bytes]]
+             ) -> Optional[Tuple[Any, bytes]]:
+    return None if got is None else (decode_frame(got[0]), got[1])
 
 
 async def read_frame_raw(reader: asyncio.StreamReader
                          ) -> Optional[Tuple[bytes, bytes]]:
-    """Read one frame but leave the JSON body *undecoded*.
+    """Read one frame from an asyncio stream, JSON body *undecoded*.
 
-    Returns ``(body_bytes, sidecar_bytes)`` or ``None`` on clean EOF.
-    The cluster router's relay path uses this: a response from the
-    owning shard is forwarded to the client byte-for-byte, paying no
+    Returns ``(body_bytes, sidecar_bytes)`` — ``sidecar`` is ``b""``
+    for a frame without one — or ``None`` on clean EOF.  A stream that
+    ends mid-header, mid-body, or mid-sidecar raises
+    :class:`WireError`: truncation is always a typed error, never a
+    hang.  The cluster router relays these bytes verbatim, paying no
     decode/re-encode on the fast path.
     """
     try:
@@ -192,75 +173,46 @@ async def read_frame_raw(reader: asyncio.StreamReader
             return None
         raise WireError("stream truncated mid-header") from None
     (word,) = HEADER.unpack(header)
-    length = word & LEN_MASK
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
     try:
-        body = await reader.readexactly(length)
+        body = await reader.readexactly(_body_length(word))
     except asyncio.IncompleteReadError:
         raise WireError("stream truncated mid-frame") from None
     sidecar = b""
     if word & SIDECAR_FLAG:
         try:
-            side_head = await reader.readexactly(HEADER.size)
-            (side_len,) = HEADER.unpack(side_head)
-            if side_len > MAX_SIDECAR_BYTES:
-                raise WireError(f"sidecar length {side_len} exceeds "
-                                f"{MAX_SIDECAR_BYTES}")
-            sidecar = await reader.readexactly(side_len)
+            sidecar = await reader.readexactly(_sidecar_length(
+                await reader.readexactly(HEADER.size)))
         except asyncio.IncompleteReadError:
             raise WireError("stream truncated mid-sidecar") from None
     return body, sidecar
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
-    """Read one v1 frame from an asyncio stream; None on clean EOF."""
-    got = await read_frame_ex(reader)
-    if got is None:
+async def read_frame_ex(reader: asyncio.StreamReader
+                        ) -> Optional[Tuple[Any, bytes]]:
+    """:func:`read_frame_raw` with the body decoded: ``(payload,
+    sidecar)`` or ``None`` on clean EOF."""
+    return _decoded(await read_frame_raw(reader))
+
+
+def recv_frame_raw(sock: socket.socket
+                   ) -> Optional[Tuple[bytes, bytes]]:
+    """Blocking-socket counterpart of :func:`read_frame_raw`."""
+    header = _recv_exactly(sock, HEADER.size, eof_ok=True)
+    if header is None:
         return None
-    payload, sidecar = got
-    if sidecar:
-        raise WireError("unexpected binary sidecar on a v1 endpoint")
-    return payload
-
-
-async def write_frame(writer: asyncio.StreamWriter, payload: Any,
-                      sidecar: Optional[bytes] = None) -> None:
-    writer.write(encode_frame(payload, sidecar))
-    await writer.drain()
+    (word,) = HEADER.unpack(header)
+    body = _recv_exactly(sock, _body_length(word), eof_ok=False)
+    sidecar = b""
+    if word & SIDECAR_FLAG:
+        sidecar = _recv_exactly(sock, _sidecar_length(_recv_exactly(
+            sock, HEADER.size, eof_ok=False)), eof_ok=False)
+    return body, sidecar
 
 
 def recv_frame_ex(sock: socket.socket
                   ) -> Optional[Tuple[Any, bytes]]:
     """Blocking-socket counterpart of :func:`read_frame_ex`."""
-    header = _recv_exactly(sock, HEADER.size, eof_ok=True)
-    if header is None:
-        return None
-    (word,) = HEADER.unpack(header)
-    length = word & LEN_MASK
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    body = _recv_exactly(sock, length, eof_ok=False)
-    sidecar = b""
-    if word & SIDECAR_FLAG:
-        side_head = _recv_exactly(sock, HEADER.size, eof_ok=False)
-        (side_len,) = HEADER.unpack(side_head)
-        if side_len > MAX_SIDECAR_BYTES:
-            raise WireError(f"sidecar length {side_len} exceeds "
-                            f"{MAX_SIDECAR_BYTES}")
-        sidecar = _recv_exactly(sock, side_len, eof_ok=False) or b""
-    return decode_frame(body), sidecar
-
-
-def recv_frame(sock: socket.socket) -> Optional[Any]:
-    """Blocking-socket counterpart of :func:`read_frame`."""
-    got = recv_frame_ex(sock)
-    if got is None:
-        return None
-    payload, sidecar = got
-    if sidecar:
-        raise WireError("unexpected binary sidecar on a v1 endpoint")
-    return payload
+    return _decoded(recv_frame_raw(sock))
 
 
 def send_frame(sock: socket.socket, payload: Any,
@@ -313,13 +265,21 @@ class BinReader:
         return self._size - self._pos
 
 
+def bin_length(marker: Any) -> int:
+    """The byte count a request's ``{"bin": n}`` marker claims."""
+    if not isinstance(marker, dict) or \
+            not isinstance(marker.get("bin"), int):
+        raise WireError("a binary argument must be a {'bin': <len>} "
+                        "marker for bytes on the frame's sidecar")
+    return marker["bin"]
+
+
 def absorb_sidecar(payload: Any, sidecar: bytes) -> Any:
     """Fold a response frame's sidecar back into its results.
 
     Every result carrying a ``{"bin": n}`` marker gets its raw bytes
     under ``"data"`` instead, consumed from the sidecar in response
-    order — after this, a v2 response looks like a v1 response except
-    ``"data"`` holds ``bytes`` rather than base64 text.
+    order.
     """
     bins = BinReader(sidecar)
     if isinstance(payload, list):
@@ -363,14 +323,13 @@ def error_response(rid: Optional[int], kind: str, message: str,
     return response
 
 
-# -- payload encoding helpers ------------------------------------------------
-
-def encode_bytes(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
-def decode_bytes(text: str) -> bytes:
-    try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
-    except Exception as exc:
-        raise WireError(f"bad base64 payload: {exc}") from None
+def refusal(rid: Optional[int], exc: Exception,
+            events: Optional[List[Dict]] = None) -> bytes:
+    """The encoded error response for a request that raised: typed
+    by exception class for the TERP family (:class:`WireError`
+    included), ``BadRequest`` for malformed arguments."""
+    if isinstance(exc, TerpError):
+        return encode_body(error_response(
+            rid, type(exc).__name__, str(exc), events))
+    return encode_body(error_response(
+        rid, "BadRequest", f"malformed arguments: {exc!r}", events))

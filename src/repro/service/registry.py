@@ -1,11 +1,12 @@
 """Session lifecycle management, split out of the daemon core.
 
 :class:`SessionManager` owns everything about remote sessions except
-the socket: allocation (via :class:`~repro.service.sessions
-.SessionRegistry`), resume-token verification, forced release of a
-departing session's holdings, the arch engine's forced-detach
-callback, and the session-journal hooks that make warm restart
-possible.  The daemon (:class:`~repro.service.server.TerpService`)
+the socket: the daemon side of ``hello`` (the parsing and
+resume-token verification themselves live in
+:meth:`~repro.service.sessions.SessionRegistry.hello`, shared with
+the cluster router), forced release of a departing session's
+holdings, the arch engine's forced-detach callback, and the
+session-journal hooks that make warm restart possible.  The daemon (:class:`~repro.service.server.TerpService`)
 and the sweeper (:class:`~repro.service.sweeping.Sweeper`) both
 operate through this one object, and a cluster shard composes exactly
 the same pieces — the session story is identical whether the daemon
@@ -18,9 +19,9 @@ do); journal appends are internally serialized by the journal itself.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, Optional, Tuple
 
-from repro.core.errors import Busy, PmoError, TerpError
+from repro.core.errors import PmoError, TerpError
 from repro.pmo.api import PmoLibrary
 from repro.service.metrics import ServiceMetrics
 from repro.service.sessions import Session, SessionRegistry
@@ -52,40 +53,21 @@ class SessionManager:
 
     # -- open / resume / close ---------------------------------------------
 
-    def open_session(self, *, user: str,
-                     ew_budget_ns: Optional[int],
-                     at_ns: int) -> Session:
-        """A fresh ``hello``: allocate, journal, count."""
-        if self.max_sessions is not None and \
-                len(self.registry) >= self.max_sessions:
-            # Bounded backpressure: the table is full *right now*;
-            # the kind is retryable, so well-behaved clients back
-            # off instead of hammering.
-            raise Busy(f"session table full "
-                       f"({self.max_sessions}); retry later")
-        session = self.registry.create(user=user,
-                                       ew_budget_ns=ew_budget_ns)
-        self.journal_session(session, at_ns)
-        return session
-
-    def resume_session(self, session_id: int, token: str) -> Session:
-        """Rebind a lingering session after a connection drop.
-
-        Resume restores *identity* (entity id, replay cache, pending
-        events), never access: the drop already force-closed every
-        window, so a resumed session starts with nothing attached.
-        """
-        session = self.registry.find(session_id)
-        if session is None or session.closed:
-            raise TerpError(f"no session {session_id} to resume")
-        if not token or token != session.resume_token:
-            raise TerpError(f"bad resume token for session "
-                            f"{session_id}")
-        if session.bound:
-            raise TerpError(f"session {session_id} is still bound "
-                            "to a live connection")
-        self.metrics.note_session_resumed()
-        return session
+    def hello(self, args: Dict[str, Any], *, current: Optional[Session]
+              ) -> Tuple[Session, Dict[str, Any]]:
+        """The daemon's ``hello``: :meth:`SessionRegistry.hello` plus
+        what only a daemon has — the session-table cap, the session
+        journal (a fresh session is journaled for warm restart) and
+        the resume/open counters."""
+        session, result = self.registry.hello(
+            args, current=current, limit=self.max_sessions)
+        if result["resumed"]:
+            self.metrics.note_session_resumed()
+        else:
+            self.journal_session(session, self.lib.clock_ns)
+        self.metrics.note_session_opened()
+        self.update_gauge()
+        return session, result
 
     def close_session(self, session: Session, now_ns: int) -> None:
         """Remove a session for good: journal the close, drop it."""

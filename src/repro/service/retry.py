@@ -11,6 +11,8 @@ Two cooperating pieces, both deterministic under injection:
   connection-level failures open the circuit; while open, mutating
   operations fail fast with :class:`CircuitOpenError` and only
   read-only operations pass through (the degraded read-only mode).
+  Which operations those are is the op table's ``readonly`` column
+  (:data:`repro.service.ops.READ_ONLY_OPS`, re-exported here).
   After ``reset_timeout_s`` the breaker goes half-open and admits one
   probe; the probe's outcome closes or re-opens it.  The clock is
   injectable for deterministic transition tests.
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, List, Optional
 
 from repro.core.errors import TerpError
+from repro.service.ops import READ_ONLY_OPS
 
 __all__ = ["RetryPolicy", "CircuitBreaker", "CircuitOpenError",
            "RETRYABLE_KINDS", "READ_ONLY_OPS"]
@@ -35,11 +38,6 @@ __all__ = ["RetryPolicy", "CircuitBreaker", "CircuitOpenError",
 #: resource exhaustion and injected transient faults.  Application
 #: errors (PmoError, permission denials) are never retried.
 RETRYABLE_KINDS: FrozenSet[str] = frozenset({"Busy", "InjectedFault"})
-
-#: Operations safe to issue while the circuit is open (degraded
-#: read-only mode): they observe state but never mutate it.
-READ_ONLY_OPS: FrozenSet[str] = frozenset({
-    "ping", "metrics", "trace", "prometheus", "read", "read_u64"})
 
 
 class CircuitOpenError(TerpError):

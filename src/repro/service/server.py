@@ -28,10 +28,9 @@ runtime are real wall-clock durations.
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.arch.cond_engine import TerpArchEngine
 from repro.core.errors import (
@@ -48,9 +47,8 @@ from repro.pmo.store import (
     PmoStore)
 from repro.service import protocol
 from repro.service.metrics import ServiceMetrics
-from repro.service.protocol import (
-    PROTOCOL_V1, PROTOCOL_VERSION, WireError, error_response,
-    ok_response)
+from repro.service.ops import OPS, Op
+from repro.service.protocol import WireError, ok_response
 from repro.service.recovery import (
     RecoveryManager, RecoveryReport, SessionJournal)
 from repro.service.registry import SessionManager
@@ -67,21 +65,37 @@ DEFAULT_SWEEP_PERIOD_NS = 10_000_000
 DEFAULT_SESSION_LINGER_NS = 2_000_000_000
 
 
-class _Conn:
-    """Per-connection state: the bound session, once hello'd."""
+def admit(request: Any, *,
+          has_session: bool) -> Tuple[Op, Dict[str, Any]]:
+    """Check one request against the op table — the daemon's and the
+    router's shared front door.  Returns its row and its args."""
+    if not isinstance(request, dict) or \
+            not isinstance(request.get("op"), str):
+        raise WireError("request must be an object with an 'op'")
+    spec = OPS.get(request["op"])
+    if spec is None:
+        raise WireError(f"unknown op {request['op']!r}")
+    if not has_session and not spec.sessionless:
+        raise TerpError(f"op {spec.name!r} requires a session; "
+                        "say hello first")
+    args = request.get("args") or {}
+    if not isinstance(args, dict):
+        raise WireError("'args' must be an object")
+    return spec, args
 
-    __slots__ = ("session", "peer", "generation", "version", "bins",
-                 "bin_out")
 
-    def __init__(self, peer: str) -> None:
+class Conn:
+    """Per-connection state: the bound session, once hello'd.  (The
+    cluster router keeps the same state per client connection.)"""
+
+    __slots__ = ("session", "generation", "bins", "bin_out")
+
+    def __init__(self) -> None:
         self.session: Optional[Session] = None
-        self.peer = peer
         #: the session's bind generation this connection owns; teardown
         #: only unbinds if no newer connection has resumed the session.
         self.generation = 0
-        #: negotiated protocol revision; v1 until hello says otherwise.
-        self.version = PROTOCOL_V1
-        #: the current request frame's sidecar cursor (v2 requests
+        #: the current request frame's sidecar cursor (requests
         #: consume their binary chunks from it, in frame order).
         self.bins = protocol.BinReader(b"")
         #: binary chunks produced by the current frame's responses;
@@ -122,7 +136,6 @@ class TerpService:
                  pool_dir: Optional[str] = None,
                  scrub_pages_per_sweep: int = SCRUB_PAGES_PER_PASS,
                  commit_interval_us: int = DEFAULT_COMMIT_INTERVAL_US,
-                 protocol_version: int = PROTOCOL_VERSION,
                  shard_index: Optional[int] = None,
                  shard_count: int = 1,
                  replicate_to: Optional[str] = None) -> None:
@@ -172,9 +185,6 @@ class TerpService:
         self.session_journal: Optional[SessionJournal] = None
         self.recovery_report: Optional[RecoveryReport] = None
         self._epoch_wall_ns: Optional[int] = None
-        #: highest wire protocol revision this server speaks; capped
-        #: at 1 to emulate a legacy (pre-sidecar) daemon in tests.
-        self.protocol_version = protocol_version
         if pool_dir is not None:
             self.store = PmoStore(pool_dir, faults=faults,
                                   commit_interval_us=commit_interval_us)
@@ -210,36 +220,12 @@ class TerpService:
         self._stopped = False
         self._crashed = False
         self.bound_port: Optional[int] = None
-        self._handlers: Dict[str, Callable[[_Conn, Dict], Any]] = {
-            "hello": self._op_hello,
-            "goodbye": self._op_goodbye,
-            "ping": self._op_ping,
-            "metrics": self._op_metrics,
-            "create": self._op_create,
-            "open": self._op_open,
-            "close": self._op_close,
-            "destroy": self._op_destroy,
-            "attach": self._op_attach,
-            "detach": self._op_detach,
-            "pmalloc": self._op_pmalloc,
-            "pfree": self._op_pfree,
-            "read": self._op_read,
-            "write": self._op_write,
-            "read_u64": self._op_read_u64,
-            "write_u64": self._op_write_u64,
-            "psync": self._op_psync,
-            "tx_begin": self._op_tx_begin,
-            "tx_abort": self._op_tx_abort,
-            "trace": self._op_trace,
-            "prometheus": self._op_prometheus,
-            "repl_status": self._op_repl_status,
-        }
-        #: per-op span names, precomputed off the hot path
-        self._span_names = {op: f"terpd.{op}" for op in self._handlers}
-        #: ops allowed before hello binds a session (observability
-        #: reads included: a scraper needs no entity identity)
-        self._sessionless = {"hello", "ping", "metrics", "trace",
-                             "prometheus", "repl_status"}
+        #: dispatch, derived from the op table: one ``_op_<name>``
+        #: handler and one precomputed span name per row.
+        self._handlers: Dict[str, Tuple[
+            Callable[[Conn, Dict], Any], str]] = {
+            name: (getattr(self, f"_op_{name}"), f"terpd.{name}")
+            for name in OPS}
         if self.store is not None:
             # Warm restart happens *here*, before any socket binds:
             # the pool is rescanned and verified, surviving sessions
@@ -349,13 +335,7 @@ class TerpService:
         """Graceful shutdown: stop sweeping, detach every session."""
         if self._stopped:
             return
-        self._stopped = True
-        if self._sweeper is not None:
-            self._sweeper.cancel()
-            try:
-                await self._sweeper
-            except asyncio.CancelledError:
-                pass
+        await self._stop_sweeping()
         for server in self._servers:
             server.close()
             await server.wait_closed()
@@ -378,6 +358,15 @@ class TerpService:
         for writer in list(self._writers):
             writer.close()
 
+    async def _stop_sweeping(self) -> None:
+        self._stopped = True
+        if self._sweeper is not None:
+            self._sweeper.cancel()
+            try:
+                await self._sweeper
+            except asyncio.CancelledError:
+                pass
+
     async def crash(self) -> None:
         """Die like ``kill -9``: sockets drop, nothing is released.
 
@@ -387,14 +376,8 @@ class TerpService:
         session journal and the durable pool files already on disk are
         what recovery gets.
         """
-        self._stopped = True
         self._crashed = True
-        if self._sweeper is not None:
-            self._sweeper.cancel()
-            try:
-                await self._sweeper
-            except asyncio.CancelledError:
-                pass
+        await self._stop_sweeping()
         for server in self._servers:
             server.close()
         for writer in list(self._writers):
@@ -414,13 +397,6 @@ class TerpService:
             # Only drops the file handle; appended records stay.
             self.session_journal.close()
 
-    async def serve_forever(self) -> None:
-        await self.start()
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await self.stop()
-
     # -- the sweeper ---------------------------------------------------------
 
     def run_sweep(self) -> int:
@@ -435,9 +411,7 @@ class TerpService:
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        peer = writer.get_extra_info("peername") or \
-            writer.get_extra_info("sockname") or "unix"
-        conn = _Conn(str(peer))
+        conn = Conn()
         self._writers.add(writer)
         faults = self.faults
         transport = writer.transport
@@ -526,7 +500,7 @@ class TerpService:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    def _crash_session(self, conn: _Conn) -> None:
+    def _crash_session(self, conn: Conn) -> None:
         """An injected mid-request crash: the session dies for good."""
         session = conn.session
         conn.session = None
@@ -540,7 +514,7 @@ class TerpService:
 
     # -- dispatch --------------------------------------------------------------
 
-    async def _dispatch(self, conn: _Conn, req: Any) -> bytes:
+    async def _dispatch(self, conn: Conn, req: Any) -> bytes:
         """Run one request; returns the *encoded* response body bytes.
 
         Encoding here (rather than in the serve loop) lets the replay
@@ -561,19 +535,18 @@ class TerpService:
             cached = session.replay_get(rid)
             if cached is not None:
                 self.metrics.note_replay_served()
-                return self._replay_bytes(conn, cached)
+                body, chunks = cached
+                conn.bin_out.extend(chunks)
+                return body
+        span = "terpd.?"
         try:
-            if not isinstance(req, dict) or not isinstance(op, str):
-                raise WireError("request must be an object with an 'op'")
-            handler = self._handlers.get(op)
-            if handler is None:
-                raise WireError(f"unknown op {op!r}")
-            if session is None and op not in self._sessionless:
-                raise TerpError(f"op {op!r} requires a session; "
-                                "say hello first")
-            args = req.get("args") or {}
-            if not isinstance(args, dict):
-                raise WireError("'args' must be an object")
+            spec, args = admit(req, has_session=session is not None)
+            handler, span = self._handlers[spec.name]
+            if spec.bin_arg is not None:
+                # The payload rode the frame's sidecar: swap the
+                # ``{"bin": n}`` marker for its bytes.
+                args[spec.bin_arg] = conn.bins.take(
+                    protocol.bin_length(args[spec.bin_arg]))
             with self.lib.lock:
                 self.lib.advance_to(self.now_ns())
                 result = handler(conn, args)
@@ -590,6 +563,12 @@ class TerpService:
                     flushed += await loop.run_in_executor(
                         None, result.ticket.wait)
                 result = {"flushed": flushed}
+            if spec.bin_result is not None:
+                # ...and the other way: the result's bytes leave on the
+                # response sidecar, a marker in their place.
+                data = result.pop(spec.bin_result)
+                conn.bin_out.append(data)
+                result["bin"] = len(data)
             session = conn.session     # hello may have bound one
             events = session.drain_events() if session else None
             response = ok_response(rid, result, events)
@@ -603,86 +582,31 @@ class TerpService:
                                    tuple(conn.bin_out[bin_start:]))
         except InjectedCrash:
             raise                      # the "process" dies mid-request
-        except (TerpError, WireError) as exc:
+        except (TerpError, KeyError, TypeError, ValueError) as exc:
             del conn.bin_out[bin_start:]
-            events = session.drain_events() if session else None
-            body = protocol.encode_body(error_response(
-                rid, type(exc).__name__, str(exc), events))
-            ok = False
-        except (KeyError, TypeError, ValueError) as exc:
-            del conn.bin_out[bin_start:]
-            body = protocol.encode_body(error_response(
-                rid, "BadRequest", f"malformed arguments: {exc!r}"))
+            body = protocol.refusal(
+                rid, exc, session.drain_events() if session else None)
             ok = False
         latency = time.perf_counter_ns() - t0
-        op_name = op if isinstance(op, str) else "?"
-        self.metrics.note_request(op_name, latency, ok=ok)
+        self.metrics.note_request(op if isinstance(op, str) else "?",
+                                  latency, ok=ok)
         if self._tracer is not None:
-            self._tracer.record_since(
-                self._span_names.get(op_name, "terpd.?"), t0, ok=ok)
+            self._tracer.record_since(span, t0, ok=ok)
         if session is not None:
             session.metrics.requests += 1
             if not ok:
                 session.metrics.errors += 1
         return body
 
-    def _replay_bytes(self, conn: _Conn, cached: tuple) -> bytes:
-        """Re-emit a cached response on this connection's protocol."""
-        body, chunks = cached
-        if not chunks:
-            return body
-        if conn.version >= 2:
-            conn.bin_out.extend(chunks)
-            return body
-        # A v1 connection (e.g. a downgraded resume) replaying a
-        # response first served over v2: fold the sidecar chunks back
-        # into base64 text.
-        response = json.loads(body)
-        result = response.get("result")
-        if isinstance(result, dict) and "bin" in result:
-            result.pop("bin")
-            result["data"] = protocol.encode_bytes(b"".join(chunks))
-        return protocol.encode_body(response)
-
     # -- ops: session ----------------------------------------------------------
 
-    def _op_hello(self, conn: _Conn, args: Dict) -> Dict:
-        if conn.session is not None:
-            raise TerpError("connection already has a session")
-        # Version negotiation: a client that omits ``version`` is v1;
-        # otherwise the connection speaks ``min(client, server)``.  A
-        # v1-capped server keeps the legacy strict rejection, which is
-        # what a v2 client's fallback path keys on.
-        version = int(args.get("version", PROTOCOL_V1))
-        if version < PROTOCOL_V1 or (self.protocol_version <= PROTOCOL_V1
-                                     and version != PROTOCOL_V1):
-            raise TerpError(f"protocol version {version} unsupported; "
-                            f"server speaks {self.protocol_version}")
-        negotiated = min(version, self.protocol_version)
-        resume = args.get("resume")
-        if resume is not None:
-            session = self.sessions.resume_session(
-                int(resume), str(args.get("token", "")))
-        else:
-            budget_us = args.get("ew_budget_us")
-            budget_ns = None if budget_us is None else int(
-                float(budget_us) * 1_000)
-            session = self.sessions.open_session(
-                user=str(args.get("user", "root")),
-                ew_budget_ns=budget_ns, at_ns=self.lib.clock_ns)
-        conn.generation = session.bind()
+    def _op_hello(self, conn: Conn, args: Dict) -> Dict:
+        session, result = self.sessions.hello(args, current=conn.session)
         conn.session = session
-        conn.version = negotiated
-        self.metrics.note_session_opened()
-        self.sessions.update_gauge()
-        return {"session": session.session_id,
-                "entity": session.entity_id,
-                "version": negotiated,
-                "ew_budget_us": session.ew_budget_ns / 1_000,
-                "token": session.resume_token,
-                "resumed": resume is not None}
+        conn.generation = session.generation
+        return result
 
-    def _op_goodbye(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_goodbye(self, conn: Conn, args: Dict) -> Dict:
         session = conn.session
         assert session is not None
         released = self.sessions.release(session, self.lib.clock_ns,
@@ -690,23 +614,15 @@ class TerpService:
         self.sessions.close_session(session, self.lib.clock_ns)
         return {"released": released}
 
-    def _op_ping(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_ping(self, conn: Conn, args: Dict) -> Dict:
         return {"now_ns": self.lib.clock_ns,
                 "sessions": len(self.registry)}
 
-    def _op_metrics(self, conn: _Conn, args: Dict) -> Dict:
-        counters = self.lib.runtime.counters
+    def _op_metrics(self, conn: Conn, args: Dict) -> Dict:
         out = {
             "global": self.metrics.to_dict(),
             "sessions": len(self.registry),
-            "runtime": {
-                "attach_calls": counters.attach_calls,
-                "detach_calls": counters.detach_calls,
-                "silent_percent": counters.silent_percent,
-                "randomizations": counters.randomizations,
-                "faults": counters.faults,
-                "accesses": counters.accesses,
-            },
+            "runtime": self._runtime_counters(),
             "arch_cases": {
                 "case1_first_attach":
                     self.engine.cases.case1_first_attach,
@@ -736,13 +652,13 @@ class TerpService:
             out["session"] = conn.session.metrics.to_dict()
         return out
 
-    def _op_repl_status(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_repl_status(self, conn: Conn, args: Dict) -> Dict:
         """Replication health: target, connectivity, lag, drops."""
         if self.shipper is None:
             return {"enabled": False}
         return {"enabled": True, **self.shipper.status()}
 
-    def _op_trace(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_trace(self, conn: Conn, args: Dict) -> Dict:
         """Observability read: recent spans + audit timeline events."""
         limit = int(args.get("limit", 100))
         pmo = args.get("pmo")
@@ -759,7 +675,7 @@ class TerpService:
                 self.lib.clock_ns),
         }
 
-    def _op_prometheus(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_prometheus(self, conn: Conn, args: Dict) -> Dict:
         """The registry in Prometheus text exposition format."""
         return {"text": self.obs.registry.prometheus_text()}
 
@@ -769,24 +685,25 @@ class TerpService:
         """The full registry/audit/trace state as one document —
         the payload of ``--metrics-dump`` and of embedders that want
         everything at once."""
-        counters = self.lib.runtime.counters
         return self.obs.dump(extra={
             "service": self.metrics.to_dict(),
             "shard": self.shard_index,
             "sessions": len(self.registry),
-            "runtime": {
-                "attach_calls": counters.attach_calls,
+            "runtime": self._runtime_counters(),
+        })
+
+    def _runtime_counters(self) -> Dict[str, Any]:
+        counters = self.lib.runtime.counters
+        return {"attach_calls": counters.attach_calls,
                 "detach_calls": counters.detach_calls,
                 "silent_percent": counters.silent_percent,
                 "randomizations": counters.randomizations,
                 "faults": counters.faults,
-                "accesses": counters.accesses,
-            },
-        })
+                "accesses": counters.accesses}
 
     # -- ops: namespace --------------------------------------------------------
 
-    def _op_create(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_create(self, conn: Conn, args: Dict) -> Dict:
         session = conn.session
         pmo = self.lib.PMO_create(str(args["name"]), int(args["size"]),
                                   int(args.get("mode", 0o600)),
@@ -794,7 +711,7 @@ class TerpService:
         return {"pmo": pmo.pmo_id, "name": pmo.name,
                 "size": pmo.size_bytes}
 
-    def _op_open(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_open(self, conn: Conn, args: Dict) -> Dict:
         session = conn.session
         access = Access.parse(str(args.get("access", "rw")))
         pmo = self.lib.PMO_open(str(args["name"]), access,
@@ -802,12 +719,12 @@ class TerpService:
         return {"pmo": pmo.pmo_id, "name": pmo.name,
                 "size": pmo.size_bytes}
 
-    def _op_close(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_close(self, conn: Conn, args: Dict) -> Dict:
         pmo = self.lib.manager.lookup(str(args["name"]))
         self.lib.PMO_close(pmo)
         return {"closed": pmo.pmo_id}
 
-    def _op_destroy(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_destroy(self, conn: Conn, args: Dict) -> Dict:
         session = conn.session
         name = str(args["name"])
         pmo = self.lib.manager.lookup(name)
@@ -819,7 +736,7 @@ class TerpService:
 
     # -- ops: attach / detach ----------------------------------------------------
 
-    def _op_attach(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_attach(self, conn: Conn, args: Dict) -> Dict:
         session = conn.session
         access = Access.parse(str(args.get("access", "rw")))
         pmo = self.lib.manager.lookup(str(args["name"]))
@@ -847,7 +764,7 @@ class TerpService:
                 "base_va": result.handle.base_va_at_attach,
                 "reason": result.decision.reason}
 
-    def _op_detach(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_detach(self, conn: Conn, args: Dict) -> Dict:
         session = conn.session
         pmo = self.lib.manager.lookup(str(args["name"]))
         if pmo.pmo_id in session.forced_pmos:
@@ -868,64 +785,56 @@ class TerpService:
 
     # -- ops: heap + data --------------------------------------------------------
 
-    def _op_pmalloc(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_pmalloc(self, conn: Conn, args: Dict) -> Dict:
         pmo = self.lib.manager.lookup(str(args["name"]))
         oid = self.lib.pmalloc(pmo, int(args["size"]))
         return {"oid": oid.pack()}
 
-    def _op_pfree(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_pfree(self, conn: Conn, args: Dict) -> Dict:
         self.lib.pfree(Oid.unpack(int(args["oid"])))
         return {"freed": True}
 
-    def _op_read(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_read(self, conn: Conn, args: Dict) -> Dict:
         session = conn.session
         n = int(args["n"])
         with self.lib.thread(session.entity_id):
             data = self.lib.read(Oid.unpack(int(args["oid"])), n)
         session.metrics.bytes_read += len(data)
-        if conn.version >= 2:
-            conn.bin_out.append(data)
-            return {"bin": len(data)}
-        return {"data": protocol.encode_bytes(data)}
+        return {"data": data}
 
-    def _op_write(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_write(self, conn: Conn, args: Dict) -> Dict:
         session = conn.session
-        raw = args["data"]
-        if isinstance(raw, dict):
-            # v2 binary marker: the payload rode the frame's sidecar.
-            data = conn.bins.take(int(raw["bin"]))
-        else:
-            data = protocol.decode_bytes(str(raw))
+        data = args["data"]
         with self.lib.thread(session.entity_id):
             self.lib.write(Oid.unpack(int(args["oid"])), data)
         session.metrics.bytes_written += len(data)
         return {"n": len(data)}
 
-    def _op_read_u64(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_read_u64(self, conn: Conn, args: Dict) -> Dict:
         with self.lib.thread(conn.session.entity_id):
             value = self.lib.read_u64(Oid.unpack(int(args["oid"])))
         conn.session.metrics.bytes_read += 8
         return {"value": value}
 
-    def _op_write_u64(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_write_u64(self, conn: Conn, args: Dict) -> Dict:
         with self.lib.thread(conn.session.entity_id):
             self.lib.write_u64(Oid.unpack(int(args["oid"])),
                                int(args["value"]))
         conn.session.metrics.bytes_written += 8
         return {"written": True}
 
-    def _op_psync(self, conn: _Conn, args: Dict) -> Any:
+    def _op_psync(self, conn: Conn, args: Dict) -> Any:
         pmo = self.lib.manager.lookup(str(args["name"]))
         base, ticket = self.lib.psync_submit(pmo)
         if ticket is None:
             return {"flushed": base}
         return _PendingFlush(base, ticket)
 
-    def _op_tx_begin(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_tx_begin(self, conn: Conn, args: Dict) -> Dict:
         pmo = self.lib.manager.lookup(str(args["name"]))
         return {"tx": pmo.begin_tx()}
 
-    def _op_tx_abort(self, conn: _Conn, args: Dict) -> Dict:
+    def _op_tx_abort(self, conn: Conn, args: Dict) -> Dict:
         pmo = self.lib.manager.lookup(str(args["name"]))
         pmo.abort_tx()
         return {"aborted": True}
@@ -1002,11 +911,7 @@ class ServiceThread:
                 future.result(timeout)
             except Exception:
                 pass
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise TerpError("terpd thread did not die in time")
-        self._thread = None
+        self.stop(timeout)
 
     def __enter__(self) -> TerpService:
         return self.start()

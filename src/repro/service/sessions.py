@@ -38,10 +38,11 @@ import itertools
 import random
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Set
+from typing import Any, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.core.errors import TerpError
+from repro.core.errors import Busy, TerpError
 from repro.service.metrics import SessionMetrics
+from repro.service.protocol import PROTOCOL_VERSION
 
 #: Successful responses remembered per session for idempotent replay.
 REPLAY_CACHE_SIZE = 256
@@ -81,7 +82,7 @@ class Session:
     #: request id -> (encoded response body, binary sidecar chunks),
     #: for idempotent replay.  Caching the pre-encoded bytes means a
     #: replay hit costs zero ``json.dumps`` work, and the chunks let a
-    #: v2 read response replay with its sidecar intact.
+    #: read response replay with its sidecar intact.
     replay: "OrderedDict[int, tuple]" = field(
         default_factory=OrderedDict)
     replays_served: int = 0
@@ -198,6 +199,60 @@ class SessionRegistry:
                           resume_token=f"{self._token_rng.getrandbits(128):032x}")
         self._sessions[sid] = session
         return session
+
+    def hello(self, args: Dict[str, Any], *,
+              current: Optional[Session] = None,
+              limit: Optional[int] = None
+              ) -> Tuple[Session, Dict[str, Any]]:
+        """Serve one ``hello``: the daemon's and the router's shared
+        front door.  Returns the bound session and the hello result.
+
+        Validates the offered wire version (exactly
+        :data:`PROTOCOL_VERSION`; absent counts as unsupported), then
+        either rebinds a lingering session — ``resume`` + ``token``
+        must match, and no live connection may still own it — or
+        allocates a fresh one with the (clamped) ``ew_budget_us``.
+        Resume restores *identity* (entity id, replay cache, pending
+        events), never access: the drop already force-closed every
+        window.  ``current`` is the connection's existing session, if
+        any; ``limit`` caps bound sessions for fresh hellos (``Busy``
+        is retryable, so well-behaved clients back off).
+        """
+        if current is not None:
+            raise TerpError("connection already has a session")
+        version = args.get("version")
+        if version != PROTOCOL_VERSION:
+            raise TerpError(f"protocol version {version} unsupported; "
+                            f"server speaks {PROTOCOL_VERSION}")
+        resume = args.get("resume")
+        if resume is not None:
+            session_id = int(resume)
+            session = self.find(session_id)
+            if session is None or session.closed:
+                raise TerpError(f"no session {session_id} to resume")
+            token = str(args.get("token", ""))
+            if not token or token != session.resume_token:
+                raise TerpError(f"bad resume token for session "
+                                f"{session_id}")
+            if session.bound:
+                raise TerpError(f"session {session_id} is still bound "
+                                "to a live connection")
+        else:
+            if limit is not None and len(self) >= limit:
+                raise Busy(f"session table full ({limit}); "
+                           "retry later")
+            budget_us = args.get("ew_budget_us")
+            session = self.create(
+                user=str(args.get("user", "root")),
+                ew_budget_ns=None if budget_us is None else int(
+                    float(budget_us) * 1_000))
+        session.bind()
+        return session, {"session": session.session_id,
+                         "entity": session.entity_id,
+                         "version": PROTOCOL_VERSION,
+                         "ew_budget_us": session.ew_budget_ns / 1_000,
+                         "token": session.resume_token,
+                         "resumed": resume is not None}
 
     def restore(self, *, session_id: int, user: str,
                 ew_budget_ns: int, resume_token: str,

@@ -4,6 +4,7 @@ The module-scoped cluster serves the read-mostly tests; lifecycle
 tests that assert exact counters or kill shards build their own.
 """
 
+import socket
 import tempfile
 import time
 
@@ -96,10 +97,7 @@ class TestBatchSplitMerge:
         results = client.batch([("read", {"oid": o.pack(), "n": 16})
                                 for o in oids])
         for i, result in enumerate(results):
-            data = result["data"]
-            if not isinstance(data, bytes):   # v1 fallback: base64
-                data = protocol.decode_bytes(data)
-            assert data == bytes([i]) * 16, (i, data)
+            assert result["data"] == bytes([i]) * 16, (i, result)
         for i in range(6):
             client.detach(f"batch-{i}")
 
@@ -180,19 +178,34 @@ class TestObservabilityFanout:
 
 
 class TestProtocolVersions:
-    def test_v1_client_works_unmodified(self, cluster, monkeypatch):
-        monkeypatch.setenv("TERP_PROTOCOL_VERSION", "1")
-        with SyncTerpClient(port=cluster.front_port) as cli:
-            assert cli.protocol_version == 1
-            cli.create("v1-pmo", MIB)
-            cli.attach("v1-pmo")
-            oid = cli.pmalloc("v1-pmo", 32)
-            cli.write(oid, b"legacy-wire")
-            assert cli.read(oid, 11) == b"legacy-wire"
-            cli.detach("v1-pmo")
+    def test_v1_hello_is_rejected_with_typed_error(self, cluster):
+        # The router's hello is the daemon's (one SessionRegistry
+        # method): no "version" (a v1 client) or any revision but 2
+        # is refused typed, and the connection stays usable.
+        with socket.create_connection(
+                ("127.0.0.1", cluster.front_port), timeout=10) as sock:
+            for rid, offer in enumerate(({}, {"version": 1}), start=1):
+                protocol.send_frame(sock, protocol.request(
+                    rid, "hello", dict(offer, user="old")))
+                response, _ = protocol.recv_frame_ex(sock)
+                assert not response["ok"]
+                assert response["error"]["kind"] == "TerpError"
+                assert (f"protocol version {offer.get('version')} "
+                        "unsupported") in response["error"]["message"]
+            protocol.send_frame(sock, protocol.request(
+                3, "hello", {"user": "new", "version": 2}))
+            assert protocol.recv_frame_ex(sock)[0]["ok"]
 
     def test_v2_negotiated_through_router(self, client):
         assert client.protocol_version == 2
+
+    def test_repl_status_fans_out_per_shard(self, client):
+        # Declared fan-out in the op table: one status per shard,
+        # not the session's home shard answering for everyone.
+        status = client.repl_status()
+        assert set(status["shards"]) == {"0", "1"}
+        assert status["enabled"] is False
+        assert status["unreachable"] == 0
 
 
 class TestSessionLifecycle:

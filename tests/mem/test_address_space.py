@@ -29,6 +29,50 @@ def pmo():
     return FakePmo("pmo1", GIB)
 
 
+class TestMixedSubtreeLevels:
+    """A 512 KiB PMO (level-1 subtree, 2 MiB span) beside a 4 MiB one
+    (level-2 subtree, 1 GiB span): overlap is judged on subtree spans,
+    not byte sizes, so neither is ever placed inside the other."""
+
+    @staticmethod
+    def disjoint(space):
+        a, b = space.attached()
+        a_end = a.base_va + space.alignment_for(a.subtree_level)
+        b_end = b.base_va + space.alignment_for(b.subtree_level)
+        return a_end <= b.base_va or b_end <= a.base_va
+
+    def test_small_pmo_never_lands_inside_a_large_ones_subtree(self):
+        small = FakePmo("small", 512 * 1024)
+        large = FakePmo("large", 4 * MIB)
+        assert small.subtree.level < large.subtree.level
+        for seed in range(200):
+            space = AddressSpace(rng=np.random.default_rng(seed))
+            space.REGION_END = 2 * GIB     # two level-2 slots
+            space.attach(large, Access.RW)
+            space.attach(small, Access.RW)
+            assert self.disjoint(space), seed
+
+    def test_mixed_sizes_attach_detach_rounds(self):
+        # 200 rounds in a crowded region: besides never overlapping,
+        # a 1 GiB slot a small PMO once passed through (its detach
+        # leaves an empty intermediate node) must stay attachable.
+        small = FakePmo("small", 512 * 1024)
+        large = FakePmo("large", 4 * MIB)
+        rng = np.random.default_rng(7)
+        space = AddressSpace(rng=np.random.default_rng(7))
+        space.REGION_END = 4 * GIB
+        for _ in range(200):
+            for pmo in rng.permutation([small, large]):
+                space.attach(pmo, Access.RW)
+            assert self.disjoint(space)
+            for pmo in rng.permutation([small, large]):
+                space.detach(pmo.pmo_id)
+        assert small.subtree.entries.keys() == \
+            FakePmo("fresh", 512 * 1024).subtree.entries.keys()
+        assert large.subtree.entries.keys() == \
+            FakePmo("fresh", 4 * MIB).subtree.entries.keys()
+
+
 class TestAttachDetach:
     def test_attach_maps_and_registers(self, space, pmo):
         mapping = space.attach(pmo, Access.RW)

@@ -397,6 +397,22 @@ class TestGroupCommit:
             assert lib2.read(oid, PAGE_SIZE) == b"B" * PAGE_SIZE
             lib2.detach(report.loaded[0])
 
+    def test_committed_state_reports_the_seq_on_media(self, tmp_path):
+        # A snapshot claims its seq at once but reaches media later;
+        # what a replication bootstrap reads must carry the seq of
+        # the bytes it read, or the queued batch would be skipped as
+        # "already covered".
+        store, lib = make(tmp_path)
+        pmo, oid = populate(lib, "seq")
+        on_media = store.committed_state("seq")[1]
+        pmo.storage.write(oid.offset, b"queued")
+        _, claimed, pages = store._snapshot(pmo)
+        assert claimed == on_media + 1
+        assert store.committed_state("seq")[1] == on_media
+        store.committer.submit(store._entries["seq"], claimed,
+                               pages).wait()
+        assert store.committed_state("seq")[1] == claimed
+
     def test_sync_flush_routes_through_the_committer(self, tmp_path):
         store, lib = make(tmp_path)
         populate(lib, "route")

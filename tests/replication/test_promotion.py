@@ -59,9 +59,12 @@ class TestPromotion:
         assert status["enabled"] and status["connected"]
         assert status["lag"] == 0
         assert status["acked"] == status["shipped"] >= 1
-        client.close()
 
+        # Kill *before* the client hangs up: a daemon that sees the
+        # EOF first closes the window itself ("connection lost") and
+        # nothing is left straddling the outage.
         thread.kill()                 # in-process SIGKILL
+        client.close()
         time.sleep(0.05)              # a visible outage on the clock
         port = standby.promote(0)
         with SyncTerpClient(port=port, user="bob") as bob:

@@ -1,0 +1,281 @@
+"""The op table is the only statement of the op set.
+
+Conformance: every row of :mod:`repro.service.ops` has a server
+handler, a routing rule the router honours, and the same typed method
+on both clients — and nothing carries an op the table does not.
+Golden: the sans-IO client core, driven through one scripted 12-op
+tenant cycle, emits request frames byte-identical to the ones the
+pre-table ``SyncTerpClient`` put on the wire (captured at the parent
+commit of the PR that introduced the table).
+"""
+
+import asyncio
+import socket
+
+import pytest
+
+from repro.cluster.router import TerpRouter
+from repro.core.units import MIB
+from repro.pmo.object_id import OFFSET_BITS, Oid
+from repro.service import ops, protocol, retry
+from repro.service.client import (
+    RECV, SEND, ClientCore, RemoteError, SyncTerpClient, TerpClient)
+from repro.service.ops import FANOUT, NAME, OID, OPS, SESSION
+from repro.service.server import Conn, TerpService
+
+TYPED = {op.method for op in OPS.values() if op.method is not None}
+
+
+class TestConformance:
+    def test_rows_are_well_formed(self):
+        for name, op in OPS.items():
+            assert op.name == name
+            assert op.route in (NAME, OID, FANOUT, SESSION)
+            params = [p for p, _ in op.params]
+            if op.route in (NAME, OID) and op.method is not None:
+                assert params[0] == op.route, name
+            assert op.bin_arg is None or op.bin_arg in params
+
+    def test_every_row_has_exactly_one_server_handler(self):
+        service = TerpService(port=0)
+        assert set(service._handlers) == set(OPS)
+        declared = {attr[len("_op_"):] for attr in vars(TerpService)
+                    if attr.startswith("_op_")}
+        assert declared == set(OPS)
+        for name, (handler, span) in service._handlers.items():
+            assert callable(handler) and span == f"terpd.{name}"
+
+    def test_router_routes_every_row_by_its_key(self):
+        router = TerpRouter(shard_addrs=[("127.0.0.1", 1),
+                                         ("127.0.0.1", 2),
+                                         ("127.0.0.1", 3)])
+        conn = Conn()
+        home = router._home_shard(conn)
+        for name, op in OPS.items():
+            if op.route == NAME:
+                for pmo in ("a", "b", "pmo-17", "zz"):
+                    assert router._route(op, {"name": pmo}, conn) == \
+                        router.ring.owner(pmo), name
+            elif op.route == OID:
+                for pool_id in (1, 2, 3, 4, 11):
+                    oid = Oid(pool_id, 64).pack()
+                    assert oid >> OFFSET_BITS == pool_id
+                    assert router._route(op, {"oid": oid}, conn) == \
+                        (pool_id - 1) % 3, name
+            elif op.route == FANOUT:
+                assert callable(getattr(router, f"_fanout_{name}")), name
+            else:
+                assert callable(getattr(router, f"_op_{name}")), name
+            # Unroutable args stay session-sticky, whatever the key.
+            assert router._route(op, {}, conn) == home
+        fanouts = {attr[len("_fanout_"):] for attr in vars(TerpRouter)
+                   if attr.startswith("_fanout_")}
+        assert fanouts == {n for n, op in OPS.items()
+                           if op.route == FANOUT}
+        assert OPS["repl_status"].route == FANOUT
+
+    def test_both_clients_expose_the_same_typed_methods(self):
+        assert TYPED >= {"close_pmo", "read_u64", "write_u64",
+                         "tx_begin", "tx_abort", "ping", "repl_status"}
+        assert "hello" not in TYPED and "close" not in TYPED
+        for method in TYPED:
+            # One generated body on the core; neither transport
+            # defines (or overrides) a per-op method of its own.
+            shared = getattr(ClientCore, method)
+            assert getattr(SyncTerpClient, method) is shared
+            assert getattr(TerpClient, method) is shared
+        for cls in (SyncTerpClient, TerpClient):
+            own = {attr for attr in vars(cls) if not attr.startswith("_")}
+            assert own == {"close"}, cls
+
+    def test_typed_method_signatures(self):
+        client = SyncTerpClient(port=1)
+        with pytest.raises(TypeError):
+            client.create("only-a-name")            # size is required
+        with pytest.raises(TypeError):
+            client.attach("p", "rw", "extra")
+        with pytest.raises(TypeError):
+            client.psync(nome="typo")
+
+    def test_read_only_set_is_the_tables_projection(self):
+        assert retry.READ_ONLY_OPS is ops.READ_ONLY_OPS
+        assert ops.READ_ONLY_OPS == {
+            name for name, op in OPS.items() if op.readonly}
+        # Observing ops only: nothing read-only mutates or binds.
+        assert not ops.READ_ONLY_OPS & {
+            "hello", "goodbye", "write", "write_u64", "psync",
+            "create", "destroy", "attach", "detach", "pmalloc", "pfree"}
+
+    def test_sessionless_is_the_tables_projection(self, terpd):
+        # Before hello, exactly the sessionless rows get past the
+        # session check (they may fail later, on their arguments).
+        with socket.create_connection(
+                ("127.0.0.1", terpd.bound_port), timeout=10) as sock:
+            for rid, (name, op) in enumerate(OPS.items(), start=1):
+                if name == "hello":
+                    continue            # would bind a session
+                protocol.send_frame(sock, protocol.request(rid, name))
+                response, _ = protocol.recv_frame_ex(sock)
+                refused = not response["ok"] and \
+                    "requires a session" in response["error"]["message"]
+                assert refused == (not op.sessionless), name
+
+
+# -- golden frames ------------------------------------------------------------
+
+GOLDEN_OID = Oid(3, 4096)
+GOLDEN_PAYLOAD = bytes(range(48))
+#: What the parent commit's SyncTerpClient sent for the cycle below:
+#: 12 ops in 11 frames (ops 8+9 share a batch frame), header + JSON
+#: body (+ sidecar length word + sidecar for the write).
+GOLDEN_FRAMES = [bytes.fromhex(frame) for frame in (
+    "0000004f7b226964223a312c226f70223a2268656c6c6f222c2261726773223a7b"
+    "2275736572223a22676f6c64656e222c2265775f6275646765745f7573223a3235"
+    "302e302c2276657273696f6e223a327d7d",
+    "000000477b226964223a322c226f70223a22637265617465222c2261726773223a"
+    "7b226e616d65223a22676f6c64222c2273697a65223a343139343330342c226d6f"
+    "6465223a3338347d7d",
+    "0000003b7b226964223a332c226f70223a22617474616368222c2261726773223a"
+    "7b226e616d65223a22676f6c64222c22616363657373223a227277227d7d",
+    "000000387b226964223a342c226f70223a22706d616c6c6f63222c226172677322"
+    "3a7b226e616d65223a22676f6c64222c2273697a65223a36347d7d",
+    "800000467b226964223a352c226f70223a227772697465222c2261726773223a7b"
+    "226f6964223a3834343432343933303133363036342c2264617461223a7b226269"
+    "6e223a34387d7d7d00000030000102030405060708090a0b0c0d0e0f1011121314"
+    "15161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f",
+    "000000427b226964223a362c226f70223a2277726974655f753634222c22617267"
+    "73223a7b226f6964223a3834343432343933303133363036342c2276616c756522"
+    "3a377d7d",
+    "0000002c7b226964223a372c226f70223a227073796e63222c2261726773223a7b"
+    "226e616d65223a22676f6c64227d7d",
+    "000000745b7b226964223a382c226f70223a2272656164222c2261726773223a7b"
+    "226f6964223a3834343432343933303133363036342c226e223a34387d7d2c7b22"
+    "6964223a392c226f70223a22726561645f753634222c2261726773223a7b226f69"
+    "64223a3834343432343933303133363036347d7d5d",
+    "000000407b226964223a31302c226f70223a227472616365222c2261726773223a"
+    "7b226c696d6974223a352c226b696e64223a22666f726365642d64657461636822"
+    "7d7d",
+    "0000002e7b226964223a31312c226f70223a22646574616368222c226172677322"
+    "3a7b226e616d65223a22676f6c64227d7d",
+    "000000227b226964223a31322c226f70223a22676f6f64627965222c2261726773"
+    "223a7b7d7d",
+)]
+
+
+def _answer(request):
+    result = {
+        "hello": {"session": 1, "entity": (1 << 20) + 1, "version": 2,
+                  "ew_budget_us": 250.0, "token": "ab" * 16,
+                  "resumed": False},
+        "pmalloc": {"oid": GOLDEN_OID.pack()},
+        "write": {"n": 48}, "psync": {"flushed": 1},
+        "read": {"bin": 48}, "read_u64": {"value": 7},
+        "trace": {"spans": [], "audit": [], "open_windows": []},
+    }.get(request["op"], {})
+    return protocol.ok_response(request["id"], result), \
+        GOLDEN_PAYLOAD if request["op"] == "read" else b""
+
+
+class ScriptedClient(ClientCore):
+    """A third transport, for the test only: no socket, a canned
+    server.  The core cannot tell — which is the point of sans-IO."""
+
+    def __init__(self):
+        super().__init__(user="golden", ew_budget_us=250.0, retry=None,
+                         breaker=None, strict_resume=False)
+        self.sent, self.inbox = [], []
+
+    def _run(self, steps):
+        try:
+            step = next(steps)
+            while True:
+                value = None
+                if step[0] == SEND:
+                    self.sent.append(step[1])
+                    self.inbox.append(self._serve(step[1]))
+                elif step[0] == RECV:
+                    value = self.inbox.pop(0)
+                step = steps.send(value)
+        except StopIteration as stop:
+            return stop.value
+
+    @staticmethod
+    def _serve(frame):
+        (word,) = protocol.HEADER.unpack(frame[:4])
+        payload = protocol.decode_frame(
+            frame[4:4 + (word & protocol.LEN_MASK)])
+        if not isinstance(payload, list):
+            response, sidecar = _answer(payload)
+            return protocol.encode_body(response), sidecar
+        answers = [_answer(one) for one in payload]
+        return (protocol.encode_body([r for r, _ in answers]),
+                b"".join(s for _, s in answers))
+
+
+def test_core_emits_the_parent_commits_request_frames():
+    client = ScriptedClient()
+    assert client.connect() is client                           # 1
+    assert client.session_id == 1 and client.protocol_version == 2
+    client.create("gold", 4 * MIB)                              # 2
+    client.attach("gold")                                       # 3
+    oid = client.pmalloc("gold", 64)                            # 4
+    assert oid == GOLDEN_OID
+    assert client.pipeline([
+        ("write", {"oid": oid.pack(), "data": GOLDEN_PAYLOAD}),  # 5
+        ("write_u64", {"oid": oid.pack(), "value": 7}),          # 6
+    ]) == [{"n": 48}, {}]
+    assert client.psync("gold") == 1                            # 7
+    assert client.batch([
+        ("read", {"oid": oid.pack(), "n": 48}),                  # 8
+        ("read_u64", {"oid": oid.pack()}),                       # 9
+    ]) == [{"data": GOLDEN_PAYLOAD}, {"value": 7}]
+    client.trace(limit=5, kind="forced-detach")                 # 10
+    client.detach("gold")                                       # 11
+    client.goodbye()                                            # 12
+    assert client.sent == GOLDEN_FRAMES
+
+
+# -- one behaviour, two transports ---------------------------------------------
+
+@pytest.fixture(params=["blocking", "asyncio"])
+def either_client(request, terpd):
+    """``(client, do)``: ``do(client.op(...))`` is the op's result on
+    either transport (the asyncio client's methods return awaitables)."""
+    if request.param == "blocking":
+        with SyncTerpClient(port=terpd.bound_port) as client:
+            yield client, lambda value: value
+        return
+    loop = asyncio.new_event_loop()
+    client = loop.run_until_complete(
+        TerpClient(port=terpd.bound_port).connect())
+    yield client, loop.run_until_complete
+    loop.run_until_complete(client.close())
+    loop.close()
+
+
+def test_pipeline_error_mid_burst_leaves_the_connection_in_sync(
+        either_client):
+    """Regression: an error reply mid-pipeline used to leave the later
+    replies unread, so the *next* call died on "pipelining desync"."""
+    client, do = either_client
+    do(client.create("sync", MIB))
+    do(client.attach("sync"))
+    oid = do(client.pmalloc("sync", 16))
+    with pytest.raises(RemoteError) as err:
+        do(client.pipeline([
+            ("write", {"oid": oid.pack(), "data": b"first"}),
+            ("read", {"oid": Oid(60_001, 0).pack(), "n": 4}),   # bad
+            ("write", {"oid": oid.pack(), "data": b"third"}),
+        ]))
+    assert not isinstance(err.value, ConnectionError)
+    assert "60001" in str(err.value)
+    # Every reply was drained: the same connection keeps working, and
+    # the write *after* the bad slot did run.
+    assert "now_ns" in do(client.ping())
+    assert do(client.read(oid, 5)) == b"third"
+    do(client.write_u64(oid, 11))
+    assert do(client.read_u64(oid)) == 11
+    assert do(client.tx_begin("sync")) >= 0
+    do(client.tx_abort("sync"))
+    do(client.detach("sync"))
+    assert "closed" in do(client.close_pmo("sync"))

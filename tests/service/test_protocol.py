@@ -1,4 +1,4 @@
-"""Wire protocol: framing, shapes, payload encoding."""
+"""Wire protocol: framing, shapes, sidecar markers."""
 
 import asyncio
 import socket
@@ -44,7 +44,8 @@ class TestAsyncStreamFraming:
             for chunk in chunks:
                 reader.feed_data(chunk)
             reader.feed_eof()
-            return await protocol.read_frame(reader)
+            got = await protocol.read_frame_ex(reader)
+            return None if got is None else got[0]
         return asyncio.run(go())
 
     def test_read_frame_handles_split_delivery(self):
@@ -78,8 +79,8 @@ class TestBlockingSocketFraming:
 
             thread = threading.Thread(target=sender)
             thread.start()
-            assert protocol.recv_frame(right) == payload
-            assert protocol.recv_frame(right) is None   # clean EOF
+            assert protocol.recv_frame_ex(right) == (payload, b"")
+            assert protocol.recv_frame_ex(right) is None   # clean EOF
             thread.join()
         finally:
             right.close()
@@ -96,10 +97,10 @@ class TestShapes:
         assert response["ok"] is False
         assert response["error"]["kind"] == "PmoError"
 
-    def test_bytes_codec_roundtrip(self):
-        data = bytes(range(256))
-        assert protocol.decode_bytes(protocol.encode_bytes(data)) == data
-
-    def test_bad_base64_raises(self):
-        with pytest.raises(WireError):
-            protocol.decode_bytes("!!not-base64!!")
+    def test_bin_marker_length(self):
+        assert protocol.bin_length({"bin": 64}) == 64
+        # Anything but a {"bin": n} marker — base64 text included, the
+        # retired v1 encoding — is a typed error, never a guess.
+        for bad in ("aGVsbG8=", {"bin": "64"}, {}, None, 64):
+            with pytest.raises(WireError):
+                protocol.bin_length(bad)

@@ -1,10 +1,10 @@
-"""Protocol v2: negotiation, the binary sidecar, and v1 coexistence.
+"""The wire: hello's version check and the binary sidecar.
 
-The contract under test: a v2 client and a v2 server move PMO data as
-raw bytes in a frame sidecar (zero base64); every other pairing —
-old client, old server, or a forced ``TERP_PROTOCOL_VERSION=1`` —
-degrades to the bit-identical v1 JSON wire; and a truncated or
-short-counted sidecar is a typed :class:`WireError`, never a hang.
+The contract under test: client and server move PMO data as raw bytes
+in a frame sidecar (zero base64); a ``hello`` that offers any revision
+but 2 — the retired v1 included, and an absent ``version`` is v1 — is
+refused with a typed error; and a truncated or short-counted sidecar
+is a typed :class:`WireError`, never a hang.
 """
 
 import asyncio
@@ -17,26 +17,13 @@ from repro.service import protocol
 from repro.service.client import (
     ConnectionLost, SyncTerpClient, TerpClient)
 from repro.service.protocol import (
-    HEADER, PROTOCOL_V1, PROTOCOL_VERSION, SIDECAR_FLAG, WireError)
-from repro.service.server import ServiceThread, TerpService
+    HEADER, PROTOCOL_VERSION, SIDECAR_FLAG, WireError)
 
 
-@pytest.fixture(autouse=True)
-def _default_wire(monkeypatch):
-    """These tests pin wire versions themselves; a CI leg's forced
-    ``TERP_PROTOCOL_VERSION`` must not leak in."""
-    monkeypatch.delenv("TERP_PROTOCOL_VERSION", raising=False)
-
-
-@pytest.fixture
-def terpd_v1():
-    """A legacy daemon: speaks (and strictly insists on) protocol v1."""
-    thread = ServiceThread(TerpService(port=0,
-                                       session_ew_ns=2_000_000_000,
-                                       protocol_version=PROTOCOL_V1))
-    service = thread.start()
-    yield service
-    thread.stop()
+def exchange(sock, rid, op, args, sidecar=None):
+    """One raw v2 round trip: ``(response, sidecar)``."""
+    protocol.send_frame(sock, protocol.request(rid, op, args), sidecar)
+    return protocol.recv_frame_ex(sock)
 
 
 def roundtrip(client, payload=b"\x00\xffbinary\x00 payload\xfe" * 40):
@@ -54,50 +41,39 @@ class TestNegotiation:
             assert client.protocol_version == PROTOCOL_VERSION
             roundtrip(client)
 
-    def test_env_forces_v1(self, terpd, monkeypatch):
-        monkeypatch.setenv("TERP_PROTOCOL_VERSION", "1")
-        with SyncTerpClient(port=terpd.bound_port) as client:
-            assert client.protocol_version == PROTOCOL_V1
-            roundtrip(client)
-
-    def test_v2_client_falls_back_to_v1_server(self, terpd_v1):
-        # The old server rejects the version offer outright; the
-        # client downgrades, re-hellos, and the session works.
-        with SyncTerpClient(port=terpd_v1.bound_port) as client:
-            assert client.protocol_version == PROTOCOL_V1
-            roundtrip(client)
-
-    def test_v1_client_on_v2_server_stays_v1(self, terpd):
-        # An old client omits "version" entirely: the server must
-        # treat it as v1 and never emit a sidecar at it.
+    def test_v1_hello_is_rejected_with_typed_error(self, terpd):
+        # An old client omits "version" entirely (that *is* v1), or
+        # offers 1 outright; a future one might offer 3.  Each gets
+        # the typed refusal, the connection stays in sync, and the
+        # same connection may still say a proper hello afterwards.
         with socket.create_connection(
                 ("127.0.0.1", terpd.bound_port), timeout=10) as sock:
-            protocol.send_frame(sock, protocol.request(
-                1, "hello", {"user": "old"}))
-            response = protocol.recv_frame(sock)   # raises on sidecar
+            for rid, offer in enumerate(({}, {"version": 1},
+                                         {"version": 3}), start=1):
+                response, sidecar = exchange(
+                    sock, rid, "hello", dict(offer, user="old"))
+                assert not response["ok"] and sidecar == b""
+                assert response["error"]["kind"] == "TerpError"
+                assert (f"protocol version {offer.get('version')} "
+                        "unsupported") in response["error"]["message"]
+            response, _ = exchange(sock, 9, "hello",
+                                   {"user": "new", "version": 2})
             assert response["ok"]
-            assert response["result"]["version"] == PROTOCOL_V1
-            protocol.send_frame(sock, protocol.request(
-                2, "create", {"name": "old", "size": MIB}))
-            assert protocol.recv_frame(sock)["ok"]
-            protocol.send_frame(sock, protocol.request(
-                3, "attach", {"name": "old"}))
-            assert protocol.recv_frame(sock)["ok"]
-            protocol.send_frame(sock, protocol.request(
-                4, "pmalloc", {"name": "old", "size": 64}))
-            oid = protocol.recv_frame(sock)["result"]["oid"]
-            protocol.send_frame(sock, protocol.request(
-                5, "write", {"oid": oid,
-                             "data": protocol.encode_bytes(b"x" * 64)}))
-            assert protocol.recv_frame(sock)["result"]["n"] == 64
-            protocol.send_frame(sock, protocol.request(
-                6, "read", {"oid": oid, "n": 64}))
-            result = protocol.recv_frame(sock)["result"]
-            # v1 wire: base64 text, no "bin" marker, no sidecar.
-            assert protocol.decode_bytes(result["data"]) == b"x" * 64
+            assert response["result"]["version"] == PROTOCOL_VERSION
 
-    def test_async_client_negotiates_and_falls_back(self, terpd,
-                                                    terpd_v1):
+    def test_base64_payload_is_refused_typed(self, terpd):
+        # The v1 encoding of binary data (base64 text under "data")
+        # is no longer read: a typed refusal, not a decode attempt.
+        with socket.create_connection(
+                ("127.0.0.1", terpd.bound_port), timeout=10) as sock:
+            assert exchange(sock, 1, "hello", {"version": 2})[0]["ok"]
+            response, _ = exchange(sock, 2, "write",
+                                   {"oid": 1, "data": "eHh4eA=="})
+            assert not response["ok"]
+            assert response["error"]["kind"] == "WireError"
+            assert exchange(sock, 3, "ping", {})[0]["ok"]
+
+    def test_async_client_negotiates_v2(self, terpd):
         async def drive():
             async with TerpClient(port=terpd.bound_port) as new:
                 assert new.protocol_version == PROTOCOL_VERSION
@@ -106,46 +82,10 @@ class TestNegotiation:
                 oid = await new.pmalloc("anew", 32)
                 await new.write(oid, b"y" * 32)
                 assert await new.read(oid, 32) == b"y" * 32
-            async with TerpClient(port=terpd_v1.bound_port) as old:
-                assert old.protocol_version == PROTOCOL_V1
-                await old.create("aold", MIB)
-                await old.attach("aold")
-                oid = await old.pmalloc("aold", 32)
-                await old.write(oid, b"z" * 32)
-                assert await old.read(oid, 32) == b"z" * 32
         asyncio.run(drive())
 
 
-class TestMixedVersionTraffic:
-    def test_mixed_version_pipelining(self, terpd, monkeypatch):
-        """A v1 and a v2 session pipeline against the same daemon and
-        the same PMO, interleaved, each on its own wire dialect."""
-        port = terpd.bound_port
-        with SyncTerpClient(port=port) as v2:
-            assert v2.protocol_version == PROTOCOL_VERSION
-            monkeypatch.setenv("TERP_PROTOCOL_VERSION", "1")
-            with SyncTerpClient(port=port) as v1:
-                assert v1.protocol_version == PROTOCOL_V1
-                v2.create("mix", MIB, mode=0o666)
-                v2.attach("mix")
-                v1.attach("mix")
-                oids = [v2.pmalloc("mix", 16) for _ in range(4)]
-                payloads = [bytes([i + 1]) * 16 for i in range(4)]
-                v2.pipeline([("write", {"oid": oid.pack(),
-                                        "data": data})
-                             for oid, data in zip(oids, payloads)])
-                reads = v1.pipeline([("read", {"oid": oid.pack(),
-                                               "n": 16})
-                                     for oid in oids])
-                for result, expected in zip(reads, payloads):
-                    assert protocol.decode_bytes(
-                        result["data"]) == expected
-                reads = v2.pipeline([("read", {"oid": oid.pack(),
-                                               "n": 16})
-                                     for oid in oids])
-                for result, expected in zip(reads, payloads):
-                    assert result["data"] == expected
-
+class TestSidecarTraffic:
     def test_batch_sidecar_orders_chunks_per_item(self, terpd):
         with SyncTerpClient(port=terpd.bound_port) as client:
             client.create("bat", MIB)
@@ -165,9 +105,9 @@ class TestMixedVersionTraffic:
             assert "now_ns" in results[1]
             assert results[2]["data"] == payloads[2]
 
-    def test_replay_cache_spans_versions(self, terpd, monkeypatch):
-        """A response first served on the v2 wire replays correctly
-        onto a v1 connection after a resume-downgrade."""
+    def test_replay_cache_keeps_the_sidecar(self, terpd):
+        """A read served once replays — same request id, after a
+        resume on a fresh connection — with its sidecar intact."""
         port = terpd.bound_port
         client = SyncTerpClient(port=port).connect()
         try:
@@ -177,22 +117,19 @@ class TestMixedVersionTraffic:
             client.write(oid, b"R" * 16)
             rid = client._next_id + 1
             assert client.read(oid, 16) == b"R" * 16   # cached at rid
-            # Same session, same request id, now over a v1 socket.
             with socket.create_connection(("127.0.0.1", port),
                                           timeout=10) as sock:
                 client._drop_socket()   # free the session binding
                 terpd.run_sweep()       # let the daemon notice
-                protocol.send_frame(sock, protocol.request(
-                    99, "hello", {"user": "root",
-                                  "resume": client.session_id,
-                                  "token": client.resume_token}))
-                hello = protocol.recv_frame(sock)
+                hello, _ = exchange(sock, 99, "hello", {
+                    "user": "root", "version": 2,
+                    "resume": client.session_id,
+                    "token": client.resume_token})
                 assert hello["ok"], hello
-                protocol.send_frame(sock, protocol.request(
-                    rid, "read", {"oid": oid.pack(), "n": 16}))
-                replayed = protocol.recv_frame(sock)
-                assert protocol.decode_bytes(
-                    replayed["result"]["data"]) == b"R" * 16
+                replayed, sidecar = exchange(
+                    sock, rid, "read", {"oid": oid.pack(), "n": 16})
+                assert replayed["result"] == {"bin": 16}
+                assert sidecar == b"R" * 16
         finally:
             client.close()
 
@@ -257,16 +194,16 @@ class TestTruncationAndHostileFrames:
             assert sidecar == b""
             assert "underrun" in response["error"]["message"]
 
-    def test_flagged_length_on_v1_reader_is_wire_error(self):
-        # What an old client sees if a sidecar frame ever reached it:
-        # the flagged word decodes to an impossible length, a typed
-        # failure rather than a 2-GiB read or a hang.
+    def test_flagged_oversize_length_is_wire_error(self):
+        # The sidecar flag must not smuggle a huge body length past
+        # the frame guard: a typed failure rather than a 2-GiB read
+        # or a hang.
         server, client = socket.socketpair()
         try:
             client.sendall(HEADER.pack(SIDECAR_FLAG | 0x7FFFFFFF))
             client.close()
             with pytest.raises(WireError):
-                protocol.recv_frame(server)
+                protocol.recv_frame_ex(server)
         finally:
             server.close()
 

@@ -93,10 +93,8 @@ class TestConcurrentSessions:
             client.create("pipe", MIB)
             client.attach("pipe")
             oid = client.pmalloc("pipe", 256)
-            from repro.service import protocol
             requests = [("write", {"oid": oid.pack(),
-                                   "data": protocol.encode_bytes(
-                                       bytes([i]) * 8)})
+                                   "data": bytes([i]) * 8})
                         for i in range(16)]
             results = client.pipeline(requests)
             assert [r["n"] for r in results] == [8] * 16
@@ -104,10 +102,7 @@ class TestConcurrentSessions:
                                               "n": 8}),
                                     ("ping", {}),
                                     ("psync", {"name": "pipe"})])
-            data = batched[0]["data"]
-            if not isinstance(data, bytes):   # a v1 wire base64s it
-                data = protocol.decode_bytes(data)
-            assert data == bytes([15]) * 8
+            assert batched[0]["data"] == bytes([15]) * 8
             assert "now_ns" in batched[1]
             client.detach("pipe")
 
@@ -242,7 +237,7 @@ class TestLifecycleAndCli:
             protocol.send_frame(sock, protocol.request(1, "create",
                                                        {"name": "x",
                                                         "size": MIB}))
-            response = protocol.recv_frame(sock)
+            response, _ = protocol.recv_frame_ex(sock)
             assert response["ok"] is False
             assert "hello" in response["error"]["message"]
         finally:
