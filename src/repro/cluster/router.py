@@ -38,16 +38,19 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (
+    Any, Awaitable, Callable, Dict, List, Optional, Tuple)
 
 from repro.core.errors import TerpError
 from repro.cluster.aggregate import (
     aggregate_metrics, label_prometheus)
 from repro.cluster.ring import HashRing
+from repro.obs.registry import MetricsRegistry
 from repro.pmo.object_id import OFFSET_BITS
 from repro.service import protocol
 from repro.service.client import (
     OPEN, RECV, SEND, ConnectionLost, RemoteError, TerpClient)
+from repro.service.metrics import WireCounters
 from repro.service.ops import FANOUT, NAME, OID, SESSION, Op
 from repro.service.protocol import WireError, ok_response
 from repro.service.server import (
@@ -98,22 +101,28 @@ class Upstream(TerpClient):
                 f"shard {self.shard} unreachable: {exc}") from None
         return self
 
-    async def relay(self, body: bytes,
-                    sidecar: bytes) -> Tuple[bytes, bytes]:
-        """Send one pre-encoded request frame, await the response."""
+    async def relay(self, frames: List[bytes], deliver: Callable[
+            [bytes, bytes], Awaitable[None]]) -> None:
+        """Send a run of pre-encoded request frames as one write —
+        one round trip for the run — and ``deliver`` each response's
+        ``(body, sidecar)`` as it arrives."""
         async with self._lock:
             try:
-                await self._do(SEND, protocol.frame_from_body(
-                    body, sidecar or None))
-                got = await self._do(RECV)
+                await self._do(SEND, b"".join(frames))
+                for _ in frames:
+                    got = await self._do(RECV)
+                    if got is None:
+                        raise UpstreamLost(f"shard {self.shard} closed "
+                                           "the connection")
+                    await deliver(*got)
             except ConnectionLost as exc:
                 raise UpstreamLost(
                     f"shard {self.shard} dropped: {exc}") from None
-            if got is None:
+            except BaseException:
+                # Responses left unread (the shard hung up, the client
+                # went away mid-run) would answer the next relay.
                 await self.close()
-                raise UpstreamLost(f"shard {self.shard} closed the "
-                                   "connection")
-            return got
+                raise
 
     async def ask(self, op: str, args: Dict[str, Any]
                   ) -> Tuple[Optional[Any], List[dict]]:
@@ -172,6 +181,10 @@ class TerpRouter:
         #: sessionless connections for observability fan-out, one per
         #: shard, dialed lazily and re-dialed after a shard restart.
         self._admin: Dict[int, Upstream] = {}
+        #: The router's own series: the client-facing hop's wire
+        #: counters (each shard counts its hop in its own registry).
+        self.metrics = MetricsRegistry()
+        self.wire = WireCounters(self.metrics, {"hop": "router"})
         self._servers: List[asyncio.AbstractServer] = []
         self._writers: set = set()
         self._purge_task: Optional[asyncio.Task] = None
@@ -227,36 +240,53 @@ class TerpRouter:
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        conn = Conn()
+        conn = Conn(writer, self.wire.note_flush)
         self._writers.add(writer)
-        transport = writer.transport
+        splitter = protocol.FrameSplitter()
         try:
             while True:
-                got = await protocol.read_frame_raw(reader)
-                if got is None:
+                data = await reader.read(protocol.READ_BYTES)
+                if not data:
+                    splitter.eof()
                     break
-                body, sidecar = got
-                payload = protocol.decode_frame(body)
-                if isinstance(payload, list):
-                    frame = await self._handle_batch(conn, payload,
-                                                     sidecar)
-                else:
-                    frame = await self._handle_single(conn, payload,
-                                                      body, sidecar)
-                writer.write(frame)
-                if transport is None or \
-                        transport.get_write_buffer_size() > 65536:
-                    await writer.drain()
+                # The run being gathered: consecutive single-op frames
+                # one shard owns go upstream as one write (a pipelined
+                # burst costs one shard round trip).  Anything else
+                # ends it, so responses queue in request order.
+                run: List[bytes] = []
+                shard = -1
+                for body, sidecar in splitter.feed(data):
+                    payload = protocol.decode_frame(body)
+                    owner = None if isinstance(payload, list) \
+                        else self._relay_shard(conn, payload)
+                    if run and owner != shard:
+                        await self._relay_run(conn, shard, run)
+                        run = []
+                    if owner is not None:
+                        shard = owner
+                        run.append(protocol.frame_from_body(
+                            body, sidecar or None))
+                    elif isinstance(payload, list):
+                        await conn.send(await self._handle_batch(
+                            conn, payload, sidecar))
+                    else:
+                        await conn.send(await self._handle_local(
+                            conn, payload))
+                if run:
+                    await self._relay_run(conn, shard, run)
+                # Out of input: the burst's responses leave together.
+                await conn.drain()
         except UpstreamLost:
             # Map shard death onto the client's typed retry path: an
             # aborted transport is a ConnectionLost, and the retried
             # request (same rid, resumed session) re-routes to the
             # restarted shard.
-            if transport is not None:
-                transport.abort()
+            conn.flush()
+            writer.transport.abort()
         except (WireError, ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            conn.flush()
             self._writers.discard(writer)
             session = conn.session
             if session is not None and not session.closed and \
@@ -322,9 +352,28 @@ class TerpRouter:
 
     # -- single-op path ----------------------------------------------------
 
-    async def _handle_single(self, conn: Conn, payload: Any,
-                             raw_body: bytes,
-                             sidecar: bytes) -> bytes:
+    def _relay_shard(self, conn: Conn, payload: Any) -> Optional[int]:
+        """The shard a single-op frame is relayed to; ``None`` for
+        what the router answers itself (session ops, fan-outs,
+        refusals)."""
+        try:
+            spec, args = admit(payload,
+                               has_session=conn.session is not None)
+        except TerpError:
+            return None
+        if spec.route in (SESSION, FANOUT):
+            return None
+        return self._route(spec, args, conn)
+
+    async def _relay_run(self, conn: Conn, shard: int,
+                         run: List[bytes]) -> None:
+        """The relay fast path: the owning shard sees the client's
+        exact bytes and its responses travel back untouched."""
+        up = await self._upstream(conn, shard)
+        await up.relay(run, lambda body, sidecar: conn.send(
+            protocol.frame_from_body(body, sidecar or None)))
+
+    async def _handle_local(self, conn: Conn, payload: Any) -> bytes:
         rid = payload.get("id") if isinstance(payload, dict) else None
         try:
             spec, args = admit(payload,
@@ -333,18 +382,12 @@ class TerpRouter:
                 result = await getattr(self, f"_op_{spec.name}")(
                     conn, spec, args)
                 return protocol.frame_from_body(_reply(rid, result))
-            if spec.route == FANOUT:
-                result, events = await getattr(
-                    self, f"_fanout_{spec.name}")(conn, spec, args)
-                return protocol.frame_from_body(
-                    _reply(rid, result, events or None))
+            result, events = await getattr(
+                self, f"_fanout_{spec.name}")(conn, spec, args)
+            return protocol.frame_from_body(
+                _reply(rid, result, events or None))
         except (TerpError, KeyError, TypeError, ValueError) as exc:
             return protocol.frame_from_body(protocol.refusal(rid, exc))
-        # The relay fast path: the owning shard sees the client's
-        # exact bytes and its response travels back untouched.
-        up = await self._upstream(conn, self._route(spec, args, conn))
-        rbody, rside = await up.relay(raw_body, sidecar)
-        return protocol.frame_from_body(rbody, rside or None)
 
     async def _op_hello(self, conn: Conn, spec: Op,
                         args: Dict[str, Any]) -> Dict[str, Any]:
@@ -427,6 +470,7 @@ class TerpRouter:
                                    sessions=len(self.registry))
         merged["cluster"]["unreachable"] = \
             self.shard_count - len(results)
+        merged["cluster"]["router"] = self.wire.to_dict()
         return merged, events
 
     async def _fanout_trace(self, conn: Conn, spec: Op,
@@ -452,7 +496,8 @@ class TerpRouter:
         results, events = await self._poll(conn, spec, args)
         return {"text": "".join(
             label_prometheus(result.get("text", ""), shard)
-            for shard, result in results)}, events
+            for shard, result in results)
+            + self.metrics.prometheus_text()}, events
 
     async def _fanout_repl_status(self, conn: Conn, spec: Op,
                                   args: Dict[str, Any]):
@@ -512,27 +557,29 @@ class TerpRouter:
 
         async def run_shard(shard: int,
                             grouped: List[Tuple[int, Any, bytes]]):
+            async def merge(rbody: bytes, rside: bytes) -> None:
+                responses = protocol.decode_frame(rbody)
+                if not isinstance(responses, list) or \
+                        len(responses) != len(grouped):
+                    raise UpstreamLost(
+                        f"shard {shard} answered a batch of "
+                        f"{len(grouped)} with "
+                        f"{len(responses) if isinstance(responses, list) else 1}")
+                reply_bins = protocol.BinReader(rside)
+                for (index, _, _), response in zip(grouped, responses):
+                    result = response.get("result") \
+                        if isinstance(response, dict) else None
+                    n = result.get("bin") if isinstance(result, dict) \
+                        else None
+                    if isinstance(n, int):
+                        chunks[index] = reply_bins.take(n)
+                    parts[index] = protocol.encode_body(response)
+
             up = await self._upstream(conn, shard)
-            body = protocol.encode_body([item for _, item, _ in
-                                         grouped])
-            side = b"".join(chunk for _, _, chunk in grouped)
-            rbody, rside = await up.relay(body, side)
-            responses = protocol.decode_frame(rbody)
-            if not isinstance(responses, list) or \
-                    len(responses) != len(grouped):
-                raise UpstreamLost(
-                    f"shard {shard} answered a batch of "
-                    f"{len(grouped)} with "
-                    f"{len(responses) if isinstance(responses, list) else 1}")
-            reply_bins = protocol.BinReader(rside)
-            for (index, _, _), response in zip(grouped, responses):
-                result = response.get("result") \
-                    if isinstance(response, dict) else None
-                n = result.get("bin") if isinstance(result, dict) \
-                    else None
-                if isinstance(n, int):
-                    chunks[index] = reply_bins.take(n)
-                parts[index] = protocol.encode_body(response)
+            await up.relay([protocol.frame_from_body(
+                protocol.encode_body([item for _, item, _ in grouped]),
+                b"".join(chunk for _, _, chunk in grouped) or None)],
+                merge)
 
         if by_shard:
             done = await asyncio.gather(

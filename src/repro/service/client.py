@@ -57,8 +57,10 @@ from repro.service.retry import (
 
 #: The steps a core generator yields; the transport executes each and
 #: sends its value (or throws its failure) back in.  ``OPEN`` replaces
-#: any existing byte stream; ``RECV`` answers ``(body, sidecar)`` bytes
-#: or ``None`` on clean EOF; ``SLEEP`` carries the seconds to wait.
+#: any existing byte stream; ``SEND`` carries whole frames — a
+#: pipelined burst is one step, so one write and one segment; ``RECV``
+#: answers one frame's ``(body, sidecar)`` bytes or ``None`` on clean
+#: EOF; ``SLEEP`` carries the seconds to wait.
 OPEN, CLOSE, SEND, RECV, SLEEP = "open", "close", "send", "recv", "sleep"
 Steps = Generator[Tuple[Any, ...], Any, Any]
 
@@ -280,10 +282,9 @@ class ClientCore:
                 if batch:
                     yield from self._batch_steps(items, outcomes)
                 else:
-                    for rid, op, args in items[len(outcomes):]:
-                        payload, sidecar = self._prep(rid, op, args)
-                        yield SEND, protocol.encode_frame(
-                            payload, sidecar or None)
+                    yield SEND, b"".join([
+                        protocol.encode_frame(*self._prep(*item))
+                        for item in items[len(outcomes):]])
                     while len(outcomes) < len(items):
                         outcomes.append(self._outcome(
                             self._decode((yield (RECV,))),
@@ -426,6 +427,7 @@ class SyncTerpClient(ClientCore):
         if (port is None) == (unix_path is None):
             raise TerpError("give exactly one of port / unix_path")
         self._sock: Optional[socket.socket] = None
+        self._splitter = protocol.FrameSplitter()
         self._host, self._port, self._unix = host, port, unix_path
         self._timeout = timeout
 
@@ -449,7 +451,7 @@ class SyncTerpClient(ClientCore):
             try:
                 if kind == SEND:
                     return self._sock.sendall(arg)
-                return protocol.recv_frame_raw(self._sock)
+                return protocol.recv_frame(self._sock, self._splitter)
             except (OSError, WireError) as exc:
                 self._drop_socket()
                 raise ConnectionLost(f"{kind} failed: {exc}") from exc
@@ -468,7 +470,7 @@ class SyncTerpClient(ClientCore):
             sock = socket.create_connection(
                 (self._host, self._port), timeout=self._timeout)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
+        self._sock, self._splitter = sock, protocol.FrameSplitter()
 
     def _drop_socket(self) -> None:
         if self._sock is not None:
@@ -513,6 +515,7 @@ class TerpClient(ClientCore):
         self._host, self._port, self._unix = host, port, unix_path
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
+        self._splitter = protocol.FrameSplitter()
         self._lock = asyncio.Lock()
 
     async def _run(self, steps: Steps) -> Any:
@@ -537,7 +540,8 @@ class TerpClient(ClientCore):
                 if kind == SEND:
                     self._writer.write(arg)
                     return await self._writer.drain()
-                return await protocol.read_frame_raw(self._reader)
+                return await protocol.read_frame(self._reader,
+                                                 self._splitter)
             except (OSError, WireError) as exc:
                 await self.close()
                 raise ConnectionLost(f"{kind} failed: {exc}") from exc
@@ -551,6 +555,7 @@ class TerpClient(ClientCore):
             else:
                 self._reader, self._writer = \
                     await asyncio.open_connection(self._host, self._port)
+            self._splitter = protocol.FrameSplitter()
 
     async def close(self) -> None:
         writer, self._writer = self._writer, None

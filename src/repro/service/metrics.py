@@ -71,6 +71,30 @@ def _histogram_latency_dict(hist: Histogram) -> Dict[str, float]:
     }
 
 
+class WireCounters:
+    """The writes a serve loop made to its clients and the response
+    frames they carried — frames per flush is how well pipelined
+    bursts coalesce.  The daemon and the cluster router each keep a
+    pair for their own hop."""
+
+    def __init__(self, registry: MetricsRegistry,
+                 labels: Optional[Dict[str, str]] = None) -> None:
+        self.flushes = registry.counter(
+            "terpd_wire_flushes_total", "writes of queued response "
+            "frames to a client connection", labels)
+        self.frames = registry.counter(
+            "terpd_wire_frames_total", "response frames written to "
+            "client connections", labels)
+
+    def note_flush(self, frames: int) -> None:
+        self.flushes.inc()
+        self.frames.inc(frames)
+
+    def to_dict(self) -> Dict[str, int]:
+        return {"wire_flushes": self.flushes.value,
+                "wire_frames": self.frames.value}
+
+
 @dataclass
 class SessionMetrics:
     """One session's share of the daemon's work."""
@@ -171,6 +195,7 @@ class ServiceMetrics:
         self._replication_lag = reg.gauge(
             "terpd_repl_lag_batches", "batches shipped but not yet "
             "acked by the standby")
+        self.wire = WireCounters(reg)
         self._op_counters: Dict[str, Counter] = {}
         self._fault_site_counters: Dict[str, Counter] = {}
         self.request_latency = reg.histogram(
@@ -364,6 +389,14 @@ class ServiceMetrics:
         return int(self._replication_lag.value)
 
     @property
+    def wire_flushes(self) -> int:
+        return self.wire.flushes.value
+
+    @property
+    def wire_frames(self) -> int:
+        return self.wire.frames.value
+
+    @property
     def faults_by_site(self) -> Dict[str, int]:
         return {site: counter.value
                 for site, counter in self._fault_site_counters.items()}
@@ -399,6 +432,7 @@ class ServiceMetrics:
             "repl_batches_acked": self.batches_ship_acked,
             "repl_batches_dropped": self.batches_ship_dropped,
             "repl_lag": self.replication_lag,
+            **self.wire.to_dict(),
             "ops": self.ops,
             "request_latency": _histogram_latency_dict(
                 self.request_latency),

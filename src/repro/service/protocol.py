@@ -50,7 +50,7 @@ import asyncio
 import json
 import socket
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import TerpError
 
@@ -68,6 +68,8 @@ PROTOCOL_VERSION = 2
 SIDECAR_FLAG = 0x80000000
 #: Mask recovering the JSON body length from a flagged length word.
 LEN_MASK = 0x7FFFFFFF
+#: What every reader asks its transport for at a time.
+READ_BYTES = 65536
 
 _SEPARATORS = (",", ":")
 
@@ -135,104 +137,93 @@ def decode_frame(body: bytes) -> Any:
         raise WireError(f"undecodable frame: {exc}") from None
 
 
-def _body_length(word: int) -> int:
-    length = word & LEN_MASK
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    return length
+class FrameSplitter:
+    """The one parser of the header/sidecar layout, doing no I/O.
 
-
-def _sidecar_length(side_head: bytes) -> int:
-    (side_len,) = HEADER.unpack(side_head)
-    if side_len > MAX_SIDECAR_BYTES:
-        raise WireError(f"sidecar length {side_len} exceeds "
-                        f"{MAX_SIDECAR_BYTES}")
-    return side_len
-
-
-def _decoded(got: Optional[Tuple[bytes, bytes]]
-             ) -> Optional[Tuple[Any, bytes]]:
-    return None if got is None else (decode_frame(got[0]), got[1])
-
-
-async def read_frame_raw(reader: asyncio.StreamReader
-                         ) -> Optional[Tuple[bytes, bytes]]:
-    """Read one frame from an asyncio stream, JSON body *undecoded*.
-
-    Returns ``(body_bytes, sidecar_bytes)`` — ``sidecar`` is ``b""``
-    for a frame without one — or ``None`` on clean EOF.  A stream that
-    ends mid-header, mid-body, or mid-sidecar raises
-    :class:`WireError`: truncation is always a typed error, never a
-    hang.  The cluster router relays these bytes verbatim, paying no
-    decode/re-encode on the fast path.
+    :meth:`feed` it whatever the transport read — half a frame, a
+    pipelined burst — and it hands out the complete ``(body,
+    sidecar)`` frames (``sidecar`` is ``b""`` for a frame without one;
+    the JSON body stays undecoded, so the cluster router can relay it
+    verbatim).  A length word is checked as soon as its four bytes are
+    in: an oversize body or sidecar is a :class:`WireError` from the
+    header alone, before a byte of it is waited for.  A stream that
+    ends mid-frame is the same typed error, from :meth:`eof`.
     """
-    try:
-        header = await reader.readexactly(HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
+
+    __slots__ = ("_buf", "_pos")
+
+    def __init__(self) -> None:
+        self._buf = bytearray()        # unparsed input, from _pos on
+        self._pos = 0
+
+    def feed(self, data: bytes) -> Iterator[Tuple[bytes, bytes]]:
+        """Take in what a read returned; iterate the frames it
+        completed (a bad length word raises at its turn, after the
+        frames ahead of it were handed out)."""
+        if self._pos:
+            del self._buf[:self._pos]
+            self._pos = 0
+        self._buf += data
+        return iter(self.next_frame, None)
+
+    def next_frame(self) -> Optional[Tuple[bytes, bytes]]:
+        """The next complete frame, or ``None`` until more is fed."""
+        buf, pos = self._buf, self._pos
+        if len(buf) - pos < HEADER.size:
             return None
-        raise WireError("stream truncated mid-header") from None
-    (word,) = HEADER.unpack(header)
-    try:
-        body = await reader.readexactly(_body_length(word))
-    except asyncio.IncompleteReadError:
-        raise WireError("stream truncated mid-frame") from None
-    sidecar = b""
-    if word & SIDECAR_FLAG:
-        try:
-            sidecar = await reader.readexactly(_sidecar_length(
-                await reader.readexactly(HEADER.size)))
-        except asyncio.IncompleteReadError:
-            raise WireError("stream truncated mid-sidecar") from None
-    return body, sidecar
+        (word,) = HEADER.unpack_from(buf, pos)
+        if word & LEN_MASK > MAX_FRAME_BYTES:
+            raise WireError(f"frame length {word & LEN_MASK} exceeds "
+                            f"{MAX_FRAME_BYTES}")
+        body_end = side_at = end = pos + HEADER.size + (word & LEN_MASK)
+        if word & SIDECAR_FLAG:
+            side_at = end = body_end + HEADER.size
+            if side_at <= len(buf):
+                (side_len,) = HEADER.unpack_from(buf, body_end)
+                if side_len > MAX_SIDECAR_BYTES:
+                    raise WireError(f"sidecar length {side_len} "
+                                    f"exceeds {MAX_SIDECAR_BYTES}")
+                end += side_len
+        if end > len(buf):
+            return None
+        self._pos = end
+        return (bytes(buf[pos + HEADER.size:body_end]),
+                bytes(buf[side_at:end]))
+
+    def eof(self) -> None:
+        """The stream ended: fine between frames, :class:`WireError`
+        (truncation is a typed error, never a hang) inside one."""
+        if len(self._buf) > self._pos:
+            raise WireError(f"stream truncated mid-frame "
+                            f"({len(self._buf) - self._pos} bytes in)")
 
 
-async def read_frame_ex(reader: asyncio.StreamReader
-                        ) -> Optional[Tuple[Any, bytes]]:
-    """:func:`read_frame_raw` with the body decoded: ``(payload,
-    sidecar)`` or ``None`` on clean EOF."""
-    return _decoded(await read_frame_raw(reader))
+def recv_frame(sock: socket.socket, splitter: FrameSplitter
+               ) -> Optional[Tuple[bytes, bytes]]:
+    """The next frame off a blocking socket — ``splitter`` holds what
+    earlier reads left over — or ``None`` on clean EOF."""
+    frame = splitter.next_frame()
+    while frame is None:
+        data = sock.recv(READ_BYTES)
+        if not data:
+            splitter.eof()
+            return None
+        frame = next(splitter.feed(data), None)
+    return frame
 
 
-def recv_frame_raw(sock: socket.socket
-                   ) -> Optional[Tuple[bytes, bytes]]:
-    """Blocking-socket counterpart of :func:`read_frame_raw`."""
-    header = _recv_exactly(sock, HEADER.size, eof_ok=True)
-    if header is None:
-        return None
-    (word,) = HEADER.unpack(header)
-    body = _recv_exactly(sock, _body_length(word), eof_ok=False)
-    sidecar = b""
-    if word & SIDECAR_FLAG:
-        sidecar = _recv_exactly(sock, _sidecar_length(_recv_exactly(
-            sock, HEADER.size, eof_ok=False)), eof_ok=False)
-    return body, sidecar
-
-
-def recv_frame_ex(sock: socket.socket
-                  ) -> Optional[Tuple[Any, bytes]]:
-    """Blocking-socket counterpart of :func:`read_frame_ex`."""
-    return _decoded(recv_frame_raw(sock))
-
-
-def send_frame(sock: socket.socket, payload: Any,
-               sidecar: Optional[bytes] = None) -> None:
-    sock.sendall(encode_frame(payload, sidecar))
-
-
-def _recv_exactly(sock: socket.socket, n: int, *,
-                  eof_ok: bool) -> Optional[bytes]:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if eof_ok and remaining == n:
-                return None
-            raise WireError("stream truncated")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+async def read_frame(reader: asyncio.StreamReader,
+                     splitter: FrameSplitter
+                     ) -> Optional[Tuple[bytes, bytes]]:
+    """Asyncio-stream counterpart of :func:`recv_frame`."""
+    frame = splitter.next_frame()
+    while frame is None:
+        data = await reader.read(READ_BYTES)
+        if not data:
+            splitter.eof()
+            return None
+        frame = next(splitter.feed(data), None)
+    return frame
 
 
 # -- sidecar plumbing --------------------------------------------------------

@@ -63,6 +63,10 @@ DEFAULT_SESSION_EW_NS = 50_000_000
 DEFAULT_SWEEP_PERIOD_NS = 10_000_000
 #: How long a dropped session's identity lingers for resume: 2s.
 DEFAULT_SESSION_LINGER_NS = 2_000_000_000
+#: Backpressure: responses pending past this are written mid-burst,
+#: and a transport backlog past it is waited out (a peer that stops
+#: reading stalls its own connection, not the daemon's memory).
+DRAIN_MARK = 65536
 
 
 def admit(request: Any, *,
@@ -85,12 +89,21 @@ def admit(request: Any, *,
 
 
 class Conn:
-    """Per-connection state: the bound session, once hello'd.  (The
-    cluster router keeps the same state per client connection.)"""
+    """Per-connection state: the bound session, once hello'd, and the
+    responses queued for the next write.  (The cluster router keeps
+    the same state per client connection.)
 
-    __slots__ = ("session", "generation", "bins", "bin_out")
+    A serve loop answers every frame one read produced
+    (:meth:`send`) and the responses leave in one write — one segment
+    for a pipelined burst — when it runs out of input (:meth:`drain`);
+    earlier only past ``DRAIN_MARK``, before a handler waits off the
+    event loop, and on every way out of the loop (:meth:`flush`)."""
 
-    def __init__(self) -> None:
+    __slots__ = ("session", "generation", "bins", "bin_out", "writer",
+                 "note_flush", "out", "out_bytes")
+
+    def __init__(self, writer: asyncio.StreamWriter,
+                 note_flush: Callable[[int], None]) -> None:
         self.session: Optional[Session] = None
         #: the session's bind generation this connection owns; teardown
         #: only unbinds if no newer connection has resumed the session.
@@ -101,6 +114,36 @@ class Conn:
         #: binary chunks produced by the current frame's responses;
         #: joined into the response frame's sidecar.
         self.bin_out: List[bytes] = []
+        self.writer = writer
+        #: told each write's frame count (the wire counters).
+        self.note_flush = note_flush
+        #: response frames not yet handed to the transport.
+        self.out: List[bytes] = []
+        self.out_bytes = 0
+
+    async def send(self, frame: bytes) -> None:
+        """Queue one response frame (written with the rest of its
+        burst); past ``DRAIN_MARK``, write now and wait for the peer."""
+        self.out.append(frame)
+        self.out_bytes += len(frame)
+        if self.out_bytes > DRAIN_MARK:
+            await self.drain()
+
+    def flush(self) -> None:
+        """Hand everything queued to the transport as one write."""
+        if self.out:
+            # Counted first: whoever reads the responses may look at
+            # the counters next.
+            self.note_flush(len(self.out))
+            self.writer.write(b"".join(self.out))
+            self.out.clear()
+            self.out_bytes = 0
+
+    async def drain(self) -> None:
+        """:meth:`flush`, then wait while the peer is not reading."""
+        self.flush()
+        if self.writer.transport.get_write_buffer_size() > DRAIN_MARK:
+            await self.writer.drain()
 
 
 class _PendingFlush:
@@ -381,9 +424,7 @@ class TerpService:
         for server in self._servers:
             server.close()
         for writer in list(self._writers):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
+            writer.transport.abort()
         if self.store is not None:
             # The flusher thread dies with the process: queued commit
             # batches are dropped (their psyncs never answered, so
@@ -411,73 +452,26 @@ class TerpService:
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        conn = Conn()
+        conn = Conn(writer, self.metrics.wire.note_flush)
         self._writers.add(writer)
-        faults = self.faults
-        transport = writer.transport
+        splitter = protocol.FrameSplitter()
         try:
             while True:
-                got = await protocol.read_frame_ex(reader)
-                if got is None:
+                data = await reader.read(protocol.READ_BYTES)
+                if not data:
+                    splitter.eof()
                     break
-                payload, sidecar = got
-                if faults is not None and \
-                        faults.fire("server.conn_drop") is not None:
-                    # The connection dies before the request runs: the
-                    # client's retry re-sends it and it executes once.
-                    break
-                if faults is not None and \
-                        faults.fire("server.session_crash") is not None:
-                    # The session's handler "process" dies before the
-                    # request runs: windows force-closed, identity gone
-                    # for good (no resume), connection severed.
-                    self._crash_session(conn)
-                    break
-                conn.bins = protocol.BinReader(sidecar)
-                conn.bin_out = []
-                try:
-                    if isinstance(payload, list):
-                        self.metrics.note_batch()
-                        # Each response is encoded exactly once, here;
-                        # encode_body splices the pre-encoded parts.
-                        parts: List[bytes] = []
-                        for one in payload:
-                            parts.append(await self._dispatch(conn, one))
-                        body = protocol.encode_body(parts)
-                    else:
-                        body = await self._dispatch(conn, payload)
-                except InjectedCrash:
-                    # A crash-kind storage fault mid-request: no
-                    # response ever leaves; the crash-torture harness
-                    # snapshots the persistent bytes at this instant.
-                    self._crash_session(conn)
-                    break
-                out = conn.bin_out
-                frame = protocol.frame_from_body(
-                    body, b"".join(out) if out else None)
-                if faults is not None:
-                    rule = faults.fire("server.delay_response")
-                    if rule is not None and rule.delay_ns > 0:
-                        await asyncio.sleep(rule.delay_ns / 1e9)
-                    rule = faults.fire("server.partial_frame")
-                    if rule is not None:
-                        # The request executed; only a truncated frame
-                        # escapes.  The retried request hits the
-                        # replay cache, not a second execution.
-                        writer.write(frame[:max(1, len(frame) // 2)])
-                        await writer.drain()
-                        break
-                # Write-coalescing: queue the frame and only pay a
-                # drain once the transport buffer backs up, so a
-                # pipelined burst of responses leaves in a few
-                # syscalls instead of one flush per response.
-                writer.write(frame)
-                if transport is None or \
-                        transport.get_write_buffer_size() > 65536:
-                    await writer.drain()
+                for body, sidecar in splitter.feed(data):
+                    if not await self._serve_frame(conn, body, sidecar):
+                        return
+                # Out of input: the burst's responses leave together.
+                await conn.drain()
         except (WireError, ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            # Whatever ended the loop, the responses to the frames
+            # served before it still go out ahead of the close.
+            conn.flush()
             self._writers.discard(writer)
             session = conn.session
             if session is not None and not session.closed and \
@@ -499,6 +493,61 @@ class TerpService:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    async def _serve_frame(self, conn: Conn, body: bytes,
+                           sidecar: bytes) -> bool:
+        """Run one request frame and queue its response frame; False
+        when the connection must be severed instead (injected faults)."""
+        payload = protocol.decode_frame(body)
+        faults = self.faults
+        if faults is not None and \
+                faults.fire("server.conn_drop") is not None:
+            # The connection dies before the request runs: the
+            # client's retry re-sends it and it executes once.
+            return False
+        if faults is not None and \
+                faults.fire("server.session_crash") is not None:
+            # The session's handler "process" dies before the
+            # request runs: windows force-closed, identity gone for
+            # good (no resume), connection severed.
+            self._crash_session(conn)
+            return False
+        conn.bins = protocol.BinReader(sidecar)
+        conn.bin_out = []
+        try:
+            if isinstance(payload, list):
+                self.metrics.note_batch()
+                # Each response is encoded exactly once, here;
+                # encode_body splices the pre-encoded parts.
+                parts: List[bytes] = []
+                for one in payload:
+                    parts.append(await self._dispatch(conn, one))
+                body = protocol.encode_body(parts)
+            else:
+                body = await self._dispatch(conn, payload)
+        except InjectedCrash:
+            # A crash-kind storage fault mid-request: no response
+            # ever leaves; the crash-torture harness snapshots the
+            # persistent bytes at this instant.
+            self._crash_session(conn)
+            return False
+        out = conn.bin_out
+        frame = protocol.frame_from_body(
+            body, b"".join(out) if out else None)
+        if faults is not None:
+            rule = faults.fire("server.delay_response")
+            if rule is not None and rule.delay_ns > 0:
+                conn.flush()
+                await asyncio.sleep(rule.delay_ns / 1e9)
+            rule = faults.fire("server.partial_frame")
+            if rule is not None:
+                # The request executed; only a truncated frame
+                # escapes.  The retried request hits the replay
+                # cache, not a second execution.
+                await conn.send(frame[:max(1, len(frame) // 2)])
+                return False
+        await conn.send(frame)
+        return True
 
     def _crash_session(self, conn: Conn) -> None:
         """An injected mid-request crash: the session dies for good."""
@@ -554,11 +603,14 @@ class TerpService:
                 # Group commit's executor boundary: the library lock is
                 # already released; the ticket wait (the fsyncs) runs
                 # on a worker thread so the event loop keeps serving
-                # other connections while the flusher batches.
+                # other connections while the flusher batches — and
+                # the burst's earlier responses leave first, rather
+                # than wait behind this request's fsync.
                 flushed = result.base
                 if result.ticket.done:
                     flushed += result.ticket.wait(0)
                 else:
+                    conn.flush()
                     loop = asyncio.get_running_loop()
                     flushed += await loop.run_in_executor(
                         None, result.ticket.wait)

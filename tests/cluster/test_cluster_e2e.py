@@ -4,17 +4,16 @@ The module-scoped cluster serves the read-mostly tests; lifecycle
 tests that assert exact counters or kill shards build their own.
 """
 
-import socket
 import tempfile
 import time
 
 import pytest
 
 from repro.cluster import ClusterSupervisor
-from repro.service import protocol
 from repro.service.client import (
     RemoteError, SyncTerpClient)
 from repro.service.retry import RetryPolicy
+from tests.service.rawwire import RawWire
 
 MIB = 1 << 20
 
@@ -182,19 +181,16 @@ class TestProtocolVersions:
         # The router's hello is the daemon's (one SessionRegistry
         # method): no "version" (a v1 client) or any revision but 2
         # is refused typed, and the connection stays usable.
-        with socket.create_connection(
-                ("127.0.0.1", cluster.front_port), timeout=10) as sock:
+        with RawWire(cluster.front_port) as wire:
             for rid, offer in enumerate(({}, {"version": 1}), start=1):
-                protocol.send_frame(sock, protocol.request(
-                    rid, "hello", dict(offer, user="old")))
-                response, _ = protocol.recv_frame_ex(sock)
+                response, _ = wire.exchange(
+                    rid, "hello", dict(offer, user="old"))
                 assert not response["ok"]
                 assert response["error"]["kind"] == "TerpError"
                 assert (f"protocol version {offer.get('version')} "
                         "unsupported") in response["error"]["message"]
-            protocol.send_frame(sock, protocol.request(
-                3, "hello", {"user": "new", "version": 2}))
-            assert protocol.recv_frame_ex(sock)[0]["ok"]
+            assert wire.exchange(3, "hello", {
+                "user": "new", "version": 2})[0]["ok"]
 
     def test_v2_negotiated_through_router(self, client):
         assert client.protocol_version == 2

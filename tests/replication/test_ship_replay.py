@@ -125,8 +125,10 @@ class TestReconcilingBootstrap:
         store.destroy("victim")
         assert victim.exists()          # the destroy was lost...
         assert shipper._connect_once()  # ...until the bootstrap
+        # (the applier unlinks the file, then forgets the name)
         deadline = time.monotonic() + 5.0
-        while victim.exists() and time.monotonic() < deadline:
+        while (victim.exists() or "victim" in standby.applier.applied) \
+                and time.monotonic() < deadline:
             time.sleep(0.01)
         assert not victim.exists()
         assert standby.applier.path_for("keeper").exists()

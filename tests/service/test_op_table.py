@@ -10,7 +10,6 @@ commit of the PR that introduced the table).
 """
 
 import asyncio
-import socket
 
 import pytest
 
@@ -22,6 +21,7 @@ from repro.service.client import (
     RECV, SEND, ClientCore, RemoteError, SyncTerpClient, TerpClient)
 from repro.service.ops import FANOUT, NAME, OID, OPS, SESSION
 from repro.service.server import Conn, TerpService
+from tests.service.rawwire import RawWire
 
 TYPED = {op.method for op in OPS.values() if op.method is not None}
 
@@ -49,7 +49,7 @@ class TestConformance:
         router = TerpRouter(shard_addrs=[("127.0.0.1", 1),
                                          ("127.0.0.1", 2),
                                          ("127.0.0.1", 3)])
-        conn = Conn()
+        conn = Conn(writer=None, note_flush=None)   # never written to
         home = router._home_shard(conn)
         for name, op in OPS.items():
             if op.route == NAME:
@@ -109,13 +109,11 @@ class TestConformance:
     def test_sessionless_is_the_tables_projection(self, terpd):
         # Before hello, exactly the sessionless rows get past the
         # session check (they may fail later, on their arguments).
-        with socket.create_connection(
-                ("127.0.0.1", terpd.bound_port), timeout=10) as sock:
+        with RawWire(terpd.bound_port) as wire:
             for rid, (name, op) in enumerate(OPS.items(), start=1):
                 if name == "hello":
                     continue            # would bind a session
-                protocol.send_frame(sock, protocol.request(rid, name))
-                response, _ = protocol.recv_frame_ex(sock)
+                response, _ = wire.exchange(rid, name)
                 refused = not response["ok"] and \
                     "requires a session" in response["error"]["message"]
                 assert refused == (not op.sessionless), name
@@ -183,7 +181,9 @@ class ScriptedClient(ClientCore):
     def __init__(self):
         super().__init__(user="golden", ew_budget_us=250.0, retry=None,
                          breaker=None, strict_resume=False)
-        self.sent, self.inbox = [], []
+        #: every SEND step's bytes, the frames they held, the replies.
+        self.sends, self.sent, self.inbox = [], [], []
+        self._splitter = protocol.FrameSplitter()
 
     def _run(self, steps):
         try:
@@ -191,8 +191,12 @@ class ScriptedClient(ClientCore):
             while True:
                 value = None
                 if step[0] == SEND:
-                    self.sent.append(step[1])
-                    self.inbox.append(self._serve(step[1]))
+                    self.sends.append(step[1])
+                    # A SEND may carry a burst: the server sees frames.
+                    for body, sidecar in self._splitter.feed(step[1]):
+                        self.sent.append(protocol.frame_from_body(
+                            body, sidecar or None))
+                        self.inbox.append(self._serve(body))
                 elif step[0] == RECV:
                     value = self.inbox.pop(0)
                 step = steps.send(value)
@@ -200,10 +204,8 @@ class ScriptedClient(ClientCore):
             return stop.value
 
     @staticmethod
-    def _serve(frame):
-        (word,) = protocol.HEADER.unpack(frame[:4])
-        payload = protocol.decode_frame(
-            frame[4:4 + (word & protocol.LEN_MASK)])
+    def _serve(body):
+        payload = protocol.decode_frame(body)
         if not isinstance(payload, list):
             response, sidecar = _answer(payload)
             return protocol.encode_body(response), sidecar
@@ -233,6 +235,29 @@ def test_core_emits_the_parent_commits_request_frames():
     client.detach("gold")                                       # 11
     client.goodbye()                                            # 12
     assert client.sent == GOLDEN_FRAMES
+    # Same bytes, fewer writes: the pipeline's two frames were one SEND.
+    assert b"".join(client.sends) == b"".join(GOLDEN_FRAMES)
+    assert len(client.sends) == len(GOLDEN_FRAMES) - 1
+
+
+def test_pipeline_hands_the_burst_over_as_one_send():
+    client = ScriptedClient()
+    client.connect()
+    del client.sends[:], client.sent[:]
+    burst = [("write", {"oid": GOLDEN_OID.pack(),
+                        "data": bytes([i]) * (i + 1)}) for i in range(8)]
+    assert client.pipeline(burst) == [{"n": 48}] * 8
+    # One step for the transport to carry out — one sendall, one
+    # segment — holding exactly the eight frames a send per request
+    # would have put on the wire, in order.
+    assert len(client.sends) == 1
+    assert client.sends[0] == b"".join(
+        protocol.encode_frame(
+            protocol.request(2 + i, "write", {
+                "oid": GOLDEN_OID.pack(), "data": {"bin": i + 1}}),
+            bytes([i]) * (i + 1))
+        for i in range(8))
+    assert len(client.sent) == 8
 
 
 # -- one behaviour, two transports ---------------------------------------------

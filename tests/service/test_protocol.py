@@ -10,6 +10,7 @@ import pytest
 from repro.service import protocol
 from repro.service.protocol import (
     HEADER, MAX_FRAME_BYTES, WireError, decode_frame, encode_frame)
+from tests.service.rawwire import RawWire
 
 
 class TestFraming:
@@ -44,8 +45,9 @@ class TestAsyncStreamFraming:
             for chunk in chunks:
                 reader.feed_data(chunk)
             reader.feed_eof()
-            got = await protocol.read_frame_ex(reader)
-            return None if got is None else got[0]
+            got = await protocol.read_frame(reader,
+                                            protocol.FrameSplitter())
+            return None if got is None else decode_frame(got[0])
         return asyncio.run(go())
 
     def test_read_frame_handles_split_delivery(self):
@@ -74,13 +76,14 @@ class TestBlockingSocketFraming:
             payload = {"id": 9, "ok": True, "result": {"v": 1}}
 
             def sender():
-                protocol.send_frame(left, payload)
+                left.sendall(encode_frame(payload))
                 left.close()
 
             thread = threading.Thread(target=sender)
             thread.start()
-            assert protocol.recv_frame_ex(right) == (payload, b"")
-            assert protocol.recv_frame_ex(right) is None   # clean EOF
+            wire = RawWire(sock=right)
+            assert wire.recv() == (payload, b"")
+            assert wire.recv() is None   # clean EOF
             thread.join()
         finally:
             right.close()

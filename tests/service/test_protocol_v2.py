@@ -18,12 +18,7 @@ from repro.service.client import (
     ConnectionLost, SyncTerpClient, TerpClient)
 from repro.service.protocol import (
     HEADER, PROTOCOL_VERSION, SIDECAR_FLAG, WireError)
-
-
-def exchange(sock, rid, op, args, sidecar=None):
-    """One raw v2 round trip: ``(response, sidecar)``."""
-    protocol.send_frame(sock, protocol.request(rid, op, args), sidecar)
-    return protocol.recv_frame_ex(sock)
+from tests.service.rawwire import RawWire
 
 
 def roundtrip(client, payload=b"\x00\xffbinary\x00 payload\xfe" * 40):
@@ -46,32 +41,30 @@ class TestNegotiation:
         # offers 1 outright; a future one might offer 3.  Each gets
         # the typed refusal, the connection stays in sync, and the
         # same connection may still say a proper hello afterwards.
-        with socket.create_connection(
-                ("127.0.0.1", terpd.bound_port), timeout=10) as sock:
+        with RawWire(terpd.bound_port) as wire:
             for rid, offer in enumerate(({}, {"version": 1},
                                          {"version": 3}), start=1):
-                response, sidecar = exchange(
-                    sock, rid, "hello", dict(offer, user="old"))
+                response, sidecar = wire.exchange(
+                    rid, "hello", dict(offer, user="old"))
                 assert not response["ok"] and sidecar == b""
                 assert response["error"]["kind"] == "TerpError"
                 assert (f"protocol version {offer.get('version')} "
                         "unsupported") in response["error"]["message"]
-            response, _ = exchange(sock, 9, "hello",
-                                   {"user": "new", "version": 2})
+            response, _ = wire.exchange(9, "hello",
+                                        {"user": "new", "version": 2})
             assert response["ok"]
             assert response["result"]["version"] == PROTOCOL_VERSION
 
     def test_base64_payload_is_refused_typed(self, terpd):
         # The v1 encoding of binary data (base64 text under "data")
         # is no longer read: a typed refusal, not a decode attempt.
-        with socket.create_connection(
-                ("127.0.0.1", terpd.bound_port), timeout=10) as sock:
-            assert exchange(sock, 1, "hello", {"version": 2})[0]["ok"]
-            response, _ = exchange(sock, 2, "write",
-                                   {"oid": 1, "data": "eHh4eA=="})
+        with RawWire(terpd.bound_port) as wire:
+            wire.hello()
+            response, _ = wire.exchange(2, "write",
+                                        {"oid": 1, "data": "eHh4eA=="})
             assert not response["ok"]
             assert response["error"]["kind"] == "WireError"
-            assert exchange(sock, 3, "ping", {})[0]["ok"]
+            assert wire.exchange(3, "ping", {})[0]["ok"]
 
     def test_async_client_negotiates_v2(self, terpd):
         async def drive():
@@ -117,17 +110,13 @@ class TestSidecarTraffic:
             client.write(oid, b"R" * 16)
             rid = client._next_id + 1
             assert client.read(oid, 16) == b"R" * 16   # cached at rid
-            with socket.create_connection(("127.0.0.1", port),
-                                          timeout=10) as sock:
+            with RawWire(port) as wire:
                 client._drop_socket()   # free the session binding
                 terpd.run_sweep()       # let the daemon notice
-                hello, _ = exchange(sock, 99, "hello", {
-                    "user": "root", "version": 2,
-                    "resume": client.session_id,
-                    "token": client.resume_token})
-                assert hello["ok"], hello
-                replayed, sidecar = exchange(
-                    sock, rid, "read", {"oid": oid.pack(), "n": 16})
+                wire.hello(99, user="root", resume=client.session_id,
+                           token=client.resume_token)
+                replayed, sidecar = wire.exchange(
+                    rid, "read", {"oid": oid.pack(), "n": 16})
                 assert replayed["result"] == {"bin": 16}
                 assert sidecar == b"R" * 16
         finally:
@@ -135,11 +124,6 @@ class TestSidecarTraffic:
 
 
 class TestTruncationAndHostileFrames:
-    def _hello_frame(self) -> bytes:
-        body = protocol.encode_body(protocol.request(
-            1, "hello", {"user": "fuzz", "version": 2}))
-        return protocol.frame_from_body(body)
-
     def _write_frame_with_sidecar(self) -> bytes:
         body = protocol.encode_body(protocol.request(
             2, "write", {"oid": 12345, "data": {"bin": 64}}))
@@ -148,28 +132,22 @@ class TestTruncationAndHostileFrames:
     def test_truncated_sidecar_is_wire_error_not_hang(self, terpd):
         frame = self._write_frame_with_sidecar()
         assert HEADER.unpack(frame[:4])[0] & SIDECAR_FLAG
-        # Cut everywhere interesting: mid-header, mid-body, at the
-        # sidecar length word, and mid-sidecar.
-        body_len = HEADER.unpack(frame[:4])[0] & protocol.LEN_MASK
-        cuts = [2, 4 + body_len // 2, 4 + body_len,
-                4 + body_len + 2, 4 + body_len + 4,
-                4 + body_len + 4 + 32]
-        for cut in cuts:
-            with socket.create_connection(
-                    ("127.0.0.1", terpd.bound_port),
-                    timeout=10) as sock:
-                sock.sendall(self._hello_frame())
-                assert protocol.recv_frame_ex(sock)[0]["ok"]
-                sock.sendall(frame[:cut])
-                sock.shutdown(socket.SHUT_WR)
+        # Cut everywhere — mid-header, mid-body, at the sidecar length
+        # word, mid-sidecar — through the daemon's serve loop (the
+        # splitter alone meets every cut point of a longer stream in
+        # test_frame_splitter.py).
+        for cut in range(1, len(frame)):
+            with RawWire(terpd.bound_port, timeout=5.0) as wire:
+                wire.hello()
+                wire.sock.sendall(frame[:cut])
+                wire.sock.shutdown(socket.SHUT_WR)
                 # The server must close the connection (clean EOF or
                 # reset), not stall waiting for the missing bytes.
-                sock.settimeout(5.0)
                 try:
-                    got = protocol.recv_frame_ex(sock)
+                    got = wire.recv()
                 except (WireError, ConnectionError):
                     got = None
-                assert got is None
+                assert got is None, cut
 
     def test_sidecar_underrun_is_typed_error(self):
         # A {"bin": n} marker claiming more bytes than the sidecar
@@ -182,14 +160,10 @@ class TestTruncationAndHostileFrames:
             bins.take(-1)
 
     def test_server_rejects_sidecar_underrun_request(self, terpd):
-        with socket.create_connection(
-                ("127.0.0.1", terpd.bound_port), timeout=10) as sock:
-            sock.sendall(self._hello_frame())
-            assert protocol.recv_frame_ex(sock)[0]["ok"]
-            body = protocol.encode_body(protocol.request(
-                7, "write", {"oid": 1, "data": {"bin": 4096}}))
-            sock.sendall(protocol.frame_from_body(body, b"short"))
-            response, sidecar = protocol.recv_frame_ex(sock)
+        with RawWire(terpd.bound_port) as wire:
+            wire.hello()
+            response, sidecar = wire.exchange(
+                7, "write", {"oid": 1, "data": {"bin": 4096}}, b"short")
             assert not response["ok"]
             assert sidecar == b""
             assert "underrun" in response["error"]["message"]
@@ -203,7 +177,7 @@ class TestTruncationAndHostileFrames:
             client.sendall(HEADER.pack(SIDECAR_FLAG | 0x7FFFFFFF))
             client.close()
             with pytest.raises(WireError):
-                protocol.recv_frame_ex(server)
+                RawWire(sock=server).recv()
         finally:
             server.close()
 

@@ -19,6 +19,7 @@ from repro.core.units import MIB
 from repro.service.client import RemoteError, SyncTerpClient
 from repro.service.protocol import HEADER
 from repro.service.server import ServiceThread, TerpService
+from tests.service.rawwire import RawWire
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -230,18 +231,11 @@ class TestLifecycleAndCli:
         client.close()
 
     def test_hello_required_before_table1_ops(self, terpd):
-        sock = socket.create_connection(("127.0.0.1",
-                                         terpd.bound_port), timeout=10)
-        try:
-            from repro.service import protocol
-            protocol.send_frame(sock, protocol.request(1, "create",
-                                                       {"name": "x",
-                                                        "size": MIB}))
-            response, _ = protocol.recv_frame_ex(sock)
+        with RawWire(terpd.bound_port) as wire:
+            response, _ = wire.exchange(1, "create",
+                                        {"name": "x", "size": MIB})
             assert response["ok"] is False
             assert "hello" in response["error"]["message"]
-        finally:
-            sock.close()
 
     def test_malformed_frame_disconnects_without_crash(self, terpd):
         sock = socket.create_connection(("127.0.0.1",
