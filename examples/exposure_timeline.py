@@ -8,7 +8,7 @@ permission.  The contrast between the long mapped bar and the short
 per-thread bars *is* TERP's contribution.
 """
 
-import numpy as np
+import random
 
 from repro import Access, TerpArchEngine
 from repro.core.events import Trace
@@ -23,7 +23,7 @@ def main() -> None:
     manager = PmoManager()
     engine = TerpArchEngine(us(40))
     rt = TerpRuntime(engine, manager=manager, trace=trace,
-                     rng=np.random.default_rng(3))
+                     rng=random.Random(3))
     pmo = manager.create("shared", 8 * MIB)
 
     # Three threads take turns in short windows; the hardware combines

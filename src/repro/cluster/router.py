@@ -54,7 +54,8 @@ from repro.service.metrics import WireCounters
 from repro.service.ops import FANOUT, NAME, OID, SESSION, Op
 from repro.service.protocol import WireError, ok_response
 from repro.service.server import (
-    DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS, Conn, admit)
+    DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS, Conn, admit,
+    close_connections)
 from repro.service.sessions import SessionRegistry
 
 
@@ -186,7 +187,7 @@ class TerpRouter:
         self.metrics = MetricsRegistry()
         self.wire = WireCounters(self.metrics, {"hop": "router"})
         self._servers: List[asyncio.AbstractServer] = []
-        self._writers: set = set()
+        self._writers: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._purge_task: Optional[asyncio.Task] = None
         self._t0 = time.monotonic_ns()
         self.bound_port: Optional[int] = None
@@ -217,13 +218,13 @@ class TerpRouter:
                 pass
         for server in self._servers:
             server.close()
-            await server.wait_closed()
         for upstreams in self._upstreams.values():
             await _close_all(upstreams)
         for up in self._admin.values():
             await up.close()
-        for writer in list(self._writers):
-            writer.close()
+        await close_connections(self._writers)
+        for server in self._servers:
+            await server.wait_closed()
 
     async def _purge_loop(self) -> None:
         """Expire lingering (dropped, never resumed) sessions."""
@@ -241,7 +242,7 @@ class TerpRouter:
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         conn = Conn(writer, self.wire.note_flush)
-        self._writers.add(writer)
+        self._writers[writer] = asyncio.current_task()
         splitter = protocol.FrameSplitter()
         try:
             while True:
@@ -287,7 +288,7 @@ class TerpRouter:
             pass
         finally:
             conn.flush()
-            self._writers.discard(writer)
+            self._writers.pop(writer, None)
             session = conn.session
             if session is not None and not session.closed and \
                     session.generation == conn.generation:

@@ -119,9 +119,6 @@ async def _child_serve(node: Any, report, quiet: bool,
         await stop.wait()
     finally:
         await node.stop()
-        # Let connection tasks unwind off their closed transports
-        # before asyncio.run() cancels them mid-read (noisy).
-        await asyncio.sleep(0.05)
 
 
 def _run_child(amain, profile_path: Optional[str], report) -> None:

@@ -64,11 +64,16 @@ class WindowTracker:
     """Records open/close events for windows keyed by an arbitrary key.
 
     For EWs the key is the PMO id; for TEWs it is ``(thread_id, pmo_id)``.
+
+    ``keep_closed=False`` is for a process that runs indefinitely and
+    never reads :meth:`windows` (the terpd daemon): :meth:`close` still
+    returns the window, but only open windows are held.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, keep_closed: bool = True) -> None:
         self._open: Dict[Hashable, int] = {}
         self._closed: Dict[Hashable, List[Window]] = {}
+        self._keep_closed = keep_closed
 
     def open(self, key: Hashable, now_ns: int) -> None:
         """Begin a window; opening an already-open window is an error
@@ -87,7 +92,8 @@ class WindowTracker:
             raise TerpError(
                 f"window for {key!r} closes at {now_ns} before open {start}")
         window = Window(start, now_ns)
-        self._closed.setdefault(key, []).append(window)
+        if self._keep_closed:
+            self._closed.setdefault(key, []).append(window)
         return window
 
     def is_open(self, key: Hashable) -> bool:
@@ -155,9 +161,9 @@ class ExposureReport:
 class ExposureMonitor:
     """Aggregates EW and TEW trackers for one simulated run."""
 
-    def __init__(self) -> None:
-        self.ew = WindowTracker()
-        self.tew = WindowTracker()
+    def __init__(self, *, keep_closed: bool = True) -> None:
+        self.ew = WindowTracker(keep_closed=keep_closed)
+        self.tew = WindowTracker(keep_closed=keep_closed)
 
     # EW: keyed by pmo_id -------------------------------------------------
     def pmo_mapped(self, pmo_id: Hashable, now_ns: int) -> None:

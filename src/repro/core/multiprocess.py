@@ -16,10 +16,9 @@ which is the spatial side of the cross-process protection story.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional
-
-import numpy as np
 
 from repro.core.errors import PmoError, TerpError
 from repro.core.events import Trace
@@ -65,7 +64,7 @@ class SharedPmoSystem:
         if semantics is None:
             semantics = EwConsciousSemantics(us(ew_target_us))
         # Each process draws placements from its own stream.
-        rng = np.random.default_rng(self._seed + len(self._processes))
+        rng = random.Random(self._seed + len(self._processes))
         runtime = TerpRuntime(semantics, manager=self.manager,
                               space=AddressSpace(rng=rng),
                               monitor=ExposureMonitor(), trace=trace)

@@ -21,10 +21,9 @@ manual clock is fine; in the simulator the machine's clock drives it.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Optional
-
-import numpy as np
 
 if TYPE_CHECKING:
     from repro.obs import Observability
@@ -99,13 +98,13 @@ class TerpRuntime:
                  space: Optional[AddressSpace] = None,
                  monitor: Optional[ExposureMonitor] = None,
                  trace: Optional[Trace] = None,
-                 rng: Optional[np.random.Generator] = None,
+                 rng: Optional[random.Random] = None,
                  strict: bool = False,
                  obs: Optional["Observability"] = None) -> None:
         self.semantics = semantics
         self.manager = manager if manager is not None else PmoManager()
         self.space = space if space is not None else AddressSpace(
-            rng=rng if rng is not None else np.random.default_rng(2022))
+            rng=rng if rng is not None else random.Random(2022))
         self.monitor = monitor if monitor is not None else ExposureMonitor()
         self.trace = trace
         #: strict=True raises on semantics violations instead of

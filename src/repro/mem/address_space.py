@@ -14,7 +14,7 @@ the TERP runtime needs:
   still hold access);
 * ``translate``/``check_access`` — the per-load/store MMU path.
 
-Randomization draws from a deterministic ``numpy`` generator.  The
+Randomization draws from a seeded stdlib ``random.Random``.  The
 candidate slot count for a PMO is exposed (:meth:`slots_for`) because
 the security analysis (Table V) needs the entropy of the placement.
 
@@ -25,10 +25,9 @@ attributes can be attached, keeping this module independent of the
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.errors import SegmentationFault, TerpError
 from repro.core.permissions import Access
@@ -57,11 +56,11 @@ class AddressSpace:
     REGION_BASE = 0
     REGION_END = VA_SPAN
 
-    def __init__(self, *, rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, *, rng: Optional[random.Random] = None) -> None:
         self.page_table = PageTable()
         self.matrix = PermissionMatrix()
         self.domains = ProtectionDomains()
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng if rng is not None else random.Random(0)
         self._mappings: Dict[Hashable, Mapping] = {}
         self.attach_count = 0
         self.detach_count = 0
@@ -89,7 +88,7 @@ class AddressSpace:
         # Rejection-sample a free slot; with thousands of slots and a
         # handful of PMOs this terminates almost immediately.
         for _ in range(10_000):
-            slot = int(self.rng.integers(0, slots))
+            slot = self.rng.randrange(slots)
             base = self.REGION_BASE + slot * align
             if base not in taken and not self._overlaps(base, align):
                 return base

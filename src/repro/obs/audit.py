@@ -39,6 +39,12 @@ SCRUB = "scrub"
 #: a PMO failed verification with no repair source
 QUARANTINE = "quarantine"
 
+#: The ring holds one flat tuple per event, in this field order;
+#: :meth:`AuditTimeline.events` — the only reader — builds the dicts.
+_FIELDS = ("seq", "kind", "at_ns", "entity", "pmo_id", "pmo",
+           "duration_ns", "reason")
+_KIND, _PMO_ID, _PMO = (_FIELDS.index(f) for f in ("kind", "pmo_id", "pmo"))
+
 
 class AuditTimeline:
     """Bounded event log + exact cumulative exposure accounting."""
@@ -47,7 +53,7 @@ class AuditTimeline:
                  enabled: bool = True) -> None:
         self.enabled = enabled
         self.capacity = capacity
-        self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
+        self._ring: Deque[Tuple] = deque(maxlen=capacity)
         self._seq = 0
         self._lock = threading.Lock()
         #: (entity, pmo_id) -> attach timestamp of the open window
@@ -80,16 +86,8 @@ class AuditTimeline:
         # the seq ordering and the stats update atomic together.
         self._seq += 1
         self.events_recorded += 1
-        self._ring.append({
-            "seq": self._seq,
-            "kind": kind,
-            "at_ns": at_ns,
-            "entity": entity,
-            "pmo_id": pmo_id,
-            "pmo": pmo_name,
-            "duration_ns": duration_ns,
-            "reason": reason,
-        })
+        self._ring.append((self._seq, kind, at_ns, entity, pmo_id,
+                           pmo_name, duration_ns, reason))
 
     def record_attach(self, entity: Optional[int], pmo_id: Hashable,
                       pmo_name: Optional[str], at_ns: int, *,
@@ -209,15 +207,15 @@ class AuditTimeline:
         """Retained events in sequence order, optionally filtered by
         PMO (id or name) and/or kind, optionally the last ``limit``."""
         with self._lock:
-            records = list(self._ring)
+            rows = list(self._ring)
         if pmo is not None:
-            records = [r for r in records
-                       if r["pmo_id"] == pmo or r["pmo"] == pmo]
+            rows = [r for r in rows
+                    if r[_PMO_ID] == pmo or r[_PMO] == pmo]
         if kind is not None:
-            records = [r for r in records if r["kind"] == kind]
+            rows = [r for r in rows if r[_KIND] == kind]
         if limit is not None:
-            records = records[-limit:]
-        return records
+            rows = rows[-limit:]
+        return [dict(zip(_FIELDS, r)) for r in rows]
 
     def open_windows(self, now_ns: Optional[int] = None
                      ) -> List[Dict[str, Any]]:

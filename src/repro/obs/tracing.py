@@ -36,7 +36,25 @@ import json
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+
+#: The ring holds one flat tuple per finished span, in this order;
+#: :meth:`Tracer.recent` — the only reader — builds the dicts.
+_Row = Tuple[str, int, Optional[int], str, int, int, Dict[str, Any]]
+
+
+def _as_dict(row: _Row) -> Dict[str, Any]:
+    name, span_id, parent_id, thread, start_ns, end_ns, attrs = row
+    return {
+        "name": name,
+        "span_id": span_id,
+        "parent_id": parent_id,
+        "thread": thread,
+        "start_ns": start_ns,
+        "end_ns": end_ns,
+        "duration_ns": end_ns - start_ns,
+        "attrs": attrs,
+    }
 
 
 class Span:
@@ -71,19 +89,6 @@ class Span:
             self.attrs["error"] = exc_type.__name__
         self._tracer._pop(self)
 
-    def to_dict(self) -> Dict[str, Any]:
-        end = self.end_ns if self.end_ns is not None else self.start_ns
-        return {
-            "name": self.name,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "thread": self.thread,
-            "start_ns": self.start_ns,
-            "end_ns": end,
-            "duration_ns": end - self.start_ns,
-            "attrs": self.attrs,
-        }
-
 
 class _NullSpan:
     """Shared do-nothing span for disabled tracers."""
@@ -113,7 +118,7 @@ class Tracer:
         self.capacity = capacity
         self.spans_started = 0
         self.spans_recorded = 0
-        self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
+        self._ring: Deque[_Row] = deque(maxlen=capacity)
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._stacks = threading.local()
@@ -143,13 +148,12 @@ class Tracer:
         stack = self._stack()
         if stack and stack[-1] is span:
             stack.pop()
-        self._commit(span.to_dict())
-
-    def _commit(self, record: Dict[str, Any]) -> None:
         # deque.append is atomic under the GIL; the recorded tally is
         # allowed to be approximate under contention — the ring itself
         # never loses a committed span.
-        self._ring.append(record)
+        self._ring.append((span.name, span.span_id, span.parent_id,
+                           span.thread, span.start_ns, span.end_ns,
+                           span.attrs))
         self.spans_recorded += 1
 
     def current_span_id(self) -> Optional[int]:
@@ -179,16 +183,9 @@ class Tracer:
         self.spans_started += 1
         end = self.clock()
         stack = self._stack()
-        self._ring.append({
-            "name": name,
-            "span_id": next(self._ids),
-            "parent_id": stack[-1].span_id if stack else None,
-            "thread": self._thread_name(),
-            "start_ns": start_ns,
-            "end_ns": end,
-            "duration_ns": end - start_ns,
-            "attrs": attrs,
-        })
+        self._ring.append((name, next(self._ids),
+                           stack[-1].span_id if stack else None,
+                           self._thread_name(), start_ns, end, attrs))
         self.spans_recorded += 1
 
     def wrap(self, name: Optional[str] = None) -> Callable:
@@ -209,12 +206,12 @@ class Tracer:
                name: Optional[str] = None) -> List[Dict[str, Any]]:
         """The most recent finished spans, oldest first."""
         with self._lock:
-            records = list(self._ring)
+            rows = list(self._ring)
         if name is not None:
-            records = [r for r in records if r["name"] == name]
+            rows = [r for r in rows if r[0] == name]
         if limit is not None:
-            records = records[-limit:]
-        return records
+            rows = rows[-limit:]
+        return [_as_dict(r) for r in rows]
 
     def export_jsonl(self, path) -> int:
         """Write every retained span as one JSON object per line."""

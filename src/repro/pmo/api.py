@@ -15,12 +15,11 @@ plain sequential test code.
 from __future__ import annotations
 
 import contextlib
+import random
 import struct
 import threading
 import time
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Tuple
-
-import numpy as np
 
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
@@ -50,7 +49,7 @@ class PmoLibrary:
         if semantics is None:
             semantics = EwConsciousSemantics(us(ew_target_us))
         self.runtime = TerpRuntime(
-            semantics, rng=np.random.default_rng(seed), strict=strict,
+            semantics, rng=random.Random(seed), strict=strict,
             obs=obs)
         self.obs = obs
         #: optional durable pool backend; when set, ``PMO_create``

@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.arch.cond_engine import TerpArchEngine
 from repro.core.errors import (
     InjectedCrash, IntegrityError, PmoError, TerpError)
+from repro.core.exposure import ExposureMonitor
 from repro.faults.plan import FaultPlan, Injection
 from repro.mem.mpk import NUM_KEYS
 from repro.core.permissions import Access
@@ -67,6 +68,9 @@ DEFAULT_SESSION_LINGER_NS = 2_000_000_000
 #: and a transport backlog past it is waited out (a peer that stops
 #: reading stalls its own connection, not the daemon's memory).
 DRAIN_MARK = 65536
+#: Shutdown: how long closed connections get to flush to a peer that
+#: is not reading before their transports are aborted.
+CLOSE_GRACE_S = 1.0
 
 
 def admit(request: Any, *,
@@ -144,6 +148,28 @@ class Conn:
         self.flush()
         if self.writer.transport.get_write_buffer_size() > DRAIN_MARK:
             await self.writer.drain()
+
+
+async def close_connections(
+        handlers: Dict[asyncio.StreamWriter, asyncio.Task]) -> None:
+    """Close every client connection and wait for its serve loop.
+
+    Each loop reads EOF and runs its own teardown (it removes itself
+    from ``handlers``), so nothing is left for ``asyncio.run`` to
+    cancel — on Python 3.11 a cancelled stream handler makes asyncio's
+    own done-callback print a traceback.  The daemon's and the
+    router's shared way out.
+    """
+    tasks = list(handlers.values())
+    for writer in list(handlers):
+        writer.close()
+    if not tasks:
+        return
+    _, stuck = await asyncio.wait(tasks, timeout=CLOSE_GRACE_S)
+    if stuck:
+        for writer in list(handlers):
+            writer.transport.abort()
+        await asyncio.wait(stuck)
 
 
 class _PendingFlush:
@@ -234,6 +260,10 @@ class TerpService:
         self.lib = PmoLibrary(semantics=engine, seed=seed, strict=True,
                               obs=self.obs, faults=faults,
                               store=self.store)
+        # The daemon reads exposure from the audit timeline, never from
+        # the monitor's closed-window lists, and it runs for as long as
+        # its tenants do: hold open windows only.
+        self.lib.runtime.monitor = ExposureMonitor(keep_closed=False)
         if shard_index is not None:
             self.lib.manager.set_id_namespace(start=shard_index + 1,
                                               step=shard_count)
@@ -259,7 +289,8 @@ class TerpService:
             faults=faults, tracer=self._tracer)
         self._servers: List[asyncio.AbstractServer] = []
         self._sweeper: Optional[asyncio.Task] = None
-        self._writers: set = set()
+        #: open client connections and the task serving each.
+        self._writers: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._stopped = False
         self._crashed = False
         self.bound_port: Optional[int] = None
@@ -381,7 +412,6 @@ class TerpService:
         await self._stop_sweeping()
         for server in self._servers:
             server.close()
-            await server.wait_closed()
         with self.lib.lock:
             now = self.lib.advance_to(self.now_ns())
             for session in self.registry:
@@ -398,8 +428,11 @@ class TerpService:
             self.shipper.stop()
         if self.session_journal is not None:
             self.session_journal.close()
-        for writer in list(self._writers):
-            writer.close()
+        await close_connections(self._writers)
+        # Only now: from Python 3.12 a server is not closed until its
+        # last connection is.
+        for server in self._servers:
+            await server.wait_closed()
 
     async def _stop_sweeping(self) -> None:
         self._stopped = True
@@ -453,7 +486,7 @@ class TerpService:
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         conn = Conn(writer, self.metrics.wire.note_flush)
-        self._writers.add(writer)
+        self._writers[writer] = asyncio.current_task()
         splitter = protocol.FrameSplitter()
         try:
             while True:
@@ -472,7 +505,7 @@ class TerpService:
             # Whatever ended the loop, the responses to the frames
             # served before it still go out ahead of the close.
             conn.flush()
-            self._writers.discard(writer)
+            self._writers.pop(writer, None)
             session = conn.session
             if session is not None and not session.closed and \
                     not self._crashed and \

@@ -28,10 +28,9 @@ thread x PMO) through the TERP runtime's monitor.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
-
-import numpy as np
 
 from repro.arch.cond_engine import TerpArchEngine
 from repro.arch.params import CostBreakdown, CostModel, DEFAULT_PARAMS, SimParams
@@ -92,7 +91,7 @@ class Machine:
         self.detailed_tlb = detailed_tlb
         self.manager = PmoManager()
         self.runtime = TerpRuntime(engine, manager=self.manager,
-                                   rng=np.random.default_rng(seed),
+                                   rng=random.Random(seed),
                                    trace=trace)
         self.pmos = {name: self.manager.create(name, size)
                      for name, size in pmo_sizes.items()}

@@ -177,7 +177,7 @@ class TestEviction:
 class TestRuntimeIntegration:
     def test_arch_engine_drives_runtime(self):
         """The hardware engine is drop-in for TerpRuntime."""
-        import numpy as np
+        import random
         from repro.core.runtime import TerpRuntime
         from repro.core.units import MIB
         from repro.pmo.pool import PmoManager
@@ -185,7 +185,7 @@ class TestRuntimeIntegration:
         manager = PmoManager()
         eng = TerpArchEngine(EW)
         rt = TerpRuntime(eng, manager=manager,
-                         rng=np.random.default_rng(5))
+                         rng=random.Random(5))
         pmo = manager.create("p", 8 * MIB)
         rt.attach(1, pmo, RW, 0)
         rt.detach(1, pmo, us(5))               # case 6

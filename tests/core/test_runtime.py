@@ -1,5 +1,7 @@
 """TerpRuntime: semantics decisions applied to real substrates."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ def make_runtime(semantics=None, trace=None):
     semantics = semantics or EwConsciousSemantics(us(40))
     manager = PmoManager()
     rt = TerpRuntime(semantics, manager=manager, trace=trace,
-                     rng=np.random.default_rng(1))
+                     rng=random.Random(1))
     pmo = manager.create("p", 8 * MIB)
     return rt, pmo
 

@@ -1,6 +1,6 @@
 """Exposure timeline rendering from runtime traces."""
 
-import numpy as np
+import random
 import pytest
 
 from repro.core.events import Trace
@@ -16,7 +16,7 @@ def traced_run():
     trace = Trace()
     manager = PmoManager()
     rt = TerpRuntime(EwConsciousSemantics(us(40)), manager=manager,
-                     trace=trace, rng=np.random.default_rng(1))
+                     trace=trace, rng=random.Random(1))
     pmo = manager.create("p", 8 * MIB)
     rt.attach(1, pmo, Access.RW, 0)
     rt.detach(1, pmo, us(10))          # lowered: stays mapped
@@ -54,7 +54,7 @@ class TestTimeline:
         manager = PmoManager()
         rt = TerpRuntime(EwConsciousSemantics(us(40)),
                          manager=manager, trace=trace,
-                         rng=np.random.default_rng(2))
+                         rng=random.Random(2))
         pmo = manager.create("p", 8 * MIB)
         rt.attach(1, pmo, Access.RW, 0)
         rt.attach(2, pmo, Access.RW, us(1))

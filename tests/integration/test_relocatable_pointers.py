@@ -8,7 +8,7 @@ virtual addresses captured before a move become invalid, which is
 precisely the security property randomization provides.
 """
 
-import numpy as np
+import random
 import pytest
 
 from repro.core.errors import SegmentationFault
@@ -23,7 +23,7 @@ from repro.workloads.structures import CritBitTree, PersistentHashMap
 def make_runtime():
     manager = PmoManager()
     rt = TerpRuntime(EwConsciousSemantics(us(40)), manager=manager,
-                     rng=np.random.default_rng(4))
+                     rng=random.Random(4))
     pmo = manager.create("reloc", 16 * MIB)
     return rt, pmo
 
@@ -78,7 +78,7 @@ class TestRelocatablePointers:
         manager = PmoManager()
         pmo = manager.create("t", 16 * MIB)
         rt = TerpRuntime(EwConsciousSemantics(us(40)), manager=manager,
-                         rng=np.random.default_rng(6))
+                         rng=random.Random(6))
         rt.attach(1, pmo, Access.RW, 0)
         tree = CritBitTree.create(pmo)
         keys = [f"key-{i:03d}".encode() for i in range(64)]

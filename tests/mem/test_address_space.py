@@ -1,5 +1,7 @@
 """Address space: attach/detach/randomize + full MMU access checks."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ class FakePmo:
 
 @pytest.fixture
 def space():
-    return AddressSpace(rng=np.random.default_rng(42))
+    return AddressSpace(rng=random.Random(42))
 
 
 @pytest.fixture
@@ -46,7 +48,7 @@ class TestMixedSubtreeLevels:
         large = FakePmo("large", 4 * MIB)
         assert small.subtree.level < large.subtree.level
         for seed in range(200):
-            space = AddressSpace(rng=np.random.default_rng(seed))
+            space = AddressSpace(rng=random.Random(seed))
             space.REGION_END = 2 * GIB     # two level-2 slots
             space.attach(large, Access.RW)
             space.attach(small, Access.RW)
@@ -59,7 +61,7 @@ class TestMixedSubtreeLevels:
         small = FakePmo("small", 512 * 1024)
         large = FakePmo("large", 4 * MIB)
         rng = np.random.default_rng(7)
-        space = AddressSpace(rng=np.random.default_rng(7))
+        space = AddressSpace(rng=random.Random(7))
         space.REGION_END = 4 * GIB
         for _ in range(200):
             for pmo in rng.permutation([small, large]):
@@ -146,8 +148,8 @@ class TestRandomization:
         assert space.slots_for(2) == 256 * 1024
 
     def test_deterministic_under_seed(self):
-        s1 = AddressSpace(rng=np.random.default_rng(7))
-        s2 = AddressSpace(rng=np.random.default_rng(7))
+        s1 = AddressSpace(rng=random.Random(7))
+        s2 = AddressSpace(rng=random.Random(7))
         m1 = s1.attach(FakePmo("p", GIB), Access.RW)
         m2 = s2.attach(FakePmo("p", GIB), Access.RW)
         assert m1.base_va == m2.base_va

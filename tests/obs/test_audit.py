@@ -1,5 +1,6 @@
 """Audit timeline semantics: ordering, durations, ring-wrap exactness."""
 
+import json
 import threading
 
 from repro.obs.audit import ATTACH, DETACH, FORCED_DETACH, AuditTimeline
@@ -128,6 +129,71 @@ class TestRingWrap:
         assert event["reason"] == "closed 2 window(s)"
         assert event["duration_ns"] == 50
         assert timeline.summary()["sweeps"] == 1
+
+
+class TestRecordShape:
+    """The ring's storage is private; what ``events()`` and
+    ``export_jsonl`` hand out — keys, key order, values — is the wire
+    contract of the ``trace`` op and the invariant checker's input."""
+
+    KEYS = ["seq", "kind", "at_ns", "entity", "pmo_id", "pmo",
+            "duration_ns", "reason"]
+
+    @staticmethod
+    def one_of_each() -> AuditTimeline:
+        timeline = AuditTimeline()
+        timeline.record_attach(1, 7, "pmoA", 1_000, reason="performed")
+        timeline.record_detach(1, 7, "pmoA", 4_000, reason="silent")
+        timeline.record_attach(2, 7, "pmoA", 5_000)
+        timeline.record_detach(2, 7, "pmoA", 9_000, forced=True,
+                               reason="session EW budget elapsed")
+        timeline.record_sweep(9_500, closed=1, duration_ns=50)
+        timeline.record_fault("lib.storage_write", "transient", 9_600,
+                              detail="rule 0 arrival 3")
+        timeline.record_restart(10_000, downtime_ns=2_500_000,
+                                sessions_restored=2)
+        timeline.record_scrub(11_000, verified=8, repaired=1,
+                              quarantined=0)
+        timeline.record_quarantine(7, "pmoA", 12_000, reason="crc")
+        return timeline
+
+    def test_every_kind_reads_back_as_recorded(self):
+        rows = [
+            (1, "attach", 1_000, 1, 7, "pmoA", None, "performed"),
+            (2, "detach", 4_000, 1, 7, "pmoA", 3_000, "silent"),
+            (3, "attach", 5_000, 2, 7, "pmoA", None, ""),
+            (4, "forced-detach", 9_000, 2, 7, "pmoA", 4_000,
+             "session EW budget elapsed"),
+            (5, "sweep", 9_500, None, None, None, 50,
+             "closed 1 window(s)"),
+            (6, "fault", 9_600, None, None, None, None,
+             "lib.storage_write [transient] rule 0 arrival 3"),
+            (7, "restart", 10_000, None, None, None, 2_500_000,
+             "recovered 2 session(s) after 2.5ms down"),
+            (8, "scrub", 11_000, None, None, None, None,
+             "verified 8, repaired 1, quarantined 0"),
+            (9, "quarantine", 12_000, None, 7, "pmoA", None, "crc"),
+        ]
+        events = self.one_of_each().events()
+        assert events == [dict(zip(self.KEYS, row)) for row in rows]
+        assert all(list(event) == self.KEYS for event in events)
+
+    def test_filters_and_limit_select_the_same_records(self):
+        timeline = self.one_of_each()
+        events = timeline.events()
+        assert timeline.events(pmo="pmoA") == \
+            [e for e in events if e["pmo"] == "pmoA"]
+        assert timeline.events(pmo=7, kind=ATTACH, limit=1) == \
+            [events[2]]
+        assert timeline.events(limit=3) == events[-3:]
+
+    def test_export_jsonl_writes_events_verbatim(self, tmp_path):
+        timeline = self.one_of_each()
+        path = tmp_path / "audit.jsonl"
+        assert timeline.export_jsonl(path) == 9
+        lines = path.read_text().splitlines()
+        assert lines == [json.dumps(e) for e in timeline.events()]
+        assert list(json.loads(lines[0])) == self.KEYS
 
 
 class TestNoopMode:

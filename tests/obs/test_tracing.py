@@ -113,6 +113,27 @@ class TestRetentionAndExport:
         assert record["duration_ns"] == record["end_ns"] - \
             record["start_ns"]
 
+    def test_record_shape_is_the_same_from_both_entry_points(self):
+        """A context-manager span and a ``record_since`` span read
+        back with the same keys, in the same order, with the values
+        they were given — whatever the ring stores."""
+        tracer = Tracer(clock=ManualClock())
+        with tracer.span("outer", pmo="p") as outer:
+            tracer.record_since("inner", 3, entity=4)
+        thread = threading.current_thread().name
+        assert tracer.recent() == [
+            {"name": "inner", "span_id": 2, "parent_id": 1,
+             "thread": thread, "start_ns": 3, "end_ns": 20,
+             "duration_ns": 17, "attrs": {"entity": 4}},
+            {"name": "outer", "span_id": 1, "parent_id": None,
+             "thread": thread, "start_ns": outer.start_ns,
+             "end_ns": 30, "duration_ns": 30 - outer.start_ns,
+             "attrs": {"pmo": "p"}},
+        ]
+        keys = ["name", "span_id", "parent_id", "thread", "start_ns",
+                "end_ns", "duration_ns", "attrs"]
+        assert all(list(r) == keys for r in tracer.recent())
+
     def test_wrap_decorator(self):
         tracer = Tracer()
 

@@ -1,0 +1,151 @@
+"""What a serving process carries: imports, memory over time, and a
+quiet way out.
+
+terpd's enforcement state is meant to be small and *constant*: no
+numerical stack in any serving process, nothing that grows with the
+number of tenant cycles served, and a shutdown that ends every
+connection handler instead of leaving it to be cancelled.
+"""
+
+import gc
+import os
+import re
+import signal
+import subprocess
+import sys
+import tracemalloc
+
+import pytest
+
+from repro.core.units import GIB, MIB
+from repro.obs import Observability
+from repro.service.client import SyncTerpClient
+from repro.service.server import ServiceThread, TerpService
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + \
+        os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_serving_entry_points_import_no_numpy_and_no_simulator():
+    """numpy alone is ~16 MiB resident per process; every daemon,
+    shard, router, supervisor and standby would pay it."""
+    probe = (
+        "import sys\n"
+        "import repro.service.__main__, repro.cluster.__main__, "
+        "repro.replication.__main__\n"
+        "heavy = ('numpy', 'repro.sim', 'repro.eval', "
+        "'repro.workloads', 'repro.compiler', 'repro.security')\n"
+        "print(sorted(m for m in sys.modules if m in heavy "
+        "or m.startswith(tuple(h + '.' for h in heavy))))\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module, extra", [
+    ("repro.service", []),
+    ("repro.cluster", ["--shards", "1"]),
+])
+def test_sigterm_with_a_client_connected_exits_quietly(module, extra):
+    """The connection's serve loop must end on its own when the
+    service stops; left to ``asyncio.run`` it is cancelled mid-read
+    and Python 3.11 prints a traceback from the stream callback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", module, "--port", "0", *extra],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=child_env())
+    try:
+        port = None
+        while port is None:
+            line = proc.stdout.readline()
+            assert line, proc.stderr.read()
+            match = re.search(r"serving on tcp://[\d.]+:(\d+)", line)
+            port = int(match.group(1)) if match else None
+        with SyncTerpClient(port=port) as client:
+            client.ping()
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0
+    assert "Traceback" not in stderr, stderr
+
+
+@pytest.fixture
+def small_buffers_service():
+    """A daemon whose bounded buffers all fill within the warm-up, so
+    growth seen afterwards is growth, not a buffer still filling: the
+    two rings, the request-latency reservoir, and the placement region
+    (each slot ever used keeps one intermediate page-table node)."""
+    obs = Observability(trace_capacity=64, audit_capacity=64)
+    service = TerpService(port=0, obs=obs, session_ew_ns=2_000_000_000,
+                          sweep_period_ns=50_000_000)
+    service.metrics.request_latency.reservoir.capacity = 64
+    service.lib.runtime.space.REGION_END = 4 * GIB
+    thread = ServiceThread(service)
+    yield thread.start()
+    thread.stop()
+
+
+def test_memory_is_flat_over_tenant_cycles(small_buffers_service):
+    service = small_buffers_service
+    with SyncTerpClient(port=service.bound_port) as client:
+        client.create("flat", 4 * MIB)
+        client.attach("flat")
+        oid = client.pmalloc("flat", 64)
+        client.detach("flat")
+        cycle = [("attach", {"name": "flat"}),
+                 ("write", {"oid": oid.pack(), "data": b"x" * 64}),
+                 ("detach", {"name": "flat"})]
+
+        def run(cycles: int) -> int:
+            for _ in range(cycles):
+                client.pipeline(cycle)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            before = run(500)
+            grown = run(2000) - before
+        finally:
+            tracemalloc.stop()
+    assert grown < 64 * 1024, f"{grown} B retained over 2000 cycles"
+    monitor = service.lib.runtime.monitor
+    assert monitor.ew.windows() == [] and monitor.tew.windows() == []
+    assert service.obs.audit.summary()["windows"] >= 2500
+
+
+def test_trace_op_carries_the_rings_records_verbatim(terpd):
+    """JSON keeps key order, so the reply must equal — keys, order,
+    values — what the daemon's own read paths return."""
+    if not hasattr(terpd, "obs"):
+        pytest.skip("needs the in-process daemon's rings")
+    with SyncTerpClient(port=terpd.bound_port) as client:
+        client.create("shape", MIB)
+        client.attach("shape")
+        client.detach("shape")
+        reply = client.trace(limit=1000)
+        audit = terpd.obs.audit.events(limit=1000)
+        spans = terpd.obs.tracer.recent(limit=1000)
+    assert [e["kind"] for e in reply["audit"]][-2:] == \
+        ["attach", "detach"]
+    assert reply["audit"] == audit[:len(reply["audit"])]
+    assert [list(e) for e in reply["audit"]] == \
+        [list(e) for e in audit[:len(reply["audit"])]]
+    by_id = {s["span_id"]: s for s in spans}
+    assert reply["spans"]
+    for span in reply["spans"]:
+        assert span == by_id[span["span_id"]]
+        assert list(span) == list(by_id[span["span_id"]])
