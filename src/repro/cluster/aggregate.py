@@ -1,29 +1,33 @@
 """Cross-shard metric merging for the router's ``metrics`` op.
 
-Each shard answers ``metrics`` with its own counters and latency
-summaries; the router must present ONE coherent report to a client
-that neither knows nor cares that N processes served it.  Counters
-add.  Latency percentiles do not — the mean of two p99s is not the
-p99 of the union — so the router asks shards for their raw histogram
-buckets (``metrics {raw: true}``) and recomputes the percentiles from
-the merged cumulative bucket counts, which is exact up to bucket
-resolution.  When a shard predates the ``raw`` extension the merge
-falls back to count-weighted summary percentiles, which is the best
-available lie and flagged as such here.
+Each shard answers ``metrics`` with its own report; the router must
+present ONE coherent report to a client that neither knows nor cares
+that N processes served it.  The merge is one walk of the report tree
+(:func:`sum_tree`): additive counts — almost every leaf — add, and
+every leaf that is *not* an additive count merges by the rule declared
+for its path next to the metric table
+(:data:`repro.service.metrics.MERGE_RULES`).  Latency percentiles are
+the canonical case — the mean of two p99s is not the p99 of the union
+— so the router asks shards for their raw histogram buckets
+(``metrics {raw: true}``) and recomputes the percentiles from the
+merged cumulative bucket counts, which is exact up to bucket
+resolution.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-#: The wire names of the two latency histograms a shard registers.
-REQUEST_HIST = "terpd_request_latency_ns"
-SWEEP_HIST = "terpd_sweep_latency_ns"
+from repro.service.metrics import (
+    BUCKETS, CONCAT, MAX, MERGE_RULES, MIN, OWNED, PER_SHARD, WEIGHTED)
 
 
-def sum_tree(trees: List[Any]) -> Any:
-    """Merge parallel JSON trees: numbers add, dicts merge by key,
-    anything else keeps the first non-None value."""
+def sum_tree(trees: Sequence[Any], path: str = "",
+             reports: Sequence[Dict[str, Any]] = ()) -> Any:
+    """Merge parallel JSON trees: dicts merge by key, a key whose path
+    has a declared rule merges by it, other numbers add, and anything
+    else keeps the first non-None value.  ``reports`` is the whole
+    per-shard reports, for rules that read beside their own leaf."""
     trees = [t for t in trees if t is not None]
     if not trees:
         return None
@@ -32,17 +36,53 @@ def sum_tree(trees: List[Any]) -> Any:
         return first
     if isinstance(first, (int, float)):
         return sum(t for t in trees if isinstance(t, (int, float)))
-    if isinstance(first, dict):
-        keys: List[str] = []
-        for tree in trees:
-            if isinstance(tree, dict):
-                for key in tree:
-                    if key not in keys:
-                        keys.append(key)
-        return {key: sum_tree([t.get(key) for t in trees
-                               if isinstance(t, dict)])
-                for key in keys}
-    return first
+    if not isinstance(first, dict):
+        return first
+    dicts = [t for t in trees if isinstance(t, dict)]
+    out: Dict[str, Any] = {}
+    for key in dict.fromkeys(key for tree in dicts for key in tree):
+        sub = f"{path}.{key}" if path else key
+        rule = MERGE_RULES.get(sub)
+        holders = [t for t in dicts if t.get(key) is not None]
+        if rule is None or not holders:
+            out[key] = sum_tree([t[key] for t in holders], sub, reports)
+        elif rule[0] != PER_SHARD:
+            out[key] = _MERGE[rule[0]](holders, key, reports, *rule[1:])
+    return out
+
+
+def _weighted(holders: List[Dict[str, Any]], key: str,
+              reports: Sequence[Dict[str, Any]], *by: str) -> float:
+    """The mean of ``key`` weighted by the sum of its ``by`` siblings
+    (the population each shard computed it over)."""
+    weights = [sum(h.get(name, 0) for name in by) for h in holders]
+    total = sum(weights)
+    if not total:
+        return 0.0
+    return sum(h[key] * w for h, w in zip(holders, weights)) / total
+
+
+def _bucket_merged(holders: List[Dict[str, Any]], key: str,
+                   reports: Sequence[Dict[str, Any]],
+                   name: str) -> Dict[str, float]:
+    """The latency summary recomputed from every shard's raw ``name``
+    histogram (absent — a ``--no-obs`` cluster — merges to zeros)."""
+    return merge_histograms([
+        ((r.get("registry") or {}).get("histograms") or {}).get(name)
+        for r in reports])
+
+
+#: rule kind -> ``(dicts holding the key, key, reports, *parameters)``.
+_MERGE: Dict[str, Callable[..., Any]] = {
+    MAX: lambda holders, key, _: max(h[key] for h in holders),
+    MIN: lambda holders, key, _: min(h[key] for h in holders),
+    CONCAT: lambda holders, key, _: [
+        item for h in holders for item in h[key]],
+    OWNED: lambda holders, key, _: {
+        name: entry for h in holders for name, entry in h[key].items()},
+    WEIGHTED: _weighted,
+    BUCKETS: _bucket_merged,
+}
 
 
 def _merged_cumulative(hists: List[Dict[str, Any]]) -> List[tuple]:
@@ -107,65 +147,6 @@ def merge_histograms(hists: List[Dict[str, Any]]) -> Dict[str, float]:
     }
 
 
-def merge_latency_summaries(summaries: List[Dict[str, Any]]
-                            ) -> Dict[str, float]:
-    """Fallback merge of wire latency summaries (no buckets):
-    count-weighted mean and percentiles, exact count and max."""
-    summaries = [s for s in summaries if s]
-    count = sum(int(s.get("count", 0)) for s in summaries)
-    if count == 0:
-        return {"count": 0, "mean_us": 0.0, "p50_us": 0.0,
-                "p99_us": 0.0, "max_us": 0.0}
-
-    def weighted(key: str) -> float:
-        return sum(float(s.get(key, 0.0)) * int(s.get("count", 0))
-                   for s in summaries) / count
-
-    return {
-        "count": count,
-        "mean_us": weighted("mean_us"),
-        "p50_us": weighted("p50_us"),
-        "p99_us": weighted("p99_us"),
-        "max_us": max(float(s.get("max_us", 0.0)) for s in summaries),
-    }
-
-
-def _merge_audit(summaries: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Audit summaries add, except the held-time stats: the mean is
-    window-count weighted and the max is the max."""
-    summaries = [s for s in summaries if s]
-    if not summaries:
-        return {}
-    merged = sum_tree(summaries)
-    windows = sum(int(s.get("windows", 0)) for s in summaries)
-    if windows:
-        merged["held_mean_ns"] = sum(
-            float(s.get("held_mean_ns", 0.0)) *
-            int(s.get("windows", 0)) for s in summaries) / windows
-    else:
-        merged["held_mean_ns"] = 0.0
-    merged["held_max_ns"] = max(
-        int(s.get("held_max_ns", 0)) for s in summaries)
-    return merged
-
-
-def _latency(reports: List[Dict[str, Any]], wire_key: str,
-             hist_name: str) -> Dict[str, float]:
-    hists = []
-    for report in reports:
-        registry = report.get("registry") or {}
-        hist = (registry.get("histograms") or {}).get(hist_name)
-        if hist is None:
-            # At least one shard answered without raw buckets:
-            # degrade the whole merge to weighted summaries rather
-            # than mixing exact and approximate populations.
-            return merge_latency_summaries(
-                [(r.get("global") or {}).get(wire_key) or {}
-                 for r in reports])
-        hists.append(hist)
-    return merge_histograms(hists)
-
-
 def aggregate_metrics(reports: List[Dict[str, Any]], *,
                       sessions: int) -> Dict[str, Any]:
     """Per-shard ``metrics`` responses -> one cluster-wide report.
@@ -175,19 +156,14 @@ def aggregate_metrics(reports: List[Dict[str, Any]], *,
     session fans out to up to N upstream ones).
     """
     reports = [r for r in reports if r]
-    merged_global = sum_tree([r.get("global") for r in reports]) or {}
-    merged_global["request_latency"] = _latency(
-        reports, "request_latency", REQUEST_HIST)
-    merged_global["sweep_latency"] = _latency(
-        reports, "sweep_latency", SWEEP_HIST)
-    out: Dict[str, Any] = {
-        "global": merged_global,
+    merged = sum_tree(reports, reports=reports) or {}
+    # ``recovery`` and ``session`` are only there when a shard sent
+    # one; they follow the ``cluster`` section.
+    optional = {key: merged.pop(key) for key in ("recovery", "session")
+                if key in merged}
+    return {
+        **merged,
         "sessions": sessions,
-        "runtime": sum_tree([r.get("runtime") for r in reports]) or {},
-        "arch_cases": sum_tree([r.get("arch_cases")
-                                for r in reports]) or {},
-        "audit": _merge_audit([r.get("audit") or {} for r in reports]),
-        "trace": sum_tree([r.get("trace") for r in reports]) or {},
         "cluster": {
             "shards": len(reports),
             "per_shard_requests": {
@@ -195,16 +171,8 @@ def aggregate_metrics(reports: List[Dict[str, Any]], *,
                     (r.get("global") or {}).get("requests", 0)
                 for i, r in enumerate(reports)},
         },
+        **optional,
     }
-    recoveries = [r.get("recovery") for r in reports
-                  if r.get("recovery")]
-    if recoveries:
-        out["recovery"] = sum_tree(recoveries)
-    session_parts = [r.get("session") for r in reports
-                     if r.get("session")]
-    if session_parts:
-        out["session"] = sum_tree(session_parts)
-    return out
 
 
 def label_prometheus(text: str, shard: int) -> str:

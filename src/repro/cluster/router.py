@@ -50,12 +50,12 @@ from repro.pmo.object_id import OFFSET_BITS
 from repro.service import protocol
 from repro.service.client import (
     OPEN, RECV, SEND, ConnectionLost, RemoteError, TerpClient)
+from repro.service.conn import (
+    DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS, Conn, admit,
+    close_connections)
 from repro.service.metrics import WireCounters
 from repro.service.ops import FANOUT, NAME, OID, SESSION, Op
 from repro.service.protocol import WireError, ok_response
-from repro.service.server import (
-    DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS, Conn, admit,
-    close_connections)
 from repro.service.sessions import SessionRegistry
 
 
@@ -287,23 +287,26 @@ class TerpRouter:
         except (WireError, ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            conn.flush()
-            self._writers.pop(writer, None)
-            session = conn.session
-            if session is not None and not session.closed and \
-                    session.generation == conn.generation:
-                # Drop the upstream connections *now*: each shard
-                # force-releases this session's windows on teardown
-                # ("connection lost"), exactly as a direct client's
-                # death would.  Identity lingers for a token resume.
-                await _close_all(
-                    self._upstreams.get(session.session_id, {}))
-                session.unbind(self.now_ns())
-            writer.close()
             try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+                await self._teardown(conn)
+            finally:
+                # Deregistered last: until here ``stop`` can still
+                # find this handler and wait for it.
+                self._writers.pop(writer, None)
+
+    async def _teardown(self, conn: Conn) -> None:
+        conn.flush()
+        session = conn.session
+        if session is not None and not session.closed and \
+                session.generation == conn.generation:
+            # Drop the upstream connections *now*: each shard
+            # force-releases this session's windows on teardown
+            # ("connection lost"), exactly as a direct client's
+            # death would.  Identity lingers for a token resume.
+            await _close_all(
+                self._upstreams.get(session.session_id, {}))
+            session.unbind(self.now_ns())
+        await conn.close()
 
     # -- routing -----------------------------------------------------------
 

@@ -371,7 +371,7 @@ class JournalShipper:
                               "prev": prev, "pages": meta}, payload)
         self.shipped += 1
         if self._metrics is not None:
-            self._metrics.note_ship()
+            self._metrics.series["repl_batches_shipped"].inc()
         self._set_lag_gauge()
 
     def _await_ack(self, name: str, seq: int) -> bool:
@@ -418,8 +418,8 @@ class JournalShipper:
     def _note_drop(self) -> None:
         self.dropped += 1
         if self._metrics is not None:
-            self._metrics.note_ship_drop()
+            self._metrics.series["repl_batches_dropped"].inc()
 
     def _set_lag_gauge(self) -> None:
         if self._metrics is not None:
-            self._metrics.set_replication_lag(self.lag)
+            self._metrics.series["repl_lag"].set(self.lag)

@@ -14,10 +14,18 @@ elapses, including clients that crash or disconnect mid-attach.
 Modules:
 
 ``protocol``   the wire format (framing, requests, responses, errors)
-``sessions``   session registry and session -> entity mapping
-``metrics``    per-session and global series, registry-backed
+``ops``        the op table: every wire op declared once
+``sessions``   sessions as TERP entities: state, registry (the one
+               ``hello``), and the daemon's lifecycle manager
+``metrics``    the metric table: every series declared once, plus the
+               ``metrics`` / ``--metrics-dump`` report assembly
+``conn``       per-connection plumbing the daemon and the cluster
+               router share (admission, response queue, shutdown)
 ``server``     the asyncio daemon (``TerpService``) and thread harness
+``sweeping``   the exposure sweeper (session budgets + engine sweep)
+``recovery``   session journal and warm restart
 ``client``     asyncio and blocking clients with pipelining support
+``retry``      retry policy and circuit breaker for the clients
 
 Observability lives in :mod:`repro.obs`: the daemon's counters and
 latency histograms are instruments in a
@@ -30,14 +38,13 @@ Run the daemon with ``python -m repro.service``.
 """
 
 from repro.service.client import RemoteError, SyncTerpClient, TerpClient
-from repro.service.metrics import LatencyRecorder, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     MAX_FRAME_BYTES, WireError, decode_frame, encode_frame)
 from repro.service.server import ServiceThread, TerpService
 from repro.service.sessions import Session, SessionRegistry
 
 __all__ = [
-    "LatencyRecorder",
     "MAX_FRAME_BYTES",
     "RemoteError",
     "ServiceMetrics",

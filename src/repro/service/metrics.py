@@ -1,31 +1,39 @@
-"""Service observability: registry-backed counters and latencies.
+"""Service observability: every terpd series, declared once.
 
-Two granularities, mirroring what an operator of a multi-tenant PMO
-daemon needs:
+:data:`SERIES` is the one statement of the daemon-wide metric set, a
+row per series: the key it is read and reported under, its registry
+family name, kind, help text, whether it appears in the ``metrics``
+op's ``global`` section, and how shards' values combine behind a
+router.  Everything else derives from the rows:
+:class:`ServiceMetrics` builds one live instrument per row in a
+:class:`~repro.obs.registry.MetricsRegistry` (so the same numbers are
+the ``metrics`` op's JSON payload, the ``--metrics-dump`` document and
+the Prometheus text exposition), and :data:`MERGE_RULES` — the rows'
+rules plus those of the non-additive leaves in the report sections
+:func:`metrics_report` assembles around the table — is what
+:mod:`repro.cluster.aggregate` merges shard reports by.
 
-* :class:`ServiceMetrics` — daemon-wide, every series living in a
-  :class:`~repro.obs.registry.MetricsRegistry` (so the same numbers
-  are available as the ``metrics`` op's JSON payload, the
-  ``--metrics-dump`` document, and Prometheus text exposition):
-  request totals per op, attach/forced-detach tallies, sweep runs, and
-  request/sweep latency histograms with reservoir percentiles.
-* :class:`SessionMetrics` — per session: request count, bytes moved,
-  attaches, forced detaches, errors.  Deliberately plain counters —
-  sessions are ephemeral and numerous, so they stay out of the
-  registry's long-lived series namespace.
+Adding a series is adding a row (and a compound ``note_*`` writer if
+several rows move together); adding a non-additive leaf to a report
+section is adding its rule.  ``tests/service/test_metric_table.py``
+fails on an instrument created anywhere else and on a float, string or
+list leaf without a rule.
 
-:class:`LatencyRecorder` is the historical name of the seeded
-reservoir now provided by :class:`repro.obs.registry.Reservoir`; it
-remains as a thin subclass with nanosecond-flavoured accessors.
+:class:`SessionMetrics` is the per-session share.  Deliberately plain
+counters — sessions are ephemeral and numerous, so they stay out of
+the registry's long-lived series namespace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
-from repro.obs.registry import (
-    Counter, Histogram, MetricsRegistry, Reservoir)
+from repro.obs.registry import Counter, Histogram, MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.service.server import TerpService
+    from repro.service.sessions import Session
 
 #: Request/sweep latency buckets (ns): 1us .. 1s.
 LATENCY_BUCKETS_NS = (
@@ -34,33 +42,24 @@ LATENCY_BUCKETS_NS = (
     500_000_000, 1_000_000_000,
 )
 
+#: Series kinds.  A family is a set of counters told apart by one
+#: label, its members created as their label values first occur.
+COUNTER, GAUGE, HISTOGRAM, FAMILY = \
+    "counter", "gauge", "histogram", "family"
 
-class LatencyRecorder(Reservoir):
-    """Reservoir-sampled latency population with percentile queries."""
-
-    @property
-    def total_ns(self) -> int:
-        return self.total
-
-    @property
-    def max_ns(self) -> int:
-        return self.max_value
-
-    @property
-    def mean_ns(self) -> float:
-        return self.mean
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean_us": self.mean / 1e3,
-            "p50_us": (self.percentile(50) or 0) / 1e3,
-            "p99_us": (self.percentile(99) or 0) / 1e3,
-            "max_us": self.max_value / 1e3,
-        }
+#: Cross-shard merge rules, ``(kind, *parameters)``; a leaf with no
+#: rule is an additive count.  ``WEIGHTED`` is the mean weighted by the
+#: sum of the named sibling leaves; ``BUCKETS`` recomputes a latency
+#: summary from the named histogram's merged raw buckets; ``OWNED`` is
+#: a dict each of whose entries exactly one shard reports (a PMO name
+#: hashes to one shard); ``PER_SHARD`` describes the answering shard
+#: and has no cluster-wide value.
+SUM, MAX, MIN, CONCAT, WEIGHTED, BUCKETS, OWNED, PER_SHARD = (
+    "sum", "max", "min", "concat", "weighted", "buckets", "owned",
+    "per_shard")
 
 
-def _histogram_latency_dict(hist: Histogram) -> Dict[str, float]:
+def _latency_summary(hist: Histogram) -> Dict[str, float]:
     """A histogram's latency summary in the wire-report shape (us)."""
     return {
         "count": hist.count,
@@ -71,28 +70,202 @@ def _histogram_latency_dict(hist: Histogram) -> Dict[str, float]:
     }
 
 
+class CounterFamily:
+    """A :data:`FAMILY` row's live instrument: one labelled counter
+    per label value seen, read back as ``{label value: count}``."""
+
+    def __init__(self, registry: MetricsRegistry,
+                 row: "Series") -> None:
+        self._registry = registry
+        self._row = row
+        self._members: Dict[str, Counter] = {}
+
+    def inc(self, label_value: str) -> None:
+        counter = self._members.get(label_value)
+        if counter is None:
+            counter = self._members[label_value] = \
+                self._registry.counter(self._row.name, self._row.help,
+                                       {self._row.label: label_value})
+        counter.inc()
+
+    @property
+    def value(self) -> Dict[str, int]:
+        return {label_value: counter.value
+                for label_value, counter in self._members.items()}
+
+
+@dataclass(frozen=True)
+class Series:
+    #: what the series is read and reported as: ``metrics.<key>``,
+    #: ``metrics.series[key]``, ``metrics()["global"][key]``.
+    key: str
+    #: the registry (and Prometheus) family name.
+    name: str
+    kind: str
+    help: str
+    #: reported in ``metrics()["global"]``.
+    in_global: bool = True
+    #: how shards' values combine (``BUCKETS`` takes this row's name).
+    merge: str = SUM
+    #: a family's distinguishing label.
+    label: Optional[str] = None
+    #: a histogram's reservoir: sample capacity and seed.
+    reservoir: Tuple[int, int] = (0, 0)
+
+    def create(self, registry: MetricsRegistry,
+               labels: Optional[Mapping[str, str]] = None) -> Any:
+        """This row's instrument in ``registry`` (get-or-create)."""
+        if self.kind == FAMILY:
+            return CounterFamily(registry, self)
+        if self.kind == HISTOGRAM:
+            capacity, seed = self.reservoir
+            return registry.histogram(
+                self.name, self.help, labels,
+                buckets=LATENCY_BUCKETS_NS,
+                reservoir_capacity=capacity, seed=seed)
+        make = registry.gauge if self.kind == GAUGE else registry.counter
+        return make(self.name, self.help, labels)
+
+    def read(self, instrument: Any) -> Any:
+        """The instrument's value in the wire-report shape."""
+        if self.kind == HISTOGRAM:
+            return _latency_summary(instrument)
+        if self.kind == GAUGE:
+            return int(instrument.value)
+        return instrument.value
+
+
+#: The daemon-wide series by key; the ``global`` rows in ``to_dict``
+#: order.
+SERIES: Dict[str, Series] = {row.key: row for row in (
+    Series("requests", "terpd_requests_total", COUNTER,
+           "requests dispatched"),
+    Series("errors", "terpd_request_errors_total", COUNTER,
+           "requests answered with an error"),
+    Series("batches", "terpd_batches_total", COUNTER,
+           "array frames received"),
+    Series("sessions_opened", "terpd_sessions_opened_total", COUNTER,
+           "sessions bound by hello"),
+    Series("sessions_closed", "terpd_sessions_closed_total", COUNTER,
+           "sessions ended"),
+    Series("attaches", "terpd_attaches_total", COUNTER,
+           "successful attach ops"),
+    Series("detaches", "terpd_detaches_total", COUNTER,
+           "successful detach ops"),
+    Series("forced_detaches", "terpd_forced_detaches_total", COUNTER,
+           "windows closed by the sweeper or the arch engine on a "
+           "session's behalf"),
+    Series("disconnect_detaches", "terpd_disconnect_detaches_total",
+           COUNTER, "holdings released on connection teardown"),
+    Series("sweep_runs", "terpd_sweep_runs_total", COUNTER,
+           "sweeper passes"),
+    Series("faults_injected", "terpd_faults_injected_total", COUNTER,
+           "fault-injection rules fired across every site"),
+    Series("faults_by_site", "terpd_fault_site_total", FAMILY,
+           "injections per site", label="site"),
+    Series("sessions_resumed", "terpd_sessions_resumed_total", COUNTER,
+           "sessions rebound after a connection drop"),
+    Series("replays_served", "terpd_replays_served_total", COUNTER,
+           "responses served from the idempotent replay cache"),
+    Series("scrub_pages_verified", "terpd_scrub_pages_verified_total",
+           COUNTER, "at-rest pages CRC-verified by the sweep-integrated "
+           "scrubber"),
+    Series("scrub_pages_repaired", "terpd_scrub_pages_repaired_total",
+           COUNTER, "pages repaired from the double-write journal (or "
+           "the live resident copy)"),
+    Series("pmos_quarantined", "terpd_pmos_quarantined_total", COUNTER,
+           "PMOs quarantined after an unrepairable integrity failure"),
+    Series("restarts_recovered", "terpd_restarts_recovered_total",
+           COUNTER, "warm restarts that replayed the pool directory and "
+           "session journal"),
+    Series("sessions_recovered", "terpd_sessions_recovered_total",
+           COUNTER, "sessions restored from the session journal at warm "
+           "restart"),
+    Series("recovery_forced_detaches",
+           "terpd_recovery_forced_detaches_total", COUNTER,
+           "holdings force-detached at recovery (EW elapsed during the "
+           "outage)"),
+    Series("repl_batches_shipped", "terpd_repl_batches_shipped_total",
+           COUNTER, "group-commit batches streamed to the standby"),
+    Series("repl_batches_acked", "terpd_repl_batches_acked_total",
+           COUNTER, "shipped batches the standby acked as fsynced"),
+    Series("repl_batches_dropped", "terpd_repl_batches_dropped_total",
+           COUNTER, "batches not replicated (standby absent, link down, "
+           "or ack timeout)"),
+    Series("repl_lag", "terpd_repl_lag_batches", GAUGE,
+           "batches shipped but not yet acked by the standby"),
+    # The two wire rows: how well pipelined bursts coalesce is frames
+    # per flush (see WireCounters — the router keeps its own pair).
+    Series("wire_flushes", "terpd_wire_flushes_total", COUNTER,
+           "writes of queued response frames to a client connection"),
+    Series("wire_frames", "terpd_wire_frames_total", COUNTER,
+           "response frames written to client connections"),
+    Series("ops", "terpd_op_total", FAMILY, "requests per op",
+           label="op"),
+    Series("request_latency", "terpd_request_latency_ns", HISTOGRAM,
+           "request service time", merge=BUCKETS, reservoir=(8192, 7)),
+    Series("sweep_latency", "terpd_sweep_latency_ns", HISTOGRAM,
+           "sweeper pass duration", merge=BUCKETS,
+           reservoir=(2048, 11)),
+    # Registry / Prometheus only: not part of the ``global`` section.
+    Series("repl_ack_latency", "terpd_repl_ack_latency_ns", HISTOGRAM,
+           "ship-to-ack round trip", in_global=False,
+           reservoir=(4096, 13)),
+    Series("sessions", "terpd_sessions", GAUGE,
+           "currently bound sessions", in_global=False),
+)}
+
+#: ``runtime`` section: these fields of the runtime's counters.
+RUNTIME_FIELDS = ("attach_calls", "detach_calls", "silent_percent",
+                  "randomizations", "faults", "accesses")
+#: ``arch_cases`` section: these fields of the engine's case counters.
+ARCH_CASE_FIELDS = ("case1_first_attach", "case3_silent_attach",
+                    "case5_full_detach", "case6_delayed_detach",
+                    "sweep_detaches", "sweep_randomizes")
+
+#: ``metrics`` report path -> merge rule, for every leaf (or subtree)
+#: that is not an additive count.
+MERGE_RULES: Dict[str, Tuple[str, ...]] = {
+    **{f"global.{row.key}": (row.merge, row.name)
+       for row in SERIES.values()
+       if row.in_global and row.merge != SUM},
+    # A percentage of the calls it was computed over.
+    "runtime.silent_percent": (WEIGHTED, "attach_calls",
+                               "detach_calls"),
+    "audit.held_mean_ns": (WEIGHTED, "windows"),
+    "audit.held_max_ns": (MAX,),
+    "audit.per_pmo": (OWNED,),
+    # The cluster came up with its first shard and was down for as
+    # long as its slowest one.
+    "recovery.epoch_wall_ns": (MIN,),
+    "recovery.downtime_ns": (MAX,),
+    "recovery.pmos_quarantined": (CONCAT,),
+    "recovery.pmos_denied": (CONCAT,),
+    "shard": (PER_SHARD,),
+    "registry": (PER_SHARD,),
+}
+
+
 class WireCounters:
     """The writes a serve loop made to its clients and the response
     frames they carried — frames per flush is how well pipelined
     bursts coalesce.  The daemon and the cluster router each keep a
     pair for their own hop."""
 
+    KEYS = ("wire_flushes", "wire_frames")
+
     def __init__(self, registry: MetricsRegistry,
                  labels: Optional[Dict[str, str]] = None) -> None:
-        self.flushes = registry.counter(
-            "terpd_wire_flushes_total", "writes of queued response "
-            "frames to a client connection", labels)
-        self.frames = registry.counter(
-            "terpd_wire_frames_total", "response frames written to "
-            "client connections", labels)
+        self.flushes, self.frames = (
+            SERIES[key].create(registry, labels) for key in self.KEYS)
 
     def note_flush(self, frames: int) -> None:
         self.flushes.inc()
         self.frames.inc(frames)
 
     def to_dict(self) -> Dict[str, int]:
-        return {"wire_flushes": self.flushes.value,
-                "wire_frames": self.frames.value}
+        return dict(zip(self.KEYS,
+                        (self.flushes.value, self.frames.value)))
 
 
 @dataclass
@@ -108,334 +281,115 @@ class SessionMetrics:
     bytes_written: int = 0
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "requests": self.requests,
-            "errors": self.errors,
-            "attaches": self.attaches,
-            "detaches": self.detaches,
-            "forced_detaches": self.forced_detaches,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-        }
+        return asdict(self)
 
 
 class ServiceMetrics:
-    """Daemon-wide series, the ``metrics`` op's payload.
+    """Daemon-wide series: one live instrument per :data:`SERIES` row.
 
-    Every counter and histogram is an instrument in ``registry``;
-    the attribute-style accessors (``metrics.requests`` …) read the
-    live registry values, and ``to_dict()`` keeps the wire shape the
-    clients, tests, and the throughput bench already consume.
+    Call sites write through ``series[key]`` (``inc`` / ``set`` /
+    ``observe``); ``metrics.<key>`` reads the current value in the
+    wire-report shape; ``to_dict()`` is the ``global`` section.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None
                  ) -> None:
         self.registry = (registry if registry is not None
                          else MetricsRegistry())
-        reg = self.registry
-        self._requests = reg.counter(
-            "terpd_requests_total", "requests dispatched")
-        self._errors = reg.counter(
-            "terpd_request_errors_total", "requests answered with an "
-            "error")
-        self._batches = reg.counter(
-            "terpd_batches_total", "array frames received")
-        self._sessions_opened = reg.counter(
-            "terpd_sessions_opened_total", "sessions bound by hello")
-        self._sessions_closed = reg.counter(
-            "terpd_sessions_closed_total", "sessions ended")
-        self._attaches = reg.counter(
-            "terpd_attaches_total", "successful attach ops")
-        self._detaches = reg.counter(
-            "terpd_detaches_total", "successful detach ops")
-        self._forced_detaches = reg.counter(
-            "terpd_forced_detaches_total", "windows closed by the "
-            "sweeper or the arch engine on a session's behalf")
-        self._disconnect_detaches = reg.counter(
-            "terpd_disconnect_detaches_total", "holdings released on "
-            "connection teardown")
-        self._sweep_runs = reg.counter(
-            "terpd_sweep_runs_total", "sweeper passes")
-        self._faults_injected = reg.counter(
-            "terpd_faults_injected_total", "fault-injection rules "
-            "fired across every site")
-        self._sessions_resumed = reg.counter(
-            "terpd_sessions_resumed_total", "sessions rebound after a "
-            "connection drop")
-        self._replays_served = reg.counter(
-            "terpd_replays_served_total", "responses served from the "
-            "idempotent replay cache")
-        self._scrub_pages_verified = reg.counter(
-            "terpd_scrub_pages_verified_total", "at-rest pages CRC-"
-            "verified by the sweep-integrated scrubber")
-        self._scrub_pages_repaired = reg.counter(
-            "terpd_scrub_pages_repaired_total", "pages repaired from "
-            "the double-write journal (or the live resident copy)")
-        self._pmos_quarantined = reg.counter(
-            "terpd_pmos_quarantined_total", "PMOs quarantined after an "
-            "unrepairable integrity failure")
-        self._restarts_recovered = reg.counter(
-            "terpd_restarts_recovered_total", "warm restarts that "
-            "replayed the pool directory and session journal")
-        self._sessions_recovered = reg.counter(
-            "terpd_sessions_recovered_total", "sessions restored from "
-            "the session journal at warm restart")
-        self._recovery_forced_detaches = reg.counter(
-            "terpd_recovery_forced_detaches_total", "holdings force-"
-            "detached at recovery (EW elapsed during the outage)")
-        self._batches_shipped = reg.counter(
-            "terpd_repl_batches_shipped_total", "group-commit batches "
-            "streamed to the standby")
-        self._batches_ship_acked = reg.counter(
-            "terpd_repl_batches_acked_total", "shipped batches the "
-            "standby acked as fsynced")
-        self._batches_ship_dropped = reg.counter(
-            "terpd_repl_batches_dropped_total", "batches not "
-            "replicated (standby absent, link down, or ack timeout)")
-        self._replication_lag = reg.gauge(
-            "terpd_repl_lag_batches", "batches shipped but not yet "
-            "acked by the standby")
-        self.wire = WireCounters(reg)
-        self._op_counters: Dict[str, Counter] = {}
-        self._fault_site_counters: Dict[str, Counter] = {}
-        self.request_latency = reg.histogram(
-            "terpd_request_latency_ns", "request service time",
-            buckets=LATENCY_BUCKETS_NS, reservoir_capacity=8192, seed=7)
-        self.sweep_latency = reg.histogram(
-            "terpd_sweep_latency_ns", "sweeper pass duration",
-            buckets=LATENCY_BUCKETS_NS, reservoir_capacity=2048,
-            seed=11)
-        self.ship_ack_latency = reg.histogram(
-            "terpd_repl_ack_latency_ns", "ship-to-ack round trip",
-            buckets=LATENCY_BUCKETS_NS, reservoir_capacity=4096,
-            seed=13)
+        self.series: Dict[str, Any] = {
+            key: row.create(self.registry)
+            for key, row in SERIES.items()}
+        self.wire = WireCounters(self.registry)
 
-    # -- write side -------------------------------------------------------
+    # -- write side: what touches several rows at once ----------------------
 
     def note_request(self, op: str, latency_ns: int, *,
                      ok: bool) -> None:
-        self._requests.inc()
+        series = self.series
+        series["requests"].inc()
         if not ok:
-            self._errors.inc()
-        counter = self._op_counters.get(op)
-        if counter is None:
-            counter = self.registry.counter(
-                "terpd_op_total", "requests per op", labels={"op": op})
-            self._op_counters[op] = counter
-        counter.inc()
-        self.request_latency.observe(latency_ns)
+            series["errors"].inc()
+        series["ops"].inc(op)
+        series["request_latency"].observe(latency_ns)
 
     def note_sweep(self, latency_ns: int) -> None:
-        self._sweep_runs.inc()
-        self.sweep_latency.observe(latency_ns)
-
-    def note_batch(self) -> None:
-        self._batches.inc()
-
-    def note_session_opened(self) -> None:
-        self._sessions_opened.inc()
-
-    def note_session_closed(self) -> None:
-        self._sessions_closed.inc()
-
-    def note_attach(self) -> None:
-        self._attaches.inc()
-
-    def note_detach(self) -> None:
-        self._detaches.inc()
-
-    def note_forced_detach(self) -> None:
-        self._forced_detaches.inc()
-
-    def note_disconnect_detach(self) -> None:
-        self._disconnect_detaches.inc()
+        self.series["sweep_runs"].inc()
+        self.series["sweep_latency"].observe(latency_ns)
 
     def note_fault(self, site: str) -> None:
-        self._faults_injected.inc()
-        counter = self._fault_site_counters.get(site)
-        if counter is None:
-            counter = self.registry.counter(
-                "terpd_fault_site_total", "injections per site",
-                labels={"site": site})
-            self._fault_site_counters[site] = counter
-        counter.inc()
-
-    def note_session_resumed(self) -> None:
-        self._sessions_resumed.inc()
-
-    def note_replay_served(self) -> None:
-        self._replays_served.inc()
+        self.series["faults_injected"].inc()
+        self.series["faults_by_site"].inc(site)
 
     def note_scrub(self, *, verified: int, repaired: int,
                    quarantined: int) -> None:
-        self._scrub_pages_verified.inc(verified)
-        self._scrub_pages_repaired.inc(repaired)
-        self._pmos_quarantined.inc(quarantined)
-
-    def note_quarantine(self, count: int = 1) -> None:
-        self._pmos_quarantined.inc(count)
+        self.series["scrub_pages_verified"].inc(verified)
+        self.series["scrub_pages_repaired"].inc(repaired)
+        self.series["pmos_quarantined"].inc(quarantined)
 
     def note_recovery(self, *, sessions: int,
                       forced_detaches: int) -> None:
-        self._restarts_recovered.inc()
-        self._sessions_recovered.inc(sessions)
-        self._recovery_forced_detaches.inc(forced_detaches)
-
-    def note_ship(self) -> None:
-        self._batches_shipped.inc()
+        self.series["restarts_recovered"].inc()
+        self.series["sessions_recovered"].inc(sessions)
+        self.series["recovery_forced_detaches"].inc(forced_detaches)
 
     def note_ship_ack(self, latency_ns: int) -> None:
-        self._batches_ship_acked.inc()
-        self.ship_ack_latency.observe(latency_ns)
+        self.series["repl_batches_acked"].inc()
+        self.series["repl_ack_latency"].observe(latency_ns)
 
-    def note_ship_drop(self) -> None:
-        self._batches_ship_dropped.inc()
+    # -- read side ----------------------------------------------------------
 
-    def set_replication_lag(self, batches: int) -> None:
-        self._replication_lag.set(batches)
-
-    # -- read side --------------------------------------------------------
-
-    @property
-    def requests(self) -> int:
-        return self._requests.value
-
-    @property
-    def errors(self) -> int:
-        return self._errors.value
-
-    @property
-    def batches(self) -> int:
-        return self._batches.value
-
-    @property
-    def sessions_opened(self) -> int:
-        return self._sessions_opened.value
-
-    @property
-    def sessions_closed(self) -> int:
-        return self._sessions_closed.value
-
-    @property
-    def attaches(self) -> int:
-        return self._attaches.value
-
-    @property
-    def detaches(self) -> int:
-        return self._detaches.value
-
-    @property
-    def forced_detaches(self) -> int:
-        return self._forced_detaches.value
-
-    @property
-    def disconnect_detaches(self) -> int:
-        return self._disconnect_detaches.value
-
-    @property
-    def sweep_runs(self) -> int:
-        return self._sweep_runs.value
-
-    @property
-    def faults_injected(self) -> int:
-        return self._faults_injected.value
-
-    @property
-    def sessions_resumed(self) -> int:
-        return self._sessions_resumed.value
-
-    @property
-    def replays_served(self) -> int:
-        return self._replays_served.value
-
-    @property
-    def scrub_pages_verified(self) -> int:
-        return self._scrub_pages_verified.value
-
-    @property
-    def scrub_pages_repaired(self) -> int:
-        return self._scrub_pages_repaired.value
-
-    @property
-    def pmos_quarantined(self) -> int:
-        return self._pmos_quarantined.value
-
-    @property
-    def restarts_recovered(self) -> int:
-        return self._restarts_recovered.value
-
-    @property
-    def sessions_recovered(self) -> int:
-        return self._sessions_recovered.value
-
-    @property
-    def recovery_forced_detaches(self) -> int:
-        return self._recovery_forced_detaches.value
-
-    @property
-    def batches_shipped(self) -> int:
-        return self._batches_shipped.value
-
-    @property
-    def batches_ship_acked(self) -> int:
-        return self._batches_ship_acked.value
-
-    @property
-    def batches_ship_dropped(self) -> int:
-        return self._batches_ship_dropped.value
-
-    @property
-    def replication_lag(self) -> int:
-        return int(self._replication_lag.value)
-
-    @property
-    def wire_flushes(self) -> int:
-        return self.wire.flushes.value
-
-    @property
-    def wire_frames(self) -> int:
-        return self.wire.frames.value
-
-    @property
-    def faults_by_site(self) -> Dict[str, int]:
-        return {site: counter.value
-                for site, counter in self._fault_site_counters.items()}
-
-    @property
-    def ops(self) -> Dict[str, int]:
-        return {op: counter.value
-                for op, counter in self._op_counters.items()}
+    def __getattr__(self, key: str) -> Any:
+        series = self.__dict__.get("series")
+        if series is None or key not in series:
+            raise AttributeError(key)
+        return SERIES[key].read(series[key])
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "requests": self.requests,
-            "errors": self.errors,
-            "batches": self.batches,
-            "sessions_opened": self.sessions_opened,
-            "sessions_closed": self.sessions_closed,
-            "attaches": self.attaches,
-            "detaches": self.detaches,
-            "forced_detaches": self.forced_detaches,
-            "disconnect_detaches": self.disconnect_detaches,
-            "sweep_runs": self.sweep_runs,
-            "faults_injected": self.faults_injected,
-            "faults_by_site": self.faults_by_site,
-            "sessions_resumed": self.sessions_resumed,
-            "replays_served": self.replays_served,
-            "scrub_pages_verified": self.scrub_pages_verified,
-            "scrub_pages_repaired": self.scrub_pages_repaired,
-            "pmos_quarantined": self.pmos_quarantined,
-            "restarts_recovered": self.restarts_recovered,
-            "sessions_recovered": self.sessions_recovered,
-            "recovery_forced_detaches": self.recovery_forced_detaches,
-            "repl_batches_shipped": self.batches_shipped,
-            "repl_batches_acked": self.batches_ship_acked,
-            "repl_batches_dropped": self.batches_ship_dropped,
-            "repl_lag": self.replication_lag,
-            **self.wire.to_dict(),
-            "ops": self.ops,
-            "request_latency": _histogram_latency_dict(
-                self.request_latency),
-            "sweep_latency": _histogram_latency_dict(
-                self.sweep_latency),
-        }
+        return {key: row.read(self.series[key])
+                for key, row in SERIES.items() if row.in_global}
+
+
+# -- the ``metrics`` / ``--metrics-dump`` documents ---------------------------
+
+def _runtime_counters(service: "TerpService") -> Dict[str, Any]:
+    counters = service.lib.runtime.counters
+    return {name: getattr(counters, name) for name in RUNTIME_FIELDS}
+
+
+def metrics_report(service: "TerpService", *, raw: bool,
+                   session: Optional["Session"]) -> Dict[str, Any]:
+    """The ``metrics`` op's payload, for the asking ``session``."""
+    out: Dict[str, Any] = {
+        "global": service.metrics.to_dict(),
+        "sessions": len(service.sessions),
+        "runtime": _runtime_counters(service),
+        "arch_cases": {name: getattr(service.engine.cases, name)
+                       for name in ARCH_CASE_FIELDS},
+        "audit": service.obs.audit.summary(),
+        "trace": service.obs.tracer.stats(),
+    }
+    if service.shard_index is not None:
+        out["shard"] = service.shard_index
+    if raw:
+        # The full instrument registry (counters, gauges, and
+        # histograms *with buckets*): what the cluster router fans
+        # out for, so it can merge latency buckets exactly instead of
+        # averaging percentiles.
+        out["registry"] = service.obs.registry.to_dict()
+    if service.recovery_report is not None:
+        out["recovery"] = service.recovery_report.to_dict()
+    if session is not None:
+        out["session"] = session.metrics.to_dict()
+    return out
+
+
+def observability_dump(service: "TerpService") -> Dict[str, Any]:
+    """The full registry/audit/trace state as one document — the
+    payload of ``--metrics-dump`` and of embedders that want
+    everything at once."""
+    return service.obs.dump(extra={
+        "service": service.metrics.to_dict(),
+        "shard": service.shard_index,
+        "sessions": len(service.sessions),
+        "runtime": _runtime_counters(service),
+    })

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -167,17 +167,7 @@ class RecoveryReport:
     overdue_detaches: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "epoch_wall_ns": self.epoch_wall_ns,
-            "downtime_ns": self.downtime_ns,
-            "pmos_loaded": self.pmos_loaded,
-            "pmos_quarantined": list(self.pmos_quarantined),
-            "pmos_denied": list(self.pmos_denied),
-            "pages_repaired": self.pages_repaired,
-            "sessions_restored": self.sessions_restored,
-            "forced_detaches": self.forced_detaches,
-            "overdue_detaches": self.overdue_detaches,
-        }
+        return asdict(self)
 
 
 class RecoveryManager:
@@ -228,7 +218,7 @@ class RecoveryManager:
 
         survivors = []
         for js in sessions.values():
-            session = svc.registry.restore(
+            session = svc.sessions.restore(
                 session_id=js.sid, user=js.user,
                 ew_budget_ns=js.budget_ns, resume_token=js.token,
                 disconnected_at_ns=now)
@@ -288,13 +278,13 @@ class RecoveryManager:
             if svc.obs.enabled:
                 svc.obs.audit.record_quarantine(pmo_id, name, now,
                                                 reason=reason)
-            svc.metrics.note_quarantine()
+            svc.metrics.series["pmos_quarantined"].inc()
         for name, reason in load.denied:
             if svc.obs.enabled:
                 svc.obs.audit.record_quarantine(name, name, now,
                                                 reason=f"denied: "
                                                        f"{reason}")
-            svc.metrics.note_quarantine()
+            svc.metrics.series["pmos_quarantined"].inc()
 
     def _replay(self, records: List[Dict[str, Any]],
                 report: RecoveryReport
@@ -307,7 +297,7 @@ class RecoveryManager:
         story across the outage.
         """
         svc = self.service
-        entity = svc.registry.FIRST_ENTITY_ID
+        entity = svc.sessions.FIRST_ENTITY_ID
         sessions: Dict[int, _JournaledSession] = {}
         for r in records:
             kind = r["rec"]
@@ -316,7 +306,7 @@ class RecoveryManager:
                     sid=r["sid"], user=r.get("user", "root"),
                     token=r.get("token", ""),
                     budget_ns=r.get("budget_ns",
-                                    svc.registry.default_ew_budget_ns),
+                                    svc.sessions.default_ew_budget_ns),
                     opened_at_ns=r.get("at_ns", 0))
             elif kind == "attach":
                 js = sessions.get(r["sid"])

@@ -47,129 +47,20 @@ from repro.pmo.store import (
     DEFAULT_COMMIT_INTERVAL_US, SCRUB_PAGES_PER_PASS, CommitTicket,
     PmoStore)
 from repro.service import protocol
-from repro.service.metrics import ServiceMetrics
-from repro.service.ops import OPS, Op
+from repro.service.conn import (
+    DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS, Conn, admit,
+    close_connections)
+from repro.service.metrics import (
+    ServiceMetrics, metrics_report, observability_dump)
+from repro.service.ops import OPS
 from repro.service.protocol import WireError, ok_response
 from repro.service.recovery import (
     RecoveryManager, RecoveryReport, SessionJournal)
-from repro.service.registry import SessionManager
-from repro.service.sessions import Session
+from repro.service.sessions import SessionManager
 from repro.service.sweeping import Sweeper
 
-#: Default wall-clock exposure budget per session: 50ms.  Generous next
-#: to the paper's 40us simulated target, but terpd enforces over real
-#: client round-trips, not simulated cycles.
-DEFAULT_SESSION_EW_NS = 50_000_000
 #: Default sweep period: 10ms, a 5x oversampling of the budget.
 DEFAULT_SWEEP_PERIOD_NS = 10_000_000
-#: How long a dropped session's identity lingers for resume: 2s.
-DEFAULT_SESSION_LINGER_NS = 2_000_000_000
-#: Backpressure: responses pending past this are written mid-burst,
-#: and a transport backlog past it is waited out (a peer that stops
-#: reading stalls its own connection, not the daemon's memory).
-DRAIN_MARK = 65536
-#: Shutdown: how long closed connections get to flush to a peer that
-#: is not reading before their transports are aborted.
-CLOSE_GRACE_S = 1.0
-
-
-def admit(request: Any, *,
-          has_session: bool) -> Tuple[Op, Dict[str, Any]]:
-    """Check one request against the op table — the daemon's and the
-    router's shared front door.  Returns its row and its args."""
-    if not isinstance(request, dict) or \
-            not isinstance(request.get("op"), str):
-        raise WireError("request must be an object with an 'op'")
-    spec = OPS.get(request["op"])
-    if spec is None:
-        raise WireError(f"unknown op {request['op']!r}")
-    if not has_session and not spec.sessionless:
-        raise TerpError(f"op {spec.name!r} requires a session; "
-                        "say hello first")
-    args = request.get("args") or {}
-    if not isinstance(args, dict):
-        raise WireError("'args' must be an object")
-    return spec, args
-
-
-class Conn:
-    """Per-connection state: the bound session, once hello'd, and the
-    responses queued for the next write.  (The cluster router keeps
-    the same state per client connection.)
-
-    A serve loop answers every frame one read produced
-    (:meth:`send`) and the responses leave in one write — one segment
-    for a pipelined burst — when it runs out of input (:meth:`drain`);
-    earlier only past ``DRAIN_MARK``, before a handler waits off the
-    event loop, and on every way out of the loop (:meth:`flush`)."""
-
-    __slots__ = ("session", "generation", "bins", "bin_out", "writer",
-                 "note_flush", "out", "out_bytes")
-
-    def __init__(self, writer: asyncio.StreamWriter,
-                 note_flush: Callable[[int], None]) -> None:
-        self.session: Optional[Session] = None
-        #: the session's bind generation this connection owns; teardown
-        #: only unbinds if no newer connection has resumed the session.
-        self.generation = 0
-        #: the current request frame's sidecar cursor (requests
-        #: consume their binary chunks from it, in frame order).
-        self.bins = protocol.BinReader(b"")
-        #: binary chunks produced by the current frame's responses;
-        #: joined into the response frame's sidecar.
-        self.bin_out: List[bytes] = []
-        self.writer = writer
-        #: told each write's frame count (the wire counters).
-        self.note_flush = note_flush
-        #: response frames not yet handed to the transport.
-        self.out: List[bytes] = []
-        self.out_bytes = 0
-
-    async def send(self, frame: bytes) -> None:
-        """Queue one response frame (written with the rest of its
-        burst); past ``DRAIN_MARK``, write now and wait for the peer."""
-        self.out.append(frame)
-        self.out_bytes += len(frame)
-        if self.out_bytes > DRAIN_MARK:
-            await self.drain()
-
-    def flush(self) -> None:
-        """Hand everything queued to the transport as one write."""
-        if self.out:
-            # Counted first: whoever reads the responses may look at
-            # the counters next.
-            self.note_flush(len(self.out))
-            self.writer.write(b"".join(self.out))
-            self.out.clear()
-            self.out_bytes = 0
-
-    async def drain(self) -> None:
-        """:meth:`flush`, then wait while the peer is not reading."""
-        self.flush()
-        if self.writer.transport.get_write_buffer_size() > DRAIN_MARK:
-            await self.writer.drain()
-
-
-async def close_connections(
-        handlers: Dict[asyncio.StreamWriter, asyncio.Task]) -> None:
-    """Close every client connection and wait for its serve loop.
-
-    Each loop reads EOF and runs its own teardown (it removes itself
-    from ``handlers``), so nothing is left for ``asyncio.run`` to
-    cancel — on Python 3.11 a cancelled stream handler makes asyncio's
-    own done-callback print a traceback.  The daemon's and the
-    router's shared way out.
-    """
-    tasks = list(handlers.values())
-    for writer in list(handlers):
-        writer.close()
-    if not tasks:
-        return
-    _, stuck = await asyncio.wait(tasks, timeout=CLOSE_GRACE_S)
-    if stuck:
-        for writer in list(handlers):
-            writer.transport.abort()
-        await asyncio.wait(stuck)
 
 
 class _PendingFlush:
@@ -272,13 +163,15 @@ class TerpService:
                 scrub_pages_per_sweep)
             engine.on_scrub = self._on_scrub
         self.metrics = ServiceMetrics(self.obs.registry)
-        #: Session lifecycle: allocation, resume, release, journaling.
+        #: The session table and lifecycle: allocation, resume,
+        #: release, journaling.
         self.sessions = SessionManager(
             lib=self.lib, metrics=self.metrics, obs=self.obs,
             default_ew_budget_ns=session_ew_ns, token_seed=seed,
             max_sessions=max_sessions)
-        #: The raw registry, for embedders and recovery.
-        self.registry = self.sessions.registry
+        #: The same object, under the name embedders and the recovery
+        #: tests know the session table by.
+        self.registry = self.sessions
         engine.on_forced_detach = self.sessions.on_engine_forced_detach
         self._t0 = time.monotonic_ns()
         #: Temporal enforcement: the session-budget + engine sweep.
@@ -414,10 +307,10 @@ class TerpService:
             server.close()
         with self.lib.lock:
             now = self.lib.advance_to(self.now_ns())
-            for session in self.registry:
+            for session in self.sessions:
                 self.sessions.release(session, now, reason="shutdown")
-                self.sessions.journal_close(session, now)
-                self.registry.remove(session.session_id)
+                self.sessions.record("close", session, now)
+                self.sessions.remove(session.session_id)
             self.lib.runtime.finish(self.lib.clock_ns)
         if self.store is not None:
             # Drain the group committer: every submitted psync batch
@@ -502,30 +395,34 @@ class TerpService:
         except (WireError, ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            # Whatever ended the loop, the responses to the frames
-            # served before it still go out ahead of the close.
-            conn.flush()
-            self._writers.pop(writer, None)
-            session = conn.session
-            if session is not None and not session.closed and \
-                    not self._crashed and \
-                    session.generation == conn.generation:
-                # Temporal protection does not wait for a resume: every
-                # window closes *now*, forced and attributed.  Only the
-                # session's identity (token, replay cache, events)
-                # lingers for a possible rebind.
-                with self.lib.lock:
-                    now = self.lib.advance_to(self.now_ns())
-                    self.sessions.release(session, now,
-                                          reason="connection lost")
-                    session.unbind(now)
-                self.metrics.note_session_closed()
-                self.sessions.update_gauge()
-            writer.close()
             try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+                await self._teardown(conn)
+            finally:
+                # Deregistered last: until here ``stop`` can still
+                # find this handler and wait for it.
+                self._writers.pop(writer, None)
+
+    async def _teardown(self, conn: Conn) -> None:
+        """End one connection: whatever ended its loop, the responses
+        to the frames served before it still go out ahead of the
+        close."""
+        conn.flush()
+        session = conn.session
+        if session is not None and not session.closed and \
+                not self._crashed and \
+                session.generation == conn.generation:
+            # Temporal protection does not wait for a resume: every
+            # window closes *now*, forced and attributed.  Only the
+            # session's identity (token, replay cache, events)
+            # lingers for a possible rebind.
+            with self.lib.lock:
+                now = self.lib.advance_to(self.now_ns())
+                self.sessions.release(session, now,
+                                      reason="connection lost")
+                session.unbind(now)
+            self.metrics.series["sessions_closed"].inc()
+            self.sessions.update_gauge()
+        await conn.close()
 
     async def _serve_frame(self, conn: Conn, body: bytes,
                            sidecar: bytes) -> bool:
@@ -549,7 +446,7 @@ class TerpService:
         conn.bin_out = []
         try:
             if isinstance(payload, list):
-                self.metrics.note_batch()
+                self.metrics.series["batches"].inc()
                 # Each response is encoded exactly once, here;
                 # encode_body splices the pre-encoded parts.
                 parts: List[bytes] = []
@@ -616,7 +513,7 @@ class TerpService:
             # response instead of running twice.
             cached = session.replay_get(rid)
             if cached is not None:
-                self.metrics.note_replay_served()
+                self.metrics.series["replays_served"].inc()
                 body, chunks = cached
                 conn.bin_out.extend(chunks)
                 return body
@@ -701,41 +598,11 @@ class TerpService:
 
     def _op_ping(self, conn: Conn, args: Dict) -> Dict:
         return {"now_ns": self.lib.clock_ns,
-                "sessions": len(self.registry)}
+                "sessions": len(self.sessions)}
 
     def _op_metrics(self, conn: Conn, args: Dict) -> Dict:
-        out = {
-            "global": self.metrics.to_dict(),
-            "sessions": len(self.registry),
-            "runtime": self._runtime_counters(),
-            "arch_cases": {
-                "case1_first_attach":
-                    self.engine.cases.case1_first_attach,
-                "case3_silent_attach":
-                    self.engine.cases.case3_silent_attach,
-                "case5_full_detach":
-                    self.engine.cases.case5_full_detach,
-                "case6_delayed_detach":
-                    self.engine.cases.case6_delayed_detach,
-                "sweep_detaches": self.engine.cases.sweep_detaches,
-                "sweep_randomizes": self.engine.cases.sweep_randomizes,
-            },
-            "audit": self.obs.audit.summary(),
-            "trace": self.obs.tracer.stats(),
-        }
-        if self.shard_index is not None:
-            out["shard"] = self.shard_index
-        if args.get("raw"):
-            # The full instrument registry (counters, gauges, and
-            # histograms *with buckets*): what the cluster router
-            # fans out for, so it can sum counters and merge latency
-            # buckets exactly instead of averaging percentiles.
-            out["registry"] = self.obs.registry.to_dict()
-        if self.recovery_report is not None:
-            out["recovery"] = self.recovery_report.to_dict()
-        if conn.session is not None:
-            out["session"] = conn.session.metrics.to_dict()
-        return out
+        return metrics_report(self, raw=bool(args.get("raw")),
+                              session=conn.session)
 
     def _op_repl_status(self, conn: Conn, args: Dict) -> Dict:
         """Replication health: target, connectivity, lag, drops."""
@@ -764,27 +631,10 @@ class TerpService:
         """The registry in Prometheus text exposition format."""
         return {"text": self.obs.registry.prometheus_text()}
 
-    # -- observability dump ----------------------------------------------------
-
     def dump_observability(self) -> Dict:
-        """The full registry/audit/trace state as one document —
-        the payload of ``--metrics-dump`` and of embedders that want
-        everything at once."""
-        return self.obs.dump(extra={
-            "service": self.metrics.to_dict(),
-            "shard": self.shard_index,
-            "sessions": len(self.registry),
-            "runtime": self._runtime_counters(),
-        })
-
-    def _runtime_counters(self) -> Dict[str, Any]:
-        counters = self.lib.runtime.counters
-        return {"attach_calls": counters.attach_calls,
-                "detach_calls": counters.detach_calls,
-                "silent_percent": counters.silent_percent,
-                "randomizations": counters.randomizations,
-                "faults": counters.faults,
-                "accesses": counters.accesses}
+        """The ``--metrics-dump`` document (see
+        :func:`~repro.service.metrics.observability_dump`)."""
+        return observability_dump(self)
 
     # -- ops: namespace --------------------------------------------------------
 
@@ -843,8 +693,9 @@ class TerpService:
         if not result.ok:
             raise PmoError(f"attach failed: {result.decision.reason}")
         session.note_attach(pmo.pmo_id, now)
-        self.sessions.journal_attach(session, pmo.pmo_id, pmo.name, now)
-        self.metrics.note_attach()
+        self.sessions.record("attach", session, now, pmo_id=pmo.pmo_id,
+                             pmo=pmo.name)
+        self.metrics.series["attaches"].inc()
         return {"outcome": result.decision.outcome.value,
                 "base_va": result.handle.base_va_at_attach,
                 "reason": result.decision.reason}
@@ -862,9 +713,9 @@ class TerpService:
         decision = self.lib.runtime.detach(session.entity_id, pmo,
                                            self.lib.clock_ns)
         session.note_detach(pmo.pmo_id)
-        self.sessions.journal_detach(session, pmo.pmo_id, pmo.name,
-                                     self.lib.clock_ns)
-        self.metrics.note_detach()
+        self.sessions.record("detach", session, self.lib.clock_ns,
+                             pmo_id=pmo.pmo_id, pmo=pmo.name)
+        self.metrics.series["detaches"].inc()
         return {"outcome": decision.outcome.value,
                 "reason": decision.reason}
 

@@ -30,6 +30,22 @@ Robustness state (the chaos-tolerant parts):
 * **bounded event queue** — out-of-band notifications are capped;
   under backpressure the oldest are dropped and counted rather than
   growing without bound.
+
+One owner per concept: :class:`Session` is one client's state;
+:class:`SessionRegistry` is the table of them — id allocation, lookup,
+and the one ``hello`` (version check, resume-token verification, fresh
+allocation) that the daemon and the cluster router both serve;
+:class:`SessionManager` is the daemon's registry — the same table,
+tied to a library: it releases a departing session's holdings, takes
+the arch engine's forced-detach callback, journals for warm restart
+and keeps the session series.  The daemon, the sweeper and recovery
+all operate through that one object, and a cluster shard composes
+exactly the same pieces.
+
+Locking: every :class:`SessionManager` method that touches runtime
+state assumes the caller holds ``lib.lock`` (the daemon's dispatch and
+teardown paths already do); journal appends are internally serialized
+by the journal itself.
 """
 
 from __future__ import annotations
@@ -38,11 +54,18 @@ import itertools
 import random
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Deque, Dict, Hashable, Iterator, List, Optional,
+    Set, Tuple)
 
-from repro.core.errors import Busy, TerpError
-from repro.service.metrics import SessionMetrics
+from repro.core.errors import Busy, PmoError, TerpError
+from repro.service.metrics import ServiceMetrics, SessionMetrics
 from repro.service.protocol import PROTOCOL_VERSION
+
+if TYPE_CHECKING:
+    from repro.obs import Observability
+    from repro.pmo.api import PmoLibrary
+    from repro.service.recovery import SessionJournal
 
 #: Successful responses remembered per session for idempotent replay.
 REPLAY_CACHE_SIZE = 256
@@ -85,7 +108,6 @@ class Session:
     #: read response replay with its sidecar intact.
     replay: "OrderedDict[int, tuple]" = field(
         default_factory=OrderedDict)
-    replays_served: int = 0
 
     # -- exposure bookkeeping ---------------------------------------------
 
@@ -157,10 +179,7 @@ class Session:
             self.replay.popitem(last=False)
 
     def replay_get(self, rid: int) -> Optional[tuple]:
-        cached = self.replay.get(rid)
-        if cached is not None:
-            self.replays_served += 1
-        return cached
+        return self.replay.get(rid)
 
 
 class SessionRegistry:
@@ -174,6 +193,8 @@ class SessionRegistry:
     """
 
     FIRST_ENTITY_ID = 1 << 20
+    #: cap on bound sessions for fresh hellos (``None``: no cap).
+    max_sessions: Optional[int] = None
 
     def __init__(self, *, default_ew_budget_ns: int,
                  token_seed: Optional[int] = None) -> None:
@@ -201,8 +222,7 @@ class SessionRegistry:
         return session
 
     def hello(self, args: Dict[str, Any], *,
-              current: Optional[Session] = None,
-              limit: Optional[int] = None
+              current: Optional[Session] = None
               ) -> Tuple[Session, Dict[str, Any]]:
         """Serve one ``hello``: the daemon's and the router's shared
         front door.  Returns the bound session and the hello result.
@@ -215,8 +235,8 @@ class SessionRegistry:
         Resume restores *identity* (entity id, replay cache, pending
         events), never access: the drop already force-closed every
         window.  ``current`` is the connection's existing session, if
-        any; ``limit`` caps bound sessions for fresh hellos (``Busy``
-        is retryable, so well-behaved clients back off).
+        any; ``max_sessions`` caps bound sessions for fresh hellos
+        (``Busy`` is retryable, so well-behaved clients back off).
         """
         if current is not None:
             raise TerpError("connection already has a session")
@@ -238,6 +258,7 @@ class SessionRegistry:
                 raise TerpError(f"session {session_id} is still bound "
                                 "to a live connection")
         else:
+            limit = self.max_sessions
             if limit is not None and len(self) >= limit:
                 raise Busy(f"session table full ({limit}); "
                            "retry later")
@@ -247,12 +268,18 @@ class SessionRegistry:
                 ew_budget_ns=None if budget_us is None else int(
                     float(budget_us) * 1_000))
         session.bind()
+        self.session_bound(session, resumed=resume is not None)
         return session, {"session": session.session_id,
                          "entity": session.entity_id,
                          "version": PROTOCOL_VERSION,
                          "ew_budget_us": session.ew_budget_ns / 1_000,
                          "token": session.resume_token,
                          "resumed": resume is not None}
+
+    def session_bound(self, session: Session, *,
+                      resumed: bool) -> None:
+        """Called by :meth:`hello` once a session is (re)bound; the
+        daemon's registry journals and counts here."""
 
     def restore(self, *, session_id: int, user: str,
                 ew_budget_ns: int, resume_token: str,
@@ -275,9 +302,7 @@ class SessionRegistry:
                           disconnected_at_ns=disconnected_at_ns)
         self._sessions[session_id] = session
         # Keep id allocation ahead of every restored session.
-        self._next = itertools.count(
-            max(session_id + 1,
-                max(self._sessions) + 1 if self._sessions else 1))
+        self._next = itertools.count(max(self._sessions) + 1)
         return session
 
     def get(self, session_id: int) -> Session:
@@ -296,10 +321,7 @@ class SessionRegistry:
         return session
 
     def by_entity(self, entity_id: int) -> Optional[Session]:
-        for session in self._sessions.values():
-            if session.entity_id == entity_id:
-                return session
-        return None
+        return self._sessions.get(entity_id - self.FIRST_ENTITY_ID)
 
     def lingering(self) -> List[Session]:
         return [s for s in self._sessions.values() if not s.bound]
@@ -309,3 +331,134 @@ class SessionRegistry:
 
     def __len__(self) -> int:
         return sum(1 for s in self._sessions.values() if s.bound)
+
+
+class SessionManager(SessionRegistry):
+    """The daemon's registry: sessions as TERP entities on one
+    library — bind, release, force-detach, journal, count."""
+
+    def __init__(self, *, lib: "PmoLibrary", metrics: ServiceMetrics,
+                 obs: "Observability", default_ew_budget_ns: int,
+                 token_seed: Optional[int] = None,
+                 max_sessions: Optional[int] = None) -> None:
+        super().__init__(default_ew_budget_ns=default_ew_budget_ns,
+                         token_seed=token_seed)
+        self.lib = lib
+        self.metrics = metrics
+        self.obs = obs
+        self.max_sessions = max_sessions
+        #: set by the daemon once the pool directory (and with it the
+        #: session journal) exists; ``None`` for an in-memory daemon.
+        self.journal: Optional["SessionJournal"] = None
+
+    # -- open / resume / close ---------------------------------------------
+
+    def session_bound(self, session: Session, *,
+                      resumed: bool) -> None:
+        """What only a daemon adds to ``hello``: a fresh session is
+        journaled for warm restart, and the session series move."""
+        if resumed:
+            self.metrics.series["sessions_resumed"].inc()
+        else:
+            self.record("session", session, self.lib.clock_ns,
+                        user=session.user, token=session.resume_token,
+                        budget_ns=session.ew_budget_ns)
+        self.metrics.series["sessions_opened"].inc()
+        self.update_gauge()
+
+    def close_session(self, session: Session, now_ns: int) -> None:
+        """Remove a session for good: journal the close, drop it."""
+        self.record("close", session, now_ns)
+        self.remove(session.session_id)
+        self.metrics.series["sessions_closed"].inc()
+        self.update_gauge()
+
+    def update_gauge(self) -> None:
+        self.metrics.series["sessions"].set(len(self))
+
+    # -- releasing holdings -------------------------------------------------
+
+    def release(self, session: Session, now_ns: int, *,
+                reason: str) -> int:
+        """Detach everything a departing session still holds.
+
+        A graceful departure (``goodbye``, shutdown) closes windows as
+        ordinary detaches; an involuntary one (connection lost, an
+        injected mid-request crash) closes them *forced*, with the
+        reason on the audit timeline — the invariant checker insists
+        every forced close is attributed.
+        """
+        forced = reason not in ("goodbye", "shutdown")
+        released = self.lib.runtime.release_entity(
+            session.entity_id, now_ns, forced=forced, reason=reason)
+        for pmo_id, _ in released:
+            try:
+                name = self.lib.manager.get(pmo_id).name
+            except PmoError:
+                name = str(pmo_id)
+            if forced:
+                # Mark the pair forced so a *resumed* session's stale
+                # detach is the defined silent no-op, and queue the
+                # forced-detach event for its next response.
+                session.note_forced_detach(pmo_id, name, now_ns, reason)
+            else:
+                session.note_detach(pmo_id)
+            self.record("detach", session, now_ns, pmo_id=pmo_id,
+                        pmo=name, forced=forced, reason=reason)
+            if reason == "connection lost":
+                self.metrics.series["disconnect_detaches"].inc()
+        session.attached_at.clear()
+        return len(released)
+
+    def force_detach(self, session: Session, pmo_id: int,
+                     now_ns: int) -> None:
+        """Detach one expired holding on the session's behalf."""
+        pmo = self.lib.manager.get(pmo_id)
+        try:
+            self.lib.runtime.detach(session.entity_id, pmo, now_ns,
+                                    forced=True,
+                                    reason="session EW budget elapsed")
+        except TerpError:
+            # The pair may already be gone (engine eviction raced us);
+            # enforcement is idempotent.
+            pass
+        self._forced(session, pmo_id, pmo.name, now_ns,
+                     "session EW budget elapsed")
+
+    def on_engine_forced_detach(self, pmo_id: Hashable,
+                                thread_ids: Tuple[int, ...]) -> None:
+        """Arch-engine callback: eviction/sweep closed open pairs."""
+        try:
+            name = self.lib.manager.get(pmo_id).name
+        except PmoError:
+            name = str(pmo_id)
+        now = self.lib.clock_ns
+        for thread_id in thread_ids:
+            if self.obs.enabled:
+                self.obs.audit.record_detach(
+                    thread_id, pmo_id, name, now, forced=True,
+                    reason="arch engine forced detach")
+            session = self.by_entity(thread_id)
+            if session is not None:
+                self._forced(session, pmo_id, name, now,
+                             "arch engine forced detach")
+
+    def _forced(self, session: Session, pmo_id: Any, name: str,
+                now_ns: int, reason: str) -> None:
+        """A window closed on the session's behalf: event, journal,
+        count."""
+        session.note_forced_detach(pmo_id, name, now_ns, reason)
+        self.record("detach", session, now_ns, pmo_id=pmo_id, pmo=name,
+                    forced=True, reason=reason)
+        self.metrics.series["forced_detaches"].inc()
+
+    # -- session journal ----------------------------------------------------
+
+    def record(self, rec: str, session: Session, at_ns: int,
+               **fields: Any) -> None:
+        """Append one ``rec`` record (``session`` / ``attach`` /
+        ``detach`` / ``close``) about ``session`` to the session
+        journal, when the daemon is durable."""
+        if self.journal is not None:
+            getattr(self.journal, f"record_{rec}")(
+                sid=session.session_id, at_ns=at_ns, **fields)

@@ -5,7 +5,7 @@ arch engine's own sweep closes expired delayed-detach windows and
 re-randomizes held PMOs, and the service layer force-detaches any PMO
 a session has held past its wall-clock budget.  :class:`Sweeper` owns
 the background task that drives both layers plus the linger purge for
-dropped sessions, against whatever :class:`~repro.service.registry
+dropped sessions, against whatever :class:`~repro.service.sessions
 .SessionManager` and :class:`~repro.pmo.api.PmoLibrary` it was
 composed with — the standalone daemon and every cluster shard run the
 identical sweeper; in a cluster each shard's sweeper owns exactly the
@@ -22,7 +22,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs.tracing import NULL_SPAN
 from repro.pmo.api import PmoLibrary
 from repro.service.metrics import ServiceMetrics
-from repro.service.registry import SessionManager
+from repro.service.sessions import SessionManager
 
 if TYPE_CHECKING:
     from repro.obs import Observability
@@ -63,7 +63,7 @@ class Sweeper:
         """
         t_wall = time.perf_counter_ns()
         tracer = self.tracer
-        registry = self.sessions.registry
+        sessions = self.sessions
         if self.faults is not None:
             rule = self.faults.fire("engine.sweep_stall")
             if rule is not None:
@@ -80,20 +80,20 @@ class Sweeper:
             now = self.lib.advance_to(self.now_ns())
             with (tracer.span("terpd.sweep") if tracer is not None
                   else NULL_SPAN) as span:
-                for session in registry:
+                for session in sessions:
                     for pmo_id in session.expired(now):
-                        self.sessions.force_detach(session, pmo_id, now)
+                        sessions.force_detach(session, pmo_id, now)
                         forced += 1
                 engine_closed = len(self.lib.runtime.sweep(now))
                 span.set("forced", forced)
                 span.set("engine_closed", engine_closed)
-            for session in registry.lingering():
+            for session in sessions.lingering():
                 # Dropped sessions hold no windows (teardown released
                 # them); after the linger grace their identity and
                 # replay cache go too.
                 if session.linger_expired(now, self.session_linger_ns):
-                    registry.remove(session.session_id)
-                    self.sessions.journal_close(session, now)
+                    sessions.remove(session.session_id)
+                    sessions.record("close", session, now)
             if self.obs.enabled and (forced or engine_closed):
                 self.obs.audit.record_sweep(
                     now, closed=forced + engine_closed,

@@ -1,8 +1,11 @@
-"""Cross-shard metric merging: counters add, buckets merge exactly."""
+"""Cross-shard metric merging: counters add, buckets merge exactly,
+and every leaf that is not an additive count merges by its declared
+rule."""
+
+import pytest
 
 from repro.cluster.aggregate import (
-    aggregate_metrics, label_prometheus, merge_histograms,
-    merge_latency_summaries, sum_tree)
+    aggregate_metrics, label_prometheus, merge_histograms, sum_tree)
 from repro.obs.registry import MetricsRegistry
 
 
@@ -52,18 +55,7 @@ class TestHistogramMerge:
 
     def test_empty_merge(self):
         assert merge_histograms([])["count"] == 0
-        assert merge_latency_summaries([])["count"] == 0
-
-    def test_summary_fallback_weights_by_count(self):
-        merged = merge_latency_summaries([
-            {"count": 9, "mean_us": 1.0, "p50_us": 1.0,
-             "p99_us": 2.0, "max_us": 2.0},
-            {"count": 1, "mean_us": 11.0, "p50_us": 11.0,
-             "p99_us": 11.0, "max_us": 11.0},
-        ])
-        assert merged["count"] == 10
-        assert abs(merged["mean_us"] - 2.0) < 1e-9
-        assert merged["max_us"] == 11.0
+        assert merge_histograms([None, {}])["count"] == 0
 
 
 def _report(shard, requests, hist_values):
@@ -111,19 +103,75 @@ class TestAggregateMetrics:
         assert abs(merged["audit"]["held_mean_ns"] - 200.0) < 1e-9
         assert merged["audit"]["held_max_ns"] == 500
 
-    def test_raw_less_shard_degrades_to_weighted_summaries(self):
+    def test_a_shard_without_buckets_contributes_nothing(self):
+        # --no-obs: the registry renders empty on every shard.
         a = _report(0, 5, [1_000])
         b = _report(1, 5, [9_000])
-        del b["registry"]            # a legacy shard: no buckets
-        b["global"]["request_latency"] = {
-            "count": 1, "mean_us": 9.0, "p50_us": 9.0,
-            "p99_us": 9.0, "max_us": 9.0}
-        a["global"]["request_latency"] = {
-            "count": 1, "mean_us": 1.0, "p50_us": 1.0,
-            "p99_us": 1.0, "max_us": 1.0}
+        b["registry"] = {"counters": {}, "gauges": {}, "histograms": {}}
         merged = aggregate_metrics([a, b], sessions=0)
-        assert merged["global"]["request_latency"]["count"] == 2
-        assert merged["global"]["request_latency"]["max_us"] == 9.0
+        assert merged["global"]["request_latency"]["count"] == 1
+        assert merged["global"]["sweep_latency"]["count"] == 0
+
+    @pytest.mark.parametrize("shards, expected", [
+        # (silent_percent, attach_calls, detach_calls) per shard
+        ([(60.0, 50, 50), (60.0, 50, 50)], 60.0),
+        ([(40.0, 150, 150), (80.0, 50, 50)], 50.0),
+        ([(75.0, 4, 4), (0.0, 0, 0)], 75.0),
+        ([(0.0, 0, 0), (0.0, 0, 0)], 0.0),
+    ])
+    def test_silent_percent_is_weighted_by_calls(self, shards, expected):
+        reports = []
+        for index, (percent, attaches, detaches) in enumerate(shards):
+            report = _report(index, 1, [])
+            report["runtime"] = {"attach_calls": attaches,
+                                 "detach_calls": detaches,
+                                 "silent_percent": percent}
+            reports.append(report)
+        runtime = aggregate_metrics(reports, sessions=0)["runtime"]
+        assert runtime["silent_percent"] == pytest.approx(expected)
+        assert runtime["attach_calls"] == sum(s[1] for s in shards)
+
+    def test_recovery_keeps_every_shards_lists_and_one_time_axis(self):
+        a = _report(0, 1, [])
+        b = _report(1, 1, [])
+        a["recovery"] = {
+            "epoch_wall_ns": 1_700_000_000_000_000_500,
+            "downtime_ns": 40_000_000, "pmos_loaded": 3,
+            "pmos_quarantined": [["rotten", "crc mismatch"]],
+            "pmos_denied": [], "forced_detaches": 2}
+        b["recovery"] = {
+            "epoch_wall_ns": 1_700_000_000_000_000_100,
+            "downtime_ns": 90_000_000, "pmos_loaded": 4,
+            "pmos_quarantined": [["torn", "bad header"]],
+            "pmos_denied": [["alien", "wrong magic"]],
+            "forced_detaches": 1}
+        recovery = aggregate_metrics([a, b], sessions=0)["recovery"]
+        assert recovery["pmos_quarantined"] == [
+            ["rotten", "crc mismatch"], ["torn", "bad header"]]
+        assert recovery["pmos_denied"] == [["alien", "wrong magic"]]
+        assert recovery["epoch_wall_ns"] == 1_700_000_000_000_000_100
+        assert recovery["downtime_ns"] == 90_000_000
+        assert recovery["pmos_loaded"] == 7
+        assert recovery["forced_detaches"] == 3
+
+    def test_only_one_shard_recovered(self):
+        a = _report(0, 1, [])
+        a["recovery"] = {"epoch_wall_ns": 5, "downtime_ns": 7,
+                         "pmos_quarantined": [], "pmos_denied": []}
+        merged = aggregate_metrics([a, _report(1, 1, [])], sessions=0)
+        assert merged["recovery"] == a["recovery"]
+        assert list(merged)[-2:] == ["cluster", "recovery"]
+
+    def test_per_pmo_entries_come_from_their_one_owner(self):
+        a = _report(0, 1, [])
+        b = _report(1, 1, [])
+        a["audit"]["per_pmo"] = {"left": {
+            "pmo": "left", "windows": 2, "held_max_ns": 150}}
+        b["audit"]["per_pmo"] = {"right": {
+            "pmo": "right", "windows": 2, "held_max_ns": 90}}
+        per_pmo = aggregate_metrics([a, b], sessions=0)["audit"]["per_pmo"]
+        assert per_pmo == {**a["audit"]["per_pmo"],
+                           **b["audit"]["per_pmo"]}
 
 
 class TestPrometheusLabels:

@@ -154,6 +154,36 @@ class TestObservabilityFanout:
                 assert merged["global"]["request_latency"][
                     "count"] > 0
 
+    def test_merged_silent_percent_is_weighted_not_summed(self, cluster):
+        # Two sessions overlapping on PMOs of both shards: the second
+        # attach of each pair is silent on whichever shard owns it.
+        with SyncTerpClient(port=cluster.front_port, user="a") as a, \
+                SyncTerpClient(port=cluster.front_port, user="b") as b:
+            pools = set()
+            for i in range(8):
+                name = f"overlap-{i}"
+                a.create(name, MIB, mode=0o666)
+                a.attach(name)
+                pools.add(a.pmalloc(name, 8).pool_id)
+                b.attach(name)
+                b.detach(name)
+                a.detach(name)
+            assert {(p - 1) % 2 for p in pools} == {0, 1}
+            merged = a.metrics()["runtime"]
+        shards = []
+        for port in cluster.shard_ports:
+            with SyncTerpClient(port=port) as direct:
+                shards.append(direct.call("metrics")["runtime"])
+        calls = [s["attach_calls"] + s["detach_calls"] for s in shards]
+        silent = sum(s["silent_percent"] * c / 100
+                     for s, c in zip(shards, calls))
+        assert all(s["silent_percent"] > 0 for s in shards)
+        assert merged["attach_calls"] + merged["detach_calls"] == \
+            sum(calls)
+        assert merged["silent_percent"] == pytest.approx(
+            100 * silent / sum(calls))
+        assert merged["silent_percent"] <= 100
+
     def test_prometheus_is_labelled_per_shard(self, client):
         text = client.prometheus()
         assert 'shard="0"' in text

@@ -51,18 +51,25 @@ def test_serving_entry_points_import_no_numpy_and_no_simulator():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("module, extra", [
-    ("repro.service", []),
-    ("repro.cluster", ["--shards", "1"]),
+@pytest.mark.parametrize("module, extra, hang_up", [
+    ("repro.service", [], False),
+    ("repro.cluster", ["--shards", "1"], False),
+    # Clients that hung up a moment ago: their handlers are still
+    # tearing down (closing upstreams, waiting out the socket close).
+    ("repro.service", [], True),
+    ("repro.cluster", ["--shards", "2"], True),
 ])
-def test_sigterm_with_a_client_connected_exits_quietly(module, extra):
-    """The connection's serve loop must end on its own when the
-    service stops; left to ``asyncio.run`` it is cancelled mid-read
-    and Python 3.11 prints a traceback from the stream callback."""
+def test_sigterm_with_a_client_connected_exits_quietly(module, extra,
+                                                       hang_up):
+    """Every connection's serve loop must end on its own when the
+    service stops — also one already in teardown, which must still be
+    found and waited for; left to ``asyncio.run`` it is cancelled and
+    Python 3.11 prints a traceback from the stream callback."""
     proc = subprocess.Popen(
         [sys.executable, "-m", module, "--port", "0", *extra],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=child_env())
+    clients = []
     try:
         port = None
         while port is None:
@@ -70,11 +77,18 @@ def test_sigterm_with_a_client_connected_exits_quietly(module, extra):
             assert line, proc.stderr.read()
             match = re.search(r"serving on tcp://[\d.]+:(\d+)", line)
             port = int(match.group(1)) if match else None
-        with SyncTerpClient(port=port) as client:
-            client.ping()
-            proc.send_signal(signal.SIGTERM)
-            _, stderr = proc.communicate(timeout=30)
+        for n in range(2):
+            clients.append(SyncTerpClient(port=port).connect())
+            for i in range(4):          # enough names to land everywhere
+                clients[n].create(f"quiet-{n}-{i}", MIB)
+        if hang_up:
+            for client in clients:
+                client.close()
+        proc.send_signal(signal.SIGTERM)
+        _, stderr = proc.communicate(timeout=30)
     finally:
+        for client in clients:
+            client.close()
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
@@ -91,7 +105,7 @@ def small_buffers_service():
     obs = Observability(trace_capacity=64, audit_capacity=64)
     service = TerpService(port=0, obs=obs, session_ew_ns=2_000_000_000,
                           sweep_period_ns=50_000_000)
-    service.metrics.request_latency.reservoir.capacity = 64
+    service.metrics.series["request_latency"].reservoir.capacity = 64
     service.lib.runtime.space.REGION_END = 4 * GIB
     thread = ServiceThread(service)
     yield thread.start()

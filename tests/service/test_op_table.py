@@ -20,7 +20,8 @@ from repro.service import ops, protocol, retry
 from repro.service.client import (
     RECV, SEND, ClientCore, RemoteError, SyncTerpClient, TerpClient)
 from repro.service.ops import FANOUT, NAME, OID, OPS, SESSION
-from repro.service.server import Conn, TerpService
+from repro.service.conn import Conn
+from repro.service.server import TerpService
 from tests.service.rawwire import RawWire
 
 TYPED = {op.method for op in OPS.values() if op.method is not None}
