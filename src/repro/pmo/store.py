@@ -95,6 +95,86 @@ def _page_crc(page: bytes) -> int:
     return zlib.crc32(page) & 0xFFFFFFFF
 
 
+def page_crcs(pages: List[Tuple[int, bytes]]) -> List[int]:
+    """One CRC32 per page of a batch, in batch order.  Computed once
+    per commit per side and handed to every consumer — the journal
+    writer, the home writer and the replication frame — never
+    recomputed by them."""
+    crc32 = zlib.crc32
+    return [crc32(page) & 0xFFFFFFFF for _, page in pages]
+
+
+def write_header(path: Path, header: bytes, *,
+                 fsync: bool = True) -> None:
+    """(Re)create a PMO's durable file as its bare header page."""
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.flush()
+        if fsync:
+            os.fsync(fh.fileno())
+
+
+def write_journal(path: Path, seq: int,
+                  pages: List[Tuple[int, bytes]], crcs: List[int], *,
+                  fsync: bool = True) -> None:
+    """Write (and fsync) one batch's sealed journal.  The one journal
+    writer: the store commits through it and the replication applier
+    mirrors through it, so both pool directories hold the same bytes
+    that :meth:`PmoStore.load_all` replays.
+
+    Single joined write: the blob is assembled in memory (headers
+    pre-packed per page) and hits the file in one syscall before the
+    one fsync."""
+    jrn_page = _JRN_PAGE.pack
+    parts = [_JRN_HEAD.pack(JOURNAL_MAGIC, seq, len(pages))]
+    for (index, page), crc in zip(pages, crcs):
+        parts.append(jrn_page(index, crc))
+        parts.append(page)
+    parts.append(_JRN_COMMIT.pack(JOURNAL_COMMIT, seq))
+    with open(path, "wb") as fh:
+        fh.write(b"".join(parts))
+        fh.flush()
+        if fsync:
+            os.fsync(fh.fileno())
+
+
+def write_home(path: Path, pages: List[Tuple[int, bytes]],
+               crcs: List[int], *, fsync: bool = True,
+               faults: Optional["FaultPlan"] = None
+               ) -> Tuple[List[int], List[int]]:
+    """Write (and fsync) a batch's page slots — the one home writer,
+    shared with the replication applier (which passes no fault plan).
+    Returns the (torn, rotted) page indices ``faults`` injected."""
+    torn: List[int] = []
+    rot: List[int] = []
+    trailer_pack = TRAILER.pack
+    with open(path, "r+b") as fh:
+        seek = fh.seek
+        write = fh.write
+        for (index, page), crc in zip(pages, crcs):
+            trailer = trailer_pack(crc, PAGE_MARKER)
+            seek(HEADER_SPAN + index * SLOT_SIZE)
+            if faults is not None and \
+                    faults.fire("store.torn_page") is not None:
+                # Torn mid-page: half the new bytes land, the
+                # trailer claims the full new CRC — exactly what a
+                # crash between the two media writes leaves.
+                write(page[:PAGE_SIZE // 2])
+                seek(HEADER_SPAN + index * SLOT_SIZE + PAGE_SIZE)
+                write(trailer)
+                torn.append(index)
+                continue
+            # Page + trailer as one slab write, not two.
+            write(page + trailer)
+            if faults is not None and \
+                    faults.fire("store.bit_rot") is not None:
+                rot.append(index)
+        fh.flush()
+        if fsync:
+            os.fsync(fh.fileno())
+    return torn, rot
+
+
 def _safe_filename(name: str) -> str:
     """A stable, collision-free filename for a PMO name."""
     safe = re.sub(r"[^A-Za-z0-9._-]", "_", name)[:64]
@@ -191,7 +271,8 @@ class GroupCommitter:
 
     Crash semantics are those of the underlying
     :meth:`PmoStore._commit_entry`: a ticket only retires after its
-    batch's journal *and* home slots are durable, so anything a
+    batch's journal *and* home slots are durable (and, replicated,
+    the standby acked its own committed journal), so anything a
     returned ``psync`` promised is recoverable; a crash mid-batch
     leaves either an unapplied journal or a committed journal that
     recovery replays.
@@ -274,25 +355,18 @@ class GroupCommitter:
             group[2].update(pages)
             group[3].append((ticket, len(pages)))
         for entry, seq, merged, tickets in groups.values():
-            pages = sorted(merged.items())
             try:
-                self._store._commit_entry(entry, seq, pages)
+                # Journal fsync, ship, home fsync, standby ack — all
+                # before the tickets retire, so a psync the client
+                # sees acked is home here *and* journaled on a
+                # connected standby: the zero-acknowledged-write-loss
+                # half of invariant I7.
+                self._store._commit_entry(entry, seq,
+                                          sorted(merged.items()))
             except BaseException as exc:
                 for ticket, _ in tickets:
                     ticket.fail(exc)
             else:
-                shipper = self._store.shipper
-                if shipper is not None:
-                    # Post-fsync ship hook: the batch is locally
-                    # durable; hand it to the replication shipper
-                    # *before* the tickets retire, so a psync the
-                    # client sees acked is also applied (and acked) by
-                    # a connected standby — the zero-acknowledged-
-                    # write-loss half of invariant I7.  The shipper
-                    # never raises: a dead or absent standby degrades
-                    # replication, never local durability.
-                    shipper.ship_commit(entry.pmo.name,
-                                        entry.pmo.pmo_id, seq, pages)
                 for ticket, count in tickets:
                     ticket.complete(count)
 
@@ -381,8 +455,8 @@ class PmoStore:
         #: only ``_io_lock``.
         self._io_lock = threading.Lock()
         #: optional :class:`repro.replication.shipper.JournalShipper`:
-        #: when set, every committed group-commit batch (and every
-        #: register/destroy) is handed to it post-fsync.
+        #: when set, every group-commit batch is handed to it at its
+        #: journal fsync (and every register/destroy as it happens).
         self.shipper: Optional[Any] = None
         self.committer = GroupCommitter(
             self, interval_us=commit_interval_us,
@@ -423,11 +497,9 @@ class PmoStore:
             self._entries[pmo.name] = entry
             self._scrub_order.append(pmo.name)
             if not entry.path.exists():
-                with self._io_lock, open(entry.path, "wb") as fh:
-                    fh.write(self._header_bytes(pmo))
-                    if self.fsync:
-                        fh.flush()
-                        os.fsync(fh.fileno())
+                with self._io_lock:
+                    write_header(entry.path, self._header_bytes(pmo),
+                                 fsync=self.fsync)
         # Shipper hook OUTSIDE ``_lock``: the shipper's reconnect
         # bootstrap holds its send lock while reading
         # ``committed_state()`` (which takes ``_lock``), so calling
@@ -504,15 +576,31 @@ class PmoStore:
 
     def _commit_entry(self, entry: _StoreEntry, seq: int,
                       pages: List[Tuple[int, bytes]]) -> None:
-        """Make one PMO's page batch durable: journal-before-home.
+        """Make one PMO's page batch durable — and, with a shipper,
+        replicated — journal-before-home, shipped at the journal fsync.
 
-        Double-write protocol, unchanged from the per-psync era:
-        journal first (fsync), then home slots (fsync), then retire
-        the journal.  A crash between the two fsyncs leaves a complete
-        journal from which every home page is repairable.  Holds only
-        the I/O lock — the metadata lock stays free for snapshots.
+        The double-write protocol split at its durability point:
+
+        1. under the I/O lock: apply any pending journal, write and
+           fsync this batch's journal, ``committed_seq = seq``.  From
+           here a crash recovers the batch (:meth:`load_all` replays a
+           committed journal; :meth:`committed_state` overlays it);
+        2. holding no store lock: the shipper's send half, so the
+           standby journals the batch *while* step 3 runs (lock order
+           stays send lock before store locks; a bootstrap racing this
+           gap snapshots a state that already contains the batch);
+        3. under the I/O lock: home slots, fsync, retire the journal;
+        4. park on the standby's ack.
+
+        Returning means both: the home slots are fsynced here *and*
+        the standby acked a committed journal (or shipping degraded).
+        Without a shipper steps 1 and 3 run back to back.  Never holds
+        the metadata lock — it stays free for snapshots.
         """
+        name = entry.pmo.name
+        crcs = page_crcs(pages)
         with self._io_lock:
+            self._check_registered(entry)
             pending = self._journal_pages(entry.journal_path)
             if pending:
                 # A journal survives a flush only when a home write was
@@ -520,9 +608,21 @@ class PmoStore:
                 # it, or the torn page would lose its repair source.
                 self._apply_pages(entry.path, pending)
                 entry.journal_path.unlink(missing_ok=True)
-            self._write_journal(entry, seq, pages)
-            torn_pages, rot_pages = self._write_home(entry, pages)
+            write_journal(entry.journal_path, seq, pages, crcs,
+                          fsync=self.fsync)
             entry.committed_seq = seq
+        shipper = self.shipper
+        # The shipper never raises: a dead or absent standby degrades
+        # replication (None: nothing to wait for), never durability.
+        shipped = None if shipper is None else shipper.send_commit(
+            name, entry.pmo.pmo_id, seq, pages, crcs)
+        with self._io_lock:
+            # A PMO_destroy that won the gap has unlinked (or is about
+            # to unlink) both files: fail the batch, resurrect nothing.
+            self._check_registered(entry)
+            torn_pages, rot_pages = write_home(
+                entry.path, pages, crcs, fsync=self.fsync,
+                faults=self.faults)
             if not torn_pages:
                 # The batch is fully home: retire the journal.  A torn
                 # write (injected or real) keeps it — that journal is
@@ -530,6 +630,16 @@ class PmoStore:
                 entry.journal_path.unlink(missing_ok=True)
             if rot_pages:
                 self._inject_bit_rot(entry, rot_pages)
+        if shipped is not None:
+            shipper.await_commit(name, shipped)
+
+    def _check_registered(self, entry: _StoreEntry) -> None:
+        """Under the I/O lock: ``destroy`` unregisters *before* it
+        takes that lock to unlink, so an entry still registered here
+        keeps its files at least until the lock is released."""
+        if self._entries.get(entry.pmo.name) is not entry:
+            raise PmoError(f"PMO {entry.pmo.name!r} was destroyed "
+                           "before its commit reached media")
 
     def flush(self, pmo: "Pmo") -> int:
         """Persist the PMO's dirty pages; returns pages flushed.
@@ -556,60 +666,6 @@ class PmoStore:
         if snap is None:
             return None
         return self.committer.submit(*snap)
-
-    def _write_journal(self, entry: _StoreEntry, seq: int,
-                       pages: List[Tuple[int, bytes]]) -> None:
-        # Single joined write: the journal blob is assembled in memory
-        # (headers pre-packed per page) and hits the file in one
-        # syscall before the one fsync.
-        crc32 = zlib.crc32
-        jrn_page = _JRN_PAGE.pack
-        parts = [_JRN_HEAD.pack(JOURNAL_MAGIC, seq, len(pages))]
-        for index, page in pages:
-            parts.append(jrn_page(index, crc32(page) & 0xFFFFFFFF))
-            parts.append(page)
-        parts.append(_JRN_COMMIT.pack(JOURNAL_COMMIT, seq))
-        with open(entry.journal_path, "wb") as fh:
-            fh.write(b"".join(parts))
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-
-    def _write_home(self, entry: _StoreEntry,
-                    pages: List[Tuple[int, bytes]]
-                    ) -> Tuple[List[int], List[int]]:
-        """Write page slots; returns (torn, rotted) injected indices."""
-        torn: List[int] = []
-        rot: List[int] = []
-        faults = self.faults
-        crc32 = zlib.crc32
-        trailer_pack = TRAILER.pack
-        with open(entry.path, "r+b") as fh:
-            seek = fh.seek
-            write = fh.write
-            for index, page in pages:
-                trailer = trailer_pack(crc32(page) & 0xFFFFFFFF,
-                                       PAGE_MARKER)
-                seek(HEADER_SPAN + index * SLOT_SIZE)
-                if faults is not None and \
-                        faults.fire("store.torn_page") is not None:
-                    # Torn mid-page: half the new bytes land, the
-                    # trailer claims the full new CRC — exactly what a
-                    # crash between the two media writes leaves.
-                    write(page[:PAGE_SIZE // 2])
-                    seek(HEADER_SPAN + index * SLOT_SIZE + PAGE_SIZE)
-                    write(trailer)
-                    torn.append(index)
-                    continue
-                # Page + trailer as one slab write, not two.
-                write(page + trailer)
-                if faults is not None and \
-                        faults.fire("store.bit_rot") is not None:
-                    rot.append(index)
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-        return torn, rot
 
     def _apply_pages(self, path: Path,
                      pages: Dict[int, bytes]) -> None:

@@ -1,14 +1,15 @@
 """The standby's half of journal shipping: apply, ack, promote.
 
 :class:`JournalApplier` continuously replays shipped frames into its
-own pool directory using the durable store's *exact* file formats
-(header page, CRC-trailed page slots, journal-before-home batches) —
-imported from :mod:`repro.pmo.store`, never re-derived — so the
-standby's directory is at all times a valid pool that
+own pool directory through the durable store's own journal and home
+writers — called, never re-derived — so the standby's directory is at
+all times a valid pool that
 :meth:`~repro.pmo.store.PmoStore.load_all` can recover.  A batch is
-acked only after both of its fsyncs, which is the standby's half of
-invariant I7: an ack the primary's semi-sync commit waited for means
-the acknowledged write exists in two pool directories.
+acked once its journal is committed and fsynced (the point recovery
+replays from, and the point the primary ships at); its home slots are
+written after the ack, under the same lock.  That is the standby's
+half of invariant I7: an ack the primary's semi-sync commit waited for
+means the acknowledged write is recoverable from two pool directories.
 
 Per PMO the applier enforces the shipped chain: batch ``(prev, seq]``
 must extend the last applied seq exactly (``prev == -1`` resets the
@@ -17,9 +18,10 @@ and the primary's reconnect bootstraps from scratch: gaps heal by
 snapshot, never by guessing.
 
 :class:`StandbyDaemon` wraps the applier in a listening socket plus a
-``promote`` control path.  Promotion is deliberately thin: it
-constructs a :class:`~repro.service.server.TerpService` over the
-standby's pool directory on the primary's port — and
+``promote`` control path.  Promotion is deliberately thin: it closes
+the applier (waiting out an apply in flight) and constructs a
+:class:`~repro.service.server.TerpService` over the standby's pool
+directory on the primary's port — and
 :class:`~repro.service.recovery.RecoveryManager` runs **verbatim** in
 the service constructor, exactly as a warm restart would: pool rescan,
 epoch adoption from the mirrored session journal (the exposure clock
@@ -35,14 +37,15 @@ import os
 import socket
 import threading
 import zlib
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import TerpError
 from repro.core.units import PAGE_SIZE
 from repro.pmo.store import (
-    HEADER_SPAN, JOURNAL_COMMIT, JOURNAL_MAGIC, PAGE_MARKER, SLOT_SIZE,
-    TRAILER, _JRN_COMMIT, _JRN_HEAD, _JRN_PAGE, _safe_filename)
+    HEADER_SPAN, _safe_filename, write_header, write_home,
+    write_journal)
 from repro.replication.wire import (
     REPL_PROTOCOL_VERSION, ReplicationWireError, recv_msg, send_msg)
 from repro.service.recovery import SessionJournal
@@ -64,6 +67,7 @@ class JournalApplier:
         self.root.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self._lock = threading.Lock()
+        self._closed = False
         self._journal = SessionJournal(self.root)
         #: last applied flush_seq per PMO — the chain heads.
         self.applied: Dict[str, int] = {}
@@ -79,7 +83,23 @@ class JournalApplier:
         return self.root / f"{_safe_filename(name)}.journal"
 
     def close(self) -> None:
-        self._journal.close()
+        """Stop applying, for good: at shutdown, and at promotion —
+        recovery is about to rescan this directory and must be its
+        only writer.  Taking the lock waits out an apply in flight;
+        every later apply raises — so it never acks — and its link
+        drops."""
+        with self._lock:
+            self._closed = True
+            self._journal.close()
+
+    @contextmanager
+    def _applying(self) -> Iterator[None]:
+        """The applier lock, refused once closed."""
+        with self._lock:
+            if self._closed:
+                raise ReplicationChainError(
+                    "the applier is closed: its chain has ended")
+            yield
 
     # -- frame application -------------------------------------------------
 
@@ -97,46 +117,55 @@ class JournalApplier:
             raise ReplicationWireError(
                 f"shipped header is {len(header)} bytes, "
                 f"expected {HEADER_SPAN}")
-        with self._lock:
-            with open(self.path_for(name), "wb") as fh:
-                fh.write(header)
-                fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
+        with self._applying():
+            write_header(self.path_for(name), header, fsync=self.fsync)
             self.journal_path_for(name).unlink(missing_ok=True)
             self.applied[name] = 0
 
     def apply_batch(self, name: str, seq: int, prev: int,
-                    meta: List[List[int]], payload: bytes) -> None:
+                    meta: List[List[int]], payload: bytes,
+                    acked: Optional[Callable[[], None]] = None) -> None:
         """Apply one committed batch journal-before-home and record
-        its seq as the PMO's new chain head.  Raises (never acks) on a
-        chain break, a CRC mismatch, or a malformed payload."""
-        pages = self._check_batch(name, seq, prev, meta, payload)
-        with self._lock:
-            self._verify_chain(name, seq, prev)
-            path = self.path_for(name)
-            if not path.exists():
+        its seq as the PMO's new chain head; ``acked`` is called in
+        between, at the durability point.  Raises (never acks) on a
+        chain break, a CRC mismatch, a malformed payload, or a closed
+        applier."""
+        pages, crcs = self._check_batch(name, seq, prev, meta, payload)
+        with self._applying():
+            # ``prev == -1`` (a bootstrap snapshot) resets the chain;
+            # a chain with no head has had no header applied.
+            last = self.applied.get(name)
+            if last is None or prev not in (-1, last):
                 self.chain_errors += 1
                 raise ReplicationChainError(
-                    f"batch for {name!r} before its header")
+                    f"gap in shipped stream for {name!r}: batch covers "
+                    f"({prev}, {seq}] but last applied seq is {last}")
             # The same double-write discipline as the primary: a
             # standby crash mid-apply leaves either an unapplied
             # journal or a committed one recovery replays.
-            self._write_journal(name, seq, pages)
-            self._write_home(path, pages)
-            self.journal_path_for(name).unlink(missing_ok=True)
+            journal = self.journal_path_for(name)
+            write_journal(journal, seq, pages, crcs, fsync=self.fsync)
             self.applied[name] = seq
             self.batches_applied += 1
             self.pages_applied += len(pages)
+            try:
+                if acked is not None:
+                    acked()
+            finally:
+                # Still under the lock: a promotion (``close``) waits
+                # for the home write instead of racing it.
+                write_home(self.path_for(name), pages, crcs,
+                           fsync=self.fsync)
+                journal.unlink(missing_ok=True)
 
     def apply_journal(self, record: Dict[str, Any]) -> None:
         """Append one mirrored session-journal record."""
-        with self._lock:
+        with self._applying():
             self._journal._append(record)
             self.journal_records += 1
 
     def apply_destroy(self, name: str) -> None:
-        with self._lock:
+        with self._applying():
             self.path_for(name).unlink(missing_ok=True)
             self.journal_path_for(name).unlink(missing_ok=True)
             self.applied.pop(name, None)
@@ -150,19 +179,17 @@ class JournalApplier:
         full immediately after."""
         live = {str(name) for name in names}
         keep = {_safe_filename(name) for name in live}
-        with self._lock:
-            for path in self.root.glob("*.pmo"):
-                if path.stem not in keep:
-                    path.unlink(missing_ok=True)
-            for path in self.root.glob("*.journal"):
-                if path != self._journal.path \
-                        and path.stem not in keep:
-                    path.unlink(missing_ok=True)
+        with self._applying():
+            # ``sessions.journal`` goes too: no safe filename lacks
+            # its digest suffix, so ``keep`` never holds its stem.
+            self._journal.close()
+            for pattern in ("*.pmo", "*.journal"):
+                for path in self.root.glob(pattern):
+                    if path.stem not in keep:
+                        path.unlink(missing_ok=True)
             for name in list(self.applied):
                 if name not in live:
                     del self.applied[name]
-            self._journal.close()
-            self._journal.path.unlink(missing_ok=True)
 
     def status(self) -> Dict[str, Any]:
         with self._lock:
@@ -177,19 +204,11 @@ class JournalApplier:
 
     # -- internals ---------------------------------------------------------
 
-    def _verify_chain(self, name: str, seq: int, prev: int) -> None:
-        if prev == -1:
-            return                   # bootstrap snapshot: chain reset
-        last = self.applied.get(name)
-        if last != prev:
-            self.chain_errors += 1
-            raise ReplicationChainError(
-                f"gap in shipped stream for {name!r}: batch covers "
-                f"({prev}, {seq}] but last applied seq is {last}")
-
     def _check_batch(self, name: str, seq: int, prev: int,
                      meta: List[List[int]], payload: bytes
-                     ) -> List[Tuple[int, bytes]]:
+                     ) -> Tuple[List[Tuple[int, bytes]], List[int]]:
+        """The batch's pages and CRCs, each page checked against the
+        CRC it shipped with (the writers then store that one)."""
         if prev != -1 and seq <= prev:
             raise ReplicationWireError(
                 f"non-monotone batch for {name!r}: seq {seq} <= "
@@ -199,6 +218,7 @@ class JournalApplier:
                 f"batch payload is {len(payload)} bytes for "
                 f"{len(meta)} page(s)")
         pages: List[Tuple[int, bytes]] = []
+        crcs: List[int] = []
         view = memoryview(payload)
         for slot, entry in enumerate(meta):
             index, crc = int(entry[0]), int(entry[1])
@@ -207,32 +227,8 @@ class JournalApplier:
                 raise ReplicationWireError(
                     f"shipped page {index} of {name!r} failed CRC")
             pages.append((index, page))
-        return pages
-
-    def _write_journal(self, name: str, seq: int,
-                       pages: List[Tuple[int, bytes]]) -> None:
-        parts = [_JRN_HEAD.pack(JOURNAL_MAGIC, seq, len(pages))]
-        for index, page in pages:
-            parts.append(_JRN_PAGE.pack(index,
-                                        zlib.crc32(page) & 0xFFFFFFFF))
-            parts.append(page)
-        parts.append(_JRN_COMMIT.pack(JOURNAL_COMMIT, seq))
-        with open(self.journal_path_for(name), "wb") as fh:
-            fh.write(b"".join(parts))
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-
-    def _write_home(self, path: Path,
-                    pages: List[Tuple[int, bytes]]) -> None:
-        with open(path, "r+b") as fh:
-            for index, page in pages:
-                fh.seek(HEADER_SPAN + index * SLOT_SIZE)
-                fh.write(page + TRAILER.pack(
-                    zlib.crc32(page) & 0xFFFFFFFF, PAGE_MARKER))
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
+            crcs.append(crc)
+        return pages, crcs
 
 
 class StandbyDaemon:
@@ -256,8 +252,9 @@ class StandbyDaemon:
         self.applier = JournalApplier(self.pool_dir)
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: List[threading.Thread] = []
-        self._conns: List[socket.socket] = []
+        #: live connections and the thread serving each; a serve
+        #: thread deregisters its own on exit.
+        self._conns: Dict[socket.socket, threading.Thread] = {}
         self._stop = threading.Event()
         self._promote_lock = threading.Lock()
         self.promoted = False
@@ -287,32 +284,22 @@ class StandbyDaemon:
         if self._listener is not None:
             # shutdown() wakes a thread parked in accept(); close()
             # alone can leave it blocked until the join timeout.
-            try:
+            with suppress(OSError):
                 self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
+            with suppress(OSError):
                 self._listener.close()
-            except OSError:
-                pass
             self._listener = None
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
             self._accept_thread = None
-        for conn in self._conns:
-            # shutdown() unblocks serve threads parked in recv().
-            try:
+        serving = list(self._conns.items())
+        for conn, _ in serving:
+            # shutdown() unblocks a serve thread parked in recv(); it
+            # closes and deregisters its own connection on the way out.
+            with suppress(OSError):
                 conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._conns.clear()
-        for thread in self._conn_threads:
+        for _, thread in serving:
             thread.join(timeout=2.0)
-        self._conn_threads.clear()
         self.applier.close()
         if self.service_thread is not None:
             self.service_thread.stop()
@@ -333,12 +320,13 @@ class StandbyDaemon:
             if self.promoted:
                 return self.service_thread.service.bound_port
             from repro.service.server import ServiceThread, TerpService
-            kwargs = dict(self.service_kwargs)
-            kwargs.update(overrides or {})
-            kwargs["port"] = port
-            kwargs["pool_dir"] = self.pool_dir
-            # Applies stop before recovery scans the pool: the
-            # promoted service is the directory's only writer.
+            kwargs = {**self.service_kwargs, **(overrides or {}),
+                      "port": port, "pool_dir": self.pool_dir}
+            # Applies stop before recovery scans the pool — waiting
+            # out the one in flight, whose home write would otherwise
+            # land under recovery's feet: the promoted service is the
+            # directory's only writer.
+            self.applier.close()
             self.promoted = True
             thread = ServiceThread(TerpService(**kwargs))
             service = thread.start()
@@ -357,12 +345,11 @@ class StandbyDaemon:
                 conn, _ = self._listener.accept()
             except OSError:
                 return
-            self._conns.append(conn)
             thread = threading.Thread(
                 target=self._serve, args=(conn,),
                 name="terp-standby-conn", daemon=True)
+            self._conns[conn] = thread
             thread.start()
-            self._conn_threads.append(thread)
 
     def _serve(self, conn: socket.socket) -> None:
         try:
@@ -378,60 +365,48 @@ class StandbyDaemon:
             # Drop the link; the primary reconnects and bootstraps.
             return
         finally:
-            try:
+            self._conns.pop(conn, None)
+            with suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
 
     def _dispatch(self, conn: socket.socket, header: Dict[str, Any],
                   payload: bytes) -> bool:
         """Handle one frame; False ends the connection."""
         kind = header.get("t")
         if kind == "hello":
-            if int(header.get("version", 0)) != REPL_PROTOCOL_VERSION:
-                send_msg(conn, {"t": "hello-ack", "ok": False,
-                                "version": REPL_PROTOCOL_VERSION})
-                return False
-            send_msg(conn, {"t": "hello-ack", "ok": True,
+            ok = int(header.get("version", 0)) == REPL_PROTOCOL_VERSION
+            send_msg(conn, {"t": "hello-ack", "ok": ok,
                             "version": REPL_PROTOCOL_VERSION})
-            return True
+            return ok
         if kind == "promote":
             port = self.promote(int(header.get("port", 0)),
                                 header.get("service") or None)
             send_msg(conn, {"t": "promoted", "port": port})
-            return True
-        if kind == "status":
+        elif kind == "status":
             send_msg(conn, {"t": "status-ack",
                             "promoted": self.promoted,
                             **self.applier.status()})
-            return True
-        if self.promoted:
-            # The promoted service owns the pool directory now; any
-            # straggling primary must not write under it.
-            return False
-        if kind == "reset":
+        # The rest are apply frames.  Once promoted the service owns
+        # the pool directory: the closed applier raises on each, which
+        # drops a straggling primary's link.
+        elif kind == "reset":
             pmos = header.get("pmos")
             self.applier.apply_reset(
-                [str(p) for p in pmos] if isinstance(pmos, list)
-                else [])
-            return True
-        if kind == "header":
+                pmos if isinstance(pmos, list) else [])
+        elif kind == "header":
             self.applier.apply_header(str(header["pmo"]), payload)
-            return True
-        if kind == "batch":
+        elif kind == "batch":
             name = str(header["pmo"])
             seq = int(header["seq"])
             self.applier.apply_batch(
                 name, seq, int(header.get("prev", -1)),
-                header.get("pages", []), payload)
-            send_msg(conn, {"t": "ack", "pmo": name, "seq": seq})
-            return True
-        if kind == "journal":
+                header.get("pages", []), payload,
+                acked=lambda: send_msg(
+                    conn, {"t": "ack", "pmo": name, "seq": seq}))
+        elif kind == "journal":
             record = header.get("line")
             if isinstance(record, dict):
                 self.applier.apply_journal(record)
-            return True
-        if kind == "destroy":
+        elif kind == "destroy":
             self.applier.apply_destroy(str(header["pmo"]))
-            return True
         return True                  # unknown frames are ignored

@@ -1,12 +1,26 @@
 """The primary's half of journal shipping: :class:`JournalShipper`.
 
-The :class:`~repro.pmo.store.GroupCommitter` hands every committed
-batch here *after* its fsyncs and *before* its tickets retire.  While
-a standby is connected the shipper is **semi-synchronous**: the batch
-is streamed and the commit parks until the standby acks it fsynced —
-so a ``psync`` the client saw succeed is durable in *two* pool
-directories, which is the zero-acknowledged-write-loss guarantee
-(invariant I7) the failover chaos leg checks.
+The store's commit (:meth:`~repro.pmo.store.PmoStore._commit_entry`)
+calls here in two halves around its home-slot write:
+:meth:`~JournalShipper.send_commit` *at* the batch's journal fsync —
+the point from which a crash recovers it — and
+:meth:`~JournalShipper.await_commit` after the home fsync, *before*
+the batch's tickets retire.  While a standby is connected the shipper
+is **semi-synchronous**: the commit parks until the standby acks the
+batch journaled and fsynced — so a ``psync`` the client saw succeed is
+recoverable from *two* pool directories, which is the
+zero-acknowledged-write-loss guarantee (invariant I7) the failover
+chaos leg checks — and the standby works during the primary's home
+fsync, not after it.
+
+Session-journal records are mirrored fire-and-forget with
+``MSG_MORE``: they wait in the *kernel's* send queue and leave in the
+same segment as the next batch (or after the kernel's 200 ms cork
+timer on an idle link).  The kernel still sends that queue when the
+process dies, so a mirrored record is at most one batch or 200 ms
+behind and is lost only with the host — or with a process killed while
+a standby ack sat unread in its receive queue, when the kernel resets
+the link instead of draining it.
 
 Availability beats replication: a standby that is absent, dead, or
 too slow degrades the shipper (batches counted ``dropped``, commits
@@ -35,6 +49,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from repro.pmo.store import page_crcs
 from repro.replication.wire import (
     REPL_PROTOCOL_VERSION, ReplicationWireError, recv_msg, send_msg)
 
@@ -48,6 +63,9 @@ __all__ = ["JournalShipper"]
 #: How long a semi-sync commit waits for the standby's ack before
 #: degrading (the commit itself is already locally durable).
 DEFAULT_ACK_TIMEOUT_S = 5.0
+#: Cork a frame behind the next uncorked send (0 where unsupported:
+#: the frame then leaves at once, as every other frame does).
+MSG_MORE = getattr(socket, "MSG_MORE", 0)
 #: Background dialer retry period while the standby is unreachable.
 DEFAULT_RECONNECT_S = 0.2
 
@@ -150,8 +168,20 @@ class JournalShipper:
 
     def ship_commit(self, name: str, pmo_id: int, seq: int,
                     pages: List[Tuple[int, bytes]]) -> None:
-        """Ship one committed batch; parks for the standby's ack in
-        sync mode.  Never raises — every failure path degrades."""
+        """Ship one committed batch and park for the standby's ack:
+        both halves back to back.  Never raises."""
+        target = self.send_commit(name, pmo_id, seq, pages,
+                                  page_crcs(pages))
+        if target is not None:
+            self.await_commit(name, target)
+
+    def send_commit(self, name: str, pmo_id: int, seq: int,
+                    pages: List[Tuple[int, bytes]],
+                    crcs: List[int]) -> Optional[int]:
+        """The send half, called at the batch's journal fsync with no
+        store lock held.  Returns the seq whose ack covers the batch
+        (hand it to :meth:`await_commit`), or None when shipping
+        degraded (counted ``dropped``).  Never raises."""
         if self._faults is not None:
             rule = self._faults.fire("repl.ship_stall")
             if rule is not None and rule.delay_ns > 0:
@@ -159,31 +189,42 @@ class JournalShipper:
         with self._send_lock:
             if not self.connected:
                 self._note_drop()
-                return
+                return None
             prev = self._prev.get(name)
             try:
                 if prev is None:
                     # First sight of this PMO on a live link (its
                     # header ship raced the connect): bootstrap it —
-                    # the snapshot includes this very batch's pages,
-                    # which are already on media.
+                    # the snapshot includes this very batch's pages
+                    # and seq, which its committed journal holds.
                     target = self._bootstrap_pmo(name)
                     if target is None:
                         self._note_drop()
-                        return
-                elif seq <= prev:
+                    return target
+                if seq <= prev:
                     # Already covered by a bootstrap snapshot that
-                    # read the pool file after this batch's fsync.
-                    target = prev
-                else:
-                    self._send_batch(name, pmo_id, seq, prev, pages)
-                    self._prev[name] = seq
-                    target = seq
+                    # read the pool after this batch's journal fsync.
+                    return prev
+                self._send_batch(name, pmo_id, seq, prev, pages, crcs)
+                self._prev[name] = seq
+                return seq
             except (OSError, ReplicationWireError) as exc:
                 self._drop_connection(f"ship: {exc}")
                 self._note_drop()
-                return
-        if self.sync and not self._await_ack(name, target):
+                return None
+
+    def await_commit(self, name: str, seq: int) -> None:
+        """The wait half, called after the batch's home fsync: park
+        until the standby has acked ``seq`` (sync mode), degrading on
+        a timeout or a dropped link.  Never raises."""
+        if not self.sync:
+            return
+        start = time.perf_counter_ns()
+        acked = self._await_ack(name, seq)
+        if self._metrics is not None:
+            self._metrics.series["repl_ack_wait"].observe(
+                time.perf_counter_ns() - start)
+        if not acked:
             self._note_drop()
 
     def ship_header(self, name: str, header: bytes) -> None:
@@ -218,12 +259,15 @@ class JournalShipper:
 
     def ship_journal(self, record: Dict[str, Any]) -> None:
         """Mirror one session-journal record (fire-and-forget: data
-        durability is I7's contract; session identity rides along)."""
+        durability is I7's contract; session identity rides along —
+        corked in the kernel's send queue until the next batch, the
+        200 ms cork timer, or the socket's close)."""
         with self._send_lock:
             if not self.connected:
                 return
             try:
-                send_msg(self._sock, {"t": "journal", "line": record})
+                send_msg(self._sock, {"t": "journal", "line": record},
+                         flags=MSG_MORE)
             except (OSError, ReplicationWireError) as exc:
                 self._drop_connection(f"journal: {exc}")
 
@@ -347,7 +391,7 @@ class JournalShipper:
             return None
         try:
             send_msg(self._sock, {"t": "header", "pmo": name}, header)
-            self._send_batch(name, 0, seq, -1, pages)
+            self._send_batch(name, 0, seq, -1, pages, page_crcs(pages))
         except (OSError, ReplicationWireError):
             if raise_errors:
                 raise
@@ -359,10 +403,9 @@ class JournalShipper:
     # -- internals ---------------------------------------------------------
 
     def _send_batch(self, name: str, pmo_id: int, seq: int, prev: int,
-                    pages: List[Tuple[int, bytes]]) -> None:
-        import zlib
-        meta = [[index, zlib.crc32(page) & 0xFFFFFFFF]
-                for index, page in pages]
+                    pages: List[Tuple[int, bytes]],
+                    crcs: List[int]) -> None:
+        meta = [[index, crc] for (index, _), crc in zip(pages, crcs)]
         payload = b"".join(page for _, page in pages)
         with self._ack_cond:
             self._inflight[(name, seq)] = time.perf_counter_ns()

@@ -35,10 +35,13 @@ client protocol's sidecar makes for reads and writes).  Message types:
 ``journal``
     one session-journal record, mirrored verbatim so a promoted
     standby recovers sessions/epoch exactly as a warm restart would.
+    Sent corked (``MSG_MORE``): it leaves with the next ``batch``.
 ``destroy``
     a PMO's durable files were destroyed on the primary.
 ``ack``
-    standby → primary: the named batch is fsynced on the standby.
+    standby → primary: the named batch's journal is committed and
+    fsynced on the standby — recovery there replays it — sent before
+    the standby writes the batch's home slots.
 ``promote`` / ``promoted``
     control: turn the standby into a live terpd on the given port.
 ``status`` / ``status-ack``
@@ -73,8 +76,9 @@ class ReplicationWireError(TerpError):
 
 
 def send_msg(sock: socket.socket, header: Dict[str, Any],
-             payload: bytes = b"") -> None:
-    """Send one frame (blocking, complete)."""
+             payload: bytes = b"", *, flags: int = 0) -> None:
+    """Send one frame (blocking, complete); ``flags`` are the
+    ``send(2)`` flags."""
     head = json.dumps(header, separators=(",", ":")).encode("utf-8")
     total = _LEN.size + len(head) + len(payload)
     if total > MAX_FRAME_BYTES:
@@ -82,7 +86,7 @@ def send_msg(sock: socket.socket, header: Dict[str, Any],
             f"replication frame of {total} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte bound")
     sock.sendall(_LEN.pack(total) + _LEN.pack(len(head)) + head
-                 + payload)
+                 + payload, flags)
 
 
 def _recv_exactly(sock: socket.socket, n: int) -> Optional[bytes]:

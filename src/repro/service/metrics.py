@@ -211,6 +211,12 @@ SERIES: Dict[str, Series] = {row.key: row for row in (
     Series("repl_ack_latency", "terpd_repl_ack_latency_ns", HISTOGRAM,
            "ship-to-ack round trip", in_global=False,
            reservoir=(4096, 13)),
+    # What of that round trip the commit did not hide behind its own
+    # home fsync: far below the round trip when the overlap works.
+    Series("repl_ack_wait", "terpd_repl_ack_wait_ns", HISTOGRAM,
+           "time a commit parked on the standby ack after its own "
+           "home fsync", in_global=False, merge=BUCKETS,
+           reservoir=(4096, 17)),
     Series("sessions", "terpd_sessions", GAUGE,
            "currently bound sessions", in_global=False),
 )}

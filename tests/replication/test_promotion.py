@@ -1,9 +1,9 @@
 """Promotion: the standby becomes a live terpd, losslessly.
 
 The semi-sync contract makes these tests deterministic: a psync the
-client saw acked is fsynced in the standby's pool before the ack, so
-a kill at *any* later moment leaves the promoted daemon serving that
-value — the zero-acknowledged-write-loss invariant (I7) at unit
+client saw acked is a committed, fsynced journal in the standby's pool
+before the ack, so a kill at *any* later moment leaves the promoted
+daemon serving that value — the zero-acknowledged-write-loss invariant (I7) at unit
 scale.  Promotion reuses the warm-restart RecoveryManager verbatim,
 so the promoted daemon restores sessions, adopts the exposure epoch,
 and force-detaches the windows that straddled the outage with the

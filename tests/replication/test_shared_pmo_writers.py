@@ -18,6 +18,7 @@ from repro.faults.plan import FaultPlan, FaultRule
 from repro.replication import StandbyDaemon
 from repro.service.client import SyncTerpClient
 from repro.service.server import ServiceThread, TerpService
+from tests.replication.conftest import settled
 
 ROUNDS = 4
 
@@ -76,6 +77,7 @@ def test_overlapping_psyncs_of_one_pmo_all_reach_the_standby(tmp_path):
         alice.close()
         bob.close()
     try:
+        settled(standby)             # the last acked batch is home
         primary_file, = (tmp_path / "primary").glob("*.pmo")
         standby_file = tmp_path / "standby" / primary_file.name
         assert standby_file.read_bytes() == primary_file.read_bytes()

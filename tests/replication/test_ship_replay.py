@@ -3,8 +3,10 @@
 These tests run a real :class:`JournalShipper` against a real
 :class:`StandbyDaemon` over localhost TCP.  Because the shipper runs
 semi-synchronously (a commit ticket retires only after the standby
-acks the fsynced batch), every assertion after a returned ``psync``
-can inspect the standby's pool directory without sleeping.
+acks the batch's committed journal, and the applier holds its lock
+from there through the home write), every assertion after a returned
+``psync`` can inspect the standby's pool directory without sleeping,
+once it has taken that lock (``conftest.settled``).
 """
 
 import socket
@@ -19,16 +21,8 @@ from repro.core.units import MIB, PAGE_SIZE
 from repro.pmo.api import PmoLibrary
 from repro.pmo.store import PmoStore
 from repro.replication import (
-    JournalApplier, JournalShipper, ReplicationChainError,
-    StandbyDaemon)
-
-
-@pytest.fixture
-def standby(tmp_path):
-    daemon = StandbyDaemon(tmp_path / "standby")
-    daemon.start()
-    yield daemon
-    daemon.stop()
+    JournalApplier, JournalShipper, ReplicationChainError)
+from tests.replication.conftest import settled
 
 
 def make_primary(tmp_path, standby, *, connect=True):
@@ -64,17 +58,19 @@ class TestLiveReplay:
         assert status["shipped"] >= 1
         assert status["acked"] == status["shipped"]
         assert status["lag"] == 0
-        # The standby's pool holds byte-identical committed pages.
+        # The standby's pool holds byte-identical committed pages,
+        # home: nothing is left for recovery to replay.
         _, primary_seq, primary_pages = store.committed_state("live")
+        settled(standby)
         mirror = PmoStore(tmp_path / "standby")
         report = mirror.load_all()
-        assert len(report.loaded) >= 1
+        assert len(report.loaded) >= 1 and not report.journals_applied
         _, _, mirror_pages = mirror.committed_state("live")
         assert mirror_pages == primary_pages
         # The applier's chain head tracks the primary's flush_seq
         # (flush_seq itself is an in-memory counter that resets on a
         # fresh load, so compare at the applier).
-        assert standby.applier.applied["live"] == primary_seq
+        assert settled(standby)["applied"]["live"] == primary_seq
         assert standby.applier.chain_errors == 0
         shipper.stop()
         store.close()
@@ -96,10 +92,29 @@ class TestLiveReplay:
         store, shipper, lib = make_primary(tmp_path, standby)
         shipper.ship_journal({"kind": "session", "sid": 7,
                               "user": "alice"})
+        # A lone record on an idle link waits out the kernel's cork
+        # timer (<= 200 ms): it was sent with MSG_MORE.
         deadline = time.monotonic() + 5.0
         while standby.applier.journal_records == 0 and \
                 time.monotonic() < deadline:
             time.sleep(0.01)
+        assert standby.applier.journal_records == 1
+        shipper.stop()
+        store.close()
+
+    def test_journal_record_rides_the_next_batch(self, tmp_path,
+                                                 standby):
+        """A corked record leaves with the next batch, ahead of it in
+        the stream: it is applied before that batch is acked, so no
+        poll is needed once the ``psync`` has returned."""
+        store, shipper, lib = make_primary(tmp_path, standby)
+        pmo, oid = commit_rounds(lib, store, "r", rounds=1)
+        shipper.ship_journal({"rec": "attach", "sid": 7, "pmo": "r"})
+        with lib.thread(1):
+            lib.attach(pmo)
+            lib.write(oid, b"next batch")
+            lib.psync(pmo)
+            lib.detach(pmo)
         assert standby.applier.journal_records == 1
         shipper.stop()
         store.close()
@@ -212,6 +227,7 @@ class TestBootstrap:
         # Bootstrap ships under the send lock during connect; a live
         # commit afterwards must chain cleanly on top of it.
         commit_rounds(lib, store, "late", rounds=1)
+        settled(standby)
         mirror = PmoStore(tmp_path / "standby")
         mirror.load_all()
         assert mirror.committed_state("early")[2] == \

@@ -1,12 +1,14 @@
 """The shipped stream at the source: GroupCommitter batch boundaries.
 
 A recording fake shipper stands in for the network: the contract
-under test is the post-fsync ship hook — every committed group-commit
-batch is handed over exactly once, per-PMO seqs are strictly monotone
-(gapless as a chain of ``(prev, seq]`` ranges, with merged commits
-legitimately skipping integers), the hook runs before the commit
-ticket retires, and the abort/drain shutdown paths never corrupt the
-stream.
+under test is the two-part ship hook — every group-commit batch is
+handed to ``send_commit`` exactly once, *at* its journal fsync (the
+journal is committed on disk, the home slots are not yet written, no
+store lock is held), and what that returned to ``await_commit`` after
+the home fsync and before the commit ticket retires; per-PMO seqs are
+strictly monotone (gapless as a chain of ``(prev, seq]`` ranges, with
+merged commits legitimately skipping integers); and the abort/drain
+shutdown paths never corrupt the stream.
 """
 
 import threading
@@ -18,22 +20,48 @@ from repro.core.errors import PmoError
 from repro.core.units import MIB
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.pmo.api import PmoLibrary
-from repro.pmo.store import PmoStore
+from repro.pmo.store import PmoStore, page_crcs
 
 
 class RecordingShipper:
-    """Records every hook call the store makes, thread-safely."""
+    """Records every hook call the store makes, thread-safely, and
+    what the pool directory looked like at each half of a commit."""
 
-    def __init__(self):
+    def __init__(self, store):
+        self.store = store
         self.lock = threading.Lock()
         self.commits = []          # (name, pmo_id, seq, [indexes])
+        self.awaited = []          # (name, seq)
+        self.observed = []         # (half, journal pages, home pages)
         self.headers = []          # names
         self.destroys = []         # names
 
-    def ship_commit(self, name, pmo_id, seq, pages):
+    def _observe(self, half, name):
+        """The PMO's committed journal and the page slots home on
+        disk.  Asked from another thread, which either store lock
+        would block were the calling flusher still holding it: the
+        home pages then read None."""
+        home = []
+        asker = threading.Thread(target=lambda: home.append(
+            self.store.present_pages(name)), daemon=True)
+        asker.start()
+        asker.join(5.0)
+        journal = self.store._journal_pages(
+            self.store.journal_path_for(name))
+        self.observed.append((half, journal, home[0] if home else None))
+
+    def send_commit(self, name, pmo_id, seq, pages, crcs):
+        assert crcs == page_crcs(pages)
+        self._observe("send", name)
         with self.lock:
             self.commits.append(
                 (name, pmo_id, seq, [i for i, _ in pages]))
+        return seq
+
+    def await_commit(self, name, seq):
+        self._observe("await", name)
+        with self.lock:
+            self.awaited.append((name, seq))
 
     def ship_header(self, name, header):
         with self.lock:
@@ -53,7 +81,7 @@ def make(tmp_path, *, interval_us=0, rules=()):
     plan = FaultPlan(seed=1, rules=list(rules)) if rules else None
     store = PmoStore(tmp_path, faults=plan,
                      commit_interval_us=interval_us)
-    shipper = RecordingShipper()
+    shipper = RecordingShipper(store)
     store.shipper = shipper
     lib = PmoLibrary(store=store)
     return store, lib, shipper
@@ -81,14 +109,36 @@ class TestShipHook:
             oid = lib.pmalloc(pmo, 64)
             lib.write(oid, b"payload")
             lib.psync(pmo)
-            # The hook ran post-fsync but pre-ticket-retire: by the
-            # time psync returned, the batch must be recorded.
+            # Both halves ran before the ticket retired: by the time
+            # psync returned, the batch is recorded and awaited.
             stream = shipper.per_pmo("one")
             assert len(stream) == 1
-            _, _, flush_seq = store.committed_state("one")[0], \
-                None, store.committed_state("one")[1]
+            flush_seq = store.committed_state("one")[1]
             assert stream[0][0] == flush_seq
+            assert shipper.awaited == [("one", flush_seq)]
             lib.detach(pmo)
+        store.close()
+
+    def test_send_at_the_journal_fsync_await_after_the_home_fsync(
+            self, tmp_path):
+        """The commit order, seen from the hook: ``send_commit`` finds
+        the batch's committed journal on disk and no slot home yet;
+        ``await_commit`` finds the slots home and the journal retired;
+        neither runs under a store lock (the shipper takes its send
+        lock inside both, and the documented order is send lock
+        *before* store locks)."""
+        store, lib, shipper = make(tmp_path)
+        pmo = lib.PMO_create("order", MIB)
+        with lib.thread(1):
+            lib.attach(pmo)
+            oid = lib.pmalloc(pmo, 64)
+            lib.write(oid, b"ordered")
+            lib.psync(pmo)
+            lib.detach(pmo)
+        journal = shipper.observed[0][1]
+        assert journal, "shipped before the journal was committed"
+        assert shipper.observed == [("send", journal, []),
+                                    ("await", None, sorted(journal))]
         store.close()
 
     def test_destroy_ships_destroy(self, tmp_path):

@@ -4,7 +4,9 @@ lines and every deterministic count, for one fixed in-process drive.
 ``fixtures/metrics_frozen.json`` was captured by running this file as
 a script at the parent commit of the PR that moved every series into
 the table in :mod:`repro.service.metrics`; a refactor of how the
-series are declared must reproduce it exactly.  The cluster half
+series are declared must reproduce it exactly (since then it has
+gained one family's lines, ``terpd_repl_ack_wait_ns``, and nothing
+else).  The cluster half
 replays two stored shard reports (captured from live durable shards,
 one warm restart each) through ``aggregate_metrics`` and allows the
 merged report to differ from the parent's only where the parent was
@@ -30,7 +32,8 @@ DETERMINISTIC = ("requests", "errors", "batches", "attaches",
                  "wire_frames")
 #: Prometheus samples whose values depend on the clock.
 MASKED = re.compile(
-    r"^(terpd_(?:request|sweep|repl_ack)_latency_ns_\w+(?:\{[^}]*\})?"
+    r"^(terpd_(?:(?:request|sweep|repl_ack)_latency|repl_ack_wait)_ns_\w+"
+    r"(?:\{[^}]*\})?"
     r"|terpd_sweep_runs_total) \S+$", re.MULTILINE)
 #: A budget no drive outlives: nothing is ever force-detached.
 LONG_EW_NS = 600_000_000_000
