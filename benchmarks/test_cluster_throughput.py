@@ -55,7 +55,8 @@ BENCH_OUT = pathlib.Path(os.environ.get(
 def _tenant_names(shards: int) -> "list[str]":
     """One PMO name per tenant, placed so tenant ``i``'s PMO lives on
     shard ``i % shards`` — every shard serves load, by construction
-    rather than by luck (mirrors ``cluster_chaos._pick_names``)."""
+    rather than by luck (as the chaos engine's ``shards`` workload
+    places its own)."""
     ring = HashRing(range(shards), seed=RING_SEED)
     names = []
     for idx in range(SESSIONS):

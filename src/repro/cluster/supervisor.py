@@ -49,13 +49,15 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.pmo.store import DEFAULT_COMMIT_INTERVAL_US
+from repro.service.conn import STARTUP_TIMEOUT_S
 from repro.service.server import (
     DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS,
     DEFAULT_SWEEP_PERIOD_NS)
 
-#: How long to wait for a child to report its bound port.  Generous:
-#: a durable shard replays its journal before it binds.
-_STARTUP_TIMEOUT_S = 30.0
+#: Per-child restart budget before the supervisor gives up on it.
+MAX_RESTARTS = 5
+#: How often the monitor thread looks for dead children.
+MONITOR_PERIOD_S = 0.15
 
 
 @dataclass
@@ -81,9 +83,6 @@ class ClusterConfig:
     #: (``<profile>.shard0``, ``<profile>.router0``, …)
     profile: Optional[str] = None
     quiet: bool = True
-    #: per-child restart budget before the supervisor gives up on it
-    max_restarts: int = 5
-    monitor_period_s: float = 0.15
     #: one warm standby per shard, promoted when the shard dies
     #: (requires ``pool_dir``: only durable state can be shipped)
     replicas: bool = False
@@ -334,6 +333,16 @@ class ClusterSupervisor:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
+        try:
+            self._start()
+        except BaseException:
+            # A child that failed to come up (front port taken, pool
+            # unreadable) must not strand the ones that did: no caller
+            # holds a started supervisor to stop.
+            self.stop()
+            raise
+
+    def _start(self) -> None:
         if self.config.pool_dir is not None:
             os.makedirs(self.config.pool_dir, exist_ok=True)
         for child in self._standbys:
@@ -435,7 +444,7 @@ class ClusterSupervisor:
             name=f"terpd-{child.kind}{child.index}", daemon=True)
         process.start()
         child_end.close()
-        if not parent_end.poll(_STARTUP_TIMEOUT_S):
+        if not parent_end.poll(STARTUP_TIMEOUT_S):
             process.kill()
             raise RuntimeError(
                 f"{child.kind} {child.index} never reported a port")
@@ -473,7 +482,7 @@ class ClusterSupervisor:
     # -- monitoring --------------------------------------------------------
 
     def _monitor_loop(self) -> None:
-        while not self._stopping.wait(self.config.monitor_period_s):
+        while not self._stopping.wait(MONITOR_PERIOD_S):
             with self._lock:
                 for child in self._shards:
                     self._revive(child)
@@ -496,7 +505,7 @@ class ClusterSupervisor:
             return
         else:
             process.join(timeout=0)
-        if child.restarts >= self.config.max_restarts:
+        if child.restarts >= MAX_RESTARTS:
             child.given_up = True
             if not self.config.quiet:
                 print(f"terpd {child.kind} {child.index} died "
@@ -538,9 +547,7 @@ class ClusterSupervisor:
         failover chain survives repeated deaths.  Returns False (cold
         restart fallback) if the standby is dead or unreachable.
         """
-        import socket as socketlib
-
-        from repro.replication.wire import recv_msg, send_msg
+        from repro.replication.applier import promote
 
         index = shard.index
         standby = self._standbys[index]
@@ -564,20 +571,12 @@ class ClusterSupervisor:
         except RuntimeError:
             replacement = None
             replicate_to = None
+        overrides: Dict[str, Any] = {}
+        if replicate_to is not None:
+            overrides["replicate_to"] = replicate_to
         try:
-            with socketlib.create_connection(
-                    (self.config.host, standby.port or 0),
-                    timeout=5.0) as sock:
-                sock.settimeout(_STARTUP_TIMEOUT_S)
-                overrides: Dict[str, Any] = {}
-                if replicate_to is not None:
-                    overrides["replicate_to"] = replicate_to
-                send_msg(sock, {"t": "promote",
-                                "port": shard.port or 0,
-                                "service": overrides})
-                got = recv_msg(sock)
-                if got is None or got[0].get("t") != "promoted":
-                    raise OSError("standby did not confirm promotion")
+            promote(self.config.host, standby.port or 0,
+                    shard.port or 0, **overrides)
         except Exception:
             # Promotion failed; fall back to the cold restart path.
             # No promoted primary ever connected, so the dead shard's

@@ -10,14 +10,14 @@ detaches) running verbatim.  See DESIGN.md §13.
 """
 
 from repro.replication.applier import (
-    JournalApplier, ReplicationChainError, StandbyDaemon)
+    JournalApplier, ReplicationChainError, StandbyDaemon, promote)
 from repro.replication.shipper import JournalShipper
 from repro.replication.wire import (
     MAX_FRAME_BYTES, REPL_PROTOCOL_VERSION, ReplicationWireError,
     recv_msg, send_msg)
 
 __all__ = [
-    "JournalShipper", "JournalApplier", "StandbyDaemon",
+    "JournalShipper", "JournalApplier", "StandbyDaemon", "promote",
     "ReplicationChainError", "ReplicationWireError",
     "send_msg", "recv_msg", "REPL_PROTOCOL_VERSION", "MAX_FRAME_BYTES",
 ]

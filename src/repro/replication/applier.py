@@ -48,9 +48,11 @@ from repro.pmo.store import (
     write_journal)
 from repro.replication.wire import (
     REPL_PROTOCOL_VERSION, ReplicationWireError, recv_msg, send_msg)
+from repro.service.conn import STARTUP_TIMEOUT_S
 from repro.service.recovery import SessionJournal
 
-__all__ = ["JournalApplier", "StandbyDaemon", "ReplicationChainError"]
+__all__ = ["JournalApplier", "StandbyDaemon", "ReplicationChainError",
+           "promote"]
 
 
 class ReplicationChainError(TerpError):
@@ -410,3 +412,25 @@ class StandbyDaemon:
         elif kind == "destroy":
             self.applier.apply_destroy(str(header["pmo"]))
         return True                  # unknown frames are ignored
+
+
+def promote(host: str, repl_port: int, serve_port: int,
+            **service_overrides: Any) -> int:
+    """Ask the standby listening on ``host:repl_port`` to come up as a
+    live terpd on ``serve_port`` (0 picks one) — the client of the
+    ``promote`` branch above.  ``service_overrides`` replace the
+    standby's own :class:`~repro.service.server.TerpService` arguments
+    (the supervisor points ``replicate_to`` at the replacement
+    standby).  Returns the port the promoted daemon serves on; raises
+    on anything but ``promoted``."""
+    with socket.create_connection((host, repl_port),
+                                  timeout=5.0) as sock:
+        # The reply follows recovery: pool rescan + journal replay.
+        sock.settimeout(STARTUP_TIMEOUT_S)
+        send_msg(sock, {"t": "promote", "port": serve_port,
+                        "service": service_overrides})
+        got = recv_msg(sock)
+    if got is None or got[0].get("t") != "promoted":
+        raise ReplicationWireError(
+            f"standby did not confirm promotion: {got}")
+    return int(got[0]["port"])

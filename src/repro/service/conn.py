@@ -27,6 +27,11 @@ from repro.service.sessions import Session
 DEFAULT_SESSION_EW_NS = 50_000_000
 #: How long a dropped session's identity lingers for resume: 2s.
 DEFAULT_SESSION_LINGER_NS = 2_000_000_000
+#: How long whoever started a daemon waits for it to come up — the
+#: supervisor for a child's port, a promoter for ``promoted``, a
+#: harness for the startup banner.  Generous: a durable daemon replays
+#: its journal before it binds.
+STARTUP_TIMEOUT_S = 30.0
 #: Backpressure: responses pending past this are written mid-burst,
 #: and a transport backlog past it is waited out (a peer that stops
 #: reading stalls its own connection, not the daemon's memory).

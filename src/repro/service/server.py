@@ -176,8 +176,7 @@ class TerpService:
         self._t0 = time.monotonic_ns()
         #: Temporal enforcement: the session-budget + engine sweep.
         self.sweeper = Sweeper(
-            lib=self.lib, sessions=self.sessions, metrics=self.metrics,
-            obs=self.obs, sweep_period_ns=sweep_period_ns,
+            sessions=self.sessions, sweep_period_ns=sweep_period_ns,
             session_linger_ns=session_linger_ns, now_ns=self.now_ns,
             faults=faults, tracer=self._tracer)
         self._servers: List[asyncio.AbstractServer] = []

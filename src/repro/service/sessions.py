@@ -87,10 +87,9 @@ class Session:
     #: input for session-scoped exposure enforcement.
     attached_at: Dict[int, int] = field(default_factory=dict)
     #: out-of-band notifications delivered with the next response —
-    #: bounded: the oldest are dropped (and counted) at the cap.
+    #: bounded: the oldest are dropped at the cap.
     events: Deque[dict] = field(
         default_factory=lambda: deque(maxlen=MAX_PENDING_EVENTS))
-    events_dropped: int = 0
     #: PMOs the sweeper detached on this session's behalf; the
     #: session's own (racing) detach of these is a silent no-op.
     forced_pmos: Set[int] = field(default_factory=set)
@@ -125,7 +124,7 @@ class Session:
         self.attached_at.pop(pmo_id, None)
         self.forced_pmos.add(pmo_id)
         self.metrics.forced_detaches += 1
-        self.push_event({
+        self.events.append({
             "event": "forced-detach",
             "pmo": pmo_name,
             "pmo_id": pmo_id,
@@ -140,11 +139,6 @@ class Session:
                 if now_ns - since >= self.ew_budget_ns]
 
     # -- events (bounded) --------------------------------------------------
-
-    def push_event(self, event: dict) -> None:
-        if len(self.events) == self.events.maxlen:
-            self.events_dropped += 1
-        self.events.append(event)
 
     def drain_events(self) -> List[dict]:
         events = list(self.events)

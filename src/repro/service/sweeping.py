@@ -6,41 +6,34 @@ re-randomizes held PMOs, and the service layer force-detaches any PMO
 a session has held past its wall-clock budget.  :class:`Sweeper` owns
 the background task that drives both layers plus the linger purge for
 dropped sessions, against whatever :class:`~repro.service.sessions
-.SessionManager` and :class:`~repro.pmo.api.PmoLibrary` it was
-composed with — the standalone daemon and every cluster shard run the
-identical sweeper; in a cluster each shard's sweeper owns exactly the
-exposure clocks of the PMOs that shard serves.
+.SessionManager` it was composed with (and the library, metrics and
+audit timeline that table carries) — the standalone daemon and every
+cluster shard run the identical sweeper; in a cluster each shard's
+sweeper owns exactly the exposure clocks of the PMOs that shard serves.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.faults.plan import FaultPlan
 from repro.obs.tracing import NULL_SPAN
-from repro.pmo.api import PmoLibrary
-from repro.service.metrics import ServiceMetrics
 from repro.service.sessions import SessionManager
-
-if TYPE_CHECKING:
-    from repro.obs import Observability
 
 
 class Sweeper:
     """Periodic session-budget + engine sweep over one library."""
 
-    def __init__(self, *, lib: PmoLibrary, sessions: SessionManager,
-                 metrics: ServiceMetrics, obs: "Observability",
+    def __init__(self, *, sessions: SessionManager,
                  sweep_period_ns: int, session_linger_ns: int,
                  now_ns: Callable[[], int],
                  faults: Optional[FaultPlan] = None,
                  tracer=None) -> None:
-        self.lib = lib
+        #: also the library, metrics and audit timeline swept against:
+        #: the ones the session table was composed with.
         self.sessions = sessions
-        self.metrics = metrics
-        self.obs = obs
         self.sweep_period_ns = sweep_period_ns
         self.session_linger_ns = session_linger_ns
         self.now_ns = now_ns
@@ -76,15 +69,16 @@ class Sweeper:
                     time.sleep(rule.delay_ns / 1e9)
                 return 0
         forced = 0
-        with self.lib.lock:
-            now = self.lib.advance_to(self.now_ns())
+        lib = sessions.lib
+        with lib.lock:
+            now = lib.advance_to(self.now_ns())
             with (tracer.span("terpd.sweep") if tracer is not None
                   else NULL_SPAN) as span:
                 for session in sessions:
                     for pmo_id in session.expired(now):
                         sessions.force_detach(session, pmo_id, now)
                         forced += 1
-                engine_closed = len(self.lib.runtime.sweep(now))
+                engine_closed = len(lib.runtime.sweep(now))
                 span.set("forced", forced)
                 span.set("engine_closed", engine_closed)
             for session in sessions.lingering():
@@ -94,9 +88,9 @@ class Sweeper:
                 if session.linger_expired(now, self.session_linger_ns):
                     sessions.remove(session.session_id)
                     sessions.record("close", session, now)
-            if self.obs.enabled and (forced or engine_closed):
-                self.obs.audit.record_sweep(
+            if sessions.obs.enabled and (forced or engine_closed):
+                sessions.obs.audit.record_sweep(
                     now, closed=forced + engine_closed,
                     duration_ns=time.perf_counter_ns() - t_wall)
-        self.metrics.note_sweep(time.perf_counter_ns() - t_wall)
+        sessions.metrics.note_sweep(time.perf_counter_ns() - t_wall)
         return forced

@@ -7,20 +7,21 @@ timeline, with the victim's forced detaches outage-attributed and the
 survivors untouched.
 """
 
-from repro.faults.cluster_chaos import run_cluster_chaos
+from repro.faults.chaos import SCENARIOS, run
 
 
 def test_cluster_chaos_seed_42_two_shards():
-    result = run_cluster_chaos(
-        42, shards=2, workers=4, rounds=5,
-        session_ew_ns=400_000_000, sweep_period_ns=20_000_000)
+    row = SCENARIOS["cluster"]
+    assert (row.session_ew_ns, row.sweep_period_ns) == \
+        (400_000_000, 20_000_000)
+    result = run("cluster", 42, shards=2, workers=4, rounds=5)
     assert result.ok, "\n" + result.describe()
-    assert result.requests_ok > 0
+    assert result.tally.ok > 0
     assert result.unexpected == []
-    assert result.victim_restarts >= 1
-    assert result.victim_outage_attributed
-    assert result.survivors_clean
-    for shard, report in result.per_shard.items():
-        assert report.ok, f"shard {shard}:\n{report.describe()}"
-    assert result.global_report is not None
-    assert result.global_report.ok, result.global_report.describe()
+    assert result.facts["victim_restarts"] >= 1
+    assert result.checks["victim_restarted"]
+    assert result.checks["victim_outage_attributed"]
+    assert result.checks["survivors_clean"]
+    assert set(result.reports) == {"shard0", "shard1", "global"}
+    for scope, report in result.reports.items():
+        assert report.ok, f"{scope}:\n{report.describe()}"

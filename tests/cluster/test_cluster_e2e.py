@@ -4,6 +4,8 @@ The module-scoped cluster serves the read-mostly tests; lifecycle
 tests that assert exact counters or kill shards build their own.
 """
 
+import os
+import socket
 import tempfile
 import time
 
@@ -312,3 +314,23 @@ class TestShardDeathAndRecovery:
             bystander.goodbye()
             cli.close()
             bystander.close()
+
+
+class TestStartFailure:
+    def test_a_start_that_fails_part_way_stops_what_it_started(self):
+        """With the front port taken, both shards come up and the
+        router does not; nobody holds a started supervisor to stop, so
+        ``start`` itself must not leave the shards behind."""
+        with socket.socket() as squatter:
+            squatter.bind(("127.0.0.1", 0))
+            squatter.listen(1)
+            supervisor = ClusterSupervisor(
+                shards=2, port=squatter.getsockname()[1])
+            with pytest.raises(RuntimeError, match="router 0 failed"):
+                supervisor.start()
+        pids = [supervisor.shard_pid(i) for i in range(2)]
+        assert all(pids)
+        for pid in pids:
+            # Reaped children: the pid no longer names a process.
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)

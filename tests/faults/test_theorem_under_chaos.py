@@ -3,19 +3,21 @@
 Each case draws a seeded random fault plan (connection drops, partial
 frames, injected crashes, storage faults, sweeper stalls, ...), runs a
 multi-session terpd workload through it, and replays the audit
-timeline against invariants I1-I5.  Any failure message carries the
+timeline against invariants I1-I6.  Any failure message carries the
 seed and the minimal fault plan:
 
     python -m repro.faults.chaos --seed <N>
+    python -m repro.faults.chaos restart --seed <N>
 
-reproduces the run outside pytest.
+reproduce the run outside pytest.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.faults.chaos import (
-    ChaosResult, RestartChaosResult, random_plan, restart_plan,
-    run_chaos, run_restart_chaos)
+    SCENARIOS, Verdict, random_plan, restart_plan, run)
 from repro.faults.plan import FaultPlan, FaultRule
 
 #: The property quantifies over this many seeded fault plans.
@@ -28,7 +30,7 @@ RESTART_SEEDS = range(40)
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_theorem_holds_under_chaos(seed):
-    result = run_chaos(seed, sessions=2, requests=2)
+    result = run("chaos", seed, sessions=2, requests=2)
     assert result.ok, "\n" + result.describe()
 
 
@@ -43,31 +45,34 @@ class TestAcceptanceRun:
     ]
 
     @pytest.fixture(scope="class")
-    def result(self) -> ChaosResult:
-        plan = FaultPlan(seed=4242, rules=list(self.PLAN_RULES))
-        return run_chaos(4242, plan=plan, sessions=2, requests=3)
+    def result(self) -> Verdict:
+        row = dataclasses.replace(
+            SCENARIOS["chaos"], plan=lambda seed: FaultPlan(
+                seed=seed, rules=list(self.PLAN_RULES)))
+        return run(row, 4242, sessions=2, requests=3)
 
     def test_run_is_clean(self, result):
         assert result.ok, "\n" + result.describe()
-        assert result.requests_ok > 0
+        assert result.tally.ok > 0
         assert not result.unexpected
 
     def test_all_three_fault_classes_fired(self, result):
         for site in ("lib.storage_write", "engine.sweep_stall",
                      "server.conn_drop"):
-            assert result.faults_by_site.get(site, 0) >= 1, \
-                f"{site} never fired: {result.faults_by_site}"
+            assert result.facts["faults_by_site"].get(site, 0) >= 1, \
+                f"{site} never fired: {result.facts['faults_by_site']}"
 
     def test_faults_are_on_the_audit_timeline(self, result):
         for site in ("lib.storage_write", "engine.sweep_stall",
                      "server.conn_drop"):
-            assert result.faults_in_audit.get(site, 0) >= 1, \
-                f"{site} missing from audit: {result.faults_in_audit}"
+            assert result.facts["faults_in_audit"].get(site, 0) >= 1, \
+                f"{site} missing from audit: " \
+                f"{result.facts['faults_in_audit']}"
 
     def test_dropped_connection_was_survived(self, result):
         # The conn drop forces a reconnect+resume (or, at worst, a
         # typed failure) — never a hang or an untyped exception.
-        assert result.resumes >= 1 or result.requests_failed >= 1
+        assert result.facts["resumes"] >= 1 or result.tally.failed >= 1
 
     def test_verdict_serializes(self, result):
         verdict = result.to_dict()
@@ -80,7 +85,7 @@ class TestAcceptanceRun:
 def test_theorem_holds_across_restart(seed):
     """I6: kill -9 the daemon mid-workload, recover the pool, and the
     merged pre/post-crash timeline still bounds every exposure."""
-    result = run_restart_chaos(seed)
+    result = run("restart", seed)
     assert result.ok, "\n" + result.describe()
 
 
@@ -90,28 +95,29 @@ class TestRestartAcceptanceRun:
     (data, resume, attribution, I1-I6) held."""
 
     @pytest.fixture(scope="class")
-    def result(self) -> RestartChaosResult:
+    def result(self) -> Verdict:
         # Tear every home-page write; the long sweep period keeps the
         # live scrubber from healing the final tear before the kill,
         # so the repair demonstrably comes from the recovery journal
         # replay.
-        plan = FaultPlan(seed=777, rules=[
-            FaultRule("store.torn_page", "torn", probability=1.0,
-                      count=1000),
-        ])
-        return run_restart_chaos(777, plan=plan,
-                                 sweep_period_ns=60_000_000_000)
+        row = dataclasses.replace(
+            SCENARIOS["restart"], sweep_period_ns=60_000_000_000,
+            plan=lambda seed: FaultPlan(seed=seed, rules=[
+                FaultRule("store.torn_page", "torn", probability=1.0,
+                          count=1000)]))
+        return run(row, 777)
 
     def test_run_is_clean(self, result):
         assert result.ok, "\n" + result.describe()
 
     def test_torn_page_fired_and_was_repaired(self, result):
-        assert result.faults_by_site.get("store.torn_page", 0) >= 1
-        assert result.pages_repaired >= 1
+        assert result.facts["faults_by_site"].get(
+            "store.torn_page", 0) >= 1
+        assert result.facts["pages_repaired"] >= 1
 
     def test_recovery_report_restored_the_session(self, result):
-        assert result.recovery.get("sessions_restored", 0) >= 1
-        assert result.session_resumed
+        assert result.facts["recovery"].get("sessions_restored", 0) >= 1
+        assert result.checks["session_resumed"]
 
     def test_verdict_serializes(self, result):
         verdict = result.to_dict()

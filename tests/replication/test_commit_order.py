@@ -15,7 +15,6 @@ lock.
 import collections
 import shutil
 import socket
-import sys
 import threading
 import time
 import zlib
@@ -24,17 +23,16 @@ import pytest
 
 from repro.core.errors import PmoError
 from repro.core.units import MIB, PAGE_SIZE
-from repro.faults.failover_chaos import (
-    _PRIMARY_RE, _STANDBY_RE, _Proc, _promote)
 from repro.faults.invariants import check_acked_writes
 from repro.pmo import store as store_module
 from repro.pmo.api import PmoLibrary
 from repro.pmo.store import PmoStore
 from repro.replication import (
     REPL_PROTOCOL_VERSION, JournalShipper, ReplicationChainError,
-    StandbyDaemon, recv_msg, send_msg)
+    StandbyDaemon, promote, recv_msg, send_msg)
 from repro.replication import applier as applier_module
 from repro.service.client import SyncTerpClient
+from repro.topology import Proc
 from tests.replication.conftest import settled
 
 
@@ -467,17 +465,17 @@ def test_sigkill_right_after_an_attach_still_mirrors_it(tmp_path):
     socket, which sends it.  The promoted standby finds the attach in
     its mirrored journal and force-detaches it with the outage
     attribution."""
-    standby = _Proc([sys.executable, "-m", "repro.replication",
-                     "--pool-dir", str(tmp_path / "standby"),
-                     "--listen-port", "0"])
+    standby = Proc("repro.replication",
+                   ["--pool-dir", str(tmp_path / "standby"),
+                    "--listen-port", "0"])
     primary = None
     try:
-        repl_port = int(standby.expect(_STANDBY_RE))
-        primary = _Proc([sys.executable, "-m", "repro.service",
-                         "--port", "0",
-                         "--pool-dir", str(tmp_path / "primary"),
-                         "--replicate-to", f"127.0.0.1:{repl_port}"])
-        port = int(primary.expect(_PRIMARY_RE))
+        repl_port = standby.ready()
+        primary = Proc("repro.service",
+                       ["--port", "0",
+                        "--pool-dir", str(tmp_path / "primary"),
+                        "--replicate-to", f"127.0.0.1:{repl_port}"])
+        port = primary.ready()
         client = SyncTerpClient(port=port, user="alice").connect()
         client.create("held", MIB)
         client.attach("held")
@@ -485,7 +483,7 @@ def test_sigkill_right_after_an_attach_still_mirrors_it(tmp_path):
         client.close()
         mirrored = tmp_path / "standby" / "sessions.journal"
         wait_for(lambda: '"rec":"attach"' in mirrored.read_text())
-        with SyncTerpClient(port=_promote("127.0.0.1", repl_port, 0),
+        with SyncTerpClient(port=promote("127.0.0.1", repl_port, 0),
                             user="bob") as bob:
             events = bob.call("trace", limit=65536)["audit"]
         forced = [e for e in events if e.get("kind") == "forced-detach"
@@ -497,4 +495,3 @@ def test_sigkill_right_after_an_attach_still_mirrors_it(tmp_path):
         for proc in (primary, standby):
             if proc is not None:
                 proc.stop()
-                proc.proc.stdout.close()

@@ -8,10 +8,7 @@ of the serve loop — each have a test here that fails with the rule
 removed.
 """
 
-import os
 import re
-import subprocess
-import sys
 import time
 
 from repro.core.units import MIB
@@ -21,10 +18,8 @@ from repro.service.client import SyncTerpClient
 from repro.service.retry import RetryPolicy
 from repro.service.server import ServiceThread, TerpService
 from repro.service.sessions import REPLAY_CACHE_SIZE
+from repro.topology import Proc
 from tests.service.rawwire import RawWire
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
 
 
 def write_burst(oid, count, first_rid=100):
@@ -183,20 +178,10 @@ def test_a_client_that_stops_reading_stalls_itself_not_the_daemon():
     # 64 KiB mark and the transport's backlog waited out, so what the
     # daemon holds stays a few reads' worth; the rest waits, unread,
     # as requests in the client's own socket.
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-    daemon = subprocess.Popen(
-        [sys.executable, "-u", "-m", "repro.service", "--port", "0",
-         "--session-ew-ms", "60000"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        env=env)
+    daemon = Proc("repro.service",
+                  ["--port", "0", "--session-ew-ms", "60000"])
     try:
-        port = None
-        for line in daemon.stdout:
-            match = re.search(r"serving on tcp://[^:]+:(\d+)", line)
-            if match:
-                port = int(match[1])
-                break
-        assert port is not None, "daemon never announced its port"
+        port = daemon.ready()
         with SyncTerpClient(port=port) as admin:
             admin.create("slow", MIB, mode=0o666)
             admin.attach("slow")
@@ -217,16 +202,14 @@ def test_a_client_that_stops_reading_stalls_itself_not_the_daemon():
             wire.sock.sendall(reads(range(3000, 3000 + REPLAY_CACHE_SIZE)))
             for _ in range(REPLAY_CACHE_SIZE):
                 assert wire.recv()[0]["ok"]
-            before = _rss_kib(daemon.pid)
+            before = _rss_kib(daemon.popen.pid)
             wire.sock.sendall(reads(range(10, 2010)))
             time.sleep(0.2)
-            grown = _rss_kib(daemon.pid) - before
+            grown = _rss_kib(daemon.popen.pid) - before
             assert grown < 3072, f"daemon grew {grown} KiB"
             for rid in range(10, 2010):
                 response, sidecar = wire.recv()
                 assert response["id"] == rid
                 assert sidecar == b"\x5a" * 4096
     finally:
-        daemon.terminate()
-        daemon.wait(10)
-        daemon.stdout.close()
+        daemon.stop()

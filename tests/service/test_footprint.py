@@ -9,8 +9,6 @@ connection handler instead of leaving it to be cancelled.
 
 import gc
 import os
-import re
-import signal
 import subprocess
 import sys
 import tracemalloc
@@ -21,6 +19,7 @@ from repro.core.units import GIB, MIB
 from repro.obs import Observability
 from repro.service.client import SyncTerpClient
 from repro.service.server import ServiceThread, TerpService
+from repro.topology import Proc
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -35,13 +34,17 @@ def child_env() -> dict:
 
 def test_serving_entry_points_import_no_numpy_and_no_simulator():
     """numpy alone is ~16 MiB resident per process; every daemon,
-    shard, router, supervisor and standby would pay it."""
+    shard, router, supervisor and standby would pay it.  The harness
+    side — the topology vocabulary and the chaos engine over it — is
+    not a serving process's to import either (``repro.faults.plan``
+    is: the daemon fires its sites)."""
     probe = (
         "import sys\n"
         "import repro.service.__main__, repro.cluster.__main__, "
         "repro.replication.__main__\n"
         "heavy = ('numpy', 'repro.sim', 'repro.eval', "
-        "'repro.workloads', 'repro.compiler', 'repro.security')\n"
+        "'repro.workloads', 'repro.compiler', 'repro.security', "
+        "'repro.topology', 'repro.faults.chaos')\n"
         "print(sorted(m for m in sys.modules if m in heavy "
         "or m.startswith(tuple(h + '.' for h in heavy))))\n")
     proc = subprocess.run([sys.executable, "-c", probe],
@@ -65,18 +68,11 @@ def test_sigterm_with_a_client_connected_exits_quietly(module, extra,
     service stops — also one already in teardown, which must still be
     found and waited for; left to ``asyncio.run`` it is cancelled and
     Python 3.11 prints a traceback from the stream callback."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", module, "--port", "0", *extra],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=child_env())
+    proc = Proc(module, ["--port", "0", *extra],
+                stderr=subprocess.PIPE)
     clients = []
     try:
-        port = None
-        while port is None:
-            line = proc.stdout.readline()
-            assert line, proc.stderr.read()
-            match = re.search(r"serving on tcp://[\d.]+:(\d+)", line)
-            port = int(match.group(1)) if match else None
+        port = proc.ready()
         for n in range(2):
             clients.append(SyncTerpClient(port=port).connect())
             for i in range(4):          # enough names to land everywhere
@@ -84,15 +80,14 @@ def test_sigterm_with_a_client_connected_exits_quietly(module, extra,
         if hang_up:
             for client in clients:
                 client.close()
-        proc.send_signal(signal.SIGTERM)
-        _, stderr = proc.communicate(timeout=30)
+        returncode = proc.stop()           # SIGTERM, reaped
+        stderr = proc.popen.stderr.read()
     finally:
         for client in clients:
             client.close()
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
-    assert proc.returncode == 0
+        proc.stop()
+        proc.popen.stderr.close()
+    assert returncode == 0
     assert "Traceback" not in stderr, stderr
 
 
