@@ -17,22 +17,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import signal
 import sys
-import threading
 
 from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
-from repro.pmo.store import DEFAULT_COMMIT_INTERVAL_US
-from repro.service.server import (
-    DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS,
-    DEFAULT_SWEEP_PERIOD_NS)
+from repro.service.launch import add_flags, from_args, wait_for_signal
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster",
         description="terpd cluster: N sharded daemons behind a "
-                    "router on one front port.")
+                    "router on one front port.  The daemon settings "
+                    "reach every shard and its standby; shard i "
+                    "seeds with --seed + i.")
     parser.add_argument("--shards", type=int, default=2,
                         help="worker shard processes "
                              "(default: %(default)s)")
@@ -47,28 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pool-dir", metavar="DIR", default=None,
                         help="durable root; each shard stores under "
                              "DIR/shardNN and warm-restarts from it")
-    parser.add_argument("--session-ew-ms", type=float,
-                        default=DEFAULT_SESSION_EW_NS / 1e6,
-                        help="per-session exposure budget in ms "
-                             "(default: %(default)s)")
-    parser.add_argument("--sweep-period-ms", type=float,
-                        default=DEFAULT_SWEEP_PERIOD_NS / 1e6,
-                        help="sweeper period in ms "
-                             "(default: %(default)s)")
-    parser.add_argument("--resume-linger-ms", type=float,
-                        default=DEFAULT_SESSION_LINGER_NS / 1e6,
-                        help="resume-linger window in ms "
-                             "(default: %(default)s)")
-    parser.add_argument("--ew-target-us", type=float, default=40.0,
-                        help="arch engine EW target in us "
-                             "(default: %(default)s)")
-    parser.add_argument("--commit-interval-us", type=int,
-                        default=DEFAULT_COMMIT_INTERVAL_US,
-                        help="group-commit window in us "
-                             "(default: %(default)s)")
-    parser.add_argument("--seed", type=int, default=2022,
-                        help="base seed; shard i uses seed+i "
-                             "(default: %(default)s)")
     parser.add_argument("--profile", metavar="PREFIX", default=None,
                         help="run every process under cProfile; each "
                              "writes PREFIX.shardN / PREFIX.routerN")
@@ -83,11 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "dead shard is promoted from its standby "
                              "with zero acknowledged-write loss "
                              "instead of cold-restarting")
-    parser.add_argument("--no-obs", action="store_true",
-                        help="run shards with observability in no-op "
-                             "mode")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress startup/shutdown chatter")
+    add_flags(parser)
     return parser
 
 
@@ -98,13 +71,7 @@ def make_config(args: argparse.Namespace) -> ClusterConfig:
         host=args.host,
         port=args.port,
         pool_dir=args.pool_dir,
-        session_ew_ns=int(args.session_ew_ms * 1e6),
-        sweep_period_ns=max(1, int(args.sweep_period_ms * 1e6)),
-        session_linger_ns=max(0, int(args.resume_linger_ms * 1e6)),
-        ew_target_us=args.ew_target_us,
-        commit_interval_us=max(0, args.commit_interval_us),
-        seed=args.seed,
-        obs_enabled=not args.no_obs,
+        service=from_args(args),
         profile=args.profile,
         quiet=args.quiet,
         replicas=args.replicas)
@@ -113,31 +80,22 @@ def make_config(args: argparse.Namespace) -> ClusterConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     supervisor = ClusterSupervisor(make_config(args))
-    stop = threading.Event()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, lambda *_: stop.set())
-    supervisor.start()
-    try:
+
+    def ready(port: int) -> None:
         if args.state_file:
             supervisor.write_state_file(args.state_file)
         if not args.quiet:
-            state = supervisor.state()
-            print(f"terpd cluster serving on "
-                  f"tcp://{args.host}:{supervisor.front_port} "
-                  f"({args.shards} shards: ports "
-                  f"{[s['port'] for s in state['shards']]})",
-                  flush=True)
-        stop.wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        supervisor.stop()
-        if not args.quiet:
-            print("terpd cluster stopped:", flush=True)
-            print(json.dumps(
-                [{"shard": c["index"], "restarts": c["restarts"]}
-                 for c in supervisor.state()["shards"]], indent=2),
-                flush=True)
+            ports = [s["port"] for s in supervisor.state()["shards"]]
+            print(f"terpd cluster serving on tcp://{args.host}:{port} "
+                  f"({args.shards} shards: ports {ports})", flush=True)
+
+    wait_for_signal(supervisor, ready=ready)
+    if not args.quiet:
+        print("terpd cluster stopped:", flush=True)
+        print(json.dumps(
+            [{"shard": c["index"], "restarts": c["restarts"]}
+             for c in supervisor.state()["shards"]], indent=2),
+            flush=True)
     return 0
 
 

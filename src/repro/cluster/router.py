@@ -51,8 +51,8 @@ from repro.service import protocol
 from repro.service.client import (
     OPEN, RECV, SEND, ConnectionLost, RemoteError, TerpClient)
 from repro.service.conn import (
-    DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS, Conn, admit,
-    close_connections)
+    DEFAULT_SEED, DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS,
+    Conn, admit, close_connections)
 from repro.service.metrics import WireCounters
 from repro.service.ops import FANOUT, NAME, OID, SESSION, Op
 from repro.service.protocol import WireError, ok_response
@@ -158,7 +158,7 @@ class TerpRouter:
                  reuse_port: bool = False,
                  session_ew_ns: int = DEFAULT_SESSION_EW_NS,
                  session_linger_ns: int = DEFAULT_SESSION_LINGER_NS,
-                 seed: int = 2022) -> None:
+                 seed: int = DEFAULT_SEED) -> None:
         self.shard_addrs = list(shard_addrs)
         self.shard_count = len(self.shard_addrs)
         if not self.shard_count:

@@ -30,8 +30,11 @@ kernel shards accepted connections across them — the cheap fast path
 for connection-heavy workloads.
 
 Everything a child needs travels through a :class:`ClusterConfig`
-(picklable, so ``spawn`` works where ``fork`` is unavailable) and the
-child reports its bound port back through a pipe.
+(picklable, so ``spawn`` works where ``fork`` is unavailable): the
+topology plus one ``service`` mapping of daemon settings (rows of
+:data:`repro.service.launch.SETTINGS`).  Each child runs through
+``launch.serve`` / ``wait_for_signal`` and sends its bound port up a
+pipe once ready — so a child known to be up can be stopped cleanly.
 """
 
 from __future__ import annotations
@@ -45,14 +48,13 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Tuple)
 
-from repro.pmo.store import DEFAULT_COMMIT_INTERVAL_US
-from repro.service.conn import STARTUP_TIMEOUT_S
-from repro.service.server import (
-    DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS,
-    DEFAULT_SWEEP_PERIOD_NS)
+from repro.service.conn import DEFAULT_SEED, STARTUP_TIMEOUT_S
+from repro.service.launch import SETTINGS, serve, wait_for_signal
 
 #: Per-child restart budget before the supervisor gives up on it.
 MAX_RESTARTS = 5
@@ -71,14 +73,9 @@ class ClusterConfig:
     port: int = 0
     #: durable root: shard ``i`` stores under ``<pool_dir>/shard0i``
     pool_dir: Optional[str] = None
-    session_ew_ns: int = DEFAULT_SESSION_EW_NS
-    sweep_period_ns: int = DEFAULT_SWEEP_PERIOD_NS
-    session_linger_ns: int = DEFAULT_SESSION_LINGER_NS
-    ew_target_us: float = 40.0
-    cb_capacity: int = 32
-    commit_interval_us: int = DEFAULT_COMMIT_INTERVAL_US
-    seed: int = 2022
-    obs_enabled: bool = True
+    #: daemon settings as ``TerpService`` keywords (``launch.SETTINGS``
+    #: rows); shard ``i`` and its standby run with ``seed + i``
+    service: Dict[str, Any] = field(default_factory=dict)
     #: cProfile stats prefix; each process writes its own file
     #: (``<profile>.shard0``, ``<profile>.router0``, …)
     profile: Optional[str] = None
@@ -98,66 +95,39 @@ class ClusterConfig:
         return os.path.join(self.pool_dir, f"standby{index:02d}")
 
 
-async def _child_serve(node: Any, report, quiet: bool,
-                       what: str) -> None:
-    """Start a service/router, report the port, serve until signaled."""
-    await node.start()
-    report.send({"port": node.bound_port})
-    report.close()
-    if not quiet:
-        print(f"terpd {what} serving on port {node.bound_port}",
-              flush=True)
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(sig, stop.set)
-        except NotImplementedError:
-            pass
-    try:
-        await stop.wait()
-    finally:
-        await node.stop()
-
-
-def _run_child(amain, profile_path: Optional[str], report) -> None:
-    profiler = None
-    if profile_path:
-        import cProfile
-        profiler = cProfile.Profile()
-        profiler.enable()
-    try:
-        asyncio.run(amain())
-    except Exception as exc:   # report startup failures, don't hang
-        try:
-            report.send({"error": repr(exc)})
-        except (OSError, ValueError):
-            pass
-        raise
-    finally:
-        if profiler is not None:
-            profiler.disable()
-            profiler.dump_stats(profile_path)
-
-
 def _service_kwargs(config: ClusterConfig, index: int
                     ) -> Dict[str, Any]:
     """The TerpService constructor arguments shard ``index`` runs
     with — shared verbatim with its standby, so a promoted standby is
     configured exactly like the shard it replaces."""
     return {
+        **config.service,
         "host": config.host,
-        "ew_target_us": config.ew_target_us,
-        "session_ew_ns": config.session_ew_ns,
-        "sweep_period_ns": config.sweep_period_ns,
-        "session_linger_ns": config.session_linger_ns,
-        "cb_capacity": config.cb_capacity,
-        "seed": config.seed + index,
-        "obs_enabled": config.obs_enabled,
-        "commit_interval_us": config.commit_interval_us,
+        "seed": config.service.get("seed", DEFAULT_SEED) + index,
         "shard_index": index,
         "shard_count": config.shards,
     }
+
+
+@contextmanager
+def _reporting(report, config: ClusterConfig,
+               what: str) -> Iterator[Callable[[int], None]]:
+    """A child's end of the startup pipe.  Yields its ``ready``
+    callback: the bound port goes up, then the child's own banner.  A
+    failure before that goes up instead, so the supervisor raises with
+    the reason rather than waiting out the deadline."""
+    def ready(port: int) -> None:
+        report.send({"port": port})
+        report.close()
+        if not config.quiet:
+            print(f"terpd {what} on port {port}", flush=True)
+
+    try:
+        yield ready
+    except Exception as exc:
+        with suppress(OSError, ValueError):
+            report.send({"error": repr(exc)})
+        raise
 
 
 def _shard_main(config: ClusterConfig, index: int, port: int,
@@ -166,16 +136,13 @@ def _shard_main(config: ClusterConfig, index: int, port: int,
     """Child entry point: one terpd shard (module-level: picklable)."""
     from repro.service.server import TerpService
 
-    async def amain() -> None:
+    with _reporting(report, config, f"shard {index} serving") as ready:
         service = TerpService(
             port=port, pool_dir=pool_dir, replicate_to=replicate_to,
             **_service_kwargs(config, index))
-        await _child_serve(service, report, config.quiet,
-                           f"shard {index}")
-
-    profile = (f"{config.profile}.shard{index}"
-               if config.profile else None)
-    _run_child(amain, profile, report)
+        asyncio.run(serve(
+            service, ready=ready,
+            profile=config.profile and f"{config.profile}.shard{index}"))
 
 
 def _standby_main(config: ClusterConfig, index: int, port: int,
@@ -195,23 +162,12 @@ def _standby_main(config: ClusterConfig, index: int, port: int,
     """
     from repro.replication.applier import StandbyDaemon
 
-    daemon = StandbyDaemon(
-        pool_dir, host=config.host, port=port,
-        service_kwargs=_service_kwargs(config, index),
-        quiet=config.quiet)
-    bound = daemon.start()
-    report.send({"port": bound})
-    report.close()
-    if not config.quiet:
-        print(f"terpd standby {index} applying on port {bound}",
-              flush=True)
-    stop = threading.Event()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, lambda *_: stop.set())
-    try:
-        stop.wait()
-    finally:
-        daemon.stop()
+    with _reporting(report, config,
+                    f"standby {index} applying") as ready:
+        wait_for_signal(StandbyDaemon(
+            pool_dir, host=config.host, port=port,
+            service_kwargs=_service_kwargs(config, index),
+            quiet=config.quiet), ready=ready)
 
 
 def _router_main(config: ClusterConfig, index: int, port: int,
@@ -220,19 +176,17 @@ def _router_main(config: ClusterConfig, index: int, port: int,
     """Child entry point: one router process (module-level: picklable)."""
     from repro.cluster.router import TerpRouter
 
-    async def amain() -> None:
+    with _reporting(report, config, f"router {index} serving") as ready:
+        # The budget the router reports is the one the shards enforce.
         router = TerpRouter(
             shard_addrs=shard_addrs, host=config.host, port=port,
             reuse_port=reuse_port,
-            session_ew_ns=config.session_ew_ns,
-            session_linger_ns=config.session_linger_ns,
-            seed=config.seed)
-        await _child_serve(router, report, config.quiet,
-                           f"router {index}")
-
-    profile = (f"{config.profile}.router{index}"
-               if config.profile else None)
-    _run_child(amain, profile, report)
+            **{key: config.service[key] for key in
+               ("session_ew_ns", "session_linger_ns", "seed")
+               if key in config.service})
+        asyncio.run(serve(
+            router, ready=ready,
+            profile=config.profile and f"{config.profile}.router{index}"))
 
 
 class _Child:
@@ -256,10 +210,14 @@ class ClusterSupervisor:
 
     def __init__(self, config: Optional[ClusterConfig] = None,
                  **overrides: Any) -> None:
-        if config is None:
-            config = ClusterConfig(**overrides)
-        elif overrides:
-            config = dataclasses.replace(config, **overrides)
+        base = config or ClusterConfig()
+        # Daemon settings may be given by field name beside the
+        # topology: ``ClusterSupervisor(shards=2, session_ew_ns=...)``.
+        settings = {key: overrides.pop(key) for key in list(overrides)
+                    if key in SETTINGS}
+        overrides["service"] = {
+            **overrides.get("service", base.service), **settings}
+        config = dataclasses.replace(base, **overrides)
         if config.shards < 1:
             raise ValueError("need at least one shard")
         if config.routers < 1:
@@ -298,6 +256,9 @@ class ClusterSupervisor:
         port = self._routers[0].port
         assert port is not None, "cluster not started"
         return port
+
+    #: what ``launch.wait_for_signal`` announces as ready
+    bound_port = front_port
 
     @property
     def shard_ports(self) -> List[int]:

@@ -61,7 +61,7 @@ from repro.pmo.store import DEFAULT_COMMIT_INTERVAL_US
 from repro.service.client import RemoteError, SyncTerpClient
 from repro.service.retry import (
     CircuitBreaker, CircuitOpenError, RetryPolicy)
-from repro.topology import TOPOLOGIES, Settings
+from repro.topology import TOPOLOGIES
 
 #: Extra bounded-exposure slack for host scheduling jitter: the
 #: sweeper is an asyncio task on a shared CI box, not a hardware
@@ -809,10 +809,13 @@ def run(scenario: Union[str, Scenario], seed: int,
            if value != row.sizes[name]])
     sizes = {**row.sizes, **sizes}
     rng = random.Random(seed ^ 0xFA110)
-    settings = Settings(
-        seed=seed, session_ew_ns=row.session_ew_ns,
-        sweep_period_ns=row.sweep_period_ns,
-        commit_interval_us=rng.choice(row.commit_interval_us))
+    settings = {
+        "seed": seed, "session_ew_ns": row.session_ew_ns,
+        "sweep_period_ns": row.sweep_period_ns,
+        # long enough for a resume to find its session after any
+        # outage a row stages
+        "session_linger_ns": 10_000_000_000,
+        "commit_interval_us": rng.choice(row.commit_interval_us)}
     plan = row.plan(seed) if row.plan is not None else None
     shape: Dict[str, Any] = {"durable": row.durable}
     if plan is not None:

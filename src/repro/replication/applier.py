@@ -49,7 +49,9 @@ from repro.pmo.store import (
 from repro.replication.wire import (
     REPL_PROTOCOL_VERSION, ReplicationWireError, recv_msg, send_msg)
 from repro.service.conn import STARTUP_TIMEOUT_S
+from repro.service.launch import SETTINGS
 from repro.service.recovery import SessionJournal
+from repro.service.server import ServiceThread, TerpService
 
 __all__ = ["JournalApplier", "StandbyDaemon", "ReplicationChainError",
            "promote"]
@@ -260,7 +262,7 @@ class StandbyDaemon:
         self._stop = threading.Event()
         self._promote_lock = threading.Lock()
         self.promoted = False
-        self.service_thread: Optional[Any] = None
+        self.service_thread: Optional[ServiceThread] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -317,11 +319,21 @@ class StandbyDaemon:
         the mirrored pool + session journal give the promoted daemon
         the dead primary's epoch, sessions, and audit history.
         Idempotent — a second promote returns the serving port.
+
+        ``overrides`` arrive off the replication socket, so they are
+        checked before anything changes: a refused promote leaves the
+        standby applying.  One that fails later — recovery, or the
+        bind — leaves it unpromoted with the applier closed and no
+        service behind, so the next promote tries again.
         """
+        unknown = set(overrides or ()) - set(SETTINGS) - {"replicate_to"}
+        if unknown:
+            raise ReplicationWireError(
+                f"promote overrides {sorted(unknown)}: not a daemon "
+                f"setting")
         with self._promote_lock:
             if self.promoted:
                 return self.service_thread.service.bound_port
-            from repro.service.server import ServiceThread, TerpService
             kwargs = {**self.service_kwargs, **(overrides or {}),
                       "port": port, "pool_dir": self.pool_dir}
             # Applies stop before recovery scans the pool — waiting
@@ -329,10 +341,9 @@ class StandbyDaemon:
             # land under recovery's feet: the promoted service is the
             # directory's only writer.
             self.applier.close()
-            self.promoted = True
             thread = ServiceThread(TerpService(**kwargs))
             service = thread.start()
-            self.service_thread = thread
+            self.service_thread, self.promoted = thread, True
             if not self.quiet:
                 print(f"standby promoted, terpd serving on "
                       f"tcp://{kwargs.get('host', '127.0.0.1')}:"
@@ -381,9 +392,15 @@ class StandbyDaemon:
                             "version": REPL_PROTOCOL_VERSION})
             return ok
         if kind == "promote":
-            port = self.promote(int(header.get("port", 0)),
-                                header.get("service") or None)
-            send_msg(conn, {"t": "promoted", "port": port})
+            try:
+                port = self.promote(int(header.get("port", 0)),
+                                    header.get("service") or None)
+            except Exception as exc:  # noqa: BLE001 — told, not dropped
+                # The promoter must learn why (it falls back to a cold
+                # restart), and this standby must keep listening.
+                send_msg(conn, {"t": "error", "error": repr(exc)})
+            else:
+                send_msg(conn, {"t": "promoted", "port": port})
         elif kind == "status":
             send_msg(conn, {"t": "status-ack",
                             "promoted": self.promoted,
@@ -422,7 +439,8 @@ def promote(host: str, repl_port: int, serve_port: int,
     standby's own :class:`~repro.service.server.TerpService` arguments
     (the supervisor points ``replicate_to`` at the replacement
     standby).  Returns the port the promoted daemon serves on; raises
-    on anything but ``promoted``."""
+    — with the standby's reason, when it gave one — on anything but
+    ``promoted``."""
     with socket.create_connection((host, repl_port),
                                   timeout=5.0) as sock:
         # The reply follows recovery: pool rescan + journal replay.
@@ -432,5 +450,6 @@ def promote(host: str, repl_port: int, serve_port: int,
         got = recv_msg(sock)
     if got is None or got[0].get("t") != "promoted":
         raise ReplicationWireError(
-            f"standby did not confirm promotion: {got}")
+            "standby did not confirm promotion: "
+            f"{got[0].get('error', got[0]) if got else 'link closed'}")
     return int(got[0]["port"])

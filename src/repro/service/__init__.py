@@ -22,6 +22,8 @@ Modules:
 ``conn``       per-connection plumbing the daemon and the cluster
                router share (admission, response queue, shutdown)
 ``server``     the asyncio daemon (``TerpService``) and thread harness
+``launch``     the settings table (every tuning flag declared once) and
+               the one serve-until-signalled loop
 ``sweeping``   the exposure sweeper (session budgets + engine sweep)
 ``recovery``   session journal and warm restart
 ``client``     asyncio and blocking clients with pipelining support

@@ -27,6 +27,11 @@ from repro.service.sessions import Session
 DEFAULT_SESSION_EW_NS = 50_000_000
 #: How long a dropped session's identity lingers for resume: 2s.
 DEFAULT_SESSION_LINGER_NS = 2_000_000_000
+#: The arch engine's EW target, the paper's 40us (Section V).
+DEFAULT_EW_TARGET_US = 40.0
+#: Layout randomization, session tokens and the hash ring all draw
+#: from this unless told otherwise.
+DEFAULT_SEED = 2022
 #: How long whoever started a daemon waits for it to come up — the
 #: supervisor for a child's port, a promoter for ``promoted``, a
 #: harness for the startup banner.  Generous: a durable daemon replays

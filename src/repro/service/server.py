@@ -32,6 +32,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.arch.circular_buffer import NUM_ENTRIES
 from repro.arch.cond_engine import TerpArchEngine
 from repro.core.errors import (
     InjectedCrash, IntegrityError, PmoError, TerpError)
@@ -48,8 +49,8 @@ from repro.pmo.store import (
     PmoStore)
 from repro.service import protocol
 from repro.service.conn import (
-    DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS, Conn, admit,
-    close_connections)
+    DEFAULT_EW_TARGET_US, DEFAULT_SEED, DEFAULT_SESSION_EW_NS,
+    DEFAULT_SESSION_LINGER_NS, Conn, admit, close_connections)
 from repro.service.metrics import (
     ServiceMetrics, metrics_report, observability_dump)
 from repro.service.ops import OPS
@@ -83,11 +84,11 @@ class TerpService:
     def __init__(self, *, host: str = "127.0.0.1",
                  port: Optional[int] = 0,
                  unix_path: Optional[str] = None,
-                 ew_target_us: float = 40.0,
+                 ew_target_us: float = DEFAULT_EW_TARGET_US,
                  session_ew_ns: int = DEFAULT_SESSION_EW_NS,
                  sweep_period_ns: int = DEFAULT_SWEEP_PERIOD_NS,
-                 cb_capacity: int = 32,
-                 seed: int = 2022,
+                 cb_capacity: int = NUM_ENTRIES,
+                 seed: int = DEFAULT_SEED,
                  obs: Optional[Observability] = None,
                  obs_enabled: bool = True,
                  faults: Optional[FaultPlan] = None,
@@ -812,7 +813,13 @@ class ServiceThread:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        await self.service.start()
+        try:
+            await self.service.start()
+        except BaseException:
+            # Bound nothing, promised nothing: let go of the pool, so
+            # whoever retries on it is its only owner.
+            await self.service.crash()
+            raise
         self._started.set()
         await self._stop.wait()
         if not self.service._crashed:

@@ -25,15 +25,17 @@ key         what runs                        victims   comes back by
                                                        the standby
 =========== ================================ ========= ================
 
-Child processes go through one :class:`Proc`, which owns the startup
-banner patterns and enforces the startup deadline.  Nothing here is
-imported by a serving process.  (``benchmarks/terpbench`` keeps its
+Every topology takes the daemon settings as one dict of
+``TerpService`` keywords and hands it to what it starts: as keywords
+in-process, as ``ClusterConfig.service``, or as flags
+(``launch.to_flags``).  Child processes go through one :class:`Proc`,
+which owns the startup banner patterns and enforces the startup
+deadline.  Nothing here is imported by a serving process.  (``benchmarks/terpbench`` keeps its
 own spawner until a ``[benchmark]`` PR can point it here.)
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 import shutil
@@ -47,15 +49,13 @@ from typing import Any, Deque, Dict, List, Optional, Sequence
 
 from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
 from repro.faults.plan import FaultPlan
-from repro.pmo.store import DEFAULT_COMMIT_INTERVAL_US
 from repro.replication.applier import promote
 from repro.service.client import SyncTerpClient
-from repro.service.conn import (
-    DEFAULT_SESSION_EW_NS, STARTUP_TIMEOUT_S)
-from repro.service.server import (
-    DEFAULT_SWEEP_PERIOD_NS, ServiceThread, TerpService)
+from repro.service.conn import STARTUP_TIMEOUT_S
+from repro.service.launch import to_flags
+from repro.service.server import ServiceThread, TerpService
 
-__all__ = ["BANNERS", "Proc", "Settings", "TOPOLOGIES", "fetch_audit",
+__all__ = ["BANNERS", "Proc", "TOPOLOGIES", "fetch_audit",
            "ThreadDaemon", "ProcDaemon", "Cluster", "ReplicatedPair"]
 
 HOST = "127.0.0.1"
@@ -156,32 +156,6 @@ class Proc:
         return self.popen.returncode
 
 
-@dataclasses.dataclass(frozen=True)
-class Settings:
-    """The daemon knobs a harness turns, spelled once for every process
-    a topology starts: the field names are ``TerpService``'s and
-    ``ClusterConfig``'s keyword arguments, :meth:`flags` the same
-    values as ``repro.service`` / ``repro.replication`` flags."""
-
-    seed: int = 2022
-    session_ew_ns: int = DEFAULT_SESSION_EW_NS
-    sweep_period_ns: int = DEFAULT_SWEEP_PERIOD_NS
-    #: long enough for a resume to find its session after any outage a
-    #: harness stages
-    session_linger_ns: int = 10_000_000_000
-    commit_interval_us: int = DEFAULT_COMMIT_INTERVAL_US
-
-    def kwargs(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    def flags(self) -> List[str]:
-        return ["--seed", str(self.seed),
-                "--session-ew-ms", str(self.session_ew_ns / 1e6),
-                "--sweep-period-ms", str(self.sweep_period_ns / 1e6),
-                "--resume-linger-ms", str(self.session_linger_ns / 1e6),
-                "--commit-interval-us", str(self.commit_interval_us)]
-
-
 def fetch_audit(port: int) -> Dict[str, Any]:
     """One daemon's audit state, over the wire: its event ring, the
     windows open right now, the exact cumulative summary, and — after a
@@ -203,7 +177,8 @@ class _Topology:
     #: the processes ``kill`` / ``recover`` know by name
     victims: Sequence[str] = ()
 
-    def __init__(self, settings: Settings, *, durable: bool) -> None:
+    def __init__(self, settings: Dict[str, Any], *,
+                 durable: bool) -> None:
         self.settings, self.durable = settings, durable
         self.root: Optional[str] = None
         self.port = 0
@@ -237,7 +212,7 @@ class ThreadDaemon(_Topology):
 
     victims = ("daemon",)
 
-    def __init__(self, settings: Settings, *, durable: bool,
+    def __init__(self, settings: Dict[str, Any], *, durable: bool,
                  faults: Optional[FaultPlan] = None) -> None:
         super().__init__(settings, durable=durable)
         self.faults = faults
@@ -246,7 +221,7 @@ class ThreadDaemon(_Topology):
     def _serve(self) -> int:
         self._thread = ServiceThread(TerpService(
             host=HOST, port=self.port, pool_dir=self.root,
-            faults=self.faults, **self.settings.kwargs()))
+            faults=self.faults, **self.settings))
         return self._thread.start().bound_port or 0
 
     def kill(self, victim: str) -> None:
@@ -273,7 +248,7 @@ class ProcDaemon(_Topology):
 
     def _serve(self) -> int:
         args = ["--host", HOST, "--port", str(self.port),
-                *self.settings.flags()]
+                *to_flags(self.settings)]
         if self.root is not None:
             args += ["--pool-dir", self.root]
         self._proc = Proc("repro.service", args)
@@ -300,7 +275,7 @@ class Cluster(_Topology):
 
     supervisor: Optional[ClusterSupervisor] = None
 
-    def __init__(self, settings: Settings, *, durable: bool,
+    def __init__(self, settings: Dict[str, Any], *, durable: bool,
                  shards: int = 2) -> None:
         super().__init__(settings, durable=durable)
         self.shards = shards
@@ -309,7 +284,7 @@ class Cluster(_Topology):
     def _serve(self) -> int:
         self.supervisor = ClusterSupervisor(ClusterConfig(
             shards=self.shards, host=HOST, pool_dir=self.root,
-            **self.settings.kwargs()))
+            service=self.settings))
         self.supervisor.start()
         return self.supervisor.front_port
 
@@ -342,7 +317,8 @@ class ReplicatedPair(_Topology):
 
     victims = ("primary",)
 
-    def __init__(self, settings: Settings, *, durable: bool) -> None:
+    def __init__(self, settings: Dict[str, Any], *,
+                 durable: bool) -> None:
         if not durable:
             raise ValueError("a replicated pair needs a pool: only "
                              "durable state can be shipped")
@@ -352,7 +328,7 @@ class ReplicatedPair(_Topology):
 
     def _serve(self) -> int:
         assert self.root is not None
-        flags = ["--host", HOST, *self.settings.flags()]
+        flags = ["--host", HOST, *to_flags(self.settings)]
         standby = Proc("repro.replication", [
             "--pool-dir", os.path.join(self.root, "standby"),
             "--listen-port", "0", *flags])

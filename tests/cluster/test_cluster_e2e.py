@@ -316,6 +316,76 @@ class TestShardDeathAndRecovery:
             bystander.close()
 
 
+class TestReplicasAndRouters:
+    """The two ``ClusterConfig`` shapes nothing else starts."""
+
+    def test_a_killed_shard_is_promoted_from_its_standby(self, tmp_path):
+        retry = RetryPolicy(max_retries=10, base_delay_s=0.01,
+                            max_delay_s=0.25, seed=3)
+        with ClusterSupervisor(shards=2, pool_dir=str(tmp_path),
+                               replicas=True,
+                               session_ew_ns=2_000_000_000,
+                               sweep_period_ns=50_000_000) as sup, \
+                SyncTerpClient(port=sup.front_port,
+                               retry=retry) as cli:
+            written = {}
+            while {(oid.pool_id - 1) % 2
+                   for oid, _ in written.values()} != {0, 1}:
+                name = f"mirrored-{len(written)}"
+                cli.create(name, MIB)
+                cli.attach(name)
+                oid = cli.pmalloc(name, 32)
+                data = b"acked-%d" % len(written)
+                cli.write(oid, data)
+                cli.psync(name)
+                cli.detach(name)
+                written[name] = (oid, data)
+            standby_pid = sup.state()["standbys"][0]["pid"]
+            dead = sup.kill_shard(0)
+            deadline = time.monotonic() + 15.0
+            while sup.shard_pid(0) == dead and \
+                    time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert sup.wait_for_shard(0)
+            state = sup.state()
+            assert sup.promotions == state["promotions"] == 1
+            # The standby *process* is the shard now, on the shard's
+            # port, and a replacement standby took its place.
+            assert state["shards"][0]["pid"] == standby_pid
+            replacement = state["standbys"][0]
+            assert replacement["pid"] not in (None, standby_pid, dead)
+            # Zero acknowledged-write loss, on both shards.
+            for name, (oid, data) in written.items():
+                cli.attach(name)
+                assert cli.read(oid, len(data)) == data
+                cli.detach(name)
+            # The promoted shard ships to the replacement, semi-sync.
+            name, (oid, _) = next(
+                item for item in written.items()
+                if (item[1][0].pool_id - 1) % 2 == 0)
+            cli.attach(name)
+            cli.write(oid, b"after")
+            cli.psync(name)
+            cli.detach(name)
+            link = cli.repl_status()["shards"]["0"]
+            assert link["target"] == f"127.0.0.1:{replacement['port']}"
+            assert link["connected"] and link["lag"] == 0
+            assert link["acked"] == link["shipped"] >= 1
+
+    def test_two_routers_share_the_front_port(self):
+        with ClusterSupervisor(shards=2, routers=2) as sup:
+            routers = sup.state()["routers"]
+            assert [r["port"] for r in routers] == [sup.front_port] * 2
+            assert len({r["pid"] for r in routers}) == 2
+            for router in routers:
+                os.kill(router["pid"], 0)        # alive
+            # The kernel spreads accepts over both; whichever router a
+            # connection lands on serves it.
+            for _ in range(8):
+                with SyncTerpClient(port=sup.front_port) as cli:
+                    assert "now_ns" in cli.ping()
+
+
 class TestStartFailure:
     def test_a_start_that_fails_part_way_stops_what_it_started(self):
         """With the front port taken, both shards come up and the

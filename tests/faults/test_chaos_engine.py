@@ -19,7 +19,7 @@ from repro.faults import chaos
 from repro.faults.chaos import (
     CHECKS, SCENARIOS, SCOPES, WORKLOADS, Tally, Verdict, Workload, run)
 from repro.faults.invariants import InvariantReport, Violation
-from repro.topology import TOPOLOGIES, Settings
+from repro.topology import TOPOLOGIES
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "verdict_keys_at_parent.json")
@@ -51,7 +51,7 @@ class TestConformance:
         shape = {"shards": row.sizes["shards"]} \
             if "shards" in row.sizes else {}
         topology = TOPOLOGIES[row.topology](
-            Settings(), durable=row.durable, **shape)
+            {}, durable=row.durable, **shape)
         if row.kill is not None:
             assert row.kill.victim in topology.victims
             with pytest.raises(ValueError):

@@ -18,7 +18,8 @@ import pytest
 from repro.core.units import MIB
 from repro.obs.audit import RESTART
 from repro.replication import (
-    REPL_PROTOCOL_VERSION, StandbyDaemon, recv_msg, send_msg)
+    REPL_PROTOCOL_VERSION, ReplicationWireError, StandbyDaemon, promote,
+    recv_msg, send_msg)
 from repro.service.client import SyncTerpClient
 from repro.service.server import ServiceThread, TerpService
 
@@ -142,3 +143,72 @@ class TestPromotion:
         port = standby.promote(0)
         with SyncTerpClient(port=port, user="carol") as carol:
             assert carol.call("repl_status") == {"enabled": False}
+
+
+class TestFailedPromotion:
+    """A promote that fails must not cost the standby: the supervisor
+    falls back to a cold restart and keeps this failover target."""
+
+    def write(self, client, oid, value):
+        client.write_u64(oid, value)
+        client.psync("pmo")
+
+    def test_a_refused_override_leaves_the_standby_applying(self, pair):
+        service, thread, standby = pair
+        repl_port = standby.bound_port
+        client = SyncTerpClient(port=service.bound_port,
+                                user="alice").connect()
+        client.create("pmo", MIB, mode=0o666)
+        client.attach("pmo")
+        oid = client.pmalloc("pmo", 64)
+        self.write(client, oid, 1)
+        before = standby.applier.status()["batches_applied"]
+        # The reply is the standby's reason, not an EOF — twice over:
+        # nothing was left half-promoted for the second to trip on.
+        for _ in range(2):
+            with pytest.raises(ReplicationWireError,
+                               match="no_such_setting"):
+                promote("127.0.0.1", repl_port, 0, no_such_setting=1)
+        assert not standby.promoted
+        # Still a standby: shipping continues, semi-sync, and applies.
+        self.write(client, oid, 2)
+        assert standby.applier.status()["batches_applied"] > before
+        assert client.call("repl_status")["lag"] == 0
+        thread.kill()
+        client.close()
+        port = promote("127.0.0.1", repl_port, 0)
+        with SyncTerpClient(port=port, user="bob") as bob:
+            bob.attach("pmo")
+            assert bob.read_u64(oid) == 2
+
+    def test_a_failed_bind_is_retried_with_the_mirror_intact(self, pair):
+        service, thread, standby = pair
+        repl_port = standby.bound_port
+        client = SyncTerpClient(port=service.bound_port,
+                                user="alice").connect()
+        client.create("pmo", 4 * MIB, mode=0o666)
+        client.attach("pmo")
+        # Several pages, so "intact" means more than one slot.
+        oids = [client.pmalloc("pmo", 4096) for _ in range(6)]
+        for index, oid in enumerate(oids):
+            client.write(oid, bytes([index + 1]) * 4096)
+        client.psync("pmo")
+        thread.kill()
+        client.close()
+        with socket.socket() as squatter:
+            squatter.bind(("127.0.0.1", 0))
+            squatter.listen(1)
+            taken = squatter.getsockname()[1]
+            with pytest.raises(ReplicationWireError,
+                               match="[Aa]ddress already in use"):
+                promote("127.0.0.1", repl_port, taken)
+            # Unpromoted, nothing half-built, and told so.
+            assert not standby.promoted
+            assert standby.service_thread is None
+        port = promote("127.0.0.1", repl_port, taken)
+        assert port == taken and standby.promoted
+        with SyncTerpClient(port=port, user="bob") as bob:
+            bob.attach("pmo")
+            for index, oid in enumerate(oids):
+                assert bob.read(oid, 4096) == bytes([index + 1]) * 4096
+            assert bob.metrics()["recovery"]["pmos_quarantined"] == []

@@ -6,6 +6,7 @@ sessions doing attach/write/psync/detach on one shared PMO, and show
 and (b) the daemon emits a coherent metrics report.
 """
 
+import asyncio
 import os
 import socket
 import subprocess
@@ -16,7 +17,8 @@ import time
 import pytest
 
 from repro.core.units import MIB
-from repro.service.client import RemoteError, SyncTerpClient
+from repro.service.client import (
+    RemoteError, SyncTerpClient, TerpClient)
 from repro.service.protocol import HEADER
 from repro.service.server import ServiceThread, TerpService
 from tests.service.rawwire import RawWire
@@ -249,6 +251,31 @@ class TestLifecycleAndCli:
         # ...but keeps serving everyone else.
         with SyncTerpClient(port=terpd.bound_port) as client:
             assert "now_ns" in client.ping()
+
+    def test_unix_socket_round_trip_with_both_clients(self, tmp_path):
+        """``--unix`` is a deployment address: no TCP port at all, and
+        the sync and asyncio clients both do a tenant's cycle over it."""
+        path = str(tmp_path / "terpd.sock")
+        service = TerpService(port=None, unix_path=path)
+        with ServiceThread(service) as svc:
+            assert svc.bound_port is None
+            with SyncTerpClient(unix_path=path) as client:
+                client.create("over-unix", MIB)
+                client.attach("over-unix")
+                oid = client.pmalloc("over-unix", 64)
+                client.write(oid, b"written by the sync client")
+                client.detach("over-unix")
+
+            async def read_back():
+                async with TerpClient(unix_path=path) as client:
+                    await client.attach("over-unix")
+                    try:
+                        return await client.read(oid, 26)
+                    finally:
+                        await client.detach("over-unix")
+
+            assert asyncio.run(read_back()) == \
+                b"written by the sync client"
 
     def test_cli_help(self):
         env = dict(os.environ)

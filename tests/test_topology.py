@@ -7,14 +7,17 @@ green run never reaches: a startup wait that must end at its deadline,
 and the one spelling of the daemon knobs.
 """
 
+import random
 import time
 
 import pytest
 
+from repro.cluster.__main__ import build_parser as cluster_parser
 from repro.replication.__main__ import build_parser as standby_parser
 from repro.service.__main__ import build_parser as service_parser
 from repro.service.client import SyncTerpClient
-from repro.topology import BANNERS, TOPOLOGIES, Proc, Settings
+from repro.service.launch import SETTINGS, from_args, to_flags
+from repro.topology import BANNERS, TOPOLOGIES, Proc
 
 
 class TestProc:
@@ -56,22 +59,44 @@ class TestProc:
         assert proc.stop() == 0                  # idempotent
 
 
+def settings_cases(count=300, seed=21):
+    """Seeded ``TerpService`` keyword subsets, the clamps' edges and
+    the value ``int(ms * 1e6)`` used to truncate among them."""
+    rng = random.Random(seed)
+    draw = {
+        "ew_target_us": lambda: round(rng.uniform(0.5, 500.0), 3),
+        "session_ew_ns": lambda: rng.randrange(10 ** 11),
+        "sweep_period_ns": lambda: rng.randrange(1, 10 ** 8),
+        "session_linger_ns": lambda: rng.randrange(10 ** 11),
+        "cb_capacity": lambda: rng.randrange(1, 65),
+        "commit_interval_us": lambda: rng.randrange(5000),
+        "seed": lambda: rng.randrange(2 ** 31),
+        "obs_enabled": lambda: rng.random() < 0.5,
+    }
+    assert set(draw) == set(SETTINGS)
+    yield {"sweep_period_ns": 1_001_000}
+    yield {"sweep_period_ns": 1, "session_linger_ns": 0,
+           "commit_interval_us": 0}
+    for _ in range(count):
+        fields = rng.sample(sorted(draw), rng.randrange(len(draw) + 1))
+        yield {field: draw[field]() for field in fields}
+
+
 class TestSettings:
     def test_flags_and_kwargs_spell_the_same_values(self):
-        settings = Settings(seed=9, session_ew_ns=80_000_000,
-                            sweep_period_ns=3_000_000,
-                            commit_interval_us=500)
-        for parser in (service_parser(), standby_parser()):
-            args = parser.parse_args(
-                ["--pool-dir", "x", *settings.flags()])
-            assert {
-                "seed": args.seed,
-                "session_ew_ns": int(args.session_ew_ms * 1e6),
-                "sweep_period_ns": int(args.sweep_period_ms * 1e6),
-                "session_linger_ns": int(args.resume_linger_ms * 1e6),
-                "commit_interval_us": args.commit_interval_us,
-            } == settings.kwargs()
+        """``to_flags`` is ``from_args``' exact inverse through every
+        CLI, so a harness and the daemon it starts cannot disagree."""
+        for build_parser in (service_parser, cluster_parser,
+                             standby_parser):
+            parser = build_parser()
+            defaults = from_args(parser.parse_args(["--pool-dir", "x"]))
+            assert defaults == {row.field: row.default
+                                for row in SETTINGS.values()}
+            for kwargs in settings_cases():
+                args = parser.parse_args(
+                    ["--pool-dir", "x", *to_flags(kwargs)])
+                assert from_args(args) == {**defaults, **kwargs}
 
     def test_only_durable_state_can_be_shipped(self):
         with pytest.raises(ValueError, match="durable"):
-            TOPOLOGIES["pair"](Settings(), durable=False)
+            TOPOLOGIES["pair"]({}, durable=False)
