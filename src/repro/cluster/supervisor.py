@@ -366,12 +366,16 @@ class ClusterSupervisor:
 
         The monitor restarts it on the same port; a durable shard then
         walks the warm-restart path and charges the outage to every
-        window that was open when the power went out.
+        window that was open when the power went out.  Reaped here,
+        under the monitor's lock (one ``waitpid`` at a time), so
+        ``wait_for_shard`` straight after never reads it as alive.
         """
-        process = self._shards[index].process
-        assert process is not None and process.pid is not None
-        pid = process.pid
-        os.kill(pid, signal.SIGKILL)
+        with self._lock:
+            process = self._shards[index].process
+            assert process is not None and process.pid is not None
+            pid = process.pid
+            os.kill(pid, signal.SIGKILL)
+            process.join(timeout=2.0)
         return pid
 
     def wait_for_shard(self, index: int,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
+from itertools import islice
 from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
 
 #: event kinds, in the vocabulary of the paper's constructs
@@ -207,14 +208,16 @@ class AuditTimeline:
         """Retained events in sequence order, optionally filtered by
         PMO (id or name) and/or kind, optionally the last ``limit``."""
         with self._lock:
-            rows = list(self._ring)
-        if pmo is not None:
-            rows = [r for r in rows
-                    if r[_PMO_ID] == pmo or r[_PMO] == pmo]
-        if kind is not None:
-            rows = [r for r in rows if r[_KIND] == kind]
-        if limit is not None:
-            rows = rows[-limit:]
+            # Newest first, stopping at ``limit`` matches: appends take
+            # this lock, and it is held for O(limit), not for a copy.
+            rows = reversed(self._ring)
+            if pmo is not None:
+                rows = (r for r in rows
+                        if r[_PMO_ID] == pmo or r[_PMO] == pmo)
+            if kind is not None:
+                rows = (r for r in rows if r[_KIND] == kind)
+            rows = list(islice(rows, limit))
+        rows.reverse()
         return [dict(zip(_FIELDS, r)) for r in rows]
 
     def open_windows(self, now_ns: Optional[int] = None

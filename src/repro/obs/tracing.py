@@ -206,11 +206,12 @@ class Tracer:
                name: Optional[str] = None) -> List[Dict[str, Any]]:
         """The most recent finished spans, oldest first."""
         with self._lock:
-            rows = list(self._ring)
+            # Appends take no lock: the copy is the atomic step.
+            rows = reversed(list(self._ring))
         if name is not None:
-            rows = [r for r in rows if r[0] == name]
-        if limit is not None:
-            rows = rows[-limit:]
+            rows = (r for r in rows if r[0] == name)
+        rows = list(itertools.islice(rows, limit))
+        rows.reverse()
         return [_as_dict(r) for r in rows]
 
     def export_jsonl(self, path) -> int:

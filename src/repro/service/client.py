@@ -33,8 +33,10 @@ arguments; without them a failure simply raises):
   ids* after a jittered exponential backoff.  The server's per-session
   replay cache makes the retry idempotent: a request that executed
   but whose response was lost is answered from the cache, never run
-  twice.  Retryable error kinds (``Busy``, ``InjectedFault``) are
-  retried in place on the live connection (``call()`` only).
+  twice — unless its ``OPS`` row is ``readonly``: that one runs again,
+  after a resume against windows the drop closed (a retried ``read``
+  is refused until re-attached).  Retryable error kinds (``Busy``,
+  ``InjectedFault``) are retried in place (``call()`` only).
 * with a :class:`~repro.service.retry.CircuitBreaker`, consecutive
   connection failures open the circuit and the client degrades to
   read-only operations until a probe succeeds.

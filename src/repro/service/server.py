@@ -556,10 +556,12 @@ class TerpService:
             response = ok_response(rid, result, events)
             ok = True
             body = protocol.encode_body(response)
-            if session is not None and isinstance(rid, int):
-                # Only successes are cached: a retried failure must
-                # re-execute, or a transient error would replay as a
-                # permanent one.
+            if session is not None and isinstance(rid, int) and \
+                    not (spec.readonly and not events):
+                # Cached only where running twice could be observed:
+                # a success whose ``OPS`` row is not ``readonly``, or
+                # one that drained events.  A retried failure or plain
+                # read runs again (after a drop: on closed windows).
                 session.replay_put(rid, body,
                                    tuple(conn.bin_out[bin_start:]))
         except InjectedCrash:
@@ -613,6 +615,8 @@ class TerpService:
     def _op_trace(self, conn: Conn, args: Dict) -> Dict:
         """Observability read: recent spans + audit timeline events."""
         limit = int(args.get("limit", 100))
+        if limit < 0:
+            raise ValueError(f"trace limit {limit} is negative")
         pmo = args.get("pmo")
         kind = args.get("kind")
         name = args.get("name")

@@ -23,10 +23,11 @@ Robustness state (the chaos-tolerant parts):
   for ``linger`` long, but its exposure windows are force-closed at
   the instant of the drop — resumption restores identity, never
   access.
-* **replay cache** — the last successful responses keyed by request
-  id.  A client that retries a request the server already executed
-  (the drop ate the response, not the request) gets the original
-  response back instead of a second execution.
+* **replay cache** — the last successful responses, keyed by request
+  id, to ops whose ``OPS`` row is not ``readonly`` (and any response
+  that drained events).  A retry of one (the drop ate the response,
+  not the request) gets the original back instead of a second
+  execution; a retried plain read runs again, so none is kept.
 * **bounded event queue** — out-of-band notifications are capped;
   under backpressure the oldest are dropped and counted rather than
   growing without bound.
@@ -67,7 +68,7 @@ if TYPE_CHECKING:
     from repro.pmo.api import PmoLibrary
     from repro.service.recovery import SessionJournal
 
-#: Successful responses remembered per session for idempotent replay.
+#: Responses (never a plain ``readonly`` one) kept per session for replay.
 REPLAY_CACHE_SIZE = 256
 #: Pending out-of-band events kept per session (backpressure bound).
 MAX_PENDING_EVENTS = 256
@@ -103,8 +104,8 @@ class Session:
     generation: int = 0
     #: request id -> (encoded response body, binary sidecar chunks),
     #: for idempotent replay.  Caching the pre-encoded bytes means a
-    #: replay hit costs zero ``json.dumps`` work, and the chunks let a
-    #: read response replay with its sidecar intact.
+    #: replay hit costs zero ``json.dumps`` work; the chunks are there
+    #: for a read whose response also carried events.
     replay: "OrderedDict[int, tuple]" = field(
         default_factory=OrderedDict)
 

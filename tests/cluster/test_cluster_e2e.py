@@ -12,6 +12,8 @@ import time
 import pytest
 
 from repro.cluster import ClusterSupervisor
+from repro.cluster import supervisor as supervisor_module
+from repro.cluster.supervisor import MAX_RESTARTS
 from repro.service.client import (
     RemoteError, SyncTerpClient)
 from repro.service.retry import RetryPolicy
@@ -316,6 +318,22 @@ class TestShardDeathAndRecovery:
             bystander.close()
 
 
+    def test_wait_for_shard_straight_after_kill_waits_for_the_restart(
+            self, monkeypatch):
+        """``kill_shard`` reaps what it killed, so the wait cannot
+        return on the strength of the dead process still reading as
+        alive: twenty times over, what it returns for is a new pid."""
+        monkeypatch.setattr(supervisor_module, "MONITOR_PERIOD_S", 0.02)
+        with ClusterSupervisor(shards=4) as sup:
+            for round_ in range(MAX_RESTARTS):
+                for index in range(4):
+                    dead = sup.kill_shard(index)
+                    assert sup.wait_for_shard(index)
+                    assert sup.shard_pid(index) != dead
+                    assert sup.state()["shards"][index]["restarts"] == \
+                        round_ + 1
+
+
 class TestReplicasAndRouters:
     """The two ``ClusterConfig`` shapes nothing else starts."""
 
@@ -342,10 +360,6 @@ class TestReplicasAndRouters:
                 written[name] = (oid, data)
             standby_pid = sup.state()["standbys"][0]["pid"]
             dead = sup.kill_shard(0)
-            deadline = time.monotonic() + 15.0
-            while sup.shard_pid(0) == dead and \
-                    time.monotonic() < deadline:
-                time.sleep(0.01)
             assert sup.wait_for_shard(0)
             state = sup.state()
             assert sup.promotions == state["promotions"] == 1

@@ -3,7 +3,10 @@
 import json
 import threading
 
+import pytest
+
 from repro.obs.audit import ATTACH, DETACH, FORCED_DETACH, AuditTimeline
+from repro.obs.tracing import Tracer
 
 
 class TestDurations:
@@ -129,6 +132,46 @@ class TestRingWrap:
         assert event["reason"] == "closed 2 window(s)"
         assert event["duration_ns"] == 50
         assert timeline.summary()["sweeps"] == 1
+
+
+CAP = 32
+
+
+@pytest.mark.parametrize("limit", [0, 1, CAP, CAP + 1])
+def test_limited_reads_match_copy_filter_slice(limit):
+    """Both ring readers stop at ``limit`` matches walking newest
+    first; what they return is, row for row and in order, what copy →
+    filter → ``rows[-limit:]`` gave — but for ``limit=0``, which that
+    slice turned into *everything* and now means none."""
+    timeline, tracer = AuditTimeline(capacity=CAP), Tracer(capacity=CAP)
+    for i in range(CAP + 9):                # both rings have wrapped
+        pmo = i % 3
+        timeline.record_attach(i % 2, pmo, f"pmo-{pmo}", i * 10)
+        timeline.record_detach(i % 2, pmo, f"pmo-{pmo}", i * 10 + 5,
+                               forced=i % 4 == 0)
+        tracer.record_since(f"terpd.op{i % 3}", i)
+
+    def last(rows):
+        return rows[-limit:] if limit else []
+
+    everything = timeline.events()
+    assert len(everything) == CAP
+    for filters in ({}, {"kind": FORCED_DETACH}, {"pmo": 2},
+                    {"pmo": "pmo-1"}, {"pmo": 0, "kind": ATTACH},
+                    {"kind": "sweep"}, {"pmo": "no-such-pmo"}):
+        matching = [e for e in everything
+                    if filters.get("kind") in (None, e["kind"])
+                    and filters.get("pmo") in (None, e["pmo"],
+                                               e["pmo_id"])]
+        assert timeline.events(limit=limit, **filters) == last(matching)
+    spans = tracer.recent()
+    assert len(spans) == CAP
+    assert tracer.recent(limit=limit) == last(spans)
+    assert tracer.recent(limit=limit, name="terpd.op1") == \
+        last([s for s in spans if s["name"] == "terpd.op1"])
+    for read in (timeline.events, tracer.recent):
+        with pytest.raises(ValueError):
+            read(limit=-5)
 
 
 class TestRecordShape:

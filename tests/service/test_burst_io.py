@@ -17,9 +17,9 @@ from repro.service import protocol
 from repro.service.client import SyncTerpClient
 from repro.service.retry import RetryPolicy
 from repro.service.server import ServiceThread, TerpService
-from repro.service.sessions import REPLAY_CACHE_SIZE
 from repro.topology import Proc
 from tests.service.rawwire import RawWire
+from tests.service.test_footprint import rss_kib
 
 
 def write_burst(oid, count, first_rid=100):
@@ -167,11 +167,6 @@ def test_conn_drop_mid_burst_keeps_the_responses_ahead_of_it():
     assert service.metrics.ops["create"] == 5
 
 
-def _rss_kib(pid):
-    with open(f"/proc/{pid}/status") as status:
-        return int(re.search(r"VmRSS:\s+(\d+) kB", status.read())[1])
-
-
 def test_a_client_that_stops_reading_stalls_itself_not_the_daemon():
     # 2000 pipelined 4 KiB reads — 8 MiB of responses — from a client
     # that does not read for 200 ms.  Pending output is written at the
@@ -197,15 +192,10 @@ def test_a_client_that_stops_reading_stalls_itself_not_the_daemon():
                     protocol.encode_frame(protocol.request(
                         rid, "read", {"oid": oid.pack(), "n": 4096}))
                     for rid in rids)
-            # Fill the session's replay cache with 4 KiB responses
-            # first: memory the daemon keeps by design, not backlog.
-            wire.sock.sendall(reads(range(3000, 3000 + REPLAY_CACHE_SIZE)))
-            for _ in range(REPLAY_CACHE_SIZE):
-                assert wire.recv()[0]["ok"]
-            before = _rss_kib(daemon.popen.pid)
+            before = rss_kib(daemon.popen.pid)
             wire.sock.sendall(reads(range(10, 2010)))
             time.sleep(0.2)
-            grown = _rss_kib(daemon.popen.pid) - before
+            grown = rss_kib(daemon.popen.pid) - before
             assert grown < 3072, f"daemon grew {grown} KiB"
             for rid in range(10, 2010):
                 response, sidecar = wire.recv()

@@ -9,9 +9,11 @@ connection handler instead of leaving it to be cancelled.
 
 import gc
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import pytest
 
@@ -23,6 +25,11 @@ from repro.topology import Proc
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
+
+
+def rss_kib(pid: int) -> int:
+    with open(f"/proc/{pid}/status") as status:
+        return int(re.search(r"VmRSS:\s+(\d+) kB", status.read())[1])
 
 
 def child_env() -> dict:
@@ -134,6 +141,78 @@ def test_memory_is_flat_over_tenant_cycles(small_buffers_service):
     monitor = service.lib.runtime.monitor
     assert monitor.ew.windows() == [] and monitor.tew.windows() == []
     assert service.obs.audit.summary()["windows"] >= 2500
+
+
+def test_large_reads_are_not_pinned_by_the_daemon():
+    """One tenant, a real daemon: 64 × ``read(oid, 1 MiB)`` then 16 ×
+    ``trace(limit=65536)`` over a 16 384-event audit ring (a quarter
+    of its capacity: filling it takes this host 4 s) move ``VmRSS`` by
+    less than 8 MiB.  Fails at the parent of the PR that stopped
+    caching ``readonly`` responses for replay: there the reads alone
+    add 61 MiB and the traces 49 MiB, held until the session closes."""
+    daemon = Proc("repro.service",
+                  ["--port", "0", "--session-ew-ms", "60000"])
+    try:
+        with SyncTerpClient(port=daemon.ready()) as client:
+            client.create("big", 4 * MIB)
+            client.attach("big")
+            oid = client.pmalloc("big", MIB)
+            client.write(oid, b"\xa5" * MIB)
+            client.detach("big")
+            for _ in range(32):
+                client.batch([("attach", {"name": "big"}),
+                              ("detach", {"name": "big"})] * 256)
+            client.attach("big")
+            # One of each first: what serving them costs transiently
+            # is the allocator's to keep, and not what is measured.
+            client.read(oid, MIB)
+            assert len(client.trace(limit=65536)["audit"]) > 16384
+            before = rss_kib(daemon.popen.pid)
+            for _ in range(64):
+                assert client.read(oid, MIB) == b"\xa5" * MIB
+            for _ in range(16):
+                client.trace(limit=65536)
+            grown = rss_kib(daemon.popen.pid) - before
+            client.detach("big")
+    finally:
+        daemon.stop()
+    assert grown < 8 * 1024, f"daemon grew {grown} KiB"
+
+
+def held_bytes(root) -> int:
+    """Bytes of binary data reachable from ``root`` through instances
+    and containers (not through its classes, functions or modules)."""
+    seen, stack, total = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (
+                type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (bytes, bytearray, memoryview)):
+            total += len(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+def test_a_session_keeps_no_pmo_bytes_past_detach():
+    """Resume restores who you were, never what you held: after
+    ``detach`` nothing reachable from the session is PMO contents (at
+    the parent of the same PR: the 8 × 64 KiB just read, and they
+    outlived a forced detach and the resume linger too)."""
+    with ServiceThread(TerpService(port=0)) as service, \
+            SyncTerpClient(port=service.bound_port) as client:
+        session = service.sessions.find(client.session_id)
+        client.create("held", MIB)
+        client.attach("held")
+        oid = client.pmalloc("held", 64 * 1024)
+        client.write(oid, b"\x5a" * 64 * 1024)
+        for _ in range(8):
+            client.read(oid, 64 * 1024)
+        client.detach("held")
+        # What is left is small mutating-op bodies, nothing of 4 KiB.
+        assert len(session.replay) >= 4
+        assert held_bytes(session) < 4096
 
 
 def test_trace_op_carries_the_rings_records_verbatim(terpd):

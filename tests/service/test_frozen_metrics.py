@@ -78,12 +78,14 @@ def drive_single():
         client.batch([("attach", {"name": "pmo-0"}),
                       ("read_u64", {"oid": oids["pmo-0"].pack()}),
                       ("detach", {"name": "pmo-0"})])
+        # The detach's rid again: a replay (mutating ops are what the
+        # cache keeps; a second execution would be refused).
+        client._next_id -= 1
+        client.detach("pmo-0")
         try:
             client.attach("no-such-pmo")
         except RemoteError:
             pass
-        client.ping()
-        client._next_id -= 1           # the same rid again: a replay
         client.ping()
         report = client.metrics()
         registry = client.call("metrics", raw=True)["registry"]

@@ -21,7 +21,7 @@ from repro.service.client import (
     RECV, SEND, ClientCore, RemoteError, SyncTerpClient, TerpClient)
 from repro.service.ops import FANOUT, NAME, OID, OPS, SESSION
 from repro.service.conn import Conn
-from repro.service.server import TerpService
+from repro.service.server import ServiceThread, TerpService
 from tests.service.rawwire import RawWire
 
 TYPED = {op.method for op in OPS.values() if op.method is not None}
@@ -305,3 +305,93 @@ def test_pipeline_error_mid_burst_leaves_the_connection_in_sync(
     do(client.tx_abort("sync"))
     do(client.detach("sync"))
     assert "closed" in do(client.close_pmo("sync"))
+
+
+# -- exactly-once, row by row --------------------------------------------------
+
+#: One successful call of every op, in an order in which each can
+#: succeed; ``oid`` is filled in from ``pmalloc``'s result.
+SCRIPT = [
+    ("hello", {"user": "matrix", "version": 2}),
+    ("ping", {}), ("metrics", {}), ("trace", {"limit": 4}),
+    ("prometheus", {}), ("repl_status", {}),
+    ("create", {"name": "once", "size": MIB}),
+    ("open", {"name": "once"}), ("attach", {"name": "once"}),
+    ("pmalloc", {"name": "once", "size": 64}),
+    ("write", {"oid": None, "data": {"bin": 8}}),
+    ("read", {"oid": None, "n": 8}),
+    ("write_u64", {"oid": None, "value": 7}), ("read_u64", {"oid": None}),
+    ("psync", {"name": "once"}), ("tx_begin", {"name": "once"}),
+    ("tx_abort", {"name": "once"}), ("pfree", {"oid": None}),
+    ("detach", {"name": "once"}), ("close", {"name": "once"}),
+    ("destroy", {"name": "once"}), ("goodbye", {}),
+]
+
+
+class TestExactlyOnce:
+    """The replay cache holds what a second execution could change:
+    every row that is not ``readonly``, and any response that drained
+    events.  Nothing else — a plain read runs again."""
+
+    @pytest.fixture
+    def service(self):
+        thread = ServiceThread(TerpService(
+            port=0, seed=7, session_ew_ns=600_000_000_000))
+        yield thread.start()
+        thread.stop()
+
+    @staticmethod
+    def counts(service, name):
+        return (service.metrics.ops.get(name, 0),
+                service.metrics.replays_served)
+
+    def test_a_retried_rid_replays_iff_its_row_mutates(self, service):
+        assert sorted(name for name, _ in SCRIPT) == sorted(OPS)
+        with RawWire(service.bound_port) as wire:
+            oid = None
+            for rid, (name, args) in enumerate(SCRIPT, start=1):
+                if "oid" in args:
+                    args = dict(args, oid=oid)
+                sidecar = b"E" * 8 if OPS[name].bin_arg else None
+                first = wire.exchange(rid, name, args, sidecar)
+                assert first[0]["ok"], (name, first)
+                if name == "pmalloc":
+                    oid = first[0]["result"]["oid"]
+                ran, replays = self.counts(service, name)
+                again = wire.exchange(rid, name, args, sidecar)
+                assert again[0]["ok"], (name, again)
+                if OPS[name].readonly:
+                    assert self.counts(service, name) == \
+                        (ran + 1, replays), name
+                else:
+                    assert again == first, name
+                    assert self.counts(service, name) == \
+                        (ran, replays + 1), name
+
+    def test_a_readonly_response_that_carried_an_event_replays_with_it(
+            self, service):
+        with RawWire(service.bound_port) as wire:
+            session = service.sessions.find(wire.hello()["session"])
+            wire.exchange(2, "create", {"name": "evt", "size": MIB})
+            wire.exchange(3, "attach", {"name": "evt"})
+            oid = wire.exchange(
+                4, "pmalloc", {"name": "evt", "size": 8})[0]["result"]["oid"]
+            wire.exchange(5, "write", {"oid": oid, "data": {"bin": 8}},
+                          b"E" * 8)
+            args = dict(SCRIPT, read={"oid": oid, "n": 8},
+                        read_u64={"oid": oid})
+            for rid, name in enumerate(sorted(ops.READ_ONLY_OPS), 10):
+                with service.lib.lock:
+                    session.note_forced_detach(
+                        900 + rid, f"lost-{rid}", 1, "injected")
+                first = wire.exchange(rid, name, args[name])
+                assert [e["pmo"] for e in first[0]["events"]] == \
+                    [f"lost-{rid}"], name
+                ran, replays = self.counts(service, name)
+                # The drop that eats this response must not eat the
+                # event: the retry gets both back, byte for byte.
+                assert wire.exchange(rid, name, args[name]) == first
+                assert self.counts(service, name) == (ran, replays + 1)
+                if name == "read":
+                    assert first[1] == b"E" * 8
+            assert not session.events

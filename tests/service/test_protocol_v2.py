@@ -98,9 +98,12 @@ class TestSidecarTraffic:
             assert "now_ns" in results[1]
             assert results[2]["data"] == payloads[2]
 
-    def test_replay_cache_keeps_the_sidecar(self, terpd):
-        """A read served once replays — same request id, after a
-        resume on a fresh connection — with its sidecar intact."""
+    def test_a_retried_read_after_resume_is_refused(self, terpd):
+        """Resume restores identity and never access.  A plain read's
+        response is not kept for replay (its ``OPS`` row is
+        ``readonly``), so the same request id on a fresh connection
+        runs again — against the window the drop force-closed — and
+        the bytes come back only once the tenant re-attaches."""
         port = terpd.bound_port
         client = SyncTerpClient(port=port).connect()
         try:
@@ -109,15 +112,20 @@ class TestSidecarTraffic:
             oid = client.pmalloc("rep", 16)
             client.write(oid, b"R" * 16)
             rid = client._next_id + 1
-            assert client.read(oid, 16) == b"R" * 16   # cached at rid
+            assert client.read(oid, 16) == b"R" * 16   # served at rid
             with RawWire(port) as wire:
                 client._drop_socket()   # free the session binding
                 terpd.run_sweep()       # let the daemon notice
                 wire.hello(99, user="root", resume=client.session_id,
                            token=client.resume_token)
-                replayed, sidecar = wire.exchange(
-                    rid, "read", {"oid": oid.pack(), "n": 16})
-                assert replayed["result"] == {"bin": 16}
+                read = {"oid": oid.pack(), "n": 16}
+                refused, sidecar = wire.exchange(rid, "read", read)
+                assert not refused["ok"] and sidecar == b""
+                assert "not attached" in refused["error"]["message"]
+                assert wire.exchange(rid + 1, "attach",
+                                     {"name": "rep"})[0]["ok"]
+                again, sidecar = wire.exchange(rid, "read", read)
+                assert again["result"] == {"bin": 16}
                 assert sidecar == b"R" * 16
         finally:
             client.close()

@@ -302,3 +302,18 @@ class TestLifecycleAndCli:
             assert report["session"]["attaches"] == 1
             assert report["runtime"]["attach_calls"] >= 1
             assert "case1_first_attach" in report["arch_cases"]
+
+    def test_trace_limit_zero_is_none_and_negative_is_refused(self, terpd):
+        with SyncTerpClient(port=terpd.bound_port) as client:
+            client.create("lim", MIB)
+            client.attach("lim")
+            client.detach("lim")
+            assert len(client.trace(limit=2)["audit"]) == 2
+            reply = client.trace(limit=0)
+            assert reply["audit"] == [] and reply["spans"] == []
+            if hasattr(terpd, "supervisor"):
+                return      # a router leaves refusing shards out
+            with pytest.raises(RemoteError) as err:
+                client.trace(limit=-5)
+            assert err.value.kind == "BadRequest"
+            assert "now_ns" in client.ping()
