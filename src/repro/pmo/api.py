@@ -212,6 +212,25 @@ class PmoLibrary:
         double-write journal.  Returns the number of writes + pages
         made durable; on the pure in-memory backend a no-transaction
         psync is a (valid) no-op returning 0.
+
+        :meth:`psync_submit` plus the wait: the pages were snapshotted
+        under the library lock, the fsyncs are waited for outside it.
+        """
+        flushed, ticket = self.psync_submit(pmo)
+        return flushed if ticket is None else flushed + ticket.wait()
+
+    def psync_submit(self, pmo: Pmo) -> "Tuple[int, Optional[Any]]":
+        """``psync``, split for group commit: snapshot now, fsync later.
+
+        Commits the open transaction and *snapshots* the dirty pages
+        onto the store's group committer instead of flushing inline.
+        Returns ``(count, ticket)``: ``count`` is what is already
+        certain (log writes committed), ``ticket`` is ``None`` when
+        there was nothing to flush (the zero-dirty fast path) or a
+        :class:`~repro.pmo.store.CommitTicket` whose ``wait()`` —
+        callable off the serving thread — adds the flushed page count
+        once the batch is durable.  Nothing is promised durable until
+        the ticket retires.
         """
         tracer = self._tracer
         t0 = tracer.clock() if tracer is not None else 0
@@ -231,50 +250,13 @@ class PmoLibrary:
             if pmo.log.in_transaction:
                 flushed = len(pmo.log.pending_writes)
                 pmo.commit_tx()
+            ticket = None
             if self.store is not None and \
                     getattr(pmo.storage, "dirty", None):
                 # The dirty check (after any tx commit, which itself
                 # dirties pages) is the zero-I/O fast path: a psync
                 # with nothing pending never touches the store — no
                 # journal round-trip, no file open, no lock traffic.
-                flushed += self.store.flush(pmo)
-        if tracer is not None:
-            tracer.record_since("lib.psync", t0, pmo=pmo.name,
-                                flushed=flushed)
-        return flushed
-
-    def psync_submit(self, pmo: Pmo) -> "Tuple[int, Optional[Any]]":
-        """``psync``, split for group commit: snapshot now, fsync later.
-
-        Commits the open transaction and *snapshots* the dirty pages
-        onto the store's group committer instead of flushing inline.
-        Returns ``(count, ticket)``: ``count`` is what is already
-        certain (log writes committed), ``ticket`` is ``None`` when
-        there was nothing to flush (the zero-dirty fast path) or a
-        :class:`~repro.pmo.store.CommitTicket` whose ``wait()`` —
-        callable off the serving thread — adds the flushed page count
-        once the batch is durable.  Durability semantics are those of
-        :meth:`psync`: nothing is promised until the ticket retires.
-        """
-        tracer = self._tracer
-        t0 = tracer.clock() if tracer is not None else 0
-        if self.faults is not None:
-            rule = self.faults.fire("lib.psync_stall")
-            if rule is not None and rule.delay_ns > 0:
-                time.sleep(rule.delay_ns / 1e9)
-        with self.lock:
-            if pmo.quarantined:
-                raise IntegrityError(
-                    f"PMO {pmo.name!r} is quarantined "
-                    f"({pmo.quarantine_reason}); psync denied",
-                    pmo=pmo.name)
-            flushed = 0
-            if pmo.log.in_transaction:
-                flushed = len(pmo.log.pending_writes)
-                pmo.commit_tx()
-            ticket = None
-            if self.store is not None and \
-                    getattr(pmo.storage, "dirty", None):
                 ticket = self.store.flush_async(pmo)
         if tracer is not None:
             tracer.record_since("lib.psync", t0, pmo=pmo.name,

@@ -44,6 +44,16 @@ Journal file layout::
     magic "TERPJRN1" | u64 batch_seq | u32 page_count
     page_count x (u64 page_index | u32 crc32 | 4096 page bytes)
     commit: magic "JRNCMT!!" | u64 batch_seq
+
+Each part is packed in one place and unpacked in one place, all module
+functions here — the store, recovery, scrub, the replication bootstrap
+and the standby's applier call them, none re-derives the layout::
+
+    part          packs                          unpacks
+    file names    home_file / journal_file       (the same two)
+    header page   pack_header -> write_header    unpack_header
+    page slots    write_home                     read_slots
+    journal       write_journal                  read_journal
 """
 
 from __future__ import annotations
@@ -56,7 +66,8 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set, Tuple)
 
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
@@ -104,6 +115,58 @@ def page_crcs(pages: List[Tuple[int, bytes]]) -> List[int]:
     return [crc32(page) & 0xFFFFFFFF for _, page in pages]
 
 
+def _safe_filename(name: str) -> str:
+    """A stable, collision-free filename for a PMO name."""
+    safe = re.sub(r"[^A-Za-z0-9._-]", "_", name)[:64]
+    digest = hashlib.sha1(name.encode("utf-8")).hexdigest()[:10]
+    return f"{safe}-{digest}"
+
+
+def home_file(root: Path, name: str) -> Path:
+    """Where PMO ``name``'s durable file lives in pool ``root``."""
+    return root / f"{_safe_filename(name)}.pmo"
+
+
+def journal_file(root: Path, name: str) -> Path:
+    """Where PMO ``name``'s journal lives while a batch is in flight."""
+    return root / f"{_safe_filename(name)}.journal"
+
+
+def pack_header(pmo: "Pmo") -> bytes:
+    """A PMO's durable header page."""
+    name = pmo.name.encode("utf-8")
+    owner = pmo.owner.encode("utf-8")
+    head = _HEADER.pack(FILE_MAGIC, FORMAT_VERSION, pmo.pmo_id,
+                        pmo.mode, pmo.size_bytes, pmo._log_size,
+                        len(name), len(owner)) + name + owner
+    if len(head) > HEADER_SPAN:
+        raise PmoError(f"PMO name/owner too long for the durable "
+                       f"header ({len(head)} bytes)")
+    return head.ljust(HEADER_SPAN, b"\x00")
+
+
+def unpack_header(raw: bytes, where: str
+                  ) -> Tuple[int, str, int, str, int, int]:
+    """:func:`pack_header`'s inverse over the start of a home file:
+    ``(pmo_id, name, size_bytes, owner, mode, log_size)``.  Any header
+    it cannot parse — short, foreign, rotted — is a :class:`PmoError`
+    naming ``where``, so recovery denies that one file and goes on."""
+    try:
+        magic, version, pmo_id, mode, size_bytes, log_size, \
+            name_len, owner_len = _HEADER.unpack_from(raw)
+        split = _HEADER.size + name_len
+        name = raw[_HEADER.size:split].decode("utf-8")
+        owner = raw[split:split + owner_len].decode("utf-8")
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise PmoError(f"{where}: unreadable header ({exc})") from None
+    if magic != FILE_MAGIC:
+        raise PmoError(f"{where}: not a durable PMO file")
+    if version != FORMAT_VERSION:
+        raise PmoError(f"{where}: format version {version} "
+                       f"unsupported")
+    return pmo_id, name, size_bytes, owner, mode, log_size
+
+
 def write_header(path: Path, header: bytes, *,
                  fsync: bool = True) -> None:
     """(Re)create a PMO's durable file as its bare header page."""
@@ -138,12 +201,45 @@ def write_journal(path: Path, seq: int,
             os.fsync(fh.fileno())
 
 
+def read_journal(path: Path
+                 ) -> Optional[Tuple[List[Tuple[int, bytes]], List[int]]]:
+    """:func:`write_journal`'s inverse: the sealed batch as ``(pages,
+    crcs)``, each page checked against its CRC — or None for a journal
+    that is absent, torn before its commit record, or corrupt (never
+    applied: the home file it did not reach stays authoritative)."""
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        return None
+    if len(raw) < _JRN_HEAD.size + _JRN_COMMIT.size:
+        return None
+    magic, seq, count = _JRN_HEAD.unpack_from(raw, 0)
+    step = _JRN_PAGE.size + PAGE_SIZE
+    body = _JRN_HEAD.size + count * step
+    if magic != JOURNAL_MAGIC or not count or \
+            len(raw) < body + _JRN_COMMIT.size:
+        return None
+    if _JRN_COMMIT.unpack_from(raw, body) != (JOURNAL_COMMIT, seq):
+        return None
+    pages: List[Tuple[int, bytes]] = []
+    crcs: List[int] = []
+    for pos in range(_JRN_HEAD.size, body, step):
+        index, crc = _JRN_PAGE.unpack_from(raw, pos)
+        page = raw[pos + _JRN_PAGE.size:pos + step]
+        if _page_crc(page) != crc:
+            return None
+        pages.append((index, page))
+        crcs.append(crc)
+    return pages, crcs
+
+
 def write_home(path: Path, pages: List[Tuple[int, bytes]],
                crcs: List[int], *, fsync: bool = True,
                faults: Optional["FaultPlan"] = None
                ) -> Tuple[List[int], List[int]]:
-    """Write (and fsync) a batch's page slots — the one home writer,
-    shared with the replication applier (which passes no fault plan).
+    """Write (and fsync) a batch's page slots — the one slot writer:
+    commit, journal replay, scrub repair and the replication applier
+    all store pages through it (only commit passes a fault plan).
     Returns the (torn, rotted) page indices ``faults`` injected."""
     torn: List[int] = []
     rot: List[int] = []
@@ -175,11 +271,23 @@ def write_home(path: Path, pages: List[Tuple[int, bytes]],
     return torn, rot
 
 
-def _safe_filename(name: str) -> str:
-    """A stable, collision-free filename for a PMO name."""
-    safe = re.sub(r"[^A-Za-z0-9._-]", "_", name)[:64]
-    digest = hashlib.sha1(name.encode("utf-8")).hexdigest()[:10]
-    return f"{safe}-{digest}"
+def read_slots(raw: bytes, base: int = HEADER_SPAN, first: int = 0
+               ) -> Iterator[Tuple[int, memoryview, int]]:
+    """:func:`write_home`'s inverse, the one slot reader: ``(index,
+    page, stored crc)`` for each marker-bearing slot of a home file's
+    bytes, in one pass (``base=0, first=i``: bytes read from slot
+    ``i`` on).  Computes no CRC — a caller that must verify compares
+    the page's with the stored one.  A slot the file ends inside reads
+    as if zero-filled, which is *absent*, never bad: the marker's
+    non-zero top byte is the slot's last byte, so only whole slots can
+    bear it."""
+    view = memoryview(raw)
+    unpack_from = TRAILER.unpack_from
+    whole_slots = range(base, len(raw) - SLOT_SIZE + 1, SLOT_SIZE)
+    for index, pos in enumerate(whole_slots, first):
+        crc, marker = unpack_from(view, pos + PAGE_SIZE)
+        if marker == PAGE_MARKER:
+            yield index, view[pos:pos + PAGE_SIZE], crc
 
 
 class DurablePages(SparseBytes):
@@ -477,10 +585,10 @@ class PmoStore:
         return DurablePages(size)
 
     def path_for(self, name: str) -> Path:
-        return self.root / f"{_safe_filename(name)}.pmo"
+        return home_file(self.root, name)
 
     def journal_path_for(self, name: str) -> Path:
-        return self.root / f"{_safe_filename(name)}.journal"
+        return journal_file(self.root, name)
 
     def register(self, pmo: "Pmo") -> None:
         """Adopt a PMO into the store; writes its header immediately
@@ -498,7 +606,7 @@ class PmoStore:
             self._scrub_order.append(pmo.name)
             if not entry.path.exists():
                 with self._io_lock:
-                    write_header(entry.path, self._header_bytes(pmo),
+                    write_header(entry.path, pack_header(pmo),
                                  fsync=self.fsync)
         # Shipper hook OUTSIDE ``_lock``: the shipper's reconnect
         # bootstrap holds its send lock while reading
@@ -507,7 +615,7 @@ class PmoStore:
         # The lock order is: shipper send lock before store locks,
         # never the reverse.
         if self.shipper is not None:
-            self.shipper.ship_header(pmo.name, self._header_bytes(pmo))
+            self.shipper.ship_header(pmo.name, pack_header(pmo))
 
     def unregister(self, name: str) -> None:
         with self._lock:
@@ -532,17 +640,6 @@ class PmoStore:
     def registered(self) -> List[str]:
         with self._lock:
             return list(self._entries)
-
-    def _header_bytes(self, pmo: "Pmo") -> bytes:
-        name = pmo.name.encode("utf-8")
-        owner = pmo.owner.encode("utf-8")
-        head = _HEADER.pack(FILE_MAGIC, FORMAT_VERSION, pmo.pmo_id,
-                            pmo.mode, pmo.size_bytes, pmo._log_size,
-                            len(name), len(owner)) + name + owner
-        if len(head) > HEADER_SPAN:
-            raise PmoError(f"PMO name/owner too long for the durable "
-                           f"header ({len(head)} bytes)")
-        return head.ljust(HEADER_SPAN, b"\x00")
 
     # -- flush (the durability point) --------------------------------------
 
@@ -601,12 +698,12 @@ class PmoStore:
         crcs = page_crcs(pages)
         with self._io_lock:
             self._check_registered(entry)
-            pending = self._journal_pages(entry.journal_path)
+            pending = read_journal(entry.journal_path)
             if pending:
                 # A journal survives a flush only when a home write was
                 # torn: apply it before this batch's journal replaces
                 # it, or the torn page would lose its repair source.
-                self._apply_pages(entry.path, pending)
+                write_home(entry.path, *pending, fsync=self.fsync)
                 entry.journal_path.unlink(missing_ok=True)
             write_journal(entry.journal_path, seq, pages, crcs,
                           fsync=self.fsync)
@@ -629,7 +726,13 @@ class PmoStore:
                 # the repair source scrub and recovery rely on.
                 entry.journal_path.unlink(missing_ok=True)
             if rot_pages:
-                self._inject_bit_rot(entry, rot_pages)
+                # At-rest decay *after* the journal retired: one bit
+                # flipped under the page's original CRC — no repair
+                # source, the quarantine case.
+                rotted = [((index, bytes([page[0] ^ 0x01]) + page[1:]),
+                           crc) for (index, page), crc in zip(pages, crcs)
+                          if index in rot_pages]
+                write_home(entry.path, *zip(*rotted), fsync=self.fsync)
         if shipped is not None:
             shipper.await_commit(name, shipped)
 
@@ -667,72 +770,7 @@ class PmoStore:
             return None
         return self.committer.submit(*snap)
 
-    def _apply_pages(self, path: Path,
-                     pages: Dict[int, bytes]) -> None:
-        """Write journal page copies to their home slots (fsynced)."""
-        with open(path, "r+b") as fh:
-            for index, page in sorted(pages.items()):
-                fh.seek(HEADER_SPAN + index * SLOT_SIZE)
-                fh.write(page)
-                fh.write(TRAILER.pack(_page_crc(page), PAGE_MARKER))
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-
-    def _inject_bit_rot(self, entry: _StoreEntry,
-                        indices: List[int]) -> None:
-        """Flip one bit in each page *after* the journal retired —
-        at-rest decay with no repair source, the quarantine case."""
-        with open(entry.path, "r+b") as fh:
-            for index in indices:
-                pos = HEADER_SPAN + index * SLOT_SIZE
-                fh.seek(pos)
-                byte = fh.read(1)
-                fh.seek(pos)
-                fh.write(bytes([byte[0] ^ 0x01]))
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-
     # -- verification / scrub ----------------------------------------------
-
-    def _read_slot(self, fh, index: int) -> Tuple[bytes, int, int]:
-        fh.seek(HEADER_SPAN + index * SLOT_SIZE)
-        blob = fh.read(SLOT_SIZE)
-        blob = blob.ljust(SLOT_SIZE, b"\x00")
-        page = blob[:PAGE_SIZE]
-        crc, marker = TRAILER.unpack_from(blob, PAGE_SIZE)
-        return page, crc, marker
-
-    def _journal_pages(self, journal_path: Path
-                       ) -> Optional[Dict[int, bytes]]:
-        """The journal's page copies, or None if absent/uncommitted."""
-        try:
-            raw = journal_path.read_bytes()
-        except FileNotFoundError:
-            return None
-        if len(raw) < _JRN_HEAD.size + _JRN_COMMIT.size:
-            return None
-        magic, seq, count = _JRN_HEAD.unpack_from(raw, 0)
-        if magic != JOURNAL_MAGIC:
-            return None
-        body = _JRN_HEAD.size + count * (_JRN_PAGE.size + PAGE_SIZE)
-        if len(raw) < body + _JRN_COMMIT.size:
-            return None            # torn journal: never applied
-        commit_magic, commit_seq = _JRN_COMMIT.unpack_from(raw, body)
-        if commit_magic != JOURNAL_COMMIT or commit_seq != seq:
-            return None
-        pages: Dict[int, bytes] = {}
-        pos = _JRN_HEAD.size
-        for _ in range(count):
-            index, crc = _JRN_PAGE.unpack_from(raw, pos)
-            pos += _JRN_PAGE.size
-            page = raw[pos:pos + PAGE_SIZE]
-            pos += PAGE_SIZE
-            if _page_crc(page) != crc:
-                return None        # journal itself corrupt: unusable
-            pages[index] = page
-        return pages
 
     def verify_page(self, name: str, index: int, *,
                     repair: bool = True) -> str:
@@ -752,13 +790,16 @@ class PmoStore:
             # rewriting the same slots.
             with self._io_lock:
                 with open(entry.path, "rb") as fh:
-                    page, crc, marker = self._read_slot(fh, index)
-                if marker != PAGE_MARKER:
+                    fh.seek(HEADER_SPAN + index * SLOT_SIZE)
+                    slot = next(read_slots(fh.read(SLOT_SIZE), 0, index),
+                                None)
+                if slot is None:
                     return "absent"
+                _, page, crc = slot
                 if _page_crc(page) == crc:
                     return "ok"
-                journal = self._journal_pages(entry.journal_path)
-                good = journal.get(index) if journal else None
+                journal = read_journal(entry.journal_path)
+                good = dict(journal[0]).get(index) if journal else None
                 if good is None:
                     resident = entry.pmo.storage._pages.get(index)
                     if not repair or resident is None:
@@ -778,13 +819,8 @@ class PmoStore:
                             "journal copy available", pmo=name,
                             page_index=index)
                     outcome = "repaired"
-                with open(entry.path, "r+b") as fh:
-                    fh.seek(HEADER_SPAN + index * SLOT_SIZE)
-                    fh.write(good + TRAILER.pack(_page_crc(good),
-                                                 PAGE_MARKER))
-                    fh.flush()
-                    if self.fsync:
-                        os.fsync(fh.fileno())
+                write_home(entry.path, [(index, good)],
+                           [_page_crc(good)], fsync=self.fsync)
                 return outcome
 
     def present_pages(self, name: str) -> List[int]:
@@ -793,27 +829,11 @@ class PmoStore:
             entry = self._entries.get(name)
             if entry is None:
                 raise PmoError(f"PMO {name!r} is not registered")
-            # One read + a memoryview trailer scan, not a seek/read
-            # pair per slot.
+            # One read + a trailer scan (no CRC: the scrubber asks
+            # every sweep), not a seek/read pair per slot.
             with self._io_lock:
                 raw = entry.path.read_bytes()
-            count = max(0, (len(raw) - HEADER_SPAN) + SLOT_SIZE - 1) \
-                // SLOT_SIZE
-            view = memoryview(raw)
-            present = []
-            unpack_from = TRAILER.unpack_from
-            for index in range(count):
-                tail = HEADER_SPAN + index * SLOT_SIZE + PAGE_SIZE
-                if tail + TRAILER.size <= len(raw):
-                    _, marker = unpack_from(view, tail)
-                elif tail < len(raw):
-                    _, marker = TRAILER.unpack(
-                        bytes(view[tail:]).ljust(TRAILER.size, b"\x00"))
-                else:
-                    marker = 0
-                if marker == PAGE_MARKER:
-                    present.append(index)
-            return present
+            return [index for index, _, _ in read_slots(raw)]
 
     def committed_state(self, name: str
                         ) -> Tuple[bytes, int, List[Tuple[int, bytes]]]:
@@ -835,26 +855,13 @@ class PmoStore:
                 # in these bytes, and its batch must still ship.
                 flush_seq = entry.committed_seq
                 raw = entry.path.read_bytes()
-                journal = self._journal_pages(entry.journal_path)
-        header = bytes(raw[:HEADER_SPAN]).ljust(HEADER_SPAN, b"\x00")
-        count = max(0, (len(raw) - HEADER_SPAN) + SLOT_SIZE - 1) \
-            // SLOT_SIZE
-        view = memoryview(raw)
-        pages: Dict[int, bytes] = {}
-        for index in range(count):
-            base = HEADER_SPAN + index * SLOT_SIZE
-            tail = base + PAGE_SIZE
-            if tail + TRAILER.size > len(raw):
-                continue
-            crc, marker = TRAILER.unpack_from(view, tail)
-            if marker != PAGE_MARKER:
-                continue
-            page = bytes(view[base:tail])
-            if _page_crc(page) != crc:
-                continue
-            pages[index] = page
+                journal = read_journal(entry.journal_path)
+        header = raw[:HEADER_SPAN].ljust(HEADER_SPAN, b"\x00")
+        pages = {index: bytes(page)
+                 for index, page, crc in read_slots(raw)
+                 if _page_crc(page) == crc}
         if journal:
-            pages.update(journal)
+            pages.update(journal[0])
         return header, flush_seq, sorted(pages.items())
 
     def scrub(self, max_pages: int = SCRUB_PAGES_PER_PASS
@@ -903,21 +910,17 @@ class PmoStore:
         """Rescan the pool directory: apply journals, verify pages,
         rebuild every PMO through full crash recovery, quarantine what
         cannot be proven intact."""
-        from repro.pmo.pmo import Pmo
         report = LoadReport()
         for path in sorted(self.root.glob("*.pmo")):
             journal_path = path.with_suffix(".journal")
             try:
                 pmo, repaired, applied = self._load_one(path,
                                                         journal_path)
-            except IntegrityError as exc:
-                # Page-level rot inside a parseable file: the PMO
-                # comes back quarantined (read-only) via _load_one's
-                # second return path — reaching here means the file
-                # was too damaged to even construct; deny it.
-                report.denied.append((path.name, str(exc)))
-                continue
             except PmoError as exc:
+                # Page-level rot inside a parseable file comes back
+                # quarantined (read-only) from ``_load_one``; reaching
+                # here means the header did not parse or the file was
+                # too damaged to even construct: deny this one file.
                 report.denied.append((path.name, str(exc)))
                 continue
             report.pages_repaired += repaired
@@ -939,82 +942,30 @@ class PmoStore:
         # memoryview slice of it, CRC'd in place — recovery is a
         # single pass, not a seek/read pair per slot.
         raw = path.read_bytes()
-        raw_header = raw[:HEADER_SPAN]
-        if len(raw_header) < _HEADER.size:
-            raise PmoError(f"{path.name}: truncated header")
-        magic, version, pmo_id, mode, size_bytes, log_size, \
-            name_len, owner_len = _HEADER.unpack_from(raw_header, 0)
-        if magic != FILE_MAGIC:
-            raise PmoError(f"{path.name}: not a durable PMO file")
-        if version != FORMAT_VERSION:
-            raise PmoError(f"{path.name}: format version {version} "
-                           f"unsupported")
-        pos = _HEADER.size
-        name = raw_header[pos:pos + name_len].decode("utf-8")
-        owner = raw_header[pos + name_len:
-                           pos + name_len + owner_len].decode("utf-8")
-
-        journal = self._journal_pages(journal_path)
-        applied = 1 if journal else 0
-        repaired = 0
+        pmo_id, name, size_bytes, owner, mode, log_size = \
+            unpack_header(raw, path.name)
+        journal = read_journal(journal_path)
+        replayed = {index for index, _ in journal[0]} if journal else ()
         storage = DurablePages(size_bytes)
         bad_pages: List[int] = []
-        size = len(raw)
-        view = memoryview(raw)
         crc32 = zlib.crc32
+        for index, page, crc in read_slots(raw):
+            if crc32(page) & 0xFFFFFFFF == crc:
+                storage._pages[index] = bytearray(page)
+            elif index not in replayed:
+                bad_pages.append(index)
+        repaired = 0
         if journal:
             # Double-write recovery: re-apply the whole committed
             # batch.  Idempotent — pages already home verify and
             # are rewritten identically; torn pages are healed.
-            parts: List[Tuple[int, bytes]] = sorted(journal.items())
-            with open(path, "r+b") as fh:
-                for index, page in parts:
-                    base = HEADER_SPAN + index * SLOT_SIZE
-                    tail = base + PAGE_SIZE
-                    old_ok = False
-                    if tail + TRAILER.size <= size:
-                        old_crc, old_marker = TRAILER.unpack_from(
-                            view, tail)
-                        old_page = view[base:tail]
-                        old_ok = old_marker == PAGE_MARKER and \
-                            crc32(old_page) & 0xFFFFFFFF == old_crc \
-                            and old_page == page
-                    if not old_ok:
-                        repaired += 1
-                    fh.seek(base)
-                    fh.write(page + TRAILER.pack(_page_crc(page),
-                                                 PAGE_MARKER))
-                fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
-        count = max(0, (size - HEADER_SPAN) + SLOT_SIZE - 1) \
-            // SLOT_SIZE
-        if journal:
-            count = max(count, max(journal) + 1)
-        for index in range(count):
-            if journal is not None and index in journal:
-                # Just re-applied from the journal: home and valid
-                # by construction.
-                storage._pages[index] = bytearray(journal[index])
-                continue
-            base = HEADER_SPAN + index * SLOT_SIZE
-            tail = base + PAGE_SIZE
-            if tail + TRAILER.size <= size:
-                page_bytes: Any = view[base:tail]
-                crc, marker = TRAILER.unpack_from(view, tail)
-            else:
-                blob = bytes(view[base:base + SLOT_SIZE]).ljust(
-                    SLOT_SIZE, b"\x00")
-                page_bytes = blob[:PAGE_SIZE]
-                crc, marker = TRAILER.unpack_from(blob, PAGE_SIZE)
-            if marker != PAGE_MARKER:
-                continue
-            if crc32(page_bytes) & 0xFFFFFFFF != crc:
-                bad_pages.append(index)
-                continue
-            storage._pages[index] = bytearray(page_bytes)
-        if journal:
+            repaired = sum(storage._pages.get(index) != page
+                           for index, page in journal[0])
+            write_home(path, *journal, fsync=self.fsync)
+            storage._pages.update((index, bytearray(page))
+                                  for index, page in journal[0])
             journal_path.unlink(missing_ok=True)
+        applied = 1 if journal else 0
 
         if not storage._pages and not bad_pages:
             # Created but never flushed: only the durable header made

@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from repro.core.errors import TerpError
 from repro.core.units import PAGE_SIZE
 from repro.pmo.store import (
-    HEADER_SPAN, _safe_filename, write_header, write_home,
+    HEADER_SPAN, home_file, journal_file, write_header, write_home,
     write_journal)
 from repro.replication.wire import (
     REPL_PROTOCOL_VERSION, ReplicationWireError, recv_msg, send_msg)
@@ -81,10 +81,10 @@ class JournalApplier:
         self.chain_errors = 0
 
     def path_for(self, name: str) -> Path:
-        return self.root / f"{_safe_filename(name)}.pmo"
+        return home_file(self.root, name)
 
     def journal_path_for(self, name: str) -> Path:
-        return self.root / f"{_safe_filename(name)}.journal"
+        return journal_file(self.root, name)
 
     def close(self) -> None:
         """Stop applying, for good: at shutdown, and at promotion —
@@ -182,7 +182,7 @@ class JournalApplier:
         the mirrored session journal, which the primary re-ships in
         full immediately after."""
         live = {str(name) for name in names}
-        keep = {_safe_filename(name) for name in live}
+        keep = {self.path_for(name).stem for name in live}
         with self._applying():
             # ``sessions.journal`` goes too: no safe filename lacks
             # its digest suffix, so ``keep`` never holds its stem.

@@ -43,11 +43,13 @@ which the replication bench samples to report ``lag p99``.
 
 from __future__ import annotations
 
+import collections
 import socket
 import struct
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple)
 
 from repro.pmo.store import page_crcs
 from repro.replication.wire import (
@@ -99,7 +101,11 @@ class JournalShipper:
         self.connected = False
         self._prev: Dict[str, int] = {}
         self._acked: Dict[str, int] = {}
-        self._inflight: Dict[Tuple[str, int], int] = {}
+        #: this link's batches awaiting their ack, oldest first, as
+        #: ``[name, sent_ns]``.  The link is FIFO and the standby acks
+        #: every batch in order, so an ack is always for the head —
+        #: whose ``name`` is None if the PMO was destroyed meanwhile.
+        self._inflight: Deque[List[Any]] = collections.deque()
         self._reader: Optional[threading.Thread] = None
         self._dialer: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -254,8 +260,14 @@ class JournalShipper:
                 send_msg(self._sock, {"t": "destroy", "pmo": name})
             except (OSError, ReplicationWireError) as exc:
                 self._drop_connection(f"destroy: {exc}")
-        with self._ack_cond:
-            self._acked.pop(name, None)
+            with self._ack_cond:
+                # Under the send lock, so every batch of this chain is
+                # already queued: their acks, still to come, must not
+                # count for a re-created PMO's chain.
+                self._acked.pop(name, None)
+                for sent in self._inflight:
+                    if sent[0] == name:
+                        sent[0] = None
 
     def ship_journal(self, record: Dict[str, Any]) -> None:
         """Mirror one session-journal record (fire-and-forget: data
@@ -320,7 +332,9 @@ class JournalShipper:
             self._prev.clear()
             with self._ack_cond:
                 self._acked.clear()
-                self._inflight.clear()
+                # A new queue per link: a dropped link's reader, still
+                # holding an ack, pops its own and never this one's.
+                self._inflight = inflight = collections.deque()
             self.connected = True
             self.reconnects += 1
             try:
@@ -329,7 +343,7 @@ class JournalShipper:
                 self._drop_connection(f"bootstrap: {exc}")
                 return False
         self._reader = threading.Thread(
-            target=self._read_acks, args=(sock,),
+            target=self._read_acks, args=(sock, inflight),
             name="terp-repl-acks", daemon=True)
         self._reader.start()
         return True
@@ -408,7 +422,7 @@ class JournalShipper:
         meta = [[index, crc] for (index, _), crc in zip(pages, crcs)]
         payload = b"".join(page for _, page in pages)
         with self._ack_cond:
-            self._inflight[(name, seq)] = time.perf_counter_ns()
+            self._inflight.append([name, time.perf_counter_ns()])
         send_msg(self._sock, {"t": "batch", "pmo": name,
                               "pmo_id": pmo_id, "seq": seq,
                               "prev": prev, "pages": meta}, payload)
@@ -431,7 +445,8 @@ class JournalShipper:
                 self._ack_cond.wait(remaining)
             return True
 
-    def _read_acks(self, sock: socket.socket) -> None:
+    def _read_acks(self, sock: socket.socket,
+                   inflight: Deque[List[Any]]) -> None:
         while not self._stop.is_set():
             try:
                 got = recv_msg(sock)
@@ -447,15 +462,14 @@ class JournalShipper:
             name = str(header.get("pmo", ""))
             seq = int(header.get("seq", -1))
             with self._ack_cond:
-                if seq > self._acked.get(name, -1):
+                chain, t0 = inflight.popleft() if inflight else (None, 0)
+                if chain == name and seq > self._acked.get(name, -1):
                     self._acked[name] = seq
-                t0 = self._inflight.pop((name, seq), None)
                 self.acked += 1
                 self._ack_cond.notify_all()
             if self._metrics is not None:
-                latency = (time.perf_counter_ns() - t0
-                           if t0 is not None else 0)
-                self._metrics.note_ship_ack(latency)
+                self._metrics.note_ship_ack(
+                    time.perf_counter_ns() - t0 if t0 else 0)
             self._set_lag_gauge()
 
     def _note_drop(self) -> None:

@@ -67,33 +67,12 @@ class SessionJournal:
         if self.mirror is not None:
             self.mirror(record)
 
-    def record_epoch(self, wall_ns: int) -> None:
-        self._append({"rec": "epoch", "wall_ns": wall_ns})
-
-    def record_session(self, *, sid: int, user: str, token: str,
-                       budget_ns: int, at_ns: int) -> None:
-        self._append({"rec": "session", "sid": sid, "user": user,
-                      "token": token, "budget_ns": budget_ns,
-                      "at_ns": at_ns})
-
-    def record_attach(self, *, sid: int, pmo_id: int, pmo: str,
-                      at_ns: int) -> None:
-        self._append({"rec": "attach", "sid": sid, "pmo_id": pmo_id,
-                      "pmo": pmo, "at_ns": at_ns})
-
-    def record_detach(self, *, sid: int, pmo_id: int, pmo: str,
-                      at_ns: int, forced: bool = False,
-                      reason: str = "") -> None:
-        self._append({"rec": "detach", "sid": sid, "pmo_id": pmo_id,
-                      "pmo": pmo, "at_ns": at_ns, "forced": forced,
-                      "reason": reason})
-
-    def record_close(self, *, sid: int, at_ns: int) -> None:
-        self._append({"rec": "close", "sid": sid, "at_ns": at_ns})
-
-    def record_restart(self, *, at_ns: int, downtime_ns: int) -> None:
-        self._append({"rec": "restart", "at_ns": at_ns,
-                      "downtime_ns": downtime_ns})
+    def record(self, rec: str, **fields: Any) -> None:
+        """Append one ``rec`` record (``epoch`` / ``session`` /
+        ``attach`` / ``detach`` / ``close`` / ``restart``)."""
+        if rec == "detach":
+            fields = {"forced": False, "reason": "", **fields}
+        self._append({"rec": rec, **fields})
 
     def close(self) -> None:
         if self._fh is not None:
@@ -201,7 +180,7 @@ class RecoveryManager:
         svc.adopt_epoch(epoch)
         report.epoch_wall_ns = epoch
         if first_start:
-            svc.session_journal.record_epoch(epoch)
+            svc.session_journal.record("epoch", wall_ns=epoch)
             return report
 
         sessions = self._replay(records, report)
@@ -213,8 +192,8 @@ class RecoveryManager:
             svc.obs.audit.record_restart(
                 now, downtime_ns=report.downtime_ns,
                 sessions_restored=len(sessions))
-        svc.session_journal.record_restart(
-            at_ns=now, downtime_ns=report.downtime_ns)
+        svc.session_journal.record(
+            "restart", at_ns=now, downtime_ns=report.downtime_ns)
 
         survivors = []
         for js in sessions.values():
@@ -235,9 +214,9 @@ class RecoveryManager:
                         session.entity_id, pmo_id, name, now,
                         forced=True, reason=reason)
                 session.note_forced_detach(pmo_id, name, now, reason)
-                svc.session_journal.record_detach(
-                    sid=js.sid, pmo_id=pmo_id, pmo=name, at_ns=now,
-                    forced=True, reason=reason)
+                svc.session_journal.record(
+                    "detach", sid=js.sid, pmo_id=pmo_id, pmo=name,
+                    at_ns=now, forced=True, reason=reason)
                 report.forced_detaches += 1
                 if overdue:
                     report.overdue_detaches += 1

@@ -455,5 +455,5 @@ class SessionManager(SessionRegistry):
         ``detach`` / ``close``) about ``session`` to the session
         journal, when the daemon is durable."""
         if self.journal is not None:
-            getattr(self.journal, f"record_{rec}")(
-                sid=session.session_id, at_ns=at_ns, **fields)
+            self.journal.record(rec, sid=session.session_id,
+                                at_ns=at_ns, **fields)

@@ -106,6 +106,21 @@ class TestFormatAndLifecycle:
         assert not store.path_for("gone").exists()
         assert not store.journal_path_for("gone").exists()
 
+    def test_rotted_header_denies_that_file_only(self, tmp_path):
+        """One bad byte in a header's name used to escape ``load_all``
+        as a ``UnicodeDecodeError`` and take the whole pool with it."""
+        store, lib = make(tmp_path)
+        populate(lib, "intact")
+        populate(lib, "rotted")
+        path = store.path_for("rotted")
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"rotted")] = 0xFF         # no UTF-8 starts so
+        path.write_bytes(raw)
+        report = PmoStore(tmp_path).load_all()
+        assert [pmo.name for pmo in report.loaded] == ["intact"]
+        (denied, reason), = report.denied
+        assert denied == path.name and "header" in reason
+
     def test_register_requires_durable_storage(self, tmp_path):
         from repro.pmo.pmo import Pmo
         store, _ = make(tmp_path)

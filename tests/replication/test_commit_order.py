@@ -26,7 +26,8 @@ from repro.core.units import MIB, PAGE_SIZE
 from repro.faults.invariants import check_acked_writes
 from repro.pmo import store as store_module
 from repro.pmo.api import PmoLibrary
-from repro.pmo.store import PmoStore
+from repro.pmo.pmo import Pmo
+from repro.pmo.store import DurablePages, PmoStore
 from repro.replication import (
     REPL_PROTOCOL_VERSION, JournalShipper, ReplicationChainError,
     StandbyDaemon, promote, recv_msg, send_msg)
@@ -204,6 +205,51 @@ class TestPrimaryCrashPoints:
         shipper.stop()
         store.close()
 
+    def test_ack_of_a_destroyed_chain_never_counts_for_the_next(
+            self, tmp_path, standby, monkeypatch):
+        """A batch is sent, its PMO destroyed in the gap, and only
+        then does the standby ack it.  The same name re-created starts
+        a new chain at seq 1, and that chain's first ``psync`` waits
+        for the standby's journal of *its* batch — not for the ack of
+        seq 2 from the chain before (I7)."""
+        store, shipper, lib, pmo, oid = make_primary(
+            tmp_path, standby.bound_port)
+        settled(standby)
+        late = Stall(applier_module.write_journal)
+        monkeypatch.setattr(applier_module, "write_journal", late)
+
+        def destroy_before_the_ack(name):
+            assert late.entered.wait(5.0)
+            store.destroy(name)
+            late.release.set()
+
+        in_the_gap(shipper, after=destroy_before_the_ack)
+        with pytest.raises(PmoError, match="destroyed"):
+            commit(lib, pmo, oid, 2)
+        del shipper.send_commit
+        wait_for(lambda: shipper.acked == shipper.shipped == 2)
+        settled(standby)
+
+        again = Pmo(7, "p", MIB, storage=DurablePages(MIB))
+        store.register(again)
+        again.storage.write(0, b"the next chain")
+        journal = Stall(late.real)
+        monkeypatch.setattr(applier_module, "write_journal", journal)
+        psync = threading.Thread(target=store.flush, args=(again,))
+        psync.start()
+        try:
+            assert journal.entered.wait(5.0)
+            psync.join(0.2)
+            assert psync.is_alive(), \
+                "released by the destroyed chain's ack"
+        finally:
+            journal.release.set()
+        psync.join(5.0)
+        assert not psync.is_alive()
+        assert settled(standby)["applied"]["p"] == 1
+        shipper.stop()
+        store.close()
+
     def test_standby_stops_reading_mid_send(self, tmp_path):
         """(d) A standby that stops reading fails the send at the
         kernel timeout: the home write still happens, the commit
@@ -335,6 +381,10 @@ class TestStandbyCrashPoints:
         and a promotion over it serves the acknowledged bytes."""
         store, shipper, lib, pmo, oid = make_primary(
             tmp_path, standby.bound_port)
+        # ``make_primary``'s commit returned at the standby's *ack*:
+        # let its home write finish, or it would take the stall meant
+        # for the next batch and hold the applier's lock against it.
+        settled(standby)
         journal = Stall(applier_module.write_journal)
         home = Stall(applier_module.write_home)
         monkeypatch.setattr(applier_module, "write_journal", journal)
@@ -379,6 +429,7 @@ class TestStandbyCrashPoints:
         arrives after it raises without acking."""
         store, shipper, lib, pmo, oid = make_primary(
             tmp_path, standby.bound_port)
+        settled(standby)                  # the stall is for batch 2
         home = Stall(applier_module.write_home)
         monkeypatch.setattr(applier_module, "write_home", home)
         commit(lib, pmo, oid, 2)          # acked; its home write stalls

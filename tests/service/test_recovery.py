@@ -150,6 +150,36 @@ class TestWarmRestart:
             client.detach("pool")
         thread2.stop()
 
+    def test_rotted_header_does_not_stop_the_daemon(self, tmp_path):
+        """A header recovery cannot parse costs that one PMO: the
+        daemon starts, reports the file denied, serves the rest."""
+        thread, _ = make_daemon(tmp_path)
+        with SyncTerpClient(port=thread.service.bound_port,
+                            user="w") as client:
+            for name in ("kept", "lost"):
+                client.create(name, 1 << 20, mode=0o666)
+            client.attach("kept")
+            oid = client.pmalloc("kept", 64)
+            client.write_u64(oid, 0xBEEF)
+            client.psync("kept")
+            client.detach("kept")
+        thread.kill()
+        (path,) = tmp_path.glob("lost-*.pmo")
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"lost")] = 0xFF           # no UTF-8 starts so
+        path.write_bytes(raw)
+
+        thread2, service2 = make_daemon(tmp_path)
+        report = service2.recovery_report
+        assert report.pmos_loaded == 1
+        assert [name for name, _ in report.pmos_denied] == [path.name]
+        with SyncTerpClient(port=thread2.service.bound_port,
+                            user="r") as client:
+            client.attach("kept")
+            assert client.read_u64(oid) == 0xBEEF
+            client.detach("kept")
+        thread2.stop()
+
     def test_session_resumes_by_original_token(self, tmp_path):
         thread, _ = make_daemon(tmp_path)
         client = SyncTerpClient(port=thread.service.bound_port,
