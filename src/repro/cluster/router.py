@@ -242,6 +242,7 @@ class TerpRouter:
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         conn = Conn(writer, self.wire.note_flush)
+        writer.transport.max_size = protocol.READ_BYTES
         self._writers[writer] = asyncio.current_task()
         splitter = protocol.FrameSplitter()
         try:
@@ -258,8 +259,9 @@ class TerpRouter:
                 shard = -1
                 for body, sidecar in splitter.feed(data):
                     payload = protocol.decode_frame(body)
-                    owner = None if isinstance(payload, list) \
-                        else self._relay_shard(conn, payload)
+                    batch = protocol.is_batch(payload)
+                    owner = None if batch \
+                        else self._relay_shard(conn, payload, sidecar)
                     if run and owner != shard:
                         await self._relay_run(conn, shard, run)
                         run = []
@@ -267,12 +269,12 @@ class TerpRouter:
                         shard = owner
                         run.append(protocol.frame_from_body(
                             body, sidecar or None))
-                    elif isinstance(payload, list):
+                    elif batch:
                         await conn.send(await self._handle_batch(
                             conn, payload, sidecar))
                     else:
                         await conn.send(await self._handle_local(
-                            conn, payload))
+                            conn, payload, sidecar))
                 if run:
                     await self._relay_run(conn, shard, run)
                 # Out of input: the burst's responses leave together.
@@ -356,14 +358,15 @@ class TerpRouter:
 
     # -- single-op path ----------------------------------------------------
 
-    def _relay_shard(self, conn: Conn, payload: Any) -> Optional[int]:
+    def _relay_shard(self, conn: Conn, payload: Any,
+                     sidecar: bytes) -> Optional[int]:
         """The shard a single-op frame is relayed to; ``None`` for
         what the router answers itself (session ops, fan-outs,
         refusals)."""
         try:
-            spec, args = admit(payload,
+            spec, args = admit(payload, protocol.BinReader(sidecar),
                                has_session=conn.session is not None)
-        except TerpError:
+        except (TerpError, TypeError):
             return None
         if spec.route in (SESSION, FANOUT):
             return None
@@ -377,10 +380,11 @@ class TerpRouter:
         await up.relay(run, lambda body, sidecar: conn.send(
             protocol.frame_from_body(body, sidecar or None)))
 
-    async def _handle_local(self, conn: Conn, payload: Any) -> bytes:
-        rid = payload.get("id") if isinstance(payload, dict) else None
+    async def _handle_local(self, conn: Conn, payload: Any,
+                            sidecar: bytes) -> bytes:
+        rid, _ = protocol.head(payload)
         try:
-            spec, args = admit(payload,
+            spec, args = admit(payload, protocol.BinReader(sidecar),
                                has_session=conn.session is not None)
             if spec.route == SESSION:
                 result = await getattr(self, f"_op_{spec.name}")(
@@ -535,23 +539,22 @@ class TerpRouter:
         chunks: List[bytes] = [b""] * len(items)
         by_shard: Dict[int, List[Tuple[int, Any, bytes]]] = {}
         for index, item in enumerate(items):
+            start = len(sidecar) - bins.remaining
             try:
+                # Takes the item's bytes even if it is then refused.
                 spec, args = admit(
-                    item, has_session=conn.session is not None)
-                take = bins.take(protocol.bin_length(
-                    args[spec.bin_arg])) \
-                    if spec.bin_arg in args else b""
+                    item, bins, has_session=conn.session is not None)
                 if spec.route == SESSION:
                     raise TerpError(f"op {spec.name!r} must be sent "
                                     "standalone, not in a batch")
                 if conn.session is None:
                     raise TerpError(f"op {spec.name!r} requires a "
                                     "session; say hello first")
-            except TerpError as exc:
-                parts[index] = protocol.refusal(
-                    item.get("id") if isinstance(item, dict) else None,
-                    exc)
+            except (TerpError, TypeError) as exc:
+                parts[index] = protocol.refusal(protocol.head(item)[0],
+                                                exc)
                 continue
+            take = sidecar[start:len(sidecar) - bins.remaining]
             # Fan-out ops inside a batch are pinned to the session's
             # home shard: a batched ping is a liveness probe, not a
             # cluster census.
@@ -571,10 +574,8 @@ class TerpRouter:
                         f"{len(responses) if isinstance(responses, list) else 1}")
                 reply_bins = protocol.BinReader(rside)
                 for (index, _, _), response in zip(grouped, responses):
-                    result = response.get("result") \
-                        if isinstance(response, dict) else None
-                    n = result.get("bin") if isinstance(result, dict) \
-                        else None
+                    result = protocol.result_of(response)
+                    n = result.get("bin") if result is not None else None
                     if isinstance(n, int):
                         chunks[index] = reply_bins.take(n)
                     parts[index] = protocol.encode_body(response)

@@ -144,11 +144,11 @@ class ClientCore:
 
     @staticmethod
     def _prep(rid: int, op: str, args: Dict[str, Any]
-              ) -> Tuple[Dict[str, Any], bytes]:
-        """One request object plus its sidecar bytes.  The op table
-        names the argument whose ``bytes`` leave the JSON for the
-        sidecar; the caller's dict is never mutated, so a retry
-        re-preps the same request."""
+              ) -> Tuple[List[Any], bytes]:
+        """One request array plus its sidecar bytes.  The op table
+        orders the values and names the one whose ``bytes`` leave the
+        JSON for the sidecar; the caller's dict is never mutated, so a
+        retry re-preps the same request."""
         spec = OPS.get(op)
         field = spec.bin_arg if spec is not None else None
         data = args.get(field) if field is not None else None
@@ -175,18 +175,19 @@ class ClientCore:
     def take_result(self, response: Any, expect_id: int) -> Any:
         if response is None:
             raise ConnectionLost("server closed the connection")
-        if not isinstance(response, dict):
-            raise WireError(f"response is not an object: {response!r}")
-        if response.get("id") != expect_id:
+        if not isinstance(response, list) or len(response) < 2:
+            raise WireError(f"response is not [id, outcome]: "
+                            f"{response!r}")
+        if response[0] != expect_id:
             raise WireError(
-                f"response id {response.get('id')!r} does not match "
+                f"response id {response[0]!r} does not match "
                 f"request id {expect_id} (pipelining desync)")
-        self.events.extend(response.get("events") or [])
-        if not response.get("ok"):
-            error = response.get("error") or {}
-            raise RemoteError(str(error.get("kind", "TerpError")),
-                              str(error.get("message", "unknown")))
-        return response.get("result")
+        self.events.extend(response[2] if len(response) > 2 else ())
+        outcome = response[1]
+        if not isinstance(outcome, dict):
+            kind, message = outcome
+            raise RemoteError(str(kind), str(message))
+        return outcome
 
     def _outcome(self, response: Any, rid: int) -> Any:
         """:meth:`take_result`, with an error *response* returned as a
@@ -201,13 +202,11 @@ class ClientCore:
     # -- hello / resume ------------------------------------------------------
 
     def _hello_steps(self, extra: Dict[str, Any]) -> Steps:
-        args: Dict[str, Any] = {"user": self._user}
-        if self._budget is not None:
-            args["ew_budget_us"] = self._budget
         rid = self.next_id()
         yield SEND, protocol.encode_frame(protocol.request(
-            rid, "hello", dict(args, **extra,
-                               version=protocol.PROTOCOL_VERSION)))
+            rid, "hello", dict(extra, version=protocol.PROTOCOL_VERSION,
+                               user=self._user,
+                               ew_budget_us=self._budget)))
         result = self.take_result(self._decode((yield (RECV,))), rid)
         self.session_id = result["session"]
         self.entity_id = result["entity"]
@@ -557,6 +556,7 @@ class TerpClient(ClientCore):
             else:
                 self._reader, self._writer = \
                     await asyncio.open_connection(self._host, self._port)
+            self._writer.transport.max_size = protocol.READ_BYTES
             self._splitter = protocol.FrameSplitter()
 
     async def close(self) -> None:

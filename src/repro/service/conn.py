@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.errors import TerpError
 from repro.service import protocol
 from repro.service.ops import OPS, Op
-from repro.service.protocol import WireError
+from repro.service.protocol import PROTOCOL_VERSION, WireError
 from repro.service.sessions import Session
 
 #: Default wall-clock exposure budget per session: 50ms.  Generous next
@@ -46,22 +46,37 @@ DRAIN_MARK = 65536
 CLOSE_GRACE_S = 1.0
 
 
-def admit(request: Any, *,
+def admit(request: Any, bins: protocol.BinReader, *,
           has_session: bool) -> Tuple[Op, Dict[str, Any]]:
     """Check one request against the op table — the daemon's and the
-    router's shared front door.  Returns its row and its args."""
-    if not isinstance(request, dict) or \
-            not isinstance(request.get("op"), str):
-        raise WireError("request must be an object with an 'op'")
-    spec = OPS.get(request["op"])
+    router's shared front door — and read it by its row: ``[rid, op,
+    v1, …]`` becomes the row and its args, named in ``params`` order,
+    a ``null`` (not given) left out.  Every ``{"bin": n}`` value takes
+    its bytes off ``bins`` before anything can refuse the request, so
+    the next request in the frame reads its own."""
+    if isinstance(request, dict):
+        raise TerpError(f"protocol version <{PROTOCOL_VERSION} (an "
+                        "object frame) unsupported; server speaks "
+                        f"{PROTOCOL_VERSION}")
+    if not isinstance(request, list) or len(request) < 2:
+        raise WireError("request must be an array [id, op, ...]")
+    values = [bins.take(protocol.bin_length(value))
+              if isinstance(value, dict) else value
+              for value in request[2:]]
+    spec = OPS.get(request[1]) if isinstance(request[1], str) else None
     if spec is None:
-        raise WireError(f"unknown op {request['op']!r}")
+        raise WireError(f"unknown op {request[1]!r}")
     if not has_session and not spec.sessionless:
         raise TerpError(f"op {spec.name!r} requires a session; "
                         "say hello first")
-    args = request.get("args") or {}
-    if not isinstance(args, dict):
-        raise WireError("'args' must be an object")
+    if len(values) > len(spec.params):
+        raise TypeError(f"op {spec.name!r} takes {len(spec.params)} "
+                        f"values, got {len(values)}")
+    args = {name: value for (name, _), value in zip(spec.params, values)
+            if value is not None}
+    if spec.bin_arg in args and not isinstance(args[spec.bin_arg], bytes):
+        # Binary travels on the sidecar only: a typed refusal.
+        protocol.bin_length(args[spec.bin_arg])
     return spec, args
 
 

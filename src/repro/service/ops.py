@@ -6,8 +6,11 @@ finds its owner, whether it only observes state, whether it may run
 before ``hello``, which field carries its binary payload, and what
 the typed client method looks like.  Everything else is derived:
 
+* :mod:`repro.service.protocol` lays a request's values out in
+  ``params`` order, and :func:`repro.service.conn.admit` names them
+  again and lifts the sidecar argument — the row is the wire schema;
 * :class:`~repro.service.server.TerpService` binds ``_op_<name>``
-  handlers, span names and the sidecar lift/lower from the rows;
+  handlers, span names and the sidecar result's lowering;
 * :class:`~repro.cluster.router.TerpRouter` routes by ``route`` and
   binds ``_fanout_<name>`` mergers for the fan-out rows (both check
   requests through :func:`repro.service.server.admit`);
@@ -37,8 +40,8 @@ class Op:
     name: str
     #: one of :data:`NAME`, :data:`OID`, :data:`FANOUT`, :data:`SESSION`
     route: str
-    #: typed-method parameters, in wire order, as ``(name, default)``;
-    #: a ``None`` default is left off the wire when not given.  An
+    #: every argument a request carries, in wire order, as ``(name,
+    #: default)``; a ``None`` default is not given unless passed.  An
     #: ``oid`` parameter takes an :class:`~repro.pmo.object_id.Oid`.
     params: Tuple[Tuple[str, Any], ...] = ()
     #: observes state only: allowed while the circuit is open.
@@ -68,11 +71,14 @@ _OBSERVE = {"readonly": True, "sessionless": True}
 
 OPS: Dict[str, Op] = {op.name: op for op in (
     # -- session ------------------------------------------------------------
-    _op("hello", SESSION, sessionless=True, method=None),  # connect()
+    # ``version`` first: any revision can read it at the same slot.
+    _op("hello", SESSION, ("version", None), ("user", None),
+        ("ew_budget_us", None), ("resume", None), ("token", None),
+        sessionless=True, method=None),                   # connect()
     _op("goodbye", SESSION),
     # -- observability: every shard answers, the router merges --------------
     _op("ping", FANOUT, **_OBSERVE),
-    _op("metrics", FANOUT, **_OBSERVE),
+    _op("metrics", FANOUT, ("raw", None), **_OBSERVE),
     _op("trace", FANOUT, ("limit", 100), ("pmo", None), ("kind", None),
         ("name", None), **_OBSERVE),
     _op("prometheus", FANOUT, returns="text", **_OBSERVE),

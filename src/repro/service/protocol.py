@@ -1,35 +1,30 @@
 """The terpd wire protocol: length-prefixed JSON frames.
 
 A frame is a 4-byte big-endian unsigned length followed by that many
-bytes of UTF-8 JSON.  One frame carries either a single request (a
-JSON object) or a *batch* (a JSON array of requests); the response
-frame mirrors the shape — object for object, array for array, in
-order.  Clients may also *pipeline*: send many single-request frames
-without waiting, then collect the responses, which the server returns
-in request order per connection.
+bytes of UTF-8 JSON.  Frames carry values, not names: the op table
+(:mod:`repro.service.ops`) is the schema.
 
-Request::
+* **Request** ``[7, "attach", "mydata", "rw"]`` — rid, op, then the
+  values in the row's ``params`` order; trailing values not given are
+  dropped, an interior one travels as ``null`` ("not given").
+* **Response** ``[7, {...}]`` — rid and outcome, plus ``[...]`` events
+  as a third element when there are any; an object outcome is the
+  result, a ``["PmoError", "message"]`` pair is a refusal.
+* **Batch** — an array of requests, answered by an array of responses
+  in the same order.
 
-    {"id": 7, "op": "attach", "args": {"name": "mydata", "access": "rw"}}
-
-Success response::
-
-    {"id": 7, "ok": true, "result": {...}, "events": [...]}
-
-Error response::
-
-    {"id": 7, "ok": false, "error": {"kind": "PmoError", "message": "..."}}
-
-``events`` is only present when the session has pending out-of-band
-notifications — today the only kind is ``forced-detach``, emitted when
-the sweeper closed one of the session's exposure windows by force.
+Clients may also *pipeline*: send many single-request frames without
+waiting, then collect the responses, which the server returns in
+request order per connection.  Events are the session's pending
+out-of-band notifications — today only ``forced-detach``, emitted when
+the sweeper closed one of its exposure windows by force.
 
 OIDs travel as their packed 64-bit integer
-(:meth:`repro.pmo.object_id.Oid.pack`).  ``hello`` must offer
-``"version": 2`` — the only revision there is; anything else (absent
-included) is refused with a typed "protocol version N unsupported"
-error.  Which ops exist, and which of their fields are binary, is
-declared once in :mod:`repro.service.ops`.
+(:meth:`repro.pmo.object_id.Oid.pack`).  ``hello``'s first value is
+the wire revision, ``3`` — the only one there is; anything else
+(absent included), and any object-shaped frame (revision 2 and
+before), is refused with a typed "protocol version N unsupported"
+error.
 
 **The binary sidecar.**  Binary payloads (PMO data) never enter the
 JSON.  A frame may append a *binary sidecar* after the JSON body::
@@ -38,10 +33,11 @@ JSON.  A frame may append a *binary sidecar* after the JSON body::
 
 The top bit of the length word marks the sidecar's presence — legal
 because ``MAX_FRAME_BYTES`` is far below 2**31.  JSON marks each
-binary value with ``{"bin": <len>}``; consumers take ``len`` bytes
-off the sidecar in request (or response) order via
-:class:`BinReader`.  A batch frame has one combined sidecar: the
-concatenation of its items' chunks, in item order.
+binary value with ``{"bin": <len>}`` — the only object a request
+value may be; consumers take ``len`` bytes off the sidecar in request
+(or response) order via :class:`BinReader`.  A batch frame has one
+combined sidecar: the concatenation of its items' chunks, in item
+order.
 """
 
 from __future__ import annotations
@@ -53,6 +49,7 @@ import struct
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import TerpError
+from repro.service.ops import OPS
 
 #: Frame header: payload length, 4-byte big-endian unsigned.  The same
 #: struct frames the sidecar length word.
@@ -63,12 +60,13 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: Upper bound on a frame's binary sidecar (a batch of large reads).
 MAX_SIDECAR_BYTES = 64 * 1024 * 1024
 #: The one protocol revision; ``hello`` must offer exactly this.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 #: Top bit of the length word: a binary sidecar follows the body.
 SIDECAR_FLAG = 0x80000000
 #: Mask recovering the JSON body length from a flagged length word.
 LEN_MASK = 0x7FFFFFFF
-#: What every reader asks its transport for at a time.
+#: What every reader, asyncio transports included, takes per read
+#: (their 256 KiB default page-faulted twice per relayed frame).
 READ_BYTES = 65536
 
 _SEPARATORS = (",", ":")
@@ -80,18 +78,26 @@ class WireError(TerpError):
 
 # -- framing ----------------------------------------------------------------
 
+def is_batch(payload: Any) -> bool:
+    """A batch is an array of frames — requests, responses or their
+    encoded bytes, ``[]`` included (an object counts: a revision-2
+    batch is refused item by item); a single frame is an array that
+    starts with its rid."""
+    return isinstance(payload, list) and (
+        not payload or isinstance(payload[0], (list, dict, bytes)))
+
+
 def encode_body(payload: Any) -> bytes:
     """Serialize a request/response (or batch) to JSON body bytes.
 
-    A batch (list) is sized incrementally: each item is encoded once
-    and the running total is checked against ``MAX_FRAME_BYTES``
-    *before* the full body is joined, so an oversized batch fails fast
-    without materializing the whole frame.  Items that are already
-    ``bytes`` are treated as pre-encoded JSON and spliced in as-is —
-    the batch response path uses this to encode each response exactly
-    once.
+    A batch is sized incrementally: each item is encoded once and the
+    running total is checked against ``MAX_FRAME_BYTES`` *before* the
+    full body is joined, so an oversized batch fails fast without
+    materializing the whole frame.  Items that are already ``bytes``
+    are treated as pre-encoded JSON and spliced in as-is — the batch
+    response path uses this to encode each response exactly once.
     """
-    if isinstance(payload, list):
+    if is_batch(payload):
         parts: List[bytes] = []
         total = 2                      # the enclosing brackets
         for item in payload:
@@ -273,45 +279,57 @@ def absorb_sidecar(payload: Any, sidecar: bytes) -> Any:
     order.
     """
     bins = BinReader(sidecar)
-    if isinstance(payload, list):
-        for one in payload:
-            _absorb_one(one, bins)
-    else:
-        _absorb_one(payload, bins)
+    for response in payload if is_batch(payload) else (payload,):
+        result = result_of(response)
+        if result is not None and "bin" in result:
+            result["data"] = bins.take(int(result.pop("bin")))
     return payload
-
-
-def _absorb_one(response: Any, bins: BinReader) -> None:
-    if not isinstance(response, dict):
-        return
-    result = response.get("result")
-    if isinstance(result, dict) and "bin" in result:
-        n = result.pop("bin")
-        result["data"] = bins.take(int(n))
 
 
 # -- request / response shapes ----------------------------------------------
 
-def request(rid: int, op: str, args: Optional[Dict[str, Any]] = None) -> Dict:
-    return {"id": rid, "op": op, "args": args or {}}
+def request(rid: Any, op: str,
+            args: Optional[Dict[str, Any]] = None) -> List[Any]:
+    """``[rid, op, v1, …]``: ``args`` by name, laid out in the op row's
+    ``params`` order.  A name the row does not declare is a
+    :class:`TypeError` — raised here, before anything is sent."""
+    given = dict(args or ())
+    spec = OPS.get(op)
+    values = [given.pop(name, None)
+              for name, _ in (spec.params if spec is not None else ())]
+    if given:
+        raise TypeError(f"op {op!r} takes no argument "
+                        f"{', '.join(map(repr, given))}")
+    while values and values[-1] is None:
+        values.pop()
+    return [rid, op, *values]
 
 
-def ok_response(rid: Optional[int], result: Any,
-                events: Optional[List[Dict]] = None) -> Dict:
-    response: Dict[str, Any] = {"id": rid, "ok": True, "result": result}
-    if events:
-        response["events"] = events
-    return response
+def head(frame: Any) -> Tuple[Any, Any]:
+    """A request's ``(rid, op)``, ``None`` for what it lacks."""
+    if not isinstance(frame, list):
+        return None, None
+    return (frame[0] if frame else None,
+            frame[1] if len(frame) > 1 else None)
 
 
-def error_response(rid: Optional[int], kind: str, message: str,
-                   events: Optional[List[Dict]] = None) -> Dict:
-    response: Dict[str, Any] = {
-        "id": rid, "ok": False,
-        "error": {"kind": kind, "message": message}}
-    if events:
-        response["events"] = events
-    return response
+def ok_response(rid: Any, result: Dict[str, Any],
+                events: Optional[List[Dict]] = None) -> List[Any]:
+    return [rid, result, events] if events else [rid, result]
+
+
+def error_response(rid: Any, kind: str, message: str,
+                   events: Optional[List[Dict]] = None) -> List[Any]:
+    return [rid, [kind, message], events] if events \
+        else [rid, [kind, message]]
+
+
+def result_of(response: Any) -> Optional[Dict[str, Any]]:
+    """A response's result object; ``None`` for a refusal."""
+    if isinstance(response, list) and len(response) > 1 and \
+            isinstance(response[1], dict):
+        return response[1]
+    return None
 
 
 def refusal(rid: Optional[int], exc: Exception,

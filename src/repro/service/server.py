@@ -379,6 +379,7 @@ class TerpService:
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         conn = Conn(writer, self.metrics.wire.note_flush)
+        writer.transport.max_size = protocol.READ_BYTES
         self._writers[writer] = asyncio.current_task()
         splitter = protocol.FrameSplitter()
         try:
@@ -445,7 +446,7 @@ class TerpService:
         conn.bins = protocol.BinReader(sidecar)
         conn.bin_out = []
         try:
-            if isinstance(payload, list):
+            if protocol.is_batch(payload):
                 self.metrics.series["batches"].inc()
                 # Each response is encoded exactly once, here;
                 # encode_body splices the pre-encoded parts.
@@ -503,29 +504,26 @@ class TerpService:
         request's start so a failed op never leaks sidecar bytes.
         """
         t0 = time.perf_counter_ns()
-        rid = req.get("id") if isinstance(req, dict) else None
-        op = req.get("op") if isinstance(req, dict) else None
+        rid, op = protocol.head(req)
         session = conn.session
         bin_start = len(conn.bin_out)
-        if session is not None and isinstance(rid, int):
-            # Idempotent replay: a request the server already executed
-            # (the drop ate the response) returns its original
-            # response instead of running twice.
-            cached = session.replay_get(rid)
-            if cached is not None:
-                self.metrics.series["replays_served"].inc()
-                body, chunks = cached
-                conn.bin_out.extend(chunks)
-                return body
         span = "terpd.?"
         try:
-            spec, args = admit(req, has_session=session is not None)
+            # First, even for a replay: this takes the request's bytes
+            # off the frame's sidecar.
+            spec, args = admit(req, conn.bins,
+                               has_session=session is not None)
+            if session is not None and isinstance(rid, int):
+                # Idempotent replay: a request the server already
+                # executed (the drop ate the response) returns its
+                # original response instead of running twice.
+                cached = session.replay_get(rid)
+                if cached is not None:
+                    self.metrics.series["replays_served"].inc()
+                    body, chunks = cached
+                    conn.bin_out.extend(chunks)
+                    return body
             handler, span = self._handlers[spec.name]
-            if spec.bin_arg is not None:
-                # The payload rode the frame's sidecar: swap the
-                # ``{"bin": n}`` marker for its bytes.
-                args[spec.bin_arg] = conn.bins.take(
-                    protocol.bin_length(args[spec.bin_arg]))
             with self.lib.lock:
                 self.lib.advance_to(self.now_ns())
                 result = handler(conn, args)

@@ -71,16 +71,16 @@ def test_a_one_shard_burst_is_one_write_on_every_hop(routed):
     with RawWire(router.bound_port) as wire:
         wire.hello()
         assert wire.exchange(2, "create",
-                             {"name": "relay", "size": MIB})[0]["ok"]
-        assert wire.exchange(3, "attach", {"name": "relay"})[0]["ok"]
+                             {"name": "relay", "size": MIB})[0].ok
+        assert wire.exchange(3, "attach", {"name": "relay"})[0].ok
         oid = Oid.unpack(wire.exchange(4, "pmalloc", {
-            "name": "relay", "size": 64})[0]["result"]["oid"])
+            "name": "relay", "size": 64})[0].result["oid"])
         before = [counters(s) for s in shards]
         front = (router.wire.frames.value, router.wire.flushes.value)
         wire.sock.sendall(write_burst(oid, 8)[0])
         for i in range(8):
             response, _ = wire.recv()
-            assert response["id"] == 100 + i and response["ok"]
+            assert response.rid == 100 + i and response.ok
         after = [counters(s) for s in shards]
         # The owning shard: eight response frames, one write.
         assert (after[owner][0] - before[owner][0],
@@ -90,14 +90,14 @@ def test_a_one_shard_burst_is_one_write_on_every_hop(routed):
         # And the router's own hop to the client: eight, one.
         assert (router.wire.frames.value - front[0],
                 router.wire.flushes.value - front[1]) == (8, 1)
-        report = wire.exchange(200, "metrics")[0]["result"]
+        report = wire.exchange(200, "metrics")[0].result
         assert report["cluster"]["router"]["wire_frames"] == \
             router.wire.frames.value - 1
         # Shard counters sum like every other counter (the poll's
         # own response is still to be written on each shard).
         assert report["global"]["wire_frames"] == sum(
             s.metrics.wire_frames for s in shards) - len(shards)
-        text = wire.exchange(201, "prometheus")[0]["result"]["text"]
+        text = wire.exchange(201, "prometheus")[0].result["text"]
         assert 'terpd_wire_frames_total{hop="router"}' in text
         assert f'terpd_wire_frames_total{{shard="{owner}"}}' in text
 
@@ -136,12 +136,12 @@ def test_a_client_that_stops_reading_stalls_the_shard_too(routed):
     with RawWire(router.bound_port, timeout=60.0) as wire:
         wire.hello()
         assert wire.exchange(2, "create",
-                             {"name": "big", "size": MIB})[0]["ok"]
-        assert wire.exchange(3, "attach", {"name": "big"})[0]["ok"]
+                             {"name": "big", "size": MIB})[0].ok
+        assert wire.exchange(3, "attach", {"name": "big"})[0].ok
         oid = wire.exchange(4, "pmalloc", {
-            "name": "big", "size": 65536})[0]["result"]["oid"]
+            "name": "big", "size": 65536})[0].result["oid"]
         assert wire.exchange(5, "write", {"oid": oid, "data": {
-            "bin": 65536}}, b"\xc3" * 65536)[0]["ok"]
+            "bin": 65536}}, b"\xc3" * 65536)[0].ok
         before = shards[owner].metrics.wire_frames
         wire.sock.sendall(b"".join(
             protocol.encode_frame(protocol.request(
@@ -152,5 +152,35 @@ def test_a_client_that_stops_reading_stalls_the_shard_too(routed):
         assert written < 600, f"shard wrote {written} of 1000 unread"
         for rid in range(10, 1010):
             response, sidecar = wire.recv()
-            assert response["id"] == rid
+            assert response.rid == rid
             assert sidecar == b"\xc3" * 65536
+
+
+def test_a_refused_batch_item_still_takes_its_bytes(routed):
+    """Regression: the router's batch split skipped a refused item's
+    sidecar bytes, so the next item's shard was sent them — ``AAAA``
+    where ``BBBB`` was sent."""
+    router, _ = routed
+    with RawWire(router.bound_port) as wire:
+        wire.hello()
+        assert wire.exchange(2, "create",
+                             {"name": "skip", "size": MIB})[0].ok
+        oid = wire.exchange(3, "pmalloc", {
+            "name": "skip", "size": 64})[0].result["oid"]
+        assert wire.exchange(4, "attach", {"name": "skip"})[0].ok
+        wire.send([[10, "wirte", oid, {"bin": 4}],
+                   protocol.request(11, "write", {
+                       "oid": oid, "data": {"bin": 4}})], b"AAAABBBB")
+        (refused, written), _ = wire.recv()
+        assert refused.error == ("WireError", "unknown op 'wirte'")
+        assert written.result == {"n": 4}
+        assert wire.exchange(12, "read", {"oid": oid, "n": 4})[1] == \
+            b"BBBB"
+        # A value the row does not declare is refused by the router
+        # itself, alone and inside a batch.
+        wire.send([13, "attach", "skip", "r", "extra"])
+        assert wire.recv()[0].error[0] == "BadRequest"
+        wire.send([[14, "detach", "skip", "extra"],
+                   protocol.request(15, "detach", {"name": "skip"})])
+        (refused, detached), _ = wire.recv()
+        assert refused.error[0] == "BadRequest" and detached.ok

@@ -16,6 +16,7 @@ from repro.cluster import supervisor as supervisor_module
 from repro.cluster.supervisor import MAX_RESTARTS
 from repro.service.client import (
     RemoteError, SyncTerpClient)
+from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.retry import RetryPolicy
 from tests.service.rawwire import RawWire
 
@@ -213,21 +214,28 @@ class TestObservabilityFanout:
 class TestProtocolVersions:
     def test_v1_hello_is_rejected_with_typed_error(self, cluster):
         # The router's hello is the daemon's (one SessionRegistry
-        # method): no "version" (a v1 client) or any revision but 2
-        # is refused typed, and the connection stays usable.
+        # method): no "version" (a v1 client) or any revision but 3
+        # is refused typed, and so is a v2 client's object frame; the
+        # connection stays usable.
         with RawWire(cluster.front_port) as wire:
-            for rid, offer in enumerate(({}, {"version": 1}), start=1):
+            for rid, offer in enumerate(({}, {"version": 1},
+                                         {"version": 2}), start=1):
                 response, _ = wire.exchange(
                     rid, "hello", dict(offer, user="old"))
-                assert not response["ok"]
-                assert response["error"]["kind"] == "TerpError"
+                assert response.rid == rid
+                kind, message = response.error
+                assert kind == "TerpError"
                 assert (f"protocol version {offer.get('version')} "
-                        "unsupported") in response["error"]["message"]
-            assert wire.exchange(3, "hello", {
-                "user": "new", "version": 2})[0]["ok"]
+                        "unsupported") in message
+            wire.send({"id": 4, "op": "hello",
+                       "args": {"user": "old", "version": 2}})
+            kind, message = wire.recv()[0].error
+            assert kind == "TerpError" and "unsupported" in message
+            assert wire.exchange(5, "hello", {
+                "user": "new", "version": PROTOCOL_VERSION})[0].ok
 
     def test_v2_negotiated_through_router(self, client):
-        assert client.protocol_version == 2
+        assert client.protocol_version == PROTOCOL_VERSION
 
     def test_repl_status_fans_out_per_shard(self, client):
         # Declared fan-out in the op table: one status per shard,

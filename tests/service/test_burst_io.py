@@ -42,7 +42,7 @@ def prepared(port, name="burst", **hello):
         admin.detach(name)
     wire = RawWire(port)
     wire.hello(**hello)
-    assert wire.exchange(2, "attach", {"name": name})[0]["ok"]
+    assert wire.exchange(2, "attach", {"name": name})[0].ok
     return wire, oid
 
 
@@ -57,21 +57,21 @@ def test_eight_frames_in_one_segment_leave_in_one_write():
             wire.sock.sendall(burst)
             for rid in rids:
                 response, _ = wire.recv()
-                assert response["id"] == rid and response["ok"]
+                assert response.rid == rid and response.ok
             assert service.metrics.wire_frames - frames == 8
             assert service.metrics.wire_flushes - flushes == 1
             # One at a time is still one write each.
             for rid in (200, 201):
-                assert wire.exchange(rid, "ping")[0]["ok"]
+                assert wire.exchange(rid, "ping")[0].ok
             assert service.metrics.wire_frames - frames == 10
             assert service.metrics.wire_flushes - flushes == 3
-            report = wire.exchange(300, "metrics")[0]["result"]["global"]
+            report = wire.exchange(300, "metrics")[0].result["global"]
             # (taken while its own response was still to be written)
             assert report["wire_frames"] == \
                 service.metrics.wire_frames - 1
             assert report["wire_flushes"] == \
                 service.metrics.wire_flushes - 1
-            text = wire.exchange(301, "prometheus")[0]["result"]["text"]
+            text = wire.exchange(301, "prometheus")[0].result["text"]
             assert re.search(r"^terpd_wire_flushes_total \d+$", text,
                              re.M)
             assert re.search(r"^terpd_wire_frames_total \d+$", text,
@@ -101,7 +101,7 @@ def test_a_response_never_waits_behind_a_later_fsync(tmp_path):
             wire.sock.sendall(first + psync + third)
             response, _ = wire.recv()
             early = time.monotonic() - started
-            assert response["id"] == 100 and response["ok"]
+            assert response.rid == 100 and response.ok
             # The read that brought it brought nothing else: the
             # other two responses do not exist yet.
             assert wire.splitter.next_frame() is None
@@ -109,9 +109,9 @@ def test_a_response_never_waits_behind_a_later_fsync(tmp_path):
             response, _ = wire.recv()
             assert time.monotonic() - started >= stall_s
             plan.disarm()
-            assert response["id"] == 101
-            assert response["result"]["flushed"] >= 1
-            assert wire.recv()[0]["id"] == 102
+            assert response.rid == 101
+            assert response.result["flushed"] >= 1
+            assert wire.recv()[0].rid == 102
             assert plan.fired("store.commit_stall")
             # Two writes for the burst: before the wait, and after.
             assert service.metrics.wire_flushes - flushes == 2
@@ -185,7 +185,7 @@ def test_a_client_that_stops_reading_stalls_itself_not_the_daemon():
             admin.detach("slow")
         with RawWire(port, timeout=30.0) as wire:
             wire.hello()
-            assert wire.exchange(2, "attach", {"name": "slow"})[0]["ok"]
+            assert wire.exchange(2, "attach", {"name": "slow"})[0].ok
 
             def reads(rids):
                 return b"".join(
@@ -199,7 +199,7 @@ def test_a_client_that_stops_reading_stalls_itself_not_the_daemon():
             assert grown < 3072, f"daemon grew {grown} KiB"
             for rid in range(10, 2010):
                 response, sidecar = wire.recv()
-                assert response["id"] == rid
+                assert response.rid == rid
                 assert sidecar == b"\x5a" * 4096
     finally:
         daemon.stop()

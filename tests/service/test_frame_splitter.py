@@ -20,7 +20,8 @@ from repro.service.protocol import (
 #: one combined sidecar, an empty-args op, a response with a sidecar.
 FRAMES = [
     (protocol.encode_body(protocol.request(
-        1, "hello", {"user": "fuzz", "version": 2})), b""),
+        1, "hello", {"user": "fuzz",
+                     "version": protocol.PROTOCOL_VERSION})), b""),
     (protocol.encode_body(protocol.request(
         2, "write", {"oid": 12345, "data": {"bin": 64}})), b"\xab" * 64),
     (protocol.encode_body([

@@ -2,11 +2,12 @@
 
 Conformance: every row of :mod:`repro.service.ops` has a server
 handler, a routing rule the router honours, and the same typed method
-on both clients — and nothing carries an op the table does not.
+on both clients — and nothing carries an op the table does not.  The
+row is the wire schema: a typed call's keyword arguments reach the
+handler as the same args dict whatever the frame spells.
 Golden: the sans-IO client core, driven through one scripted 12-op
-tenant cycle, emits request frames byte-identical to the ones the
-pre-table ``SyncTerpClient`` put on the wire (captured at the parent
-commit of the PR that introduced the table).
+tenant cycle, emits exactly the positional frames recorded here — each
+shorter than the object frame the same call made on wire revision 2.
 """
 
 import asyncio
@@ -20,7 +21,8 @@ from repro.service import ops, protocol, retry
 from repro.service.client import (
     RECV, SEND, ClientCore, RemoteError, SyncTerpClient, TerpClient)
 from repro.service.ops import FANOUT, NAME, OID, OPS, SESSION
-from repro.service.conn import Conn
+from repro.service.conn import Conn, admit
+from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.server import ServiceThread, TerpService
 from tests.service.rawwire import RawWire
 
@@ -98,6 +100,18 @@ class TestConformance:
         with pytest.raises(TypeError):
             client.psync(nome="typo")
 
+    def test_untyped_calls_refuse_an_undeclared_argument(self):
+        # Refused before anything is sent: this client never connected,
+        # so a frame that got as far as the wire would be
+        # ConnectionLost.
+        client = SyncTerpClient(port=1)
+        typo = ("attach", {"name": "p", "acess": "r"})
+        for send in (lambda: client.call(typo[0], **typo[1]),
+                     lambda: client.pipeline([("ping", {}), typo]),
+                     lambda: client.batch([("ping", {}), typo])):
+            with pytest.raises(TypeError, match="acess"):
+                send()
+
     def test_read_only_set_is_the_tables_projection(self):
         assert retry.READ_ONLY_OPS is ops.READ_ONLY_OPS
         assert ops.READ_ONLY_OPS == {
@@ -115,8 +129,8 @@ class TestConformance:
                 if name == "hello":
                     continue            # would bind a session
                 response, _ = wire.exchange(rid, name)
-                refused = not response["ok"] and \
-                    "requires a session" in response["error"]["message"]
+                refused = not response.ok and \
+                    "requires a session" in response.error[1]
                 assert refused == (not op.sessionless), name
 
 
@@ -124,55 +138,48 @@ class TestConformance:
 
 GOLDEN_OID = Oid(3, 4096)
 GOLDEN_PAYLOAD = bytes(range(48))
-#: What the parent commit's SyncTerpClient sent for the cycle below:
-#: 12 ops in 11 frames (ops 8+9 share a batch frame), header + JSON
-#: body (+ sidecar length word + sidecar for the write).
+#: What the core sends for the cycle below: 12 ops in 11 frames (ops
+#: 8+9 share a batch frame), header + JSON body (+ sidecar length word
+#: + sidecar for the write) — 422 bytes.
 GOLDEN_FRAMES = [bytes.fromhex(frame) for frame in (
-    "0000004f7b226964223a312c226f70223a2268656c6c6f222c2261726773223a7b"
-    "2275736572223a22676f6c64656e222c2265775f6275646765745f7573223a3235"
-    "302e302c2276657273696f6e223a327d7d",
-    "000000477b226964223a322c226f70223a22637265617465222c2261726773223a"
-    "7b226e616d65223a22676f6c64222c2273697a65223a343139343330342c226d6f"
-    "6465223a3338347d7d",
-    "0000003b7b226964223a332c226f70223a22617474616368222c2261726773223a"
-    "7b226e616d65223a22676f6c64222c22616363657373223a227277227d7d",
-    "000000387b226964223a342c226f70223a22706d616c6c6f63222c226172677322"
-    "3a7b226e616d65223a22676f6c64222c2273697a65223a36347d7d",
-    "800000467b226964223a352c226f70223a227772697465222c2261726773223a7b"
-    "226f6964223a3834343432343933303133363036342c2264617461223a7b226269"
-    "6e223a34387d7d7d00000030000102030405060708090a0b0c0d0e0f1011121314"
-    "15161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f",
-    "000000427b226964223a362c226f70223a2277726974655f753634222c22617267"
-    "73223a7b226f6964223a3834343432343933303133363036342c2276616c756522"
-    "3a377d7d",
-    "0000002c7b226964223a372c226f70223a227073796e63222c2261726773223a7b"
-    "226e616d65223a22676f6c64227d7d",
-    "000000745b7b226964223a382c226f70223a2272656164222c2261726773223a7b"
-    "226f6964223a3834343432343933303133363036342c226e223a34387d7d2c7b22"
-    "6964223a392c226f70223a22726561645f753634222c2261726773223a7b226f69"
-    "64223a3834343432343933303133363036347d7d5d",
-    "000000407b226964223a31302c226f70223a227472616365222c2261726773223a"
-    "7b226c696d6974223a352c226b696e64223a22666f726365642d64657461636822"
-    "7d7d",
-    "0000002e7b226964223a31312c226f70223a22646574616368222c226172677322"
-    "3a7b226e616d65223a22676f6c64227d7d",
-    "000000227b226964223a31322c226f70223a22676f6f64627965222c2261726773"
-    "223a7b7d7d",
+    "0000001c5b312c2268656c6c6f222c332c22676f6c64656e222c3235302e305d",
+    "0000001f5b322c22637265617465222c22676f6c64222c343139343330342c3338"
+    "345d",
+    "000000185b332c22617474616368222c22676f6c64222c227277225d",
+    "000000175b342c22706d616c6c6f63222c22676f6c64222c36345d",
+    "800000265b352c227772697465222c3834343432343933303133363036342c7b22"
+    "62696e223a34387d5d00000030000102030405060708090a0b0c0d0e0f10111213"
+    "1415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f",
+    "000000215b362c2277726974655f753634222c3834343432343933303133363036"
+    "342c375d",
+    "000000125b372c227073796e63222c22676f6c64225d",
+    "0000003e5b5b382c2272656164222c3834343432343933303133363036342c3438"
+    "5d2c5b392c22726561645f753634222c3834343432343933303133363036345d5d",
+    "000000235b31302c227472616365222c352c6e756c6c2c22666f726365642d6465"
+    "74616368225d",
+    "000000145b31312c22646574616368222c22676f6c64225d",
+    "0000000e5b31322c22676f6f64627965225d",
 )]
+#: The same cycle's frame lengths on wire revision 2, whose JSON
+#: objects spelled ``"id"``, ``"op"``, ``"args"`` and every argument
+#: name: 801 bytes.
+OBJECT_FRAME_LENGTHS = [83, 75, 63, 60, 126, 70, 48, 120, 68, 50, 38]
 
 
 def _answer(request):
+    rid, op = protocol.head(request)
     result = {
-        "hello": {"session": 1, "entity": (1 << 20) + 1, "version": 2,
-                  "ew_budget_us": 250.0, "token": "ab" * 16,
-                  "resumed": False},
+        "hello": {"session": 1, "entity": (1 << 20) + 1,
+                  "version": PROTOCOL_VERSION, "ew_budget_us": 250.0,
+                  "token": "ab" * 16, "resumed": False},
         "pmalloc": {"oid": GOLDEN_OID.pack()},
         "write": {"n": 48}, "psync": {"flushed": 1},
         "read": {"bin": 48}, "read_u64": {"value": 7},
         "trace": {"spans": [], "audit": [], "open_windows": []},
-    }.get(request["op"], {})
-    return protocol.ok_response(request["id"], result), \
-        GOLDEN_PAYLOAD if request["op"] == "read" else b""
+        "prometheus": {"text": ""}, "tx_begin": {"tx": 1},
+    }.get(op, {})
+    return protocol.ok_response(rid, result), \
+        GOLDEN_PAYLOAD if op == "read" else b""
 
 
 class ScriptedClient(ClientCore):
@@ -207,7 +214,7 @@ class ScriptedClient(ClientCore):
     @staticmethod
     def _serve(body):
         payload = protocol.decode_frame(body)
-        if not isinstance(payload, list):
+        if not protocol.is_batch(payload):
             response, sidecar = _answer(payload)
             return protocol.encode_body(response), sidecar
         answers = [_answer(one) for one in payload]
@@ -218,7 +225,8 @@ class ScriptedClient(ClientCore):
 def test_core_emits_the_parent_commits_request_frames():
     client = ScriptedClient()
     assert client.connect() is client                           # 1
-    assert client.session_id == 1 and client.protocol_version == 2
+    assert client.session_id == 1 and \
+        client.protocol_version == PROTOCOL_VERSION
     client.create("gold", 4 * MIB)                              # 2
     client.attach("gold")                                       # 3
     oid = client.pmalloc("gold", 64)                            # 4
@@ -236,6 +244,10 @@ def test_core_emits_the_parent_commits_request_frames():
     client.detach("gold")                                       # 11
     client.goodbye()                                            # 12
     assert client.sent == GOLDEN_FRAMES
+    # Values, not names: every frame shorter, the cycle under 480 B.
+    assert all(len(frame) < before for frame, before
+               in zip(GOLDEN_FRAMES, OBJECT_FRAME_LENGTHS))
+    assert sum(map(len, GOLDEN_FRAMES)) <= 480 < sum(OBJECT_FRAME_LENGTHS)
     # Same bytes, fewer writes: the pipeline's two frames were one SEND.
     assert b"".join(client.sends) == b"".join(GOLDEN_FRAMES)
     assert len(client.sends) == len(GOLDEN_FRAMES) - 1
@@ -259,6 +271,77 @@ def test_pipeline_hands_the_burst_over_as_one_send():
             bytes([i]) * (i + 1))
         for i in range(8))
     assert len(client.sent) == 8
+
+
+# -- the row is the schema ------------------------------------------------------
+
+_OID = GOLDEN_OID.pack()
+#: A typed call per row — and the variants that exercise a default, an
+#: interior ``null`` and the binary slot — with the args dict its
+#: handler received on wire revision 2, object frames and all.
+HANDLER_ARGS = [
+    ("goodbye", (), {}, {}),
+    ("ping", (), {}, {}),
+    ("metrics", (), {}, {}),
+    ("metrics", (), {"raw": True}, {"raw": True}),
+    ("trace", (), {}, {"limit": 100}),
+    ("trace", (), {"limit": 5, "kind": "forced-detach"},
+     {"limit": 5, "kind": "forced-detach"}),
+    ("trace", (), {"pmo": 7}, {"limit": 100, "pmo": 7}),
+    ("prometheus", (), {}, {}),
+    ("repl_status", (), {}, {}),
+    ("create", ("gold", 4 * MIB), {},
+     {"name": "gold", "size": 4 * MIB, "mode": 0o600}),
+    ("create", ("gold", 64), {"mode": 0o666},
+     {"name": "gold", "size": 64, "mode": 0o666}),
+    ("open", ("gold",), {}, {"name": "gold", "access": "rw"}),
+    ("close_pmo", ("gold",), {}, {"name": "gold"}),
+    ("destroy", ("gold",), {}, {"name": "gold"}),
+    ("attach", ("gold",), {}, {"name": "gold", "access": "rw"}),
+    ("attach", ("gold",), {"access": "r"}, {"name": "gold", "access": "r"}),
+    ("detach", ("gold",), {}, {"name": "gold"}),
+    ("pmalloc", ("gold", 64), {}, {"name": "gold", "size": 64}),
+    ("psync", ("gold",), {}, {"name": "gold"}),
+    ("tx_begin", ("gold",), {}, {"name": "gold"}),
+    ("tx_abort", ("gold",), {}, {"name": "gold"}),
+    ("pfree", (GOLDEN_OID,), {}, {"oid": _OID}),
+    ("read", (GOLDEN_OID, 48), {}, {"oid": _OID, "n": 48}),
+    ("write", (GOLDEN_OID, GOLDEN_PAYLOAD), {},
+     {"oid": _OID, "data": GOLDEN_PAYLOAD}),
+    ("read_u64", (GOLDEN_OID,), {}, {"oid": _OID}),
+    ("write_u64", (GOLDEN_OID, 7), {}, {"oid": _OID, "value": 7}),
+]
+
+
+def _admitted(frame):
+    """``(op, args)`` as the front door hands one sent frame to its
+    handler."""
+    (body, sidecar), = protocol.FrameSplitter().feed(frame)
+    spec, args = admit(protocol.decode_frame(body),
+                       protocol.BinReader(sidecar), has_session=True)
+    return spec.name, args
+
+
+def test_every_row_hands_its_handler_the_same_args():
+    client = ScriptedClient()
+    client.connect()
+    assert _admitted(client.sent[-1]) == ("hello", {
+        "version": PROTOCOL_VERSION, "user": "golden",
+        "ew_budget_us": 250.0})
+    # A resume without a budget: the budget's slot travels as null.
+    client._budget = None
+    client._run(client._hello_steps({"resume": 1, "token": "ab" * 16}))
+    assert b",null," in client.sent[-1]
+    assert _admitted(client.sent[-1]) == ("hello", {
+        "version": PROTOCOL_VERSION, "user": "golden", "resume": 1,
+        "token": "ab" * 16})
+    covered = {"hello"}
+    for method, args, kwargs, expected in HANDLER_ARGS:
+        getattr(client, method)(*args, **kwargs)
+        name, got = _admitted(client.sent[-1])
+        assert got == expected, (method, kwargs)
+        covered.add(name)
+    assert covered == set(OPS)
 
 
 # -- one behaviour, two transports ---------------------------------------------
@@ -312,7 +395,7 @@ def test_pipeline_error_mid_burst_leaves_the_connection_in_sync(
 #: One successful call of every op, in an order in which each can
 #: succeed; ``oid`` is filled in from ``pmalloc``'s result.
 SCRIPT = [
-    ("hello", {"user": "matrix", "version": 2}),
+    ("hello", {"user": "matrix", "version": PROTOCOL_VERSION}),
     ("ping", {}), ("metrics", {}), ("trace", {"limit": 4}),
     ("prometheus", {}), ("repl_status", {}),
     ("create", {"name": "once", "size": MIB}),
@@ -354,12 +437,12 @@ class TestExactlyOnce:
                     args = dict(args, oid=oid)
                 sidecar = b"E" * 8 if OPS[name].bin_arg else None
                 first = wire.exchange(rid, name, args, sidecar)
-                assert first[0]["ok"], (name, first)
+                assert first[0].ok, (name, first)
                 if name == "pmalloc":
-                    oid = first[0]["result"]["oid"]
+                    oid = first[0].result["oid"]
                 ran, replays = self.counts(service, name)
                 again = wire.exchange(rid, name, args, sidecar)
-                assert again[0]["ok"], (name, again)
+                assert again[0].ok, (name, again)
                 if OPS[name].readonly:
                     assert self.counts(service, name) == \
                         (ran + 1, replays), name
@@ -375,7 +458,7 @@ class TestExactlyOnce:
             wire.exchange(2, "create", {"name": "evt", "size": MIB})
             wire.exchange(3, "attach", {"name": "evt"})
             oid = wire.exchange(
-                4, "pmalloc", {"name": "evt", "size": 8})[0]["result"]["oid"]
+                4, "pmalloc", {"name": "evt", "size": 8})[0].result["oid"]
             wire.exchange(5, "write", {"oid": oid, "data": {"bin": 8}},
                           b"E" * 8)
             args = dict(SCRIPT, read={"oid": oid, "n": 8},
@@ -385,7 +468,7 @@ class TestExactlyOnce:
                     session.note_forced_detach(
                         900 + rid, f"lost-{rid}", 1, "injected")
                 first = wire.exchange(rid, name, args[name])
-                assert [e["pmo"] for e in first[0]["events"]] == \
+                assert [e["pmo"] for e in first[0].events] == \
                     [f"lost-{rid}"], name
                 ran, replays = self.counts(service, name)
                 # The drop that eats this response must not eat the

@@ -236,8 +236,8 @@ class TestLifecycleAndCli:
         with RawWire(terpd.bound_port) as wire:
             response, _ = wire.exchange(1, "create",
                                         {"name": "x", "size": MIB})
-            assert response["ok"] is False
-            assert "hello" in response["error"]["message"]
+            assert response.ok is False
+            assert "hello" in response.error[1]
 
     def test_malformed_frame_disconnects_without_crash(self, terpd):
         sock = socket.create_connection(("127.0.0.1",
