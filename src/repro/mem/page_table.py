@@ -249,26 +249,31 @@ class PageTable:
                 f"base VA {base_va:#x} not aligned to subtree span {span:#x}")
         parent = self._ensure_path(base_va, subtree.level + 1)
         idx = index_at_level(base_va, subtree.level + 1)
-        existing = parent.lookup(idx)
-        if existing is not None and not (
-                isinstance(existing, PageTableNode)
-                and not existing.entries):
-            # An *empty* node maps nothing: it is the intermediate
-            # node a smaller subtree's path created and its detach
-            # left behind, and the slot is free to take.
+        if parent.lookup(idx) is not None:
             raise TerpError(f"VA {base_va:#x} already mapped")
         parent.set(idx, subtree)
         self.pte_writes += 1
         return 1
 
     def remove_subtree(self, base_va: int, subtree_level: int) -> int:
-        parent = self._node_at(base_va, subtree_level + 1)
-        idx = index_at_level(base_va, subtree_level + 1)
-        if parent is None or parent.lookup(idx) is None:
-            raise TerpError(f"no subtree mapped at {base_va:#x}")
-        parent.clear(idx)
-        self.pte_writes += 1
-        return 1
+        """Unmap the subtree at ``base_va``, and every intermediate
+        node that leaves empty: a relocated PMO rarely comes back to a
+        path, so those would pile up one path per relocation."""
+        path = [self.root]          # the root down to the subtree
+        while path[-1].level > subtree_level:
+            node = path[-1].lookup(index_at_level(base_va,
+                                                  path[-1].level))
+            if not isinstance(node, PageTableNode):
+                raise TerpError(f"no subtree mapped at {base_va:#x}")
+            path.append(node)
+        writes = 0
+        for node in reversed(path[:-1]):
+            node.clear(index_at_level(base_va, node.level))
+            writes += 1
+            if node.entries or node is self.root:
+                break
+        self.pte_writes += writes
+        return writes
 
     # -- internals ------------------------------------------------------
 

@@ -65,9 +65,11 @@ import struct
 import threading
 import time
 import zlib
+from concurrent import futures
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set, Tuple)
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Set,
+    Tuple)
 
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
@@ -335,34 +337,38 @@ class CommitTicket:
     ``psync`` snapshots its dirty pages, enqueues them, and parks on
     the ticket; the committer's leader thread retires it once the
     whole batch is journaled, home, and fsynced.  ``wait`` returns the
-    snapshot's page count or re-raises the batch's failure.
+    snapshot's page count or re-raises the batch's failure; a caller
+    that must not block registers :meth:`add_done_callback` instead.
+    A stdlib future underneath orders a registration against the
+    retirement under its own lock.
     """
 
-    __slots__ = ("_done", "pages", "error")
+    __slots__ = ("_future",)
 
     def __init__(self) -> None:
-        self._done = threading.Event()
-        self.pages = 0
-        self.error: Optional[BaseException] = None
+        self._future: futures.Future[int] = futures.Future()
 
     def complete(self, pages: int) -> None:
-        self.pages = pages
-        self._done.set()
+        self._future.set_result(pages)
 
     def fail(self, error: BaseException) -> None:
-        self.error = error
-        self._done.set()
+        self._future.set_exception(error)
+
+    def add_done_callback(self,
+                          fn: Callable[[CommitTicket], None]) -> None:
+        """Run ``fn(ticket)`` exactly once: now if the ticket has
+        retired, else on the thread that retires it (an exception
+        ``fn`` raises is logged, never raised into the flusher)."""
+        self._future.add_done_callback(lambda _: fn(self))
 
     def wait(self, timeout: Optional[float] = 60.0) -> int:
-        if not self._done.wait(timeout):
+        if not futures.wait((self._future,), timeout).done:
             raise PmoError("group commit ticket timed out")
-        if self.error is not None:
-            raise self.error
-        return self.pages
+        return self._future.result()
 
     @property
     def done(self) -> bool:
-        return self._done.is_set()
+        return self._future.done()
 
 
 class GroupCommitter:

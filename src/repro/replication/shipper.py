@@ -13,14 +13,15 @@ zero-acknowledged-write-loss guarantee (invariant I7) the failover
 chaos leg checks — and the standby works during the primary's home
 fsync, not after it.
 
-Session-journal records are mirrored fire-and-forget with
-``MSG_MORE``: they wait in the *kernel's* send queue and leave in the
-same segment as the next batch (or after the kernel's 200 ms cork
-timer on an idle link).  The kernel still sends that queue when the
-process dies, so a mirrored record is at most one batch or 200 ms
-behind and is lost only with the host — or with a process killed while
-a standby ack sat unread in its receive queue, when the kernel resets
-the link instead of draining it.
+The socket is corked (``TCP_CORK``): session-journal records are
+mirrored fire-and-forget and wait in the *kernel's* send queue, and
+every other frame is pushed at once (uncork, recork), taking the
+queued records along in its segment — or the kernel's 200 ms cork
+timer sends them on an idle link.  The kernel still sends that queue
+when the process dies, so a mirrored record is at most one batch or
+200 ms behind and is lost only with the host — or with a process
+killed while a standby ack sat unread in its receive queue, when the
+kernel resets the link instead of draining it.
 
 Availability beats replication: a standby that is absent, dead, or
 too slow degrades the shipper (batches counted ``dropped``, commits
@@ -65,9 +66,9 @@ __all__ = ["JournalShipper"]
 #: How long a semi-sync commit waits for the standby's ack before
 #: degrading (the commit itself is already locally durable).
 DEFAULT_ACK_TIMEOUT_S = 5.0
-#: Cork a frame behind the next uncorked send (0 where unsupported:
-#: the frame then leaves at once, as every other frame does).
-MSG_MORE = getattr(socket, "MSG_MORE", 0)
+#: Hold partial segments in the send queue until pushed (None where
+#: unsupported: every frame then leaves at once).
+TCP_CORK = getattr(socket, "TCP_CORK", None)
 #: Background dialer retry period while the standby is unreachable.
 DEFAULT_RECONNECT_S = 0.2
 
@@ -246,6 +247,7 @@ class JournalShipper:
             try:
                 send_msg(self._sock, {"t": "header", "pmo": name},
                          header)
+                self._push()
                 self._prev.setdefault(name, 0)
             except (OSError, ReplicationWireError) as exc:
                 self._drop_connection(f"header: {exc}")
@@ -258,6 +260,7 @@ class JournalShipper:
                 return
             try:
                 send_msg(self._sock, {"t": "destroy", "pmo": name})
+                self._push()
             except (OSError, ReplicationWireError) as exc:
                 self._drop_connection(f"destroy: {exc}")
             with self._ack_cond:
@@ -272,14 +275,13 @@ class JournalShipper:
     def ship_journal(self, record: Dict[str, Any]) -> None:
         """Mirror one session-journal record (fire-and-forget: data
         durability is I7's contract; session identity rides along —
-        corked in the kernel's send queue until the next batch, the
-        200 ms cork timer, or the socket's close)."""
+        corked in the kernel's send queue until the next pushed frame,
+        the 200 ms cork timer, or the socket's close)."""
         with self._send_lock:
             if not self.connected:
                 return
             try:
-                send_msg(self._sock, {"t": "journal", "line": record},
-                         flags=MSG_MORE)
+                send_msg(self._sock, {"t": "journal", "line": record})
             except (OSError, ReplicationWireError) as exc:
                 self._drop_connection(f"journal: {exc}")
 
@@ -327,6 +329,8 @@ class JournalShipper:
             socket.SOL_SOCKET, socket.SO_SNDTIMEO,
             struct.pack("ll", int(timeout),
                         int((timeout - int(timeout)) * 1e6)))
+        if TCP_CORK is not None:
+            sock.setsockopt(socket.IPPROTO_TCP, TCP_CORK, 1)
         with self._send_lock:
             self._sock = sock
             self._prev.clear()
@@ -393,6 +397,7 @@ class JournalShipper:
         if self._journal is not None:
             for record in self._journal.read_records():
                 send_msg(self._sock, {"t": "journal", "line": record})
+        self._push()
 
     def _bootstrap_pmo(self, name: str, *,
                        raise_errors: bool = False) -> Optional[int]:
@@ -426,10 +431,18 @@ class JournalShipper:
         send_msg(self._sock, {"t": "batch", "pmo": name,
                               "pmo_id": pmo_id, "seq": seq,
                               "prev": prev, "pages": meta}, payload)
+        self._push()
         self.shipped += 1
         if self._metrics is not None:
             self._metrics.series["repl_batches_shipped"].inc()
         self._set_lag_gauge()
+
+    def _push(self) -> None:
+        """Send the frame just queued now, with every mirrored record
+        corked ahead of it, in as few segments as they fill."""
+        if TCP_CORK is not None:
+            self._sock.setsockopt(socket.IPPROTO_TCP, TCP_CORK, 0)
+            self._sock.setsockopt(socket.IPPROTO_TCP, TCP_CORK, 1)
 
     def _await_ack(self, name: str, seq: int) -> bool:
         deadline = time.monotonic() + self.ack_timeout_s

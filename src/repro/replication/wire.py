@@ -35,7 +35,8 @@ client protocol's sidecar makes for reads and writes).  Message types:
 ``journal``
     one session-journal record, mirrored verbatim so a promoted
     standby recovers sessions/epoch exactly as a warm restart would.
-    Sent corked (``MSG_MORE``): it leaves with the next ``batch``.
+    Queued on the corked socket (``TCP_CORK``): it leaves in the
+    segment of the next pushed frame, usually a ``batch``.
 ``destroy``
     a PMO's durable files were destroyed on the primary.
 ``ack``
@@ -76,9 +77,8 @@ class ReplicationWireError(TerpError):
 
 
 def send_msg(sock: socket.socket, header: Dict[str, Any],
-             payload: bytes = b"", *, flags: int = 0) -> None:
-    """Send one frame (blocking, complete); ``flags`` are the
-    ``send(2)`` flags."""
+             payload: bytes = b"") -> None:
+    """Send one frame (blocking, complete)."""
     head = json.dumps(header, separators=(",", ":")).encode("utf-8")
     total = _LEN.size + len(head) + len(payload)
     if total > MAX_FRAME_BYTES:
@@ -86,7 +86,7 @@ def send_msg(sock: socket.socket, header: Dict[str, Any],
             f"replication frame of {total} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte bound")
     sock.sendall(_LEN.pack(total) + _LEN.pack(len(head)) + head
-                 + payload, flags)
+                 + payload)
 
 
 def _recv_exactly(sock: socket.socket, n: int) -> Optional[bytes]:

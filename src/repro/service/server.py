@@ -67,15 +67,38 @@ DEFAULT_SWEEP_PERIOD_NS = 10_000_000
 class _PendingFlush:
     """A psync whose fsyncs ride the group committer: the handler
     returns this marker under the library lock; the dispatcher awaits
-    the ticket *off* the event loop (``run_in_executor``) after the
-    lock is released, so other sessions keep being served while the
-    flusher thread pays the fsyncs."""
+    the ticket after the lock is released, so other sessions keep
+    being served while the flusher thread pays the fsyncs."""
 
     __slots__ = ("base", "ticket")
 
     def __init__(self, base: int, ticket: CommitTicket) -> None:
         self.base = base
         self.ticket = ticket
+
+
+async def _retired(ticket: CommitTicket) -> None:
+    """Park until the flusher retires ``ticket``.  The retiring thread
+    wakes this loop directly (one ``call_soon_threadsafe`` per
+    ticket), so no thread parks per psync."""
+    loop = asyncio.get_running_loop()
+    retired = loop.create_future()
+
+    def settle() -> None:
+        if not retired.done():         # not timed out meanwhile
+            retired.set_result(None)
+
+    def wake(_: CommitTicket) -> None:
+        try:
+            loop.call_soon_threadsafe(settle)
+        except RuntimeError:
+            pass                       # the loop closed: stop / crash
+
+    ticket.add_done_callback(wake)
+    try:
+        await asyncio.wait_for(retired, 60.0)    # ``ticket.wait``'s bound
+    except asyncio.TimeoutError:
+        raise PmoError("group commit ticket timed out") from None
 
 
 class TerpService:
@@ -528,21 +551,14 @@ class TerpService:
                 self.lib.advance_to(self.now_ns())
                 result = handler(conn, args)
             if isinstance(result, _PendingFlush):
-                # Group commit's executor boundary: the library lock is
-                # already released; the ticket wait (the fsyncs) runs
-                # on a worker thread so the event loop keeps serving
-                # other connections while the flusher batches — and
-                # the burst's earlier responses leave first, rather
-                # than wait behind this request's fsync.
-                flushed = result.base
-                if result.ticket.done:
-                    flushed += result.ticket.wait(0)
-                else:
+                # The library lock is already released; the event loop
+                # keeps serving other connections while the flusher
+                # batches — and the burst's earlier responses leave
+                # first, rather than wait behind this request's fsync.
+                if not result.ticket.done:
                     conn.flush()
-                    loop = asyncio.get_running_loop()
-                    flushed += await loop.run_in_executor(
-                        None, result.ticket.wait)
-                result = {"flushed": flushed}
+                    await _retired(result.ticket)
+                result = {"flushed": result.base + result.ticket.wait(0)}
             if spec.bin_result is not None:
                 # ...and the other way: the result's bytes leave on the
                 # response sidecar, a marker in their place.

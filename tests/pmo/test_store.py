@@ -1,6 +1,8 @@
 """The durable pool backend: format, flush, repair, scrub, quarantine."""
 
 import os
+import sys
+import threading
 
 import pytest
 
@@ -10,7 +12,7 @@ from repro.core.units import MIB, PAGE_SIZE
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.pmo.api import PmoLibrary
 from repro.pmo.store import (
-    DurablePages, PmoStore, SCRUB_PAGES_PER_PASS)
+    CommitTicket, DurablePages, PmoStore, SCRUB_PAGES_PER_PASS)
 
 
 def make(tmp_path, *rules, seed=1):
@@ -449,3 +451,77 @@ class TestGroupCommit:
         pmo.storage.write(oid.offset, b"lost")
         with pytest.raises(PmoError):
             store.flush(pmo)
+
+
+class TestTicketCallbacks:
+    def test_runs_on_the_retiring_thread(self, tmp_path):
+        store = PmoStore(tmp_path, commit_interval_us=50_000)
+        lib = PmoLibrary(store=store)
+        pmo = lib.PMO_create("cb", MIB)
+        with lib.thread(1):
+            lib.attach(pmo)
+            lib.write(lib.pmalloc(pmo, 64), b"C" * 64)
+            lib.detach(pmo)
+        ticket = store.flush_async(pmo)     # the 50 ms window is open
+        seen = []
+        called = threading.Event()
+
+        def note(retired):
+            seen.append((threading.current_thread().name,
+                         retired.wait(0)))
+            called.set()
+
+        ticket.add_done_callback(note)
+        assert called.wait(5.0)
+        assert seen == [("terp-group-commit", ticket.wait(0))]
+        assert ticket.wait(0) >= 1
+        store.close()
+
+    def test_registered_after_retirement_runs_at_once(self):
+        ticket = CommitTicket()
+        ticket.complete(3)
+        seen = []
+        ticket.add_done_callback(seen.append)
+        assert seen == [ticket]
+
+    def test_failure_is_delivered(self):
+        ticket = CommitTicket()
+        seen = []
+        ticket.add_done_callback(seen.append)
+        ticket.fail(PmoError("batch failed"))
+        assert seen == [ticket]
+        with pytest.raises(PmoError, match="batch failed"):
+            ticket.wait(0)
+
+    def test_exactly_once_under_a_register_retire_race(self):
+        # Four registering threads against the retiring one, more
+        # threads than cores, switching as often as the interpreter
+        # allows: a callback lost or run twice breaks the count.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                ticket = CommitTicket()
+                calls = []
+                start = threading.Barrier(5)
+
+                def register():
+                    start.wait()
+                    for _ in range(8):
+                        ticket.add_done_callback(calls.append)
+
+                def retire():
+                    start.wait()
+                    ticket.complete(1)
+
+                threads = [threading.Thread(target=register)
+                           for _ in range(4)]
+                threads.append(threading.Thread(target=retire))
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(5.0)
+                    assert not thread.is_alive()
+                assert calls == [ticket] * 32
+        finally:
+            sys.setswitchinterval(interval)

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.units import MIB, PAGE_SIZE
 from repro.pmo.api import PmoLibrary
-from repro.pmo.store import PmoStore
+from repro.pmo.store import PmoStore, page_crcs
 from repro.replication import (
     JournalApplier, JournalShipper, ReplicationChainError)
 from tests.replication.conftest import settled
@@ -46,6 +46,15 @@ def commit_rounds(lib, store, name, rounds=3):
             lib.psync(pmo)
         lib.detach(pmo)
     return pmo, oid
+
+
+def data_segs_out(sock):
+    """The socket's ``tcpi_data_segs_out`` (Linux >= 4.6), or None."""
+    if not hasattr(socket, "TCP_INFO"):
+        return None
+    info = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_INFO, 256)
+    return struct.unpack_from("I", info, 156)[0] if len(info) >= 160 \
+        else None
 
 
 class TestLiveReplay:
@@ -93,7 +102,7 @@ class TestLiveReplay:
         shipper.ship_journal({"kind": "session", "sid": 7,
                               "user": "alice"})
         # A lone record on an idle link waits out the kernel's cork
-        # timer (<= 200 ms): it was sent with MSG_MORE.
+        # timer (<= 200 ms): it was queued on the corked socket.
         deadline = time.monotonic() + 5.0
         while standby.applier.journal_records == 0 and \
                 time.monotonic() < deadline:
@@ -116,6 +125,37 @@ class TestLiveReplay:
             lib.psync(pmo)
             lib.detach(pmo)
         assert standby.applier.journal_records == 1
+        shipper.stop()
+        store.close()
+
+    def test_one_data_segment_per_batch(self, tmp_path, standby):
+        """A record mirrored while a batch is un-acked waits for the
+        next batch's segment, not for the ack: it used to leave alone
+        when the ack came in, 2 segments per round.  Counted by the
+        socket itself (``tcpi_data_segs_out``)."""
+        store, shipper, lib = make_primary(tmp_path, standby)
+        pmo = lib.PMO_create("segs", MIB)
+        if data_segs_out(shipper._sock) is None:
+            pytest.skip("no tcpi_data_segs_out in this kernel's tcp_info")
+        segments = []
+        for seq in range(1, 7):
+            pages = [(0, page(seq))]
+            before = data_segs_out(shipper._sock)
+            target = shipper.send_commit("segs", pmo.pmo_id, seq, pages,
+                                         page_crcs(pages))
+            shipper.ship_journal({"rec": "attach", "sid": seq,
+                                  "pmo": "segs"})
+            shipper.await_commit("segs", target)
+            segments.append(data_segs_out(shipper._sock) - before)
+        assert segments == [1] * 6
+        assert shipper.status()["acked"] == shipper.status()["shipped"]
+        # The last record, with no batch behind it, leaves on the
+        # kernel's cork timer.
+        deadline = time.monotonic() + 5.0
+        while standby.applier.journal_records < 6 and \
+                time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert standby.applier.journal_records == 6
         shipper.stop()
         store.close()
 

@@ -3,7 +3,7 @@
 Counts, not timings: the daemon's ``wire_frames`` / ``wire_flushes``
 counters say how many response frames left in how many writes.  The
 rules under test — flush when the input runs dry, before a handler
-waits off the event loop, past the 64 KiB mark, and on every way out
+waits on a psync's group commit, past the 64 KiB mark, and on every way out
 of the serve loop — each have a test here that fails with the rule
 removed.
 """
