@@ -39,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import time
 from typing import (
-    Any, Awaitable, Callable, Dict, List, Optional, Tuple)
+    Any, Awaitable, Callable, Dict, Iterator, List, Optional, Tuple)
 
 from repro.core.errors import TerpError
 from repro.cluster.aggregate import (
@@ -52,10 +52,10 @@ from repro.service.client import (
     OPEN, RECV, SEND, ConnectionLost, RemoteError, TerpClient)
 from repro.service.conn import (
     DEFAULT_SEED, DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS,
-    Conn, admit, close_connections)
+    Conn, FrontDoor, admit)
 from repro.service.metrics import WireCounters
 from repro.service.ops import FANOUT, NAME, OID, SESSION, Op
-from repro.service.protocol import WireError, ok_response
+from repro.service.protocol import ok_response
 from repro.service.sessions import SessionRegistry
 
 
@@ -186,8 +186,8 @@ class TerpRouter:
         #: counters (each shard counts its hop in its own registry).
         self.metrics = MetricsRegistry()
         self.wire = WireCounters(self.metrics, {"hop": "router"})
-        self._servers: List[asyncio.AbstractServer] = []
-        self._writers: Dict[asyncio.StreamWriter, asyncio.Task] = {}
+        self.front = FrontDoor(self._serve_burst, self._teardown,
+                               self.wire.note_flush)
         self._purge_task: Optional[asyncio.Task] = None
         self._t0 = time.monotonic_ns()
         self.bound_port: Optional[int] = None
@@ -198,15 +198,8 @@ class TerpRouter:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        kwargs: Dict[str, Any] = {}
-        if self.reuse_port:
-            # SO_REUSEPORT accept sharding: several router processes
-            # bind the same front port and the kernel spreads accepts.
-            kwargs["reuse_port"] = True
-        server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port, **kwargs)
-        self._servers.append(server)
-        self.bound_port = server.sockets[0].getsockname()[1]
+        self.bound_port = await self.front.listen(
+            self.host, self.port, reuse_port=self.reuse_port)
         self._purge_task = asyncio.create_task(self._purge_loop())
 
     async def stop(self) -> None:
@@ -216,99 +209,72 @@ class TerpRouter:
                 await self._purge_task
             except asyncio.CancelledError:
                 pass
-        for server in self._servers:
-            server.close()
+        self.front.stop_listening()
         for upstreams in self._upstreams.values():
             await _close_all(upstreams)
         for up in self._admin.values():
             await up.close()
-        await close_connections(self._writers)
-        for server in self._servers:
-            await server.wait_closed()
+        await self.front.close()
 
     async def _purge_loop(self) -> None:
         """Expire lingering (dropped, never resumed) sessions."""
         while True:
             await asyncio.sleep(0.1)
-            now = self.now_ns()
-            for session in self.registry.lingering():
-                if session.linger_expired(now, self.session_linger_ns):
-                    self.registry.remove(session.session_id)
-                    await _close_all(self._upstreams.pop(
-                        session.session_id, {}))
+            for session in self.registry.purge(self.now_ns(),
+                                               self.session_linger_ns):
+                await _close_all(self._upstreams.pop(
+                    session.session_id, {}))
 
     # -- connection handling ----------------------------------------------
 
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        conn = Conn(writer, self.wire.note_flush)
-        writer.transport.max_size = protocol.READ_BYTES
-        self._writers[writer] = asyncio.current_task()
-        splitter = protocol.FrameSplitter()
+    async def _serve_burst(self, conn: Conn,
+                           frames: Iterator[Tuple[bytes, bytes]]) -> bool:
+        """Answer the frames one read produced, gathering runs: the
+        consecutive single-op frames one shard owns go upstream as one
+        write (a pipelined burst costs one shard round trip).  Anything
+        else ends the run, so responses queue in request order."""
+        run: List[bytes] = []
+        shard = -1
         try:
-            while True:
-                data = await reader.read(protocol.READ_BYTES)
-                if not data:
-                    splitter.eof()
-                    break
-                # The run being gathered: consecutive single-op frames
-                # one shard owns go upstream as one write (a pipelined
-                # burst costs one shard round trip).  Anything else
-                # ends it, so responses queue in request order.
-                run: List[bytes] = []
-                shard = -1
-                for body, sidecar in splitter.feed(data):
-                    payload = protocol.decode_frame(body)
-                    batch = protocol.is_batch(payload)
-                    owner = None if batch \
-                        else self._relay_shard(conn, payload, sidecar)
-                    if run and owner != shard:
-                        await self._relay_run(conn, shard, run)
-                        run = []
-                    if owner is not None:
-                        shard = owner
-                        run.append(protocol.frame_from_body(
-                            body, sidecar or None))
-                    elif batch:
-                        await conn.send(await self._handle_batch(
-                            conn, payload, sidecar))
-                    else:
-                        await conn.send(await self._handle_local(
-                            conn, payload, sidecar))
-                if run:
+            for body, sidecar in frames:
+                payload = protocol.decode_frame(body)
+                batch = protocol.is_batch(payload)
+                owner = None if batch \
+                    else self._relay_shard(conn, payload, sidecar)
+                if run and owner != shard:
                     await self._relay_run(conn, shard, run)
-                # Out of input: the burst's responses leave together.
-                await conn.drain()
+                    run = []
+                if owner is not None:
+                    shard = owner
+                    run.append(protocol.frame_from_body(
+                        body, sidecar or None))
+                elif batch:
+                    await conn.send(await self._handle_batch(
+                        conn, payload, sidecar))
+                else:
+                    await conn.send(await self._handle_local(
+                        conn, payload, sidecar))
+            if run:
+                await self._relay_run(conn, shard, run)
         except UpstreamLost:
             # Map shard death onto the client's typed retry path: an
             # aborted transport is a ConnectionLost, and the retried
             # request (same rid, resumed session) re-routes to the
             # restarted shard.
             conn.flush()
-            writer.transport.abort()
-        except (WireError, ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            try:
-                await self._teardown(conn)
-            finally:
-                # Deregistered last: until here ``stop`` can still
-                # find this handler and wait for it.
-                self._writers.pop(writer, None)
+            conn.writer.transport.abort()
+            return False
+        return True
 
     async def _teardown(self, conn: Conn) -> None:
-        conn.flush()
-        session = conn.session
-        if session is not None and not session.closed and \
-                session.generation == conn.generation:
+        session = self.registry.drop(conn, self.now_ns())
+        if session is not None:
             # Drop the upstream connections *now*: each shard
             # force-releases this session's windows on teardown
             # ("connection lost"), exactly as a direct client's
             # death would.  Identity lingers for a token resume.
             await _close_all(
                 self._upstreams.get(session.session_id, {}))
-            session.unbind(self.now_ns())
-        await conn.close()
 
     # -- routing -----------------------------------------------------------
 
@@ -399,30 +365,19 @@ class TerpRouter:
 
     async def _op_hello(self, conn: Conn, spec: Op,
                         args: Dict[str, Any]) -> Dict[str, Any]:
-        session, result = self.registry.hello(args, current=conn.session)
-        self._upstreams.setdefault(session.session_id, {})
-        conn.session = session
-        conn.generation = session.generation
+        result = self.registry.hello(args, conn)
+        self._upstreams.setdefault(conn.session.session_id, {})
         return result
 
     async def _op_goodbye(self, conn: Conn, spec: Op,
                           args: Dict[str, Any]) -> Dict[str, Any]:
+        results, _ = await self._poll(conn, spec, args, own_only=True)
         session = conn.session
-        assert session is not None
-        upstreams = self._upstreams.pop(session.session_id, {})
-        released = 0
-        for up in upstreams.values():
-            if not up.alive:
-                continue
-            try:
-                result, _ = await up.ask(spec.name, {})
-                released += int((result or {}).get("released", 0))
-            except UpstreamLost:
-                pass
-        await _close_all(upstreams)
-        self.registry.remove(session.session_id)
-        conn.session = None
-        return {"released": released}
+        await _close_all(self._upstreams.pop(session.session_id, {}))
+        self.registry.end(session, self.now_ns(), reason="goodbye",
+                          conn=conn)
+        return {"released": sum(int(result.get("released", 0))
+                                for _, result in results)}
 
     # -- fan-out path ------------------------------------------------------
 

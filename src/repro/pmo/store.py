@@ -101,7 +101,7 @@ SCRUB_PAGES_PER_PASS = 8
 #: concurrent flushers to pile onto a batch before fsyncing it.
 DEFAULT_COMMIT_INTERVAL_US = 200
 #: Upper bound on snapshots folded into one group-commit batch.
-DEFAULT_COMMIT_MAX_BATCH = 64
+COMMIT_MAX_BATCH = 64
 
 
 def _page_crc(page: bytes) -> int:
@@ -378,7 +378,7 @@ class GroupCommitter:
     under the metadata lock) and park on a :class:`CommitTicket`; the
     dedicated flusher thread gathers every snapshot that arrives
     within the commit window (``interval_us``, bounded by
-    ``max_batch``), merges same-PMO snapshots in submit order, and
+    :data:`COMMIT_MAX_BATCH`), merges same-PMO snapshots in submit order, and
     commits each PMO's merged batch through the unchanged
     journal-before-home protocol — so N concurrent psyncs cost one
     journal fsync + one home fsync per PMO instead of N of each.
@@ -393,11 +393,9 @@ class GroupCommitter:
     """
 
     def __init__(self, store: "PmoStore", *,
-                 interval_us: int = DEFAULT_COMMIT_INTERVAL_US,
-                 max_batch: int = DEFAULT_COMMIT_MAX_BATCH) -> None:
+                 interval_us: int = DEFAULT_COMMIT_INTERVAL_US) -> None:
         self._store = store
         self.interval_s = max(0, interval_us) / 1e6
-        self.max_batch = max(1, max_batch)
         self._cond = threading.Condition()
         #: (entry, the seq its snapshot claimed, pages, ticket)
         self._queue: List[Tuple["_StoreEntry", int,
@@ -435,11 +433,11 @@ class GroupCommitter:
                         return
                     self._cond.wait()
                 if self.interval_s > 0 and not self._stopping and \
-                        len(self._queue) < self.max_batch:
+                        len(self._queue) < COMMIT_MAX_BATCH:
                     # The commit window: let concurrent flushers pile
                     # on before the leader pays the fsyncs.
                     self._cond.wait(self.interval_s)
-                batch = self._queue[:self.max_batch]
+                batch = self._queue[:COMMIT_MAX_BATCH]
                 del self._queue[:len(batch)]
             if batch:
                 self._commit_batch(batch)
@@ -546,9 +544,8 @@ class PmoStore:
     def __init__(self, root: os.PathLike, *,
                  faults: Optional["FaultPlan"] = None,
                  fsync: bool = True,
-                 commit_interval_us: int = DEFAULT_COMMIT_INTERVAL_US,
-                 commit_max_batch: int = DEFAULT_COMMIT_MAX_BATCH) \
-            -> None:
+                 commit_interval_us: int = DEFAULT_COMMIT_INTERVAL_US
+                 ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         #: optional fault plan; sites ``store.torn_page`` (a home-slot
@@ -572,9 +569,8 @@ class PmoStore:
         #: when set, every group-commit batch is handed to it at its
         #: journal fsync (and every register/destroy as it happens).
         self.shipper: Optional[Any] = None
-        self.committer = GroupCommitter(
-            self, interval_us=commit_interval_us,
-            max_batch=commit_max_batch)
+        self.committer = GroupCommitter(self,
+                                        interval_us=commit_interval_us)
 
     def close(self) -> None:
         """Drain and stop the group committer (graceful shutdown)."""

@@ -65,11 +65,9 @@ class ReplicationChainError(TerpError):
 class JournalApplier:
     """Replays shipped frames into a standby pool directory."""
 
-    def __init__(self, pool_dir: os.PathLike, *,
-                 fsync: bool = True) -> None:
+    def __init__(self, pool_dir: os.PathLike) -> None:
         self.root = Path(pool_dir)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
         self._lock = threading.Lock()
         self._closed = False
         self._journal = SessionJournal(self.root)
@@ -122,7 +120,7 @@ class JournalApplier:
                 f"shipped header is {len(header)} bytes, "
                 f"expected {HEADER_SPAN}")
         with self._applying():
-            write_header(self.path_for(name), header, fsync=self.fsync)
+            write_header(self.path_for(name), header)
             self.journal_path_for(name).unlink(missing_ok=True)
             self.applied[name] = 0
 
@@ -148,7 +146,7 @@ class JournalApplier:
             # standby crash mid-apply leaves either an unapplied
             # journal or a committed one recovery replays.
             journal = self.journal_path_for(name)
-            write_journal(journal, seq, pages, crcs, fsync=self.fsync)
+            write_journal(journal, seq, pages, crcs)
             self.applied[name] = seq
             self.batches_applied += 1
             self.pages_applied += len(pages)
@@ -158,8 +156,7 @@ class JournalApplier:
             finally:
                 # Still under the lock: a promotion (``close``) waits
                 # for the home write instead of racing it.
-                write_home(self.path_for(name), pages, crcs,
-                           fsync=self.fsync)
+                write_home(self.path_for(name), pages, crcs)
                 journal.unlink(missing_ok=True)
 
     def apply_journal(self, record: Dict[str, Any]) -> None:

@@ -81,7 +81,6 @@ class JournalShipper:
                  journal: Optional["SessionJournal"] = None,
                  metrics: Optional[Any] = None,
                  faults: Optional["FaultPlan"] = None,
-                 sync: bool = True,
                  ack_timeout_s: float = DEFAULT_ACK_TIMEOUT_S,
                  reconnect_s: float = DEFAULT_RECONNECT_S) -> None:
         self.host = host
@@ -90,7 +89,6 @@ class JournalShipper:
         self._journal = journal
         self._metrics = metrics
         self._faults = faults
-        self.sync = sync
         self.ack_timeout_s = ack_timeout_s
         self.reconnect_s = reconnect_s
         #: serializes socket sends and the per-PMO chain state.
@@ -162,7 +160,6 @@ class JournalShipper:
         return {
             "target": f"{self.host}:{self.port}",
             "connected": self.connected,
-            "sync": self.sync,
             "shipped": self.shipped,
             "acked": self.acked,
             "dropped": self.dropped,
@@ -222,10 +219,8 @@ class JournalShipper:
 
     def await_commit(self, name: str, seq: int) -> None:
         """The wait half, called after the batch's home fsync: park
-        until the standby has acked ``seq`` (sync mode), degrading on
-        a timeout or a dropped link.  Never raises."""
-        if not self.sync:
-            return
+        until the standby has acked ``seq``, degrading on a timeout or
+        a dropped link.  Never raises."""
         start = time.perf_counter_ns()
         acked = self._await_ack(name, seq)
         if self._metrics is not None:

@@ -65,8 +65,9 @@ __all__ = ["ReplicationWireError", "send_msg", "recv_msg",
 #: v2 added the reconciling ``reset`` frame and truncate-on-header.
 REPL_PROTOCOL_VERSION = 2
 
-#: Frame size guard: a batch is at most ``max_batch`` merged snapshots
-#: of 4KB pages; 64 MiB leaves generous headroom over any legal batch.
+#: Frame size guard: a batch is at most ``COMMIT_MAX_BATCH`` merged
+#: snapshots of 4KB pages; 64 MiB leaves generous headroom over any
+#: legal batch.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LEN = struct.Struct(">I")

@@ -244,10 +244,6 @@ class ClientCore:
     def connect(self) -> Any:
         return self._run(self._connect_steps())
 
-    #: what recovery tests and chaos harnesses call after re-pointing
-    #: a client at a restarted or promoted daemon.
-    _reconnect = connect
-
     # -- the attempt loop ----------------------------------------------------
 
     def _exchange_steps(self, requests: List[Tuple[str, Dict]], *,

@@ -1,19 +1,20 @@
-"""What every terpd front door keeps per client connection.
+"""Every terpd front door: how a node meets its client connections.
 
 The daemon (:class:`~repro.service.server.TerpService`) and the
 cluster router (:class:`~repro.cluster.router.TerpRouter`) both
 terminate client connections, and both do it with exactly these
-pieces: the op-table check every request passes first (:func:`admit`),
-the per-connection state with its response queue and flush rule
-(:class:`Conn`), the shutdown that ends every serve loop instead of
-leaving it to be cancelled (:func:`close_connections`), and the
-session defaults both sides must agree on.
+pieces: the listening sockets and the one read loop per connection
+(:class:`FrontDoor`, which each side hands only its per-burst handler
+and its teardown), the op-table check every request passes first
+(:func:`admit`), the per-connection state with its response queue and
+flush rule (:class:`Conn`), and the session defaults both sides must
+agree on.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import TerpError
 from repro.service import protocol
@@ -146,24 +147,100 @@ class Conn:
             pass
 
 
-async def close_connections(
-        handlers: Dict[asyncio.StreamWriter, asyncio.Task]) -> None:
-    """Close every client connection and wait for its serve loop.
+class FrontDoor:
+    """A node's listening sockets and its one read loop per client
+    connection.  The daemon and the router supply only
+    ``serve_burst(conn, frames)`` — answer the frames one read
+    produced; False severs the connection — and ``teardown(conn)``."""
 
-    Each loop reads EOF and runs its own teardown, deregistering from
-    ``handlers`` only as its last act — a loop already mid-teardown
-    when this runs (its client hung up a moment ago) is still here to
-    be waited for — so nothing is left for ``asyncio.run`` to cancel:
-    on Python 3.11 a cancelled stream handler makes asyncio's own
-    done-callback print a traceback.
-    """
-    tasks = list(handlers.values())
-    for writer in list(handlers):
-        writer.close()
-    if not tasks:
-        return
-    _, stuck = await asyncio.wait(tasks, timeout=CLOSE_GRACE_S)
-    if stuck:
-        for writer in list(handlers):
+    def __init__(self, serve_burst: Callable[..., Awaitable[bool]],
+                 teardown: Callable[[Conn], Awaitable[None]],
+                 note_flush: Callable[[int], None]) -> None:
+        self._serve_burst = serve_burst
+        self._teardown = teardown
+        self._note_flush = note_flush
+        self._servers: List[asyncio.AbstractServer] = []
+        #: open client connections and the task serving each.
+        self._writers: Dict[asyncio.StreamWriter, asyncio.Task] = {}
+
+    async def listen(self, host: str, port: Optional[int],
+                     unix_path: Optional[str] = None, *,
+                     reuse_port: bool = False) -> Optional[int]:
+        """Bind the endpoints given; returns the TCP port bound.
+        ``reuse_port``: several routers share one front port
+        (``SO_REUSEPORT``: the kernel spreads the accepts)."""
+        bound = None
+        if port is not None:
+            server = await asyncio.start_server(
+                self._serve, host, port, reuse_port=reuse_port)
+            self._servers.append(server)
+            bound = server.sockets[0].getsockname()[1]
+        if unix_path is not None:
+            self._servers.append(await asyncio.start_unix_server(
+                self._serve, path=unix_path))
+        return bound
+
+    def stop_listening(self) -> None:
+        for server in self._servers:
+            server.close()
+
+    def abort(self) -> None:
+        """Like ``kill -9``: stop accepting, reset every connection."""
+        self.stop_listening()
+        for writer in list(self._writers):
             writer.transport.abort()
-        await asyncio.wait(stuck)
+
+    async def close(self) -> None:
+        """Close every client connection, wait for its serve loop, then
+        for the listeners.
+
+        Each loop reads EOF and runs its own teardown, deregistering
+        only as its last act — a loop already mid-teardown when this
+        runs (its client hung up a moment ago) is still here to be
+        waited for — so nothing is left for ``asyncio.run`` to cancel:
+        on Python 3.11 a cancelled stream handler makes asyncio's own
+        done-callback print a traceback.
+        """
+        tasks = list(self._writers.values())
+        for writer in list(self._writers):
+            writer.close()
+        if tasks:
+            _, stuck = await asyncio.wait(tasks, timeout=CLOSE_GRACE_S)
+            if stuck:
+                for writer in list(self._writers):
+                    writer.transport.abort()
+                await asyncio.wait(stuck)
+        # Only now: from Python 3.12 a server is not closed until its
+        # last connection is.
+        for server in self._servers:
+            await server.wait_closed()
+
+    async def _serve(self, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
+        conn = Conn(writer, self._note_flush)
+        writer.transport.max_size = protocol.READ_BYTES
+        self._writers[writer] = asyncio.current_task()
+        splitter = protocol.FrameSplitter()
+        try:
+            while True:
+                data = await reader.read(protocol.READ_BYTES)
+                if not data:
+                    splitter.eof()
+                    break
+                if not await self._serve_burst(conn, splitter.feed(data)):
+                    break
+                # Out of input: the burst's responses leave together.
+                await conn.drain()
+        except (WireError, ConnectionResetError, BrokenPipeError):
+            pass
+        finally:
+            try:
+                # Whatever ended the loop, the responses to the frames
+                # served before it still go out ahead of the close.
+                conn.flush()
+                await self._teardown(conn)
+                await conn.close()
+            finally:
+                # Deregistered last: until here ``close`` can still
+                # find this handler and wait for it.
+                self._writers.pop(writer, None)

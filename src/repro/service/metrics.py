@@ -332,11 +332,9 @@ class ServiceMetrics:
         self.series["scrub_pages_repaired"].inc(repaired)
         self.series["pmos_quarantined"].inc(quarantined)
 
-    def note_recovery(self, *, sessions: int,
-                      forced_detaches: int) -> None:
+    def note_recovery(self, *, sessions: int) -> None:
         self.series["restarts_recovered"].inc()
         self.series["sessions_recovered"].inc(sessions)
-        self.series["recovery_forced_detaches"].inc(forced_detaches)
 
     def note_ship_ack(self, latency_ns: int) -> None:
         self.series["repl_batches_acked"].inc()

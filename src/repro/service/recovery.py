@@ -195,14 +195,12 @@ class RecoveryManager:
         svc.session_journal.record(
             "restart", at_ns=now, downtime_ns=report.downtime_ns)
 
-        survivors = []
         for js in sessions.values():
             session = svc.sessions.restore(
                 session_id=js.sid, user=js.user,
                 ew_budget_ns=js.budget_ns, resume_token=js.token,
                 disconnected_at_ns=now)
             report.sessions_restored += 1
-            survivors.append(js)
             # Access never survives a crash: close every window that
             # was open when the daemon died, on the unbroken clock.
             for pmo_id, (since, name) in sorted(js.holdings.items()):
@@ -213,23 +211,19 @@ class RecoveryManager:
                     svc.obs.audit.record_detach(
                         session.entity_id, pmo_id, name, now,
                         forced=True, reason=reason)
-                session.note_forced_detach(pmo_id, name, now, reason)
-                svc.session_journal.record(
-                    "detach", sid=js.sid, pmo_id=pmo_id, pmo=name,
-                    at_ns=now, forced=True, reason=reason)
+                svc.sessions.forced_close(session, pmo_id, name, now,
+                                          reason, "recovery_forced_detaches")
                 report.forced_detaches += 1
                 if overdue:
                     report.overdue_detaches += 1
-        svc.metrics.note_recovery(
-            sessions=report.sessions_restored,
-            forced_detaches=report.forced_detaches)
+        svc.metrics.note_recovery(sessions=report.sessions_restored)
 
         compacted: List[Dict[str, Any]] = [
             {"rec": "epoch", "wall_ns": epoch},
             {"rec": "restart", "at_ns": now,
              "downtime_ns": report.downtime_ns},
         ]
-        for js in survivors:
+        for js in sessions.values():
             compacted.append({"rec": "session", "sid": js.sid,
                               "user": js.user, "token": js.token,
                               "budget_ns": js.budget_ns,

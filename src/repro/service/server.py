@@ -30,7 +30,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.arch.circular_buffer import NUM_ENTRIES
 from repro.arch.cond_engine import TerpArchEngine
@@ -50,11 +50,11 @@ from repro.pmo.store import (
 from repro.service import protocol
 from repro.service.conn import (
     DEFAULT_EW_TARGET_US, DEFAULT_SEED, DEFAULT_SESSION_EW_NS,
-    DEFAULT_SESSION_LINGER_NS, Conn, admit, close_connections)
+    DEFAULT_SESSION_LINGER_NS, Conn, FrontDoor, admit)
 from repro.service.metrics import (
     ServiceMetrics, metrics_report, observability_dump)
 from repro.service.ops import OPS
-from repro.service.protocol import WireError, ok_response
+from repro.service.protocol import ok_response
 from repro.service.recovery import (
     RecoveryManager, RecoveryReport, SessionJournal)
 from repro.service.sessions import SessionManager
@@ -193,9 +193,6 @@ class TerpService:
             lib=self.lib, metrics=self.metrics, obs=self.obs,
             default_ew_budget_ns=session_ew_ns, token_seed=seed,
             max_sessions=max_sessions)
-        #: The same object, under the name embedders and the recovery
-        #: tests know the session table by.
-        self.registry = self.sessions
         engine.on_forced_detach = self.sessions.on_engine_forced_detach
         self._t0 = time.monotonic_ns()
         #: Temporal enforcement: the session-budget + engine sweep.
@@ -203,10 +200,9 @@ class TerpService:
             sessions=self.sessions, sweep_period_ns=sweep_period_ns,
             session_linger_ns=session_linger_ns, now_ns=self.now_ns,
             faults=faults, tracer=self._tracer)
-        self._servers: List[asyncio.AbstractServer] = []
+        self.front = FrontDoor(self._serve_burst, self._teardown,
+                               self.metrics.wire.note_flush)
         self._sweeper: Optional[asyncio.Task] = None
-        #: open client connections and the task serving each.
-        self._writers: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._stopped = False
         self._crashed = False
         self.bound_port: Optional[int] = None
@@ -304,15 +300,8 @@ class TerpService:
 
     async def start(self) -> None:
         """Bind the configured endpoints and launch the sweeper."""
-        if self.port is not None:
-            server = await asyncio.start_server(
-                self._serve_connection, self.host, self.port)
-            self._servers.append(server)
-            self.bound_port = server.sockets[0].getsockname()[1]
-        if self.unix_path is not None:
-            server = await asyncio.start_unix_server(
-                self._serve_connection, path=self.unix_path)
-            self._servers.append(server)
+        self.bound_port = await self.front.listen(self.host, self.port,
+                                                  self.unix_path)
         if self.shipper is not None:
             # The first dial (and bootstrap) happens off the event
             # loop; an unreachable standby degrades to the background
@@ -326,14 +315,11 @@ class TerpService:
         if self._stopped:
             return
         await self._stop_sweeping()
-        for server in self._servers:
-            server.close()
+        self.front.stop_listening()
         with self.lib.lock:
             now = self.lib.advance_to(self.now_ns())
             for session in self.sessions:
-                self.sessions.release(session, now, reason="shutdown")
-                self.sessions.record("close", session, now)
-                self.sessions.remove(session.session_id)
+                self.sessions.end(session, now, reason="shutdown")
             self.lib.runtime.finish(self.lib.clock_ns)
         if self.store is not None:
             # Drain the group committer: every submitted psync batch
@@ -344,11 +330,7 @@ class TerpService:
             self.shipper.stop()
         if self.session_journal is not None:
             self.session_journal.close()
-        await close_connections(self._writers)
-        # Only now: from Python 3.12 a server is not closed until its
-        # last connection is.
-        for server in self._servers:
-            await server.wait_closed()
+        await self.front.close()
 
     async def _stop_sweeping(self) -> None:
         self._stopped = True
@@ -370,10 +352,7 @@ class TerpService:
         """
         self._crashed = True
         await self._stop_sweeping()
-        for server in self._servers:
-            server.close()
-        for writer in list(self._writers):
-            writer.transport.abort()
+        self.front.abort()
         if self.store is not None:
             # The flusher thread dies with the process: queued commit
             # batches are dropped (their psyncs never answered, so
@@ -399,121 +378,79 @@ class TerpService:
 
     # -- connection handling ---------------------------------------------------
 
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        conn = Conn(writer, self.metrics.wire.note_flush)
-        writer.transport.max_size = protocol.READ_BYTES
-        self._writers[writer] = asyncio.current_task()
-        splitter = protocol.FrameSplitter()
-        try:
-            while True:
-                data = await reader.read(protocol.READ_BYTES)
-                if not data:
-                    splitter.eof()
-                    break
-                for body, sidecar in splitter.feed(data):
-                    if not await self._serve_frame(conn, body, sidecar):
-                        return
-                # Out of input: the burst's responses leave together.
-                await conn.drain()
-        except (WireError, ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            try:
-                await self._teardown(conn)
-            finally:
-                # Deregistered last: until here ``stop`` can still
-                # find this handler and wait for it.
-                self._writers.pop(writer, None)
-
     async def _teardown(self, conn: Conn) -> None:
-        """End one connection: whatever ended its loop, the responses
-        to the frames served before it still go out ahead of the
-        close."""
-        conn.flush()
-        session = conn.session
-        if session is not None and not session.closed and \
-                not self._crashed and \
-                session.generation == conn.generation:
-            # Temporal protection does not wait for a resume: every
-            # window closes *now*, forced and attributed.  Only the
-            # session's identity (token, replay cache, events)
-            # lingers for a possible rebind.
+        """A connection ended: its session lets go of every window now
+        and lingers for a resume — unless the daemon itself died."""
+        if conn.session is not None and not self._crashed:
             with self.lib.lock:
-                now = self.lib.advance_to(self.now_ns())
-                self.sessions.release(session, now,
-                                      reason="connection lost")
-                session.unbind(now)
-            self.metrics.series["sessions_closed"].inc()
-            self.sessions.update_gauge()
-        await conn.close()
+                self.sessions.drop(conn, self.lib.advance_to(self.now_ns()))
 
-    async def _serve_frame(self, conn: Conn, body: bytes,
-                           sidecar: bytes) -> bool:
-        """Run one request frame and queue its response frame; False
-        when the connection must be severed instead (injected faults)."""
-        payload = protocol.decode_frame(body)
+    async def _serve_burst(self, conn: Conn,
+                           frames: Iterator[Tuple[bytes, bytes]]) -> bool:
+        """Run the request frames one read produced, in order, queueing
+        each response frame; False when the connection must be severed
+        instead (injected faults)."""
         faults = self.faults
-        if faults is not None and \
-                faults.fire("server.conn_drop") is not None:
-            # The connection dies before the request runs: the
-            # client's retry re-sends it and it executes once.
-            return False
-        if faults is not None and \
-                faults.fire("server.session_crash") is not None:
-            # The session's handler "process" dies before the
-            # request runs: windows force-closed, identity gone for
-            # good (no resume), connection severed.
-            self._crash_session(conn)
-            return False
-        conn.bins = protocol.BinReader(sidecar)
-        conn.bin_out = []
-        try:
-            if protocol.is_batch(payload):
-                self.metrics.series["batches"].inc()
-                # Each response is encoded exactly once, here;
-                # encode_body splices the pre-encoded parts.
-                parts: List[bytes] = []
-                for one in payload:
-                    parts.append(await self._dispatch(conn, one))
-                body = protocol.encode_body(parts)
-            else:
-                body = await self._dispatch(conn, payload)
-        except InjectedCrash:
-            # A crash-kind storage fault mid-request: no response
-            # ever leaves; the crash-torture harness snapshots the
-            # persistent bytes at this instant.
-            self._crash_session(conn)
-            return False
-        out = conn.bin_out
-        frame = protocol.frame_from_body(
-            body, b"".join(out) if out else None)
-        if faults is not None:
-            rule = faults.fire("server.delay_response")
-            if rule is not None and rule.delay_ns > 0:
-                conn.flush()
-                await asyncio.sleep(rule.delay_ns / 1e9)
-            rule = faults.fire("server.partial_frame")
-            if rule is not None:
-                # The request executed; only a truncated frame
-                # escapes.  The retried request hits the replay
-                # cache, not a second execution.
-                await conn.send(frame[:max(1, len(frame) // 2)])
+        for request, sidecar in frames:
+            payload = protocol.decode_frame(request)
+            if faults is not None and \
+                    faults.fire("server.conn_drop") is not None:
+                # The connection dies before the request runs: the
+                # client's retry re-sends it and it executes once.
                 return False
-        await conn.send(frame)
+            if faults is not None and \
+                    faults.fire("server.session_crash") is not None:
+                # The session's handler "process" dies before the
+                # request runs: windows force-closed, identity gone
+                # for good (no resume), connection severed.
+                self._crash_session(conn)
+                return False
+            conn.bins = protocol.BinReader(sidecar)
+            conn.bin_out = []
+            try:
+                if protocol.is_batch(payload):
+                    self.metrics.series["batches"].inc()
+                    # Each response is encoded exactly once, here;
+                    # encode_body splices the pre-encoded parts.
+                    parts: List[bytes] = []
+                    for one in payload:
+                        parts.append(await self._dispatch(conn, one))
+                    body = protocol.encode_body(parts)
+                else:
+                    body = await self._dispatch(conn, payload)
+            except InjectedCrash:
+                # A crash-kind storage fault mid-request: no response
+                # ever leaves; the crash-torture harness snapshots the
+                # persistent bytes at this instant.
+                self._crash_session(conn)
+                return False
+            out = conn.bin_out
+            frame = protocol.frame_from_body(
+                body, b"".join(out) if out else None)
+            if faults is not None:
+                rule = faults.fire("server.delay_response")
+                if rule is not None and rule.delay_ns > 0:
+                    conn.flush()
+                    await asyncio.sleep(rule.delay_ns / 1e9)
+                rule = faults.fire("server.partial_frame")
+                if rule is not None:
+                    # The request executed; only a truncated frame
+                    # escapes.  The retried request hits the replay
+                    # cache, not a second execution.
+                    await conn.send(frame[:max(1, len(frame) // 2)])
+                    return False
+            await conn.send(frame)
         return True
 
     def _crash_session(self, conn: Conn) -> None:
         """An injected mid-request crash: the session dies for good."""
         session = conn.session
         conn.session = None
-        if session is None or session.closed:
-            return
-        with self.lib.lock:
-            now = self.lib.advance_to(self.now_ns())
-            self.sessions.release(session, now,
+        if session is not None and not session.closed:
+            with self.lib.lock:
+                self.sessions.end(session,
+                                  self.lib.advance_to(self.now_ns()),
                                   reason="session crashed (injected)")
-            self.sessions.close_session(session, now)
 
     # -- dispatch --------------------------------------------------------------
 
@@ -565,7 +502,9 @@ class TerpService:
                 data = result.pop(spec.bin_result)
                 conn.bin_out.append(data)
                 result["bin"] = len(data)
-            session = conn.session     # hello may have bound one
+            # Hello binds a session; goodbye's response still carries
+            # the events of the one it ended.
+            session = conn.session or session
             events = session.drain_events() if session else None
             response = ok_response(rid, result, events)
             ok = True
@@ -599,18 +538,11 @@ class TerpService:
     # -- ops: session ----------------------------------------------------------
 
     def _op_hello(self, conn: Conn, args: Dict) -> Dict:
-        session, result = self.sessions.hello(args, current=conn.session)
-        conn.session = session
-        conn.generation = session.generation
-        return result
+        return self.sessions.hello(args, conn)
 
     def _op_goodbye(self, conn: Conn, args: Dict) -> Dict:
-        session = conn.session
-        assert session is not None
-        released = self.sessions.release(session, self.lib.clock_ns,
-                                         reason="goodbye")
-        self.sessions.close_session(session, self.lib.clock_ns)
-        return {"released": released}
+        return {"released": self.sessions.end(
+            conn.session, self.lib.clock_ns, reason="goodbye", conn=conn)}
 
     def _op_ping(self, conn: Conn, args: Dict) -> Dict:
         return {"now_ns": self.lib.clock_ns,

@@ -34,14 +34,17 @@ Robustness state (the chaos-tolerant parts):
 
 One owner per concept: :class:`Session` is one client's state;
 :class:`SessionRegistry` is the table of them — id allocation, lookup,
-and the one ``hello`` (version check, resume-token verification, fresh
-allocation) that the daemon and the cluster router both serve;
-:class:`SessionManager` is the daemon's registry — the same table,
-tied to a library: it releases a departing session's holdings, takes
-the arch engine's forced-detach callback, journals for warm restart
-and keeps the session series.  The daemon, the sweeper and recovery
-all operate through that one object, and a cluster shard composes
-exactly the same pieces.
+and the lifecycle transitions the daemon and the cluster router both
+serve: ``hello`` (version check, resume-token verification, fresh
+allocation), ``drop`` (a connection closed), ``end`` (goodbye, crash,
+shutdown) and ``purge`` (a linger ran out); :class:`SessionManager` is
+the daemon's registry — the same table and transitions, tied to a
+library: it releases a departing session's holdings, closes windows on
+a session's behalf (:meth:`~SessionManager.forced_close`), takes the
+arch engine's forced-detach callback, journals for warm restart and
+keeps the session series.  The daemon, the sweeper and recovery all
+operate through that one object, and a cluster shard composes exactly
+the same pieces.
 
 Locking: every :class:`SessionManager` method that touches runtime
 state assumes the caller holds ``lib.lock`` (the daemon's dispatch and
@@ -66,6 +69,7 @@ from repro.service.protocol import PROTOCOL_VERSION
 if TYPE_CHECKING:
     from repro.obs import Observability
     from repro.pmo.api import PmoLibrary
+    from repro.service.conn import Conn
     from repro.service.recovery import SessionJournal
 
 #: Responses (never a plain ``readonly`` one) kept per session for replay.
@@ -216,11 +220,10 @@ class SessionRegistry:
         self._sessions[sid] = session
         return session
 
-    def hello(self, args: Dict[str, Any], *,
-              current: Optional[Session] = None
-              ) -> Tuple[Session, Dict[str, Any]]:
-        """Serve one ``hello``: the daemon's and the router's shared
-        front door.  Returns the bound session and the hello result.
+    def hello(self, args: Dict[str, Any], conn: "Conn") -> Dict[str, Any]:
+        """Serve one ``hello`` on ``conn``: the daemon's and the
+        router's shared front door.  Binds the session to ``conn`` and
+        returns the hello result.
 
         Validates the offered wire version (exactly
         :data:`PROTOCOL_VERSION`; absent counts as unsupported), then
@@ -229,11 +232,11 @@ class SessionRegistry:
         allocates a fresh one with the (clamped) ``ew_budget_us``.
         Resume restores *identity* (entity id, replay cache, pending
         events), never access: the drop already force-closed every
-        window.  ``current`` is the connection's existing session, if
-        any; ``max_sessions`` caps bound sessions for fresh hellos
-        (``Busy`` is retryable, so well-behaved clients back off).
+        window.  A connection holds one session at a time;
+        ``max_sessions`` caps bound sessions for fresh hellos (``Busy``
+        is retryable, so well-behaved clients back off).
         """
-        if current is not None:
+        if conn.session is not None:
             raise TerpError("connection already has a session")
         version = args.get("version")
         if version != PROTOCOL_VERSION:
@@ -262,19 +265,77 @@ class SessionRegistry:
                 user=str(args.get("user", "root")),
                 ew_budget_ns=None if budget_us is None else int(
                     float(budget_us) * 1_000))
-        session.bind()
+        conn.session = session
+        conn.generation = session.bind()
         self.session_bound(session, resumed=resume is not None)
-        return session, {"session": session.session_id,
-                         "entity": session.entity_id,
-                         "version": PROTOCOL_VERSION,
-                         "ew_budget_us": session.ew_budget_ns / 1_000,
-                         "token": session.resume_token,
-                         "resumed": resume is not None}
+        return {"session": session.session_id,
+                "entity": session.entity_id,
+                "version": PROTOCOL_VERSION,
+                "ew_budget_us": session.ew_budget_ns / 1_000,
+                "token": session.resume_token,
+                "resumed": resume is not None}
+
+    def drop(self, conn: "Conn", now_ns: int) -> Optional[Session]:
+        """``conn`` closed: its session lets go of every window and
+        lingers for a resume, if ``conn`` still owns the latest bind.
+        Returns the session let go, else None."""
+        session = conn.session
+        if session is None or session.closed or \
+                session.generation != conn.generation:
+            return None
+        # Temporal protection does not wait for a resume: every window
+        # closes *now*, forced and attributed.  Only the session's
+        # identity (token, replay cache, events) lingers for a rebind.
+        self.release(session, now_ns, "connection lost",
+                     "disconnect_detaches")
+        session.unbind(now_ns)
+        self.session_ended()
+        return session
+
+    def end(self, session: Session, now_ns: int, *, reason: str,
+            conn: Optional["Conn"] = None) -> int:
+        """``session`` is over for good (goodbye, crash, shutdown): its
+        windows released, journaled closed, out of the table and off
+        ``conn``.  Returns how many windows it released."""
+        released = self.release(session, now_ns, reason)
+        self.record("close", session, now_ns)
+        self.remove(session.session_id)
+        if conn is not None:
+            conn.session = None
+        if reason != "shutdown":
+            # A tenant's end; the daemon's own, at shutdown, is not
+            # counted.
+            self.session_ended()
+        return released
+
+    def purge(self, now_ns: int, linger_ns: int) -> List[Session]:
+        """Forget the lingering sessions whose grace ran out — the drop
+        already released their windows — and return them."""
+        expired = [session for session in self.lingering()
+                   if session.linger_expired(now_ns, linger_ns)]
+        for session in expired:
+            self.remove(session.session_id)
+            self.record("close", session, now_ns)
+        return expired
+
+    # -- what a daemon adds: these do nothing in the router's table -----
 
     def session_bound(self, session: Session, *,
                       resumed: bool) -> None:
-        """Called by :meth:`hello` once a session is (re)bound; the
-        daemon's registry journals and counts here."""
+        """Called by :meth:`hello` once a session is (re)bound."""
+
+    def session_ended(self) -> None:
+        """Called when a tenant's session ends or drops."""
+
+    def release(self, session: Session, now_ns: int, reason: str,
+                series: Optional[str] = None) -> int:
+        """Close every window ``session`` still holds; returns how
+        many."""
+        return 0
+
+    def record(self, rec: str, session: Session, at_ns: int,
+               **fields: Any) -> None:
+        """Journal one ``rec`` record about ``session``."""
 
     def restore(self, *, session_id: int, user: str,
                 ew_budget_ns: int, resume_token: str,
@@ -330,7 +391,8 @@ class SessionRegistry:
 
 class SessionManager(SessionRegistry):
     """The daemon's registry: sessions as TERP entities on one
-    library — bind, release, force-detach, journal, count."""
+    library.  Each lifecycle transition is the registry's, plus what
+    only a daemon adds: release, journal, count."""
 
     def __init__(self, *, lib: "PmoLibrary", metrics: ServiceMetrics,
                  obs: "Observability", default_ew_budget_ns: int,
@@ -346,7 +408,7 @@ class SessionManager(SessionRegistry):
         #: session journal) exists; ``None`` for an in-memory daemon.
         self.journal: Optional["SessionJournal"] = None
 
-    # -- open / resume / close ---------------------------------------------
+    # -- the lifecycle: what a daemon adds ---------------------------------
 
     def session_bound(self, session: Session, *,
                       resumed: bool) -> None:
@@ -361,20 +423,17 @@ class SessionManager(SessionRegistry):
         self.metrics.series["sessions_opened"].inc()
         self.update_gauge()
 
-    def close_session(self, session: Session, now_ns: int) -> None:
-        """Remove a session for good: journal the close, drop it."""
-        self.record("close", session, now_ns)
-        self.remove(session.session_id)
+    def session_ended(self) -> None:
         self.metrics.series["sessions_closed"].inc()
         self.update_gauge()
 
     def update_gauge(self) -> None:
         self.metrics.series["sessions"].set(len(self))
 
-    # -- releasing holdings -------------------------------------------------
+    # -- closing windows ----------------------------------------------------
 
-    def release(self, session: Session, now_ns: int, *,
-                reason: str) -> int:
+    def release(self, session: Session, now_ns: int, reason: str,
+                series: Optional[str] = None) -> int:
         """Detach everything a departing session still holds.
 
         A graceful departure (``goodbye``, shutdown) closes windows as
@@ -387,23 +446,31 @@ class SessionManager(SessionRegistry):
         released = self.lib.runtime.release_entity(
             session.entity_id, now_ns, forced=forced, reason=reason)
         for pmo_id, _ in released:
-            try:
-                name = self.lib.manager.get(pmo_id).name
-            except PmoError:
-                name = str(pmo_id)
+            name = self._name(pmo_id)
             if forced:
-                # Mark the pair forced so a *resumed* session's stale
-                # detach is the defined silent no-op, and queue the
-                # forced-detach event for its next response.
-                session.note_forced_detach(pmo_id, name, now_ns, reason)
+                self.forced_close(session, pmo_id, name, now_ns, reason,
+                                  series)
             else:
                 session.note_detach(pmo_id)
-            self.record("detach", session, now_ns, pmo_id=pmo_id,
-                        pmo=name, forced=forced, reason=reason)
-            if reason == "connection lost":
-                self.metrics.series["disconnect_detaches"].inc()
+                self.record("detach", session, now_ns, pmo_id=pmo_id,
+                            pmo=name, forced=False, reason=reason)
         session.attached_at.clear()
         return len(released)
+
+    def forced_close(self, session: Session, pmo_id: Any, name: str,
+                     now_ns: int, reason: str,
+                     series: Optional[str]) -> None:
+        """A window closed on the session's behalf (sweeper, engine,
+        drop, crash, recovery): the forced-detach event for its next
+        response — which also marks the pair forced, so a *resumed*
+        session's stale detach is the defined silent no-op — the
+        journal record, and one count in ``series``.  The audit record
+        is the runtime's ``detach``'s, or the caller's."""
+        session.note_forced_detach(pmo_id, name, now_ns, reason)
+        self.record("detach", session, now_ns, pmo_id=pmo_id, pmo=name,
+                    forced=True, reason=reason)
+        if series is not None:
+            self.metrics.series[series].inc()
 
     def force_detach(self, session: Session, pmo_id: int,
                      now_ns: int) -> None:
@@ -417,16 +484,13 @@ class SessionManager(SessionRegistry):
             # The pair may already be gone (engine eviction raced us);
             # enforcement is idempotent.
             pass
-        self._forced(session, pmo_id, pmo.name, now_ns,
-                     "session EW budget elapsed")
+        self.forced_close(session, pmo_id, pmo.name, now_ns,
+                          "session EW budget elapsed", "forced_detaches")
 
     def on_engine_forced_detach(self, pmo_id: Hashable,
                                 thread_ids: Tuple[int, ...]) -> None:
         """Arch-engine callback: eviction/sweep closed open pairs."""
-        try:
-            name = self.lib.manager.get(pmo_id).name
-        except PmoError:
-            name = str(pmo_id)
+        name = self._name(pmo_id)
         now = self.lib.clock_ns
         for thread_id in thread_ids:
             if self.obs.enabled:
@@ -435,17 +499,15 @@ class SessionManager(SessionRegistry):
                     reason="arch engine forced detach")
             session = self.by_entity(thread_id)
             if session is not None:
-                self._forced(session, pmo_id, name, now,
-                             "arch engine forced detach")
+                self.forced_close(session, pmo_id, name, now,
+                                  "arch engine forced detach",
+                                  "forced_detaches")
 
-    def _forced(self, session: Session, pmo_id: Any, name: str,
-                now_ns: int, reason: str) -> None:
-        """A window closed on the session's behalf: event, journal,
-        count."""
-        session.note_forced_detach(pmo_id, name, now_ns, reason)
-        self.record("detach", session, now_ns, pmo_id=pmo_id, pmo=name,
-                    forced=True, reason=reason)
-        self.metrics.series["forced_detaches"].inc()
+    def _name(self, pmo_id: Any) -> str:
+        try:
+            return self.lib.manager.get(pmo_id).name
+        except PmoError:
+            return str(pmo_id)
 
     # -- session journal ----------------------------------------------------
 

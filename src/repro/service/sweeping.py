@@ -4,8 +4,8 @@ Temporal enforcement is two-layered (see the paper's Figure 7a): the
 arch engine's own sweep closes expired delayed-detach windows and
 re-randomizes held PMOs, and the service layer force-detaches any PMO
 a session has held past its wall-clock budget.  :class:`Sweeper` owns
-the background task that drives both layers plus the linger purge for
-dropped sessions, against whatever :class:`~repro.service.sessions
+the background task that drives both layers and runs the session
+table's linger purge, against whatever :class:`~repro.service.sessions
 .SessionManager` it was composed with (and the library, metrics and
 audit timeline that table carries) — the standalone daemon and every
 cluster shard run the identical sweeper; in a cluster each shard's
@@ -81,13 +81,7 @@ class Sweeper:
                 engine_closed = len(lib.runtime.sweep(now))
                 span.set("forced", forced)
                 span.set("engine_closed", engine_closed)
-            for session in sessions.lingering():
-                # Dropped sessions hold no windows (teardown released
-                # them); after the linger grace their identity and
-                # replay cache go too.
-                if session.linger_expired(now, self.session_linger_ns):
-                    sessions.remove(session.session_id)
-                    sessions.record("close", session, now)
+            sessions.purge(now, self.session_linger_ns)
             if sessions.obs.enabled and (forced or engine_closed):
                 sessions.obs.audit.record_sweep(
                     now, closed=forced + engine_closed,

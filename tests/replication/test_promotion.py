@@ -98,7 +98,7 @@ class TestPromotion:
         # The session journal was mirrored record-by-record, so the
         # promoted daemon accepts the pre-crash resume token.
         client._port = port
-        client._reconnect()
+        client.connect()
         assert client.session_id == sid
         assert client.resume_token == token
         assert client.resumes >= 1

@@ -193,7 +193,7 @@ class TestWarmRestart:
         thread2, service2 = make_daemon(tmp_path)
         assert service2.recovery_report.sessions_restored == 1
         client._port = thread2.service.bound_port
-        client._reconnect()
+        client.connect()
         assert client.resumes == 1
         assert client.session_id == sid
         assert client.resume_token == token
@@ -210,7 +210,7 @@ class TestWarmRestart:
         client.connect()
         client.create("pool", 1 << 20, mode=0o666)
         client.attach("pool")
-        entity = service.registry.FIRST_ENTITY_ID + client.session_id
+        entity = service.sessions.FIRST_ENTITY_ID + client.session_id
         thread.kill()
         client.close()
         time.sleep(BUDGET_NS / 1e9 * 1.5)    # outage outlasts budget
@@ -353,8 +353,8 @@ class TestResumeLingerFlag:
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline and \
                 any(s.session_id == sid
-                    for s in service.registry.lingering()):
+                    for s in service.sessions.lingering()):
             time.sleep(0.02)
         assert not any(s.session_id == sid
-                       for s in service.registry.lingering())
+                       for s in service.sessions.lingering())
         thread.stop()
