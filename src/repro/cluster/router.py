@@ -438,6 +438,9 @@ class TerpRouter:
 
     async def _fanout_trace(self, conn: Conn, spec: Op,
                             args: Dict[str, Any]):
+        limit = int(args.get("limit", dict(spec.params)["limit"]))
+        if limit < 0:
+            raise ValueError(f"trace limit {limit} is negative")
         results, events = await self._poll(conn, spec, args)
         spans: List[dict] = []
         audit: List[dict] = []
@@ -450,8 +453,11 @@ class TerpRouter:
             for window in result.get("open_windows") or []:
                 window["shard"] = shard
                 open_windows.append(window)
+        # The newest ``limit`` of the whole service, as one daemon's.
         audit.sort(key=lambda e: e.get("at_ns", 0))
-        return {"spans": spans, "audit": audit,
+        spans.sort(key=lambda s: s.get("end_ns", 0))
+        return {"spans": spans[max(0, len(spans) - limit):],
+                "audit": audit[max(0, len(audit) - limit):],
                 "open_windows": open_windows}, events
 
     async def _fanout_prometheus(self, conn: Conn, spec: Op,

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import deque
 from itertools import islice
-from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
+
+from repro.obs import ring
 
 #: event kinds, in the vocabulary of the paper's constructs
 ATTACH = "attach"
@@ -40,11 +41,16 @@ SCRUB = "scrub"
 #: a PMO failed verification with no repair source
 QUARANTINE = "quarantine"
 
-#: The ring holds one flat tuple per event, in this field order;
-#: :meth:`AuditTimeline.events` — the only reader — builds the dicts.
+#: The ring's ``kind`` column holds an index into this tuple.
+KINDS = (ATTACH, DETACH, FORCED_DETACH, SWEEP, FAULT, RESTART, SCRUB,
+         QUARANTINE)
+_CODE = {kind: code for code, kind in enumerate(KINDS)}
+#: The key order of every event :meth:`AuditTimeline.events` returns.
 _FIELDS = ("seq", "kind", "at_ns", "entity", "pmo_id", "pmo",
            "duration_ns", "reason")
-_KIND, _PMO_ID, _PMO = (_FIELDS.index(f) for f in ("kind", "pmo_id", "pmo"))
+#: Stands for None in the entity and duration columns.
+_NONE = -2 ** 63
+_INT_OR_NONE = {int, type(None)}
 
 
 class AuditTimeline:
@@ -54,8 +60,16 @@ class AuditTimeline:
                  enabled: bool = True) -> None:
         self.enabled = enabled
         self.capacity = capacity
-        self._ring: Deque[Tuple] = deque(maxlen=capacity)
-        self._seq = 0
+        # The ring (repro.obs.ring): kind as an index into KINDS; at_ns,
+        # entity and duration_ns in q columns; (pmo_id, pmo) by its index
+        # in ``_pairs``, which is no longer than ``_per_pmo``; the reason
+        # by reference.  The seq is the position: ``events_recorded``.
+        self._cols = ring.columns("BqqqiO", capacity)
+        self._slots = capacity or 1
+        self._pairs: Dict[Tuple[Hashable, Optional[str]], int] = {}
+        #: the one copy of each sweep's "closed N window(s)"
+        self._sweep_reasons: Dict[str, str] = {}
+        self._spill: Dict[int, Tuple] = {}
         self._lock = threading.Lock()
         #: (entity, pmo_id) -> attach timestamp of the open window
         self._open: Dict[Tuple[Optional[int], Hashable], int] = {}
@@ -85,10 +99,28 @@ class AuditTimeline:
                        duration_ns: Optional[int], reason: str) -> None:
         # Caller holds self._lock — one lock section per event keeps
         # the seq ordering and the stats update atomic together.
-        self._seq += 1
-        self.events_recorded += 1
-        self._ring.append((self._seq, kind, at_ns, entity, pmo_id,
-                           pmo_name, duration_ns, reason))
+        pair = self._pairs.setdefault((pmo_id, pmo_name), len(self._pairs))
+        kinds, ats, entities, durations, pairs, reasons = self._cols
+        n = self.events_recorded
+        self.events_recorded = n + 1
+        slot = n % self._slots
+        if slot == len(kinds):            # the ring is still filling
+            ring.grow(self._cols, self._slots)
+        kinds[slot], pairs[slot], reasons[slot] = _CODE[kind], pair, reason
+        if self._spill:
+            self._spill.pop(slot, None)
+        # Exact ints ride in the columns, None as _NONE; anything else —
+        # a float clock, 2**63, _NONE itself — is kept in the spill table.
+        numbers = (at_ns, entity, duration_ns)
+        try:
+            if type(at_ns) is not int or _NONE in numbers or \
+                    not {type(entity), type(duration_ns)} <= _INT_OR_NONE:
+                raise TypeError
+            ats[slot], entities[slot], durations[slot] = at_ns, \
+                _NONE if entity is None else entity, \
+                _NONE if duration_ns is None else duration_ns
+        except (TypeError, OverflowError):
+            self._spill[slot] = numbers
 
     def record_attach(self, entity: Optional[int], pmo_id: Hashable,
                       pmo_name: Optional[str], at_ns: int, *,
@@ -131,9 +163,10 @@ class AuditTimeline:
             return
         with self._lock:
             self.sweeps += 1
+            reason = f"closed {closed} window(s)"
+            reason = self._sweep_reasons.setdefault(reason, reason)
             self._append_locked(SWEEP, at_ns, None, None, None,
-                                duration_ns,
-                                f"closed {closed} window(s)")
+                                duration_ns, reason)
 
     def record_fault(self, site: str, kind: str, at_ns: int, *,
                      detail: str = "") -> None:
@@ -207,16 +240,33 @@ class AuditTimeline:
                limit: Optional[int] = None) -> List[Dict[str, Any]]:
         """Retained events in sequence order, optionally filtered by
         PMO (id or name) and/or kind, optionally the last ``limit``."""
+        kinds, ats, entities, durations, pairs, reasons = self._cols
         with self._lock:
-            # Newest first, stopping at ``limit`` matches: appends take
-            # this lock, and it is held for O(limit), not for a copy.
-            rows = reversed(self._ring)
+            # Newest first, filtering on the columns, stopping at `limit`
+            # matches: O(limit) rows under the lock appends take.
+            n = self.events_recorded
+            slots = ring.newest_first(n, self.capacity) if kind is None \
+                else ring.newest_first_equal(
+                    kinds, _CODE.get(kind, len(KINDS)), n, self.capacity)
             if pmo is not None:
-                rows = (r for r in rows
-                        if r[_PMO_ID] == pmo or r[_PMO] == pmo)
-            if kind is not None:
-                rows = (r for r in rows if r[_KIND] == kind)
-            rows = list(islice(rows, limit))
+                wanted = {ix for (pmo_id, name), ix in self._pairs.items()
+                          if pmo_id == pmo or name == pmo}
+                slots = (s for s in slots if pairs[s] in wanted)
+            pair_at = list(self._pairs)
+            rows = []
+            for slot in islice(slots, limit):
+                if self._spill and slot in self._spill:
+                    at_ns, entity, duration_ns = self._spill[slot]
+                else:
+                    at_ns, entity, duration_ns = \
+                        ats[slot], entities[slot], durations[slot]
+                    entity = None if entity == _NONE else entity
+                    duration_ns = None if duration_ns == _NONE \
+                        else duration_ns
+                rows.append((n - (n - 1 - slot) % self._slots,
+                             KINDS[kinds[slot]], at_ns, entity,
+                             *pair_at[pairs[slot]], duration_ns,
+                             reasons[slot]))
         rows.reverse()
         return [dict(zip(_FIELDS, r)) for r in rows]
 

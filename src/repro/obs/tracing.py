@@ -35,26 +35,9 @@ import itertools
 import json
 import threading
 import time
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-#: The ring holds one flat tuple per finished span, in this order;
-#: :meth:`Tracer.recent` — the only reader — builds the dicts.
-_Row = Tuple[str, int, Optional[int], str, int, int, Dict[str, Any]]
-
-
-def _as_dict(row: _Row) -> Dict[str, Any]:
-    name, span_id, parent_id, thread, start_ns, end_ns, attrs = row
-    return {
-        "name": name,
-        "span_id": span_id,
-        "parent_id": parent_id,
-        "thread": thread,
-        "start_ns": start_ns,
-        "end_ns": end_ns,
-        "duration_ns": end_ns - start_ns,
-        "attrs": attrs,
-    }
+from repro.obs import ring
 
 
 class Span:
@@ -118,46 +101,72 @@ class Tracer:
         self.capacity = capacity
         self.spans_started = 0
         self.spans_recorded = 0
-        self._ring: Deque[_Row] = deque(maxlen=capacity)
+        # The ring (repro.obs.ring): ids and times in q columns (parent 0
+        # is none: ids start at 1), and one (name, thread, attrs) shared
+        # by spans whose attrs are equal, of equal types, in key order.
+        self._what = functools.lru_cache(maxsize=1024, typed=True)(
+            lambda name, thread, /, **attrs: (name, thread, attrs))
+        self._cols = ring.columns("qqqqO", capacity)
+        self._slots = capacity or 1
+        self._spill: Dict[int, Tuple] = {}
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._stacks = threading.local()
 
     # -- span plumbing ----------------------------------------------------
 
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._stacks, "stack", None)
-        if stack is None:
-            stack = []
-            self._stacks.stack = stack
-        return stack
-
-    def _thread_name(self) -> str:
-        # threading.current_thread() is surprisingly costly on a hot
-        # path; a thread never renames itself here, so cache it.
-        name = getattr(self._stacks, "name", None)
-        if name is None:
-            name = threading.current_thread().name
-            self._stacks.name = name
-        return name
+    def _local(self) -> Tuple[List[Span], str]:
+        # This thread's span stack and name, made once: a thread never
+        # renames itself here, and current_thread() is costly.
+        local = self._stacks
+        try:
+            return local.stack, local.thread
+        except AttributeError:
+            local.stack = []
+            local.thread = threading.current_thread().name
+            return local.stack, local.thread
 
     def _push(self, span: Span) -> None:
-        self._stack().append(span)
+        self._local()[0].append(span)
 
     def _pop(self, span: Span) -> None:
-        stack = self._stack()
+        stack = self._local()[0]
         if stack and stack[-1] is span:
             stack.pop()
-        # deque.append is atomic under the GIL; the recorded tally is
-        # allowed to be approximate under contention — the ring itself
-        # never loses a committed span.
-        self._ring.append((span.name, span.span_id, span.parent_id,
-                           span.thread, span.start_ns, span.end_ns,
-                           span.attrs))
-        self.spans_recorded += 1
+        self._store(span.name, span.thread, span.attrs, span.span_id,
+                    span.parent_id or 0, span.start_ns, span.end_ns)
+
+    def _store(self, name: str, thread: str, attrs: Dict[str, Any],
+               span_id: int, parent_id: int, start_ns: int,
+               end_ns: int) -> None:
+        try:
+            what = self._what(name, thread, **attrs)
+        except TypeError:                 # an unhashable value
+            what = (name, thread, attrs)
+        ids, parents, starts, ends, whats = self._cols
+        lock = self._lock
+        lock.acquire()
+        try:
+            n = self.spans_recorded
+            self.spans_recorded = n + 1
+            slot = n % self._slots
+            if slot == len(whats):        # the ring is still filling
+                ring.grow(self._cols, self._slots)
+            whats[slot] = what
+            if self._spill:
+                self._spill.pop(slot, None)
+            numbers = (span_id, parent_id, start_ns, end_ns)
+            try:        # a float clock, 2**63 and past: kept exactly
+                if type(start_ns) is not int or type(end_ns) is not int:
+                    raise TypeError
+                ids[slot], parents[slot], starts[slot], ends[slot] = numbers
+            except (TypeError, OverflowError):
+                self._spill[slot] = numbers
+        finally:
+            lock.release()
 
     def current_span_id(self) -> Optional[int]:
-        stack = self._stack()
+        stack = self._local()[0]
         return stack[-1].span_id if stack else None
 
     # -- public API -------------------------------------------------------
@@ -181,12 +190,10 @@ class Tracer:
         if not self.enabled:
             return
         self.spans_started += 1
-        end = self.clock()
-        stack = self._stack()
-        self._ring.append((name, next(self._ids),
-                           stack[-1].span_id if stack else None,
-                           self._thread_name(), start_ns, end, attrs))
-        self.spans_recorded += 1
+        end_ns = self.clock()
+        stack, thread = self._local()
+        self._store(name, thread, attrs, next(self._ids),
+                    stack[-1].span_id if stack else 0, start_ns, end_ns)
 
     def wrap(self, name: Optional[str] = None) -> Callable:
         """Decorator form of :meth:`span`."""
@@ -205,14 +212,24 @@ class Tracer:
     def recent(self, limit: Optional[int] = None,
                name: Optional[str] = None) -> List[Dict[str, Any]]:
         """The most recent finished spans, oldest first."""
+        ids, parents, starts, ends, whats = self._cols
         with self._lock:
-            # Appends take no lock: the copy is the atomic step.
-            rows = reversed(list(self._ring))
-        if name is not None:
-            rows = (r for r in rows if r[0] == name)
-        rows = list(itertools.islice(rows, limit))
+            slots = ring.newest_first(self.spans_recorded, self.capacity)
+            if name is not None:
+                slots = (s for s in slots if whats[s][0] == name)
+            rows = []
+            for slot in itertools.islice(slots, limit):
+                span_id, parent_id, start_ns, end_ns = self._spill[slot] \
+                    if self._spill and slot in self._spill else \
+                    (ids[slot], parents[slot], starts[slot], ends[slot])
+                span_name, thread, attrs = whats[slot]
+                rows.append({  # attrs are shared: each row gets a copy
+                    "name": span_name, "span_id": span_id,
+                    "parent_id": parent_id or None, "thread": thread,
+                    "start_ns": start_ns, "end_ns": end_ns,
+                    "duration_ns": end_ns - start_ns, "attrs": dict(attrs)})
         rows.reverse()
-        return [_as_dict(r) for r in rows]
+        return rows
 
     def export_jsonl(self, path) -> int:
         """Write every retained span as one JSON object per line."""
@@ -226,6 +243,6 @@ class Tracer:
         return {
             "started": self.spans_started,
             "recorded": self.spans_recorded,
-            "retained": len(self._ring),
+            "retained": min(self.spans_recorded, self.capacity),
             "capacity": self.capacity,
         }

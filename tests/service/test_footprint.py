@@ -8,6 +8,7 @@ connection handler instead of leaving it to be cancelled.
 """
 
 import gc
+import itertools
 import os
 import re
 import subprocess
@@ -18,7 +19,7 @@ import types
 import pytest
 
 from repro.core.units import GIB, MIB
-from repro.obs import Observability
+from repro.obs import AuditTimeline, Observability, Tracer
 from repro.service.client import SyncTerpClient
 from repro.service.server import ServiceThread, TerpService
 from repro.topology import Proc
@@ -141,6 +142,63 @@ def test_memory_is_flat_over_tenant_cycles(small_buffers_service):
     monitor = service.lib.runtime.monitor
     assert monitor.ew.windows() == [] and monitor.tew.windows() == []
     assert service.obs.audit.summary()["windows"] >= 2500
+
+
+def traced_bytes(fill) -> int:
+    """What the object ``fill()`` returns holds, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = fill()                   # noqa: F841 -- alive while read
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_ring_bytes_per_record():
+    """Both rings filled to their default capacity with the daemon's
+    mix — an attach and a detach per tenant cycle, a sweep closing a
+    window every eighth, a request span per op — cost a few machine
+    words per record.  The rings of flat tuples they replaced held 249 B
+    per audit event and 385 B per span."""
+    clock = iter(range(10 ** 12, 10 ** 13, 997))
+
+    def audit():
+        timeline = AuditTimeline()
+        for cycle in itertools.count():
+            entity, pmo_id = 1001 + cycle % 4, 7 + cycle % 3
+            name = f"tenant-{pmo_id}"
+            timeline.record_attach(entity, pmo_id, name, next(clock),
+                                   reason="performed")
+            timeline.record_detach(entity, pmo_id, name, next(clock),
+                                   reason="performed")
+            if cycle % 8 == 7:
+                timeline.record_sweep(next(clock), closed=1,
+                                      duration_ns=next(clock) % 99_991)
+            if timeline.events_recorded >= timeline.capacity:
+                return timeline
+
+    def spans():
+        tracer = Tracer()
+        for cycle in itertools.count():
+            for op in ("attach", "write", "read", "detach"):
+                tracer.record_since(f"terpd.{op}", tracer.clock(),
+                                    ok=True)
+            if cycle % 8 == 7:
+                with tracer.span("terpd.sweep") as span:
+                    tracer.record_since("engine.sweep", tracer.clock(),
+                                        decisions=1)
+                    span.set("forced", 0)
+                    span.set("engine_closed", 1)
+            if tracer.spans_recorded >= tracer.capacity:
+                return tracer
+
+    per_event = traced_bytes(audit) / 65536
+    per_span = traced_bytes(spans) / 4096
+    assert per_event <= 48, f"{per_event:.1f} B per audit event"
+    assert per_span <= 64, f"{per_span:.1f} B per span"
 
 
 def test_large_reads_are_not_pinned_by_the_daemon():

@@ -311,9 +311,25 @@ class TestLifecycleAndCli:
             assert len(client.trace(limit=2)["audit"]) == 2
             reply = client.trace(limit=0)
             assert reply["audit"] == [] and reply["spans"] == []
-            if hasattr(terpd, "supervisor"):
-                return      # a router leaves refusing shards out
             with pytest.raises(RemoteError) as err:
                 client.trace(limit=-5)
             assert err.value.kind == "BadRequest"
             assert "now_ns" in client.ping()
+
+    def test_trace_limit_is_the_newest_n_of_the_whole_service(self, terpd):
+        """Behind a router too: ``limit`` caps the merged reply, not
+        each shard's part of it (two shards answered ``limit=2`` with
+        four audit events and four spans)."""
+        with SyncTerpClient(port=terpd.bound_port) as client:
+            for i in range(6):              # names land on every shard
+                client.create(f"newest-{i}", MIB)
+                client.attach(f"newest-{i}")
+                client.detach(f"newest-{i}")
+            full = client.trace(limit=1000)
+            few = client.trace(limit=2)
+        assert len(few["audit"]) == 2 and len(few["spans"]) == 2
+        assert few["audit"] == sorted(full["audit"],
+                                      key=lambda e: e["at_ns"])[-2:]
+        ends = [span["end_ns"] for span in few["spans"]]
+        assert ends == sorted(ends)
+        assert ends[0] >= sorted(s["end_ns"] for s in full["spans"])[-2]
