@@ -21,7 +21,11 @@ page-granular dirty tracking behind the existing
 * **scrub-on-sweep** — :meth:`PmoStore.scrub` verifies a bounded
   number of at-rest pages per call; the terpd sweeper drives it so
   silent corruption is found while the daemon is alive, not at the
-  next restart.
+  next restart.  A pass costs its budget, not the PMO: each entry
+  keeps a one-byte-per-slot index of the slots the store laid down,
+  so the pass finds its next slots by a byte search and reads only
+  those, through one open of the home file.  A slot in the index that
+  lost its marker is damage, never absence.
 
 The durability point is ``psync`` (Table I): writes dirty pages in
 memory, ``psync`` flushes them.  This mirrors PMDK-style durable
@@ -66,6 +70,7 @@ import threading
 import time
 import zlib
 from concurrent import futures
+from itertools import islice
 from pathlib import Path
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Set,
@@ -292,6 +297,15 @@ def read_slots(raw: bytes, base: int = HEADER_SPAN, first: int = 0
             yield index, view[pos:pos + PAGE_SIZE], crc
 
 
+def _marked(column: bytearray, start: int = 0) -> Iterator[int]:
+    """The slots a one-byte index column marks, from ``start`` on, in
+    order: a search of the column's bytes, not a loop over every slot."""
+    pos = column.find(1, start)
+    while pos >= 0:
+        yield pos
+        pos = column.find(1, pos + 1)
+
+
 class DurablePages(SparseBytes):
     """Sparse page storage that remembers which pages are dirty.
 
@@ -316,7 +330,7 @@ class _StoreEntry:
     """One registered PMO's durable state."""
 
     __slots__ = ("pmo", "path", "journal_path", "flush_seq",
-                 "committed_seq", "scrub_cursor")
+                 "committed_seq", "scrub_cursor", "written")
 
     def __init__(self, pmo: "Pmo", path: Path,
                  journal_path: Path) -> None:
@@ -328,7 +342,23 @@ class _StoreEntry:
         #: seq of the last batch on media (under the I/O lock); trails
         #: ``flush_seq`` while snapshots wait on the group committer.
         self.committed_seq = 0
+        #: the slot the next scrub pass of this PMO starts from.
         self.scrub_cursor = 0
+        #: one byte per page slot, 1 where the store laid a slot down,
+        #: grown to the highest such slot — not sized from the header's
+        #: size field, which carries no CRC.  Marked only under the I/O
+        #: lock; ``present_pages`` reads it without, one ``find`` at a
+        #: time, so it sees each slot before or after its mark.
+        self.written = bytearray()
+
+    def mark(self, indices: List[int]) -> None:
+        """Note slots just laid down on media."""
+        written = self.written
+        top = max(indices, default=-1) + 1
+        if top > len(written):
+            written.extend(bytes(top - len(written)))
+        for index in indices:
+            written[index] = 1
 
 
 class CommitTicket:
@@ -606,8 +636,12 @@ class PmoStore:
                                 self.journal_path_for(pmo.name))
             self._entries[pmo.name] = entry
             self._scrub_order.append(pmo.name)
-            if not entry.path.exists():
-                with self._io_lock:
+            with self._io_lock:
+                if entry.path.exists():
+                    # Adopting slots already on media: index them once.
+                    entry.mark([index for index, _, _ in
+                                read_slots(entry.path.read_bytes())])
+                else:
                     write_header(entry.path, pack_header(pmo),
                                  fsync=self.fsync)
         # Shipper hook OUTSIDE ``_lock``: the shipper's reconnect
@@ -706,6 +740,7 @@ class PmoStore:
                 # torn: apply it before this batch's journal replaces
                 # it, or the torn page would lose its repair source.
                 write_home(entry.path, *pending, fsync=self.fsync)
+                entry.mark([index for index, _ in pending[0]])
                 entry.journal_path.unlink(missing_ok=True)
             write_journal(entry.journal_path, seq, pages, crcs,
                           fsync=self.fsync)
@@ -722,6 +757,7 @@ class PmoStore:
             torn_pages, rot_pages = write_home(
                 entry.path, pages, crcs, fsync=self.fsync,
                 faults=self.faults)
+            entry.mark([index for index, _ in pages])
             if not torn_pages:
                 # The batch is fully home: retire the journal.  A torn
                 # write (injected or real) keeps it — that journal is
@@ -791,51 +827,69 @@ class PmoStore:
             # so it cannot interleave with a group-commit batch
             # rewriting the same slots.
             with self._io_lock:
-                with open(entry.path, "rb") as fh:
-                    fh.seek(HEADER_SPAN + index * SLOT_SIZE)
-                    slot = next(read_slots(fh.read(SLOT_SIZE), 0, index),
-                                None)
-                if slot is None:
-                    return "absent"
-                _, page, crc = slot
-                if _page_crc(page) == crc:
-                    return "ok"
-                journal = read_journal(entry.journal_path)
-                good = dict(journal[0]).get(index) if journal else None
-                if good is None:
-                    resident = entry.pmo.storage._pages.get(index)
-                    if not repair or resident is None:
-                        entry.pmo.quarantine(
-                            f"page {index} failed CRC with no journal "
-                            "copy")
-                        raise IntegrityError(
-                            f"PMO {name!r} page {index}: CRC mismatch, "
-                            "no repair source (bit rot)", pmo=name,
-                            page_index=index)
-                    good = bytes(resident)
-                    outcome = "repaired-from-memory"
-                else:
-                    if not repair:
-                        raise TornPageError(
-                            f"PMO {name!r} page {index}: CRC mismatch, "
-                            "journal copy available", pmo=name,
-                            page_index=index)
-                    outcome = "repaired"
-                write_home(entry.path, [(index, good)],
-                           [_page_crc(good)], fsync=self.fsync)
+                outcome, = self._verify_slots(entry, [index], repair)
                 return outcome
 
+    def _verify_slots(self, entry: _StoreEntry, indices: List[int],
+                      repair: bool) -> Iterator[str]:
+        """Under the I/O lock: read ``indices``' slots through one open
+        of the home file and yield each one's :meth:`_check_slot`
+        outcome — the one verification path of :meth:`verify_page`
+        and :meth:`scrub`."""
+        with open(entry.path, "rb", buffering=0) as fh:
+            for index in indices:
+                fh.seek(HEADER_SPAN + index * SLOT_SIZE)
+                yield self._check_slot(entry, index, fh.read(SLOT_SIZE),
+                                       repair)
+
+    def _check_slot(self, entry: _StoreEntry, index: int, slot: bytes,
+                    repair: bool) -> str:
+        """Judge one slot's bytes and repair it — from the journal, or
+        from the resident copy — or quarantine the PMO.  A slot the
+        index holds but whose marker is gone was written and lost its
+        trailer: damage, like a CRC failure, never ``absent``."""
+        found = next(read_slots(slot, 0, index), None)
+        if found is not None:
+            _, page, crc = found
+            if _page_crc(page) == crc:
+                return "ok"
+            damage, mismatch = "failed CRC", "CRC mismatch"
+        elif index < len(entry.written) and entry.written[index]:
+            damage, mismatch = "lost its marker", "marker missing"
+        else:
+            return "absent"
+        name = entry.pmo.name
+        journal = read_journal(entry.journal_path)
+        good = dict(journal[0]).get(index) if journal else None
+        if good is None:
+            resident = entry.pmo.storage._pages.get(index)
+            if not repair or resident is None:
+                entry.pmo.quarantine(
+                    f"page {index} {damage} with no journal copy")
+                raise IntegrityError(
+                    f"PMO {name!r} page {index}: {mismatch}, no repair "
+                    "source (bit rot)", pmo=name, page_index=index)
+            good = bytes(resident)
+            outcome = "repaired-from-memory"
+        else:
+            if not repair:
+                raise TornPageError(
+                    f"PMO {name!r} page {index}: {mismatch}, journal "
+                    "copy available", pmo=name, page_index=index)
+            outcome = "repaired"
+        write_home(entry.path, [(index, good)], [_page_crc(good)],
+                   fsync=self.fsync)
+        entry.mark([index])
+        return outcome
+
     def present_pages(self, name: str) -> List[int]:
-        """Indices of flushed (marker-bearing) pages on disk."""
+        """Indices of flushed (marker-bearing) pages on disk, read from
+        the entry's slot index: no file read, no I/O lock."""
         with self._lock:
             entry = self._entries.get(name)
             if entry is None:
                 raise PmoError(f"PMO {name!r} is not registered")
-            # One read + a trailer scan (no CRC: the scrubber asks
-            # every sweep), not a seek/read pair per slot.
-            with self._io_lock:
-                raw = entry.path.read_bytes()
-            return [index for index, _, _ in read_slots(raw)]
+            return list(_marked(entry.written))
 
     def committed_state(self, name: str
                         ) -> Tuple[bytes, int, List[Tuple[int, bytes]]]:
@@ -870,11 +924,14 @@ class PmoStore:
               ) -> Dict[str, int]:
         """Verify up to ``max_pages`` at-rest pages, round-robin over
         every registered PMO; repairs from the journal (or, for a live
-        PMO, from its resident copy).  Returns outcome counts."""
+        PMO, from its resident copy).  Returns outcome counts.
+
+        A pass costs its budget, not the PMOs: each PMO's next slots
+        come from its index, from ``scrub_cursor`` on; the whole pass
+        holds the I/O lock once, and each visit to a PMO opens its
+        home file once."""
         result = {"verified": 0, "repaired": 0, "quarantined": 0}
-        with self._lock:
-            if not self._scrub_order:
-                return result
+        with self._lock, self._io_lock:
             budget = max_pages
             rounds = 0
             while budget > 0 and rounds < len(self._scrub_order):
@@ -885,25 +942,24 @@ class PmoStore:
                 entry = self._entries.get(name)
                 if entry is None or entry.pmo.quarantined:
                     continue
-                pages = self.present_pages(name)
-                if not pages:
+                take = list(islice(_marked(entry.written,
+                                           entry.scrub_cursor), budget))
+                if not take and entry.scrub_cursor:
+                    take = list(islice(_marked(entry.written), budget))
+                if not take:
                     continue
                 rounds = 0           # found work: keep going
-                start = entry.scrub_cursor % len(pages)
-                take = pages[start:start + budget]
-                entry.scrub_cursor = start + len(take)
-                if entry.scrub_cursor >= len(pages):
-                    entry.scrub_cursor = 0
-                for index in take:
-                    try:
-                        outcome = self.verify_page(name, index)
-                    except IntegrityError:
-                        result["quarantined"] += 1
-                        break
-                    result["verified"] += 1
-                    if outcome.startswith("repaired"):
-                        result["repaired"] += 1
+                # Short of the budget means the column's end: wrap.
+                entry.scrub_cursor = take[-1] + 1 \
+                    if len(take) == budget else 0
                 budget -= len(take)
+                try:
+                    for outcome in self._verify_slots(entry, take, True):
+                        result["verified"] += 1
+                        if outcome.startswith("repaired"):
+                            result["repaired"] += 1
+                except IntegrityError:
+                    result["quarantined"] += 1
         return result
 
     # -- recovery (pool rescan) --------------------------------------------
@@ -916,8 +972,8 @@ class PmoStore:
         for path in sorted(self.root.glob("*.pmo")):
             journal_path = path.with_suffix(".journal")
             try:
-                pmo, repaired, applied = self._load_one(path,
-                                                        journal_path)
+                pmo, written, repaired, applied = self._load_one(
+                    path, journal_path)
             except PmoError as exc:
                 # Page-level rot inside a parseable file comes back
                 # quarantined (read-only) from ``_load_one``; reaching
@@ -933,12 +989,16 @@ class PmoStore:
             report.loaded.append(pmo)
             with self._lock:
                 entry = _StoreEntry(pmo, path, journal_path)
+                entry.mark(written)
                 self._entries[pmo.name] = entry
                 self._scrub_order.append(pmo.name)
         return report
 
     def _load_one(self, path: Path, journal_path: Path
-                  ) -> Tuple["Pmo", int, int]:
+                  ) -> Tuple["Pmo", List[int], int, int]:
+        """Recover one home file: ``(pmo, the slots laid down on
+        media — marker-bearing, bad CRC or not, and journal-replayed —,
+        pages repaired, journals applied)``."""
         from repro.pmo.pmo import Pmo
         # One read of the whole file; every page/trailer below is a
         # memoryview slice of it, CRC'd in place — recovery is a
@@ -950,8 +1010,10 @@ class PmoStore:
         replayed = {index for index, _ in journal[0]} if journal else ()
         storage = DurablePages(size_bytes)
         bad_pages: List[int] = []
+        written: List[int] = []
         crc32 = zlib.crc32
         for index, page, crc in read_slots(raw):
+            written.append(index)
             if crc32(page) & 0xFFFFFFFF == crc:
                 storage._pages[index] = bytearray(page)
             elif index not in replayed:
@@ -964,6 +1026,7 @@ class PmoStore:
             repaired = sum(storage._pages.get(index) != page
                            for index, page in journal[0])
             write_home(path, *journal, fsync=self.fsync)
+            written.extend(replayed)
             storage._pages.update((index, bytearray(page))
                                   for index, page in journal[0])
             journal_path.unlink(missing_ok=True)
@@ -975,7 +1038,7 @@ class PmoStore:
             # crash before the first psync promises.
             return Pmo(pmo_id, name, size_bytes, owner=owner,
                        mode=mode, log_size=log_size,
-                       storage=storage), repaired, applied
+                       storage=storage), written, repaired, applied
 
         quarantine_reason = ""
         if bad_pages:
@@ -996,4 +1059,4 @@ class PmoStore:
                                         mode=mode)
         if quarantine_reason:
             pmo.quarantine(quarantine_reason)
-        return pmo, repaired, applied
+        return pmo, written, repaired, applied

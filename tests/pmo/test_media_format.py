@@ -9,7 +9,9 @@ psyncs, a torn flush, recovery of a copy, a scrub repair, the flush
 that heals the kept journal, a bit-rot flush, a destroy and a
 re-create — the sha256 of every ``.pmo`` / ``.journal`` file after
 each step, on the primary and on the standby's mirror.  A change to
-how the store reads or writes must reproduce it byte for byte.
+how the store reads or writes must reproduce it byte for byte.  After
+every step the store's slot index (``present_pages``) must also equal
+a scan of the home file.
 
 The second half is a property of the one slot reader: whatever the
 last slot of a home file is cut down to, every consumer gives the same
@@ -27,7 +29,7 @@ from repro.core.units import KIB, MIB, PAGE_SIZE
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.pmo.api import PmoLibrary
 from repro.pmo.pmo import Pmo
-from repro.pmo.store import SLOT_SIZE, DurablePages, PmoStore
+from repro.pmo.store import SLOT_SIZE, DurablePages, PmoStore, read_slots
 from repro.replication import JournalShipper, StandbyDaemon
 
 FIXTURE = Path(__file__).parent / "fixtures" / "media_at_parent.json"
@@ -46,6 +48,16 @@ def wait_for(condition, timeout=5.0):
     while not condition():
         assert time.monotonic() < deadline, "timed out"
         time.sleep(0.002)
+
+
+def index_is_media(store, name):
+    """The store's slot index equals a scan of the home file (and an
+    unregistered PMO has no home file)."""
+    path = store.path_for(name)
+    if name not in store.registered():
+        return not path.exists()
+    on_media = [index for index, _, _ in read_slots(path.read_bytes())]
+    return store.present_pages(name) == on_media
 
 
 def one_fault(site):
@@ -74,6 +86,7 @@ def drive(tmp):
 
     def step(name, *extra):
         applied()
+        assert index_is_media(store, "fmt"), name
         steps.append([name, digests(primary, mirror, *extra)])
 
     def psync(pmo, oid, fill, pages):
@@ -100,8 +113,10 @@ def drive(tmp):
 
         image = tmp / "recovered"
         shutil.copytree(primary, image)
-        report = PmoStore(image).load_all()
+        recovered = PmoStore(image)
+        report = recovered.load_all()
         assert report.journals_applied == 1 and report.pages_repaired
+        assert index_is_media(recovered, "fmt")
         step("recovered-copy", image)
         shutil.rmtree(image)
 

@@ -1,18 +1,29 @@
 """The durable pool backend: format, flush, repair, scrub, quarantine."""
 
-import os
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
+import repro.pmo.store as store_module
 from repro.core.errors import IntegrityError, PmoError, TornPageError
 from repro.core.permissions import Access
-from repro.core.units import MIB, PAGE_SIZE
+from repro.core.units import KIB, MIB, PAGE_SIZE
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.pmo.api import PmoLibrary
+from repro.pmo.pmo import Pmo
 from repro.pmo.store import (
-    CommitTicket, DurablePages, PmoStore, SCRUB_PAGES_PER_PASS)
+    HEADER_SPAN, SCRUB_PAGES_PER_PASS, SLOT_SIZE, TRAILER, CommitTicket,
+    DurablePages, PmoStore, pack_header, page_crcs, read_slots,
+    write_header, write_home)
+
+
+def zero_trailer(path, index):
+    """Zero slot ``index``'s CRC trailer, marker included."""
+    with open(path, "r+b") as fh:
+        fh.seek(HEADER_SPAN + index * SLOT_SIZE + PAGE_SIZE)
+        fh.write(bytes(TRAILER.size))
 
 
 def make(tmp_path, *rules, seed=1):
@@ -326,10 +337,10 @@ class TestScrub:
         populate(lib, "one")
         populate(lib, "two")
         verified = []
-        orig = store.verify_page
-        store.verify_page = (            # type: ignore[method-assign]
-            lambda name, index, **kw: (verified.append(name),
-                                       orig(name, index, **kw))[1])
+        orig = store._check_slot
+        store._check_slot = (            # type: ignore[method-assign]
+            lambda entry, *rest: (verified.append(entry.pmo.name),
+                                  orig(entry, *rest))[1])
         store.scrub(2)
         store.scrub(2)
         assert {"one", "two"} <= set(verified)
@@ -343,6 +354,99 @@ class TestScrub:
         store = PmoStore(tmp_path)
         assert store.scrub() == {"verified": 0, "repaired": 0,
                                  "quarantined": 0}
+
+    def test_a_written_slot_that_lost_its_marker_is_damage(self, tmp_path):
+        """A flushed page whose trailer was zeroed reads as a hole, and
+        the slot index knows it was written: while the PMO is resident
+        the page is healed from memory; with no repair source the PMO
+        is quarantined — never counted as a verified absent page."""
+        store, lib = make(tmp_path)
+        pmo, _ = populate(lib, "unmarked")
+        path = store.path_for("unmarked")
+        index = store.present_pages("unmarked")[-1]
+        zero_trailer(path, index)
+        assert store.verify_page("unmarked", index) == \
+            "repaired-from-memory"
+        assert index in [i for i, _, _ in read_slots(path.read_bytes())]
+        zero_trailer(path, index)
+        pmo.storage._pages.clear()
+        assert store.scrub(64)["quarantined"] == 1
+        assert pmo.quarantined and "lost its marker" in \
+            pmo.quarantine_reason
+
+    def test_index_reads_race_the_flusher(self, tmp_path):
+        """``present_pages`` reads the slot index without the I/O lock
+        while the flusher grows and marks it: with the switch interval
+        at 1 µs and more threads than cores, every read is sorted and
+        duplicate-free, no reader sees a slot vanish, and the last read
+        equals the home file."""
+        store = PmoStore(tmp_path, fsync=False, commit_interval_us=0)
+        pmo = Pmo(1, "race", MIB, log_size=PAGE_SIZE,
+                  storage=DurablePages(MIB))
+        store.register(pmo)
+        done = threading.Event()
+        bad = []
+
+        def reader():
+            seen = []
+            while not done.is_set():
+                now = store.present_pages("race")
+                if now != sorted(set(now)) or not set(seen) <= set(now):
+                    bad.append((seen, now))
+                seen = now
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=reader) for _ in range(3)]
+        try:
+            for thread in readers:
+                thread.start()
+            for index in range(MIB // PAGE_SIZE):    # grows the column
+                pmo.storage.write((index + 1) * PAGE_SIZE - 1, b"\x01")
+                store.flush(pmo)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+            for thread in readers:
+                thread.join(5.0)
+        assert not any(thread.is_alive() for thread in readers)
+        assert not bad, bad[0]
+        path = store.path_for("race")
+        assert store.present_pages("race") == \
+            [i for i, _, _ in read_slots(path.read_bytes())] == \
+            list(range(MIB // PAGE_SIZE))
+        store.close()
+
+    def test_one_pass_costs_its_budget_not_the_pmo(self, tmp_path,
+                                                   monkeypatch):
+        """One ``scrub(8)`` over a fully written 64 MiB PMO: one open
+        of its home file and a few KiB allocated, where reading the
+        file to find its slots allocated all 64 MiB of it."""
+        store = PmoStore(tmp_path, fsync=False)
+        size = 64 * MIB
+        pmo = Pmo(1, "big", size, storage=DurablePages(size))
+        path = store.path_for("big")
+        write_header(path, pack_header(pmo), fsync=False)
+        page = bytes(range(256)) * (PAGE_SIZE // 256)
+        for first in range(0, size // PAGE_SIZE, 1024):
+            batch = [(index, page) for index in range(first, first + 1024)]
+            write_home(path, batch, page_crcs(batch), fsync=False)
+        store.register(pmo)                  # adopts the slots on media
+        assert len(store.present_pages("big")) == size // PAGE_SIZE
+        opened = []
+        monkeypatch.setattr(
+            store_module, "open", lambda file, *a, **kw: (
+                opened.append(file), open(file, *a, **kw))[1],
+            raising=False)
+        tracemalloc.start()
+        try:
+            result = store.scrub(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == {"verified": 8, "repaired": 0, "quarantined": 0}
+        assert opened == [path]
+        assert peak < 64 * KIB, peak
 
 
 class TestTransactionalPsync:

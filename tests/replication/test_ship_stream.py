@@ -38,12 +38,15 @@ class RecordingShipper:
 
     def _observe(self, half, name):
         """The PMO's committed journal and the page slots home on
-        disk.  Asked from another thread, which either store lock
-        would block were the calling flusher still holding it: the
-        home pages then read None."""
+        disk.  Asked from another thread through ``committed_state``,
+        which takes both store locks and would block were the calling
+        flusher still holding either: the home pages then read None.
+        (``present_pages`` alone reads the slot index under the
+        metadata lock only, so it could not see the I/O lock held.)"""
         home = []
         asker = threading.Thread(target=lambda: home.append(
-            self.store.present_pages(name)), daemon=True)
+            (self.store.committed_state(name),
+             self.store.present_pages(name))[1]), daemon=True)
         asker.start()
         asker.join(5.0)
         journal = read_journal(self.store.journal_path_for(name))
