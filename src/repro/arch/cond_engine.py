@@ -116,17 +116,6 @@ class TerpArchEngine(SemanticsEngine):
         #: driver that schedules sweeps (terpd's ``run_sweep``), not
         #: here — a stalled sweeper never enters this method at all.
         self.faults: Optional["FaultPlan"] = None
-        #: optional integrity scrubber, invoked once per sweep pass.
-        #: The durable pool backend plugs in ``PmoStore.scrub`` here so
-        #: a bounded number of at-rest pages are CRC-verified (and
-        #: journal-repaired) every sweep — corruption of *detached*
-        #: data is found while the daemon runs, not at the next
-        #: restart.  Must be cheap and non-blocking; any return value
-        #: is the caller's to consume via :attr:`on_scrub`.
-        self.scrubber: Optional[Callable[[], object]] = None
-        #: ``on_scrub(result)`` — receives the scrubber's return value
-        #: after each invocation (terpd feeds metrics + audit from it).
-        self.on_scrub: Optional[Callable[[object], None]] = None
 
     def thread_has_open_pair(self, thread_id: int, pmo_id: Hashable) -> bool:
         return self._thread_open.get((thread_id, pmo_id), False)
@@ -323,10 +312,6 @@ class TerpArchEngine(SemanticsEngine):
                 decisions.append(Decision(Outcome.SILENT, [
                     Action(ActionKind.RANDOMIZE, entry.pmo_id),
                 ], reason="sweep: EW met, holders remain -> randomize"))
-        if self.scrubber is not None:
-            result = self.scrubber()
-            if self.on_scrub is not None:
-                self.on_scrub(result)
         if tracer is not None and decisions:
             tracer.record_since("engine.sweep", t0,
                                 decisions=len(decisions))

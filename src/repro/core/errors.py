@@ -89,14 +89,6 @@ class TornPageError(IntegrityError):
     """
 
 
-class Busy(TerpError):
-    """A transient resource limit (e.g. the session table is full).
-
-    Explicitly retryable: the condition clears on its own, so clients
-    back off and try again rather than treating it as a hard failure.
-    """
-
-
 class InjectedFault(TerpError):
     """A deterministic fault-injection rule fired (transient).
 

@@ -117,12 +117,6 @@ class TerpRuntime:
         self.obs = obs
         self._audit = (obs.audit if obs is not None and obs.enabled
                        else None)
-        # Per-attach/detach spans are opt-in detail (obs.trace_runtime):
-        # the audit timeline already records those events, so the span
-        # stream only adds latency attribution when explicitly wanted.
-        self._tracer = (obs.tracer
-                        if obs is not None and obs.enabled
-                        and obs.trace_runtime else None)
 
     # -- clock discipline ---------------------------------------------------
 
@@ -142,8 +136,6 @@ class TerpRuntime:
     def attach(self, thread_id: int, pmo, access: Access,
                now_ns: int) -> "AttachResult":
         """The attach construct; returns the decision and a Handle."""
-        tracer = self._tracer
-        t0 = tracer.clock() if tracer is not None else 0
         self._advance(now_ns)
         self.counters.attach_calls += 1
         decision = self.semantics.attach(thread_id, pmo.pmo_id, access,
@@ -170,10 +162,6 @@ class TerpRuntime:
             self._audit.record_attach(thread_id, pmo.pmo_id, pmo.name,
                                       now_ns,
                                       reason=decision.outcome.value)
-        if tracer is not None:
-            tracer.record_since("rt.attach", t0, pmo=pmo.name,
-                                entity=thread_id,
-                                outcome=decision.outcome.value)
         return AttachResult(decision, handle)
 
     def detach(self, thread_id: int, pmo, now_ns: int, *,
@@ -185,8 +173,6 @@ class TerpRuntime:
         passes ``forced=True`` so the event is distinguishable from the
         entity closing its own window.
         """
-        tracer = self._tracer
-        t0 = tracer.clock() if tracer is not None else 0
         self._advance(now_ns)
         self.counters.detach_calls += 1
         decision = self.semantics.detach(thread_id, pmo.pmo_id, now_ns)
@@ -206,10 +192,6 @@ class TerpRuntime:
             self._audit.record_detach(
                 thread_id, pmo.pmo_id, pmo.name, now_ns, forced=forced,
                 reason=reason or decision.outcome.value)
-        if tracer is not None:
-            tracer.record_since("rt.detach", t0, pmo=pmo.name,
-                                entity=thread_id,
-                                outcome=decision.outcome.value)
         return decision
 
     def access(self, thread_id: int, pmo, offset: int, requested: Access,

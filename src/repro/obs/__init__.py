@@ -51,14 +51,8 @@ class Observability:
     def __init__(self, *, enabled: bool = True,
                  clock: Callable[[], int] = time.perf_counter_ns,
                  trace_capacity: int = 4096,
-                 audit_capacity: int = 65536,
-                 trace_runtime: bool = False) -> None:
+                 audit_capacity: int = 65536) -> None:
         self.enabled = enabled
-        #: Also emit per-attach/per-detach spans from TerpRuntime.
-        #: Off by default: the audit timeline already records every
-        #: attach/detach with duration, so runtime spans are extra
-        #: detail for debugging, not the steady-state configuration.
-        self.trace_runtime = trace_runtime
         self.registry = MetricsRegistry(enabled=enabled)
         self.tracer = Tracer(clock=clock, capacity=trace_capacity,
                              enabled=enabled)

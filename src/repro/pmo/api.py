@@ -301,19 +301,3 @@ class PmoLibrary:
     def write_u64(self, oid: Oid, value: int) -> None:
         self.write(oid, struct.pack("<Q", value & ((1 << 64) - 1)))
 
-    # -- file persistence -------------------------------------------------
-
-    def save(self, pmo: Pmo, path) -> int:
-        """Serialize a PMO's persistent bytes to a file."""
-        from repro.pmo.serialize import save_pmo
-        return save_pmo(pmo, path)
-
-    def load(self, path) -> Pmo:
-        """Load a PMO file into this library's namespace.
-
-        The PMO goes through full crash recovery and keeps its
-        original id and name (both must be free here) — the id is
-        embedded in every OID stored inside the PMO's data.
-        """
-        from repro.pmo.serialize import load_pmo
-        return self.manager.adopt(load_pmo(path))

@@ -512,16 +512,12 @@ class GroupCommitter:
                 for ticket, count in tickets:
                     ticket.complete(count)
 
-    def stop(self, drain: bool = True) -> None:
-        """Graceful shutdown: by default every queued snapshot still
-        commits before the flusher exits."""
+    def stop(self) -> None:
+        """Graceful shutdown: every queued snapshot still commits
+        before the flusher exits (:meth:`abort` is the path that
+        drops them)."""
         with self._cond:
             self._stopping = True
-            if not drain:
-                for *_, ticket in self._queue:
-                    ticket.fail(PmoError("group committer stopped "
-                                         "before the commit"))
-                self._queue.clear()
             self._cond.notify_all()
             thread = self._thread
             self._thread = None
@@ -604,7 +600,7 @@ class PmoStore:
 
     def close(self) -> None:
         """Drain and stop the group committer (graceful shutdown)."""
-        self.committer.stop(drain=True)
+        self.committer.stop()
 
     def abort_commits(self) -> None:
         """Kill the group committer without flushing (crash path)."""

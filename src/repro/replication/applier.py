@@ -47,7 +47,8 @@ from repro.pmo.store import (
     HEADER_SPAN, home_file, journal_file, write_header, write_home,
     write_journal)
 from repro.replication.wire import (
-    REPL_PROTOCOL_VERSION, ReplicationWireError, recv_msg, send_msg)
+    REPL_PROTOCOL_VERSION, ReplicationWireError, frame_fields, recv_msg,
+    send_msg)
 from repro.service.conn import STARTUP_TIMEOUT_S
 from repro.service.launch import SETTINGS
 from repro.service.recovery import SessionJournal
@@ -369,8 +370,9 @@ class StandbyDaemon:
                 if got is None:
                     return
                 header, payload = got
-                if not self._dispatch(conn, header, payload):
-                    return
+                with frame_fields(header):
+                    if not self._dispatch(conn, header, payload):
+                        return
         except (OSError, ReplicationWireError, ReplicationChainError):
             # Drop the link; the primary reconnects and bootstraps.
             return
@@ -398,10 +400,6 @@ class StandbyDaemon:
                 send_msg(conn, {"t": "error", "error": repr(exc)})
             else:
                 send_msg(conn, {"t": "promoted", "port": port})
-        elif kind == "status":
-            send_msg(conn, {"t": "status-ack",
-                            "promoted": self.promoted,
-                            **self.applier.status()})
         # The rest are apply frames.  Once promoted the service owns
         # the pool directory: the closed applier raises on each, which
         # drops a straggling primary's link.

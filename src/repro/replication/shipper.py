@@ -54,7 +54,8 @@ from typing import (
 
 from repro.pmo.store import page_crcs
 from repro.replication.wire import (
-    REPL_PROTOCOL_VERSION, ReplicationWireError, recv_msg, send_msg)
+    REPL_PROTOCOL_VERSION, ReplicationWireError, frame_fields, recv_msg,
+    send_msg)
 
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
@@ -301,8 +302,7 @@ class JournalShipper:
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             send_msg(sock, {"t": "hello",
-                            "version": REPL_PROTOCOL_VERSION,
-                            "role": "primary"})
+                            "version": REPL_PROTOCOL_VERSION})
             got = recv_msg(sock)
             if got is None or got[0].get("t") != "hello-ack":
                 raise ReplicationWireError(
@@ -458,17 +458,19 @@ class JournalShipper:
         while not self._stop.is_set():
             try:
                 got = recv_msg(sock)
+                if got is None:
+                    self._drop_connection("standby closed the link",
+                                          sock)
+                    return
+                header, _ = got
+                if header.get("t") != "ack":
+                    continue
+                with frame_fields(header):
+                    name = str(header.get("pmo", ""))
+                    seq = int(header.get("seq", -1))
             except (OSError, ReplicationWireError) as exc:
                 self._drop_connection(f"ack stream: {exc}", sock)
                 return
-            if got is None:
-                self._drop_connection("standby closed the link", sock)
-                return
-            header, _ = got
-            if header.get("t") != "ack":
-                continue
-            name = str(header.get("pmo", ""))
-            seq = int(header.get("seq", -1))
             with self._ack_cond:
                 chain, t0 = inflight.popleft() if inflight else (None, 0)
                 if chain == name and seq > self._acked.get(name, -1):

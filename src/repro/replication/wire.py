@@ -45,8 +45,12 @@ client protocol's sidecar makes for reads and writes).  Message types:
     the standby writes the batch's home slots.
 ``promote`` / ``promoted``
     control: turn the standby into a live terpd on the given port.
-``status`` / ``status-ack``
-    control: what the standby has applied so far.
+``error``
+    standby → promoter: why a ``promote`` was refused.
+
+A frame whose fields are missing or do not parse is a
+:class:`ReplicationWireError` (:func:`frame_fields`) on either end,
+which drops the link: the shipper reconnects and bootstraps.
 """
 
 from __future__ import annotations
@@ -54,12 +58,13 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Dict, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.core.errors import TerpError
 
 __all__ = ["ReplicationWireError", "send_msg", "recv_msg",
-           "REPL_PROTOCOL_VERSION", "MAX_FRAME_BYTES"]
+           "frame_fields", "REPL_PROTOCOL_VERSION", "MAX_FRAME_BYTES"]
 
 #: Replication protocol revision (independent of the client protocol).
 #: v2 added the reconciling ``reset`` frame and truncate-on-header.
@@ -75,6 +80,18 @@ _LEN = struct.Struct(">I")
 
 class ReplicationWireError(TerpError):
     """A malformed or oversized replication frame."""
+
+
+@contextmanager
+def frame_fields(header: Dict[str, Any]) -> Iterator[None]:
+    """Read ``header``'s fields inside this block: a field that is
+    missing or of the wrong type raises :class:`ReplicationWireError`,
+    the error both ends answer by dropping the link."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReplicationWireError(
+            f"malformed {header.get('t')!r} frame: {exc!r}") from exc
 
 
 def send_msg(sock: socket.socket, header: Dict[str, Any],

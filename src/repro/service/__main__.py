@@ -22,6 +22,7 @@ import sys
 from typing import Optional
 
 from repro.service.launch import add_flags, from_args, serve
+from repro.service.metrics import observability_dump
 from repro.service.server import TerpService
 
 
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
     if args.profile and not args.quiet:
         print(f"terpd profile written to {args.profile}", flush=True)
     if args.metrics_dump:
-        dump = json.dumps(service.dump_observability(), indent=2,
+        dump = json.dumps(observability_dump(service), indent=2,
                           default=str)
         if args.metrics_dump == "-":
             print(dump, flush=True)

@@ -35,8 +35,10 @@ arguments; without them a failure simply raises):
   but whose response was lost is answered from the cache, never run
   twice — unless its ``OPS`` row is ``readonly``: that one runs again,
   after a resume against windows the drop closed (a retried ``read``
-  is refused until re-attached).  Retryable error kinds (``Busy``,
-  ``InjectedFault``) are retried in place (``call()`` only).
+  is refused until re-attached).  A retryable error kind
+  (``InjectedFault``) is retried in place (``call()`` only).  A
+  session that cannot be resumed is replaced by a fresh one, counted
+  in ``sessions_lost``.
 * with a :class:`~repro.service.retry.CircuitBreaker`, consecutive
   connection failures open the circuit and the client degrades to
   read-only operations until a probe succeeds.
@@ -89,28 +91,16 @@ class ConnectionLost(RemoteError):
         super().__init__("ConnectionLost", message)
 
 
-class SessionLost(RemoteError):
-    """The session could not be resumed after a reconnect (it crashed
-    server-side or its linger grace expired).  Raised only by clients
-    constructed with ``strict_resume=True``; by default the client
-    falls back to a fresh session and counts it in ``sessions_lost``."""
-
-    def __init__(self, message: str) -> None:
-        super().__init__("SessionLost", message)
-
-
 class ClientCore:
     """The sans-IO client: state, request/response logic, and the
     attempt loop, as step generators a transport's ``_run`` drives."""
 
     def __init__(self, *, user: str, ew_budget_us: Optional[float],
                  retry: Optional[RetryPolicy],
-                 breaker: Optional[CircuitBreaker],
-                 strict_resume: bool) -> None:
+                 breaker: Optional[CircuitBreaker]) -> None:
         self._user, self._budget = user, ew_budget_us
         self._retry = retry
         self._breaker = breaker
-        self._strict_resume = strict_resume
         self.session_id: Optional[int] = None
         self.entity_id: Optional[int] = None
         self.ew_budget_us: Optional[float] = None
@@ -219,8 +209,7 @@ class ClientCore:
 
         Resume first (same session id, entity id, and replay cache);
         if the server no longer knows the session, fall back to a
-        fresh one — unless ``strict_resume`` asked for a typed
-        :class:`SessionLost` instead.
+        fresh one.
         """
         yield (OPEN,)
         if self.session_id is not None and self.resume_token:
@@ -232,12 +221,8 @@ class ClientCore:
                 return self
             except ConnectionLost:
                 raise
-            except RemoteError as exc:
+            except RemoteError:
                 self.sessions_lost += 1
-                if self._strict_resume:
-                    raise SessionLost(
-                        f"session {self.session_id} not resumable: "
-                        f"{exc.remote_message}") from exc
         yield from self._hello_steps({})
         return self
 
@@ -261,7 +246,7 @@ class ClientCore:
         reconnect + resume: answered slots are kept and already-
         executed stragglers come from the server's replay cache.
         A ``call()`` also retries a retryable error *response*
-        (``Busy``, ``InjectedFault``) in place.
+        (``InjectedFault``) in place.
         """
         items = [(self.next_id(), op, args) for op, args in requests]
         retry, breaker = self._retry, self._breaker
@@ -298,21 +283,13 @@ class ClientCore:
                 # no connection, fails, and counts.
                 try:
                     yield from self._connect_steps()
-                except SessionLost:
-                    raise
                 except (OSError, TerpError):
                     yield (CLOSE,)
                 continue
             errors = [o for o in outcomes if isinstance(o, RemoteError)]
             if breaker is not None:
-                # An error *response* still round-tripped.  Busy is the
-                # exception — a half-open probe answered Busy must
-                # re-open the circuit, not close it (the server is
-                # shedding load, not serving).
-                if any(e.kind == "Busy" for e in errors):
-                    breaker.record_busy()
-                else:
-                    breaker.record_success()
+                # An error *response* still round-tripped.
+                breaker.record_success()
             if not errors:
                 return outcomes if single is None \
                     else single(outcomes[0])
@@ -416,11 +393,9 @@ class SyncTerpClient(ClientCore):
                  ew_budget_us: Optional[float] = None,
                  timeout: float = 30.0,
                  retry: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 strict_resume: bool = False) -> None:
+                 breaker: Optional[CircuitBreaker] = None) -> None:
         super().__init__(user=user, ew_budget_us=ew_budget_us,
-                         retry=retry, breaker=breaker,
-                         strict_resume=strict_resume)
+                         retry=retry, breaker=breaker)
         if (port is None) == (unix_path is None):
             raise TerpError("give exactly one of port / unix_path")
         self._sock: Optional[socket.socket] = None
@@ -502,11 +477,9 @@ class TerpClient(ClientCore):
                  user: str = "root",
                  ew_budget_us: Optional[float] = None,
                  retry: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 strict_resume: bool = False) -> None:
+                 breaker: Optional[CircuitBreaker] = None) -> None:
         super().__init__(user=user, ew_budget_us=ew_budget_us,
-                         retry=retry, breaker=breaker,
-                         strict_resume=strict_resume)
+                         retry=retry, breaker=breaker)
         if (port is None) == (unix_path is None):
             raise TerpError("give exactly one of port / unix_path")
         self._host, self._port, self._unix = host, port, unix_path

@@ -34,10 +34,10 @@ from repro.service.ops import READ_ONLY_OPS
 __all__ = ["RetryPolicy", "CircuitBreaker", "CircuitOpenError",
            "RETRYABLE_KINDS", "READ_ONLY_OPS"]
 
-#: Server error kinds a client may transparently retry: transient
-#: resource exhaustion and injected transient faults.  Application
-#: errors (PmoError, permission denials) are never retried.
-RETRYABLE_KINDS: FrozenSet[str] = frozenset({"Busy", "InjectedFault"})
+#: Server error kinds a client may transparently retry: injected
+#: transient faults.  Application errors (PmoError, permission
+#: denials) are never retried.
+RETRYABLE_KINDS: FrozenSet[str] = frozenset({"InjectedFault"})
 
 
 class CircuitOpenError(TerpError):
@@ -154,26 +154,6 @@ class CircuitBreaker:
         self._state = self.CLOSED
         self._failures = 0
         self._probing = False
-
-    def record_busy(self) -> None:
-        """The server answered ``Busy``: the round trip worked, but
-        the server is shedding load.
-
-        A half-open probe answered ``Busy`` must NOT close the
-        circuit — the server is reachable yet still refusing work, so
-        the breaker re-opens for another full ``reset_timeout_s``.
-        Crucially it re-opens *without* counting toward the closed-
-        state failure threshold: ``Busy`` is retried in place by the
-        caller, and double-counting it both here and there would let
-        one overloaded burst walk a healthy connection to OPEN.  In
-        the closed state a ``Busy`` clears the consecutive-failure
-        count (the connection is demonstrably alive) and nothing more.
-        """
-        self._maybe_half_open()
-        if self._state == self.HALF_OPEN:
-            self._open()
-            return
-        self._failures = 0
 
     def record_failure(self) -> None:
         self._maybe_half_open()

@@ -44,15 +44,12 @@ from repro.obs import Observability
 from repro.pmo.api import PmoLibrary
 from repro.pmo.object_id import Oid
 from repro.pmo.pool import mode_allows
-from repro.pmo.store import (
-    DEFAULT_COMMIT_INTERVAL_US, SCRUB_PAGES_PER_PASS, CommitTicket,
-    PmoStore)
+from repro.pmo.store import DEFAULT_COMMIT_INTERVAL_US, CommitTicket, PmoStore
 from repro.service import protocol
 from repro.service.conn import (
     DEFAULT_EW_TARGET_US, DEFAULT_SEED, DEFAULT_SESSION_EW_NS,
     DEFAULT_SESSION_LINGER_NS, Conn, FrontDoor, admit)
-from repro.service.metrics import (
-    ServiceMetrics, metrics_report, observability_dump)
+from repro.service.metrics import ServiceMetrics, metrics_report
 from repro.service.ops import OPS
 from repro.service.protocol import ok_response
 from repro.service.recovery import (
@@ -115,10 +112,8 @@ class TerpService:
                  obs: Optional[Observability] = None,
                  obs_enabled: bool = True,
                  faults: Optional[FaultPlan] = None,
-                 max_sessions: Optional[int] = None,
                  session_linger_ns: int = DEFAULT_SESSION_LINGER_NS,
                  pool_dir: Optional[str] = None,
-                 scrub_pages_per_sweep: int = SCRUB_PAGES_PER_PASS,
                  commit_interval_us: int = DEFAULT_COMMIT_INTERVAL_US,
                  shard_index: Optional[int] = None,
                  shard_count: int = 1,
@@ -159,7 +154,6 @@ class TerpService:
         if faults is not None:
             engine.faults = faults
             faults.on_fire = self._note_injection
-        self.max_sessions = max_sessions
         self.session_linger_ns = session_linger_ns
         #: Durable pool backend (``--pool-dir``): file-per-PMO storage
         #: with CRC trailers + double-write journal, a session journal
@@ -182,20 +176,16 @@ class TerpService:
         if shard_index is not None:
             self.lib.manager.set_id_namespace(start=shard_index + 1,
                                               step=shard_count)
-        if self.store is not None:
-            engine.scrubber = lambda: self.store.scrub(
-                scrub_pages_per_sweep)
-            engine.on_scrub = self._on_scrub
         self.metrics = ServiceMetrics(self.obs.registry)
         #: The session table and lifecycle: allocation, resume,
         #: release, journaling.
         self.sessions = SessionManager(
             lib=self.lib, metrics=self.metrics, obs=self.obs,
-            default_ew_budget_ns=session_ew_ns, token_seed=seed,
-            max_sessions=max_sessions)
+            default_ew_budget_ns=session_ew_ns, token_seed=seed)
         engine.on_forced_detach = self.sessions.on_engine_forced_detach
         self._t0 = time.monotonic_ns()
-        #: Temporal enforcement: the session-budget + engine sweep.
+        #: Temporal enforcement: the session-budget + engine sweep, and
+        #: with a durable pool the store's scrub pass.
         self.sweeper = Sweeper(
             sessions=self.sessions, sweep_period_ns=sweep_period_ns,
             session_linger_ns=session_linger_ns, now_ns=self.now_ns,
@@ -266,23 +256,6 @@ class TerpService:
         if self._epoch_wall_ns is not None:
             return max(0, time.time_ns() - self._epoch_wall_ns)
         return time.monotonic_ns() - self._t0
-
-    # -- scrub hook -----------------------------------------------------------
-
-    def _on_scrub(self, result) -> None:
-        """Engine callback after each sweep's bounded scrub pass."""
-        if not isinstance(result, dict):
-            return
-        self.metrics.note_scrub(
-            verified=result.get("verified", 0),
-            repaired=result.get("repaired", 0),
-            quarantined=result.get("quarantined", 0))
-        if self.obs.enabled:
-            self.obs.audit.record_scrub(
-                self.lib.clock_ns,
-                verified=result.get("verified", 0),
-                repaired=result.get("repaired", 0),
-                quarantined=result.get("quarantined", 0))
 
     # -- fault-injection hook -------------------------------------------------
 
@@ -365,16 +338,6 @@ class TerpService:
         if self.session_journal is not None:
             # Only drops the file handle; appended records stay.
             self.session_journal.close()
-
-    # -- the sweeper ---------------------------------------------------------
-
-    def run_sweep(self) -> int:
-        """One sweeper pass; returns the number of forced detaches.
-
-        Delegates to :class:`~repro.service.sweeping.Sweeper`; kept on
-        the service for tests and embedders that drive sweeps by hand.
-        """
-        return self.sweeper.run_sweep()
 
     # -- connection handling ---------------------------------------------------
 
@@ -580,11 +543,6 @@ class TerpService:
     def _op_prometheus(self, conn: Conn, args: Dict) -> Dict:
         """The registry in Prometheus text exposition format."""
         return {"text": self.obs.registry.prometheus_text()}
-
-    def dump_observability(self) -> Dict:
-        """The ``--metrics-dump`` document (see
-        :func:`~repro.service.metrics.observability_dump`)."""
-        return observability_dump(self)
 
     # -- ops: namespace --------------------------------------------------------
 

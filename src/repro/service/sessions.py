@@ -62,7 +62,7 @@ from typing import (
     TYPE_CHECKING, Any, Deque, Dict, Hashable, Iterator, List, Optional,
     Set, Tuple)
 
-from repro.core.errors import Busy, PmoError, TerpError
+from repro.core.errors import PmoError, TerpError
 from repro.service.metrics import ServiceMetrics, SessionMetrics
 from repro.service.protocol import PROTOCOL_VERSION
 
@@ -192,8 +192,6 @@ class SessionRegistry:
     """
 
     FIRST_ENTITY_ID = 1 << 20
-    #: cap on bound sessions for fresh hellos (``None``: no cap).
-    max_sessions: Optional[int] = None
 
     def __init__(self, *, default_ew_budget_ns: int,
                  token_seed: Optional[int] = None) -> None:
@@ -232,9 +230,7 @@ class SessionRegistry:
         allocates a fresh one with the (clamped) ``ew_budget_us``.
         Resume restores *identity* (entity id, replay cache, pending
         events), never access: the drop already force-closed every
-        window.  A connection holds one session at a time;
-        ``max_sessions`` caps bound sessions for fresh hellos (``Busy``
-        is retryable, so well-behaved clients back off).
+        window.  A connection holds one session at a time.
         """
         if conn.session is not None:
             raise TerpError("connection already has a session")
@@ -256,10 +252,6 @@ class SessionRegistry:
                 raise TerpError(f"session {session_id} is still bound "
                                 "to a live connection")
         else:
-            limit = self.max_sessions
-            if limit is not None and len(self) >= limit:
-                raise Busy(f"session table full ({limit}); "
-                           "retry later")
             budget_us = args.get("ew_budget_us")
             session = self.create(
                 user=str(args.get("user", "root")),
@@ -396,14 +388,12 @@ class SessionManager(SessionRegistry):
 
     def __init__(self, *, lib: "PmoLibrary", metrics: ServiceMetrics,
                  obs: "Observability", default_ew_budget_ns: int,
-                 token_seed: Optional[int] = None,
-                 max_sessions: Optional[int] = None) -> None:
+                 token_seed: Optional[int] = None) -> None:
         super().__init__(default_ew_budget_ns=default_ew_budget_ns,
                          token_seed=token_seed)
         self.lib = lib
         self.metrics = metrics
         self.obs = obs
-        self.max_sessions = max_sessions
         #: set by the daemon once the pool directory (and with it the
         #: session journal) exists; ``None`` for an in-memory daemon.
         self.journal: Optional["SessionJournal"] = None

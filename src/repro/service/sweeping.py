@@ -4,12 +4,13 @@ Temporal enforcement is two-layered (see the paper's Figure 7a): the
 arch engine's own sweep closes expired delayed-detach windows and
 re-randomizes held PMOs, and the service layer force-detaches any PMO
 a session has held past its wall-clock budget.  :class:`Sweeper` owns
-the background task that drives both layers and runs the session
-table's linger purge, against whatever :class:`~repro.service.sessions
-.SessionManager` it was composed with (and the library, metrics and
-audit timeline that table carries) — the standalone daemon and every
-cluster shard run the identical sweeper; in a cluster each shard's
-sweeper owns exactly the exposure clocks of the PMOs that shard serves.
+the background task that drives both layers and runs the durable
+store's bounded scrub pass and the session table's linger purge,
+against whatever :class:`~repro.service.sessions.SessionManager` it
+was composed with (and the library, metrics and audit timeline that
+table carries) — the standalone daemon and every cluster shard run the
+identical sweeper; in a cluster each shard's sweeper owns exactly the
+exposure clocks of the PMOs that shard serves.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ class Sweeper:
         """One sweeper pass; returns the number of forced detaches.
 
         Callable directly (tests, embedders); the background task calls
-        it on every period.  Two phases under the library lock:
-        session-budget enforcement, then the engine's own sweep.
+        it on every period.  Under the library lock: session-budget
+        enforcement, the engine's own sweep, then — with a durable
+        pool — one bounded scrub pass of at-rest pages.
         """
         t_wall = time.perf_counter_ns()
         tracer = self.tracer
@@ -60,11 +62,12 @@ class Sweeper:
         if self.faults is not None:
             rule = self.faults.fire("engine.sweep_stall")
             if rule is not None:
-                # A stalled sweeper skips this pass entirely (both the
-                # session-budget phase and the engine sweep).  Expired
-                # windows stay open until the next pass: enforcement is
-                # delayed by one period, never lost — the invariant
-                # checker's slack budgets for exactly this.
+                # A stalled sweeper skips this pass entirely (the
+                # session-budget phase, the engine sweep and the
+                # scrub).  Expired windows stay open until the next
+                # pass: enforcement is delayed by one period, never
+                # lost — the invariant checker's slack budgets for
+                # exactly this.
                 if rule.delay_ns > 0:
                     time.sleep(rule.delay_ns / 1e9)
                 return 0
@@ -79,6 +82,11 @@ class Sweeper:
                         sessions.force_detach(session, pmo_id, now)
                         forced += 1
                 engine_closed = len(lib.runtime.sweep(now))
+                if lib.store is not None:
+                    scrubbed = lib.store.scrub()
+                    sessions.metrics.note_scrub(**scrubbed)
+                    if sessions.obs.enabled:
+                        sessions.obs.audit.record_scrub(now, **scrubbed)
                 span.set("forced", forced)
                 span.set("engine_closed", engine_closed)
             sessions.purge(now, self.session_linger_ns)

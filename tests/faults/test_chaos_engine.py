@@ -98,12 +98,12 @@ class TestVerdict:
 
     def test_tallies_merge(self):
         a, b = Tally(), Tally()
-        a.ok, a.failed, a.by_kind = 3, 1, {"Busy": 1}
-        b.ok, b.failed, b.by_kind = 2, 2, {"Busy": 1, "TerpError": 1}
+        a.ok, a.failed, a.by_kind = 3, 1, {"InjectedFault": 1}
+        b.ok, b.failed, b.by_kind = 2, 2, {"InjectedFault": 1, "TerpError": 1}
         b.unexpected.append("ValueError: boom")
         a.merge(b)
         assert (a.ok, a.failed) == (5, 3)
-        assert a.by_kind == {"Busy": 2, "TerpError": 1}
+        assert a.by_kind == {"InjectedFault": 2, "TerpError": 1}
         assert a.unexpected == ["ValueError: boom"]
 
     def test_a_harness_error_is_a_failed_verdict_not_a_crash(self):

@@ -119,52 +119,6 @@ class TestCircuitBreaker:
     def test_circuit_open_error_is_typed(self):
         assert issubclass(CircuitOpenError, TerpError)
 
-    def test_half_open_probe_busy_reopens(self):
-        """Regression: a half-open probe answered ``Busy`` must
-        re-open the circuit — the server is reachable but still
-        shedding load, so the probe did not prove recovery."""
-        breaker, now = self.make(timeout=1.0)
-        breaker.record_failure()
-        breaker.record_failure()
-        now[0] = 1.0
-        assert breaker.allow()            # the probe
-        breaker.record_busy()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.opens == 2
-        assert not breaker.allow()
-        now[0] = 2.0
-        assert breaker.allow()            # next probe after timeout
-
-    def test_half_open_busy_does_not_double_count_failures(self):
-        """The ``Busy`` that re-opened the circuit must not also
-        count toward the closed-state failure threshold: after the
-        re-open resolves, it takes a full run of *fresh* consecutive
-        failures to open the circuit again."""
-        breaker, now = self.make(threshold=2, timeout=1.0)
-        breaker.record_failure()
-        breaker.record_failure()          # open #1
-        now[0] = 1.0
-        assert breaker.allow()
-        breaker.record_busy()             # open #2, no failure bump
-        now[0] = 2.0
-        assert breaker.allow()
-        breaker.record_success()          # probe succeeds: closed
-        assert breaker.state == CircuitBreaker.CLOSED
-        # One failure is below the threshold — if the earlier Busy
-        # had leaked into the count, this would open the circuit.
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.opens == 2
-
-    def test_closed_state_busy_clears_failure_streak(self):
-        """A ``Busy`` round trip proves the connection is alive: it
-        resets the consecutive-failure count instead of opening."""
-        breaker, _ = self.make(threshold=2)
-        breaker.record_failure()
-        breaker.record_busy()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
 
 def service_with(plan, **kwargs):
     kwargs.setdefault("session_ew_ns", 1_000_000_000)

@@ -48,19 +48,13 @@ def test_psync_span_recorded():
     assert span["attrs"]["flushed"] >= 1
 
 
-def test_runtime_spans_are_opt_in():
-    quiet = Observability()
-    _cycle(_library(quiet))
-    assert quiet.tracer.recent(name="rt.attach") == []
-
-    detailed = Observability(trace_runtime=True)
-    _cycle(_library(detailed))
-    [attach] = detailed.tracer.recent(name="rt.attach")
-    assert attach["attrs"]["pmo"] == "wired"
-    [detach] = detailed.tracer.recent(name="rt.detach")
-    assert detach["attrs"]["outcome"]
-    # The audit timeline records either way.
-    assert detailed.audit.summary()["attaches"] == 1
+def test_runtime_records_no_spans():
+    """Attach and detach land on the audit timeline, not the tracer."""
+    obs = Observability()
+    _cycle(_library(obs))
+    assert not [s for s in obs.tracer.recent()
+                if s["name"].startswith("rt.")]
+    assert obs.audit.summary()["attaches"] == 1
 
 
 def test_noop_mode_records_nothing_at_library_level():

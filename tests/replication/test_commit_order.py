@@ -464,16 +464,17 @@ class TestStandbyCrashPoints:
 
 class TestStandbyConnections:
     def test_finished_connections_are_forgotten(self, standby):
-        """Every shipper reconnect and every ``status`` / ``promote``
-        control connection used to leave a socket and a thread object
-        behind until ``stop()``."""
+        """Every shipper reconnect and every ``promote`` control
+        connection used to leave a socket and a thread object behind
+        until ``stop()``."""
         before = len(standby._conns)
         for _ in range(50):
             with socket.create_connection(
                     ("127.0.0.1", standby.bound_port),
                     timeout=5.0) as sock:
-                send_msg(sock, {"t": "status"})
-                assert recv_msg(sock)[0]["t"] == "status-ack"
+                send_msg(sock, {"t": "hello",
+                                "version": REPL_PROTOCOL_VERSION})
+                assert recv_msg(sock)[0]["t"] == "hello-ack"
         # Each serve thread deregisters once it has seen its EOF.
         wait_for(lambda: len(standby._conns) == before)
         assert before == 0

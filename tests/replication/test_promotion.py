@@ -126,13 +126,9 @@ class TestPromotion:
                             "version": REPL_PROTOCOL_VERSION})
             head, _ = recv_msg(sock)
             assert head["t"] == "hello-ack"
-            # status still answers (control plane)...
-            send_msg(sock, {"t": "status"})
-            head, _ = recv_msg(sock)
-            assert head["t"] == "status-ack"
-            assert head["promoted"] is True
-            # ...but an apply frame is refused: the promoted service
-            # owns the pool directory now.
+            assert standby.promoted
+            # An apply frame is refused: the promoted service owns the
+            # pool directory now.
             send_msg(sock, {"t": "journal",
                             "line": {"kind": "noise"}})
             assert recv_msg(sock) is None

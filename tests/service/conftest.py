@@ -33,11 +33,12 @@ def terpd():
             shards=shards, session_ew_ns=2_000_000_000,
             sweep_period_ns=50_000_000)
         supervisor.start()
-        # The shards sweep on their own; run_sweep just waits out a
-        # couple of periods for tests that nudge the sweeper by hand.
+        # The shards sweep on their own; sweeper.run_sweep just waits
+        # out a couple of periods for tests that nudge it by hand.
         yield types.SimpleNamespace(
             bound_port=supervisor.front_port,
-            run_sweep=lambda: time.sleep(0.12),
+            sweeper=types.SimpleNamespace(
+                run_sweep=lambda: time.sleep(0.12)),
             supervisor=supervisor)
         supervisor.stop()
         return

@@ -22,6 +22,7 @@ import tempfile
 from repro.cluster.aggregate import aggregate_metrics
 from repro.core.units import MIB
 from repro.service.client import RemoteError, SyncTerpClient
+from repro.service.metrics import observability_dump
 from repro.service.server import ServiceThread, TerpService
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -90,7 +91,7 @@ def drive_single():
         report = client.metrics()
         registry = client.call("metrics", raw=True)["registry"]
         prometheus = client.prometheus()
-        dump = jsonable(svc.dump_observability())
+        dump = jsonable(observability_dump(svc))
     return {
         "metrics_shape": shape(report),
         "registry_shape": shape(registry),

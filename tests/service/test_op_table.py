@@ -188,7 +188,7 @@ class ScriptedClient(ClientCore):
 
     def __init__(self):
         super().__init__(user="golden", ew_budget_us=250.0, retry=None,
-                         breaker=None, strict_resume=False)
+                         breaker=None)
         #: every SEND step's bytes, the frames they held, the replies.
         self.sends, self.sent, self.inbox = [], [], []
         self._splitter = protocol.FrameSplitter()

@@ -291,7 +291,7 @@ class TestSidecarTraffic:
             assert client.read(oid, 16) == b"R" * 16   # served at rid
             with RawWire(port) as wire:
                 client._drop_socket()   # free the session binding
-                terpd.run_sweep()       # let the daemon notice
+                terpd.sweeper.run_sweep()   # let the daemon notice
                 wire.hello(99, user="root", resume=client.session_id,
                            token=client.resume_token)
                 read = {"oid": oid.pack(), "n": 16}

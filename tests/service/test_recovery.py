@@ -324,6 +324,32 @@ class TestScrubOnSweep:
         assert not service2.recovery_report.pmos_quarantined
         thread2.stop()
 
+    def test_one_pass_by_hand_counts_and_audits_the_scrub(self, tmp_path):
+        """The sweeper runs the scrub: one ``run_sweep`` on a durable
+        daemon whose own sweeper never wakes verifies at-rest pages,
+        repairs the torn one, and puts a ``scrub`` event on the audit
+        timeline at the pass's time."""
+        plan = FaultPlan(seed=3, rules=[
+            FaultRule(site="store.torn_page", kind="torn",
+                      count=1, after=1)])
+        thread, service = make_daemon(tmp_path, faults=plan,
+                                      sweep_ns=3600 * 10**9)
+        with SyncTerpClient(port=service.bound_port, user="w") as client:
+            client.create("pool", 1 << 20, mode=0o666)
+            client.attach("pool")
+            client.write(client.pmalloc("pool", 4096), b"S" * 4000)
+            client.psync("pool")
+            client.detach("pool")
+        assert plan.fired("store.torn_page")
+        assert service.metrics.scrub_pages_verified == 0
+        assert service.sweeper.run_sweep() == 0
+        assert service.metrics.scrub_pages_verified >= 1
+        assert service.metrics.scrub_pages_repaired == 1
+        [event] = service.obs.audit.events(kind="scrub")
+        assert event["at_ns"] == service.lib.clock_ns
+        assert "repaired 1" in event["reason"]
+        thread.stop()
+
 
 class TestResumeLingerFlag:
     """S1: the resume-linger window is configurable end to end."""
@@ -345,8 +371,7 @@ class TestResumeLingerFlag:
         sweeper and cannot be resumed; a long linger (other tests)
         supports resume across a restart."""
         thread, service = make_daemon(tmp_path, linger_ns=1)
-        client = SyncTerpClient(port=service.bound_port, user="u",
-                                strict_resume=True)
+        client = SyncTerpClient(port=service.bound_port, user="u")
         client.connect()
         sid = client.session_id
         client.close()                   # drop: session starts linger

@@ -154,7 +154,7 @@ def _drive(root, journal):
     c.create("c", MIB, mode=0o666)
     c.attach("c")
     time.sleep(3 * TIGHT_US / 1e6)
-    assert service.run_sweep() == 1
+    assert service.sweeper.run_sweep() == 1
     assert c.detach("c")["reason"] == "already force-detached by sweeper"
     assert c.forced_detaches == 1
     c.goodbye()
@@ -187,7 +187,7 @@ def _drive(root, journal):
     f.close()
     settle(service, f.session_id)
     time.sleep(1.5 * LINGER_NS / 1e9)
-    assert service.run_sweep() == 0
+    assert service.sweeper.run_sweep() == 0
     assert service.sessions.find(f.session_id) is None
 
     # shutdown: one session bound and holding, one lingering

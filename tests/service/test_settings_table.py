@@ -48,8 +48,7 @@ OWN = {
 #: ``TerpService`` keywords that are not tuning: where it serves and
 #: stores, and what only an embedder or the supervisor passes.
 NOT_SETTINGS = {"host", "port", "unix_path", "pool_dir", "replicate_to",
-                "obs", "faults", "max_sessions", "scrub_pages_per_sweep",
-                "shard_index", "shard_count"}
+                "obs", "faults", "shard_index", "shard_count"}
 
 
 def surface(parser):
