@@ -22,8 +22,8 @@ import tempfile
 
 from benchmarks.conftest import run_once
 from benchmarks.test_service_throughput import (
-    CYCLE_BUCKETS_NS, PIPELINE_DEPTH, ROUNDS, SESSIONS, SLOW_ROUNDS,
-    WARMUP_ROUNDS, _drive)
+    PIPELINE_DEPTH, ROUNDS, SESSIONS, SLOW_ROUNDS, WARMUP_ROUNDS,
+    _drive)
 from repro.obs.registry import Histogram
 from repro.service.client import SyncTerpClient
 from repro.service.server import ServiceThread, TerpService
@@ -44,9 +44,7 @@ FILE_SESSION_EW_MS = 100
 
 def test_service_file_backend_throughput(benchmark):
     cycle_hist = Histogram("bench_file_cycle_ns",
-                           "tenant cycle latency (file backend)",
-                           buckets=CYCLE_BUCKETS_NS,
-                           reservoir_capacity=4096, seed=13)
+                           "tenant cycle latency (file backend)")
     with tempfile.TemporaryDirectory(prefix="terp-bench-pool-") as pool:
         service = TerpService(
             port=0, session_ew_ns=FILE_SESSION_EW_MS * 1_000_000,

@@ -33,8 +33,8 @@ import time
 from benchmarks.conftest import run_once
 from benchmarks.test_service_file_backend import FILE_SESSION_EW_MS
 from benchmarks.test_service_throughput import (
-    CYCLE_BUCKETS_NS, PIPELINE_DEPTH, ROUNDS, SESSIONS, SLOW_ROUNDS,
-    WARMUP_ROUNDS, _drive)
+    PIPELINE_DEPTH, ROUNDS, SESSIONS, SLOW_ROUNDS, WARMUP_ROUNDS,
+    _drive)
 from repro.obs.registry import Histogram
 from repro.replication import StandbyDaemon
 from repro.service.client import SyncTerpClient
@@ -103,13 +103,9 @@ def _run_leg(pool: str, cycle_hist: Histogram, *,
 
 def test_service_replication_throughput(benchmark):
     control_hist = Histogram("bench_repl_off_cycle_ns",
-                             "tenant cycle latency (shipping off)",
-                             buckets=CYCLE_BUCKETS_NS,
-                             reservoir_capacity=4096, seed=13)
+                             "tenant cycle latency (shipping off)")
     cycle_hist = Histogram("bench_repl_on_cycle_ns",
-                           "tenant cycle latency (shipping on)",
-                           buckets=CYCLE_BUCKETS_NS,
-                           reservoir_capacity=4096, seed=13)
+                           "tenant cycle latency (shipping on)")
     with tempfile.TemporaryDirectory(prefix="terp-bench-repl-") as root:
         # Control leg: the plain durable pool, shipping off.
         off_elapsed, off_forced, off_report, off_repl, _ = _run_leg(

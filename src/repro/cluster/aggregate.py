@@ -10,14 +10,17 @@ for its path next to the metric table
 the canonical case — the mean of two p99s is not the p99 of the union
 — so the router asks shards for their raw histogram buckets
 (``metrics {raw: true}``) and recomputes the percentiles from the
-merged cumulative bucket counts, which is exact up to bucket
-resolution.
+merged cumulative bucket counts with
+:func:`~repro.obs.registry.merge_histograms`: the rule a single
+daemon applies to its own buckets, so a cluster reports what one
+daemon would for the same traffic.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
+from repro.obs.registry import merge_histograms
 from repro.service.metrics import (
     BUCKETS, CONCAT, MAX, MERGE_RULES, MIN, OWNED, PER_SHARD, WEIGHTED)
 
@@ -83,68 +86,6 @@ _MERGE: Dict[str, Callable[..., Any]] = {
     WEIGHTED: _weighted,
     BUCKETS: _bucket_merged,
 }
-
-
-def _merged_cumulative(hists: List[Dict[str, Any]]) -> List[tuple]:
-    """Per-shard cumulative buckets -> one merged cumulative list.
-
-    Bounds may differ only in which tail buckets exist; they are
-    unioned numerically with ``+Inf`` always last.
-    """
-    per_bucket: Dict[Optional[float], int] = {}
-    for hist in hists:
-        buckets = hist.get("buckets") or {}
-        previous = 0
-        # A dict from JSON preserves insertion order: ascending
-        # bounds then +Inf, so cumulative -> per-bucket is one pass.
-        for le, cumulative in buckets.items():
-            bound = None if le == "+Inf" else float(le)
-            per_bucket[bound] = per_bucket.get(bound, 0) + \
-                int(cumulative) - previous
-            previous = int(cumulative)
-    bounds = sorted(b for b in per_bucket if b is not None)
-    out = []
-    running = 0
-    for bound in bounds:
-        running += per_bucket[bound]
-        out.append((bound, running))
-    running += per_bucket.get(None, 0)
-    out.append((None, running))
-    return out
-
-
-def merge_histograms(hists: List[Dict[str, Any]]) -> Dict[str, float]:
-    """Registry histogram dicts -> one wire latency summary (us).
-
-    Percentiles come from the merged cumulative buckets: the value
-    reported for p is the upper bound of the first bucket whose
-    cumulative count reaches p% of the merged population (the +Inf
-    bucket reports the merged max).  Mean is exact (sum of totals over
-    sum of counts); max is exact.
-    """
-    hists = [h for h in hists if h]
-    count = sum(int(h.get("count", 0)) for h in hists)
-    total = sum(int(h.get("total", 0)) for h in hists)
-    max_value = max((int(h.get("max", 0)) for h in hists), default=0)
-    if count == 0:
-        return {"count": 0, "mean_us": 0.0, "p50_us": 0.0,
-                "p99_us": 0.0, "max_us": 0.0}
-    cumulative = _merged_cumulative(hists)
-
-    def percentile(p: float) -> float:
-        need = p / 100.0 * count
-        for bound, running in cumulative:
-            if running >= need:
-                return max_value if bound is None else bound
-        return max_value
-
-    return {
-        "count": count,
-        "mean_us": total / count / 1e3,
-        "p50_us": percentile(50) / 1e3,
-        "p99_us": percentile(99) / 1e3,
-        "max_us": max_value / 1e3,
-    }
 
 
 def aggregate_metrics(reports: List[Dict[str, Any]], *,

@@ -58,13 +58,6 @@ class HashRing:
             for i in range(self.vnodes))
         self._rebuild()
 
-    def remove_node(self, node: int) -> None:
-        if node not in self._nodes:
-            raise ValueError(f"node {node} not on the ring")
-        self._nodes.discard(node)
-        self._points = [(h, n) for h, n in self._points if n != node]
-        self._rebuild()
-
     def owner(self, key: str) -> int:
         """The node owning ``key``: first point clockwise of its hash."""
         if not self._points:

@@ -264,10 +264,6 @@ class ClusterSupervisor:
     def shard_ports(self) -> List[int]:
         return [c.port or 0 for c in self._shards]
 
-    def shard_pid(self, index: int) -> Optional[int]:
-        process = self._shards[index].process
-        return process.pid if process is not None else None
-
     def state(self) -> Dict[str, Any]:
         return {
             "front_port": self.front_port,

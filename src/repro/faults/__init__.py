@@ -18,11 +18,11 @@ Three pieces:
 """
 
 from repro.faults.invariants import (
-    InvariantReport, Violation, check_events, check_timeline)
+    InvariantReport, Violation, check_events)
 from repro.faults.plan import (
     NO_FAULTS, SITES, FaultPlan, FaultRule, Injection)
 
 __all__ = [
     "FaultPlan", "FaultRule", "Injection", "NO_FAULTS", "SITES",
-    "InvariantReport", "Violation", "check_events", "check_timeline",
+    "InvariantReport", "Violation", "check_events",
 ]

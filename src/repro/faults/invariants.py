@@ -36,11 +36,12 @@ I7  **zero acknowledged-write loss** — every write whose ``psync``
     received (a *later*, never-acked write surviving is allowed —
     only losing an acked one is a violation).
 
-``check_events`` works on a plain event list (synthetic timelines in
-tests); ``check_timeline`` pulls events, summary, and open windows
-from a live :class:`~repro.obs.audit.AuditTimeline` and skips the
-exact-pairing comparison if the ring has wrapped (the events needed
-for re-pairing have rolled off).
+:func:`check_events` is the one replay, over a plain event list (a
+live :class:`~repro.obs.audit.AuditTimeline`'s ``events()``, or a
+synthetic timeline in tests).  A caller whose ring has wrapped passes
+no ``summary``: the events needed to re-pair it have rolled off, so
+the exact-pairing comparison would be a false alarm (the chaos engine
+does this per scope).
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from repro.obs.audit import (
-    ATTACH, DETACH, FORCED_DETACH, RESTART, AuditTimeline)
+from repro.obs.audit import ATTACH, DETACH, FORCED_DETACH, RESTART
 
 __all__ = ["Violation", "InvariantReport", "check_events",
-           "check_timeline", "check_acked_writes"]
+           "check_acked_writes"]
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ class InvariantReport:
     windows_checked: int = 0
     events_checked: int = 0
     max_held_ns: int = 0
-    pairing_checked: bool = True
 
     @property
     def ok(self) -> bool:
@@ -265,54 +264,6 @@ def _check_pairing(report: InvariantReport,
                     f"{have.get(field_name)}"))
 
 
-def check_timeline(audit: AuditTimeline, *,
-                   ew_budget_ns: Optional[int] = None,
-                   slack_ns: int = 0,
-                   at_end: bool = True) -> InvariantReport:
-    """Replay a live audit timeline against invariants I1-I6.
-
-    If the ring has wrapped (``events_recorded > capacity``) the
-    event stream is incomplete, so the overlap and exact-pairing
-    checks would produce false positives — they are skipped and
-    ``pairing_checked`` is set ``False`` on the report.
-    """
-    events = audit.events()
-    wrapped = audit.events_recorded > audit.capacity
-    if wrapped:
-        report = InvariantReport(pairing_checked=False)
-        # Degraded I6: without full pairing, windows open across an
-        # outage cannot be matched to their attach — grant every
-        # window the total retained downtime as allowance.
-        downtime = sum(e.get("duration_ns") or 0 for e in events
-                       if e["kind"] == RESTART)
-        slack_ns = slack_ns + downtime
-        # Bounded exposure + attribution still hold per event.
-        for event in events:
-            report.events_checked += 1
-            if event["kind"] == FORCED_DETACH and not event["reason"]:
-                report.violations.append(Violation(
-                    "attributed-force",
-                    f"forced detach of PMO {event['pmo_id']!r} "
-                    f"carries no reason", event))
-            duration = event.get("duration_ns")
-            if event["kind"] in (DETACH, FORCED_DETACH) and \
-                    duration is not None:
-                report.windows_checked += 1
-                report.max_held_ns = max(report.max_held_ns, duration)
-                if ew_budget_ns is not None and \
-                        duration > ew_budget_ns + slack_ns:
-                    report.violations.append(Violation(
-                        "bounded-exposure",
-                        f"window of {duration / 1e6:.3f}ms exceeds "
-                        f"budget + slack", event))
-    else:
-        report = check_events(
-            events, ew_budget_ns=ew_budget_ns, slack_ns=slack_ns,
-            summary=audit.summary(),
-            open_windows=audit.open_windows() if at_end else None)
-    return report
-
-
 def check_acked_writes(observed: Dict[Hashable, Optional[int]],
                        acked: Dict[Hashable, int],
                        ) -> InvariantReport:
@@ -329,7 +280,7 @@ def check_acked_writes(observed: Dict[Hashable, Optional[int]],
     (a later write whose ack never reached the client still committed
     and shipped) — I7 only forbids holding less.
     """
-    report = InvariantReport(pairing_checked=False)
+    report = InvariantReport()
     for writer, promised in sorted(acked.items(), key=str):
         report.events_checked += 1
         value = observed.get(writer)

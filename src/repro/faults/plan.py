@@ -19,14 +19,23 @@ site                        effect when a rule fires
                             full (transient, retryable)
 ``engine.domain_exhausted``  attach fails as if the MPK key pool were
                             exhausted (transient, retryable)
-``server.conn_drop``        the connection is severed (kind ``before``:
-                            the request is never executed; kind
-                            ``after``: executed, response never sent)
-``server.partial_frame``    half a response frame is written, then the
-                            connection is severed
+``server.conn_drop``        the connection is severed before the request
+                            runs (the client's retry executes it once)
+``server.partial_frame``    the request runs, half its response frame is
+                            written, then the connection is severed
 ``server.delay_response``   the response is delayed ``delay_ns``
 ``server.session_crash``    the session is killed outright (windows
                             force-closed, no resume possible)
+``store.torn_page``         a home-slot write lands half its page under
+                            the full page's CRC; the journal is kept as
+                            the repair source
+``store.bit_rot``           a flushed page has one bit flipped at rest
+                            after its journal retired (unrepairable:
+                            the PMO is quarantined)
+``store.commit_stall``      the group-commit flusher sleeps ``delay_ns``
+                            with its batch staged
+``repl.ship_stall``         the shipper sleeps ``delay_ns`` before
+                            sending a batch to the standby
 ==========================  ================================================
 
 Determinism: every rule owns its own ``random.Random`` seeded from
@@ -44,7 +53,6 @@ alongside the seed for replay.
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 from dataclasses import dataclass, field
@@ -78,8 +86,8 @@ class FaultRule:
 
     ``site``         where to inject (one of :data:`SITES`).
     ``kind``         site-specific flavour (``error``/``crash`` for
-                     storage writes, ``before``/``after`` for
-                     connection drops, ``stall`` for delays).
+                     storage writes; free-form elsewhere — it is
+                     recorded on each :class:`Injection`).
     ``probability``  chance that an eligible arrival fires.
     ``count``        total fires allowed (``None`` = unlimited).
     ``after``        eligible arrivals skipped before the first fire
@@ -111,15 +119,6 @@ class FaultRule:
         return {"site": self.site, "kind": self.kind,
                 "probability": self.probability, "count": self.count,
                 "after": self.after, "delay_ns": self.delay_ns}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultRule":
-        return cls(site=str(data["site"]),
-                   kind=str(data.get("kind", "error")),
-                   probability=float(data.get("probability", 1.0)),
-                   count=data.get("count"),
-                   after=int(data.get("after", 0)),
-                   delay_ns=int(data.get("delay_ns", 0)))
 
 
 @dataclass(frozen=True)
@@ -244,27 +243,6 @@ class FaultPlan:
         with self._lock:
             indices = sorted({r.rule_index for r in self.injections})
         return [self.rules[i] for i in indices]
-
-    def to_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            injections = [vars(r) for r in self.injections]
-        return {"seed": self.seed,
-                "rules": [r.to_dict() for r in self.rules],
-                "injections": injections}
-
-    def describe(self) -> str:
-        """The seed + minimal plan as replayable JSON (for failures)."""
-        return json.dumps({
-            "seed": self.seed,
-            "minimal_plan": [r.to_dict() for r in self.minimal()],
-            "fired": len(self.fired()),
-        }, indent=2)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
-        return cls(seed=int(data.get("seed", 0)),
-                   rules=[FaultRule.from_dict(r)
-                          for r in data.get("rules", [])])
 
 
 #: The shared do-nothing plan: ``fire`` is a dict miss, nothing more.

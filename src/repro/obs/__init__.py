@@ -4,12 +4,12 @@ Zero-dependency instrumentation for the TERP reproduction, in three
 pieces that share one design rule — *bounded memory, no-op mode, cheap
 on the hot path*:
 
-``registry``   counters / gauges / histograms (fixed buckets + seeded
-               reservoir percentiles), Prometheus text exposition and
-               JSON dump — :class:`MetricsRegistry`
-``tracing``    nestable spans (context manager, decorator, or one-shot
-               ``record_since``) in a ring buffer, JSONL export —
-               :class:`Tracer`
+``registry``   counters / gauges / histograms (one fixed log-spaced
+               bucket layout, percentiles read off the buckets),
+               Prometheus text exposition and JSON dump —
+               :class:`MetricsRegistry`
+``tracing``    nestable spans (context manager or one-shot
+               ``record_since``) in a ring buffer — :class:`Tracer`
 ``audit``      the exposure-window audit timeline: every attach /
                detach / forced-detach / sweep with entity, PMO, and
                held duration — :class:`AuditTimeline`
@@ -26,20 +26,18 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.obs.audit import AuditTimeline
 from repro.obs.registry import (
-    DEFAULT_BUCKETS_NS, Counter, Gauge, Histogram, MetricsRegistry,
-    Reservoir)
+    BUCKETS_NS, Counter, Gauge, Histogram, MetricsRegistry)
 from repro.obs.tracing import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "AuditTimeline",
+    "BUCKETS_NS",
     "Counter",
-    "DEFAULT_BUCKETS_NS",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_SPAN",
     "Observability",
-    "Reservoir",
     "Span",
     "Tracer",
 ]

@@ -21,7 +21,6 @@ constructed with ``enabled=False`` every recorder returns immediately.
 
 from __future__ import annotations
 
-import json
 import threading
 from itertools import islice
 from typing import Any, Dict, Hashable, List, Optional, Tuple
@@ -315,13 +314,3 @@ class AuditTimeline:
             "held_max_ns": held_max,
             "per_pmo": per_pmo,
         }
-
-    # -- export -----------------------------------------------------------
-
-    def export_jsonl(self, path) -> int:
-        """Write retained events as one JSON object per line."""
-        records = self.events()
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
-        return len(records)

@@ -5,11 +5,13 @@ mold.  Three instrument kinds:
 
 * :class:`Counter` — a monotonically increasing tally;
 * :class:`Gauge` — a value that can move both ways;
-* :class:`Histogram` — a fixed-bucket distribution *plus* a seeded
-  reservoir (:class:`Reservoir`), so it answers both the
-  bucket-cumulative questions Prometheus asks (``le`` series) and the
-  exact-percentile questions the paper's tables ask (p50/p99 over an
-  unbiased sample of the whole run).
+* :class:`Histogram` — a distribution held as counts over one fixed,
+  log-spaced bucket layout (:data:`BUCKETS_NS`).  Its size is fixed
+  at construction and every percentile it reports comes from its
+  buckets by one rule (:func:`percentile`) — the same rule, over the
+  same buckets, that :func:`merge_histograms` applies to several
+  histograms' dicts, so the router's merged report of N daemons says
+  what one daemon would have said for the same traffic.
 
 Instruments are created (or re-fetched — creation is idempotent)
 through a :class:`MetricsRegistry`, optionally labelled; the registry
@@ -25,23 +27,86 @@ code relies on to stay off the profile when observability is off.
 from __future__ import annotations
 
 import bisect
-import random
 import threading
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple)
 
 from repro.core.errors import TerpError
 
 #: label set in canonical (sorted, hashable) form
 LabelItems = Tuple[Tuple[str, str], ...]
+#: ``(upper bound, cumulative count)`` rows, ascending; the ``+Inf``
+#: row's bound is ``None``.
+Cumulative = Sequence[Tuple[Optional[float], int]]
 
-#: Default histogram buckets, in nanoseconds: 1us .. 1s, roughly
-#: logarithmic — sized for request/sweep latencies of a daemon whose
-#: exposure budgets live in the 1ms..1s decades.
-DEFAULT_BUCKETS_NS: Tuple[int, ...] = (
-    1_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
-    1_000_000, 2_500_000, 5_000_000, 10_000_000, 25_000_000,
-    50_000_000, 100_000_000, 250_000_000, 500_000_000, 1_000_000_000,
-)
+
+def _log_bounds(low: int, high: int) -> Tuple[int, ...]:
+    bounds = [low]
+    while bounds[-1] < high:
+        bounds.append(int(bounds[-1] * 2 ** (1 / 8)))
+    return tuple(bounds)
+
+
+#: The one histogram bucket layout, in nanoseconds: 161 upper bounds
+#: from 1 us to just past 1 s, each at most 2**(1/8) (~9 %) above the
+#: one before, so a percentile read off the buckets lies within 9 %
+#: above the exact sample value.  The implicit ``+Inf`` bucket reports
+#: the exact max.
+BUCKETS_NS: Tuple[int, ...] = _log_bounds(1_000, 1_000_000_000)
+
+
+def percentile(cumulative: Cumulative, p: float,
+               max_value: float) -> float:
+    """The p-th percentile (0..100) of a bucketed population: the
+    upper bound of the first bucket whose cumulative count reaches p %
+    of it, ``max_value`` for the ``+Inf`` bucket, 0 when empty."""
+    if not cumulative[-1][1]:
+        return 0
+    need = p / 100.0 * cumulative[-1][1]
+    for bound, running in cumulative:
+        if running >= need:
+            return max_value if bound is None else bound
+    return max_value
+
+
+def merge_histograms(hists: Iterable[Optional[Mapping[str, Any]]]
+                     ) -> Dict[str, float]:
+    """:meth:`Histogram.to_dict` documents -> one latency summary (us),
+    the shape of the ``metrics`` op's ``global`` histogram rows.
+
+    The buckets merge over the union of every document's bounds
+    (``+Inf`` last), so documents recorded on another layout still
+    merge; percentiles then follow :func:`percentile`.  Count, mean
+    and max are exact.  One daemon's summary is the merge of its own
+    histogram alone.
+    """
+    hists = [h for h in hists if h]
+    per_bucket: Dict[Optional[float], int] = {}
+    for hist in hists:
+        previous = 0
+        # A dict from JSON preserves insertion order: ascending
+        # bounds then +Inf, so cumulative -> per-bucket is one pass.
+        for le, cumulative in (hist.get("buckets") or {}).items():
+            bound = None if le == "+Inf" else float(le)
+            per_bucket[bound] = per_bucket.get(bound, 0) + \
+                int(cumulative) - previous
+            previous = int(cumulative)
+    merged: List[Tuple[Optional[float], int]] = []
+    running = 0
+    for bound in sorted(b for b in per_bucket if b is not None):
+        running += per_bucket[bound]
+        merged.append((bound, running))
+    merged.append((None, running + per_bucket.get(None, 0)))
+    count = sum(int(h.get("count", 0)) for h in hists)
+    total = sum(int(h.get("total", 0)) for h in hists)
+    max_value = max((int(h.get("max", 0)) for h in hists), default=0)
+    return {
+        "count": count,
+        "mean_us": total / count / 1e3 if count else 0.0,
+        "p50_us": percentile(merged, 50, max_value) / 1e3,
+        "p99_us": percentile(merged, 99, max_value) / 1e3,
+        "max_us": max_value / 1e3,
+    }
 
 
 def _canon_labels(labels: Optional[Mapping[str, str]]) -> LabelItems:
@@ -55,59 +120,6 @@ def _series_name(name: str, labels: LabelItems) -> str:
         return name
     inner = ",".join(f'{k}="{v}"' for k, v in labels)
     return f"{name}{{{inner}}}"
-
-
-class Reservoir:
-    """A bounded uniform sample of an unbounded population.
-
-    The first ``capacity`` values are kept verbatim; after that each
-    new value overwrites a uniformly-random slot with probability
-    ``capacity / count`` (Vitter's Algorithm R), so the retained set
-    stays an unbiased sample of everything ever recorded.  The RNG is
-    seeded, making two reservoirs fed the same sequence bit-identical —
-    percentiles are reproducible run to run.
-    """
-
-    def __init__(self, capacity: int = 8192, *, seed: int = 2022) -> None:
-        if capacity <= 0:
-            raise TerpError("reservoir capacity must be positive")
-        self.capacity = capacity
-        self.count = 0
-        self.total = 0
-        self.max_value = 0
-        self._samples: List[int] = []
-        self._rng = random.Random(seed)
-
-    def record(self, value: int) -> None:
-        self.count += 1
-        self.total += value
-        if value > self.max_value:
-            self.max_value = value
-        if len(self._samples) < self.capacity:
-            self._samples.append(value)
-        else:
-            slot = self._rng.randrange(self.count)
-            if slot < self.capacity:
-                self._samples[slot] = value
-
-    def percentile(self, p: float) -> Optional[int]:
-        """The p-th percentile (0..100) of the sampled population."""
-        if not self._samples:
-            return None
-        if not 0 <= p <= 100:
-            raise TerpError("percentile must be within [0, 100]")
-        ordered = sorted(self._samples)
-        index = min(len(ordered) - 1,
-                    max(0, round(p / 100.0 * (len(ordered) - 1))))
-        return ordered[index]
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def samples(self) -> List[int]:
-        return list(self._samples)
 
 
 class Instrument:
@@ -177,72 +189,62 @@ class Gauge(Instrument):
 
 
 class Histogram(Instrument):
-    """Fixed buckets for exposition, a reservoir for percentiles.
-
-    ``buckets`` are ascending upper bounds; an implicit ``+Inf``
-    bucket catches the tail.  ``observe`` is O(log buckets) plus one
-    reservoir update.
-    """
+    """Counts over :data:`BUCKETS_NS` plus an implicit ``+Inf``
+    bucket; ``observe`` is one bisect and one increment."""
 
     kind = "histogram"
 
     def __init__(self, name: str, help_text: str = "",
-                 labels: LabelItems = (), *,
-                 buckets: Sequence[int] = DEFAULT_BUCKETS_NS,
-                 reservoir_capacity: int = 4096,
-                 seed: int = 2022) -> None:
+                 labels: LabelItems = ()) -> None:
         super().__init__(name, help_text, labels)
-        bounds = tuple(buckets)
-        if not bounds or list(bounds) != sorted(set(bounds)):
-            raise TerpError("histogram buckets must be ascending "
-                            "and non-empty")
-        self.bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)   # last slot = +Inf
+        self._counts = [0] * (len(BUCKETS_NS) + 1)   # last slot = +Inf
         self.count = 0
         self.total = 0
         self.max_value = 0
-        self.reservoir = Reservoir(reservoir_capacity, seed=seed)
         self._lock = threading.Lock()
 
     def observe(self, value: int) -> None:
-        index = bisect.bisect_left(self.bounds, value)
+        index = bisect.bisect_left(BUCKETS_NS, value)
         with self._lock:
             self._counts[index] += 1
             self.count += 1
             self.total += value
             if value > self.max_value:
                 self.max_value = value
-            self.reservoir.record(value)
 
-    def percentile(self, p: float) -> Optional[int]:
+    def cumulative(self) -> List[Tuple[Optional[float], int]]:
+        """Cumulative counts per upper bound, ``+Inf`` (None) last."""
+        out: List[Tuple[Optional[float], int]] = []
+        running = 0
         with self._lock:
-            return self.reservoir.percentile(p)
+            for bound, n in zip((*BUCKETS_NS, None), self._counts):
+                running += n
+                out.append((bound, running))
+        return out
+
+    def percentile(self, p: float) -> float:
+        return percentile(self.cumulative(), p, self.max_value)
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def bucket_counts(self) -> List[Tuple[str, int]]:
-        """Cumulative counts per upper bound, Prometheus-style."""
-        out: List[Tuple[str, int]] = []
-        running = 0
-        with self._lock:
-            for bound, n in zip(self.bounds, self._counts):
-                running += n
-                out.append((str(bound), running))
-            out.append(("+Inf", self.count))
-        return out
+        """Cumulative counts per ``le`` label, Prometheus-style."""
+        return [("+Inf" if bound is None else str(bound), n)
+                for bound, n in self.cumulative()]
 
     def to_dict(self) -> Dict[str, object]:
+        cumulative = self.cumulative()
         return {
             "count": self.count,
             "total": self.total,
             "mean": self.mean,
             "max": self.max_value,
-            "p50": self.percentile(50) or 0,
-            "p90": self.percentile(90) or 0,
-            "p99": self.percentile(99) or 0,
-            "buckets": {le: n for le, n in self.bucket_counts()},
+            **{f"p{p}": percentile(cumulative, p, self.max_value)
+               for p in (50, 90, 99)},
+            "buckets": {"+Inf" if bound is None else str(bound): n
+                        for bound, n in cumulative},
         }
 
 
@@ -291,8 +293,8 @@ class MetricsRegistry:
     # -- creation ---------------------------------------------------------
 
     def _get_or_create(self, cls, name: str, help_text: str,
-                       labels: Optional[Mapping[str, str]],
-                       **kwargs) -> Instrument:
+                       labels: Optional[Mapping[str, str]]
+                       ) -> Instrument:
         key = (name, _canon_labels(labels))
         with self._lock:
             existing = self._instruments.get(key)
@@ -302,7 +304,7 @@ class MetricsRegistry:
                         f"instrument {name!r} already registered as "
                         f"{existing.kind}")
                 return existing
-            instrument = cls(name, help_text, key[1], **kwargs)
+            instrument = cls(name, help_text, key[1])
             self._instruments[key] = instrument
             return instrument
 
@@ -323,15 +325,11 @@ class MetricsRegistry:
         return out
 
     def histogram(self, name: str, help_text: str = "",
-                  labels: Optional[Mapping[str, str]] = None, *,
-                  buckets: Sequence[int] = DEFAULT_BUCKETS_NS,
-                  reservoir_capacity: int = 4096,
-                  seed: int = 2022) -> Histogram:
+                  labels: Optional[Mapping[str, str]] = None
+                  ) -> Histogram:
         if not self.enabled:
             return NULL_HISTOGRAM
-        out = self._get_or_create(
-            Histogram, name, help_text, labels, buckets=buckets,
-            reservoir_capacity=reservoir_capacity, seed=seed)
+        out = self._get_or_create(Histogram, name, help_text, labels)
         assert isinstance(out, Histogram)
         return out
 

@@ -5,17 +5,11 @@ A :class:`Tracer` hands out :class:`Span` context managers::
     with tracer.span("terpd.attach", pmo="bench"):
         ...
 
-or wraps functions::
-
-    @tracer.wrap("lib.psync")
-    def psync(...): ...
-
 Spans nest per thread (a thread-local stack supplies parent ids), so a
 sweep span opened on the sweeper thread never becomes the parent of a
 request span on the event-loop thread.  Finished spans land in a
 bounded ring buffer — old spans fall off the back, the tracer never
-grows without bound — and can be read back (:meth:`Tracer.recent`) or
-exported as JSONL (:meth:`Tracer.export_jsonl`).
+grows without bound — and are read back with :meth:`Tracer.recent`.
 
 The clock is injectable: the default is ``time.perf_counter_ns`` (real
 durations), but a simulation can pass its own manual clock so span
@@ -32,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -195,18 +188,6 @@ class Tracer:
         self._store(name, thread, attrs, next(self._ids),
                     stack[-1].span_id if stack else 0, start_ns, end_ns)
 
-    def wrap(self, name: Optional[str] = None) -> Callable:
-        """Decorator form of :meth:`span`."""
-        def decorate(fn: Callable) -> Callable:
-            label = name if name is not None else fn.__qualname__
-
-            @functools.wraps(fn)
-            def inner(*args: Any, **kwargs: Any) -> Any:
-                with self.span(label):
-                    return fn(*args, **kwargs)
-            return inner
-        return decorate
-
     # -- reading back -----------------------------------------------------
 
     def recent(self, limit: Optional[int] = None,
@@ -230,14 +211,6 @@ class Tracer:
                     "duration_ns": end_ns - start_ns, "attrs": dict(attrs)})
         rows.reverse()
         return rows
-
-    def export_jsonl(self, path) -> int:
-        """Write every retained span as one JSON object per line."""
-        records = self.recent()
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
-        return len(records)
 
     def stats(self) -> Dict[str, int]:
         return {

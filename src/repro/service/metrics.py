@@ -29,18 +29,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
-from repro.obs.registry import Counter, Histogram, MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry, merge_histograms
 
 if TYPE_CHECKING:
     from repro.service.server import TerpService
     from repro.service.sessions import Session
-
-#: Request/sweep latency buckets (ns): 1us .. 1s.
-LATENCY_BUCKETS_NS = (
-    1_000, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
-    1_000_000, 5_000_000, 10_000_000, 50_000_000, 100_000_000,
-    500_000_000, 1_000_000_000,
-)
 
 #: Series kinds.  A family is a set of counters told apart by one
 #: label, its members created as their label values first occur.
@@ -50,24 +43,14 @@ COUNTER, GAUGE, HISTOGRAM, FAMILY = \
 #: Cross-shard merge rules, ``(kind, *parameters)``; a leaf with no
 #: rule is an additive count.  ``WEIGHTED`` is the mean weighted by the
 #: sum of the named sibling leaves; ``BUCKETS`` recomputes a latency
-#: summary from the named histogram's merged raw buckets; ``OWNED`` is
+#: summary from the named histogram's merged raw buckets (a daemon's
+#: own row is the same merge of its one histogram); ``OWNED`` is
 #: a dict each of whose entries exactly one shard reports (a PMO name
 #: hashes to one shard); ``PER_SHARD`` describes the answering shard
 #: and has no cluster-wide value.
 SUM, MAX, MIN, CONCAT, WEIGHTED, BUCKETS, OWNED, PER_SHARD = (
     "sum", "max", "min", "concat", "weighted", "buckets", "owned",
     "per_shard")
-
-
-def _latency_summary(hist: Histogram) -> Dict[str, float]:
-    """A histogram's latency summary in the wire-report shape (us)."""
-    return {
-        "count": hist.count,
-        "mean_us": hist.mean / 1e3,
-        "p50_us": (hist.percentile(50) or 0) / 1e3,
-        "p99_us": (hist.percentile(99) or 0) / 1e3,
-        "max_us": hist.max_value / 1e3,
-    }
 
 
 class CounterFamily:
@@ -109,8 +92,6 @@ class Series:
     merge: str = SUM
     #: a family's distinguishing label.
     label: Optional[str] = None
-    #: a histogram's reservoir: sample capacity and seed.
-    reservoir: Tuple[int, int] = (0, 0)
 
     def create(self, registry: MetricsRegistry,
                labels: Optional[Mapping[str, str]] = None) -> Any:
@@ -118,18 +99,14 @@ class Series:
         if self.kind == FAMILY:
             return CounterFamily(registry, self)
         if self.kind == HISTOGRAM:
-            capacity, seed = self.reservoir
-            return registry.histogram(
-                self.name, self.help, labels,
-                buckets=LATENCY_BUCKETS_NS,
-                reservoir_capacity=capacity, seed=seed)
+            return registry.histogram(self.name, self.help, labels)
         make = registry.gauge if self.kind == GAUGE else registry.counter
         return make(self.name, self.help, labels)
 
     def read(self, instrument: Any) -> Any:
         """The instrument's value in the wire-report shape."""
         if self.kind == HISTOGRAM:
-            return _latency_summary(instrument)
+            return merge_histograms([instrument.to_dict()])
         if self.kind == GAUGE:
             return int(instrument.value)
         return instrument.value
@@ -203,20 +180,17 @@ SERIES: Dict[str, Series] = {row.key: row for row in (
     Series("ops", "terpd_op_total", FAMILY, "requests per op",
            label="op"),
     Series("request_latency", "terpd_request_latency_ns", HISTOGRAM,
-           "request service time", merge=BUCKETS, reservoir=(8192, 7)),
+           "request service time", merge=BUCKETS),
     Series("sweep_latency", "terpd_sweep_latency_ns", HISTOGRAM,
-           "sweeper pass duration", merge=BUCKETS,
-           reservoir=(2048, 11)),
+           "sweeper pass duration", merge=BUCKETS),
     # Registry / Prometheus only: not part of the ``global`` section.
     Series("repl_ack_latency", "terpd_repl_ack_latency_ns", HISTOGRAM,
-           "ship-to-ack round trip", in_global=False,
-           reservoir=(4096, 13)),
+           "ship-to-ack round trip", in_global=False),
     # What of that round trip the commit did not hide behind its own
     # home fsync: far below the round trip when the overlap works.
     Series("repl_ack_wait", "terpd_repl_ack_wait_ns", HISTOGRAM,
            "time a commit parked on the standby ack after its own "
-           "home fsync", in_global=False, merge=BUCKETS,
-           reservoir=(4096, 17)),
+           "home fsync", in_global=False, merge=BUCKETS),
     Series("sessions", "terpd_sessions", GAUGE,
            "currently bound sessions", in_global=False),
 )}

@@ -188,10 +188,9 @@ class RecoveryManager:
         last_seen = max((r.get("at_ns", 0) for r in records), default=0)
         report.downtime_ns = max(0, now - last_seen)
         svc.lib.advance_to(now)
-        if svc.obs.enabled:
-            svc.obs.audit.record_restart(
-                now, downtime_ns=report.downtime_ns,
-                sessions_restored=len(sessions))
+        svc.obs.audit.record_restart(
+            now, downtime_ns=report.downtime_ns,
+            sessions_restored=len(sessions))
         svc.session_journal.record(
             "restart", at_ns=now, downtime_ns=report.downtime_ns)
 
@@ -207,10 +206,9 @@ class RecoveryManager:
                 overdue = now - since >= js.budget_ns
                 reason = ("EW budget elapsed during daemon outage"
                           if overdue else "daemon restart")
-                if svc.obs.enabled:
-                    svc.obs.audit.record_detach(
-                        session.entity_id, pmo_id, name, now,
-                        forced=True, reason=reason)
+                svc.obs.audit.record_detach(
+                    session.entity_id, pmo_id, name, now,
+                    forced=True, reason=reason)
                 svc.sessions.forced_close(session, pmo_id, name, now,
                                           reason, "recovery_forced_detaches")
                 report.forced_detaches += 1
@@ -248,15 +246,12 @@ class RecoveryManager:
                 pmo_id: Any = svc.lib.manager.lookup(name).pmo_id
             except Exception:
                 pmo_id = name
-            if svc.obs.enabled:
-                svc.obs.audit.record_quarantine(pmo_id, name, now,
-                                                reason=reason)
+            svc.obs.audit.record_quarantine(pmo_id, name, now,
+                                            reason=reason)
             svc.metrics.series["pmos_quarantined"].inc()
         for name, reason in load.denied:
-            if svc.obs.enabled:
-                svc.obs.audit.record_quarantine(name, name, now,
-                                                reason=f"denied: "
-                                                       f"{reason}")
+            svc.obs.audit.record_quarantine(name, name, now,
+                                            reason=f"denied: {reason}")
             svc.metrics.series["pmos_quarantined"].inc()
 
     def _replay(self, records: List[Dict[str, Any]],
@@ -287,21 +282,19 @@ class RecoveryManager:
                     continue
                 js.holdings[r["pmo_id"]] = (r["at_ns"],
                                             r.get("pmo", ""))
-                if svc.obs.enabled:
-                    svc.obs.audit.record_attach(
-                        entity + js.sid, r["pmo_id"], r.get("pmo"),
-                        r["at_ns"], reason="replayed from journal")
+                svc.obs.audit.record_attach(
+                    entity + js.sid, r["pmo_id"], r.get("pmo"),
+                    r["at_ns"], reason="replayed from journal")
             elif kind == "detach":
                 js = sessions.get(r["sid"])
                 if js is None:
                     continue
                 js.holdings.pop(r["pmo_id"], None)
-                if svc.obs.enabled:
-                    svc.obs.audit.record_detach(
-                        entity + js.sid, r["pmo_id"], r.get("pmo"),
-                        r["at_ns"], forced=bool(r.get("forced")),
-                        reason=r.get("reason", "") or
-                        "replayed from journal")
+                svc.obs.audit.record_detach(
+                    entity + js.sid, r["pmo_id"], r.get("pmo"),
+                    r["at_ns"], forced=bool(r.get("forced")),
+                    reason=r.get("reason", "") or
+                    "replayed from journal")
             elif kind == "close":
                 sessions.pop(r["sid"], None)
         return sessions

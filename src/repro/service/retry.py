@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Optional
+from typing import Callable, FrozenSet, Optional
 
 from repro.core.errors import TerpError
 from repro.service.ops import READ_ONLY_OPS
@@ -78,18 +78,6 @@ class RetryPolicy:
         if self.jitter == 0.0:
             return ceiling
         return ceiling * (1.0 - self.jitter * self._rng.random())
-
-    def backoff(self, attempt: int) -> float:
-        """Sleep for (and return) the attempt's backoff delay."""
-        delay = self.delay_for(attempt)
-        self.sleep(delay)
-        return delay
-
-    def sequence(self, n: Optional[int] = None) -> List[float]:
-        """The first ``n`` delays (default ``max_retries``) — what a
-        full retry run would sleep, for tests and capacity math."""
-        count = self.max_retries if n is None else n
-        return [self.delay_for(i) for i in range(count)]
 
 
 class CircuitBreaker:

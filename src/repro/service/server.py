@@ -262,11 +262,10 @@ class TerpService:
     def _note_injection(self, injection: Injection) -> None:
         """Every fired rule lands on the audit timeline, so a chaos
         run's faults and its exposure events share one record."""
-        if self.obs.enabled:
-            self.obs.audit.record_fault(
-                injection.site, injection.kind, self.lib.clock_ns,
-                detail=f"rule {injection.rule_index} "
-                       f"arrival {injection.arrival}")
+        self.obs.audit.record_fault(
+            injection.site, injection.kind, self.lib.clock_ns,
+            detail=f"rule {injection.rule_index} "
+                   f"arrival {injection.arrival}")
         self.metrics.note_fault(injection.site)
 
     # -- lifecycle -----------------------------------------------------------

@@ -483,10 +483,9 @@ class SessionManager(SessionRegistry):
         name = self._name(pmo_id)
         now = self.lib.clock_ns
         for thread_id in thread_ids:
-            if self.obs.enabled:
-                self.obs.audit.record_detach(
-                    thread_id, pmo_id, name, now, forced=True,
-                    reason="arch engine forced detach")
+            self.obs.audit.record_detach(
+                thread_id, pmo_id, name, now, forced=True,
+                reason="arch engine forced detach")
             session = self.by_entity(thread_id)
             if session is not None:
                 self.forced_close(session, pmo_id, name, now,

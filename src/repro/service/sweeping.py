@@ -85,12 +85,11 @@ class Sweeper:
                 if lib.store is not None:
                     scrubbed = lib.store.scrub()
                     sessions.metrics.note_scrub(**scrubbed)
-                    if sessions.obs.enabled:
-                        sessions.obs.audit.record_scrub(now, **scrubbed)
+                    sessions.obs.audit.record_scrub(now, **scrubbed)
                 span.set("forced", forced)
                 span.set("engine_closed", engine_closed)
             sessions.purge(now, self.session_linger_ns)
-            if sessions.obs.enabled and (forced or engine_closed):
+            if forced or engine_closed:
                 sessions.obs.audit.record_sweep(
                     now, closed=forced + engine_closed,
                     duration_ns=time.perf_counter_ns() - t_wall)

@@ -2,11 +2,15 @@
 and every leaf that is not an additive count merges by its declared
 rule."""
 
+import math
+import random
+
 import pytest
 
 from repro.cluster.aggregate import (
-    aggregate_metrics, label_prometheus, merge_histograms, sum_tree)
-from repro.obs.registry import MetricsRegistry
+    aggregate_metrics, label_prometheus, sum_tree)
+from repro.obs.registry import MetricsRegistry, merge_histograms
+from repro.service.metrics import ServiceMetrics
 
 
 class TestSumTree:
@@ -56,6 +60,33 @@ class TestHistogramMerge:
     def test_empty_merge(self):
         assert merge_histograms([])["count"] == 0
         assert merge_histograms([None, {}])["count"] == 0
+
+    def test_two_shards_report_what_one_daemon_would(self):
+        """The same observations on one ``ServiceMetrics`` and split
+        across two shard reports merged by ``aggregate_metrics`` give
+        the same latency summaries, percentiles included."""
+        rng = random.Random(40)
+        requests = [int(rng.lognormvariate(math.log(73_000), 0.6))
+                    for _ in range(40_000)]
+        sweeps = [int(rng.lognormvariate(math.log(400_000), 0.4))
+                  for _ in range(2_000)]
+        one = ServiceMetrics()
+        shards = [ServiceMetrics(), ServiceMetrics()]
+        for i, value in enumerate(requests):
+            for metrics in (one, shards[i % 2]):
+                metrics.note_request("ping", value, ok=True)
+        for i, value in enumerate(sweeps):
+            for metrics in (one, shards[i % 3 // 2]):
+                metrics.note_sweep(value)
+        merged = aggregate_metrics(
+            [{"global": m.to_dict(), "registry": m.registry.to_dict()}
+             for m in shards], sessions=0)["global"]
+        for key in ("request_latency", "sweep_latency"):
+            single = one.to_dict()[key]
+            assert single["count"] > 0
+            for field in ("count", "mean_us", "p50_us", "p99_us",
+                          "max_us"):
+                assert merged[key][field] == single[field], (key, field)
 
 
 def _report(shard, requests, hist_values):

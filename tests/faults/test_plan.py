@@ -1,8 +1,14 @@
-"""FaultPlan determinism, rule matching, and replay records."""
+"""FaultPlan determinism, rule matching, replay records, and the
+site table."""
+
+import pathlib
+import re
 
 import pytest
 
+import repro
 from repro.core.errors import TerpError
+from repro.faults import plan as plan_module
 from repro.faults.plan import NO_FAULTS, SITES, FaultPlan, FaultRule
 
 
@@ -19,7 +25,7 @@ class TestFaultRule:
         rule = FaultRule("server.conn_drop", "before",
                          probability=0.25, count=3, after=2,
                          delay_ns=500)
-        assert FaultRule.from_dict(rule.to_dict()) == rule
+        assert FaultRule(**rule.to_dict()) == rule
 
 
 class TestFireSemantics:
@@ -128,12 +134,6 @@ class TestReporting:
         plan.fire("lib.storage_write")
         assert plan.minimal() == [always]
 
-    def test_describe_mentions_seed(self):
-        plan = FaultPlan(seed=123, rules=[
-            FaultRule("lib.storage_write", count=1)])
-        plan.fire("lib.storage_write")
-        assert '"seed": 123' in plan.describe()
-
     def test_on_fire_hook_sees_each_injection(self):
         seen = []
         plan = FaultPlan(seed=1, rules=[
@@ -147,3 +147,17 @@ class TestReporting:
     def test_no_faults_singleton_is_inert(self):
         for site in SITES:
             assert NO_FAULTS.fire(site) is None
+
+
+def test_every_site_has_one_fire_call_and_one_table_row():
+    """Each registered site is fired from exactly one place in the
+    stack and documented by exactly one row of the module's table."""
+    root = pathlib.Path(repro.__file__).parent
+    fires = re.findall(r'fire\("([\w.]+)"\)', "\n".join(
+        path.read_text() for path in sorted(root.rglob("*.py"))))
+    rows = re.findall(r"^``([\w.]+)``\s", plan_module.__doc__,
+                      re.MULTILINE)
+    for site in SITES:
+        assert fires.count(site) == 1, site
+        assert rows.count(site) == 1, site
+    assert sorted(fires) == sorted(rows) == sorted(SITES)

@@ -11,34 +11,45 @@ from repro.service.retry import (
 from repro.service.server import ServiceThread, TerpService
 
 
+def delays(policy, n):
+    return [policy.delay_for(attempt) for attempt in range(n)]
+
+
 class TestRetryPolicy:
     def test_zero_jitter_is_exact_exponential(self):
         policy = RetryPolicy(base_delay_s=0.001, multiplier=2.0,
                              max_delay_s=0.005, jitter=0.0)
-        assert policy.sequence(5) == \
-            [0.001, 0.002, 0.004, 0.005, 0.005]
+        assert delays(policy, 5) == [0.001, 0.002, 0.004, 0.005, 0.005]
 
     def test_seeded_sequence_is_deterministic(self):
-        a = RetryPolicy(seed=5).sequence(8)
-        b = RetryPolicy(seed=5).sequence(8)
+        a = delays(RetryPolicy(seed=5), 8)
+        b = delays(RetryPolicy(seed=5), 8)
         assert a == b
-        assert RetryPolicy(seed=6).sequence(8) != a
+        assert delays(RetryPolicy(seed=6), 8) != a
 
     def test_jitter_stays_within_band(self):
         policy = RetryPolicy(base_delay_s=0.001, multiplier=2.0,
                              max_delay_s=1.0, jitter=0.5, seed=1)
-        for attempt, delay in enumerate(policy.sequence(10)):
+        for attempt, delay in enumerate(delays(policy, 10)):
             ceiling = 0.001 * 2.0 ** attempt
             assert 0.5 * ceiling <= delay <= ceiling
 
     def test_backoff_uses_injected_sleep(self):
+        # The client's retry after a dropped connection sleeps through
+        # the policy's injected ``sleep``, for the policy's delay.
         slept = []
-        policy = RetryPolicy(seed=1, sleep=slept.append)
-        returned = policy.backoff(0)
-        assert slept == [returned]
-
-    def test_sequence_defaults_to_max_retries(self):
-        assert len(RetryPolicy(max_retries=3, seed=1).sequence()) == 3
+        plan = FaultPlan(seed=1, rules=[
+            FaultRule("server.conn_drop", "before", count=1)])
+        plan.disarm()
+        with ServiceThread(service_with(plan)) as svc:
+            with SyncTerpClient(
+                    port=svc.bound_port, user="alice",
+                    retry=RetryPolicy(seed=1, sleep=slept.append)) \
+                    as client:
+                plan.arm()
+                client.ping()
+                plan.disarm()
+        assert slept == [RetryPolicy(seed=1).delay_for(0)]
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(TerpError):

@@ -1,6 +1,5 @@
 """Audit timeline semantics: ordering, durations, ring-wrap exactness."""
 
-import json
 import threading
 
 import pytest
@@ -175,9 +174,9 @@ def test_limited_reads_match_copy_filter_slice(limit):
 
 
 class TestRecordShape:
-    """The ring's storage is private; what ``events()`` and
-    ``export_jsonl`` hand out — keys, key order, values — is the wire
-    contract of the ``trace`` op and the invariant checker's input."""
+    """The ring's storage is private; what ``events()`` hands out —
+    keys, key order, values — is the wire contract of the ``trace``
+    op and the invariant checker's input."""
 
     KEYS = ["seq", "kind", "at_ns", "entity", "pmo_id", "pmo",
             "duration_ns", "reason"]
@@ -229,14 +228,6 @@ class TestRecordShape:
         assert timeline.events(pmo=7, kind=ATTACH, limit=1) == \
             [events[2]]
         assert timeline.events(limit=3) == events[-3:]
-
-    def test_export_jsonl_writes_events_verbatim(self, tmp_path):
-        timeline = self.one_of_each()
-        path = tmp_path / "audit.jsonl"
-        assert timeline.export_jsonl(path) == 9
-        lines = path.read_text().splitlines()
-        assert lines == [json.dumps(e) for e in timeline.events()]
-        assert list(json.loads(lines[0])) == self.KEYS
 
 
 class TestNoopMode:

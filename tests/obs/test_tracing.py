@@ -1,6 +1,5 @@
-"""Tracer semantics: nesting, per-thread stacks, retention, export."""
+"""Tracer semantics: nesting, per-thread stacks, retention."""
 
-import json
 import threading
 
 from repro.obs.tracing import NULL_SPAN, Tracer
@@ -100,19 +99,6 @@ class TestRetentionAndExport:
         assert len(tracer.recent(name="a")) == 3
         assert len(tracer.recent(limit=2)) == 2
 
-    def test_export_jsonl(self, tmp_path):
-        tracer = Tracer(clock=ManualClock())
-        with tracer.span("one", tag="x"):
-            pass
-        path = tmp_path / "spans.jsonl"
-        assert tracer.export_jsonl(path) == 1
-        [line] = path.read_text().splitlines()
-        record = json.loads(line)
-        assert record["name"] == "one"
-        assert record["attrs"] == {"tag": "x"}
-        assert record["duration_ns"] == record["end_ns"] - \
-            record["start_ns"]
-
     def test_record_shape_is_the_same_from_both_entry_points(self):
         """A context-manager span and a ``record_since`` span read
         back with the same keys, in the same order, with the values
@@ -133,17 +119,6 @@ class TestRetentionAndExport:
         keys = ["name", "span_id", "parent_id", "thread", "start_ns",
                 "end_ns", "duration_ns", "attrs"]
         assert all(list(r) == keys for r in tracer.recent())
-
-    def test_wrap_decorator(self):
-        tracer = Tracer()
-
-        @tracer.wrap()
-        def traced(x):
-            return x * 2
-
-        assert traced(21) == 42
-        [record] = tracer.recent()
-        assert record["name"].endswith("traced")
 
 
 class TestNoopMode:

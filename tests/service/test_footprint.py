@@ -103,12 +103,12 @@ def test_sigterm_with_a_client_connected_exits_quietly(module, extra,
 def small_buffers_service():
     """A daemon whose bounded buffers all fill within the warm-up, so
     growth seen afterwards is growth, not a buffer still filling: the
-    two rings, the request-latency reservoir, and the placement region
-    (each slot ever used keeps one intermediate page-table node)."""
+    two rings and the placement region (each slot ever used keeps one
+    intermediate page-table node).  The latency histograms need no
+    shrinking: their size is fixed at construction."""
     obs = Observability(trace_capacity=64, audit_capacity=64)
     service = TerpService(port=0, obs=obs, session_ew_ns=2_000_000_000,
                           sweep_period_ns=50_000_000)
-    service.metrics.series["request_latency"].reservoir.capacity = 64
     service.lib.runtime.space.REGION_END = 4 * GIB
     thread = ServiceThread(service)
     yield thread.start()

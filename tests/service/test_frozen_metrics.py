@@ -5,8 +5,10 @@ lines and every deterministic count, for one fixed in-process drive.
 a script at the parent commit of the PR that moved every series into
 the table in :mod:`repro.service.metrics`; a refactor of how the
 series are declared must reproduce it exactly (since then it has
-gained one family's lines, ``terpd_repl_ack_wait_ns``, and nothing
-else).  The cluster half
+gained one family's lines, ``terpd_repl_ack_wait_ns``, and its
+histograms' bucket keys and ``_bucket`` lines have moved to the one
+log-spaced layout, ``repro.obs.registry.BUCKETS_NS``; nothing else).
+The cluster half
 replays two stored shard reports (captured from live durable shards,
 one warm restart each) through ``aggregate_metrics`` and allows the
 merged report to differ from the parent's only where the parent was

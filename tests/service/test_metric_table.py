@@ -74,7 +74,6 @@ class TestRows:
             assert row.kind in INSTRUMENT_CLASS, row.key
             assert row.name.startswith("terpd_") and row.help, row.key
             assert (row.label is not None) == (row.kind == FAMILY)
-            assert (row.reservoir != (0, 0)) == (row.kind == HISTOGRAM)
             assert row.merge == SUM or row.merge in _MERGE, row.key
 
     def test_every_row_is_registered_with_its_kind_and_help(self):
