@@ -29,8 +29,8 @@ import threading
 import time
 
 from benchmarks.conftest import run_once
-from repro.cluster import ClusterSupervisor
 from repro.cluster.ring import HashRing
+from repro.cluster.supervisor import ClusterSupervisor
 from repro.core.units import MIB
 from repro.service.client import SyncTerpClient
 from repro.service.server import ServiceThread, TerpService

@@ -36,7 +36,7 @@ from benchmarks.test_service_throughput import (
     PIPELINE_DEPTH, ROUNDS, SESSIONS, SLOW_ROUNDS, WARMUP_ROUNDS,
     _drive)
 from repro.obs.registry import Histogram
-from repro.replication import StandbyDaemon
+from repro.replication.applier import StandbyDaemon
 from repro.service.client import SyncTerpClient
 from repro.service.server import ServiceThread, TerpService
 

@@ -16,16 +16,6 @@ Modules:
 ``supervisor``  forks shard + router processes, monitors liveness,
                 warm-restarts dead shards on the same port
 
-Run a cluster with ``python -m repro.cluster --shards N``.
+Run a cluster with ``python -m repro.cluster --shards N``.  Nothing is
+imported here: import names from their modules.
 """
-
-from repro.cluster.ring import HashRing
-from repro.cluster.router import TerpRouter
-from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
-
-__all__ = [
-    "ClusterConfig",
-    "ClusterSupervisor",
-    "HashRing",
-    "TerpRouter",
-]

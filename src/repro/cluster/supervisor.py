@@ -15,9 +15,10 @@ restarts whatever dies:
   not forgiven;
 * a dead **router** restarts on the front port;
 * with ``replicas=True`` (durable clusters only), every shard gets a
-  warm **standby** process (:class:`repro.replication.StandbyDaemon`)
-  that continuously applies the shard's shipped journal batches into
-  its own directory.  A dead shard is then *promoted-on-failure*: the
+  warm **standby** process
+  (:class:`~repro.replication.applier.StandbyDaemon`) that
+  continuously applies the shard's shipped journal batches into its
+  own directory.  A dead shard is then *promoted-on-failure*: the
   supervisor sends its standby a ``promote`` frame and the standby
   comes up as the shard — on the same port, through the verbatim
   warm-restart path, with zero acknowledged-write loss (the shipper

@@ -12,17 +12,9 @@ Three pieces:
   run is a row of its ``SCENARIOS`` table (``chaos``, ``restart``,
   ``restart-proc``, ``cluster``, ``failover``), run by one runner over
   the topologies of :mod:`repro.topology` and judged into one
-  ``Verdict``.  Also the ``python -m repro.faults.chaos`` CLI.  Not
-  imported here: the daemon imports this package for its fault sites,
-  and the engine is a harness's to import.
+  ``Verdict``.  Also the ``python -m repro.faults.chaos`` CLI.
+
+Nothing is imported here: the daemon imports :mod:`~repro.faults.plan`
+for its fault sites, and the checker and the engine are a harness's to
+import.
 """
-
-from repro.faults.invariants import (
-    InvariantReport, Violation, check_events)
-from repro.faults.plan import (
-    NO_FAULTS, SITES, FaultPlan, FaultRule, Injection)
-
-__all__ = [
-    "FaultPlan", "FaultRule", "Injection", "NO_FAULTS", "SITES",
-    "InvariantReport", "Violation", "check_events",
-]

@@ -19,9 +19,17 @@ mirrored pool — or shuts down.
 
 from __future__ import annotations
 
+import sys
+
+# The imports below must follow this block (E402 by design).
+# ruff: noqa: E402
+if __name__ == "__main__":
+    # No OpenSSL in a serving process: see repro.service.__main__.
+    sys.modules.setdefault("ssl", None)
+    sys.modules.setdefault("_hashlib", None)
+
 import argparse
 import json
-import sys
 
 from repro.replication.applier import StandbyDaemon
 from repro.service.launch import add_flags, from_args, wait_for_signal

@@ -36,27 +36,7 @@ latency histograms are instruments in a
 request and sweep is traced, and the exposure-window audit timeline
 (``trace`` op) records who held which PMO for how long.
 
-Run the daemon with ``python -m repro.service``.
+Run the daemon with ``python -m repro.service``.  Nothing is imported
+here: a daemon loads only the modules it serves with, so import names
+from their modules (``repro.service.client.SyncTerpClient``).
 """
-
-from repro.service.client import RemoteError, SyncTerpClient, TerpClient
-from repro.service.metrics import ServiceMetrics
-from repro.service.protocol import (
-    MAX_FRAME_BYTES, WireError, decode_frame, encode_frame)
-from repro.service.server import ServiceThread, TerpService
-from repro.service.sessions import Session, SessionRegistry
-
-__all__ = [
-    "MAX_FRAME_BYTES",
-    "RemoteError",
-    "ServiceMetrics",
-    "ServiceThread",
-    "Session",
-    "SessionRegistry",
-    "SyncTerpClient",
-    "TerpClient",
-    "TerpService",
-    "WireError",
-    "decode_frame",
-    "encode_frame",
-]

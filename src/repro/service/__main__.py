@@ -15,10 +15,24 @@ session and prints a final metrics report.
 
 from __future__ import annotations
 
+import sys
+
+# The imports below must follow this block (E402 by design).
+# ruff: noqa: E402
+if __name__ == "__main__":
+    # Serving needs neither TLS nor OpenSSL's digests: run as a
+    # program, this process is the build without OpenSSL that both
+    # asyncio and hashlib support (``ssl`` is None, ``sha1`` and
+    # ``blake2b`` are the builtins, byte for byte), and libcrypto
+    # (3.5 MiB resident) is never mapped.  Forked children inherit
+    # it, and so does a promoted standby.  Only when run: importing
+    # this module changes nothing.
+    sys.modules.setdefault("ssl", None)
+    sys.modules.setdefault("_hashlib", None)
+
 import argparse
 import asyncio
 import json
-import sys
 from typing import Optional
 
 from repro.service.launch import add_flags, from_args, serve

@@ -161,13 +161,25 @@ async def serve(node: Any, *, ready: Callable[[int], None],
 
     The handlers go in before the node starts and ``ready(port)`` is
     called after it has: print the banner there, or send the port up
-    the supervisor's pipe.
+    the supervisor's pipe.  After the first signal both are ignored
+    until the loop closes; a harness escalates to SIGKILL.
     """
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
+
+    def first_signal() -> None:
+        # The kernel drops every later one.  A cluster shard takes the
+        # group's SIGTERM and then the supervisor's own; the default
+        # action would kill the drain (rc -15), and the loop's handler
+        # would write to its wakeup fd, which ``loop.close()`` closes
+        # before it unregisters it (a stderr traceback).
+        for sig in _SIGNALS:
+            signal.signal(sig, signal.SIG_IGN)
+        stop.set()
+
     for sig in _SIGNALS:
         try:
-            loop.add_signal_handler(sig, stop.set)
+            loop.add_signal_handler(sig, first_signal)
         except NotImplementedError:   # non-Unix event loops
             pass
     with profiled(profile):

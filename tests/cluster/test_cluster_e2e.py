@@ -11,9 +11,8 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterSupervisor
 from repro.cluster import supervisor as supervisor_module
-from repro.cluster.supervisor import MAX_RESTARTS
+from repro.cluster.supervisor import MAX_RESTARTS, ClusterSupervisor
 from repro.service.client import (
     RemoteError, SyncTerpClient)
 from repro.service.protocol import PROTOCOL_VERSION

@@ -30,7 +30,8 @@ from repro.faults.plan import FaultPlan, FaultRule
 from repro.pmo.api import PmoLibrary
 from repro.pmo.pmo import Pmo
 from repro.pmo.store import SLOT_SIZE, DurablePages, PmoStore, read_slots
-from repro.replication import JournalShipper, StandbyDaemon
+from repro.replication.applier import StandbyDaemon
+from repro.replication.shipper import JournalShipper
 
 FIXTURE = Path(__file__).parent / "fixtures" / "media_at_parent.json"
 

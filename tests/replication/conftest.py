@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.replication import StandbyDaemon
+from repro.replication.applier import StandbyDaemon
 
 
 @pytest.fixture

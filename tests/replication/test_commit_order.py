@@ -28,10 +28,11 @@ from repro.pmo import store as store_module
 from repro.pmo.api import PmoLibrary
 from repro.pmo.pmo import Pmo
 from repro.pmo.store import DurablePages, PmoStore
-from repro.replication import (
-    REPL_PROTOCOL_VERSION, JournalShipper, ReplicationChainError,
-    StandbyDaemon, promote, recv_msg, send_msg)
 from repro.replication import applier as applier_module
+from repro.replication.applier import (
+    ReplicationChainError, StandbyDaemon, promote)
+from repro.replication.shipper import JournalShipper
+from repro.replication.wire import REPL_PROTOCOL_VERSION, recv_msg, send_msg
 from repro.service.client import SyncTerpClient
 from repro.topology import Proc
 from tests.replication.conftest import settled

@@ -14,8 +14,8 @@ import pytest
 
 from repro.core.units import PAGE_SIZE
 from repro.pmo.store import PmoStore
-from repro.replication import REPL_PROTOCOL_VERSION, JournalShipper
-from repro.replication.wire import recv_msg, send_msg
+from repro.replication.shipper import JournalShipper
+from repro.replication.wire import REPL_PROTOCOL_VERSION, recv_msg, send_msg
 from tests.replication.test_commit_order import wait_for
 
 

@@ -17,9 +17,9 @@ import pytest
 
 from repro.core.units import MIB
 from repro.obs.audit import RESTART
-from repro.replication import (
-    REPL_PROTOCOL_VERSION, ReplicationWireError, StandbyDaemon, promote,
-    recv_msg, send_msg)
+from repro.replication.applier import StandbyDaemon, promote
+from repro.replication.wire import (
+    REPL_PROTOCOL_VERSION, ReplicationWireError, recv_msg, send_msg)
 from repro.service.client import SyncTerpClient
 from repro.service.server import ServiceThread, TerpService
 

@@ -15,7 +15,7 @@ import time
 from repro.core.units import MIB
 from repro.faults.invariants import check_acked_writes
 from repro.faults.plan import FaultPlan, FaultRule
-from repro.replication import StandbyDaemon
+from repro.replication.applier import StandbyDaemon
 from repro.service.client import SyncTerpClient
 from repro.service.server import ServiceThread, TerpService
 from tests.replication.conftest import settled

@@ -20,8 +20,8 @@ import pytest
 from repro.core.units import MIB, PAGE_SIZE
 from repro.pmo.api import PmoLibrary
 from repro.pmo.store import PmoStore, page_crcs
-from repro.replication import (
-    JournalApplier, JournalShipper, ReplicationChainError)
+from repro.replication.applier import JournalApplier, ReplicationChainError
+from repro.replication.shipper import JournalShipper
 from tests.replication.conftest import settled
 
 

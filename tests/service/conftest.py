@@ -28,7 +28,7 @@ def terpd():
     budget (tests that need expiry build their own tighter service)."""
     shards = int(os.environ.get("TERP_CLUSTER", "0"))
     if shards > 0:
-        from repro.cluster import ClusterSupervisor
+        from repro.cluster.supervisor import ClusterSupervisor
         supervisor = ClusterSupervisor(
             shards=shards, session_ew_ns=2_000_000_000,
             sweep_period_ns=50_000_000)
@@ -43,7 +43,7 @@ def terpd():
         supervisor.stop()
         return
     if os.environ.get("TERP_REPLICA") == "1":
-        from repro.replication import StandbyDaemon
+        from repro.replication.applier import StandbyDaemon
         with tempfile.TemporaryDirectory(prefix="terp-repl-") as root:
             standby = StandbyDaemon(os.path.join(root, "standby"))
             repl_port = standby.start()

@@ -2,13 +2,14 @@
 quiet way out.
 
 terpd's enforcement state is meant to be small and *constant*: no
-numerical stack in any serving process, nothing that grows with the
-number of tenant cycles served, and a shutdown that ends every
-connection handler instead of leaving it to be cancelled.
+numerical stack and no OpenSSL in any serving process, nothing that
+grows with the number of tenant cycles served, and a shutdown that
+ends every connection handler instead of leaving it to be cancelled.
 """
 
 import gc
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -60,6 +61,106 @@ def test_serving_entry_points_import_no_numpy_and_no_simulator():
                           env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+#: What a process that imports ``ssl`` or ``_hashlib`` maps: ~4.7 MiB
+#: resident, of which libcrypto is 3.5.
+OPENSSL = ("libcrypto", "libssl", "/_ssl.", "/_hashlib.")
+
+
+def mapped_openssl(pid: int) -> list:
+    with open(f"/proc/{pid}/maps") as maps:
+        return sorted({line.rsplit("/", 1)[1].strip() for line in maps
+                       if any(lib in line for lib in OPENSSL)})
+
+
+def test_no_serving_process_maps_openssl(tmp_path):
+    """Every serving process as launched — daemon, supervisor, both
+    shards, router, standby — runs as a build without OpenSSL would:
+    terpd speaks no TLS, and its two digests have builtins.  The import
+    probe above cannot see this, since only a *run* entry point sets it
+    up.  At the parent all six mapped libcrypto, libssl, ``_ssl`` and
+    ``_hashlib``."""
+    state = tmp_path / "cluster.json"
+    procs = {
+        "daemon": Proc("repro.service", ["--port", "0"]),
+        "supervisor": Proc("repro.cluster", [
+            "--port", "0", "--shards", "2", "--state-file", str(state)]),
+        "standby": Proc("repro.replication", [
+            "--pool-dir", str(tmp_path / "standby"),
+            "--listen-port", "0"]),
+    }
+    try:
+        for proc in procs.values():
+            proc.ready()
+        pids = {role: proc.popen.pid for role, proc in procs.items()}
+        cluster = json.loads(state.read_text())
+        for kind in ("shards", "routers"):
+            for child in cluster[kind]:
+                pids[f"{kind[:-1]} {child['index']}"] = child["pid"]
+        mapped = {role: mapped_openssl(pid) for role, pid in pids.items()}
+    finally:
+        codes = [proc.stop() for proc in procs.values()]
+    assert len(mapped) == 6
+    assert mapped == {role: [] for role in mapped}
+    assert codes == [0, 0, 0]
+
+
+def test_the_daemon_as_launched_loads_no_client_and_no_checker(
+        monkeypatch):
+    """The router needs the client; a daemon needs neither it, its retry
+    policy nor the invariant checker.  At the parent the package
+    ``__init__``s imported all three into every daemon."""
+    monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+    daemon = Proc("repro.service", ["--port", "0"],
+                  stderr=subprocess.PIPE)
+    try:
+        with SyncTerpClient(port=daemon.ready()) as client:
+            client.create("probe", MIB)
+            client.attach("probe")
+            client.detach("probe")
+    finally:
+        code = daemon.stop()
+        log = daemon.popen.stderr.read()
+        daemon.popen.stderr.close()
+    loaded = {line.rsplit("|", 1)[1].strip() for line in log.splitlines()
+              if line.startswith("import time:")}
+    assert code == 0
+    assert "repro.service.server" in loaded
+    assert loaded & {"repro.service.client", "repro.service.retry",
+                     "repro.faults.invariants"} == set()
+
+
+#: Ring owners and on-media file names: what a durable pool or cluster
+#: written with OpenSSL's digests must find again without them.
+PLACEMENTS = """
+from pathlib import Path
+from repro.cluster.ring import HashRing
+from repro.pmo.store import home_file
+ring = HashRing(range(4), seed=2022)
+owners = [ring.owner(f"tenant-{i}") for i in range(10_000)]
+files = [home_file(Path("pool"), f"tenant {i}/\u00e9").name
+         for i in range(1000)]
+"""
+
+
+def test_no_digest_moves_without_openssl():
+    scope: dict = {}
+    exec(PLACEMENTS, scope)
+    probe = ("import sys\n"
+             "sys.modules.setdefault('_hashlib', None)\n"
+             + PLACEMENTS +
+             "import hashlib, json\n"
+             "print(json.dumps([hashlib.sha1.__module__, owners, files]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    backend, owners, files = json.loads(proc.stdout)
+    assert backend == "_sha1"
+    assert owners == scope["owners"]
+    assert files == scope["files"]
+    assert len(set(owners)) == 4
 
 
 @pytest.mark.parametrize("module, extra, hang_up", [

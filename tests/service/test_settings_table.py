@@ -22,8 +22,9 @@ import pytest
 import repro.cluster.__main__ as cluster_cli
 import repro.replication.__main__ as standby_cli
 import repro.service.__main__ as service_cli
-from repro.cluster import ClusterSupervisor, supervisor
-from repro.replication import promote
+from repro.cluster import supervisor
+from repro.cluster.supervisor import ClusterSupervisor
+from repro.replication.applier import promote
 from repro.service.launch import SETTINGS, to_flags
 from repro.service.server import TerpService
 from repro.topology import BANNERS, HOST, Proc
