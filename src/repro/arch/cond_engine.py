@@ -117,9 +117,6 @@ class TerpArchEngine(SemanticsEngine):
         #: here — a stalled sweeper never enters this method at all.
         self.faults: Optional["FaultPlan"] = None
 
-    def thread_has_open_pair(self, thread_id: int, pmo_id: Hashable) -> bool:
-        return self._thread_open.get((thread_id, pmo_id), False)
-
     def _at_capacity(self) -> bool:
         if self.cb.is_full():
             return True

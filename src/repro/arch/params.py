@@ -127,9 +127,6 @@ class CostModel:
     def silent_op(self) -> float:
         return self.params.silent_cond
 
-    def matrix_check(self) -> float:
-        return self.params.matrix_check
-
     def charge_attach(self, breakdown: CostBreakdown, *,
                       performed: bool) -> float:
         cycles = (self.attach_performed() if performed
@@ -151,9 +148,4 @@ class CostModel:
         cycles = self.randomize() + \
             self.params.tlb_invalidation * max(0, num_threads_suspended - 1)
         breakdown.add("rand", cycles)
-        return cycles
-
-    def charge_access_check(self, breakdown: CostBreakdown) -> float:
-        cycles = self.matrix_check()
-        breakdown.add("other", cycles)
         return cycles

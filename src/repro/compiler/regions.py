@@ -132,6 +132,3 @@ class RegionHierarchy:
         result = max(longest.values(), default=0)
         self._let_cache[blocks] = result
         return result
-
-    def let_of_block(self, name: str) -> int:
-        return self._let_of_blocks(frozenset([name]))

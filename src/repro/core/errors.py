@@ -80,15 +80,6 @@ class IntegrityError(PmoError):
         self.page_index = page_index
 
 
-class TornPageError(IntegrityError):
-    """A page's home location failed verification but the double-write
-    journal holds a good copy — a write torn by a crash mid-flush.
-
-    Always repairable (that is the journal's reason to exist); raised
-    only when a caller asks for verification without repair.
-    """
-
-
 class InjectedFault(TerpError):
     """A deterministic fault-injection rule fired (transient).
 

@@ -138,9 +138,6 @@ class TerpPoset:
         return [self._elements[n] for n, above in self._less.items()
                 if a.name in above]
 
-    def strictly_above(self, a: Mechanism) -> List[Mechanism]:
-        return [self._elements[n] for n in self._less[a.name]]
-
     def covers(self, lower: Mechanism, higher: Mechanism) -> bool:
         """True if ``higher`` covers ``lower`` (no element in between).
 

@@ -134,9 +134,6 @@ class SemanticsEngine:
     def holders(self, pmo_id: Hashable) -> Dict[int, Access]:
         return dict(self._state(pmo_id).holders)
 
-    def thread_access(self, thread_id: int, pmo_id: Hashable) -> Access:
-        return self._state(pmo_id).holders.get(thread_id, Access.NONE)
-
     def last_real_attach_ns(self, pmo_id: Hashable) -> int:
         return self._state(pmo_id).last_real_attach_ns
 
@@ -358,9 +355,6 @@ class EwConsciousSemantics(SemanticsEngine):
         self.randomize_on_partial = randomize_on_partial
         #: per (thread, pmo): is the thread inside an attach-detach pair?
         self._thread_open: Dict[Tuple[int, Hashable], bool] = {}
-
-    def thread_has_open_pair(self, thread_id: int, pmo_id: Hashable) -> bool:
-        return self._thread_open.get((thread_id, pmo_id), False)
 
     def attach(self, thread_id, pmo_id, access, now_ns):
         key = (thread_id, pmo_id)

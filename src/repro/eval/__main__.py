@@ -39,7 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="thread count for fig11")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="global multiplier on operation counts")
-    parser.add_argument("--seed", type=int, default=2022)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed for every artifact (default: each "
+                             "artifact's own, as the benchmarks run it)")
     return parser
 
 
@@ -49,24 +51,21 @@ def main(argv=None) -> int:
     iters = max(200, int(args.iters * args.scale))
     objects = max(100, int(args.objects * args.scale))
 
+    seed = {} if args.seed is None else {"seed": args.seed}
     runners = {
         "fig8": lambda: fig8.run(n_objects_per_profile=objects,
-                                 seed=args.seed).render(),
-        "table3": lambda: table3.run(n_transactions=txs,
-                                     seed=args.seed).render(),
-        "fig9": lambda: fig9.run(n_transactions=txs,
-                                 seed=args.seed).render(),
-        "table4": lambda: table4.run(n_iterations=iters,
-                                     seed=args.seed).render(),
-        "fig10": lambda: fig10.run(n_iterations=iters,
-                                   seed=args.seed).render(),
+                                 **seed).render(),
+        "table3": lambda: table3.run(n_transactions=txs, **seed).render(),
+        "fig9": lambda: fig9.run(n_transactions=txs, **seed).render(),
+        "table4": lambda: table4.run(n_iterations=iters, **seed).render(),
+        "fig10": lambda: fig10.run(n_iterations=iters, **seed).render(),
         "fig11": lambda: fig11.run(n_iterations=max(200, iters // 2),
                                    num_threads=args.threads,
-                                   seed=args.seed).render(),
+                                   **seed).render(),
         "table5": lambda: table5.run().render(),
         "table6": lambda: table6.run(n_transactions=txs // 2,
                                      n_iterations=iters // 2,
-                                     seed=args.seed).render(),
+                                     **seed).render(),
         "semantics": lambda: semantics_space.render(
             semantics_space.run()),
     }

@@ -22,7 +22,7 @@ bits ``[12 + 9*(N-1), 12 + 9*N)``.  Entries of a level-1 node are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.errors import TerpError
 from repro.core.units import PAGE_SIZE
@@ -95,39 +95,10 @@ def subtree_level_for(size_bytes: int) -> int:
     return level
 
 
-def build_subtree(owner: str, size_bytes: int) -> PageTableNode:
-    """Build a PMO-embedded page-table subtree covering ``size_bytes``.
-
-    The subtree's leaves map every page of the PMO to its own frames —
-    this is the persistent metadata MERR embeds inside the PMO.
-    """
-    level = subtree_level_for(size_bytes)
-    num_pages = (size_bytes + PAGE_SIZE - 1) // PAGE_SIZE
-    root = PageTableNode(level)
-
-    def fill(node: PageTableNode, first_page: int) -> None:
-        pages_per_entry = ENTRY_SPAN[node.level] // PAGE_SIZE
-        for idx in range(ENTRIES_PER_NODE):
-            start = first_page + idx * pages_per_entry
-            if start >= num_pages:
-                break
-            if node.level == 1:
-                node.set(idx, Frame(owner, start))
-            else:
-                child = PageTableNode(node.level - 1)
-                fill(child, start)
-                node.set(idx, child)
-
-    fill(root, 0)
-    return root
-
-
 class LazySubtreeNode(PageTableNode):
-    """A PMO subtree node that materializes children on first lookup.
-
-    Functionally identical to the eager tree from :func:`build_subtree`
-    but O(1) to construct — important because a 1GB PMO otherwise costs
-    ~262K Frame objects before a single access happens.
+    """A PMO subtree node that materializes children on first lookup:
+    O(1) to construct, where building every leaf up front would cost a
+    1GB PMO ~262K Frame objects before a single access happens.
     """
 
     __slots__ = ("owner", "first_page", "num_pages")
@@ -163,8 +134,10 @@ class LazySubtreeNode(PageTableNode):
                    -(-self.num_pages // pages_per_entry))
 
 
-def build_subtree_lazy(owner: str, size_bytes: int) -> LazySubtreeNode:
-    """Like :func:`build_subtree` but O(1); used for large PMOs."""
+def build_subtree(owner: str, size_bytes: int) -> LazySubtreeNode:
+    """Build the page-table subtree a PMO embeds, covering
+    ``size_bytes``: its leaves map every page of the PMO to its own
+    frames — the persistent metadata MERR embeds inside the PMO."""
     level = subtree_level_for(size_bytes)
     num_pages = (size_bytes + PAGE_SIZE - 1) // PAGE_SIZE
     return LazySubtreeNode(owner, level, 0, num_pages)
@@ -301,17 +274,3 @@ class PageTable:
                 return None
             node = child
         return node
-
-    def mapped_pages(self) -> Iterator[Tuple[int, Frame]]:
-        """Yield (va, frame) for every mapped page — test/debug helper."""
-
-        def rec(node: PageTableNode, va_base: int):
-            span = ENTRY_SPAN[node.level]
-            for idx, entry in sorted(node.entries.items()):
-                va = va_base + idx * span
-                if isinstance(entry, Frame):
-                    yield va, entry
-                else:
-                    yield from rec(entry, va)
-
-        yield from rec(self.root, 0)

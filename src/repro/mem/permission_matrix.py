@@ -13,7 +13,7 @@ exactly the gap TERP's thread permissions (:mod:`repro.mem.mpk`) fill.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, Optional
 
 from repro.core.errors import TerpError
 from repro.core.permissions import Access
@@ -91,9 +91,6 @@ class PermissionMatrix:
 
     def entry_for(self, pmo_id: Hashable) -> Optional[MatrixEntry]:
         return self._entries.get(pmo_id)
-
-    def attached_pmos(self) -> List[Hashable]:
-        return list(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)

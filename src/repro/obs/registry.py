@@ -179,10 +179,6 @@ class Gauge(Instrument):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self) -> float:
         return self._value
@@ -258,9 +254,6 @@ class _NullGauge(Gauge):
         pass
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
 

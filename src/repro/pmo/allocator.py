@@ -172,9 +172,6 @@ class HeapAllocator:
 
     # -- introspection -----------------------------------------------------
 
-    def free_bytes(self) -> int:
-        return sum(self._read_header(o).payload_size for o in self._free_list)
-
     def block_count(self) -> Tuple[int, int]:
         """(allocated, free) block counts."""
         alloc = free = 0

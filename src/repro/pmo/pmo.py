@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 from repro.core.errors import PmoError
 from repro.core.units import KIB, PAGE_SIZE
-from repro.mem.page_table import LazySubtreeNode, build_subtree_lazy
+from repro.mem.page_table import LazySubtreeNode, build_subtree
 from repro.pmo.allocator import HeapAllocator
 from repro.pmo.object_id import Oid
 from repro.pmo.persistence import RedoLog
@@ -81,12 +81,6 @@ class SparseBytes:
 
     def write_u64(self, offset: int, value: int) -> None:
         self.write(offset, struct.pack("<Q", value & ((1 << 64) - 1)))
-
-    def read_u32(self, offset: int) -> int:
-        return struct.unpack("<I", self.read(offset, 4))[0]
-
-    def write_u32(self, offset: int, value: int) -> None:
-        self.write(offset, struct.pack("<I", value & 0xFFFFFFFF))
 
     def resident_bytes(self) -> int:
         return len(self._pages) * PAGE_SIZE
@@ -206,8 +200,8 @@ class Pmo:
     def subtree(self) -> LazySubtreeNode:
         """The embedded page-table subtree (built on first attach)."""
         if self._subtree is None:
-            self._subtree = build_subtree_lazy(f"pmo{self.pmo_id}",
-                                               self.size_bytes)
+            self._subtree = build_subtree(f"pmo{self.pmo_id}",
+                                          self.size_bytes)
         return self._subtree
 
     # -- persistent pointers -------------------------------------------------

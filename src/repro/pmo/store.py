@@ -80,7 +80,7 @@ if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
     from repro.pmo.pmo import Pmo
 
-from repro.core.errors import IntegrityError, PmoError, TornPageError
+from repro.core.errors import IntegrityError, PmoError
 from repro.core.units import PAGE_SIZE
 from repro.pmo.pmo import SparseBytes
 
@@ -806,77 +806,47 @@ class PmoStore:
 
     # -- verification / scrub ----------------------------------------------
 
-    def verify_page(self, name: str, index: int, *,
-                    repair: bool = True) -> str:
-        """Verify one on-disk page; returns ``ok``/``absent``/
-        ``repaired``/``repaired-from-memory``.
-
-        Raises :class:`TornPageError` (journal copy exists) or
-        :class:`IntegrityError` (no repair source) when ``repair`` is
-        off, quarantines the PMO when repair is impossible.
-        """
-        with self._lock:
-            entry = self._entries.get(name)
-            if entry is None:
-                raise PmoError(f"PMO {name!r} is not registered")
-            # The whole read-check-repair sequence holds the I/O lock
-            # so it cannot interleave with a group-commit batch
-            # rewriting the same slots.
-            with self._io_lock:
-                outcome, = self._verify_slots(entry, [index], repair)
-                return outcome
-
-    def _verify_slots(self, entry: _StoreEntry, indices: List[int],
-                      repair: bool) -> Iterator[str]:
+    def _verify_slots(self, entry: _StoreEntry, indices: List[int]
+                      ) -> Iterator[bool]:
         """Under the I/O lock: read ``indices``' slots through one open
         of the home file and yield each one's :meth:`_check_slot`
-        outcome — the one verification path of :meth:`verify_page`
-        and :meth:`scrub`."""
+        verdict."""
         with open(entry.path, "rb", buffering=0) as fh:
             for index in indices:
                 fh.seek(HEADER_SPAN + index * SLOT_SIZE)
-                yield self._check_slot(entry, index, fh.read(SLOT_SIZE),
-                                       repair)
+                yield self._check_slot(entry, index, fh.read(SLOT_SIZE))
 
-    def _check_slot(self, entry: _StoreEntry, index: int, slot: bytes,
-                    repair: bool) -> str:
-        """Judge one slot's bytes and repair it — from the journal, or
-        from the resident copy — or quarantine the PMO.  A slot the
-        index holds but whose marker is gone was written and lost its
-        trailer: damage, like a CRC failure, never ``absent``."""
+    def _check_slot(self, entry: _StoreEntry, index: int, slot: bytes
+                    ) -> bool:
+        """Judge one indexed slot's bytes: False when they verify, True
+        once they are repaired from the journal or the resident copy;
+        with neither, quarantine the PMO and raise.  The index says the
+        slot was written, so a missing marker is damage, like a CRC
+        failure, never a hole."""
         found = next(read_slots(slot, 0, index), None)
-        if found is not None:
-            _, page, crc = found
-            if _page_crc(page) == crc:
-                return "ok"
-            damage, mismatch = "failed CRC", "CRC mismatch"
-        elif index < len(entry.written) and entry.written[index]:
+        if found is None:
             damage, mismatch = "lost its marker", "marker missing"
         else:
-            return "absent"
-        name = entry.pmo.name
+            _, page, crc = found
+            if _page_crc(page) == crc:
+                return False
+            damage, mismatch = "failed CRC", "CRC mismatch"
         journal = read_journal(entry.journal_path)
         good = dict(journal[0]).get(index) if journal else None
         if good is None:
             resident = entry.pmo.storage._pages.get(index)
-            if not repair or resident is None:
+            if resident is None:
+                name = entry.pmo.name
                 entry.pmo.quarantine(
                     f"page {index} {damage} with no journal copy")
                 raise IntegrityError(
                     f"PMO {name!r} page {index}: {mismatch}, no repair "
                     "source (bit rot)", pmo=name, page_index=index)
             good = bytes(resident)
-            outcome = "repaired-from-memory"
-        else:
-            if not repair:
-                raise TornPageError(
-                    f"PMO {name!r} page {index}: {mismatch}, journal "
-                    "copy available", pmo=name, page_index=index)
-            outcome = "repaired"
         write_home(entry.path, [(index, good)], [_page_crc(good)],
                    fsync=self.fsync)
         entry.mark([index])
-        return outcome
+        return True
 
     def present_pages(self, name: str) -> List[int]:
         """Indices of flushed (marker-bearing) pages on disk, read from
@@ -950,10 +920,9 @@ class PmoStore:
                     if len(take) == budget else 0
                 budget -= len(take)
                 try:
-                    for outcome in self._verify_slots(entry, take, True):
+                    for repaired in self._verify_slots(entry, take):
                         result["verified"] += 1
-                        if outcome.startswith("repaired"):
-                            result["repaired"] += 1
+                        result["repaired"] += repaired
                 except IntegrityError:
                     result["quarantined"] += 1
         return result

@@ -24,7 +24,7 @@ Carlo probe simulator for cross-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -130,22 +130,3 @@ def simulate_probing(attack_time_us: float, *, window_us: float = 40.0,
     # distinct positions gives P = probes/slots exactly, sampled here.
     hits = rng.integers(0, slots, size=windows) < probes
     return 100.0 * float(np.mean(hits))
-
-
-def table5_rows(*, ew_us: float = 40.0, tew_us: float = 2.0,
-                access_fraction: float = 1.0 / 30.0) -> Dict[str, Dict]:
-    """The full Table V, for each attack-time column."""
-    rows = {}
-    for x_us, label in [(None, "x us"), (1.0, "1us"), (0.1, "0.1us")]:
-        if x_us is None:
-            rows[label] = {
-                "merr": "0.015/x", "terp": "0.0005/x",
-            }
-        else:
-            rows[label] = {
-                "merr": merr_success_percent(x_us, ew_us=ew_us),
-                "terp": terp_success_percent(
-                    x_us, ew_us=ew_us, tew_us=tew_us,
-                    access_fraction=access_fraction),
-            }
-    return rows

@@ -84,11 +84,6 @@ class WhisperSpec:
         """Average full transaction cycle (window + PMO-free work)."""
         return self.window_avg_us / self.exposure_rate
 
-    @property
-    def regions_per_tx(self) -> float:
-        """How many access clusters fit an average window (>=1)."""
-        return max(1.0, self.window_avg_us / (4.0 * self.region_us))
-
 
 class WhisperBenchmark:
     """One benchmark: a spec plus its real-structure op runner.

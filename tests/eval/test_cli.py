@@ -3,6 +3,7 @@
 import pytest
 
 from repro.eval.__main__ import build_parser, main
+from repro.eval.experiments import fig8
 
 
 class TestCli:
@@ -28,6 +29,13 @@ class TestCli:
     def test_scaled_run(self, capsys):
         assert main(["fig8", "--scale", "0.2"]) == 0
         assert "Figure 8" in capsys.readouterr().out
+
+    def test_fig8_is_the_benchmarks_fig8(self, capsys):
+        """Without ``--seed`` each artifact runs on its own default
+        seed, so the CLI prints what the benchmark computes."""
+        assert main(["fig8"]) == 0
+        expected = fig8.run(n_objects_per_profile=1000).render()
+        assert expected in capsys.readouterr().out
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["all"])

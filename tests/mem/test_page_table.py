@@ -167,10 +167,3 @@ class TestEmbeddedSubtree:
         pt.install_subtree(7 * align, tree)
         assert pt.walk(align) is None
         assert pt.walk(7 * align) == Frame("pmo", 0)
-
-    def test_mapped_pages_iterates(self):
-        pt = PageTable()
-        pt.map_pages(0, "a", 3)
-        pages = list(pt.mapped_pages())
-        assert len(pages) == 3
-        assert pages[0] == (0, Frame("a", 0))

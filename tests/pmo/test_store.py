@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import repro.pmo.store as store_module
-from repro.core.errors import IntegrityError, PmoError, TornPageError
+from repro.core.errors import IntegrityError, PmoError
 from repro.core.permissions import Access
 from repro.core.units import KIB, MIB, PAGE_SIZE
 from repro.faults.plan import FaultPlan, FaultRule
@@ -15,8 +15,8 @@ from repro.pmo.api import PmoLibrary
 from repro.pmo.pmo import Pmo
 from repro.pmo.store import (
     HEADER_SPAN, SCRUB_PAGES_PER_PASS, SLOT_SIZE, TRAILER, CommitTicket,
-    DurablePages, PmoStore, pack_header, page_crcs, read_slots,
-    write_header, write_home)
+    DurablePages, PmoStore, pack_header, page_crcs, read_journal,
+    read_slots, write_header, write_home)
 
 
 def zero_trailer(path, index):
@@ -242,19 +242,27 @@ class TestJournalRepair:
         assert report.journals_applied == 0
         assert not report.quarantined and not report.denied
 
-    def test_verify_page_norepair_raises_torn(self, tmp_path):
+    def test_scrub_repairs_a_torn_page_from_its_journal(self, tmp_path):
+        """The sweeper's pass finds the torn slot at its index and
+        rewrites it from the journal — the only source left once the
+        resident copy is gone."""
         store, lib = make(tmp_path, torn_data_page_rule())
-        populate(lib, "typed")
-        # Find the torn page: the one whose CRC fails.
-        torn = None
-        for index in store.present_pages("typed"):
-            try:
-                store.verify_page("typed", index, repair=False)
-            except TornPageError as exc:
-                torn = index
-                assert exc.pmo == "typed"
-                assert exc.page_index == index
-        assert torn is not None
+        pmo, _ = populate(lib, "typed")
+        path = store.path_for("typed")
+
+        def slots():
+            return {index: (bytes(page), crc)
+                    for index, page, crc in read_slots(path.read_bytes())}
+
+        torn, = [index for index, (page, crc) in slots().items()
+                 if page_crcs([(index, page)]) != [crc]]
+        good = dict(read_journal(store.journal_path_for("typed"))[0])[torn]
+        pmo.storage._pages.clear()
+        result = store.scrub(64)
+        assert result["repaired"] == 1 and result["quarantined"] == 0
+        page, crc = slots()[torn]
+        assert page == good and page_crcs([(torn, page)]) == [crc]
+        assert not pmo.quarantined
 
 
 class TestBitRotQuarantine:
@@ -365,8 +373,7 @@ class TestScrub:
         path = store.path_for("unmarked")
         index = store.present_pages("unmarked")[-1]
         zero_trailer(path, index)
-        assert store.verify_page("unmarked", index) == \
-            "repaired-from-memory"
+        assert store.scrub(64)["repaired"] == 1      # from memory
         assert index in [i for i, _, _ in read_slots(path.read_bytes())]
         zero_trailer(path, index)
         pmo.storage._pages.clear()
