@@ -2,16 +2,15 @@
 """Visualize exposure windows as an ASCII timeline.
 
 Replays a short three-thread session against the TERP architecture
-engine with full tracing, then renders the Figure 4-style picture:
-when the PMO was mapped (and relocated), and when each thread held
-permission.  The contrast between the long mapped bar and the short
-per-thread bars *is* TERP's contribution.
+engine, then renders the runtime's exposure monitor as the Figure
+4-style picture: when the PMO was mapped (and relocated), and when each
+thread held permission.  The contrast between the long mapped bar and
+the short per-thread bars *is* TERP's contribution.
 """
 
 import random
 
 from repro import Access, TerpArchEngine
-from repro.core.events import Trace
 from repro.core.runtime import TerpRuntime
 from repro.core.units import MIB, us
 from repro.eval.timeline import ExposureTimeline
@@ -19,15 +18,15 @@ from repro.pmo.pool import PmoManager
 
 
 def main() -> None:
-    trace = Trace()
     manager = PmoManager()
-    engine = TerpArchEngine(us(40))
-    rt = TerpRuntime(engine, manager=manager, trace=trace,
+    rt = TerpRuntime(TerpArchEngine(us(40)), manager=manager,
                      rng=random.Random(3))
     pmo = manager.create("shared", 8 * MIB)
 
     # Three threads take turns in short windows; the hardware combines
-    # them and the sweeper randomizes/detaches at the 40us boundary.
+    # them, and a sweep after the 40us target unmaps the PMO.  No
+    # thread holds it at a sweep, so it is never relocated (a held PMO
+    # would be, drawn as R).
     t = 0
     for round_ in range(6):
         for thread in (1, 2, 3):
@@ -36,12 +35,11 @@ def main() -> None:
             rt.detach(thread, pmo, t)
             t += us(3)
         # Hardware sweep between rounds.
-        for decision in engine.sweep(t):
-            rt._apply(decision, pmo, t)
+        rt.sweep(t)
         t += us(5)
     rt.finish(t)
 
-    timeline = ExposureTimeline(trace, end_ns=t)
+    timeline = ExposureTimeline(rt.monitor, end_ns=t)
     print(timeline.render())
     print()
     print(f"PMO mapped {100 * timeline.mapped_fraction(pmo.pmo_id):.0f}% "

@@ -14,6 +14,7 @@ Walks the whole public API surface in one sitting:
 
 from repro import Access, PmoLibrary, ProtectionFault
 from repro.core.units import MIB, us
+from repro.sim.stats import collect_exposure
 from repro.workloads.structures import PersistentHashMap
 
 
@@ -62,7 +63,8 @@ def main() -> None:
 
     # -- 5. the exposure report ----------------------------------------------------
     lib.runtime.finish(lib.clock_ns)
-    report = lib.runtime.monitor.report(lib.clock_ns)
+    [report] = collect_exposure(lib.runtime.monitor, lib.clock_ns,
+                                num_threads=1)
     print(f"exposure: EW avg {report.ew_avg_us:.1f}us "
           f"(max {report.ew_max_us:.1f}us), "
           f"ER {report.er_percent:.1f}%, "

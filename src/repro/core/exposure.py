@@ -14,15 +14,16 @@ From the recorded intervals we derive the reported metrics:
 * **ER** (exposure rate) = total exposed time / total execution time,
 * **TER** likewise over thread windows.
 
-The tracker is purely observational: the semantics engine and runtime
-call :meth:`open`/:meth:`close`; nothing here affects protection
+The tracker is purely observational: the runtime and the compiler's
+interpreter call :meth:`~WindowTracker.open` /
+:meth:`~WindowTracker.close`; nothing here affects protection
 decisions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List
 
 from repro.core.errors import TerpError
 
@@ -109,14 +110,6 @@ class WindowTracker:
             raise TerpError("cannot shift a window start backwards")
         self._open[key] = new_start_ns
 
-    def open_since(self, key: Hashable) -> Optional[int]:
-        return self._open.get(key)
-
-    def current_length(self, key: Hashable, now_ns: int) -> int:
-        """Length of the currently open window, 0 if closed."""
-        start = self._open.get(key)
-        return 0 if start is None else now_ns - start
-
     def finish(self, now_ns: int) -> None:
         """Close every still-open window at end of run."""
         for key in list(self._open):
@@ -145,25 +138,23 @@ class WindowTracker:
         return self.stats(key).total_ns / total_ns
 
 
-@dataclass
-class ExposureReport:
-    """The per-workload row shape of Tables III and IV."""
-
-    ew_avg_us: float
-    ew_max_us: float
-    er_percent: float
-    tew_avg_us: float = 0.0
-    ter_percent: float = 0.0
-    silent_percent: float = 0.0
-    cond_per_second: float = 0.0
-
-
 class ExposureMonitor:
-    """Aggregates EW and TEW trackers for one simulated run."""
+    """A run's one exposure ledger: EW and TEW trackers plus the
+    instants each PMO was relocated.
+
+    :class:`~repro.core.runtime.TerpRuntime` feeds it; the exposure
+    summary (:func:`repro.sim.stats.collect_exposure`), the timeline
+    (:mod:`repro.eval.timeline`) and Theorem 6's schedule
+    (:func:`repro.core.theorem.schedule_of`) read it.
+    ``keep_closed=False`` holds open windows only and no relocation
+    instants (see :class:`WindowTracker`).
+    """
 
     def __init__(self, *, keep_closed: bool = True) -> None:
         self.ew = WindowTracker(keep_closed=keep_closed)
         self.tew = WindowTracker(keep_closed=keep_closed)
+        self._keep_closed = keep_closed
+        self._relocations: Dict[Hashable, List[int]] = {}
 
     # EW: keyed by pmo_id -------------------------------------------------
     def pmo_mapped(self, pmo_id: Hashable, now_ns: int) -> None:
@@ -171,6 +162,19 @@ class ExposureMonitor:
 
     def pmo_unmapped(self, pmo_id: Hashable, now_ns: int) -> Window:
         return self.ew.close(pmo_id, now_ns)
+
+    def pmo_relocated(self, pmo_id: Hashable, now_ns: int) -> None:
+        """The PMO moved to a fresh address: the exposure window of
+        the old location ends here and a new one begins."""
+        if self.ew.is_open(pmo_id):
+            self.ew.close(pmo_id, now_ns)
+            self.ew.open(pmo_id, now_ns)
+        if self._keep_closed:
+            self._relocations.setdefault(pmo_id, []).append(now_ns)
+
+    def relocations(self, pmo_id: Hashable) -> List[int]:
+        """The instants ``pmo_id`` was relocated, in order."""
+        return list(self._relocations.get(pmo_id, []))
 
     # TEW: keyed by (thread_id, pmo_id) ------------------------------------
     def thread_granted(self, thread_id: int, pmo_id: Hashable,
@@ -184,19 +188,3 @@ class ExposureMonitor:
     def finish(self, now_ns: int) -> None:
         self.ew.finish(now_ns)
         self.tew.finish(now_ns)
-
-    def report(self, total_ns: int, *, silent_percent: float = 0.0,
-               cond_per_second: float = 0.0) -> ExposureReport:
-        """Produce the Table III/IV row for this run."""
-        from repro.core.units import ns_to_us
-        ew_stats = self.ew.stats()
-        tew_stats = self.tew.stats()
-        return ExposureReport(
-            ew_avg_us=ns_to_us(ew_stats.avg_ns),
-            ew_max_us=ns_to_us(ew_stats.max_ns),
-            er_percent=100.0 * self.ew.exposure_rate(total_ns),
-            tew_avg_us=ns_to_us(tew_stats.avg_ns),
-            ter_percent=100.0 * self.tew.exposure_rate(total_ns),
-            silent_percent=silent_percent,
-            cond_per_second=cond_per_second,
-        )

@@ -11,9 +11,10 @@ then *applied*:
 * GRANT/REVOKE — the thread's MPK protection-domain rights change;
 * RANDOMIZE — the PMO is relocated to a fresh base address.
 
-The runtime also records exposure windows (EW and TEW) and per-outcome
-counters — the quantities Tables III/IV report — and optionally logs a
-full event trace.
+The runtime also records exposure windows (EW and TEW) and relocation
+instants in its :class:`~repro.core.exposure.ExposureMonitor` — the one
+exposure ledger every reader in the library reads — and keeps
+per-outcome counters, the quantities Tables III/IV report.
 
 Time is externally supplied (``now_ns`` on every call): in examples a
 manual clock is fine; in the simulator the machine's clock drives it.
@@ -23,17 +24,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from repro.obs import Observability
 
 from repro.core.errors import ProtectionFault, SegmentationFault, TerpError
-from repro.core.events import EventKind, Trace, TraceEvent
 from repro.core.exposure import ExposureMonitor
 from repro.core.permissions import Access
 from repro.core.semantics import (
-    Action, ActionKind, Decision, Outcome, SemanticsEngine)
+    ActionKind, Decision, Outcome, SemanticsEngine)
 from repro.mem.address_space import AddressSpace
 from repro.pmo.object_id import Oid
 from repro.pmo.pool import PmoManager
@@ -95,18 +95,14 @@ class TerpRuntime:
 
     def __init__(self, semantics: SemanticsEngine, *,
                  manager: Optional[PmoManager] = None,
-                 space: Optional[AddressSpace] = None,
-                 monitor: Optional[ExposureMonitor] = None,
-                 trace: Optional[Trace] = None,
                  rng: Optional[random.Random] = None,
                  strict: bool = False,
                  obs: Optional["Observability"] = None) -> None:
         self.semantics = semantics
         self.manager = manager if manager is not None else PmoManager()
-        self.space = space if space is not None else AddressSpace(
+        self.space = AddressSpace(
             rng=rng if rng is not None else random.Random(2022))
-        self.monitor = monitor if monitor is not None else ExposureMonitor()
-        self.trace = trace
+        self.monitor = ExposureMonitor()
         #: strict=True raises on semantics violations instead of
         #: returning the ERROR decision — handy in tests and examples.
         self.strict = strict
@@ -140,8 +136,6 @@ class TerpRuntime:
         self.counters.attach_calls += 1
         decision = self.semantics.attach(thread_id, pmo.pmo_id, access,
                                          now_ns)
-        self._record(EventKind.ATTACH, now_ns, thread_id, pmo.pmo_id,
-                     decision)
         if decision.outcome is Outcome.ERROR:
             self.counters.errors += 1
             if self.strict:
@@ -176,8 +170,6 @@ class TerpRuntime:
         self._advance(now_ns)
         self.counters.detach_calls += 1
         decision = self.semantics.detach(thread_id, pmo.pmo_id, now_ns)
-        self._record(EventKind.DETACH, now_ns, thread_id, pmo.pmo_id,
-                     decision)
         if decision.outcome is Outcome.ERROR:
             self.counters.errors += 1
             if self.strict:
@@ -203,8 +195,6 @@ class TerpRuntime:
                                          now_ns)
         if decision.outcome in (Outcome.FAULT_SEGV, Outcome.FAULT_PERM):
             self.counters.faults += 1
-            self._record(EventKind.FAULT, now_ns, thread_id, pmo.pmo_id,
-                         decision)
             if self.strict:
                 cls = (SegmentationFault
                        if decision.outcome is Outcome.FAULT_SEGV
@@ -213,8 +203,6 @@ class TerpRuntime:
                           pmo_id=pmo.pmo_id)
             return decision
         self._apply(decision, pmo, now_ns)  # FCFS REATTACH emits MAP
-        self._record(EventKind.ACCESS, now_ns, thread_id, pmo.pmo_id,
-                     decision)
         return decision
 
     # -- entity lifecycle (remote sessions) ---------------------------------
@@ -285,11 +273,9 @@ class TerpRuntime:
             if action.kind is ActionKind.MAP:
                 self.space.attach(target, Access.RW)
                 self.monitor.pmo_mapped(target.pmo_id, now_ns)
-                self._note(EventKind.MAP, now_ns, action)
             elif action.kind is ActionKind.UNMAP:
                 self.space.detach(target.pmo_id)
                 self.monitor.pmo_unmapped(target.pmo_id, now_ns)
-                self._note(EventKind.UNMAP, now_ns, action)
             elif action.kind is ActionKind.GRANT:
                 self.space.domains.grant(action.thread_id, target.pmo_id,
                                          action.access)
@@ -298,7 +284,6 @@ class TerpRuntime:
                     self.monitor.thread_granted(action.thread_id,
                                                 target.pmo_id, now_ns)
                 self.counters.grants += 1
-                self._note(EventKind.GRANT, now_ns, action)
             elif action.kind is ActionKind.REVOKE:
                 if self.space.domains.key_of(target.pmo_id) is not None:
                     self.space.domains.revoke(action.thread_id,
@@ -308,32 +293,13 @@ class TerpRuntime:
                     self.monitor.thread_revoked(action.thread_id,
                                                 target.pmo_id, now_ns)
                 self.counters.revokes += 1
-                self._note(EventKind.REVOKE, now_ns, action)
             elif action.kind is ActionKind.RANDOMIZE:
                 self.space.randomize(target.pmo_id)
                 self.counters.randomizations += 1
-                # The PMO's address changed: the exposure window of the
-                # old location ends here and a new one begins.  This is
+                # A new address starts a new exposure window.  This is
                 # what makes TT's EWs sit at the target (Table III) —
                 # an address never outlives the maximum EW.
-                if self.monitor.ew.is_open(target.pmo_id):
-                    self.monitor.pmo_unmapped(target.pmo_id, now_ns)
-                    self.monitor.pmo_mapped(target.pmo_id, now_ns)
-                self._note(EventKind.RANDOMIZE, now_ns, action)
-
-    # -- tracing ------------------------------------------------------------
-
-    def _record(self, kind: EventKind, now_ns: int, thread_id: int,
-                pmo_id: Hashable, decision: Decision) -> None:
-        if self.trace is not None:
-            self.trace.record(TraceEvent(kind, now_ns, thread_id, pmo_id,
-                                         outcome=decision.outcome.value,
-                                         detail=decision.reason))
-
-    def _note(self, kind: EventKind, now_ns: int, action: Action) -> None:
-        if self.trace is not None:
-            self.trace.record(TraceEvent(kind, now_ns, action.thread_id,
-                                         action.pmo_id))
+                self.monitor.pmo_relocated(target.pmo_id, now_ns)
 
     # -- end of run ------------------------------------------------------------
 

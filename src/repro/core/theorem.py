@@ -8,8 +8,10 @@
 
 This module makes the theorem checkable against concrete exposure
 schedules: a :class:`Schedule` lists the region's accessibility
-windows and relocation instants; :func:`attack_can_succeed` decides
-whether any stationary-and-accessible stretch of length ``t`` exists;
+windows and relocation instants (:func:`schedule_of` reads one off a
+run's :class:`~repro.core.exposure.ExposureMonitor`);
+:func:`attack_can_succeed` decides whether any
+stationary-and-accessible stretch of length ``t`` exists;
 :func:`theorem_holds` verifies the theorem's statement itself over a
 schedule (used by the property tests, which search for
 counterexamples with hypothesis).
@@ -17,11 +19,11 @@ counterexamples with hypothesis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Hashable, List, Sequence, Tuple
 
 from repro.core.errors import TerpError
-from repro.core.exposure import Window
+from repro.core.exposure import ExposureMonitor, Window
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,14 @@ class Schedule:
         return max((s.length_ns
                     for s in self.stationary_accessible_stretches()),
                    default=0)
+
+
+def schedule_of(monitor: ExposureMonitor, pmo_id: Hashable) -> Schedule:
+    """A PMO's :class:`Schedule` as a run recorded it: the monitor's
+    closed exposure windows and relocation instants (finish the run
+    first, so no window is left open)."""
+    return Schedule(tuple(monitor.ew.windows(pmo_id)),
+                    tuple(monitor.relocations(pmo_id)))
 
 
 def attack_can_succeed(schedule: Schedule, attack_time_ns: int) -> bool:

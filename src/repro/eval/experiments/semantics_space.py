@@ -29,9 +29,10 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.core.permissions import Access
-from repro.core.semantics import (
-    ActionKind, make_semantics, Outcome)
-from repro.core.units import ns_to_us, us
+from repro.core.runtime import TerpRuntime
+from repro.core.semantics import make_semantics, Outcome
+from repro.core.theorem import schedule_of
+from repro.core.units import MIB, ns_to_us, us
 
 PMO = "pmo1"
 SEMANTICS = ["basic", "outermost", "fcfs", "ew-conscious"]
@@ -113,32 +114,21 @@ def _threaded(name: str) -> tuple:
 
 def _location_window(name: str) -> float:
     """Longest same-location mapped stretch under a nested-pair
-    stream that keeps the PMO busy for 1ms."""
-    engine = make_semantics(name, ew_target_ns=EW)
-    open_since = None
-    longest = 0
-    outer = engine.attach(1, PMO, Access.RW, 0)
-    if engine.is_mapped(PMO):
-        open_since = 0
+    stream that keeps the PMO busy for 1ms: the run's Theorem 6
+    schedule, read off the runtime's exposure monitor."""
+    runtime = TerpRuntime(make_semantics(name, ew_target_ns=EW))
+    pmo = runtime.manager.create(PMO, MIB)
+    thread = 2 if name == "ew-conscious" else 1
+    runtime.attach(1, pmo, Access.RW, 0)
     for i in range(1, 100):
         t = us(10 * i)
-        thread = 2 if name == "ew-conscious" else 1
-        engine.attach(thread, PMO, Access.RW, t)
-        d = engine.detach(thread, PMO, t + us(1))
-        now = t + us(1)
-        relocated = any(a.kind is ActionKind.RANDOMIZE
-                        for a in d.actions)
-        if (not engine.is_mapped(PMO) or relocated) and \
-                open_since is not None:
-            longest = max(longest, now - open_since)
-            open_since = now if engine.is_mapped(PMO) else None
-        if open_since is None and engine.is_mapped(PMO):
-            open_since = now
+        runtime.attach(thread, pmo, Access.RW, t)
+        runtime.detach(thread, pmo, t + us(1))
     end = us(1000)
-    engine.detach(1, PMO, end)
-    if open_since is not None:
-        longest = max(longest, end - open_since)
-    return ns_to_us(longest)
+    runtime.detach(1, pmo, end)
+    runtime.finish(end)
+    schedule = schedule_of(runtime.monitor, pmo.pmo_id)
+    return ns_to_us(schedule.longest_stationary_accessible_ns())
 
 
 def _reattach_holes(name: str) -> int:

@@ -1,80 +1,33 @@
-"""ASCII exposure timelines from runtime traces.
+"""ASCII exposure timelines from a run's exposure monitor.
 
-Turns a :class:`~repro.core.events.Trace` into the picture the
-paper's Figure 4 draws: per-PMO rows showing when the object was
-mapped (``=``), relocated (``R``), and per-thread rows showing when
-each thread held permission (``#``).  Used by examples and debugging;
-the rendering is pure text so it works everywhere the tests run.
+Turns a finished run's :class:`~repro.core.exposure.ExposureMonitor`
+into the picture the paper's Figure 4 draws: per-PMO rows showing when
+the object was mapped (``=``), relocated (``R``), and per-thread rows
+showing when each thread held permission (``#``).  Used by examples and
+debugging; the rendering is pure text so it works everywhere the tests
+run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional
 
-from repro.core.events import EventKind, Trace
+from repro.core.exposure import ExposureMonitor, Window
 from repro.core.units import ns_to_us
 
 
-@dataclass
-class _Lane:
-    intervals: List[Tuple[int, int]] = field(default_factory=list)
-    marks: List[int] = field(default_factory=list)
-    open_since: Optional[int] = None
-
-    def open(self, t: int) -> None:
-        if self.open_since is None:
-            self.open_since = t
-
-    def close(self, t: int) -> None:
-        if self.open_since is not None:
-            self.intervals.append((self.open_since, t))
-            self.open_since = None
-
-    def finish(self, t: int) -> None:
-        self.close(t)
-
-
 class ExposureTimeline:
-    """Builds lanes from a trace and renders them into columns."""
+    """Renders the monitor's closed windows and relocation instants
+    into columns (call the runtime's ``finish`` first, so no window is
+    left open)."""
 
-    def __init__(self, trace: Trace, *, end_ns: Optional[int] = None,
-                 width: int = 72) -> None:
+    def __init__(self, monitor: ExposureMonitor, *,
+                 end_ns: Optional[int] = None, width: int = 72) -> None:
+        self.monitor = monitor
         self.width = width
-        self.pmo_lanes: Dict[Hashable, _Lane] = {}
-        self.thread_lanes: Dict[Tuple[int, Hashable], _Lane] = {}
         self.end_ns = end_ns if end_ns is not None else max(
-            (e.now_ns for e in trace), default=0)
-        self._build(trace)
-
-    def _pmo(self, pmo_id) -> _Lane:
-        return self.pmo_lanes.setdefault(pmo_id, _Lane())
-
-    def _thread(self, thread_id, pmo_id) -> _Lane:
-        return self.thread_lanes.setdefault((thread_id, pmo_id),
-                                            _Lane())
-
-    def _build(self, trace: Trace) -> None:
-        for event in trace:
-            if event.kind is EventKind.MAP:
-                self._pmo(event.pmo_id).open(event.now_ns)
-            elif event.kind is EventKind.UNMAP:
-                self._pmo(event.pmo_id).close(event.now_ns)
-            elif event.kind is EventKind.RANDOMIZE:
-                lane = self._pmo(event.pmo_id)
-                lane.marks.append(event.now_ns)
-                # A relocation ends the old-location interval.
-                lane.close(event.now_ns)
-                lane.open(event.now_ns)
-            elif event.kind is EventKind.GRANT:
-                self._thread(event.thread_id,
-                             event.pmo_id).open(event.now_ns)
-            elif event.kind is EventKind.REVOKE:
-                self._thread(event.thread_id,
-                             event.pmo_id).close(event.now_ns)
-        for lane in list(self.pmo_lanes.values()) + \
-                list(self.thread_lanes.values()):
-            lane.finish(self.end_ns)
+            (w.end_ns for w in monitor.ew.windows() + monitor.tew.windows()),
+            default=0)
 
     # -- rendering -----------------------------------------------------------
 
@@ -84,42 +37,42 @@ class ExposureTimeline:
         col = int(t * self.width / self.end_ns)
         return min(col, self.width - 1)
 
-    def _lane_chars(self, lane: _Lane, fill: str) -> str:
+    def _lane_chars(self, windows: List[Window], marks: List[int],
+                    fill: str) -> str:
         chars = [" "] * self.width
-        for start, end in lane.intervals:
-            lo, hi = self._column(start), self._column(end)
+        for w in windows:
+            lo, hi = self._column(w.start_ns), self._column(w.end_ns)
             for c in range(lo, max(hi, lo + 1)):
                 chars[c] = fill
-        for mark in lane.marks:
+        for mark in marks:
             chars[self._column(mark)] = "R"
         return "".join(chars)
 
     def render(self) -> str:
+        mon = self.monitor
         lines = [f"timeline 0 .. {ns_to_us(self.end_ns):.1f}us "
                  f"(= mapped, # thread permission, R relocation)"]
-        for pmo_id in sorted(self.pmo_lanes, key=repr):
-            lane = self.pmo_lanes[pmo_id]
-            lines.append(f"  pmo {str(pmo_id):12s} "
-                         f"|{self._lane_chars(lane, '=')}|")
-            lanes = [(key, l) for key, l in self.thread_lanes.items()
-                     if key[1] == pmo_id]
-            for (thread_id, _), thread_lane in sorted(lanes):
-                lines.append(f"    thread {thread_id:<7d} "
-                             f"|{self._lane_chars(thread_lane, '#')}|")
+        for pmo_id in mon.ew.keys():
+            lane = self._lane_chars(mon.ew.windows(pmo_id),
+                                    mon.relocations(pmo_id), "=")
+            lines.append(f"  pmo {str(pmo_id):12s} |{lane}|")
+            threads = sorted(key for key in mon.tew.keys()
+                             if key[1] == pmo_id)
+            for key in threads:
+                lane = self._lane_chars(mon.tew.windows(key), [], "#")
+                lines.append(f"    thread {key[0]:<7d} |{lane}|")
         return "\n".join(lines)
 
     # -- stats (handy for tests) ------------------------------------------------
 
-    def mapped_fraction(self, pmo_id) -> float:
-        lane = self.pmo_lanes.get(pmo_id)
-        if lane is None or self.end_ns == 0:
+    def _fraction(self, windows: List[Window]) -> float:
+        if self.end_ns == 0:
             return 0.0
-        total = sum(end - start for start, end in lane.intervals)
-        return total / self.end_ns
+        return sum(w.length_ns for w in windows) / self.end_ns
 
-    def permission_fraction(self, thread_id, pmo_id) -> float:
-        lane = self.thread_lanes.get((thread_id, pmo_id))
-        if lane is None or self.end_ns == 0:
-            return 0.0
-        total = sum(end - start for start, end in lane.intervals)
-        return total / self.end_ns
+    def mapped_fraction(self, pmo_id: Hashable) -> float:
+        return self._fraction(self.monitor.ew.windows(pmo_id))
+
+    def permission_fraction(self, thread_id: int,
+                            pmo_id: Hashable) -> float:
+        return self._fraction(self.monitor.tew.windows((thread_id, pmo_id)))

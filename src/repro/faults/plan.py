@@ -34,8 +34,6 @@ site                        effect when a rule fires
                             the PMO is quarantined)
 ``store.commit_stall``      the group-commit flusher sleeps ``delay_ns``
                             with its batch staged
-``repl.ship_stall``         the shipper sleeps ``delay_ns`` before
-                            sending a batch to the standby
 ==========================  ================================================
 
 Determinism: every rule owns its own ``random.Random`` seeded from
@@ -76,7 +74,6 @@ SITES = (
     "store.torn_page",
     "store.bit_rot",
     "store.commit_stall",
-    "repl.ship_stall",
 )
 
 

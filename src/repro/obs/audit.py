@@ -1,7 +1,10 @@
 """The exposure-window audit timeline.
 
-Where :mod:`repro.core.exposure` *aggregates* exposure windows into the
-paper's EW/TEW statistics, the audit timeline *remembers the events*:
+The runtime's :class:`~repro.core.exposure.ExposureMonitor` is the
+library's exposure ledger: the windows and relocations the EW/TEW
+statistics, the exposure timeline and Theorem 6's schedule are read
+from.  The terpd daemon's monitor holds open windows only, so the
+service's ledger is this timeline, which *remembers the events*:
 every attach, detach, forced detach, and sweep pass, with the entity
 that caused it, the PMO it touched, and — for the closing half of a
 pair — how long the window stayed open.  It answers the operator's

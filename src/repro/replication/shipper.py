@@ -58,7 +58,6 @@ from repro.replication.wire import (
     send_msg)
 
 if TYPE_CHECKING:
-    from repro.faults.plan import FaultPlan
     from repro.pmo.store import PmoStore
     from repro.service.recovery import SessionJournal
 
@@ -81,7 +80,6 @@ class JournalShipper:
                  store: "PmoStore",
                  journal: Optional["SessionJournal"] = None,
                  metrics: Optional[Any] = None,
-                 faults: Optional["FaultPlan"] = None,
                  ack_timeout_s: float = DEFAULT_ACK_TIMEOUT_S,
                  reconnect_s: float = DEFAULT_RECONNECT_S) -> None:
         self.host = host
@@ -89,7 +87,6 @@ class JournalShipper:
         self._store = store
         self._journal = journal
         self._metrics = metrics
-        self._faults = faults
         self.ack_timeout_s = ack_timeout_s
         self.reconnect_s = reconnect_s
         #: serializes socket sends and the per-PMO chain state.
@@ -187,10 +184,6 @@ class JournalShipper:
         store lock held.  Returns the seq whose ack covers the batch
         (hand it to :meth:`await_commit`), or None when shipping
         degraded (counted ``dropped``).  Never raises."""
-        if self._faults is not None:
-            rule = self._faults.fire("repl.ship_stall")
-            if rule is not None and rule.delay_ns > 0:
-                time.sleep(rule.delay_ns / 1e9)
         with self._send_lock:
             if not self.connected:
                 self._note_drop()

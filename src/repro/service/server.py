@@ -227,7 +227,7 @@ class TerpService:
             self.shipper = JournalShipper(
                 peer_host or "127.0.0.1", int(peer_port),
                 store=self.store, journal=self.session_journal,
-                metrics=self.metrics, faults=faults)
+                metrics=self.metrics)
             self.store.shipper = self.shipper
             self.session_journal.mirror = self.shipper.ship_journal
 

@@ -35,7 +35,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 from repro.arch.cond_engine import TerpArchEngine
 from repro.arch.params import CostBreakdown, CostModel, DEFAULT_PARAMS, SimParams
 from repro.core.errors import SimulationError
-from repro.core.events import Trace
 from repro.core.permissions import Access
 from repro.core.runtime import TerpRuntime
 from repro.core.semantics import ActionKind, Outcome, SemanticsEngine
@@ -76,8 +75,7 @@ class Machine:
                  randomize_on_reattach: bool = False,
                  detailed_tlb: bool = False,
                  num_cores: Optional[int] = None,
-                 seed: int = 2022,
-                 trace: Optional[Trace] = None) -> None:
+                 seed: int = 2022) -> None:
         self.params = params
         self.cost_model = CostModel(params)
         self.engine = engine
@@ -91,8 +89,7 @@ class Machine:
         self.detailed_tlb = detailed_tlb
         self.manager = PmoManager()
         self.runtime = TerpRuntime(engine, manager=self.manager,
-                                   rng=random.Random(seed),
-                                   trace=trace)
+                                   rng=random.Random(seed))
         self.pmos = {name: self.manager.create(name, size)
                      for name, size in pmo_sizes.items()}
         self.breakdown = CostBreakdown()

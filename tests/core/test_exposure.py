@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import TerpError
 from repro.core.exposure import ExposureMonitor, Window, WindowStats, WindowTracker
+from repro.sim.stats import collect_exposure
 
 
 class TestWindow:
@@ -50,12 +51,6 @@ class TestWindowTracker:
         with pytest.raises(TerpError):
             t.close("pmo", 50)
 
-    def test_current_length(self):
-        t = WindowTracker()
-        t.open("pmo", 100)
-        assert t.current_length("pmo", 250) == 150
-        assert t.current_length("other", 250) == 0
-
     def test_finish_closes_all(self):
         t = WindowTracker()
         t.open("a", 0)
@@ -92,12 +87,13 @@ class TestExposureMonitor:
         mon.thread_granted(2, "pmo1", 10_000)
         mon.thread_revoked(2, "pmo1", 12_000)     # 2us TEW
         mon.pmo_unmapped("pmo1", 40_000)          # 40us EW
-        report = mon.report(total_ns=100_000)
+        [report] = collect_exposure(mon, 100_000, num_threads=2)
         assert report.ew_avg_us == pytest.approx(40.0)
         assert report.ew_max_us == pytest.approx(40.0)
         assert report.er_percent == pytest.approx(40.0)
         assert report.tew_avg_us == pytest.approx(2.0)
-        assert report.ter_percent == pytest.approx(4.0)
+        # 4us of thread windows over 2 threads x 100us.
+        assert report.ter_percent == pytest.approx(2.0)
 
     def test_ter_below_er_when_grants_are_short(self):
         # The core TERP claim: thread windows are much smaller than
@@ -108,7 +104,7 @@ class TestExposureMonitor:
             mon.thread_granted(1, "p", i * 8_000)
             mon.thread_revoked(1, "p", i * 8_000 + 1_000)
         mon.pmo_unmapped("p", 40_000)
-        report = mon.report(total_ns=40_000)
+        [report] = collect_exposure(mon, 40_000, num_threads=1)
         assert report.ter_percent < report.er_percent
 
     def test_finish_closes_both_levels(self):
@@ -118,3 +114,21 @@ class TestExposureMonitor:
         mon.finish(1_000)
         assert mon.ew.stats().count == 1
         assert mon.tew.stats().count == 1
+
+    def test_relocation_splits_an_open_window(self):
+        mon = ExposureMonitor()
+        mon.pmo_mapped("p", 0)
+        mon.pmo_relocated("p", 30)
+        mon.pmo_unmapped("p", 50)
+        assert [(w.start_ns, w.end_ns) for w in mon.ew.windows("p")] == \
+            [(0, 30), (30, 50)]
+        assert mon.relocations("p") == [30]
+        assert mon.relocations("other") == []
+
+    def test_relocation_instants_follow_keep_closed(self):
+        mon = ExposureMonitor(keep_closed=False)
+        mon.pmo_mapped("p", 0)
+        mon.pmo_relocated("p", 30)
+        assert mon.ew.is_open("p")
+        assert mon.relocations("p") == []
+        assert mon.ew.windows() == []

@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 
 from repro.core.errors import TerpError
-from repro.core.events import EventKind, Trace
 from repro.core.permissions import Access
 from repro.core.runtime import TerpRuntime
 from repro.core.semantics import (
     BasicSemantics, EwConsciousSemantics, FcfsSemantics, Outcome)
 from repro.core.units import MIB, us
 from repro.pmo.pool import PmoManager
+from repro.sim.stats import collect_exposure
 
 
-def make_runtime(semantics=None, trace=None):
+def make_runtime(semantics=None):
     semantics = semantics or EwConsciousSemantics(us(40))
     manager = PmoManager()
-    rt = TerpRuntime(semantics, manager=manager, trace=trace,
-                     rng=random.Random(1))
+    rt = TerpRuntime(semantics, manager=manager, rng=random.Random(1))
     pmo = manager.create("p", 8 * MIB)
     return rt, pmo
 
@@ -144,32 +143,24 @@ class TestAccessFlow:
 
 
 class TestTracing:
-    def test_trace_records_lifecycle(self):
-        trace = Trace()
-        rt, pmo = make_runtime(trace=trace)
-        rt.attach(1, pmo, Access.RW, 0)
-        rt.access(1, pmo, 0, Access.READ, 10)
-        rt.detach(1, pmo, us(41))
-        kinds = [e.kind for e in trace]
-        assert EventKind.ATTACH in kinds
-        assert EventKind.MAP in kinds
-        assert EventKind.GRANT in kinds
-        assert EventKind.ACCESS in kinds
-        assert EventKind.DETACH in kinds
-        assert EventKind.UNMAP in kinds
+    """What the runtime's exposure monitor records of a run."""
 
-    def test_trace_capacity(self):
-        trace = Trace(capacity=2)
-        rt, pmo = make_runtime(trace=trace)
+    def test_relocation_splits_the_window_and_keeps_the_instant(self):
+        rt, pmo = make_runtime()
         rt.attach(1, pmo, Access.RW, 0)
-        rt.detach(1, pmo, 10)
-        assert len(trace) == 2
-        assert trace.dropped > 0
+        rt.attach(2, pmo, Access.RW, us(1))
+        rt.detach(1, pmo, us(41))      # randomize: thread 2 still holds
+        rt.finish(us(80))
+        assert rt.counters.randomizations == 1
+        assert rt.monitor.relocations(pmo.pmo_id) == [us(41)]
+        assert [(w.start_ns, w.end_ns)
+                for w in rt.monitor.ew.windows(pmo.pmo_id)] == \
+            [(0, us(41)), (us(41), us(80))]
 
     def test_finish_closes_windows(self):
         rt, pmo = make_runtime()
         rt.attach(1, pmo, Access.RW, 0)
         rt.finish(us(100))
         assert not rt.monitor.ew.is_open(pmo.pmo_id)
-        report = rt.monitor.report(us(100))
+        [report] = collect_exposure(rt.monitor, us(100), num_threads=1)
         assert report.ew_avg_us == pytest.approx(100.0)

@@ -51,6 +51,14 @@ class TestSemanticsSpace:
                    if satisfactory(s)]
         assert winners == ["ew-conscious"]
 
+    def test_location_windows(self, scores):
+        # Read off each run's Theorem 6 schedule; the hand-rolled
+        # open/close loop this replaced gave the same four figures.
+        assert {name: s.max_location_window_us
+                for name, s in scores.items()} == {
+            "basic": 11, "outermost": 1000, "fcfs": 11,
+            "ew-conscious": 41}
+
     def test_render(self, scores):
         text = semantics_space.render(list(scores.values()))
         assert "UNBOUNDED" in text

@@ -14,12 +14,13 @@ from repro import (
     Access, EwConsciousSemantics, PmoLibrary, ProtectionFault,
     TerpArchEngine)
 from repro.core.runtime import TerpRuntime
-from repro.core.theorem import attack_can_succeed, Schedule
+from repro.core.theorem import attack_can_succeed, schedule_of
 from repro.core.units import MIB, us
 from repro.eval.configs import config
 from repro.eval.runner import run_whisper
 from repro.pmo.pool import PmoManager
 from repro.workloads.structures import PersistentHashMap, TpccDatabase
+from repro.workloads.whisper.benchmarks import get_benchmark
 
 
 class TestProtectedDataStructures:
@@ -105,23 +106,23 @@ class TestCompilerToHardware:
 
 class TestSimulationVsAnalyticSecurity:
     def test_measured_windows_satisfy_theorem(self):
-        """Windows measured from a simulated TT run, fed into the
-        Theorem 6 checker: no stationary+accessible stretch can exceed
-        the EW target (so any slower attack is prevented)."""
-        result = run_whisper("echo", config("TT"), n_transactions=800)
-        machine_windows = []
-        # Rebuild the schedule from the per-PMO exposure report: the
-        # run's windows are bounded by ew_max.
-        ew_max_ns = int(result.per_pmo[0].ew_max_us * 1_000)
-        # Regenerate an explicit schedule with the measured bound.
-        schedule = Schedule.of([(i * 3 * ew_max_ns,
-                                 i * 3 * ew_max_ns + ew_max_ns)
-                                for i in range(50)],
-                               relocations=[])
-        attack_needs = ew_max_ns + 1
-        assert not attack_can_succeed(schedule, attack_needs)
+        """The Theorem 6 schedule a simulated TT run recorded — its
+        exposure windows and relocations, read off the runtime's
+        monitor: no stationary+accessible stretch exceeds the run's
+        measured ew_max, so any slower attack is prevented."""
+        # The machine eval.runner.run_whisper builds, kept for its monitor.
+        bench = get_benchmark("echo")
+        machine = config("TT").build(bench.pmo_sizes(), seed=2022)
+        result = machine.run(bench.threads(1, n_transactions=800,
+                                           seed=2022))
+        [exposure] = result.per_pmo
+        schedule = schedule_of(machine.runtime.monitor, exposure.pmo)
+        assert schedule.windows and schedule.relocations
+        ew_max_ns = round(exposure.ew_max_us * 1_000)
+        assert schedule.longest_stationary_accessible_ns() <= ew_max_ns
+        assert not attack_can_succeed(schedule, ew_max_ns + 1)
         # And the measured max is near the configured 40us target.
-        assert result.per_pmo[0].ew_max_us <= 45.0
+        assert exposure.ew_max_us <= 45.0
 
     def test_gadget_armed_fraction_matches_ter(self):
         """The Table VI derivation: a uniformly-placed gadget's

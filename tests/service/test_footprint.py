@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import types
 
@@ -239,9 +240,21 @@ def test_memory_is_flat_over_tenant_cycles(small_buffers_service):
             grown = run(2000) - before
         finally:
             tracemalloc.stop()
+        # Hold the PMO past its EW target until a sweep relocates it.
+        runtime = service.lib.runtime
+        client.attach("flat")
+        deadline = time.monotonic() + 5.0
+        while runtime.counters.randomizations == 0 and \
+                time.monotonic() < deadline:
+            time.sleep(0.01)
+        client.detach("flat")
     assert grown < 64 * 1024, f"{grown} B retained over 2000 cycles"
-    monitor = service.lib.runtime.monitor
+    monitor = runtime.monitor
     assert monitor.ew.windows() == [] and monitor.tew.windows() == []
+    # A sweep relocated the PMO, and the monitor kept no instant.
+    assert runtime.counters.randomizations > 0
+    assert monitor.relocations(service.lib.manager.lookup("flat").pmo_id) \
+        == []
     assert service.obs.audit.summary()["windows"] >= 2500
 
 
