@@ -13,17 +13,16 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.eval.configs import config
-from repro.eval.runner import run_spec, run_whisper
+from repro.eval import runner
 
 
 def test_window_combining_ablation(benchmark):
     """+CB vs +Cond on a combining-friendly workload: the circular
     buffer must elide a large share of real syscall pairs."""
     def run():
-        with_cb = run_whisper("redis", config("TT"),
-                              n_transactions=4_000)
-        without_cb = run_whisper("redis", config("TT_COND"),
-                                 n_transactions=4_000)
+        with_cb = runner.run("whisper", "redis", config("TT"), ops=4_000)
+        without_cb = runner.run("whisper", "redis", config("TT_COND"),
+                                ops=4_000)
         return with_cb, without_cb
     with_cb, without_cb = run_once(benchmark, run)
     print()
@@ -42,10 +41,10 @@ def test_semantics_ablation_multithread(benchmark):
     """EW-conscious vs Basic semantics with 4 threads: composability
     is worth multiples of execution time."""
     def run():
-        basic = run_spec("nab", config("TT_BASIC"),
-                         n_iterations=1_600, num_threads=4)
-        ew = run_spec("nab", config("TT"),
-                      n_iterations=1_600, num_threads=4)
+        basic = runner.run("spec", "nab", config("TT_BASIC"),
+                           ops=1_600, num_threads=4)
+        ew = runner.run("spec", "nab", config("TT"), ops=1_600,
+                        num_threads=4)
         return basic, ew
     basic, ew = run_once(benchmark, run)
     print()
@@ -117,9 +116,9 @@ def test_tew_target_sweep(benchmark):
     def run():
         out = {}
         for tew in (0.5, 2.0, 8.0):
-            result = run_whisper("ycsb",
-                                 config("TT", tew_target_us=tew),
-                                 n_transactions=3_000)
+            result = runner.run("whisper", "ycsb",
+                                config("TT", tew_target_us=tew),
+                                ops=3_000)
             out[tew] = (result.ter_percent, result.cond_per_second)
         return out
     sweep = run_once(benchmark, run)

@@ -7,11 +7,11 @@ magnitude reduction".  lbm is the worst case (two hot PMOs).
 """
 
 from benchmarks.conftest import run_once, SPEC_ITERS
-from repro.eval.experiments import fig10
+from repro.eval.experiments import overhead
 
 
 def test_fig10(benchmark):
-    result = run_once(benchmark, fig10.run, n_iterations=SPEC_ITERS)
+    result = run_once(benchmark, overhead.run, "fig10", ops=SPEC_ITERS)
     print()
     print(result.render())
     mm = result.config_total("MM (40us)")

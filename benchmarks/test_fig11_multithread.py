@@ -9,13 +9,13 @@ the EW target grows.
 """
 
 from benchmarks.conftest import run_once
-from repro.eval.experiments import fig11
+from repro.eval.experiments import overhead
 
 ITERS = 2_400  # per-benchmark total across 4 threads
 
 
 def test_fig11(benchmark):
-    result = run_once(benchmark, fig11.run, n_iterations=ITERS,
+    result = run_once(benchmark, overhead.run, "fig11", ops=ITERS,
                       num_threads=4)
     print()
     print(result.render())

@@ -6,11 +6,11 @@ the EW target grows to 80/160µs.
 """
 
 from benchmarks.conftest import run_once, WHISPER_TXS
-from repro.eval.experiments import fig9
+from repro.eval.experiments import overhead
 
 
 def test_fig9(benchmark):
-    result = run_once(benchmark, fig9.run, n_transactions=WHISPER_TXS)
+    result = run_once(benchmark, overhead.run, "fig9", ops=WHISPER_TXS)
     print()
     print(result.render())
     mm = result.config_total("MM (40us)")

@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.eval.configs import config
-from repro.eval.runner import run_spec_suite, run_whisper_suite
+from repro.eval.runner import run_suite
 
 TXS = 4_000
 ITERS = 2_500
@@ -24,10 +24,10 @@ def _mean(values):
 
 def test_headline_overheads_and_exposure(benchmark):
     def run():
-        mm_w = run_whisper_suite(config("MM"), n_transactions=TXS)
-        tt_w = run_whisper_suite(config("TT"), n_transactions=TXS)
-        mm_s = run_spec_suite(config("MM"), n_iterations=ITERS)
-        tt_s = run_spec_suite(config("TT"), n_iterations=ITERS)
+        mm_w = run_suite("whisper", config("MM"), ops=TXS)
+        tt_w = run_suite("whisper", config("TT"), ops=TXS)
+        mm_s = run_suite("spec", config("MM"), ops=ITERS)
+        tt_s = run_suite("spec", config("TT"), ops=ITERS)
         return mm_w, tt_w, mm_s, tt_s
     mm_w, tt_w, mm_s, tt_s = run_once(benchmark, run)
 

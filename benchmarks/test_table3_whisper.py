@@ -12,14 +12,14 @@ Shape assertions (what must reproduce):
 """
 
 from benchmarks.conftest import run_once, WHISPER_TXS
-from repro.eval.experiments import table3
+from repro.eval.experiments import exposure
 
 
 def test_table3(benchmark):
-    result = run_once(benchmark, table3.run,
-                      n_transactions=WHISPER_TXS)
+    result = run_once(benchmark, exposure.run, "whisper",
+                      ops=WHISPER_TXS)
     print()
-    print(result.render())
+    print(exposure.render_table3(result))
     avg = result.averages()
 
     # TERP pins the exposure window at the target...

@@ -7,13 +7,13 @@ lowest ER), because programs use different PMOs in different stages.
 """
 
 from benchmarks.conftest import run_once, SPEC_ITERS
-from repro.eval.experiments import table4
+from repro.eval.experiments import exposure
 
 
 def test_table4(benchmark):
-    result = run_once(benchmark, table4.run, n_iterations=SPEC_ITERS)
+    result = run_once(benchmark, exposure.run, "spec", ops=SPEC_ITERS)
     print()
-    print(result.render())
+    print(exposure.render_table4(result))
     avg = result.averages()
     by_name = {r.name: r for r in result.rows}
 

@@ -14,8 +14,8 @@ ITERS = 2_000
 
 
 def test_table6(benchmark):
-    result = run_once(benchmark, table6.run, n_transactions=TXS,
-                      n_iterations=ITERS)
+    result = run_once(benchmark, table6.run,
+                      ops={"whisper": TXS, "spec": ITERS})
     print()
     print(result.render())
 

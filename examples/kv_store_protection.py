@@ -15,7 +15,7 @@ overhead (how much slower the service gets):
 """
 
 from repro.eval.configs import config
-from repro.eval.runner import run_whisper
+from repro.eval.runner import run
 
 
 def main() -> None:
@@ -24,7 +24,7 @@ def main() -> None:
           f"{'ER':>6s} {'TEW':>6s} {'TER':>6s} {'silent':>7s}")
     for key in ("MM", "TM", "TT"):
         cfg = config(key)
-        result = run_whisper("redis", cfg, n_transactions=8_000)
+        result = run("whisper", "redis", cfg, ops=8_000)
         pmo = result.per_pmo[0]
         print(f"{cfg.label[:28]:28s} "
               f"{result.overhead_percent:8.2f}% "
@@ -35,7 +35,7 @@ def main() -> None:
               f"{result.silent_percent:6.1f}%")
 
     print()
-    tt = run_whisper("redis", config("TT"), n_transactions=8_000)
+    tt = run("whisper", "redis", config("TT"), ops=8_000)
     cases = tt.arch_cases
     print("TERP hardware case counts (Figure 7):")
     print(f"  case 1 (first attach, syscall):   "

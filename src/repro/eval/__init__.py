@@ -1,9 +1,1 @@
 """Evaluation: configurations, runner, and per-artifact experiments."""
-
-from repro.eval.configs import config, DEFAULT_EW_US, DEFAULT_TEW_US, EvalConfig
-from repro.eval.runner import (
-    run_spec, run_spec_suite, run_whisper, run_whisper_suite)
-
-__all__ = ["config", "EvalConfig", "DEFAULT_EW_US", "DEFAULT_TEW_US",
-           "run_spec", "run_spec_suite", "run_whisper",
-           "run_whisper_suite"]

@@ -36,7 +36,3 @@ def run(*, n_objects_per_profile: int = 1_500,
     dead_times = all_dead_times_us(
         n_objects_per_profile=n_objects_per_profile, seed=seed)
     return Fig8Result(DeadTimeDistribution.from_dead_times(dead_times))
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -181,7 +181,3 @@ def render(scores: List[SemanticsScore]) -> str:
         ["semantics", "nested pairs", "compiler-style", "2 threads",
          "max location window", "reattach holes"],
         rows, title="Semantics design space (Section IV)")
-
-
-if __name__ == "__main__":
-    print(render(run()))

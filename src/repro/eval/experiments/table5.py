@@ -15,13 +15,7 @@ from repro.eval.tables import render_table
 from repro.security.probability import (
     merr_success_percent, placement_entropy_bits, reduction_factor,
     simulate_probing, terp_success_percent)
-
-ATTACK_CLASSES = [
-    "Stack Buffer Overflow",
-    "Heap Overflow",
-    "Format String",
-    "Integer Overflow",
-]
+from repro.security.threat_model import AttackClass, DEFAULT_THREAT_MODEL
 
 
 @dataclass
@@ -41,9 +35,12 @@ class Table5Result:
 
     def render(self) -> str:
         rows = []
-        for attack in ATTACK_CLASSES:
+        # One row per in-scope attack class (Section III-B), in the
+        # order the threat model declares them.
+        for attack in (a for a in AttackClass
+                       if a in DEFAULT_THREAT_MODEL.in_scope):
             rows.append([
-                attack,
+                attack.value.title(),
                 "0.015/x", f"{self.merr_1us:.4f}", f"{self.merr_01us:.3f}",
                 "0.0005/x", f"{self.terp_1us:.5f}",
                 f"{self.terp_01us:.4f}" if self.terp_01us is not None
@@ -83,7 +80,3 @@ def run(*, ew_us: float = 40.0, tew_us: float = 2.0,
             1.0, window_us=ew_us, entropy_bits=entropy),
         access_fraction=whisper_ter_over_er,
     )
-
-
-if __name__ == "__main__":
-    print(run().render())

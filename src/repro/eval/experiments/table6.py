@@ -12,12 +12,10 @@ in SPEC; MERR leaves 24.5% / 27.2% of gadgets armed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Mapping, Optional
 
 from repro.eval.configs import config
-from repro.eval.runner import (
-    SPEC_DEFAULT_ITERS, WHISPER_DEFAULT_TXS, run_spec_suite,
-    run_whisper_suite)
+from repro.eval.runner import run_suite, SUITES
 from repro.eval.tables import render_table
 from repro.security.gadgets import (
     census_from_runs, GadgetCensus, scenario_table, ScenarioVerdict)
@@ -55,21 +53,15 @@ class Table6Result:
         return "\n".join(lines)
 
 
-def run(*, n_transactions: int = WHISPER_DEFAULT_TXS,
-        n_iterations: int = SPEC_DEFAULT_ITERS,
+def run(*, ops: Optional[Mapping[str, int]] = None,
         seed: int = 2022) -> Table6Result:
-    mm = config("MM")
-    tt = config("TT")
-    whisper_mm = run_whisper_suite(mm, n_transactions=n_transactions,
-                                   seed=seed)
-    whisper_tt = run_whisper_suite(tt, n_transactions=n_transactions,
-                                   seed=seed)
-    spec_mm = run_spec_suite(mm, n_iterations=n_iterations, seed=seed)
-    spec_tt = run_spec_suite(tt, n_iterations=n_iterations, seed=seed)
-    whisper = census_from_runs("WHISPER", whisper_mm, whisper_tt)
-    spec = census_from_runs("SPEC", spec_mm, spec_tt)
+    """``ops``: operations per run, by suite (default: each suite's)."""
+    ops = ops or {}
+
+    def census(suite: str) -> GadgetCensus:
+        mm, tt = (run_suite(suite, config(key), ops=ops.get(suite),
+                            seed=seed) for key in ("MM", "TT"))
+        return census_from_runs(SUITES[suite].label, mm, tt)
+
+    whisper, spec = census("whisper"), census("spec")
     return Table6Result(whisper, spec, scenario_table(whisper, spec))
-
-
-if __name__ == "__main__":
-    print(run(n_transactions=2_000, n_iterations=1_500).render())

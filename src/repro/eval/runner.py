@@ -1,70 +1,69 @@
 """Experiment runner: workloads x configurations -> results.
 
-The single entry point the table/figure drivers and benchmarks use.
+The single entry point the experiments and benchmarks use:
+:func:`run` runs one benchmark of one suite under one configuration,
+:func:`run_suite` a suite's benchmarks.  A suite is a row of
+:data:`SUITES`, so no caller branches on which suite it runs.
+
 Scaling: the paper runs 100K WHISPER transactions; Python's discrete-
 event machine handles that, but most tables only need the *rates* and
-window statistics, which converge far earlier.  ``scale`` multiplies
-the default operation counts (1.0 = the paper's counts).
+window statistics, which converge far earlier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
-from repro.eval.configs import EvalConfig, config
+from repro.eval.configs import EvalConfig
 from repro.sim.stats import RunResult
-from repro.workloads.spec.base import SpecBenchmark
+from repro.workloads.spec.base import SPEC_NAMES
 from repro.workloads.spec.base import get_benchmark as get_spec
-from repro.workloads.whisper.base import WhisperBenchmark
+from repro.workloads.whisper.benchmarks import WHISPER_NAMES
 from repro.workloads.whisper.benchmarks import get_benchmark as get_whisper
 
-#: Default op counts used by the experiment drivers.  The paper's
-#: runs use 100K transactions; 10K is the default here because every
-#: reported statistic is rate-based and stable at that length (the
-#: benchmark harness asserts this), keeping a full table run fast.
-WHISPER_DEFAULT_TXS = 10_000
-SPEC_DEFAULT_ITERS = 8_000
+
+@dataclass(frozen=True)
+class Suite:
+    """One benchmark suite."""
+
+    #: as the paper's tables name it
+    label: str
+    #: benchmark name -> its generator (``pmo_sizes()``, ``threads()``)
+    benchmark: Callable
+    names: Sequence[str]
+    #: the generator's keyword for the operation count
+    ops_keyword: str
+    #: operations per run when the caller names none.  The paper's runs
+    #: use 100K transactions; every reported statistic is rate-based
+    #: and stable far earlier (the benchmark harness asserts this).
+    default_ops: int
 
 
-def run_whisper(name: str, cfg: EvalConfig, *,
-                n_transactions: int = WHISPER_DEFAULT_TXS,
-                num_threads: int = 1, seed: int = 2022) -> RunResult:
-    """Run one WHISPER benchmark under one configuration."""
-    bench = get_whisper(name)
+SUITES: Dict[str, Suite] = {
+    "whisper": Suite("WHISPER", get_whisper, WHISPER_NAMES,
+                     "n_transactions", 10_000),
+    "spec": Suite("SPEC", get_spec, SPEC_NAMES, "n_iterations", 8_000),
+}
+
+
+def run(suite: str, name: str, cfg: EvalConfig, *,
+        ops: Optional[int] = None, num_threads: int = 1,
+        seed: int = 2022) -> RunResult:
+    """Run one benchmark of ``suite`` under one configuration."""
+    row = SUITES[suite]
+    bench = row.benchmark(name)
     machine = cfg.build(bench.pmo_sizes(), seed=seed)
-    threads = bench.threads(num_threads, n_transactions=n_transactions,
-                            seed=seed)
-    return machine.run(threads)
+    count = row.default_ops if ops is None else ops
+    return machine.run(bench.threads(
+        num_threads, seed=seed, **{row.ops_keyword: count}))
 
 
-def run_spec(name: str, cfg: EvalConfig, *,
-             n_iterations: int = SPEC_DEFAULT_ITERS,
-             num_threads: int = 1, seed: int = 2022) -> RunResult:
-    """Run one SPEC benchmark under one configuration."""
-    bench = get_spec(name)
-    machine = cfg.build(bench.pmo_sizes(), seed=seed)
-    threads = bench.threads(num_threads, n_iterations=n_iterations,
-                            seed=seed)
-    return machine.run(threads)
-
-
-def run_whisper_suite(cfg: EvalConfig, *, names=None,
-                      n_transactions: int = WHISPER_DEFAULT_TXS,
-                      seed: int = 2022) -> Dict[str, RunResult]:
-    from repro.workloads.whisper.benchmarks import WHISPER_NAMES
-    names = names or WHISPER_NAMES
-    return {name: run_whisper(name, cfg, n_transactions=n_transactions,
-                              seed=seed)
-            for name in names}
-
-
-def run_spec_suite(cfg: EvalConfig, *, names=None,
-                   n_iterations: int = SPEC_DEFAULT_ITERS,
-                   num_threads: int = 1,
-                   seed: int = 2022) -> Dict[str, RunResult]:
-    from repro.workloads.spec.base import SPEC_NAMES
-    names = names or SPEC_NAMES
-    return {name: run_spec(name, cfg, n_iterations=n_iterations,
-                           num_threads=num_threads, seed=seed)
-            for name in names}
+def run_suite(suite: str, cfg: EvalConfig, *,
+              names: Optional[Sequence[str]] = None,
+              ops: Optional[int] = None, num_threads: int = 1,
+              seed: int = 2022) -> Dict[str, RunResult]:
+    """Run ``names`` (default: every benchmark of ``suite``)."""
+    return {name: run(suite, name, cfg, ops=ops,
+                      num_threads=num_threads, seed=seed)
+            for name in names or SUITES[suite].names}

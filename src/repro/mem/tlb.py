@@ -1,11 +1,13 @@
 """Set-associative TLB models (Table II: L1 DTLB and L2 TLB).
 
 The TLB caches page translations.  Its role in the reproduction is
-twofold: it supplies hit/miss timing to the simulator (L1 4-way 64
-entries 1 cycle; L2 6-way 1536 entries 4 cycles; 30-cycle miss
-penalty), and it is the structure that attach/detach must *shoot down*
-— the paper charges 550 cycles per TLB invalidation, and window
-combining exists largely to avoid those shootdowns.
+twofold: it supplies hit/miss timing to the simulator (the geometry,
+latencies and miss penalty are :class:`~repro.arch.params.SimParams`'
+TLB rows: L1 4-way 64 entries 1 cycle; L2 6-way 1536 entries 4
+cycles; 30-cycle miss penalty), and it is the structure that
+attach/detach must *shoot down* — the paper charges 550 cycles per
+TLB invalidation, and window combining exists largely to avoid those
+shootdowns.
 
 Replacement is LRU within a set.  Translations are symbolic (we cache
 the page number only); permission checking lives in the permission
@@ -19,6 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.arch.params import DEFAULT_PARAMS, SimParams
 from repro.core.units import PAGE_SIZE
 
 
@@ -121,23 +124,23 @@ class TlbHierarchy:
     walk penalty and fills both.
     """
 
-    L1_LATENCY = 1
-    L2_LATENCY = 4
-    MISS_PENALTY = 30
-
-    def __init__(self) -> None:
-        self.l1 = Tlb(entries=64, ways=4, name="L1-DTLB")
-        self.l2 = Tlb(entries=1536, ways=6, name="L2-TLB")
+    def __init__(self, params: SimParams = DEFAULT_PARAMS) -> None:
+        self.params = params
+        self.l1 = Tlb(entries=params.l1_tlb_entries,
+                      ways=params.l1_tlb_ways, name="L1-DTLB")
+        self.l2 = Tlb(entries=params.l2_tlb_entries,
+                      ways=params.l2_tlb_ways, name="L2-TLB")
 
     def access(self, va: int, owner: str = "") -> int:
+        p = self.params
         if self.l1.lookup(va):
-            return self.L1_LATENCY
+            return p.l1_tlb_latency
         if self.l2.lookup(va):
             self.l1.fill(va, owner)
-            return self.L1_LATENCY + self.L2_LATENCY
+            return p.l1_tlb_latency + p.l2_tlb_latency
         self.l1.fill(va, owner)
         self.l2.fill(va, owner)
-        return self.L1_LATENCY + self.L2_LATENCY + self.MISS_PENALTY
+        return p.l1_tlb_latency + p.l2_tlb_latency + p.tlb_miss_penalty
 
     def invalidate_owner(self, owner: str) -> int:
         return self.l1.invalidate_owner(owner) + \

@@ -356,7 +356,7 @@ class Machine:
         from repro.mem.tlb import TlbHierarchy
         tlb = self._tlbs.get(state.tid)
         if tlb is None:
-            tlb = TlbHierarchy()
+            tlb = TlbHierarchy(self.params)
             self._tlbs[state.tid] = tlb
         owner = str(pmo.pmo_id)
         key = (state.tid, pmo.pmo_id)
@@ -370,7 +370,7 @@ class Machine:
         extra = 0
         for i in range(min(burst.n_accesses, 4 * pages)):
             va = base_va + (i % pages) * PAGE_SIZE
-            extra += tlb.access(va, owner) - tlb.L1_LATENCY
+            extra += tlb.access(va, owner) - self.params.l1_tlb_latency
         self.breakdown.add("other", extra)
         return extra
 

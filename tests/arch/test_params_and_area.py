@@ -12,8 +12,6 @@ class TestParams:
         p = DEFAULT_PARAMS
         assert p.num_cores == 4
         assert p.freq_ghz == 2.2
-        assert p.dram_latency == 120
-        assert p.nvm_latency == 360
         assert p.attach_syscall == 4422
         assert p.detach_syscall == 3058
         assert p.randomization == 3718

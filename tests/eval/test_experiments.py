@@ -9,7 +9,7 @@ import pytest
 
 from repro.eval.configs import config, DEFAULT_EW_US, DEFAULT_TEW_US
 from repro.eval.experiments import (
-    fig9, fig10, fig11, fig8, table3, table4, table5, table6)
+    exposure, fig8, overhead, table5, table6)
 from repro.core.errors import ConfigurationError
 
 TXS = 800
@@ -39,13 +39,13 @@ class TestConfigs:
 
 @pytest.fixture(scope="module")
 def t3():
-    return table3.run(n_transactions=TXS, names=["echo", "redis"])
+    return exposure.run("whisper", ops=TXS, names=["echo", "redis"])
 
 
 class TestTable3:
     def test_rows_and_render(self, t3):
         assert [r.name for r in t3.rows] == ["echo", "redis"]
-        text = t3.render()
+        text = exposure.render_table3(t3)
         assert "Table III" in text and "echo" in text
 
     def test_terp_ews_stable_at_target(self, t3):
@@ -79,7 +79,7 @@ class TestTable3:
 
 class TestFig9:
     def test_config_ordering(self):
-        result = fig9.run(n_transactions=TXS, names=["redis"])
+        result = overhead.run("fig9", ops=TXS, names=["redis"])
         bars = {b.label: b.total_percent for b in result.bars["redis"]}
         # TT < MM < TM, and TT overhead falls as the EW target grows.
         assert bars["TT (40us)"] < bars["MM (40us)"]
@@ -87,19 +87,19 @@ class TestFig9:
         assert bars["TT (160us)"] <= bars["TT (40us)"] + 0.5
 
     def test_breakdown_categories(self):
-        result = fig9.run(n_transactions=TXS, names=["redis"])
+        result = overhead.run("fig9", ops=TXS, names=["redis"])
         breakdown = result.bars["redis"][0].breakdown_percent
         assert set(breakdown) == {"attach", "detach", "rand", "cond",
                                   "other"}
 
     def test_render(self):
-        result = fig9.run(n_transactions=TXS, names=["redis"])
+        result = overhead.run("fig9", ops=TXS, names=["redis"])
         assert "Figure 9" in result.render()
 
 
 @pytest.fixture(scope="module")
 def t4():
-    return table4.run(n_iterations=ITERS, names=["lbm", "xz"])
+    return exposure.run("spec", ops=ITERS, names=["lbm", "xz"])
 
 
 class TestTable4:
@@ -116,32 +116,32 @@ class TestTable4:
             assert row.tt_silent_percent > 85.0
 
     def test_render(self, t4):
-        assert "Table IV" in t4.render()
+        assert "Table IV" in exposure.render_table4(t4)
 
 
 class TestFig10:
     def test_spec_overheads_ordering(self):
-        result = fig10.run(n_iterations=ITERS, names=["lbm"])
+        result = overhead.run("fig10", ops=ITERS, names=["lbm"])
         bars = {b.label: b.total_percent for b in result.bars["lbm"]}
         assert bars["TT (40us)"] < bars["MM (40us)"]
         assert bars["MM (40us)"] > 100.0   # SPEC MM blows up
 
     def test_render_mentions_spec(self):
-        result = fig10.run(n_iterations=200, names=["xz"])
+        result = overhead.run("fig10", ops=200, names=["xz"])
         assert "Figure 10" in result.render()
 
 
 class TestFig11:
     def test_basic_worst_cb_best(self):
-        result = fig11.run(n_iterations=ITERS, names=["lbm"],
-                           num_threads=4)
+        result = overhead.run("fig11", ops=ITERS, names=["lbm"],
+                              num_threads=4)
         bars = {b.label: b.total_percent for b in result.bars["lbm"]}
         assert bars["Basic semantics"] > bars["+Cond (40us)"]
         assert bars["+CB (40us)"] <= bars["+Cond (40us)"]
 
     def test_blocking_recorded_for_basic(self):
-        result = fig11.run(n_iterations=400, names=["lbm"],
-                           num_threads=4)
+        result = overhead.run("fig11", ops=400, names=["lbm"],
+                              num_threads=4)
         assert result.blocked_ns["lbm"] > 0
 
 
@@ -166,7 +166,7 @@ class TestTable5:
 
 class TestTable6:
     def test_census_shape(self):
-        result = table6.run(n_transactions=500, n_iterations=400)
+        result = table6.run(ops={"whisper": 500, "spec": 400})
         assert result.whisper.terp_disarmed_percent > 85.0
         assert result.spec.terp_disarmed_percent > 80.0
         assert result.whisper.terp_disarmed_percent > \

@@ -2,11 +2,12 @@
 --scale 0.03`` must print ``fixtures/eval_all_scale_0.03.txt`` line
 for line, less the ``[<artifact> in Xs]`` timing lines.
 
-The fixture was captured before the eval drivers were consolidated
-into one table of artifacts; a refactor of ``repro.eval``, ``sim``,
-``core``, ``workloads`` or ``security`` must reproduce it exactly.  A
-deliberate change to a paper number re-captures it by running this
-file as a script, and says so in the changelog.
+The fixture was captured before the eval experiments were consolidated
+into the one table of artifacts, ``repro.eval.__main__.ARTIFACTS``; a
+refactor of ``repro.eval``, ``sim``, ``core``, ``workloads`` or
+``security`` must reproduce it exactly.  A deliberate change to a
+paper number re-captures it by running this file as a script, and
+says so in the changelog.
 """
 
 import contextlib
@@ -15,12 +16,13 @@ import io
 import os
 import re
 
-from repro.eval.__main__ import main
+from repro.eval.__main__ import ARTIFACTS, main
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "fixtures", "eval_all_scale_0.03.txt")
 ARGV = ["all", "--scale", "0.03"]
 TIMING = re.compile(r"^\[\w+ in [0-9.]+s\]\n", re.MULTILINE)
+RULE = "=" * 72 + "\n"
 
 
 def capture() -> str:
@@ -31,19 +33,29 @@ def capture() -> str:
     return TIMING.sub("", out.getvalue())
 
 
+def sections(text: str) -> dict:
+    """Artifact name -> its printed block, in ``ARTIFACTS`` order."""
+    blocks = text.split(RULE)
+    assert blocks[0] == "" and len(blocks) == len(ARTIFACTS) + 1, \
+        f"{len(blocks) - 1} blocks for {len(ARTIFACTS)} artifacts"
+    return dict(zip(ARTIFACTS, blocks[1:]))
+
+
 def test_eval_all_matches_the_golden():
     with open(FIXTURE, encoding="utf-8") as fh:
-        expected = fh.read()
-    actual = capture()
-    if actual != expected:
-        diff = list(difflib.unified_diff(
-            expected.splitlines(), actual.splitlines(),
-            "golden", "now", lineterm="", n=0))
-        changed = sum(1 for line in diff
-                      if line[:1] in "+-" and line[:3] not in ("+++", "---"))
-        raise AssertionError(
-            f"{changed} lines differ from the golden:\n"
-            + "\n".join(diff[:80]))
+        expected = sections(fh.read())
+    actual = sections(capture())
+    report = []
+    for name, golden in expected.items():
+        diff = [line for line in difflib.unified_diff(
+            golden.splitlines(), actual[name].splitlines(),
+            "golden", "now", lineterm="", n=0)
+            if line[:1] in "+-" and line[:3] not in ("+++", "---")]
+        if diff:
+            changed = sum(line[0] == "-" for line in diff)
+            report.append(f"{name}: {changed} golden lines changed\n"
+                          + "\n".join(diff[:20]))
+    assert not report, "\n".join(report)
 
 
 if __name__ == "__main__":

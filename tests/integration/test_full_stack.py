@@ -17,7 +17,7 @@ from repro.core.runtime import TerpRuntime
 from repro.core.theorem import attack_can_succeed, schedule_of
 from repro.core.units import MIB, us
 from repro.eval.configs import config
-from repro.eval.runner import run_whisper
+from repro.eval.runner import run
 from repro.pmo.pool import PmoManager
 from repro.workloads.structures import PersistentHashMap, TpccDatabase
 from repro.workloads.whisper.benchmarks import get_benchmark
@@ -110,7 +110,7 @@ class TestSimulationVsAnalyticSecurity:
         exposure windows and relocations, read off the runtime's
         monitor: no stationary+accessible stretch exceeds the run's
         measured ew_max, so any slower attack is prevented."""
-        # The machine eval.runner.run_whisper builds, kept for its monitor.
+        # The machine eval.runner.run builds, kept for its monitor.
         bench = get_benchmark("echo")
         machine = config("TT").build(bench.pmo_sizes(), seed=2022)
         result = machine.run(bench.threads(1, n_transactions=800,
@@ -127,7 +127,7 @@ class TestSimulationVsAnalyticSecurity:
     def test_gadget_armed_fraction_matches_ter(self):
         """The Table VI derivation: a uniformly-placed gadget's
         probability of executing with PMO access equals TER."""
-        result = run_whisper("ycsb", config("TT"), n_transactions=800)
+        result = run("whisper", "ycsb", config("TT"), ops=800)
         ter = result.per_pmo[0].ter_percent
         er = result.per_pmo[0].er_percent
         assert 0 < ter < er < 100
