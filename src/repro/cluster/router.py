@@ -125,12 +125,19 @@ class Upstream(TerpClient):
                 await self.close()
                 raise
 
-    async def ask(self, op: str, args: Dict[str, Any]
+    async def ask(self, op: str, args: Dict[str, Any], *,
+                  clocked: bool = False
                   ) -> Tuple[Optional[Any], List[dict]]:
         """One of the router's *own* requests (goodbye, a fan-out
-        poll): ``(result, events)``; an error response is ``None``."""
+        poll): ``(result, events)``; an error response is ``None``.
+        ``clocked`` batches a ``ping`` with it, and the result comes
+        back as ``(result, the shard's now_ns as it answered)``."""
         try:
-            result = await self._call(op, args)
+            if clocked:
+                result, pong = await self.batch([(op, args), ("ping", {})])
+                result = (result, pong["now_ns"])
+            else:
+                result = await self._call(op, args)
         except ConnectionLost as exc:
             raise UpstreamLost(
                 f"shard {self.shard} dropped: {exc}") from None
@@ -382,7 +389,8 @@ class TerpRouter:
     # -- fan-out path ------------------------------------------------------
 
     async def _poll(self, conn: Conn, spec: Op,
-                    args: Dict[str, Any], *, own_only: bool = False
+                    args: Dict[str, Any], *, own_only: bool = False,
+                    clocked: bool = False
                     ) -> Tuple[List[Tuple[int, Any]], List[dict]]:
         """Ask every shard: ``([(shard, result)], pending events)``.
 
@@ -391,7 +399,8 @@ class TerpRouter:
         shared sessionless one otherwise — or, with ``own_only``, the
         session's own and nothing else.  Shards that are unreachable,
         die mid-poll or answer an error are left out — a restarting
-        shard must not fail a survivor's metrics poll.
+        shard must not fail a survivor's metrics poll.  ``clocked``
+        is :meth:`Upstream.ask`'s.
         """
         own = self._upstreams.get(conn.session.session_id, {}) \
             if conn.session is not None else {}
@@ -403,7 +412,8 @@ class TerpRouter:
                     if own_only:
                         return None
                     up = await self._admin_conn(shard)
-                return (shard, *await up.ask(spec.name, args))
+                return (shard, *await up.ask(spec.name, args,
+                                             clocked=clocked))
             except UpstreamLost:
                 return None
         answers = [a for a in await asyncio.gather(
@@ -441,11 +451,14 @@ class TerpRouter:
         limit = int(args.get("limit", dict(spec.params)["limit"]))
         if limit < 0:
             raise ValueError(f"trace limit {limit} is negative")
-        results, events = await self._poll(conn, spec, args)
+        results, events = await self._poll(conn, spec, args,
+                                           clocked=True)
         spans: List[dict] = []
         audit: List[dict] = []
         open_windows: List[dict] = []
-        for shard, result in results:
+        now: Dict[int, Any] = {}
+        for shard, (result, now_ns) in results:
+            now[shard] = now_ns
             spans.extend(result.get("spans") or [])
             for event in result.get("audit") or []:
                 event["shard"] = shard
@@ -454,7 +467,12 @@ class TerpRouter:
                 window["shard"] = shard
                 open_windows.append(window)
         # The newest ``limit`` of the whole service, as one daemon's.
-        audit.sort(key=lambda e: e.get("at_ns", 0))
+        # An event's ``at_ns`` is on its shard's exposure clock, whose
+        # origin is the shard's own (a restarted memory shard counts
+        # from its restart): events are ordered by age as each shard
+        # answered.  Spans are timed on the host's monotonic clock,
+        # which every shard shares.
+        audit.sort(key=lambda e: e.get("at_ns", 0) - now[e["shard"]])
         spans.sort(key=lambda s: s.get("end_ns", 0))
         return {"spans": spans[max(0, len(spans) - limit):],
                 "audit": audit[max(0, len(audit) - limit):],

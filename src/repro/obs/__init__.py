@@ -22,8 +22,9 @@ is the measured-overhead-free mode instrumented code paths check for.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Hashable, Optional
 
+from repro.obs import ring
 from repro.obs.audit import AuditTimeline
 from repro.obs.registry import (
     BUCKETS_NS, Counter, Gauge, Histogram, MetricsRegistry)
@@ -40,6 +41,7 @@ __all__ = [
     "Observability",
     "Span",
     "Tracer",
+    "trace_json",
 ]
 
 
@@ -74,3 +76,20 @@ class Observability:
         if extra:
             out.update(extra)
         return out
+
+
+def trace_json(tracer: Tracer, audit: AuditTimeline, *,
+               limit: Optional[int] = None,
+               pmo: Optional[Hashable] = None,
+               kind: Optional[str] = None, name: Optional[str] = None,
+               now_ns: Optional[int] = None) -> bytes:
+    """The ``trace`` op's result — ``{"spans": tracer.recent(limit,
+    name), "audit": audit.events(pmo, kind, limit), "open_windows":
+    audit.open_windows(now_ns)}`` — as the JSON text the wire's encoder
+    makes of it, written row by row from the rings: what a read costs is
+    about twice its answer's bytes, not a dict per record."""
+    spans = b",".join(tracer.recent_json(limit, name))
+    events = b",".join(audit.events_json(pmo=pmo, kind=kind, limit=limit))
+    return b"".join((b'{"spans":[', spans, b'],"audit":[', events,
+                     b'],"open_windows":',
+                     ring.dumps(audit.open_windows(now_ns)), b"}"))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from itertools import islice
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.obs import ring
 
@@ -50,6 +50,8 @@ _CODE = {kind: code for code, kind in enumerate(KINDS)}
 #: The key order of every event :meth:`AuditTimeline.events` returns.
 _FIELDS = ("seq", "kind", "at_ns", "entity", "pmo_id", "pmo",
            "duration_ns", "reason")
+_EVENT_JSON = ring.object_template(_FIELDS)
+_KIND_JSON = {kind: ring.dumps(kind) for kind in KINDS}
 #: Stands for None in the entity and duration columns.
 _NONE = -2 ** 63
 _INT_OR_NONE = {int, type(None)}
@@ -237,11 +239,12 @@ class AuditTimeline:
 
     # -- querying ---------------------------------------------------------
 
-    def events(self, *, pmo: Optional[Hashable] = None,
-               kind: Optional[str] = None,
-               limit: Optional[int] = None) -> List[Dict[str, Any]]:
-        """Retained events in sequence order, optionally filtered by
-        PMO (id or name) and/or kind, optionally the last ``limit``."""
+    def _rows(self, row: Callable[..., Any], pmo: Optional[Hashable],
+              kind: Optional[str], limit: Optional[int]) -> List[Any]:
+        """The one reader: ``row(seq, kind, at_ns, entity, (pmo_id,
+        pmo), duration_ns, reason)`` of each of the newest ``limit``
+        retained events (of PMO ``pmo``, id or name, and of ``kind``),
+        in sequence order."""
         kinds, ats, entities, durations, pairs, reasons = self._cols
         with self._lock:
             # Newest first, filtering on the columns, stopping at `limit`
@@ -265,12 +268,46 @@ class AuditTimeline:
                     entity = None if entity == _NONE else entity
                     duration_ns = None if duration_ns == _NONE \
                         else duration_ns
-                rows.append((n - (n - 1 - slot) % self._slots,
-                             KINDS[kinds[slot]], at_ns, entity,
-                             *pair_at[pairs[slot]], duration_ns,
-                             reasons[slot]))
+                rows.append(row(n - (n - 1 - slot) % self._slots,
+                                KINDS[kinds[slot]], at_ns, entity,
+                                pair_at[pairs[slot]], duration_ns,
+                                reasons[slot]))
         rows.reverse()
-        return [dict(zip(_FIELDS, r)) for r in rows]
+        return rows
+
+    def events(self, *, pmo: Optional[Hashable] = None,
+               kind: Optional[str] = None,
+               limit: Optional[int] = None) -> List[Dict[str, Any]]:
+        """Retained events in sequence order, optionally filtered by
+        PMO (id or name) and/or kind, optionally the last ``limit``."""
+        def row(seq, kind, at_ns, entity, pair, duration_ns, reason):
+            return dict(zip(_FIELDS, (seq, kind, at_ns, entity, *pair,
+                                      duration_ns, reason)))
+        return self._rows(row, pmo, kind, limit)
+
+    def events_json(self, *, pmo: Optional[Hashable] = None,
+                    kind: Optional[str] = None,
+                    limit: Optional[int] = None) -> List[bytes]:
+        """:meth:`events`, each row the JSON text the wire's encoder
+        makes of its dict — written from the columns, no dict built."""
+        pmo_texts: Dict[int, Tuple[bytes, ...]] = {}
+        reason_texts: Dict[str, bytes] = {}
+        number = ring.number
+
+        def row(seq, kind, at_ns, entity, pair, duration_ns, reason):
+            # Pairs and reasons are shared among events, so each is
+            # encoded once per read.
+            pmo_text = pmo_texts.get(id(pair))
+            if pmo_text is None:
+                pmo_text = pmo_texts[id(pair)] = \
+                    tuple(map(ring.dumps, pair))
+            why = reason_texts.get(reason)
+            if why is None:
+                why = reason_texts[reason] = ring.dumps(reason)
+            return _EVENT_JSON % (number(seq), _KIND_JSON[kind],
+                                  number(at_ns), number(entity), *pmo_text,
+                                  number(duration_ns), why)
+        return self._rows(row, pmo, kind, limit)
 
     def open_windows(self, now_ns: Optional[int] = None
                      ) -> List[Dict[str, Any]]:

@@ -1,15 +1,48 @@
 """The storage both observability rings share: one column per field —
 a stdlib ``array`` of machine words, or a list (typecode ``"O"``) for
-objects — with record ``n`` (from 0) in slot ``n % capacity``."""
+objects — with record ``n`` (from 0) in slot ``n % capacity``.
+
+Each ring has one row reader, which hands every row it picks to a
+``row`` function: the dict readers build a dict of it, the JSON readers
+write it straight to the text the wire's encoder would make of that
+dict (:func:`object_template` and the encoders beside it)."""
 
 from __future__ import annotations
 
+import json
 from array import array
 from itertools import chain
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 #: Slots each column gains at once while its ring fills.
 GROW_BY = 1024
+
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def dumps(value: Any) -> bytes:
+    """``json.dumps(value, separators=(",", ":"))``, as bytes."""
+    return _ENCODE(value).encode()
+
+
+def number(value: Any) -> bytes:
+    """:func:`dumps` of a number field: an exact int (what a column
+    holds) formatted directly; ``None``, or what only the spill table
+    could keep (a float), by the encoder."""
+    return b"%d" % value if type(value) is int else dumps(value)
+
+
+def literal(value: Any) -> bytes:
+    """:func:`dumps`, each ``%`` doubled: a constant in a format a
+    row's own values are ``%``-formatted into."""
+    return dumps(value).replace(b"%", b"%%")
+
+
+def object_template(fields: Iterable[str]) -> bytes:
+    """The JSON object text of a row with these keys, in this order,
+    a ``%b`` where each value goes."""
+    return b"{" + b",".join(dumps(field) + b":%b" for field in fields) \
+        + b"}"
 
 
 def columns(typecodes: str, capacity: int) -> Sequence[Any]:

@@ -83,6 +83,11 @@ class _NullSpan:
 
 NULL_SPAN = _NullSpan()
 
+#: The key order of every span :meth:`Tracer.recent` returns.
+_FIELDS = ("name", "span_id", "parent_id", "thread", "start_ns",
+           "end_ns", "duration_ns", "attrs")
+_SPAN_JSON = ring.object_template(_FIELDS)
+
 
 class Tracer:
     """Creates spans, keeps the most recent ``capacity`` of them."""
@@ -190,27 +195,59 @@ class Tracer:
 
     # -- reading back -----------------------------------------------------
 
-    def recent(self, limit: Optional[int] = None,
-               name: Optional[str] = None) -> List[Dict[str, Any]]:
-        """The most recent finished spans, oldest first."""
+    def _rows(self, row: Callable[..., Any], limit: Optional[int],
+              name: Optional[str]) -> List[Any]:
+        """The one reader: ``row(span_id, parent_id, start_ns, end_ns,
+        (name, thread, attrs))`` of each of the newest ``limit``
+        finished spans (named ``name``), oldest first."""
         ids, parents, starts, ends, whats = self._cols
         with self._lock:
             slots = ring.newest_first(self.spans_recorded, self.capacity)
             if name is not None:
                 slots = (s for s in slots if whats[s][0] == name)
-            rows = []
-            for slot in itertools.islice(slots, limit):
-                span_id, parent_id, start_ns, end_ns = self._spill[slot] \
-                    if self._spill and slot in self._spill else \
-                    (ids[slot], parents[slot], starts[slot], ends[slot])
-                span_name, thread, attrs = whats[slot]
-                rows.append({  # attrs are shared: each row gets a copy
-                    "name": span_name, "span_id": span_id,
-                    "parent_id": parent_id or None, "thread": thread,
-                    "start_ns": start_ns, "end_ns": end_ns,
-                    "duration_ns": end_ns - start_ns, "attrs": dict(attrs)})
+            spill = self._spill
+            rows = [row(*(spill[slot] if spill and slot in spill else
+                          (ids[slot], parents[slot], starts[slot],
+                           ends[slot])), whats[slot])
+                    for slot in itertools.islice(slots, limit)]
         rows.reverse()
         return rows
+
+    def recent(self, limit: Optional[int] = None,
+               name: Optional[str] = None) -> List[Dict[str, Any]]:
+        """The most recent finished spans, oldest first."""
+        def row(span_id, parent_id, start_ns, end_ns, what):
+            span_name, thread, attrs = what
+            return dict(zip(_FIELDS, (  # attrs are shared: copied
+                span_name, span_id, parent_id or None, thread, start_ns,
+                end_ns, end_ns - start_ns, dict(attrs))))
+        return self._rows(row, limit, name)
+
+    def recent_json(self, limit: Optional[int] = None,
+                    name: Optional[str] = None) -> List[bytes]:
+        """:meth:`recent`, each row the JSON text the wire's encoder
+        makes of its dict — written from the columns, no dict built."""
+        formats: Dict[int, bytes] = {}
+
+        def row(span_id, parent_id, start_ns, end_ns, what):
+            span_name, thread, attrs = what
+            if type(start_ns) is not int or type(end_ns) is not int:
+                # Spilled: every value through the encoder.
+                return _SPAN_JSON % tuple(map(ring.dumps, (
+                    span_name, span_id, parent_id or None, thread,
+                    start_ns, end_ns, end_ns - start_ns, attrs)))
+            # The ring shares one (name, thread, attrs) among equal
+            # spans: their text is written into a format once per read.
+            fmt = formats.get(id(what))
+            if fmt is None:
+                fmt = formats[id(what)] = _SPAN_JSON % (
+                    ring.literal(span_name), b"%d", b"%b",
+                    ring.literal(thread), b"%d", b"%d", b"%d",
+                    ring.literal(attrs))
+            return fmt % (span_id, b"%d" % parent_id if parent_id
+                          else b"null", start_ns, end_ns,
+                          end_ns - start_ns)
+        return self._rows(row, limit, name)
 
     def stats(self) -> Dict[str, int]:
         return {

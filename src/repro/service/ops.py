@@ -79,6 +79,8 @@ OPS: Dict[str, Op] = {op.name: op for op in (
     # -- observability: every shard answers, the router merges --------------
     _op("ping", FANOUT, **_OBSERVE),
     _op("metrics", FANOUT, ("raw", None), **_OBSERVE),
+    # ``kind`` and ``pmo`` filter the audit half only, ``name`` the
+    # spans half only; ``limit`` bounds each half.
     _op("trace", FANOUT, ("limit", 100), ("pmo", None), ("kind", None),
         ("name", None), **_OBSERVE),
     _op("prometheus", FANOUT, returns="text", **_OBSERVE),

@@ -46,9 +46,10 @@ import asyncio
 import json
 import socket
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import TerpError
+from repro.obs.ring import dumps as _dumps
 from repro.service.ops import OPS
 
 #: Frame header: payload length, 4-byte big-endian unsigned.  The same
@@ -69,8 +70,6 @@ LEN_MASK = 0x7FFFFFFF
 #: (their 256 KiB default page-faulted twice per relayed frame).
 READ_BYTES = 65536
 
-_SEPARATORS = (",", ":")
-
 
 class WireError(TerpError):
     """Malformed frame, oversized frame, or truncated stream."""
@@ -87,52 +86,70 @@ def is_batch(payload: Any) -> bool:
         not payload or isinstance(payload[0], (list, dict, bytes)))
 
 
-def encode_body(payload: Any) -> bytes:
-    """Serialize a request/response (or batch) to JSON body bytes.
+def body_parts(payload: Any) -> List[bytes]:
+    """A request/response (or batch) as JSON body bytes, in pieces for
+    one join with the frame header (:func:`frame_from_body`).
 
-    A batch is sized incrementally: each item is encoded once and the
-    running total is checked against ``MAX_FRAME_BYTES`` *before* the
-    full body is joined, so an oversized batch fails fast without
-    materializing the whole frame.  Items that are already ``bytes``
-    are treated as pre-encoded JSON and spliced in as-is — the batch
-    response path uses this to encode each response exactly once.
+    ``bytes`` are pre-encoded JSON and spliced in as they are: a
+    batch's items — the batch response path encodes each response
+    exactly once — and the result of a ``[rid, result(, events)]``
+    response — ``trace`` writes its rows straight from the rings.  A
+    batch is sized incrementally: each item is encoded once and the
+    running total is checked against ``MAX_FRAME_BYTES`` as it goes,
+    so an oversized batch fails fast without materializing the frame.
     """
     if is_batch(payload):
-        parts: List[bytes] = []
+        parts: List[bytes] = [b"["]
         total = 2                      # the enclosing brackets
         for item in payload:
-            part = item if type(item) is bytes else json.dumps(
-                item, separators=_SEPARATORS).encode("utf-8")
+            part = item if type(item) is bytes else _dumps(item)
             total += len(part) + 1     # item + separating comma
             if total - 1 > MAX_FRAME_BYTES:
                 raise WireError(
                     f"batch frame exceeds {MAX_FRAME_BYTES} bytes "
-                    f"after {len(parts)} of {len(payload)} items")
-            parts.append(part)
-        return b"[" + b",".join(parts) + b"]"
-    body = json.dumps(payload, separators=_SEPARATORS).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {len(body)} bytes exceeds "
+                    f"after {len(parts) // 2} of {len(payload)} items")
+            parts += (part, b",")
+        parts[-1:] = [b"]"] if payload else [b"[]"]
+        return parts
+    if type(payload) is list and len(payload) > 1 and \
+            type(payload[1]) is bytes:
+        rid, result, *events = payload
+        parts = [b"[" + _dumps(rid) + b",", result,
+                 b"," + _dumps(events[0]) + b"]" if events else b"]"]
+    else:
+        parts = [_dumps(payload)]
+    size = sum(map(len, parts))
+    if size > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {size} bytes exceeds "
                         f"{MAX_FRAME_BYTES}")
-    return body
+    return parts
 
 
-def frame_from_body(body: bytes,
+def encode_body(payload: Any) -> bytes:
+    """Serialize a request/response (or batch) to JSON body bytes
+    (:func:`body_parts`, joined)."""
+    return b"".join(body_parts(payload))
+
+
+def frame_from_body(body: Union[bytes, List[bytes]],
                     sidecar: Optional[bytes] = None) -> bytes:
-    """Wrap pre-encoded body bytes (and optional sidecar) in a frame."""
+    """Wrap pre-encoded body bytes — or :func:`body_parts` — and an
+    optional sidecar in a frame: one join, header included."""
+    parts = [body] if isinstance(body, bytes) else body
+    size = sum(map(len, parts))
     if not sidecar:
-        return HEADER.pack(len(body)) + body
+        return b"".join([HEADER.pack(size), *parts])
     if len(sidecar) > MAX_SIDECAR_BYTES:
         raise WireError(f"sidecar of {len(sidecar)} bytes exceeds "
                         f"{MAX_SIDECAR_BYTES}")
-    return b"".join((HEADER.pack(len(body) | SIDECAR_FLAG), body,
-                     HEADER.pack(len(sidecar)), sidecar))
+    return b"".join([HEADER.pack(size | SIDECAR_FLAG), *parts,
+                     HEADER.pack(len(sidecar)), sidecar])
 
 
 def encode_frame(payload: Any,
                  sidecar: Optional[bytes] = None) -> bytes:
     """Serialize one request/response (or batch) into a wire frame."""
-    return frame_from_body(encode_body(payload), sidecar)
+    return frame_from_body(body_parts(payload), sidecar)
 
 
 def decode_frame(body: bytes) -> Any:

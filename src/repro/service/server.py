@@ -40,7 +40,7 @@ from repro.core.exposure import ExposureMonitor
 from repro.faults.plan import FaultPlan, Injection
 from repro.mem.mpk import NUM_KEYS
 from repro.core.permissions import Access
-from repro.obs import Observability
+from repro.obs import Observability, trace_json
 from repro.pmo.api import PmoLibrary
 from repro.pmo.object_id import Oid
 from repro.pmo.pool import mode_allows
@@ -372,12 +372,13 @@ class TerpService:
             try:
                 if protocol.is_batch(payload):
                     self.metrics.series["batches"].inc()
-                    # Each response is encoded exactly once, here;
-                    # encode_body splices the pre-encoded parts.
-                    parts: List[bytes] = []
+                    # Each response is encoded exactly once, in
+                    # _dispatch; body_parts splices the encoded items.
+                    items: List[bytes] = []
                     for one in payload:
-                        parts.append(await self._dispatch(conn, one))
-                    body = protocol.encode_body(parts)
+                        items.append(b"".join(
+                            await self._dispatch(conn, one)))
+                    body = protocol.body_parts(items)
                 else:
                     body = await self._dispatch(conn, payload)
             except InjectedCrash:
@@ -416,12 +417,15 @@ class TerpService:
 
     # -- dispatch --------------------------------------------------------------
 
-    async def _dispatch(self, conn: Conn, req: Any) -> bytes:
-        """Run one request; returns the *encoded* response body bytes.
+    async def _dispatch(self, conn: Conn, req: Any) -> List[bytes]:
+        """Run one request; returns the *encoded* response body, as
+        :func:`~repro.service.protocol.body_parts` for the frame's one
+        join.
 
         Encoding here (rather than in the serve loop) lets the replay
         cache hold pre-encoded bytes and lets a batch splice its parts
-        without a second ``json.dumps`` pass.  Binary results land on
+        without a second ``json.dumps`` pass; a handler may return its
+        result pre-encoded (``bytes``: ``trace``).  Binary results land on
         ``conn.bin_out``; an error rolls the chunk list back to this
         request's start so a failed op never leaks sidecar bytes.
         """
@@ -444,7 +448,7 @@ class TerpService:
                     self.metrics.series["replays_served"].inc()
                     body, chunks = cached
                     conn.bin_out.extend(chunks)
-                    return body
+                    return [body]
             handler, span = self._handlers[spec.name]
             with self.lib.lock:
                 self.lib.advance_to(self.now_ns())
@@ -470,21 +474,21 @@ class TerpService:
             events = session.drain_events() if session else None
             response = ok_response(rid, result, events)
             ok = True
-            body = protocol.encode_body(response)
+            body = protocol.body_parts(response)
             if session is not None and isinstance(rid, int) and \
                     not (spec.readonly and not events):
                 # Cached only where running twice could be observed:
                 # a success whose ``OPS`` row is not ``readonly``, or
                 # one that drained events.  A retried failure or plain
                 # read runs again (after a drop: on closed windows).
-                session.replay_put(rid, body,
+                session.replay_put(rid, b"".join(body),
                                    tuple(conn.bin_out[bin_start:]))
         except InjectedCrash:
             raise                      # the "process" dies mid-request
         except (TerpError, KeyError, TypeError, ValueError) as exc:
             del conn.bin_out[bin_start:]
-            body = protocol.refusal(
-                rid, exc, session.drain_events() if session else None)
+            body = [protocol.refusal(
+                rid, exc, session.drain_events() if session else None)]
             ok = False
         latency = time.perf_counter_ns() - t0
         self.metrics.note_request(op if isinstance(op, str) else "?",
@@ -520,24 +524,21 @@ class TerpService:
             return {"enabled": False}
         return {"enabled": True, **self.shipper.status()}
 
-    def _op_trace(self, conn: Conn, args: Dict) -> Dict:
-        """Observability read: recent spans + audit timeline events."""
+    def _op_trace(self, conn: Conn, args: Dict) -> bytes:
+        """Observability read: recent spans + audit timeline events,
+        pre-encoded row by row from the rings
+        (:func:`repro.obs.trace_json`), no dict per record."""
         limit = int(args.get("limit", 100))
         if limit < 0:
             raise ValueError(f"trace limit {limit} is negative")
-        pmo = args.get("pmo")
         kind = args.get("kind")
         name = args.get("name")
-        return {
-            "spans": self.obs.tracer.recent(
-                limit=limit, name=str(name) if name is not None
-                else None),
-            "audit": self.obs.audit.events(
-                pmo=pmo, kind=str(kind) if kind is not None else None,
-                limit=limit),
-            "open_windows": self.obs.audit.open_windows(
-                self.lib.clock_ns),
-        }
+        return trace_json(
+            self.obs.tracer, self.obs.audit, limit=limit,
+            pmo=args.get("pmo"),
+            kind=str(kind) if kind is not None else None,
+            name=str(name) if name is not None else None,
+            now_ns=self.lib.clock_ns)
 
     def _op_prometheus(self, conn: Conn, args: Dict) -> Dict:
         """The registry in Prometheus text exposition format."""

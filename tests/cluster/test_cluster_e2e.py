@@ -325,6 +325,45 @@ class TestShardDeathAndRecovery:
             bystander.close()
 
 
+    def test_trace_is_the_newest_of_the_service_across_a_restart(self):
+        """A memory shard's ``at_ns`` counts from its own start, so a
+        restarted shard's events carry small ones: the router's
+        ``trace(limit=N)`` must still answer the service's newest N.
+        Sorting the shards' raw ``at_ns`` answers shard 0's attach and
+        detach as the newest, half a second older than shard 1's."""
+        retry = RetryPolicy(max_retries=10, base_delay_s=0.01,
+                            max_delay_s=0.25, seed=5)
+        with ClusterSupervisor(shards=2, session_ew_ns=2_000_000_000,
+                               sweep_period_ns=50_000_000) as sup, \
+                SyncTerpClient(port=sup.front_port, retry=retry) as cli:
+            owned = {}
+            for i in range(64):
+                name = f"age-{i}"
+                cli.create(name, MIB)
+                cli.attach(name)
+                cli.detach(name)
+                shard = cli.trace(limit=1, pmo=name)["audit"][-1]["shard"]
+                owned.setdefault(shard, name)
+                if len(owned) == 2:
+                    break
+            # Shard 0's clock runs well ahead of the restarted one's.
+            time.sleep(1.0)
+            sup.kill_shard(1)
+            assert sup.wait_for_shard(1)
+            cli.create(owned[1], MIB)     # a memory shard forgets it
+            cli.attach(owned[0])
+            cli.detach(owned[0])
+            time.sleep(0.5)
+            cli.attach(owned[1])
+            cli.detach(owned[1])
+            for kind in ("attach", "detach"):
+                (newest,) = cli.trace(limit=1, kind=kind)["audit"]
+                assert (newest["shard"], newest["pmo"]) == \
+                    (1, owned[1]), kind
+            pair = cli.trace(limit=2, pmo=owned[1])["audit"]
+            assert [e["kind"] for e in pair] == ["attach", "detach"]
+            cli.goodbye()
+
     def test_wait_for_shard_straight_after_kill_waits_for_the_restart(
             self, monkeypatch):
         """``kill_shard`` reaps what it killed, so the wait cannot

@@ -6,10 +6,12 @@ rings replaced — one tuple per record in a list, the newest
 Seeded random sequences of every ``record_*`` kind and every span shape
 drive ring and model side by side, with the values that do not fit a
 column mixed in: a float clock, ints of 2**63 and past it (and -2**63,
-the column's stand-in for None), ``str`` PMO ids, unhashable attrs, and
-attrs equal across types (True, 1, 1.0).  Every read must match the
-model exactly: the same dicts, in the same key order, each value of
-the same type.
+the column's stand-in for None), ``str`` PMO ids, unhashable attrs,
+attrs equal across types (True, 1, 1.0) and text a ``%`` format would
+read.  Every read must match the model exactly: the same dicts, in the
+same key order, each value of the same type — and the ``trace`` op's
+answer, written from the columns, the same bytes as those dicts
+encoded.
 """
 
 import itertools
@@ -19,8 +21,11 @@ import threading
 
 import pytest
 
+from repro.obs import trace_json
 from repro.obs.audit import AuditTimeline
 from repro.obs.tracing import Tracer
+from repro.service import protocol
+from repro.service.protocol import ok_response
 
 SEEDS = range(12)
 CAPACITIES = (1, 7, 64)
@@ -43,8 +48,14 @@ PMOS = ((7, "pmo-a"), (8, "pmo-b"), ("pmo-c", "pmo-c"), (9, None),
 ATTRS = ({}, {"ok": True}, {"ok": 1}, {"ok": 1.0}, {"ok": False},
          {"ok": 0}, {"pmo": "pmo-a", "entity": 4},
          {"entity": 4, "pmo": "pmo-a"}, {"flushed": 2 ** 70},
-         {"blob": [1, 2]}, {"blob": {"k": (1, 2)}}, {"decisions": 3})
+         {"blob": [1, 2]}, {"blob": {"k": (1, 2)}}, {"decisions": 3},
+         {"note": "%d %b 100% \u00fc"})
 NAMES = ("terpd.attach", "terpd.detach", "engine.sweep", "lib.psync")
+#: What each read filters on.
+PMO_FILTERS = (None, 7, "pmo-a", "pmo-c", "7", 2 ** 64, "none")
+KIND_FILTERS = (None, "attach", "forced-detach", "sweep", "quarantine",
+                "no-such-kind")
+SPAN_NAMES = (None, "terpd.attach", "engine.sweep", "no-such-span")
 
 
 def same(got, want, keys):
@@ -150,7 +161,7 @@ def drive_audit(seed, capacity):
                 model.append("quarantine", at, None, pmo_id, name, None,
                              "crc")
         if step % CHECK_EVERY == 0:
-            check_audit(ring, model)
+            yield ring, model
 
 
 def check_audit(ring, model):
@@ -158,9 +169,8 @@ def check_audit(ring, model):
     assert ring.sweeps == model.sweeps
     assert ring.faults_injected == model.faults_injected
     for limit in (None, 0, 1, ring.capacity, ring.capacity + 5):
-        for pmo in (None, 7, "pmo-a", "pmo-c", "7", 2 ** 64, "none"):
-            for kind in (None, "attach", "forced-detach", "sweep",
-                         "quarantine", "no-such-kind"):
+        for pmo in PMO_FILTERS:
+            for kind in KIND_FILTERS:
                 same(ring.events(pmo=pmo, kind=kind, limit=limit),
                      model.events(pmo, kind, limit), AUDIT_KEYS)
 
@@ -168,7 +178,8 @@ def check_audit(ring, model):
 @pytest.mark.parametrize("capacity", CAPACITIES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_audit_ring_reads_as_the_model(seed, capacity):
-    drive_audit(seed, capacity)
+    for ring, model in drive_audit(seed, capacity):
+        check_audit(ring, model)
 
 
 class ScriptedClock:
@@ -260,19 +271,48 @@ def drive_spans(seed, capacity):
         else:
             nested(0)
         if step % CHECK_EVERY == 0:
-            assert tracer.stats() == model.stats()
-            assert tracer.spans_recorded == model.recorded
-            for limit in (None, 0, 1, capacity, capacity + 5):
-                for name in (None, "terpd.attach", "engine.sweep",
-                             "no-such-span"):
-                    same(tracer.recent(limit=limit, name=name),
-                         model.recent(limit, name), SPAN_KEYS)
+            yield tracer, model
 
 
 @pytest.mark.parametrize("capacity", CAPACITIES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_span_ring_reads_as_the_model(seed, capacity):
-    drive_spans(seed, capacity)
+    for tracer, model in drive_spans(seed, capacity):
+        assert tracer.stats() == model.stats()
+        assert tracer.spans_recorded == model.recorded
+        for limit in (None, 0, 1, capacity, capacity + 5):
+            for name in SPAN_NAMES:
+                same(tracer.recent(limit=limit, name=name),
+                     model.recent(limit, name), SPAN_KEYS)
+
+
+@pytest.mark.parametrize("capacity", CAPACITIES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_trace_answer_is_the_dict_answer_encoded(seed, capacity):
+    """The ``trace`` op writes its answer row by row from the rings;
+    for every model case above, the frame must be byte for byte the one
+    the dict readers' answer encodes to — spilled values and unhashable
+    attrs included, every filter and limit, and a response carrying
+    events as well as one without."""
+    events = [{"event": "forced-detach", "pmo": "pmo-a"}]
+    for (timeline, _), (tracer, _) in zip(drive_audit(seed, capacity),
+                                          drive_spans(seed, capacity)):
+        now_ns = timeline.events_recorded * 1000
+        for limit, (pmo, kind, name) in itertools.product(
+                (None, 0, 1, capacity, capacity + 5),
+                zip(itertools.cycle(PMO_FILTERS),
+                    KIND_FILTERS * len(PMO_FILTERS),
+                    itertools.cycle(SPAN_NAMES))):
+            rid = seed * 1000 + limit if limit is not None else -1
+            pending = events if rid % 2 else None
+            want = {"spans": tracer.recent(limit=limit, name=name),
+                    "audit": timeline.events(pmo=pmo, kind=kind,
+                                             limit=limit),
+                    "open_windows": timeline.open_windows(now_ns)}
+            got = trace_json(tracer, timeline, limit=limit, pmo=pmo,
+                             kind=kind, name=name, now_ns=now_ns)
+            assert protocol.encode_frame(ok_response(rid, got, pending)) \
+                == protocol.encode_frame(ok_response(rid, want, pending))
 
 
 def test_racing_writers_lose_no_record_and_tear_none():

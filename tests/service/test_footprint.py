@@ -22,7 +22,9 @@ import pytest
 
 from repro.core.units import GIB, MIB
 from repro.obs import AuditTimeline, Observability, Tracer
+from repro.service import protocol
 from repro.service.client import SyncTerpClient
+from repro.service.conn import Conn
 from repro.service.server import ServiceThread, TerpService
 from repro.topology import Proc
 
@@ -409,3 +411,56 @@ def test_trace_op_carries_the_rings_records_verbatim(terpd):
     for span in reply["spans"]:
         assert span == by_id[span["span_id"]]
         assert list(span) == list(by_id[span["span_id"]])
+
+
+class _Writer:
+    """What a connection's frames are written to: kept, never sent."""
+
+    def __init__(self) -> None:
+        self.frames = []
+        self.transport = types.SimpleNamespace(
+            get_write_buffer_size=lambda: 0)
+
+    def write(self, data: bytes) -> None:
+        self.frames.append(data)
+
+
+def test_a_trace_read_costs_its_answer():
+    """The operator's poll — ``trace(limit=16384,
+    kind="forced-detach")``, as terpbench's ``sweep_hold`` sends it
+    every slice — over a full span ring and 5 000 forced detaches is
+    served within 2.5 × its frame's bytes of Python heap: the rows are
+    written straight from the ring columns into the one answer.  Built
+    as a dict per record and encoded three times over, the same poll
+    peaked at about 6.5 × the frame."""
+    service = TerpService(port=0)
+    tracer, audit = service.obs.tracer, service.obs.audit
+    while tracer.spans_recorded < tracer.capacity:
+        tracer.record_since("terpd.attach", tracer.clock(), ok=True)
+    for n in range(5000):
+        at = 10 ** 12 + n * 10 ** 6
+        audit.record_attach(1001 + n % 4, 7, "hold-0", at,
+                            reason="performed")
+        audit.record_detach(1001 + n % 4, 7, "hold-0", at + 25_000_000,
+                            forced=True, reason="session EW budget")
+    request = protocol.encode_body(protocol.request(
+        9, "trace", {"limit": 16384, "kind": "forced-detach"}))
+    writer = _Writer()
+    conn = Conn(writer, lambda frames: None)
+    serve = service._serve_burst(conn, iter([(request, b"")]))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(StopIteration):   # nothing it awaits blocks
+            serve.send(None)
+        conn.flush()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    (frame,) = writer.frames
+    answer = protocol.decode_frame(frame[protocol.HEADER.size:])[1]
+    assert len(answer["spans"]) == tracer.capacity
+    assert len(answer["audit"]) == 5000
+    assert peak <= 2.5 * len(frame), \
+        f"peak {peak} B for a {len(frame)} B frame"
