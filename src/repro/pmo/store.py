@@ -62,6 +62,7 @@ and the standby's applier call them, none re-derives the layout::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import re
@@ -81,6 +82,7 @@ if TYPE_CHECKING:
     from repro.pmo.pmo import Pmo
 
 from repro.core.errors import IntegrityError, PmoError
+from repro.core.iov import pwrite_gathered, write_gathered
 from repro.core.units import PAGE_SIZE
 from repro.pmo.pmo import SparseBytes
 
@@ -192,20 +194,22 @@ def write_journal(path: Path, seq: int,
     mirrors through it, so both pool directories hold the same bytes
     that :meth:`PmoStore.load_all` replays.
 
-    Single joined write: the blob is assembled in memory (headers
-    pre-packed per page) and hits the file in one syscall before the
-    one fsync."""
+    One gather write: the pages go out as the caller holds them (the
+    snapshot's copies, or views of the frame they arrived in), between
+    their pre-packed record headers, never joined into a slab."""
     jrn_page = _JRN_PAGE.pack
-    parts = [_JRN_HEAD.pack(JOURNAL_MAGIC, seq, len(pages))]
+    parts: List[Any] = [_JRN_HEAD.pack(JOURNAL_MAGIC, seq, len(pages))]
     for (index, page), crc in zip(pages, crcs):
         parts.append(jrn_page(index, crc))
         parts.append(page)
     parts.append(_JRN_COMMIT.pack(JOURNAL_COMMIT, seq))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
-        fh.flush()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        write_gathered(functools.partial(os.writev, fd), parts)
         if fsync:
-            os.fsync(fh.fileno())
+            os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def read_journal(path: Path
@@ -251,30 +255,29 @@ def write_home(path: Path, pages: List[Tuple[int, bytes]],
     torn: List[int] = []
     rot: List[int] = []
     trailer_pack = TRAILER.pack
-    with open(path, "r+b") as fh:
-        seek = fh.seek
-        write = fh.write
+    fd = os.open(path, os.O_RDWR)
+    try:
         for (index, page), crc in zip(pages, crcs):
             trailer = trailer_pack(crc, PAGE_MARKER)
-            seek(HEADER_SPAN + index * SLOT_SIZE)
+            slot = HEADER_SPAN + index * SLOT_SIZE
             if faults is not None and \
                     faults.fire("store.torn_page") is not None:
                 # Torn mid-page: half the new bytes land, the
                 # trailer claims the full new CRC — exactly what a
                 # crash between the two media writes leaves.
-                write(page[:PAGE_SIZE // 2])
-                seek(HEADER_SPAN + index * SLOT_SIZE + PAGE_SIZE)
-                write(trailer)
+                pwrite_gathered(fd, [page[:PAGE_SIZE // 2]], slot)
+                pwrite_gathered(fd, [trailer], slot + PAGE_SIZE)
                 torn.append(index)
                 continue
-            # Page + trailer as one slab write, not two.
-            write(page + trailer)
+            # Page + trailer in one positioned gather write.
+            pwrite_gathered(fd, [page, trailer], slot)
             if faults is not None and \
                     faults.fire("store.bit_rot") is not None:
                 rot.append(index)
-        fh.flush()
         if fsync:
-            os.fsync(fh.fileno())
+            os.fsync(fd)
+    finally:
+        os.close(fd)
     return torn, rot
 
 
@@ -471,6 +474,9 @@ class GroupCommitter:
                 del self._queue[:len(batch)]
             if batch:
                 self._commit_batch(batch)
+            # Park holding none of it: a batch kept bound here stays
+            # resident until the next psync.
+            del batch
 
     def _commit_batch(self, batch: List[Tuple["_StoreEntry", int,
                                               List[Tuple[int, bytes]],
@@ -678,7 +684,9 @@ class PmoStore:
     def _snapshot(self, pmo: "Pmo") -> Optional[
             Tuple[_StoreEntry, int, List[Tuple[int, bytes]]]]:
         """Stage a flush: copy the dirty pages and claim a flush_seq.
-        Returns ``(entry, claimed seq, pages)``.
+        Returns ``(entry, claimed seq, pages)``.  This is the batch's
+        one copy: the journal and home writes and the ship all take
+        these pages by reference.
 
         Metadata-lock only — no file I/O — so the serving thread pays
         microseconds here while the fsyncs happen on the committer's
@@ -858,8 +866,10 @@ class PmoStore:
             return list(_marked(entry.written))
 
     def committed_state(self, name: str
-                        ) -> Tuple[bytes, int, List[Tuple[int, bytes]]]:
-        """One PMO's durable state: ``(header, flush_seq, pages)``.
+                        ) -> Tuple[bytes, int, List[Tuple[int, Any]]]:
+        """One PMO's durable state: ``(header, flush_seq, pages)``,
+        each page a ``memoryview`` of one read of the home file (or a
+        retained journal's page).
 
         Reads the *on-media* bytes (home slots overlaid with any
         retained journal batch), never the resident copy — exactly
@@ -879,9 +889,9 @@ class PmoStore:
                 raw = entry.path.read_bytes()
                 journal = read_journal(entry.journal_path)
         header = raw[:HEADER_SPAN].ljust(HEADER_SPAN, b"\x00")
-        pages = {index: bytes(page)
-                 for index, page, crc in read_slots(raw)
-                 if _page_crc(page) == crc}
+        pages: Dict[int, Any] = {index: page
+                                 for index, page, crc in read_slots(raw)
+                                 if _page_crc(page) == crc}
         if journal:
             pages.update(journal[0])
         return header, flush_seq, sorted(pages.items())

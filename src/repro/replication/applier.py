@@ -47,8 +47,8 @@ from repro.pmo.store import (
     HEADER_SPAN, home_file, journal_file, write_header, write_home,
     write_journal)
 from repro.replication.wire import (
-    REPL_PROTOCOL_VERSION, ReplicationWireError, frame_fields, recv_msg,
-    send_msg)
+    REPL_PROTOCOL_VERSION, Buffer, ReplicationWireError, frame_fields,
+    recv_msg, send_msg)
 from repro.service.conn import STARTUP_TIMEOUT_S
 from repro.service.launch import SETTINGS
 from repro.service.recovery import SessionJournal
@@ -106,7 +106,7 @@ class JournalApplier:
 
     # -- frame application -------------------------------------------------
 
-    def apply_header(self, name: str, header: bytes) -> None:
+    def apply_header(self, name: str, header: Buffer) -> None:
         """(Re)create a PMO's durable file as the bare header.
 
         Deliberately truncating: a header is shipped at registration
@@ -126,7 +126,7 @@ class JournalApplier:
             self.applied[name] = 0
 
     def apply_batch(self, name: str, seq: int, prev: int,
-                    meta: List[List[int]], payload: bytes,
+                    meta: List[List[int]], payload: Buffer,
                     acked: Optional[Callable[[], None]] = None) -> None:
         """Apply one committed batch journal-before-home and record
         its seq as the PMO's new chain head; ``acked`` is called in
@@ -207,10 +207,12 @@ class JournalApplier:
     # -- internals ---------------------------------------------------------
 
     def _check_batch(self, name: str, seq: int, prev: int,
-                     meta: List[List[int]], payload: bytes
-                     ) -> Tuple[List[Tuple[int, bytes]], List[int]]:
+                     meta: List[List[int]], payload: Buffer
+                     ) -> Tuple[List[Tuple[int, memoryview]], List[int]]:
         """The batch's pages and CRCs, each page checked against the
-        CRC it shipped with (the writers then store that one)."""
+        CRC it shipped with (the writers then store that one).  The
+        pages are views of ``payload``, which the journal and home
+        writers take as they are."""
         if prev != -1 and seq <= prev:
             raise ReplicationWireError(
                 f"non-monotone batch for {name!r}: seq {seq} <= "
@@ -219,12 +221,12 @@ class JournalApplier:
             raise ReplicationWireError(
                 f"batch payload is {len(payload)} bytes for "
                 f"{len(meta)} page(s)")
-        pages: List[Tuple[int, bytes]] = []
+        pages: List[Tuple[int, memoryview]] = []
         crcs: List[int] = []
         view = memoryview(payload)
         for slot, entry in enumerate(meta):
             index, crc = int(entry[0]), int(entry[1])
-            page = bytes(view[slot * PAGE_SIZE:(slot + 1) * PAGE_SIZE])
+            page = view[slot * PAGE_SIZE:(slot + 1) * PAGE_SIZE]
             if zlib.crc32(page) & 0xFFFFFFFF != crc:
                 raise ReplicationWireError(
                     f"shipped page {index} of {name!r} failed CRC")
@@ -373,6 +375,8 @@ class StandbyDaemon:
                 with frame_fields(header):
                     if not self._dispatch(conn, header, payload):
                         return
+                # Park for the next frame holding none of this one.
+                del got, header, payload
         except (OSError, ReplicationWireError, ReplicationChainError):
             # Drop the link; the primary reconnects and bootstraps.
             return
@@ -382,7 +386,7 @@ class StandbyDaemon:
                 conn.close()
 
     def _dispatch(self, conn: socket.socket, header: Dict[str, Any],
-                  payload: bytes) -> bool:
+                  payload: memoryview) -> bool:
         """Handle one frame; False ends the connection."""
         kind = header.get("t")
         if kind == "hello":

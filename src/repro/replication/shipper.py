@@ -413,12 +413,12 @@ class JournalShipper:
                     pages: List[Tuple[int, bytes]],
                     crcs: List[int]) -> None:
         meta = [[index, crc] for (index, _), crc in zip(pages, crcs)]
-        payload = b"".join(page for _, page in pages)
         with self._ack_cond:
             self._inflight.append([name, time.perf_counter_ns()])
         send_msg(self._sock, {"t": "batch", "pmo": name,
                               "pmo_id": pmo_id, "seq": seq,
-                              "prev": prev, "pages": meta}, payload)
+                              "prev": prev, "pages": meta},
+                 [page for _, page in pages])
         self._push()
         self.shipped += 1
         if self._metrics is not None:

@@ -56,15 +56,19 @@ which drops the link: the shipper reconnects and bootstraps.
 from __future__ import annotations
 
 import json
+import mmap
 import socket
 import struct
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import (
+    Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union)
 
 from repro.core.errors import TerpError
+from repro.core.iov import write_gathered
 
 __all__ = ["ReplicationWireError", "send_msg", "recv_msg",
-           "frame_fields", "REPL_PROTOCOL_VERSION", "MAX_FRAME_BYTES"]
+           "frame_fields", "Buffer", "REPL_PROTOCOL_VERSION",
+           "MAX_FRAME_BYTES"]
 
 #: Replication protocol revision (independent of the client protocol).
 #: v2 added the reconciling ``reset`` frame and truncate-on-header.
@@ -75,7 +79,14 @@ REPL_PROTOCOL_VERSION = 2
 #: legal batch.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: Bodies up to this size are received into a heap buffer; larger
+#: ones into an anonymous mapping (:func:`recv_msg`).
+_EAGER_BYTES = 64 * 1024
+
 _LEN = struct.Struct(">I")
+
+#: What a frame's payload may be made of.
+Buffer = Union[bytes, bytearray, memoryview]
 
 
 class ReplicationWireError(TerpError):
@@ -95,49 +106,60 @@ def frame_fields(header: Dict[str, Any]) -> Iterator[None]:
 
 
 def send_msg(sock: socket.socket, header: Dict[str, Any],
-             payload: bytes = b"") -> None:
-    """Send one frame (blocking, complete)."""
+             payload: Union[Buffer, Sequence[Buffer]] = b"") -> None:
+    """Send one frame (blocking, complete).  ``payload`` is one buffer
+    or a sequence of them — a batch's page images — which go out
+    through one gather ``sendmsg`` as they are, never joined: the
+    bytes on the wire are those of the joined frame all the same."""
     head = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    total = _LEN.size + len(head) + len(payload)
+    parts: List[Buffer] = [payload] if isinstance(
+        payload, (bytes, bytearray, memoryview)) else list(payload)
+    total = _LEN.size + len(head) + sum(map(len, parts))
     if total > MAX_FRAME_BYTES:
         raise ReplicationWireError(
             f"replication frame of {total} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte bound")
-    sock.sendall(_LEN.pack(total) + _LEN.pack(len(head)) + head
-                 + payload)
+    parts.insert(0, _LEN.pack(total) + _LEN.pack(len(head)) + head)
+    write_gathered(sock.sendmsg, parts)
 
 
-def _recv_exactly(sock: socket.socket, n: int) -> Optional[bytes]:
-    parts = []
+def _recv_into(sock: socket.socket, buffer: Buffer) -> bool:
+    """Fill ``buffer`` from ``sock``; False on EOF before it is full."""
+    view = memoryview(buffer)
     got = 0
-    while got < n:
-        chunk = sock.recv(n - got)
-        if not chunk:
-            return None
-        parts.append(chunk)
-        got += len(chunk)
-    return b"".join(parts)
+    while got < len(view):
+        n = sock.recv_into(view[got:])
+        if not n:
+            return False
+        got += n
+    return True
 
 
 def recv_msg(sock: socket.socket
-             ) -> Optional[Tuple[Dict[str, Any], bytes]]:
-    """Receive one frame; ``None`` on orderly EOF at a frame boundary."""
-    raw_len = _recv_exactly(sock, _LEN.size)
-    if raw_len is None:
+             ) -> Optional[Tuple[Dict[str, Any], memoryview]]:
+    """Receive one frame; ``None`` on orderly EOF at a frame boundary.
+    The payload is a view of the buffer the frame was received into.
+
+    A body past :data:`_EAGER_BYTES` is received into an anonymous
+    mapping, whose pages become resident only as its bytes arrive: a
+    length prefix alone commits no memory, whatever it announces."""
+    raw_len = bytearray(_LEN.size)
+    if not _recv_into(sock, raw_len):
         return None
     (total,) = _LEN.unpack(raw_len)
     if total < _LEN.size or total > MAX_FRAME_BYTES:
         raise ReplicationWireError(
             f"replication frame length {total} out of bounds")
-    body = _recv_exactly(sock, total)
-    if body is None:
+    body = memoryview(bytearray(total) if total <= _EAGER_BYTES else
+                      mmap.mmap(-1, total, flags=mmap.MAP_PRIVATE))
+    if not _recv_into(sock, body):
         raise ReplicationWireError("connection died mid-frame")
     (head_len,) = _LEN.unpack_from(body, 0)
     if head_len > total - _LEN.size:
         raise ReplicationWireError(
             f"header length {head_len} exceeds frame body")
     try:
-        header = json.loads(body[_LEN.size:_LEN.size + head_len])
+        header = json.loads(bytes(body[_LEN.size:_LEN.size + head_len]))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ReplicationWireError(
             f"undecodable frame header: {exc}") from exc

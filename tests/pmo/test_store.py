@@ -1,8 +1,11 @@
 """The durable pool backend: format, flush, repair, scrub, quarantine."""
 
+import gc
 import sys
 import threading
+import time
 import tracemalloc
+import types
 
 import pytest
 
@@ -43,6 +46,21 @@ def populate(lib, name, payload=b"A" * 4000):
         lib.psync(pmo)
         lib.detach(pmo)
     return pmo, oid
+
+
+def reachable_ids(roots):
+    """The ids of every object reachable from ``roots`` through
+    instances and containers (not through classes, functions or
+    modules)."""
+    seen, stack = set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (
+                type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return seen
 
 
 def torn_data_page_rule():
@@ -562,6 +580,44 @@ class TestGroupCommit:
         pmo.storage.write(oid.offset, b"lost")
         with pytest.raises(PmoError):
             store.flush(pmo)
+
+    def test_the_committer_keeps_no_batch_past_its_commit(self,
+                                                          tmp_path):
+        """Once ``flush`` has returned, no page of its batch is
+        reachable from the committer's thread (at the parent of the
+        same PR its loop kept the batch bound while it parked: one
+        256-page psync stayed pinned, 1 MiB, until the next psync)."""
+        store = PmoStore(tmp_path, commit_interval_us=0)
+        pmo = Pmo(1, "pinned", MIB, storage=DurablePages(MIB))
+        store.register(pmo)
+        for index in range(MIB // PAGE_SIZE):
+            pmo.storage.write(index * PAGE_SIZE,
+                              bytes([index % 256]) * PAGE_SIZE)
+        submitted = []
+        submit = store.committer.submit
+
+        def capture(entry, seq, pages):
+            submitted.extend(page for _, page in pages)
+            return submit(entry, seq, pages)
+
+        store.committer.submit = capture
+        assert store.flush(pmo) == MIB // PAGE_SIZE
+        batch = {id(page) for page in submitted}
+        deadline = time.monotonic() + 2.0
+        while True:
+            # The committer retires the tickets before its loop parks.
+            frame = sys._current_frames()[store.committer._thread.ident]
+            roots = []
+            while frame is not None:
+                roots.extend(frame.f_locals.values())
+                frame = frame.f_back
+            pinned = batch & reachable_ids(roots)
+            del roots
+            if not pinned or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        store.close()
+        assert not pinned, f"{len(pinned)} pages of the batch pinned"
 
 
 class TestTicketCallbacks:

@@ -1,11 +1,19 @@
 """The replication wire format: framing, bounds, typed errors."""
 
+import json
+import os
 import socket
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.core.units import PAGE_SIZE
 from repro.replication.wire import (
     MAX_FRAME_BYTES, ReplicationWireError, recv_msg, send_msg)
 
@@ -109,3 +117,67 @@ class TestEofAndErrors:
         with pytest.raises(ReplicationWireError):
             recv_msg(b)
         a.close(), b.close()
+
+    def test_a_length_prefix_alone_commits_no_memory(self):
+        """A prefix announcing ``MAX_FRAME_BYTES``, then EOF: the typed
+        error, and the receiver's ``VmHWM`` rises by under 2 MiB (a
+        body buffer committed up front rose by the 64 MiB announced).
+        Measured in a fresh interpreter, whose high-water mark no
+        earlier test has raised."""
+        probe = textwrap.dedent("""
+            import re, socket, struct
+            from repro.replication.wire import (
+                MAX_FRAME_BYTES, ReplicationWireError, recv_msg)
+
+            def hwm_kib():
+                with open("/proc/self/status") as status:
+                    return int(re.search(r"VmHWM:\\s+(\\d+) kB",
+                                         status.read()).group(1))
+
+            a, b = socket.socketpair()
+            a.sendall(struct.pack(">I", MAX_FRAME_BYTES))
+            a.close()
+            before = hwm_kib()
+            try:
+                recv_msg(b)
+            except ReplicationWireError:
+                print(hwm_kib() - before)
+        """)
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip(), out.stderr
+        assert int(out.stdout) < 2048, f"VmHWM rose {out.stdout} KiB"
+
+
+def joined_frame(header, payload):
+    """The frame as one joined buffer: prefix, header length, header
+    JSON, payload."""
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return (struct.pack(">I", 4 + len(head) + len(payload))
+            + struct.pack(">I", len(head)) + head + payload)
+
+
+PAGES = [bytes([i]) * PAGE_SIZE for i in range(8)]
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("payload, joined", [
+        (b"", b""),
+        (bytes(range(256)) * 3, bytes(range(256)) * 3),
+        (PAGES, b"".join(PAGES)),
+        ([memoryview(page) for page in PAGES], b"".join(PAGES)),
+    ], ids=["header", "bytes", "pages", "views"])
+    def test_send_msg_emits_the_joined_frame(self, payload, joined):
+        """A payload sent as a page list goes out by gather, never
+        joined — and the bytes on the wire are the joined frame's."""
+        header = {"t": "batch", "seq": 3, "pages": [[0, 1]]}
+        a, b = pair()
+        send_msg(a, header, payload)
+        a.close()
+        got = bytearray()
+        while chunk := b.recv(1 << 16):
+            got += chunk
+        b.close()
+        assert bytes(got) == joined_frame(header, joined)
