@@ -64,19 +64,18 @@ def test_sweep_period_ablation(benchmark):
     from repro.core.units import us
     from repro.sim.machine import Machine
     from repro.sim.policy import CompilerTerpPolicy
-    from repro.workloads.whisper.benchmarks import get_benchmark
+    from repro.workloads.whisper.benchmarks import WHISPER
 
     def run():
         out = {}
         for period_us in (1, 8, 32):
-            bench = get_benchmark("echo")
+            bench = WHISPER["echo"]
             machine = Machine(
                 engine=TerpArchEngine(us(40),
                                       sweep_period_ns=us(period_us)),
                 policy_factory=lambda: CompilerTerpPolicy(us(2)),
                 pmo_sizes=bench.pmo_sizes())
-            result = machine.run(bench.threads(
-                1, n_transactions=2_000))
+            result = machine.run(bench.threads(1, ops=2_000, seed=11))
             out[period_us] = result.per_pmo[0].ew_max_us
         return out
     max_ews = run_once(benchmark, run)

@@ -1,56 +1,63 @@
 #!/usr/bin/env python3
 """The TERP compiler pass on a Figure 5-style control-flow graph.
 
-Builds a function with branching and a loop around PMO accesses, runs
-the region analysis and Algorithm 1's insertion, prints the
-instrumented IR, and then *executes* it against the TERP architecture
-engine to show the inserted conditional attach/detach (a) never
-violate the EW-conscious semantics and (b) bound the thread exposure
-window at the compiler's budget.
+Writes a function with branching and a loop around PMO accesses in the
+compiler's textual IR, runs the region analysis and Algorithm 1's
+insertion, prints the instrumented IR in the same syntax, and then
+*executes* it against the TERP architecture engine to show the
+inserted conditional attach/detach (a) never violate the EW-conscious
+semantics and (b) bound the thread exposure window at the compiler's
+budget.
 """
 
 from repro.arch.cond_engine import TerpArchEngine
 from repro.compiler.insertion import TerpInsertionPass, verify_program
 from repro.compiler.interp import Interpreter
-from repro.compiler.ir import Call, Compute, Load, Program, Store
 from repro.compiler.pointer_analysis import analyze
+from repro.compiler.text import parse_program, print_program
 from repro.core.units import cycles_to_ns, ns_to_us, us
 
+#: if (...) { read PMO } else { update PMO };
+#: then loop { audit(); compute } — audit writes the PMO.
+SOURCE = """
+pmo h = accounts
 
-def build_program() -> Program:
-    """if (...) { read PMO } else { update PMO };
-    then loop { helper(); compute } — helper writes the PMO."""
-    prog = Program()
-    prog.declare_pmo_handle("h", "accounts")
+func audit
+block entry:
+    load h
+    compute 40
+    store h
 
-    helper = prog.function("audit")
-    helper.block("entry", [Load("h"), Compute(40), Store("h")])
-
-    main = prog.function("main")
-    main.block("entry", [Compute(100)]).branch("fast", "slow")
-    main.block("fast", [Load("h"), Compute(30)]).jump("join")
-    main.block("slow", [Load("h"), Compute(400), Store("h")]) \
-        .jump("join")
-    main.block("join", [Compute(50)]).jump("loop")
-    main.block("loop", [Compute(20)]).branch("body", "done")
-    main.block("body", [Call("audit"), Compute(500)]).jump("loop")
-    main.block("done", [Compute(10)])
-    return prog
-
-
-def dump(prog: Program) -> None:
-    for fn in prog.functions.values():
-        print(f"  function {fn.name}:")
-        for name, bb in fn.blocks.items():
-            ops = ", ".join(type(i).__name__ +
-                            (f"({i.pmo})" if hasattr(i, "pmo") else "")
-                            for i in bb.instrs)
-            arrow = f" -> {bb.successors}" if bb.successors else ""
-            print(f"    {name}: [{ops}]{arrow}")
+func main
+block entry:
+    compute 100
+    branch fast slow
+block fast:
+    load h
+    compute 30
+    jump join
+block slow:
+    load h
+    compute 400
+    store h
+    jump join
+block join:
+    compute 50
+    jump loop
+block loop:
+    compute 20
+    branch body done
+block body:
+    call audit
+    compute 500
+    jump loop
+block done:
+    compute 10
+"""
 
 
 def main() -> None:
-    prog = build_program()
+    prog = parse_program(SOURCE)
     points_to = analyze(prog)
     print("pointer analysis: PMO-accessing blocks per function")
     for fname in prog.functions:
@@ -65,7 +72,7 @@ def main() -> None:
     print(f"\ninserted {report.attaches} CondAttach / "
           f"{report.detaches} CondDetach across {report.regions} "
           "PMO-WFG regions (verified: matched on every path)\n")
-    dump(prog)
+    print(print_program(prog), end="")
 
     engine = TerpArchEngine(us(40))
     result = Interpreter(prog, engine, seed=11).run("main")

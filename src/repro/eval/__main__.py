@@ -51,6 +51,17 @@ ARTIFACTS: Dict[str, Callable[[argparse.Namespace, dict], str]] = {
 }
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval",
@@ -63,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="SPEC iterations per run")
     parser.add_argument("--objects", type=int, default=DEFAULT_OBJECTS,
                         help="objects per dead-time profile")
-    parser.add_argument("--threads", type=int, default=4,
+    parser.add_argument("--threads", type=_thread_count, default=4,
                         help="thread count for fig11")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="global multiplier on operation counts")

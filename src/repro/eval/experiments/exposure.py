@@ -48,12 +48,13 @@ def run(suite: str, *, ops: Optional[int] = None,
     """One row per benchmark of ``suite`` (default: all of them)."""
     mm_cfg = config("MM")
     tt_cfg = config("TT")
+    benchmarks = runner.SUITES[suite].benchmarks
     rows = []
-    for name in names or runner.SUITES[suite].names:
+    for name in names or benchmarks:
         mm = runner.run(suite, name, mm_cfg, ops=ops, seed=seed)
         tt = runner.run(suite, name, tt_cfg, ops=ops, seed=seed)
         rows.append(ExposureRow(
-            name, len(runner.SUITES[suite].benchmark(name).pmo_sizes()),
+            name, benchmarks[name].n_pmos,
             mm.ew_avg_us, mm.ew_max_us, mm.er_percent,
             tt.silent_percent, tt.ew_avg_us, tt.ew_max_us,
             tt.er_percent, tt.tew_avg_us, tt.ter_percent))

@@ -31,6 +31,7 @@ from repro.eval.tables import render_grouped_bars
 class OverheadFigure:
     """One figure: a suite's benchmarks under a list of configurations."""
 
+    #: ``{threads}`` is the thread count run
     title: str
     suite: str                                  # key of runner.SUITES
     #: (bar label, configuration), in the figure's order
@@ -56,7 +57,8 @@ FIGURES: Dict[str, OverheadFigure] = {
         "Figure 10: SPEC overhead vs unprotected "
         "(breakdown available per bar)", "spec", EW_SWEEP),
     "fig11": OverheadFigure(
-        "Figure 11: 4-thread SPEC overheads (Basic vs +Cond vs +CB)",
+        "Figure 11: {threads}-thread SPEC overheads "
+        "(Basic vs +Cond vs +CB)",
         "spec", (("Basic semantics", config("TT_BASIC")),
                  ("+Cond (40us)", config("TT_COND")),
                  ("+CB (40us)", config("TT")),
@@ -80,6 +82,7 @@ class OverheadResult:
     bars: Dict[str, List[OverheadBar]]
     #: benchmark -> time its threads spent blocked under Basic semantics
     blocked_ns: Dict[str, int]
+    num_threads: int
 
     def averages(self) -> List[OverheadBar]:
         labels = [b.label for b in next(iter(self.bars.values()))]
@@ -108,7 +111,8 @@ class OverheadResult:
         for name, bars in list(self.bars.items()) + [
                 ("avg", self.averages())]:
             series[name] = {bar.label: bar.total_percent for bar in bars}
-        return render_grouped_bars(series, title=self.figure.title,
+        title = self.figure.title.format(threads=self.num_threads)
+        return render_grouped_bars(series, title=title,
                                    bar_scale=self.figure.bar_scale)
 
 
@@ -119,18 +123,19 @@ def run(figure: str, *, ops: Optional[int] = None,
     """Every bar of ``figure`` (a key of :data:`FIGURES`), over
     ``names`` (default: the figure's whole suite)."""
     row = FIGURES[figure]
+    if num_threads is None:
+        num_threads = row.num_threads
     bars: Dict[str, List[OverheadBar]] = {}
     blocked: Dict[str, int] = {}
-    for name in names or runner.SUITES[row.suite].names:
+    for name in names or runner.SUITES[row.suite].benchmarks:
         bench_bars = []
         for label, cfg in row.configs:
-            result = runner.run(
-                row.suite, name, cfg, ops=ops, seed=seed,
-                num_threads=num_threads or row.num_threads)
+            result = runner.run(row.suite, name, cfg, ops=ops, seed=seed,
+                                num_threads=num_threads)
             bench_bars.append(OverheadBar(
                 label, result.overhead_percent,
                 result.overhead_breakdown_percent()))
             if cfg.key == "TT_BASIC":
                 blocked[name] = result.blocked_ns
         bars[name] = bench_bars
-    return OverheadResult(row, bars, blocked)
+    return OverheadResult(row, bars, blocked, num_threads)

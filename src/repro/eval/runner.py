@@ -3,7 +3,8 @@
 The single entry point the experiments and benchmarks use:
 :func:`run` runs one benchmark of one suite under one configuration,
 :func:`run_suite` a suite's benchmarks.  A suite is a row of
-:data:`SUITES`, so no caller branches on which suite it runs.
+:data:`SUITES` over a table of benchmark rows, so no caller branches
+on which suite it runs.
 
 Scaling: the paper runs 100K WHISPER transactions; Python's discrete-
 event machine handles that, but most tables only need the *rates* and
@@ -13,14 +14,12 @@ window statistics, which converge far earlier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.eval.configs import EvalConfig
 from repro.sim.stats import RunResult
-from repro.workloads.spec.base import SPEC_NAMES
-from repro.workloads.spec.base import get_benchmark as get_spec
-from repro.workloads.whisper.benchmarks import WHISPER_NAMES
-from repro.workloads.whisper.benchmarks import get_benchmark as get_whisper
+from repro.workloads.spec.base import Benchmark, SPEC
+from repro.workloads.whisper.benchmarks import WHISPER
 
 
 @dataclass(frozen=True)
@@ -29,11 +28,8 @@ class Suite:
 
     #: as the paper's tables name it
     label: str
-    #: benchmark name -> its generator (``pmo_sizes()``, ``threads()``)
-    benchmark: Callable
-    names: Sequence[str]
-    #: the generator's keyword for the operation count
-    ops_keyword: str
+    #: benchmark name -> its row, in the paper's order
+    benchmarks: Mapping[str, Benchmark]
     #: operations per run when the caller names none.  The paper's runs
     #: use 100K transactions; every reported statistic is rate-based
     #: and stable far earlier (the benchmark harness asserts this).
@@ -41,9 +37,8 @@ class Suite:
 
 
 SUITES: Dict[str, Suite] = {
-    "whisper": Suite("WHISPER", get_whisper, WHISPER_NAMES,
-                     "n_transactions", 10_000),
-    "spec": Suite("SPEC", get_spec, SPEC_NAMES, "n_iterations", 8_000),
+    "whisper": Suite("WHISPER", WHISPER, 10_000),
+    "spec": Suite("SPEC", SPEC, 8_000),
 }
 
 
@@ -52,11 +47,11 @@ def run(suite: str, name: str, cfg: EvalConfig, *,
         seed: int = 2022) -> RunResult:
     """Run one benchmark of ``suite`` under one configuration."""
     row = SUITES[suite]
-    bench = row.benchmark(name)
+    bench = row.benchmarks[name]
     machine = cfg.build(bench.pmo_sizes(), seed=seed)
-    count = row.default_ops if ops is None else ops
     return machine.run(bench.threads(
-        num_threads, seed=seed, **{row.ops_keyword: count}))
+        num_threads, ops=row.default_ops if ops is None else ops,
+        seed=seed))
 
 
 def run_suite(suite: str, cfg: EvalConfig, *,
@@ -66,4 +61,4 @@ def run_suite(suite: str, cfg: EvalConfig, *,
     """Run ``names`` (default: every benchmark of ``suite``)."""
     return {name: run(suite, name, cfg, ops=ops,
                       num_threads=num_threads, seed=seed)
-            for name in names or SUITES[suite].names}
+            for name in names or SUITES[suite].benchmarks}

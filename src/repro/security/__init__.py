@@ -1,22 +1,1 @@
 """Security analyses: threat model, dead times, probabilities, attacks."""
-
-from repro.security.attacks import (
-    AttackConfig, AttackOutcome, compare_protections, DataOnlyAttack,
-    Protection)
-from repro.security.dead_time import (
-    DeadTimeDistribution, DeadTimeTracker)
-from repro.security.gadgets import census_from_runs, GadgetCensus
-from repro.security.probability import (
-    AttackScenario, merr_success_percent, placement_entropy_bits,
-    reduction_factor, terp_success_percent)
-from repro.security.threat_model import (
-    Assumption, AttackClass, DEFAULT_THREAT_MODEL, PmoState,
-    ThreatModel)
-
-__all__ = ["AttackConfig", "AttackOutcome", "compare_protections",
-           "DataOnlyAttack", "Protection", "DeadTimeDistribution",
-           "DeadTimeTracker", "census_from_runs", "GadgetCensus",
-           "AttackScenario", "merr_success_percent",
-           "placement_entropy_bits", "reduction_factor",
-           "terp_success_percent", "Assumption", "AttackClass",
-           "DEFAULT_THREAT_MODEL", "PmoState", "ThreatModel"]

@@ -1,5 +1,1 @@
 """Evaluation workloads: WHISPER, SPEC-style, and allocation traces."""
-
-from repro.workloads.heaplayers import all_dead_times_us, PROFILES
-
-__all__ = ["all_dead_times_us", "PROFILES"]

@@ -1,10 +1,2 @@
-"""SPEC CPU 2017-style workloads: trace generators and real kernels."""
-
-from repro.workloads.spec.base import (
-    all_benchmarks, get_benchmark, SPEC_NAMES, SPEC_SPECS,
-    SpecBenchmark, SpecSpec)
-from repro.workloads.spec.kernels import ALL_KERNELS, make_kernel
-
-__all__ = ["all_benchmarks", "get_benchmark", "SPEC_NAMES",
-           "SPEC_SPECS", "SpecBenchmark", "SpecSpec", "ALL_KERNELS",
-           "make_kernel"]
+"""SPEC CPU 2017-style workloads: the paper benchmarks' stream generator
+and real kernels."""

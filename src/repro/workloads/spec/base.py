@@ -1,193 +1,231 @@
-"""SPEC CPU 2017 workload modelling (multi-PMO, staged execution).
+"""The paper's benchmarks as rows of one type, and their one stream.
 
-The paper runs the C/C++ OpenMP subset of SPEC 2017 with every heap
-object larger than 128KB allocated as its own PMO.  The evaluation-
-relevant structure is:
+Section VI gives WHISPER and SPEC CPU 2017 the same shape: a run is a
+sequence of **transactions** (where MERR's manual attach/detach go),
+each holding 1..k **code regions** — clusters of PMO accesses the TERP
+compiler wraps in one thread exposure window — separated by PMO-free
+computation, with PMO-free time between transactions sized so the
+exposure rate matches the benchmark.  A :class:`Benchmark` is that
+shape's calibration, and :meth:`Benchmark.thread_stream` its one
+generator.
 
-* several PMOs per benchmark (Table IV: mcf 4, lbm 2, imagick 3,
-  nab 3, xz 6) — but only 1-2 *active* at any time, because programs
-  use different PMOs in different computation stages;
-* much denser PMO access than WHISPER (most of the working set is in
-  PMOs), hence tiny natural windows (MM EW avg 1-10µs) and very high
-  insertion frequency — which is what makes TM's overhead explode
-  past 300% and MERR's average 156%;
-* parallel (OpenMP) loops: N threads iterate the same stages over
-  partitioned data, sharing the PMOs.
+The suites differ only in their rows:
 
-:class:`SpecBenchmark` generates those streams from a calibrated
-:class:`SpecSpec`: stages cycle round-robin over the PMOs with
-``actives_per_stage`` of them live at a time; each loop iteration is
-one micro-transaction bookended by MERR's manual insertion.
+* **SPEC** (:data:`SPEC`, here) — several PMOs per benchmark (Table
+  IV: mcf 4, lbm 2, imagick 3, nab 3, xz 6) of which only 1-2 are
+  *active* at any time, because programs use different PMOs in
+  different computation stages; stages cycle round-robin over the PMOs
+  with ``actives_per_stage`` of them live.  Access is much denser than
+  WHISPER's, hence tiny natural windows (MM EW avg 1-10us) and very
+  high insertion frequency — which is what makes TM's overhead explode
+  past 300% and MERR's average 156%.  N (OpenMP) threads iterate the
+  same stages over partitioned data, sharing the PMOs.
+* **WHISPER** (:data:`repro.workloads.whisper.benchmarks.WHISPER`) —
+  one PMO, named after the benchmark and always active, whose burst
+  contents are **measured** by running the benchmark's real persistent
+  structure under a :class:`CountingPmo` (:meth:`Benchmark.measure`).
+
+All randomness is drawn from a seeded ``numpy`` generator, so runs are
+exactly reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.units import MIB, us
 from repro.sim.events import Burst, Compute, RegionEnd, TxBegin, TxEnd
+from repro.workloads.structures.counting import CountingPmo
 
 
 @dataclass(frozen=True)
-class SpecSpec:
-    """Calibrated shape for one SPEC benchmark.
+class OpStats:
+    """Measured per-operation access statistics."""
 
-    ``window_avg_us``/``window_max_us`` — per-iteration PMO window
-    (Table IV MM columns).  ``er_within`` — exposure rate of a PMO
-    *while its stage runs* (the table's per-PMO ER equals
-    ``er_within * actives_per_stage / n_pmos``).  ``region_us`` sets
-    the thread-window (TEW) granularity.
+    accesses: float
+    unique_pages: float
+    write_fraction: float
+
+
+@dataclass(frozen=True)
+class Benchmark:
+    """Calibrated shape for one paper benchmark.
+
+    ``window_avg_us``/``window_max_us`` — per-transaction PMO window
+    (what MERR's manual insertion exposes; Tables III/IV MM columns).
+    ``exposure_rate`` — exposure rate of a PMO *while its stage runs*
+    (the table's per-PMO ER is ``exposure_rate * actives_per_stage /
+    n_pmos``; for one PMO, the run's).  ``region_us`` — duration of one
+    access cluster (sets the measured TEW).
     """
 
     name: str
-    n_pmos: int
-    actives_per_stage: int
     window_avg_us: float
     window_max_us: float
-    er_within: float
+    exposure_rate: float
     region_us: float
-    n_iterations: int = 20_000
+    n_pmos: int = 1
+    actives_per_stage: int = 1
     n_stages: int = 8
     pmo_size: int = 64 * MIB
+    #: transactions per run when the caller names none
+    ops: int = 20_000
     base_cycles_per_access: float = 8.0
-    #: measured/representative burst contents
+    #: representative burst contents: accesses per region (over the
+    #: active PMOs), pages one burst touches, its share of writes
     accesses_per_region: float = 60.0
     unique_pages: int = 4
     write_fraction: float = 0.4
+    #: builds the benchmark's real structure on a PMO and returns an
+    #: ``op(rng)`` running one operation; when set, the burst contents
+    #: above are measured from it instead
+    setup: Optional[Callable] = None
 
     @property
     def cycle_us(self) -> float:
-        return self.window_avg_us / self.er_within
+        """Average full transaction cycle (window + PMO-free work)."""
+        return self.window_avg_us / self.exposure_rate
 
     def pmo_names(self) -> List[str]:
+        """One PMO is named after the benchmark; several are numbered."""
+        if self.n_pmos == 1:
+            return [self.name]
         return [f"{self.name}-pmo{i}" for i in range(self.n_pmos)]
 
-
-class SpecBenchmark:
-    """Stream generator for one SPEC benchmark."""
-
-    def __init__(self, spec: SpecSpec) -> None:
-        self.spec = spec
-
     def pmo_sizes(self) -> Dict[str, int]:
-        return {name: self.spec.pmo_size for name in self.spec.pmo_names()}
+        return {name: self.pmo_size for name in self.pmo_names()}
 
-    def _stage_pmos(self, stage: int) -> Tuple[str, ...]:
+    def stage_pmos(self, stage: int) -> Tuple[str, ...]:
         """The PMOs active in ``stage`` (round-robin windows)."""
-        names = self.spec.pmo_names()
-        k = self.spec.actives_per_stage
+        names = self.pmo_names()
+        k = self.actives_per_stage
         start = (stage * k) % len(names)
         return tuple(names[(start + i) % len(names)] for i in range(k))
 
-    def thread_stream(self, *, n_iterations: Optional[int] = None,
-                      seed: int = 17) -> Iterator:
-        spec = self.spec
+    def measure(self, *, samples: int = 200, seed: int = 7) -> OpStats:
+        """Run real operations and record their access statistics
+        (once per benchmark, ``samples`` and ``seed`` in a process)."""
+        return _measure(self, samples, seed)
+
+    def thread_stream(self, *, ops: Optional[int] = None,
+                      seed: int) -> Iterator:
+        """Yield the work-event stream for one thread: ``ops``
+        transactions, in ``n_stages`` stages."""
+        if self.setup is None:
+            accesses, pages = self.accesses_per_region, self.unique_pages
+            write_fraction = self.write_fraction
+        else:
+            stats = self.measure()
+            accesses, write_fraction = stats.accesses, stats.write_fraction
+            pages = max(1, int(round(stats.unique_pages)))
         rng = np.random.default_rng(seed)
-        iters = n_iterations if n_iterations is not None \
-            else spec.n_iterations
-        region_ns = us(spec.region_us)
-        mean_frac = min(0.95, spec.window_avg_us / spec.window_max_us)
+        ops = self.ops if ops is None else ops
+        region_ns = us(self.region_us)
+        # Window length distribution: Beta-shaped between ~0 and the
+        # observed max, with the observed mean.
+        mean_frac = min(0.95, self.window_avg_us / self.window_max_us)
         beta_a = 2.0
         beta_b = beta_a * (1.0 - mean_frac) / mean_frac
-        outside_mean_ns = us(spec.cycle_us - spec.window_avg_us)
-        iters_per_stage = max(1, iters // spec.n_stages)
-        done = 0
-        stage = 0
-        while done < iters:
-            pmos = self._stage_pmos(stage)
-            for _ in range(min(iters_per_stage, iters - done)):
-                window_ns = max(region_ns, int(
-                    us(spec.window_max_us) * rng.beta(beta_a, beta_b)))
-                yield TxBegin.of(*pmos)
-                yield from self._iteration_body(pmos, window_ns,
-                                                region_ns, rng)
-                yield TxEnd()
-                gap = int(rng.gamma(3.0, max(1.0, outside_mean_ns / 3.0)))
-                if gap > 0:
-                    yield Compute(gap)
-                done += 1
-            stage += 1
+        # PMO-free time between transactions keeps ER on target.
+        outside_mean_ns = us(self.cycle_us - self.window_avg_us)
+        ops_per_stage = max(1, ops // self.n_stages)
+        for op in range(ops):
+            pmos = self.stage_pmos(op // ops_per_stage)
+            window_ns = max(region_ns, int(
+                us(self.window_max_us) * rng.beta(beta_a, beta_b)))
+            n_regions = max(1, int(round(window_ns / (4.0 * region_ns))))
+            gap_each = max(0, window_ns - n_regions * region_ns) // n_regions
+            yield TxBegin.of(*pmos)
+            for _ in range(n_regions):
+                # A region touches each active PMO (e.g. lbm reads the
+                # source lattice and writes the destination).
+                for pmo in pmos:
+                    n = max(1, int(rng.poisson(accesses / len(pmos))))
+                    yield Burst(pmo, n_accesses=n, unique_pages=pages,
+                                write_fraction=write_fraction,
+                                base_cycles=self.base_cycles_per_access)
+                yield Compute(region_ns)
+                yield RegionEnd()
+                # Non-PMO computation fills the rest of the window; the
+                # trailing chunk matters too: the operation's (manual)
+                # detach comes after it, so the window spans it.
+                if gap_each > 0:
+                    yield Compute(gap_each)
+            yield TxEnd()
+            # Gamma-distributed PMO-free gap (mean = outside_mean).
+            gap = int(rng.gamma(3.0, max(1.0, outside_mean_ns / 3.0)))
+            if gap > 0:
+                yield Compute(gap)
 
-    def _iteration_body(self, pmos: Tuple[str, ...], window_ns: int,
-                        region_ns: int,
-                        rng: np.random.Generator) -> Iterator:
-        spec = self.spec
-        n_regions = max(1, int(round(window_ns / (4.0 * region_ns))))
-        gap_each = max(0, window_ns - n_regions * region_ns) // n_regions
-        for i in range(n_regions):
-            # An iteration's region touches each active PMO (e.g. lbm
-            # reads the source lattice and writes the destination).
-            for pmo in pmos:
-                n = max(1, int(rng.poisson(
-                    spec.accesses_per_region / len(pmos))))
-                yield Burst(pmo, n_accesses=n,
-                            unique_pages=spec.unique_pages,
-                            write_fraction=spec.write_fraction,
-                            base_cycles=spec.base_cycles_per_access)
-            yield Compute(region_ns)
-            yield RegionEnd()
-            # Non-PMO computation fills the rest of the window; the
-            # trailing chunk matters too: the operation's (manual)
-            # detach comes after it, so the window spans it.
-            if gap_each > 0:
-                yield Compute(gap_each)
-
-    def threads(self, num_threads: int = 1, *,
-                n_iterations: Optional[int] = None,
-                seed: int = 17) -> Dict[int, Iterator]:
-        total = (n_iterations if n_iterations is not None
-                 else self.spec.n_iterations)
-        per_thread = max(1, total // num_threads)
-        return {tid: self.thread_stream(n_iterations=per_thread,
+    def threads(self, num_threads: int = 1, *, ops: Optional[int] = None,
+                seed: int) -> Dict[int, Iterator]:
+        """Thread-id -> stream mapping for the machine: the ``ops``
+        split evenly over ``num_threads``."""
+        per_thread = max(1, (self.ops if ops is None else ops)
+                         // num_threads)
+        return {tid: self.thread_stream(ops=per_thread,
                                         seed=seed + 1000 * tid)
                 for tid in range(num_threads)}
 
 
-# -- the five benchmarks (calibration from Table IV) -----------------------------
+@lru_cache(maxsize=None)
+def _measure(bench: Benchmark, samples: int, seed: int) -> OpStats:
+    from repro.pmo.pmo import Pmo
+    rng = np.random.default_rng(seed)
+    # A small PMO suffices for measurement; the structures' access
+    # complexity does not depend on PMO capacity.
+    pmo = CountingPmo(Pmo(1, bench.name, 64 * MIB))
+    op = bench.setup(pmo, rng)
+    # Warm up so steady-state (not first-touch) behaviour is measured,
+    # then sample.
+    for _ in range(50):
+        op(rng)
+    pmo.counts.reset()
+    counts = []
+    for _ in range(samples):
+        op(rng)
+        counts.append(pmo.counts.reset())
+    total = sum(c.total for c in counts)
+    return OpStats(
+        accesses=float(np.mean([c.total for c in counts])),
+        unique_pages=float(np.mean([c.unique_pages for c in counts])),
+        write_fraction=sum(c.writes for c in counts) / total
+        if total else 0.0)
 
-SPEC_SPECS: Dict[str, SpecSpec] = {
+
+# -- the five SPEC benchmarks (calibration from Table IV) --------------------
+
+SPEC: Dict[str, Benchmark] = {
     # mcf: min-cost flow; 4 PMOs (nodes, arcs, basket, dual), pricing
     # and flow-update stages touch two at a time.
-    "mcf": SpecSpec("mcf", n_pmos=4, actives_per_stage=2,
-                    window_avg_us=4.5, window_max_us=25.1,
-                    er_within=0.26, region_us=0.7,
-                    accesses_per_region=80, write_fraction=0.3),
+    "mcf": Benchmark("mcf", n_pmos=4, actives_per_stage=2,
+                     window_avg_us=4.5, window_max_us=25.1,
+                     exposure_rate=0.26, region_us=0.7,
+                     accesses_per_region=80, write_fraction=0.3),
     # lbm: Lattice-Boltzmann; src/dst lattices both live the whole
     # run — the paper's worst case.
-    "lbm": SpecSpec("lbm", n_pmos=2, actives_per_stage=2,
-                    window_avg_us=1.1, window_max_us=17.1,
-                    er_within=0.496, region_us=0.3,
-                    accesses_per_region=100, write_fraction=0.5),
+    "lbm": Benchmark("lbm", n_pmos=2, actives_per_stage=2,
+                     window_avg_us=1.1, window_max_us=17.1,
+                     exposure_rate=0.496, region_us=0.3,
+                     accesses_per_region=100, write_fraction=0.5),
     # imagick: convolution pipeline over image planes.
-    "imagick": SpecSpec("imagick", n_pmos=3, actives_per_stage=2,
-                        window_avg_us=3.4, window_max_us=28.6,
-                        er_within=0.43, region_us=0.6,
-                        accesses_per_region=70, write_fraction=0.45),
+    "imagick": Benchmark("imagick", n_pmos=3, actives_per_stage=2,
+                         window_avg_us=3.4, window_max_us=28.6,
+                         exposure_rate=0.43, region_us=0.6,
+                         accesses_per_region=70, write_fraction=0.45),
     # nab: molecular dynamics force loops over coordinate/force arrays.
-    "nab": SpecSpec("nab", n_pmos=3, actives_per_stage=2,
-                    window_avg_us=2.4, window_max_us=18.9,
-                    er_within=0.56, region_us=0.7,
-                    accesses_per_region=90, write_fraction=0.5),
+    "nab": Benchmark("nab", n_pmos=3, actives_per_stage=2,
+                     window_avg_us=2.4, window_max_us=18.9,
+                     exposure_rate=0.56, region_us=0.7,
+                     accesses_per_region=90, write_fraction=0.5),
     # xz: LZMA; 6 PMOs (dictionary, match finder chains, buffers)
     # used in clearly separated stages -> lowest exposure rate.
-    "xz": SpecSpec("xz", n_pmos=6, actives_per_stage=1,
-                   window_avg_us=10.4, window_max_us=37.5,
-                   er_within=0.49, region_us=1.9,
-                   accesses_per_region=60, write_fraction=0.35),
+    "xz": Benchmark("xz", n_pmos=6, actives_per_stage=1,
+                    window_avg_us=10.4, window_max_us=37.5,
+                    exposure_rate=0.49, region_us=1.9,
+                    accesses_per_region=60, write_fraction=0.35),
 }
-
-SPEC_NAMES = ["mcf", "lbm", "imagick", "nab", "xz"]
-
-
-def get_benchmark(name: str) -> SpecBenchmark:
-    if name not in SPEC_SPECS:
-        raise KeyError(f"unknown SPEC benchmark {name!r}; "
-                       f"choose from {SPEC_NAMES}")
-    return SpecBenchmark(SPEC_SPECS[name])
-
-
-def all_benchmarks() -> Dict[str, SpecBenchmark]:
-    return {name: get_benchmark(name) for name in SPEC_NAMES}

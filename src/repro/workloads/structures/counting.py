@@ -1,9 +1,10 @@
 """Access-counting PMO proxy.
 
 Wraps a :class:`~repro.pmo.pmo.Pmo` and counts the reads and writes
-flowing through it.  The WHISPER trace generators use it to *measure*
-per-operation access statistics from the real data structures instead
-of guessing burst sizes.
+flowing through it.  :meth:`repro.workloads.spec.base.Benchmark.measure`
+uses it to *measure* a WHISPER benchmark's per-operation access
+statistics from the real data structures instead of guessing burst
+sizes.
 """
 
 from __future__ import annotations

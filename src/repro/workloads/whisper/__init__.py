@@ -1,9 +1,1 @@
 """WHISPER benchmarks (Echo, Redis, YCSB, TPCC, ctree, hashmap)."""
-
-from repro.workloads.whisper.base import (
-    OpStats, WhisperBenchmark, WhisperSpec)
-from repro.workloads.whisper.benchmarks import (
-    all_benchmarks, get_benchmark, SPECS, WHISPER_NAMES)
-
-__all__ = ["OpStats", "WhisperBenchmark", "WhisperSpec",
-           "all_benchmarks", "get_benchmark", "SPECS", "WHISPER_NAMES"]

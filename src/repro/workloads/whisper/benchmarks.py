@@ -1,27 +1,27 @@
 """The six WHISPER benchmarks (Section VI: Echo, Redis, YCSB, TPCC,
 ctree, hashmap).
 
-Each benchmark couples a calibrated :class:`WhisperSpec` (window and
-exposure shape from the benchmark's natural behaviour, Table III) with
-a *real* operation mix over the persistent structures in
-:mod:`repro.workloads.structures` — the access counts inside each
-burst are measured, not assumed.
-
-All benchmarks use a single 1GB PMO and 100K operations, per the
-paper's methodology.
+Each benchmark is a :class:`~repro.workloads.spec.base.Benchmark` row
+whose window and exposure shape is calibrated from the benchmark's
+natural behaviour (Table III), with one PMO always active and a *real*
+operation mix over the persistent structures in
+:mod:`repro.workloads.structures` as its ``setup`` — the access counts
+inside each burst are measured, not assumed.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict
 
 import numpy as np
 
+from repro.core.units import GIB
+from repro.workloads.spec.base import Benchmark
 from repro.workloads.structures.ctree import CritBitTree
 from repro.workloads.structures.hashmap import PersistentHashMap
 from repro.workloads.structures.kvstore import VersionedKvStore
 from repro.workloads.structures.tpcc import TpccDatabase
-from repro.workloads.whisper.base import WhisperBenchmark, WhisperSpec
 
 _KEYSPACE = 2_000
 
@@ -143,44 +143,29 @@ def _hashmap_setup(pmo, rng) -> Callable:
     return op
 
 
-# -- specs calibrated from the benchmarks' natural behaviour (Table III) ------
+# -- rows calibrated from the benchmarks' natural behaviour (Table III) -------
 
-SPECS: Dict[str, WhisperSpec] = {
-    "echo": WhisperSpec("echo", window_avg_us=17.3, window_max_us=33.5,
-                        exposure_rate=0.141, region_us=1.5),
-    "ycsb": WhisperSpec("ycsb", window_avg_us=13.1, window_max_us=38.1,
-                        exposure_rate=0.281, region_us=0.9),
-    "tpcc": WhisperSpec("tpcc", window_avg_us=11.2, window_max_us=32.5,
-                        exposure_rate=0.311, region_us=0.7),
-    "ctree": WhisperSpec("ctree", window_avg_us=16.3, window_max_us=39.4,
-                         exposure_rate=0.222, region_us=1.8),
-    "hashmap": WhisperSpec("hashmap", window_avg_us=19.7,
-                           window_max_us=37.2,
-                           exposure_rate=0.192, region_us=0.9),
-    "redis": WhisperSpec("redis", window_avg_us=8.1, window_max_us=25.1,
-                         exposure_rate=0.325, region_us=1.1),
+#: One 1GB PMO and 100K transactions, per the paper's methodology.
+_whisper = partial(Benchmark, pmo_size=GIB, ops=100_000)
+
+#: In the paper's order.
+WHISPER: Dict[str, Benchmark] = {
+    "echo": _whisper("echo", window_avg_us=17.3, window_max_us=33.5,
+                     exposure_rate=0.141, region_us=1.5,
+                     setup=_echo_setup),
+    "ycsb": _whisper("ycsb", window_avg_us=13.1, window_max_us=38.1,
+                     exposure_rate=0.281, region_us=0.9,
+                     setup=_ycsb_setup),
+    "tpcc": _whisper("tpcc", window_avg_us=11.2, window_max_us=32.5,
+                     exposure_rate=0.311, region_us=0.7,
+                     setup=_tpcc_setup),
+    "ctree": _whisper("ctree", window_avg_us=16.3, window_max_us=39.4,
+                      exposure_rate=0.222, region_us=1.8,
+                      setup=_ctree_setup),
+    "hashmap": _whisper("hashmap", window_avg_us=19.7,
+                        window_max_us=37.2, exposure_rate=0.192,
+                        region_us=0.9, setup=_hashmap_setup),
+    "redis": _whisper("redis", window_avg_us=8.1, window_max_us=25.1,
+                      exposure_rate=0.325, region_us=1.1,
+                      setup=_redis_setup),
 }
-
-_SETUPS = {
-    "echo": _echo_setup,
-    "redis": _redis_setup,
-    "ycsb": _ycsb_setup,
-    "tpcc": _tpcc_setup,
-    "ctree": _ctree_setup,
-    "hashmap": _hashmap_setup,
-}
-
-#: Paper ordering for tables and figures.
-WHISPER_NAMES = ["echo", "ycsb", "tpcc", "ctree", "hashmap", "redis"]
-
-
-def get_benchmark(name: str) -> WhisperBenchmark:
-    """Construct one WHISPER benchmark by name."""
-    if name not in SPECS:
-        raise KeyError(f"unknown WHISPER benchmark {name!r}; "
-                       f"choose from {WHISPER_NAMES}")
-    return WhisperBenchmark(SPECS[name], _SETUPS[name])
-
-
-def all_benchmarks() -> Dict[str, WhisperBenchmark]:
-    return {name: get_benchmark(name) for name in WHISPER_NAMES}

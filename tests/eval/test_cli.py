@@ -42,3 +42,14 @@ class TestCli:
         assert args.txs == 6_000
         assert args.iters == 4_000
         assert args.threads == 4
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "two"])
+    def test_fig11_refuses_a_thread_count_below_one(self, threads, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["fig11", "--threads", threads, "--scale", "0.01"])
+        assert exit_.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_fig11_title_names_the_threads_run(self, capsys):
+        assert main(["fig11", "--threads", "2", "--scale", "0.01"]) == 0
+        assert "Figure 11: 2-thread SPEC" in capsys.readouterr().out

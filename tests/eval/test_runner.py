@@ -1,7 +1,10 @@
 """The experiment runner: one benchmark, or a suite's."""
 
 from repro.eval.configs import config
+from repro.eval.experiments import exposure, overhead
 from repro.eval.runner import run, run_suite
+from repro.workloads.spec import base
+from repro.workloads.whisper.benchmarks import WHISPER
 
 
 class TestRunner:
@@ -39,3 +42,19 @@ class TestRunner:
                      num_threads=2)
         assert result.num_threads == 2
         assert result.counters.errors == 0
+
+    def test_a_whisper_benchmark_is_measured_once(self, monkeypatch):
+        """Table III then Figure 9 run each WHISPER benchmark 7 times
+        and measure its real structure once: 6 measurements, not 42."""
+        measured = []
+
+        class Counting(base.CountingPmo):
+            def __init__(self, pmo):
+                measured.append(pmo.name)
+                super().__init__(pmo)
+
+        monkeypatch.setattr(base, "CountingPmo", Counting)
+        base._measure.cache_clear()
+        exposure.run("whisper", ops=100)
+        overhead.run("fig9", ops=100)
+        assert sorted(measured) == sorted(WHISPER)

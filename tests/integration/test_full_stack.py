@@ -20,7 +20,7 @@ from repro.eval.configs import config
 from repro.eval.runner import run
 from repro.pmo.pool import PmoManager
 from repro.workloads.structures import PersistentHashMap, TpccDatabase
-from repro.workloads.whisper.benchmarks import get_benchmark
+from repro.workloads.whisper.benchmarks import WHISPER
 
 
 class TestProtectedDataStructures:
@@ -111,10 +111,9 @@ class TestSimulationVsAnalyticSecurity:
         monitor: no stationary+accessible stretch exceeds the run's
         measured ew_max, so any slower attack is prevented."""
         # The machine eval.runner.run builds, kept for its monitor.
-        bench = get_benchmark("echo")
+        bench = WHISPER["echo"]
         machine = config("TT").build(bench.pmo_sizes(), seed=2022)
-        result = machine.run(bench.threads(1, n_transactions=800,
-                                           seed=2022))
+        result = machine.run(bench.threads(1, ops=800, seed=2022))
         [exposure] = result.per_pmo
         schedule = schedule_of(machine.runtime.monitor, exposure.pmo)
         assert schedule.windows and schedule.relocations

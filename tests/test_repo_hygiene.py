@@ -1,7 +1,8 @@
 """Repository hygiene: no bytecode in git, no source-less bytecode,
-and a change log that stays a log.
+a change log that stays a log, no module without a caller, and no
+stale flag in the docs.
 
-Three failure modes this guards against, all of which have bitten
+Five failure modes this guards against, all of which have bitten
 real checkouts:
 
 * a ``__pycache__`` entry (or any ``.pyc``) committed to git — stale
@@ -11,10 +12,16 @@ real checkouts:
   module, so refactors appear to work locally while every fresh
   clone breaks;
 * a CHANGES.md entry that grows into a report: its tables belong in
-  EXPERIMENTS.md and its reasoning in a DESIGN.md decision record.
+  EXPERIMENTS.md and its reasoning in a DESIGN.md decision record;
+* a ``src/repro`` module that nothing outside ``tests/`` imports
+  (DESIGN §3: a path needs a caller);
+* a ``--flag`` in README.md or the verify skill that no parser
+  declares any more.
 """
 
+import ast
 import os
+import pathlib
 import re
 import subprocess
 
@@ -99,3 +106,106 @@ def test_changes_entries_are_found_however_they_open():
     assert changes_entries(text) == {
         1: "PR 1: first", 21: "- PR 21: second\n  wrapped",
         40: "- **PR 40 [tag] third.** body"}
+
+
+#: ``src/repro`` modules kept though nothing in ``src/``, ``benchmarks/``
+#: or ``examples/`` imports them; DESIGN §3's "a path needs a caller"
+#: record says why each one stays.
+KEPT_WITHOUT_A_CALLER: frozenset = frozenset()
+
+
+def python_files(*roots: str):
+    for root in roots:
+        yield from sorted(pathlib.Path(REPO_ROOT, root).rglob("*.py"))
+
+
+def modules_without_a_caller() -> list:
+    """The ``src/repro`` modules no file outside ``tests/`` imports.  A
+    name imported from a package counts as an import of the module its
+    ``__init__`` re-exports it from; a name that is itself a module
+    file (``from repro.obs import ring``) is that module."""
+    src = pathlib.Path(REPO_ROOT, "src")
+    modules = {".".join(path.relative_to(src).with_suffix("").parts)
+               for path in python_files("src")
+               if path.name != "__init__.py"}
+    reexports = {}
+    for path in src.rglob("__init__.py"):
+        package = ".".join(path.relative_to(src).parent.parts)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    name = f"{package}.{alias.asname or alias.name}"
+                    if name not in modules:
+                        reexports[name] = node.module
+    imported = set()
+    for path in python_files("src", "benchmarks", "examples"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            imported.update(reexports.get(n, n) for n in names)
+    return sorted(name for name in modules - imported
+                  if not name.endswith(".__main__"))
+
+
+def test_every_module_has_a_caller_outside_the_tests():
+    uncalled = set(modules_without_a_caller())
+    assert uncalled == KEPT_WITHOUT_A_CALLER, (
+        f"no caller outside tests/ (give one, delete the module, or "
+        f"keep it in DESIGN §3 and here): "
+        f"{sorted(uncalled - KEPT_WITHOUT_A_CALLER)}; kept but called "
+        f"now: {sorted(KEPT_WITHOUT_A_CALLER - uncalled)}")
+
+
+#: Documents whose ``--flags`` must name a declared option.
+FLAG_DOCS = ("README.md", os.path.join(".claude", "skills", "verify",
+                                       "SKILL.md"))
+#: pytest-benchmark's option, the one flag no parser here declares.
+FOREIGN_FLAGS = {"--benchmark-only"}
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def declared_flags() -> set:
+    """Every ``--flag`` an ``add_argument`` in ``src/`` or
+    ``benchmarks/`` declares, read off the AST.  Two loops declare
+    theirs from a table's rows (``launch.add_flags`` from ``SETTINGS``,
+    the chaos CLI from ``SCENARIOS``' sizes); their rows are read from
+    the tables, and any other non-literal declaration fails."""
+    from repro.faults.chaos import SCENARIOS
+    from repro.service.launch import SETTINGS
+
+    flags = {"--help"}          # every argparse parser has it
+    computed = []
+    for path in python_files("src", "benchmarks"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_argument"):
+                continue
+            for arg in node.args:
+                if isinstance(arg, ast.Constant):
+                    flags.add(arg.value)
+                else:
+                    computed.append(path.name)
+    assert sorted(computed) == ["chaos.py", "launch.py", "launch.py"], \
+        f"flags declared from a table not read here: {computed}"
+    flags.update(row.flag for row in SETTINGS.values())
+    flags.update(f"--{size}" for row in SCENARIOS.values()
+                 for size in row.sizes)
+    return flags
+
+
+def test_every_flag_in_the_docs_is_declared():
+    declared = declared_flags() | FOREIGN_FLAGS
+    stale = {}
+    for doc in FLAG_DOCS:
+        with open(os.path.join(REPO_ROOT, doc), encoding="utf-8") as fh:
+            missing = set(FLAG.findall(fh.read())) - declared
+        if missing:
+            stale[doc] = sorted(missing)
+    assert not stale, f"flags no parser declares: {stale}"

@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.units import ns_to_us, us
 from repro.sim.events import Burst, Compute, RegionEnd, TxBegin, TxEnd
-from repro.workloads.spec.base import get_benchmark as get_spec
-from repro.workloads.whisper.benchmarks import get_benchmark
+from repro.workloads.spec.base import SPEC
+from repro.workloads.whisper.benchmarks import WHISPER
 
 
 def window_lengths_us(events):
@@ -30,35 +30,33 @@ def window_lengths_us(events):
 class TestWhisperCalibration:
     @pytest.mark.parametrize("name", ["echo", "redis", "tpcc"])
     def test_window_mean_near_spec(self, name):
-        bench = get_benchmark(name)
-        events = list(bench.thread_stream(n_transactions=800, seed=3))
+        bench = WHISPER[name]
+        events = list(bench.thread_stream(ops=800, seed=3))
         spans, _ = window_lengths_us(events)
-        target = bench.spec.window_avg_us
+        target = bench.window_avg_us
         assert spans.mean() == pytest.approx(target, rel=0.35)
 
     @pytest.mark.parametrize("name", ["echo", "redis"])
     def test_window_max_bounded_by_spec(self, name):
-        bench = get_benchmark(name)
-        events = list(bench.thread_stream(n_transactions=800, seed=3))
+        bench = WHISPER[name]
+        events = list(bench.thread_stream(ops=800, seed=3))
         spans, _ = window_lengths_us(events)
-        assert spans.max() <= bench.spec.window_max_us * 1.05
+        assert spans.max() <= bench.window_max_us * 1.05
 
     @pytest.mark.parametrize("name", ["echo", "ycsb"])
     def test_duty_cycle_matches_exposure_rate(self, name):
         """Window time over total time tracks the spec's ER."""
-        bench = get_benchmark(name)
-        events = list(bench.thread_stream(n_transactions=1_000,
-                                          seed=5))
+        bench = WHISPER[name]
+        events = list(bench.thread_stream(ops=1_000, seed=5))
         spans, total_us = window_lengths_us(events)
         duty = spans.sum() / total_us
-        assert duty == pytest.approx(bench.spec.exposure_rate,
+        assert duty == pytest.approx(bench.exposure_rate,
                                      rel=0.35)
 
     def test_burst_contents_from_measurement(self):
-        bench = get_benchmark("hashmap")
-        stats = bench.measure(samples=60)
-        bursts = [e for e in bench.thread_stream(n_transactions=100,
-                                                 seed=2)
+        bench = WHISPER["hashmap"]
+        stats = bench.measure()
+        bursts = [e for e in bench.thread_stream(ops=100, seed=2)
                   if isinstance(e, Burst)]
         mean_accesses = np.mean([b.n_accesses for b in bursts])
         assert mean_accesses == pytest.approx(stats.accesses, rel=0.3)
@@ -69,17 +67,15 @@ class TestWhisperCalibration:
 class TestSpecCalibration:
     @pytest.mark.parametrize("name", ["lbm", "xz"])
     def test_window_mean_near_spec(self, name):
-        bench = get_spec(name)
-        events = list(bench.thread_stream(n_iterations=800, seed=3))
+        bench = SPEC[name]
+        events = list(bench.thread_stream(ops=800, seed=3))
         spans, _ = window_lengths_us(events)
-        assert spans.mean() == pytest.approx(
-            bench.spec.window_avg_us, rel=0.4)
+        assert spans.mean() == pytest.approx(bench.window_avg_us, rel=0.4)
 
     def test_stage_rotation_produces_low_per_pmo_duty(self):
         """xz's staged PMO use: each PMO is active only in its own
         stages, so per-PMO window time is a small slice of the run."""
-        bench = get_spec("xz")
-        events = list(bench.thread_stream(n_iterations=1_200, seed=4))
+        events = list(SPEC["xz"].thread_stream(ops=1_200, seed=4))
         t = 0
         per_pmo_burst_times = {}
         for event in events:

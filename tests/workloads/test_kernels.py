@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pmo.pool import PmoManager
-from repro.workloads.spec.base import SPEC_SPECS
+from repro.workloads.spec.base import SPEC
 from repro.workloads.spec.kernels import (
     ALL_KERNELS, ImagickKernel, LbmKernel, make_kernel, McfKernel,
     NabKernel, XzKernel)
@@ -19,12 +19,12 @@ def build(name, **kwargs):
 
 class TestKernelRoster:
     def test_five_kernels_matching_trace_specs(self):
-        assert set(ALL_KERNELS) == set(SPEC_SPECS)
+        assert set(ALL_KERNELS) == set(SPEC)
 
     def test_pmo_counts_match_table4(self):
-        for name, spec in SPEC_SPECS.items():
+        for name, bench in SPEC.items():
             kernel, _ = build(name)
-            assert len(kernel.pmo_names()) == spec.n_pmos, name
+            assert len(kernel.pmo_names()) == bench.n_pmos, name
 
     def test_unknown_kernel(self):
         with pytest.raises(KeyError):
