@@ -21,14 +21,16 @@ is the measured-overhead-free mode instrumented code paths check for.
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import Any, Callable, Dict, Hashable, Optional
+from itertools import chain
+from typing import Any, Callable, Dict, Hashable, Iterator, Optional
 
 from repro.obs import ring
-from repro.obs.audit import AuditTimeline
+from repro.obs.audit import AuditTimeline, EventRows
 from repro.obs.registry import (
     BUCKETS_NS, Counter, Gauge, Histogram, MetricsRegistry)
-from repro.obs.tracing import NULL_SPAN, Span, Tracer
+from repro.obs.tracing import NULL_SPAN, Span, SpanRows, Tracer
 
 __all__ = [
     "AuditTimeline",
@@ -40,6 +42,7 @@ __all__ = [
     "NULL_SPAN",
     "Observability",
     "Span",
+    "TraceAnswer",
     "Tracer",
     "trace_json",
 ]
@@ -78,18 +81,39 @@ class Observability:
         return out
 
 
+class TraceAnswer:
+    """The ``trace`` op's result — ``{"spans": tracer.recent(limit,
+    name), "audit": audit.events(pmo, kind, limit), "open_windows":
+    audit.open_windows(now_ns)}`` — as a snapshot of the rows it is
+    written from (:func:`trace_json`).  Iterating it gives the JSON
+    text the wire's encoder makes of that dict, a row at a time;
+    ``size`` is that text's length, found by one such pass (made on
+    first use, so with no lock held).  What it holds is the rows'
+    column values, a few machine words each; its text is never whole
+    in memory unless a reader joins it."""
+
+    def __init__(self, spans: SpanRows, events: EventRows,
+                 open_windows: bytes) -> None:
+        self.spans, self.events, self.open_windows = \
+            spans, events, open_windows
+
+    def __iter__(self) -> Iterator[bytes]:
+        return chain((b'{"spans":[',), self.spans.texts(),
+                     (b'],"audit":[',), self.events.texts(),
+                     (b'],"open_windows":', self.open_windows, b"}"))
+
+    @functools.cached_property
+    def size(self) -> int:
+        return sum(map(len, self))
+
+
 def trace_json(tracer: Tracer, audit: AuditTimeline, *,
                limit: Optional[int] = None,
                pmo: Optional[Hashable] = None,
                kind: Optional[str] = None, name: Optional[str] = None,
-               now_ns: Optional[int] = None) -> bytes:
-    """The ``trace`` op's result — ``{"spans": tracer.recent(limit,
-    name), "audit": audit.events(pmo, kind, limit), "open_windows":
-    audit.open_windows(now_ns)}`` — as the JSON text the wire's encoder
-    makes of it, written row by row from the rings: what a read costs is
-    about twice its answer's bytes, not a dict per record."""
-    spans = b",".join(tracer.recent_json(limit, name))
-    events = b",".join(audit.events_json(pmo=pmo, kind=kind, limit=limit))
-    return b"".join((b'{"spans":[', spans, b'],"audit":[', events,
-                     b'],"open_windows":',
-                     ring.dumps(audit.open_windows(now_ns)), b"}"))
+               now_ns: Optional[int] = None) -> TraceAnswer:
+    """The ``trace`` op's result, snapshotted: each ring's rows copied
+    out under its lock, the open windows encoded."""
+    return TraceAnswer(tracer.snapshot(limit, name),
+                       audit.snapshot(pmo=pmo, kind=kind, limit=limit),
+                       ring.dumps(audit.open_windows(now_ns)))

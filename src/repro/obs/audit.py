@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import threading
 from itertools import islice
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import (
+    Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
+    Tuple)
 
 from repro.obs import ring
 
@@ -51,6 +53,7 @@ _CODE = {kind: code for code, kind in enumerate(KINDS)}
 _FIELDS = ("seq", "kind", "at_ns", "entity", "pmo_id", "pmo",
            "duration_ns", "reason")
 _EVENT_JSON = ring.object_template(_FIELDS)
+_NEXT_EVENT_JSON = b"," + _EVENT_JSON
 _KIND_JSON = {kind: ring.dumps(kind) for kind in KINDS}
 #: Stands for None in the entity and duration columns.
 _NONE = -2 ** 63
@@ -239,13 +242,15 @@ class AuditTimeline:
 
     # -- querying ---------------------------------------------------------
 
-    def _rows(self, row: Callable[..., Any], pmo: Optional[Hashable],
-              kind: Optional[str], limit: Optional[int]) -> List[Any]:
-        """The one reader: ``row(seq, kind, at_ns, entity, (pmo_id,
-        pmo), duration_ns, reason)`` of each of the newest ``limit``
-        retained events (of PMO ``pmo``, id or name, and of ``kind``),
-        in sequence order."""
-        kinds, ats, entities, durations, pairs, reasons = self._cols
+    def snapshot(self, *, pmo: Optional[Hashable] = None,
+                 kind: Optional[str] = None,
+                 limit: Optional[int] = None) -> "EventRows":
+        """The one reader: the newest ``limit`` retained events (of PMO
+        ``pmo``, id or name, and of ``kind``), copied out under the
+        lock in O(rows) — decoded (:meth:`events`) or encoded
+        (:meth:`EventRows.texts`, a ``trace`` answer) with it
+        released."""
+        kinds, pairs = self._cols[0], self._cols[4]
         with self._lock:
             # Newest first, filtering on the columns, stopping at `limit`
             # matches: O(limit) rows under the lock appends take.
@@ -257,57 +262,19 @@ class AuditTimeline:
                 wanted = {ix for (pmo_id, name), ix in self._pairs.items()
                           if pmo_id == pmo or name == pmo}
                 slots = (s for s in slots if pairs[s] in wanted)
-            pair_at = list(self._pairs)
-            rows = []
-            for slot in islice(slots, limit):
-                if self._spill and slot in self._spill:
-                    at_ns, entity, duration_ns = self._spill[slot]
-                else:
-                    at_ns, entity, duration_ns = \
-                        ats[slot], entities[slot], durations[slot]
-                    entity = None if entity == _NONE else entity
-                    duration_ns = None if duration_ns == _NONE \
-                        else duration_ns
-                rows.append(row(n - (n - 1 - slot) % self._slots,
-                                KINDS[kinds[slot]], at_ns, entity,
-                                pair_at[pairs[slot]], duration_ns,
-                                reasons[slot]))
-        rows.reverse()
-        return rows
+            return EventRows(self._cols, self._spill, islice(slots, limit),
+                             n, self._slots, list(self._pairs))
 
     def events(self, *, pmo: Optional[Hashable] = None,
                kind: Optional[str] = None,
                limit: Optional[int] = None) -> List[Dict[str, Any]]:
         """Retained events in sequence order, optionally filtered by
         PMO (id or name) and/or kind, optionally the last ``limit``."""
-        def row(seq, kind, at_ns, entity, pair, duration_ns, reason):
-            return dict(zip(_FIELDS, (seq, kind, at_ns, entity, *pair,
-                                      duration_ns, reason)))
-        return self._rows(row, pmo, kind, limit)
-
-    def events_json(self, *, pmo: Optional[Hashable] = None,
-                    kind: Optional[str] = None,
-                    limit: Optional[int] = None) -> List[bytes]:
-        """:meth:`events`, each row the JSON text the wire's encoder
-        makes of its dict — written from the columns, no dict built."""
-        pmo_texts: Dict[int, Tuple[bytes, ...]] = {}
-        reason_texts: Dict[str, bytes] = {}
-        number = ring.number
-
-        def row(seq, kind, at_ns, entity, pair, duration_ns, reason):
-            # Pairs and reasons are shared among events, so each is
-            # encoded once per read.
-            pmo_text = pmo_texts.get(id(pair))
-            if pmo_text is None:
-                pmo_text = pmo_texts[id(pair)] = \
-                    tuple(map(ring.dumps, pair))
-            why = reason_texts.get(reason)
-            if why is None:
-                why = reason_texts[reason] = ring.dumps(reason)
-            return _EVENT_JSON % (number(seq), _KIND_JSON[kind],
-                                  number(at_ns), number(entity), *pmo_text,
-                                  number(duration_ns), why)
-        return self._rows(row, pmo, kind, limit)
+        return [dict(zip(_FIELDS, (seq, event_kind, at_ns, entity, *pair,
+                                   duration_ns, reason)))
+                for seq, event_kind, at_ns, entity, pair, duration_ns,
+                reason in self.snapshot(pmo=pmo, kind=kind,
+                                        limit=limit)]
 
     def open_windows(self, now_ns: Optional[int] = None
                      ) -> List[Dict[str, Any]]:
@@ -354,3 +321,56 @@ class AuditTimeline:
             "held_max_ns": held_max,
             "per_pmo": per_pmo,
         }
+
+
+class EventRows(ring.Snapshot):
+    """Events a read picked (:meth:`AuditTimeline.snapshot`), with
+    what decodes them: the seq of each slot, given how many events were
+    ``written`` to a ring of ``ring_slots``, and the (pmo_id, pmo)
+    ``pairs`` the pair column indexes."""
+
+    __slots__ = ("written", "ring_slots", "pairs")
+
+    def __init__(self, cols: Sequence[Any], spill: Dict[int, Tuple],
+                 slots: Iterable[int], written: int, ring_slots: int,
+                 pairs: List[Tuple[Hashable, Optional[str]]]) -> None:
+        super().__init__(cols, spill, slots)
+        self.written, self.ring_slots, self.pairs = \
+            written, ring_slots, pairs
+
+    def __iter__(self) -> Iterator[Tuple]:
+        """``(seq, kind, at_ns, entity, (pmo_id, pmo), duration_ns,
+        reason)`` of each event, oldest first."""
+        n, slots, spill, pair_at = \
+            self.written, self.ring_slots, self.spill, self.pairs
+        kinds, ats, entities, durations, pairs, reasons = self.cols
+        for row, slot in enumerate(self.slots):
+            if spill and row in spill:
+                at_ns, entity, duration_ns = spill[row]
+            else:
+                at_ns, entity, duration_ns = \
+                    ats[row], entities[row], durations[row]
+                entity = None if entity == _NONE else entity
+                duration_ns = None if duration_ns == _NONE else duration_ns
+            yield (n - (n - 1 - slot) % slots, KINDS[kinds[row]], at_ns,
+                   entity, pair_at[pairs[row]], duration_ns, reasons[row])
+
+    def texts(self) -> Iterator[bytes]:
+        """Each event's JSON text, oldest first, every one after the
+        first led by its separating comma."""
+        pmo_texts: Dict[int, Tuple[bytes, ...]] = {}
+        reason_texts: Dict[str, bytes] = {}
+        number, template = ring.number, _EVENT_JSON
+        for seq, kind, at_ns, entity, pair, duration_ns, reason in self:
+            # Pairs and reasons are shared among events, so each is
+            # encoded once per pass.
+            pmo_text = pmo_texts.get(id(pair))
+            if pmo_text is None:
+                pmo_text = pmo_texts[id(pair)] = tuple(map(ring.dumps, pair))
+            why = reason_texts.get(reason)
+            if why is None:
+                why = reason_texts[reason] = ring.dumps(reason)
+            yield template % (number(seq), _KIND_JSON[kind],
+                              number(at_ns), number(entity), *pmo_text,
+                              number(duration_ns), why)
+            template = _NEXT_EVENT_JSON

@@ -2,17 +2,18 @@
 a stdlib ``array`` of machine words, or a list (typecode ``"O"``) for
 objects — with record ``n`` (from 0) in slot ``n % capacity``.
 
-Each ring has one row reader, which hands every row it picks to a
-``row`` function: the dict readers build a dict of it, the JSON readers
-write it straight to the text the wire's encoder would make of that
-dict (:func:`object_template` and the encoders beside it)."""
+Each ring has one row reader, which copies the rows it picks into a
+:class:`Snapshot` under the ring's lock; what is made of them — a dict
+per row, or the text the wire's encoder would make of that dict
+(:func:`object_template` and the encoders beside it) — is made from
+the snapshot, with no lock held."""
 
 from __future__ import annotations
 
 import json
 from array import array
 from itertools import chain
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Dict, Iterable, Iterator, Sequence, Tuple
 
 #: Slots each column gains at once while its ring fills.
 GROW_BY = 1024
@@ -78,3 +79,28 @@ def newest_first_equal(col: array, value: int, written: int,
         while pos >= 0:
             yield pos
             pos = data.rfind(value, low, pos)
+
+
+class Snapshot:
+    """The rows a ring's reader picked, copied out of its columns under
+    its lock — machine words into arrays of the same typecodes, objects
+    by reference — and kept oldest first: ``slots`` are the rows' slots
+    in the ring, ``cols`` the ring's columns for those rows alone, and
+    ``spill`` the numbers of a row (by its index here) that the ring
+    kept in its spill table.  A row costs its columns' bytes; its text
+    is made later, as often as it is needed, and the ring goes on being
+    appended to meanwhile."""
+
+    __slots__ = ("slots", "cols", "spill")
+
+    def __init__(self, cols: Sequence[Any], spill: Dict[int, Tuple],
+                 slots: Iterable[int]) -> None:
+        picked = array("q", slots)        # newest first, as read
+        picked.reverse()
+        self.slots = picked
+        self.cols = tuple(
+            array(col.typecode, map(col.__getitem__, picked))
+            if isinstance(col, array) else list(map(col.__getitem__, picked))
+            for col in cols)
+        self.spill = {row: spill[slot] for row, slot in enumerate(picked)
+                      if slot in spill} if spill else {}

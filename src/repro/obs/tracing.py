@@ -28,7 +28,7 @@ import functools
 import itertools
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import ring
 
@@ -195,59 +195,28 @@ class Tracer:
 
     # -- reading back -----------------------------------------------------
 
-    def _rows(self, row: Callable[..., Any], limit: Optional[int],
-              name: Optional[str]) -> List[Any]:
-        """The one reader: ``row(span_id, parent_id, start_ns, end_ns,
-        (name, thread, attrs))`` of each of the newest ``limit``
-        finished spans (named ``name``), oldest first."""
-        ids, parents, starts, ends, whats = self._cols
+    def snapshot(self, limit: Optional[int] = None,
+                 name: Optional[str] = None) -> "SpanRows":
+        """The one reader: the newest ``limit`` finished spans (named
+        ``name``), copied out under the lock in O(rows) — decoded
+        (:meth:`recent`) or encoded (:meth:`SpanRows.texts`, a
+        ``trace`` answer) with it released."""
+        whats = self._cols[4]
         with self._lock:
             slots = ring.newest_first(self.spans_recorded, self.capacity)
             if name is not None:
                 slots = (s for s in slots if whats[s][0] == name)
-            spill = self._spill
-            rows = [row(*(spill[slot] if spill and slot in spill else
-                          (ids[slot], parents[slot], starts[slot],
-                           ends[slot])), whats[slot])
-                    for slot in itertools.islice(slots, limit)]
-        rows.reverse()
-        return rows
+            return SpanRows(self._cols, self._spill,
+                            itertools.islice(slots, limit))
 
     def recent(self, limit: Optional[int] = None,
                name: Optional[str] = None) -> List[Dict[str, Any]]:
         """The most recent finished spans, oldest first."""
-        def row(span_id, parent_id, start_ns, end_ns, what):
-            span_name, thread, attrs = what
-            return dict(zip(_FIELDS, (  # attrs are shared: copied
-                span_name, span_id, parent_id or None, thread, start_ns,
-                end_ns, end_ns - start_ns, dict(attrs))))
-        return self._rows(row, limit, name)
-
-    def recent_json(self, limit: Optional[int] = None,
-                    name: Optional[str] = None) -> List[bytes]:
-        """:meth:`recent`, each row the JSON text the wire's encoder
-        makes of its dict — written from the columns, no dict built."""
-        formats: Dict[int, bytes] = {}
-
-        def row(span_id, parent_id, start_ns, end_ns, what):
-            span_name, thread, attrs = what
-            if type(start_ns) is not int or type(end_ns) is not int:
-                # Spilled: every value through the encoder.
-                return _SPAN_JSON % tuple(map(ring.dumps, (
-                    span_name, span_id, parent_id or None, thread,
-                    start_ns, end_ns, end_ns - start_ns, attrs)))
-            # The ring shares one (name, thread, attrs) among equal
-            # spans: their text is written into a format once per read.
-            fmt = formats.get(id(what))
-            if fmt is None:
-                fmt = formats[id(what)] = _SPAN_JSON % (
-                    ring.literal(span_name), b"%d", b"%b",
-                    ring.literal(thread), b"%d", b"%d", b"%d",
-                    ring.literal(attrs))
-            return fmt % (span_id, b"%d" % parent_id if parent_id
-                          else b"null", start_ns, end_ns,
-                          end_ns - start_ns)
-        return self._rows(row, limit, name)
+        return [dict(zip(_FIELDS, (  # attrs are shared: copied
+            span_name, span_id, parent_id or None, thread, start_ns,
+            end_ns, end_ns - start_ns, dict(attrs))))
+            for span_id, parent_id, start_ns, end_ns,
+            (span_name, thread, attrs) in self.snapshot(limit, name)]
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -256,3 +225,49 @@ class Tracer:
             "retained": min(self.spans_recorded, self.capacity),
             "capacity": self.capacity,
         }
+
+
+class SpanRows(ring.Snapshot):
+    """Spans a read picked (:meth:`Tracer.snapshot`)."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[Tuple]:
+        """``(span_id, parent_id, start_ns, end_ns, (name, thread,
+        attrs))`` of each span, oldest first; ``parent_id`` 0 is
+        none."""
+        ids, parents, starts, ends, whats = spans = self.cols
+        spill = self.spill
+        if not spill:
+            return zip(*spans)
+        return ((*spill[row], what) if row in spill else
+                (ids[row], parents[row], starts[row], ends[row], what)
+                for row, what in enumerate(whats))
+
+    def texts(self) -> Iterator[bytes]:
+        """Each span's JSON text, oldest first, every one after the
+        first led by its separating comma."""
+        formats: Dict[int, bytes] = {}
+        comma = b""
+        for span_id, parent_id, start_ns, end_ns, what in self:
+            span_name, thread, attrs = what
+            if type(start_ns) is not int or type(end_ns) is not int:
+                # Spilled: every value through the encoder.
+                yield comma + _SPAN_JSON % tuple(map(ring.dumps, (
+                    span_name, span_id, parent_id or None, thread,
+                    start_ns, end_ns, end_ns - start_ns, attrs)))
+            else:
+                # The ring shares one (name, thread, attrs) among equal
+                # spans: their text is written into a format once per
+                # pass.
+                fmt = formats.get(id(what))
+                if fmt is None:
+                    fmt = formats[id(what)] = b"," + _SPAN_JSON % (
+                        ring.literal(span_name), b"%d", b"%b",
+                        ring.literal(thread), b"%d", b"%d", b"%d",
+                        ring.literal(attrs))
+                text = fmt % (span_id, b"%d" % parent_id if parent_id
+                              else b"null", start_ns, end_ns,
+                              end_ns - start_ns)
+                yield text if comma else text[1:]
+            comma = b","

@@ -14,7 +14,8 @@ agree on.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import (
+    Any, Awaitable, Callable, Dict, List, Optional, Tuple, Union)
 
 from repro.core.errors import TerpError
 from repro.service import protocol
@@ -89,7 +90,8 @@ class Conn:
     (:meth:`send`) and the responses leave in one write — one segment
     for a pipelined burst — when it runs out of input (:meth:`drain`);
     earlier only past ``DRAIN_MARK``, before a handler waits off the
-    event loop, and on every way out of the loop (:meth:`flush`)."""
+    event loop, ahead of a streamed frame (:meth:`stream`), and on
+    every way out of the loop (:meth:`flush`)."""
 
     __slots__ = ("session", "generation", "bins", "bin_out", "writer",
                  "note_flush", "out", "out_bytes")
@@ -113,13 +115,37 @@ class Conn:
         self.out: List[bytes] = []
         self.out_bytes = 0
 
-    async def send(self, frame: bytes) -> None:
+    async def send(self, frame: Union[bytes, protocol.StreamedFrame]
+                   ) -> None:
         """Queue one response frame (written with the rest of its
-        burst); past ``DRAIN_MARK``, write now and wait for the peer."""
+        burst); past ``DRAIN_MARK``, write now and wait for the peer.
+        A streamed frame is written at once (:meth:`stream`)."""
+        if isinstance(frame, protocol.StreamedFrame):
+            await self.stream(frame)
+            return
         self.out.append(frame)
         self.out_bytes += len(frame)
         if self.out_bytes > DRAIN_MARK:
             await self.drain()
+
+    async def stream(self, frame: protocol.StreamedFrame) -> None:
+        """Write a frame a chunk (``READ_BYTES``) at a time, as it is
+        made, after what the burst had already queued; wait for the
+        peer whenever the transport holds more than ``DRAIN_MARK``."""
+        self.flush()
+        transport = self.writer.transport
+        frames = 1                       # counted with its first write
+        for chunk in frame.chunks(protocol.READ_BYTES):
+            if transport.is_closing():
+                # The peer left: the rest is not made (asyncio would
+                # log each write to a lost connection).
+                raise ConnectionResetError("peer gone mid-frame")
+            self.note_flush(frames)
+            frames = 0
+            self.writer.write(chunk)
+            del chunk                    # not held while the next is made
+            if transport.get_write_buffer_size() > DRAIN_MARK:
+                await self.writer.drain()
 
     def flush(self) -> None:
         """Hand everything queued to the transport as one write."""

@@ -46,6 +46,7 @@ import asyncio
 import json
 import socket
 import struct
+from itertools import chain
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import TerpError
@@ -86,20 +87,29 @@ def is_batch(payload: Any) -> bool:
         not payload or isinstance(payload[0], (list, dict, bytes)))
 
 
-def body_parts(payload: Any) -> List[bytes]:
+def _length(part: Any) -> int:
+    """A body part's bytes: ``bytes``, or a sized part's ``size``."""
+    return len(part) if type(part) is bytes else part.size
+
+
+def body_parts(payload: Any) -> List[Any]:
     """A request/response (or batch) as JSON body bytes, in pieces for
     one join with the frame header (:func:`frame_from_body`).
 
     ``bytes`` are pre-encoded JSON and spliced in as they are: a
     batch's items — the batch response path encodes each response
     exactly once — and the result of a ``[rid, result(, events)]``
-    response — ``trace`` writes its rows straight from the rings.  A
-    batch is sized incrementally: each item is encoded once and the
-    running total is checked against ``MAX_FRAME_BYTES`` as it goes,
-    so an oversized batch fails fast without materializing the frame.
+    response.  That result may instead be a *sized part*: an object
+    whose ``size`` is its text's length and whose iteration gives the
+    text in pieces (``trace``'s answer, a snapshot of the rings: see
+    :class:`StreamedFrame`).  A batch is sized incrementally: each item
+    is encoded once and the running total is checked against
+    ``MAX_FRAME_BYTES`` as it goes, so an oversized batch fails fast
+    without materializing the frame; a sized part is checked by its
+    size, before a byte of it is written.
     """
     if is_batch(payload):
-        parts: List[bytes] = [b"["]
+        parts: List[Any] = [b"["]
         total = 2                      # the enclosing brackets
         for item in payload:
             part = item if type(item) is bytes else _dumps(item)
@@ -112,36 +122,108 @@ def body_parts(payload: Any) -> List[bytes]:
         parts[-1:] = [b"]"] if payload else [b"[]"]
         return parts
     if type(payload) is list and len(payload) > 1 and \
-            type(payload[1]) is bytes:
+            type(payload[1]) is not dict and (
+                type(payload[1]) is bytes or hasattr(payload[1], "size")):
         rid, result, *events = payload
         parts = [b"[" + _dumps(rid) + b",", result,
                  b"," + _dumps(events[0]) + b"]" if events else b"]"]
+        size = sum(map(_length, parts))
     else:
         parts = [_dumps(payload)]
-    size = sum(map(len, parts))
+        size = len(parts[0])
     if size > MAX_FRAME_BYTES:
         raise WireError(f"frame of {size} bytes exceeds "
                         f"{MAX_FRAME_BYTES}")
     return parts
 
 
+def join_body(parts: List[Any]) -> bytes:
+    """:func:`body_parts` as one ``bytes``, a sized part's text joined
+    in: for what keeps or splices a body whole (a replay cache entry, a
+    batch's item)."""
+    try:
+        return b"".join(parts)
+    except TypeError:                 # a sized part
+        return b"".join(chain.from_iterable(
+            (part,) if type(part) is bytes else part for part in parts))
+
+
 def encode_body(payload: Any) -> bytes:
     """Serialize a request/response (or batch) to JSON body bytes
     (:func:`body_parts`, joined)."""
-    return b"".join(body_parts(payload))
+    return join_body(body_parts(payload))
 
 
-def frame_from_body(body: Union[bytes, List[bytes]],
-                    sidecar: Optional[bytes] = None) -> bytes:
+class StreamedFrame:
+    """A frame whose body has a sized part: it is never joined whole,
+    but made a chunk at a time as it is written (:meth:`chunks`) —
+    what it costs in memory is its snapshot plus one chunk.  ``len``
+    is the frame's length; ``bytes(frame)`` joins it."""
+
+    __slots__ = ("parts", "size")
+
+    def __init__(self, body: List[Any], sidecar: Optional[bytes]) -> None:
+        size = sum(map(_length, body))
+        self.parts = [HEADER.pack(size | SIDECAR_FLAG) if sidecar
+                      else HEADER.pack(size), *body]
+        if sidecar:
+            self.parts += (HEADER.pack(len(sidecar)), sidecar)
+        self.size = sum(map(_length, self.parts))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.chunks())
+
+    def chunks(self, limit: int = READ_BYTES) -> Iterator[bytes]:
+        """The frame's bytes in order, in chunks of at most ``limit``:
+        pieces gathered, one longer than a chunk cut.  Every chunk is a
+        new object, never changed once handed out.  The header promised
+        ``size`` bytes: parts whose text came out another length (an
+        attr mutated since the sizing pass) are a :class:`WireError`
+        before more than that, or after fewer, have left — the
+        connection is dropped, never desynchronized."""
+        buf, made = bytearray(), 0
+        for piece in chain.from_iterable(
+                (part,) if type(part) is bytes else part
+                for part in self.parts):
+            made += len(piece)
+            if len(buf) + len(piece) <= limit and made <= self.size:
+                buf += piece
+                continue
+            if made > self.size:
+                break
+            if buf:
+                yield buf
+                buf = bytearray()
+            start = 0
+            while len(piece) - start > limit:
+                yield piece[start:start + limit]
+                start += limit
+            buf += piece[start:] if start else piece
+        if made != self.size:
+            raise WireError(f"a frame of {self.size} bytes came out "
+                            f"{'longer' if made > self.size else made}")
+        yield buf
+
+
+def frame_from_body(body: Union[bytes, List[Any]],
+                    sidecar: Optional[bytes] = None
+                    ) -> Union[bytes, StreamedFrame]:
     """Wrap pre-encoded body bytes — or :func:`body_parts` — and an
-    optional sidecar in a frame: one join, header included."""
+    optional sidecar in a frame: one join, header included; a
+    :class:`StreamedFrame` when the body has a sized part."""
     parts = [body] if isinstance(body, bytes) else body
-    size = sum(map(len, parts))
-    if not sidecar:
-        return b"".join([HEADER.pack(size), *parts])
-    if len(sidecar) > MAX_SIDECAR_BYTES:
+    if sidecar and len(sidecar) > MAX_SIDECAR_BYTES:
         raise WireError(f"sidecar of {len(sidecar)} bytes exceeds "
                         f"{MAX_SIDECAR_BYTES}")
+    try:
+        size = sum(map(len, parts))
+    except TypeError:                 # a sized part, which has no len()
+        return StreamedFrame(parts, sidecar)
+    if not sidecar:
+        return b"".join([HEADER.pack(size), *parts])
     return b"".join([HEADER.pack(size | SIDECAR_FLAG), *parts,
                      HEADER.pack(len(sidecar)), sidecar])
 
@@ -149,7 +231,7 @@ def frame_from_body(body: Union[bytes, List[bytes]],
 def encode_frame(payload: Any,
                  sidecar: Optional[bytes] = None) -> bytes:
     """Serialize one request/response (or batch) into a wire frame."""
-    return frame_from_body(body_parts(payload), sidecar)
+    return bytes(frame_from_body(body_parts(payload), sidecar))
 
 
 def decode_frame(body: bytes) -> Any:

@@ -40,7 +40,7 @@ from repro.core.exposure import ExposureMonitor
 from repro.faults.plan import FaultPlan, Injection
 from repro.mem.mpk import NUM_KEYS
 from repro.core.permissions import Access
-from repro.obs import Observability, trace_json
+from repro.obs import Observability, TraceAnswer, trace_json
 from repro.pmo.api import PmoLibrary
 from repro.pmo.object_id import Oid
 from repro.pmo.pool import mode_allows
@@ -374,9 +374,11 @@ class TerpService:
                     self.metrics.series["batches"].inc()
                     # Each response is encoded exactly once, in
                     # _dispatch; body_parts splices the encoded items.
+                    # A trace among them is joined: a batch's items are
+                    # spliced whole.
                     items: List[bytes] = []
                     for one in payload:
-                        items.append(b"".join(
+                        items.append(protocol.join_body(
                             await self._dispatch(conn, one)))
                     body = protocol.body_parts(items)
                 else:
@@ -400,7 +402,8 @@ class TerpService:
                     # The request executed; only a truncated frame
                     # escapes.  The retried request hits the replay
                     # cache, not a second execution.
-                    await conn.send(frame[:max(1, len(frame) // 2)])
+                    await conn.send(
+                        bytes(frame)[:max(1, len(frame) // 2)])
                     return False
             await conn.send(frame)
         return True
@@ -417,7 +420,7 @@ class TerpService:
 
     # -- dispatch --------------------------------------------------------------
 
-    async def _dispatch(self, conn: Conn, req: Any) -> List[bytes]:
+    async def _dispatch(self, conn: Conn, req: Any) -> List[Any]:
         """Run one request; returns the *encoded* response body, as
         :func:`~repro.service.protocol.body_parts` for the frame's one
         join.
@@ -425,7 +428,7 @@ class TerpService:
         Encoding here (rather than in the serve loop) lets the replay
         cache hold pre-encoded bytes and lets a batch splice its parts
         without a second ``json.dumps`` pass; a handler may return its
-        result pre-encoded (``bytes``: ``trace``).  Binary results land on
+        result as a sized part (``trace``).  Binary results land on
         ``conn.bin_out``; an error rolls the chunk list back to this
         request's start so a failed op never leaks sidecar bytes.
         """
@@ -481,7 +484,10 @@ class TerpService:
                 # a success whose ``OPS`` row is not ``readonly``, or
                 # one that drained events.  A retried failure or plain
                 # read runs again (after a drop: on closed windows).
-                session.replay_put(rid, b"".join(body),
+                # A trace that drained events is joined for it, and
+                # sent as joined.
+                body = [protocol.join_body(body)]
+                session.replay_put(rid, body[0],
                                    tuple(conn.bin_out[bin_start:]))
         except InjectedCrash:
             raise                      # the "process" dies mid-request
@@ -524,10 +530,11 @@ class TerpService:
             return {"enabled": False}
         return {"enabled": True, **self.shipper.status()}
 
-    def _op_trace(self, conn: Conn, args: Dict) -> bytes:
+    def _op_trace(self, conn: Conn, args: Dict) -> TraceAnswer:
         """Observability read: recent spans + audit timeline events,
-        pre-encoded row by row from the rings
-        (:func:`repro.obs.trace_json`), no dict per record."""
+        snapshotted from the rings under their locks
+        (:func:`repro.obs.trace_json`); the answer is sized, then
+        written a chunk at a time, with no lock held."""
         limit = int(args.get("limit", 100))
         if limit < 0:
             raise ValueError(f"trace limit {limit} is negative")

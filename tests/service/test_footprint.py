@@ -17,6 +17,7 @@ import sys
 import time
 import tracemalloc
 import types
+import zlib
 
 import pytest
 
@@ -414,25 +415,29 @@ def test_trace_op_carries_the_rings_records_verbatim(terpd):
 
 
 class _Writer:
-    """What a connection's frames are written to: kept, never sent."""
+    """What a connection's frames are written to: counted, never kept
+    — each write's size, and the CRC of the bytes so far."""
 
     def __init__(self) -> None:
-        self.frames = []
+        self.writes = []
+        self.crc = 0
         self.transport = types.SimpleNamespace(
-            get_write_buffer_size=lambda: 0)
+            get_write_buffer_size=lambda: 0, is_closing=lambda: False)
 
     def write(self, data: bytes) -> None:
-        self.frames.append(data)
+        self.writes.append(len(data))
+        self.crc = zlib.crc32(data, self.crc)
 
 
 def test_a_trace_read_costs_its_answer():
     """The operator's poll — ``trace(limit=16384,
     kind="forced-detach")``, as terpbench's ``sweep_hold`` sends it
     every slice — over a full span ring and 5 000 forced detaches is
-    served within 2.5 × its frame's bytes of Python heap: the rows are
-    written straight from the ring columns into the one answer.  Built
-    as a dict per record and encoded three times over, the same poll
-    peaked at about 6.5 × the frame."""
+    served within 0.35 × its frame's bytes of Python heap, plus one
+    64 KiB chunk: the rows' column values are snapshotted, the answer
+    sized, then written a chunk at a time.  Written whole from the ring
+    columns, the same poll peaked at 2.37 × the frame; built as a dict
+    per record and encoded three times over, at about 6.5 ×."""
     service = TerpService(port=0)
     tracer, audit = service.obs.tracer, service.obs.audit
     while tracer.spans_recorded < tracer.capacity:
@@ -443,6 +448,10 @@ def test_a_trace_read_costs_its_answer():
                             reason="performed")
         audit.record_detach(1001 + n % 4, 7, "hold-0", at + 25_000_000,
                             forced=True, reason="session EW budget")
+    want = protocol.encode_frame(protocol.ok_response(9, {
+        "spans": tracer.recent(16384),
+        "audit": audit.events(kind="forced-detach", limit=16384),
+        "open_windows": []}))
     request = protocol.encode_body(protocol.request(
         9, "trace", {"limit": 16384, "kind": "forced-detach"}))
     writer = _Writer()
@@ -458,9 +467,9 @@ def test_a_trace_read_costs_its_answer():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    (frame,) = writer.frames
-    answer = protocol.decode_frame(frame[protocol.HEADER.size:])[1]
-    assert len(answer["spans"]) == tracer.capacity
-    assert len(answer["audit"]) == 5000
-    assert peak <= 2.5 * len(frame), \
-        f"peak {peak} B for a {len(frame)} B frame"
+    assert len(want) > 1 << 20
+    assert (sum(writer.writes), writer.crc) == \
+        (len(want), zlib.crc32(want))
+    assert max(writer.writes) <= protocol.READ_BYTES
+    assert peak <= 0.35 * len(want) + protocol.READ_BYTES, \
+        f"peak {peak} B for a {len(want)} B frame"
