@@ -44,7 +44,7 @@ def main() -> None:
 
             result = alice.attach("market-data")
             print(f"alice attach -> {result['outcome']} "
-                  f"at {result['base_va']:#016x}")
+                  f"({result['reason']})")
             oid = alice.pmalloc("market-data", 64)
             alice.tx_begin("market-data")
             alice.write(oid, b"price: 42.17")

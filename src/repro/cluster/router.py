@@ -55,7 +55,6 @@ from repro.service.conn import (
     Conn, FrontDoor, admit)
 from repro.service.metrics import WireCounters
 from repro.service.ops import FANOUT, NAME, OID, SESSION, Op
-from repro.service.protocol import ok_response
 from repro.service.sessions import SessionRegistry
 
 
@@ -125,19 +124,12 @@ class Upstream(TerpClient):
                 await self.close()
                 raise
 
-    async def ask(self, op: str, args: Dict[str, Any], *,
-                  clocked: bool = False
+    async def ask(self, op: str, args: Dict[str, Any]
                   ) -> Tuple[Optional[Any], List[dict]]:
         """One of the router's *own* requests (goodbye, a fan-out
-        poll): ``(result, events)``; an error response is ``None``.
-        ``clocked`` batches a ``ping`` with it, and the result comes
-        back as ``(result, the shard's now_ns as it answered)``."""
+        poll): ``(result, events)``; an error response is ``None``."""
         try:
-            if clocked:
-                result, pong = await self.batch([(op, args), ("ping", {})])
-                result = (result, pong["now_ns"])
-            else:
-                result = await self._call(op, args)
+            result = await self._call(op, args)
         except ConnectionLost as exc:
             raise UpstreamLost(
                 f"shard {self.shard} dropped: {exc}") from None
@@ -152,9 +144,9 @@ async def _close_all(upstreams: Dict[int, Upstream]) -> None:
         await up.close()
 
 
-def _reply(rid: Any, result: Any,
+def _reply(rid: Any, op: str, result: Any,
            events: Optional[List[dict]] = None) -> bytes:
-    return protocol.encode_body(ok_response(rid, result, events))
+    return protocol.encode_body(protocol.response(rid, op, result, events))
 
 
 class TerpRouter:
@@ -362,11 +354,12 @@ class TerpRouter:
             if spec.route == SESSION:
                 result = await getattr(self, f"_op_{spec.name}")(
                     conn, spec, args)
-                return protocol.frame_from_body(_reply(rid, result))
+                return protocol.frame_from_body(
+                    _reply(rid, spec.name, result))
             result, events = await getattr(
                 self, f"_fanout_{spec.name}")(conn, spec, args)
             return protocol.frame_from_body(
-                _reply(rid, result, events or None))
+                _reply(rid, spec.name, result, events))
         except (TerpError, KeyError, TypeError, ValueError) as exc:
             return protocol.frame_from_body(protocol.refusal(rid, exc))
 
@@ -389,8 +382,7 @@ class TerpRouter:
     # -- fan-out path ------------------------------------------------------
 
     async def _poll(self, conn: Conn, spec: Op,
-                    args: Dict[str, Any], *, own_only: bool = False,
-                    clocked: bool = False
+                    args: Dict[str, Any], *, own_only: bool = False
                     ) -> Tuple[List[Tuple[int, Any]], List[dict]]:
         """Ask every shard: ``([(shard, result)], pending events)``.
 
@@ -399,8 +391,7 @@ class TerpRouter:
         shared sessionless one otherwise — or, with ``own_only``, the
         session's own and nothing else.  Shards that are unreachable,
         die mid-poll or answer an error are left out — a restarting
-        shard must not fail a survivor's metrics poll.  ``clocked``
-        is :meth:`Upstream.ask`'s.
+        shard must not fail a survivor's metrics poll.
         """
         own = self._upstreams.get(conn.session.session_id, {}) \
             if conn.session is not None else {}
@@ -412,8 +403,7 @@ class TerpRouter:
                     if own_only:
                         return None
                     up = await self._admin_conn(shard)
-                return (shard, *await up.ask(spec.name, args,
-                                             clocked=clocked))
+                return (shard, *await up.ask(spec.name, args))
             except UpstreamLost:
                 return None
         answers = [a for a in await asyncio.gather(
@@ -451,14 +441,13 @@ class TerpRouter:
         limit = int(args.get("limit", dict(spec.params)["limit"]))
         if limit < 0:
             raise ValueError(f"trace limit {limit} is negative")
-        results, events = await self._poll(conn, spec, args,
-                                           clocked=True)
+        results, events = await self._poll(conn, spec, args)
         spans: List[dict] = []
         audit: List[dict] = []
         open_windows: List[dict] = []
         now: Dict[int, Any] = {}
-        for shard, (result, now_ns) in results:
-            now[shard] = now_ns
+        for shard, result in results:
+            now[shard] = result.get("now_ns") or 0
             spans.extend(result.get("spans") or [])
             for event in result.get("audit") or []:
                 event["shard"] = shard
@@ -470,13 +459,15 @@ class TerpRouter:
         # An event's ``at_ns`` is on its shard's exposure clock, whose
         # origin is the shard's own (a restarted memory shard counts
         # from its restart): events are ordered by age as each shard
-        # answered.  Spans are timed on the host's monotonic clock,
-        # which every shard shares.
+        # answered (its answer's ``now_ns``).  Spans are timed on the
+        # host's monotonic clock, which every shard shares.
         audit.sort(key=lambda e: e.get("at_ns", 0) - now[e["shard"]])
         spans.sort(key=lambda s: s.get("end_ns", 0))
         return {"spans": spans[max(0, len(spans) - limit):],
                 "audit": audit[max(0, len(audit) - limit):],
-                "open_windows": open_windows}, events
+                "open_windows": open_windows,
+                "now_ns": max(now.values(), default=self.now_ns())}, \
+            events
 
     async def _fanout_prometheus(self, conn: Conn, spec: Op,
                                  args: Dict[str, Any]):
@@ -553,9 +544,8 @@ class TerpRouter:
                         f"{len(responses) if isinstance(responses, list) else 1}")
                 reply_bins = protocol.BinReader(rside)
                 for (index, _, _), response in zip(grouped, responses):
-                    result = protocol.result_of(response)
-                    n = result.get("bin") if result is not None else None
-                    if isinstance(n, int):
+                    n = sum(n for *_, n in protocol.bin_slots(response))
+                    if n:
                         chunks[index] = reply_bins.take(n)
                     parts[index] = protocol.encode_body(response)
 

@@ -84,23 +84,24 @@ class Observability:
 class TraceAnswer:
     """The ``trace`` op's result — ``{"spans": tracer.recent(limit,
     name), "audit": audit.events(pmo, kind, limit), "open_windows":
-    audit.open_windows(now_ns)}`` — as a snapshot of the rows it is
-    written from (:func:`trace_json`).  Iterating it gives the JSON
-    text the wire's encoder makes of that dict, a row at a time;
-    ``size`` is that text's length, found by one such pass (made on
-    first use, so with no lock held).  What it holds is the rows'
+    audit.open_windows(now_ns), "now_ns": now_ns}`` — as a snapshot of
+    the rows it is written from (:func:`trace_json`).  Iterating it
+    gives the JSON text the wire's encoder makes of that dict, a row at
+    a time; ``size`` is that text's length, found by one such pass
+    (made on first use, so with no lock held).  What it holds is the rows'
     column values, a few machine words each; its text is never whole
     in memory unless a reader joins it."""
 
     def __init__(self, spans: SpanRows, events: EventRows,
-                 open_windows: bytes) -> None:
-        self.spans, self.events, self.open_windows = \
-            spans, events, open_windows
+                 open_windows: bytes, now_ns: bytes) -> None:
+        self.spans, self.events, self.open_windows, self.now_ns = \
+            spans, events, open_windows, now_ns
 
     def __iter__(self) -> Iterator[bytes]:
         return chain((b'{"spans":[',), self.spans.texts(),
                      (b'],"audit":[',), self.events.texts(),
-                     (b'],"open_windows":', self.open_windows, b"}"))
+                     (b'],"open_windows":', self.open_windows,
+                      b',"now_ns":', self.now_ns, b"}"))
 
     @functools.cached_property
     def size(self) -> int:
@@ -113,7 +114,10 @@ def trace_json(tracer: Tracer, audit: AuditTimeline, *,
                kind: Optional[str] = None, name: Optional[str] = None,
                now_ns: Optional[int] = None) -> TraceAnswer:
     """The ``trace`` op's result, snapshotted: each ring's rows copied
-    out under its lock, the open windows encoded."""
+    out under its lock, the open windows and the clock they were read
+    at (``now_ns``: what an event's ``at_ns`` is measured against)
+    encoded."""
     return TraceAnswer(tracer.snapshot(limit, name),
                        audit.snapshot(pmo=pmo, kind=kind, limit=limit),
-                       ring.dumps(audit.open_windows(now_ns)))
+                       ring.dumps(audit.open_windows(now_ns)),
+                       ring.dumps(now_ns))

@@ -156,13 +156,17 @@ class ClientCore:
         if got is None:
             return None
         try:
-            payload = protocol.decode_frame(got[0])
-            return protocol.absorb_sidecar(payload, got[1]) \
-                if got[1] else payload
+            # Absorbed even when empty: a zero-byte read's slot still
+            # holds its marker.
+            return protocol.absorb_sidecar(protocol.decode_frame(got[0]),
+                                           got[1])
         except WireError as exc:
             raise ConnectionLost(str(exc)) from exc
 
-    def take_result(self, response: Any, expect_id: int) -> Any:
+    def take_result(self, response: Any, expect_id: int, op: str) -> Any:
+        """The result of ``op``'s response, named again by its row; a
+        refusal raises :class:`RemoteError`.  Either way, the events it
+        carried join :attr:`events` first."""
         if response is None:
             raise ConnectionLost("server closed the connection")
         if not isinstance(response, list) or len(response) < 2:
@@ -172,18 +176,18 @@ class ClientCore:
             raise WireError(
                 f"response id {response[0]!r} does not match "
                 f"request id {expect_id} (pipelining desync)")
-        self.events.extend(response[2] if len(response) > 2 else ())
+        if len(response) > 2:
+            self.events.extend(protocol.named_events(response[2]))
         outcome = response[1]
-        if not isinstance(outcome, dict):
-            kind, message = outcome
-            raise RemoteError(str(kind), str(message))
-        return outcome
+        if isinstance(outcome, str):
+            raise RemoteError(*protocol.error_of(outcome))
+        return protocol.named_result(op, outcome)
 
-    def _outcome(self, response: Any, rid: int) -> Any:
+    def _outcome(self, response: Any, rid: int, op: str) -> Any:
         """:meth:`take_result`, with an error *response* returned as a
         value: the slot was answered, later slots must still be read."""
         try:
-            return self.take_result(response, rid)
+            return self.take_result(response, rid, op)
         except ConnectionLost:
             raise
         except RemoteError as exc:
@@ -197,7 +201,8 @@ class ClientCore:
             rid, "hello", dict(extra, version=protocol.PROTOCOL_VERSION,
                                user=self._user,
                                ew_budget_us=self._budget)))
-        result = self.take_result(self._decode((yield (RECV,))), rid)
+        result = self.take_result(self._decode((yield (RECV,))), rid,
+                                  "hello")
         self.session_id = result["session"]
         self.entity_id = result["entity"]
         self.ew_budget_us = result["ew_budget_us"]
@@ -270,7 +275,7 @@ class ClientCore:
                     while len(outcomes) < len(items):
                         outcomes.append(self._outcome(
                             self._decode((yield (RECV,))),
-                            items[len(outcomes)][0]))
+                            *items[len(outcomes)][:2]))
             except ConnectionLost:
                 yield (CLOSE,)
                 if breaker is not None:
@@ -317,8 +322,8 @@ class ClientCore:
         if not isinstance(responses, list) or \
                 len(responses) != len(items):
             raise WireError("batch response shape mismatch")
-        outcomes[:] = [self._outcome(response, rid) for response,
-                       (rid, _, _) in zip(responses, items)]
+        outcomes[:] = [self._outcome(response, rid, op) for response,
+                       (rid, op, _) in zip(responses, items)]
 
     def _call(self, op: str, args: Dict[str, Any],
               finish: Callable[[Any], Any] = lambda result: result

@@ -1,15 +1,21 @@
 """The terpd wire protocol: length-prefixed JSON frames.
 
 A frame is a 4-byte big-endian unsigned length followed by that many
-bytes of UTF-8 JSON.  Frames carry values, not names: the op table
-(:mod:`repro.service.ops`) is the schema.
+bytes of UTF-8 JSON.  Frames carry values, not names, both ways: the
+op table (:mod:`repro.service.ops`) is the schema.
 
 * **Request** ``[7, "attach", "mydata", "rw"]`` — rid, op, then the
   values in the row's ``params`` order; trailing values not given are
   dropped, an interior one travels as ``null`` ("not given").
-* **Response** ``[7, {...}]`` — rid and outcome, plus ``[...]`` events
-  as a third element when there are any; an object outcome is the
-  result, a ``["PmoError", "message"]`` pair is a refusal.
+* **Response** ``[7, ["performed", "case 1: first attach"]]`` — rid
+  and outcome, plus ``[...]`` events as a third element when there are
+  any.  The outcome's JSON type tells the two kinds apart: an *array*
+  is a result, the values in the row's ``results`` order (an
+  open-ended answer — ``metrics``, ``trace``, ``repl_status`` — is one
+  object in its one slot); a *string* is a refusal, ``"PmoError:
+  message"``: the error kind, ``": "``, the message.
+* **Event** ``["forced-detach", "mydata", 3, 51200, "reason"]`` — the
+  kind, then its row of :data:`repro.service.ops.EVENTS` in order.
 * **Batch** — an array of requests, answered by an array of responses
   in the same order.
 
@@ -17,11 +23,13 @@ Clients may also *pipeline*: send many single-request frames without
 waiting, then collect the responses, which the server returns in
 request order per connection.  Events are the session's pending
 out-of-band notifications — today only ``forced-detach``, emitted when
-the sweeper closed one of its exposure windows by force.
+the sweeper closed one of its exposure windows by force.  Clients name
+results and events again (:func:`named_result`, :func:`named_events`),
+so a caller sees dicts.
 
 OIDs travel as their packed 64-bit integer
 (:meth:`repro.pmo.object_id.Oid.pack`).  ``hello``'s first value is
-the wire revision, ``3`` — the only one there is; anything else
+the wire revision, ``4`` — the only one there is; anything else
 (absent included), and any object-shaped frame (revision 2 and
 before), is refused with a typed "protocol version N unsupported"
 error.
@@ -34,8 +42,9 @@ JSON.  A frame may append a *binary sidecar* after the JSON body::
 The top bit of the length word marks the sidecar's presence — legal
 because ``MAX_FRAME_BYTES`` is far below 2**31.  JSON marks each
 binary value with ``{"bin": <len>}`` — the only object a request
-value may be; consumers take ``len`` bytes off the sidecar in request
-(or response) order via :class:`BinReader`.  A batch frame has one
+value may be, and what a binary result's slot holds; consumers take
+``len`` bytes off the sidecar in request (or response) order via
+:class:`BinReader`.  A batch frame has one
 combined sidecar: the concatenation of its items' chunks, in item
 order.
 """
@@ -51,7 +60,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import TerpError
 from repro.obs.ring import dumps as _dumps
-from repro.service.ops import OPS
+from repro.service.ops import EVENTS, OPS, WHOLE
 
 #: Frame header: payload length, 4-byte big-endian unsigned.  The same
 #: struct frames the sidecar length word.
@@ -62,7 +71,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: Upper bound on a frame's binary sidecar (a batch of large reads).
 MAX_SIDECAR_BYTES = 64 * 1024 * 1024
 #: The one protocol revision; ``hello`` must offer exactly this.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 #: Top bit of the length word: a binary sidecar follows the body.
 SIDECAR_FLAG = 0x80000000
 #: Mask recovering the JSON body length from a flagged length word.
@@ -98,10 +107,10 @@ def body_parts(payload: Any) -> List[Any]:
 
     ``bytes`` are pre-encoded JSON and spliced in as they are: a
     batch's items — the batch response path encodes each response
-    exactly once — and the result of a ``[rid, result(, events)]``
-    response.  That result may instead be a *sized part*: an object
-    whose ``size`` is its text's length and whose iteration gives the
-    text in pieces (``trace``'s answer, a snapshot of the rings: see
+    exactly once.  A ``[rid, [result](, events)]`` response's one
+    value may instead be a *sized part*: an object whose ``size`` is
+    its text's length and whose iteration gives the text in pieces
+    (``trace``'s answer, a snapshot of the rings: see
     :class:`StreamedFrame`).  A batch is sized incrementally: each item
     is encoded once and the running total is checked against
     ``MAX_FRAME_BYTES`` as it goes, so an oversized batch fails fast
@@ -121,12 +130,13 @@ def body_parts(payload: Any) -> List[Any]:
             parts += (part, b",")
         parts[-1:] = [b"]"] if payload else [b"[]"]
         return parts
-    if type(payload) is list and len(payload) > 1 and \
-            type(payload[1]) is not dict and (
-                type(payload[1]) is bytes or hasattr(payload[1], "size")):
-        rid, result, *events = payload
-        parts = [b"[" + _dumps(rid) + b",", result,
-                 b"," + _dumps(events[0]) + b"]" if events else b"]"]
+    values = payload[1] if type(payload) is list and len(payload) > 1 \
+        else None
+    if type(values) is list and len(values) == 1 and \
+            hasattr(values[0], "size"):
+        rid, (result,), *events = payload
+        parts = [b"[" + _dumps(rid) + b",[", result,
+                 b"]," + _dumps(events[0]) + b"]" if events else b"]]"]
         size = sum(map(_length, parts))
     else:
         parts = [_dumps(payload)]
@@ -370,18 +380,28 @@ def bin_length(marker: Any) -> int:
     return marker["bin"]
 
 
+def bin_slots(response: Any) -> Iterator[Tuple[List[Any], int, int]]:
+    """Each ``{"bin": n}`` slot of a response's result, as ``(values,
+    index, n)``; a refusal has none."""
+    values = response[1] if isinstance(response, list) and \
+        len(response) > 1 else None
+    if type(values) is list:
+        for index, value in enumerate(values):
+            if type(value) is dict and len(value) == 1 and \
+                    isinstance(value.get("bin"), int):
+                yield values, index, value["bin"]
+
+
 def absorb_sidecar(payload: Any, sidecar: bytes) -> Any:
     """Fold a response frame's sidecar back into its results.
 
-    Every result carrying a ``{"bin": n}`` marker gets its raw bytes
-    under ``"data"`` instead, consumed from the sidecar in response
-    order.
+    Every ``{"bin": n}`` slot of a result gets its raw bytes instead,
+    consumed from the sidecar in response order.
     """
     bins = BinReader(sidecar)
     for response in payload if is_batch(payload) else (payload,):
-        result = result_of(response)
-        if result is not None and "bin" in result:
-            result["data"] = bins.take(int(result.pop("bin")))
+        for values, index, n in bin_slots(response):
+            values[index] = bins.take(n)
     return payload
 
 
@@ -412,23 +432,60 @@ def head(frame: Any) -> Tuple[Any, Any]:
             frame[1] if len(frame) > 1 else None)
 
 
-def ok_response(rid: Any, result: Dict[str, Any],
+def response(rid: Any, op: str, result: Any,
+             events: Optional[List[Dict]] = None) -> List[Any]:
+    """``[rid, [v1, …](, events)]``: a handler's result dict laid out
+    in the op row's ``results`` order — an open-ended answer whole, in
+    its one slot.  A field the row does not declare is not sent."""
+    fields = OPS[op].results
+    return ok_response(rid, [result] if fields == (WHOLE,) else
+                       [result[name] for name in fields], events)
+
+
+def named_result(op: str, values: Any) -> Any:
+    """A result's values named again by the op row: the dict the
+    handler returned (its binary slot already absorbed)."""
+    spec = OPS.get(op)
+    fields = spec.results if spec is not None else ()
+    if type(values) is not list or len(values) != len(fields):
+        raise WireError(f"a {op!r} result is {len(fields)} values, "
+                        f"got {values!r}")
+    return values[0] if fields == (WHOLE,) else dict(zip(fields, values))
+
+
+def _event_values(event: Dict[str, Any]) -> List[Any]:
+    kind = event["event"]
+    return [kind, *(event[name] for name in EVENTS[kind])]
+
+
+def named_events(events: Any) -> List[Dict[str, Any]]:
+    """A response's events as their ``{"event": kind, …}`` dicts."""
+    try:
+        return [{"event": kind,
+                 **dict(zip(EVENTS[kind], values, strict=True))}
+                for kind, *values in events]
+    except (KeyError, TypeError, ValueError):
+        raise WireError(f"malformed events {events!r}") from None
+
+
+def ok_response(rid: Any, result: Any,
                 events: Optional[List[Dict]] = None) -> List[Any]:
-    return [rid, result, events] if events else [rid, result]
+    """``[rid, result(, events)]``, the events laid out by
+    :data:`~repro.service.ops.EVENTS`; :func:`response` lays out a
+    result."""
+    return [rid, result, [_event_values(event) for event in events]] \
+        if events else [rid, result]
 
 
 def error_response(rid: Any, kind: str, message: str,
                    events: Optional[List[Dict]] = None) -> List[Any]:
-    return [rid, [kind, message], events] if events \
-        else [rid, [kind, message]]
+    return ok_response(rid, f"{kind}: {message}", events)
 
 
-def result_of(response: Any) -> Optional[Dict[str, Any]]:
-    """A response's result object; ``None`` for a refusal."""
-    if isinstance(response, list) and len(response) > 1 and \
-            isinstance(response[1], dict):
-        return response[1]
-    return None
+def error_of(outcome: str) -> Tuple[str, str]:
+    """A refusal's ``(kind, message)``."""
+    kind, _, message = outcome.partition(": ")
+    return kind, message
 
 
 def refusal(rid: Optional[int], exc: Exception,

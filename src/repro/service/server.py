@@ -51,7 +51,6 @@ from repro.service.conn import (
     DEFAULT_SESSION_LINGER_NS, Conn, FrontDoor, admit)
 from repro.service.metrics import ServiceMetrics, metrics_report
 from repro.service.ops import OPS
-from repro.service.protocol import ok_response
 from repro.service.recovery import (
     RecoveryManager, RecoveryReport, SessionJournal)
 from repro.service.sessions import SessionManager
@@ -437,6 +436,7 @@ class TerpService:
         session = conn.session
         bin_start = len(conn.bin_out)
         span = "terpd.?"
+        events: List[dict] = []
         try:
             # First, even for a replay: this takes the request's bytes
             # off the frame's sidecar.
@@ -467,17 +467,17 @@ class TerpService:
                 result = {"flushed": result.base + result.ticket.wait(0)}
             if spec.bin_result is not None:
                 # ...and the other way: the result's bytes leave on the
-                # response sidecar, a marker in their place.
-                data = result.pop(spec.bin_result)
+                # response sidecar, a marker in their slot.
+                data = result[spec.bin_result]
                 conn.bin_out.append(data)
-                result["bin"] = len(data)
+                result[spec.bin_result] = {"bin": len(data)}
             # Hello binds a session; goodbye's response still carries
             # the events of the one it ended.
             session = conn.session or session
-            events = session.drain_events() if session else None
-            response = ok_response(rid, result, events)
+            events = session.drain_events() if session else []
             ok = True
-            body = protocol.body_parts(response)
+            body = protocol.body_parts(protocol.response(
+                rid, spec.name, result, events))
             if session is not None and isinstance(rid, int) and \
                     not (spec.readonly and not events):
                 # Cached only where running twice could be observed:
@@ -493,8 +493,11 @@ class TerpService:
             raise                      # the "process" dies mid-request
         except (TerpError, KeyError, TypeError, ValueError) as exc:
             del conn.bin_out[bin_start:]
-            body = [protocol.refusal(
-                rid, exc, session.drain_events() if session else None)]
+            # A body refused once sized (an oversize ``trace``) had
+            # already taken the session's events: they ride here.
+            if session is not None:
+                events += session.drain_events()
+            body = [protocol.refusal(rid, exc, events)]
             ok = False
         latency = time.perf_counter_ns() - t0
         self.metrics.note_request(op if isinstance(op, str) else "?",
@@ -612,7 +615,6 @@ class TerpService:
                              pmo=pmo.name)
         self.metrics.series["attaches"].inc()
         return {"outcome": result.decision.outcome.value,
-                "base_va": result.handle.base_va_at_attach,
                 "reason": result.decision.reason}
 
     def _op_detach(self, conn: Conn, args: Dict) -> Dict:

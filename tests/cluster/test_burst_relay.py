@@ -20,6 +20,7 @@ from repro.service.client import SyncTerpClient
 from repro.service.server import ServiceThread, TerpService
 from tests.service.rawwire import RawWire
 from tests.service.test_burst_io import write_burst
+from tests.service.test_footprint import _hold_and_force, _served_peak
 
 
 @pytest.fixture
@@ -184,3 +185,38 @@ def test_a_refused_batch_item_still_takes_its_bytes(routed):
                    protocol.request(15, "detach", {"name": "skip"})])
         (refused, detached), _ = wire.recv()
         assert refused.error[0] == "BadRequest" and detached.ok
+
+
+def test_a_cluster_trace_costs_each_shard_its_answer(routed):
+    """The operator's poll of
+    ``tests/service/test_footprint.py::test_a_trace_read_costs_its_answer``
+    behind a router: each shard is asked with a lone ``trace`` — its
+    answer carries the clock the router orders events by — so it
+    streams that answer as to a direct client, within 0.35 × the frame
+    plus one chunk.  Asked in one batch with a ``ping`` (for that
+    clock), each shard joined its whole answer: one 1.4 MB write."""
+    router, shards = routed
+    asked = [[], []]
+    for shard, frames in zip(shards, asked):
+        _hold_and_force(shard)
+
+        def recording(conn, burst, serve=shard.front._serve_burst,
+                      frames=frames):
+            burst = list(burst)
+            frames += burst
+            return serve(conn, iter(burst))
+        shard.front._serve_burst = recording
+    with SyncTerpClient(port=router.bound_port) as client:
+        answer = client.trace(limit=16384, kind="forced-detach")
+    assert len(answer["audit"]) == 2 * 5000
+    for shard, frames in zip(shards, asked):
+        polls = [frame for frame in frames
+                 if b'"trace"' in frame[0]]
+        assert len(polls) == 1 and \
+            protocol.head(protocol.decode_frame(polls[0][0]))[1] == \
+            "trace", polls
+        peak, writer = _served_peak(shard, polls)
+        assert sum(writer.writes) > 1 << 20
+        assert max(writer.writes) <= protocol.READ_BYTES
+        assert peak <= 0.35 * sum(writer.writes) + protocol.READ_BYTES, \
+            f"peak {peak} B for a {sum(writer.writes)} B frame"

@@ -25,7 +25,6 @@ from repro.obs import trace_json
 from repro.obs.audit import AuditTimeline
 from repro.obs.tracing import Tracer
 from repro.service import protocol
-from repro.service.protocol import ok_response
 
 SEEDS = range(12)
 CAPACITIES = (1, 7, 64)
@@ -294,7 +293,8 @@ def test_the_trace_answer_is_the_dict_answer_encoded(seed, capacity):
     the dict readers' answer encodes to — spilled values and unhashable
     attrs included, every filter and limit, and a response carrying
     events as well as one without."""
-    events = [{"event": "forced-detach", "pmo": "pmo-a"}]
+    events = [{"event": "forced-detach", "pmo": "pmo-a", "pmo_id": 7,
+               "at_ns": 1, "reason": "session EW budget"}]
     for (timeline, _), (tracer, _) in zip(drive_audit(seed, capacity),
                                           drive_spans(seed, capacity)):
         now_ns = timeline.events_recorded * 1000
@@ -308,11 +308,14 @@ def test_the_trace_answer_is_the_dict_answer_encoded(seed, capacity):
             want = {"spans": tracer.recent(limit=limit, name=name),
                     "audit": timeline.events(pmo=pmo, kind=kind,
                                              limit=limit),
-                    "open_windows": timeline.open_windows(now_ns)}
+                    "open_windows": timeline.open_windows(now_ns),
+                    "now_ns": now_ns}
             got = trace_json(tracer, timeline, limit=limit, pmo=pmo,
                              kind=kind, name=name, now_ns=now_ns)
-            assert protocol.encode_frame(ok_response(rid, got, pending)) \
-                == protocol.encode_frame(ok_response(rid, want, pending))
+            assert protocol.encode_frame(
+                protocol.response(rid, "trace", got, pending)) == \
+                protocol.encode_frame(
+                    protocol.response(rid, "trace", want, pending))
 
 
 def test_racing_writers_lose_no_record_and_tear_none():

@@ -98,6 +98,7 @@ def test_a_response_never_waits_behind_a_later_fsync(tmp_path):
             flushes = service.metrics.wire_flushes
             plan.arm()
             started = time.monotonic()
+            wire.ops[101] = "psync"     # what the raw bytes ask
             wire.sock.sendall(first + psync + third)
             response, _ = wire.recv()
             early = time.monotonic() - started

@@ -429,16 +429,9 @@ class _Writer:
         self.crc = zlib.crc32(data, self.crc)
 
 
-def test_a_trace_read_costs_its_answer():
-    """The operator's poll — ``trace(limit=16384,
-    kind="forced-detach")``, as terpbench's ``sweep_hold`` sends it
-    every slice — over a full span ring and 5 000 forced detaches is
-    served within 0.35 × its frame's bytes of Python heap, plus one
-    64 KiB chunk: the rows' column values are snapshotted, the answer
-    sized, then written a chunk at a time.  Written whole from the ring
-    columns, the same poll peaked at 2.37 × the frame; built as a dict
-    per record and encoded three times over, at about 6.5 ×."""
-    service = TerpService(port=0)
+def _hold_and_force(service):
+    """The operator poll's rings: a full span ring and 5 000 forced
+    detaches."""
     tracer, audit = service.obs.tracer, service.obs.audit
     while tracer.spans_recorded < tracer.capacity:
         tracer.record_since("terpd.attach", tracer.clock(), ok=True)
@@ -448,15 +441,14 @@ def test_a_trace_read_costs_its_answer():
                             reason="performed")
         audit.record_detach(1001 + n % 4, 7, "hold-0", at + 25_000_000,
                             forced=True, reason="session EW budget")
-    want = protocol.encode_frame(protocol.ok_response(9, {
-        "spans": tracer.recent(16384),
-        "audit": audit.events(kind="forced-detach", limit=16384),
-        "open_windows": []}))
-    request = protocol.encode_body(protocol.request(
-        9, "trace", {"limit": 16384, "kind": "forced-detach"}))
+
+
+def _served_peak(service, frames):
+    """Serve ``frames`` (one read's worth) on an unstarted connection:
+    ``(traced peak over the serve, writer)``."""
     writer = _Writer()
     conn = Conn(writer, lambda frames: None)
-    serve = service._serve_burst(conn, iter([(request, b"")]))
+    serve = service._serve_burst(conn, iter(frames))
     gc.collect()
     tracemalloc.start()
     try:
@@ -467,6 +459,31 @@ def test_a_trace_read_costs_its_answer():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    return peak, writer
+
+
+def test_a_trace_read_costs_its_answer():
+    """The operator's poll — ``trace(limit=16384,
+    kind="forced-detach")``, as terpbench's ``sweep_hold`` sends it
+    every slice — over a full span ring and 5 000 forced detaches is
+    served within 0.35 × its frame's bytes of Python heap, plus one
+    64 KiB chunk: the rows' column values are snapshotted, the answer
+    sized, then written a chunk at a time.  Written whole from the ring
+    columns, the same poll peaked at 2.37 × the frame; built as a dict
+    per record and encoded three times over, at about 6.5 ×.  Behind a
+    router, each shard's share of the poll is held to the same bound
+    (``tests/cluster/test_burst_relay.py``)."""
+    service = TerpService(port=0)
+    service.now_ns = lambda: 10 ** 15      # the answer's clock, pinned
+    tracer, audit = service.obs.tracer, service.obs.audit
+    _hold_and_force(service)
+    want = protocol.encode_frame(protocol.response(9, "trace", {
+        "spans": tracer.recent(16384),
+        "audit": audit.events(kind="forced-detach", limit=16384),
+        "open_windows": [], "now_ns": 10 ** 15}))
+    request = protocol.encode_body(protocol.request(
+        9, "trace", {"limit": 16384, "kind": "forced-detach"}))
+    peak, writer = _served_peak(service, [(request, b"")])
     assert len(want) > 1 << 20
     assert (sum(writer.writes), writer.crc) == \
         (len(want), zlib.crc32(want))

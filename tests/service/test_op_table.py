@@ -7,14 +7,20 @@ row is the wire schema: a typed call's keyword arguments reach the
 handler as the same args dict whatever the frame spells.
 Golden: the sans-IO client core, driven through one scripted 12-op
 tenant cycle, emits exactly the positional frames recorded here — each
-shorter than the object frame the same call made on wire revision 2.
+shorter than the object frame the same call made on wire revision 2 —
+and a daemon answers that cycle with exactly the replies recorded
+here, each shorter than the named reply of revision 3.  Round trip:
+every row's result, every event and a batch of results and refusals
+reach a caller as the dicts the daemon's handlers returned.
 """
 
 import asyncio
+import types
 
 import pytest
 
 from repro.cluster.router import TerpRouter
+from repro.core.errors import PmoError
 from repro.core.units import MIB
 from repro.pmo.object_id import OFFSET_BITS, Oid
 from repro.service import ops, protocol, retry
@@ -142,7 +148,7 @@ GOLDEN_PAYLOAD = bytes(range(48))
 #: 8+9 share a batch frame), header + JSON body (+ sidecar length word
 #: + sidecar for the write) — 422 bytes.
 GOLDEN_FRAMES = [bytes.fromhex(frame) for frame in (
-    "0000001c5b312c2268656c6c6f222c332c22676f6c64656e222c3235302e305d",
+    "0000001c5b312c2268656c6c6f222c342c22676f6c64656e222c3235302e305d",
     "0000001f5b322c22637265617465222c22676f6c64222c343139343330342c3338"
     "345d",
     "000000185b332c22617474616368222c22676f6c64222c227277225d",
@@ -166,19 +172,42 @@ GOLDEN_FRAMES = [bytes.fromhex(frame) for frame in (
 OBJECT_FRAME_LENGTHS = [83, 75, 63, 60, 126, 70, 48, 120, 68, 50, 38]
 
 
+#: A result dict per row, as a handler returns it.
+RESULTS = {
+    "hello": {"session": 1, "entity": (1 << 20) + 1,
+              "version": PROTOCOL_VERSION, "ew_budget_us": 250.0,
+              "token": "ab" * 16, "resumed": False},
+    "goodbye": {"released": 1},
+    "ping": {"now_ns": 10 ** 9, "sessions": 2},
+    "metrics": {"global": {"requests": 3}, "runtime": {"calls": 1}},
+    "trace": {"spans": [], "audit": [], "open_windows": [],
+              "now_ns": 10 ** 9},
+    "prometheus": {"text": "terpd_up 1\n"},
+    "repl_status": {"enabled": False},
+    "create": {"pmo": 3, "name": "gold", "size": 4 * MIB},
+    "open": {"pmo": 3, "name": "gold", "size": 4 * MIB},
+    "close": {"closed": 3},
+    "destroy": {"destroyed": "gold"},
+    "attach": {"outcome": "performed", "reason": "case 1: first attach"},
+    "detach": {"outcome": "performed", "reason": "case 5: full detach"},
+    "pmalloc": {"oid": GOLDEN_OID.pack()},
+    "psync": {"flushed": 1},
+    "tx_begin": {"tx": 1},
+    "tx_abort": {"aborted": True},
+    "pfree": {"freed": True},
+    "read": {"data": GOLDEN_PAYLOAD},
+    "write": {"n": 48},
+    "read_u64": {"value": 7},
+    "write_u64": {"written": True},
+}
+
+
 def _answer(request):
     rid, op = protocol.head(request)
-    result = {
-        "hello": {"session": 1, "entity": (1 << 20) + 1,
-                  "version": PROTOCOL_VERSION, "ew_budget_us": 250.0,
-                  "token": "ab" * 16, "resumed": False},
-        "pmalloc": {"oid": GOLDEN_OID.pack()},
-        "write": {"n": 48}, "psync": {"flushed": 1},
-        "read": {"bin": 48}, "read_u64": {"value": 7},
-        "trace": {"spans": [], "audit": [], "open_windows": []},
-        "prometheus": {"text": ""}, "tx_begin": {"tx": 1},
-    }.get(op, {})
-    return protocol.ok_response(rid, result), \
+    result = dict(RESULTS[op])
+    if op == "read":
+        result["data"] = {"bin": len(GOLDEN_PAYLOAD)}
+    return protocol.response(rid, op, result), \
         GOLDEN_PAYLOAD if op == "read" else b""
 
 
@@ -204,7 +233,7 @@ class ScriptedClient(ClientCore):
                     for body, sidecar in self._splitter.feed(step[1]):
                         self.sent.append(protocol.frame_from_body(
                             body, sidecar or None))
-                        self.inbox.append(self._serve(body))
+                        self.inbox.append(self._serve(body, sidecar))
                 elif step[0] == RECV:
                     value = self.inbox.pop(0)
                 step = steps.send(value)
@@ -212,7 +241,7 @@ class ScriptedClient(ClientCore):
             return stop.value
 
     @staticmethod
-    def _serve(body):
+    def _serve(body, sidecar):
         payload = protocol.decode_frame(body)
         if not protocol.is_batch(payload):
             response, sidecar = _answer(payload)
@@ -234,7 +263,7 @@ def test_core_emits_the_parent_commits_request_frames():
     assert client.pipeline([
         ("write", {"oid": oid.pack(), "data": GOLDEN_PAYLOAD}),  # 5
         ("write_u64", {"oid": oid.pack(), "value": 7}),          # 6
-    ]) == [{"n": 48}, {}]
+    ]) == [{"n": 48}, {"written": True}]
     assert client.psync("gold") == 1                            # 7
     assert client.batch([
         ("read", {"oid": oid.pack(), "n": 48}),                  # 8
@@ -251,6 +280,176 @@ def test_core_emits_the_parent_commits_request_frames():
     # Same bytes, fewer writes: the pipeline's two frames were one SEND.
     assert b"".join(client.sends) == b"".join(GOLDEN_FRAMES)
     assert len(client.sends) == len(GOLDEN_FRAMES) - 1
+
+
+class ServedClient(ScriptedClient):
+    """The scripted transport answered by a daemon's own serve loop —
+    unstarted (no socket, no sweeper) and its clock pinned, so the
+    replies are the same bytes every run."""
+
+    def __init__(self, service):
+        super().__init__()
+        self.service = service
+        service.now_ns = lambda: 10 ** 9
+        #: every reply frame, as the daemon wrote it.
+        self.replies = []
+        self.writes = []
+        self.conn = Conn(types.SimpleNamespace(
+            write=self.writes.append,
+            transport=types.SimpleNamespace(
+                get_write_buffer_size=lambda: 0,
+                is_closing=lambda: False)), lambda frames: None)
+
+    def _serve(self, body, sidecar):
+        serve = self.service._serve_burst(self.conn,
+                                          iter([(body, sidecar)]))
+        with pytest.raises(StopIteration):   # nothing it awaits blocks
+            serve.send(None)
+        self.conn.flush()
+        self.replies.append(b"".join(self.writes))
+        self.writes.clear()
+        (reply,) = protocol.FrameSplitter().feed(self.replies[-1])
+        return reply
+
+
+#: What a daemon answers the cycle above with (its clock pinned, obs
+#: off): 12 results in 11 frames, the batch's two in one — 410 bytes.
+GOLDEN_REPLIES = [bytes.fromhex(frame) for frame in (
+    "000000405b312c5b342c312c313034383537372c3235302e302c22386262366631"
+    "3461373134653966646334396636303534313838313861303062222c66616c7365"
+    "5d5d",
+    "000000165b322c5b312c22676f6c64222c343139343330345d5d",
+    "000000285b332c5b22706572666f726d6564222c226361736520313a2066697273"
+    "7420617474616368225d5d",
+    "000000155b342c5b3238313437343937363937323838305d5d",
+    "000000085b352c5b34385d5d",
+    "0000000a5b362c5b747275655d5d",
+    "000000075b372c5b305d5d",
+    "8000001a5b5b382c5b7b2262696e223a34387d5d5d2c5b392c5b375d5d5d000000"
+    "30070000000000000008090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+    "202122232425262728292a2b2c2d2e2f",
+    "000000445b31302c5b7b227370616e73223a5b5d2c226175646974223a5b5d2c22"
+    "6f70656e5f77696e646f7773223a5b5d2c226e6f775f6e73223a31303030303030"
+    "3030307d5d5d",
+    "000000285b31312c5b2273696c656e74222c226361736520363a2064656c617965"
+    "6420646574616368225d5d",
+    "000000085b31322c5b305d5d",
+)]
+#: The same daemon's replies on wire revision 3, whose results were
+#: objects naming every field (and ``attach``'s spelled its base VA):
+#: 581 bytes.  ``trace`` (10) alone grew: its answer now carries the
+#: clock it was read at.
+NAMED_REPLY_LENGTHS = [130, 46, 89, 31, 16, 24, 21, 88, 50, 63, 23]
+
+
+def test_a_daemon_answers_the_cycle_with_the_recorded_replies():
+    client = ServedClient(TerpService(port=0, obs_enabled=False))
+    client.connect()
+    client.create("gold", 4 * MIB)
+    assert client.attach("gold") == RESULTS["attach"]
+    oid = client.pmalloc("gold", 64)
+    assert client.pipeline([
+        ("write", {"oid": oid.pack(), "data": GOLDEN_PAYLOAD}),
+        ("write_u64", {"oid": oid.pack(), "value": 7}),
+    ]) == [{"n": 48}, {"written": True}]
+    assert client.psync("gold") == 0
+    assert client.batch([
+        ("read", {"oid": oid.pack(), "n": 48}),
+        ("read_u64", {"oid": oid.pack()}),
+    ]) == [{"data": bytes([7]) + bytes(7) + GOLDEN_PAYLOAD[8:]},
+           {"value": 7}]
+    assert client.trace(limit=5, kind="forced-detach") == {
+        "spans": [], "audit": [], "open_windows": [], "now_ns": 10 ** 9}
+    client.detach("gold")
+    client.goodbye()
+    assert client.replies == GOLDEN_REPLIES
+    assert [len(reply) < before for reply, before in zip(
+        GOLDEN_REPLIES, NAMED_REPLY_LENGTHS)] == [True] * 8 + [False] + \
+        [True] * 2
+    assert sum(map(len, GOLDEN_REPLIES)) == 410 < \
+        sum(NAMED_REPLY_LENGTHS) == 581
+
+
+# -- the dict a handler returns is the dict a caller gets ---------------------
+
+#: Arguments every row's request is admitted with.
+CALL_ARGS = {
+    "goodbye": {}, "ping": {}, "metrics": {}, "trace": {},
+    "prometheus": {}, "repl_status": {},
+    "create": {"name": "gold", "size": 64}, "open": {"name": "gold"},
+    "close": {"name": "gold"}, "destroy": {"name": "gold"},
+    "attach": {"name": "gold"}, "detach": {"name": "gold"},
+    "pmalloc": {"name": "gold", "size": 64}, "psync": {"name": "gold"},
+    "tx_begin": {"name": "gold"}, "tx_abort": {"name": "gold"},
+    "pfree": {"oid": GOLDEN_OID.pack()},
+    "read": {"oid": GOLDEN_OID.pack(), "n": 48},
+    "write": {"oid": GOLDEN_OID.pack(), "data": GOLDEN_PAYLOAD},
+    "read_u64": {"oid": GOLDEN_OID.pack()},
+    "write_u64": {"oid": GOLDEN_OID.pack(), "value": 7},
+}
+
+
+def _canned_daemon():
+    """A daemon whose handlers (``hello`` aside, which binds the
+    session) return :data:`RESULTS`' dict for their row — and refuse
+    the null oid."""
+    service = TerpService(port=0)
+
+    def canned(name):
+        def handler(conn, args):
+            if args.get("oid") == 0:
+                raise PmoError("no such object")
+            return dict(RESULTS[name])
+        return handler
+
+    for name, (_, span) in service._handlers.items():
+        if name != "hello":
+            service._handlers[name] = (canned(name), span)
+    return service
+
+
+def _forced(n):
+    return {"event": "forced-detach", "pmo": f"lost-{n}", "pmo_id": n,
+            "at_ns": 10 ** 9 + n, "reason": "session EW budget"}
+
+
+def test_every_rows_result_and_event_reach_the_caller_as_returned():
+    client = ServedClient(_canned_daemon())
+    client.connect()
+    session = client.conn.session
+    for n, name in enumerate(sorted(CALL_ARGS)):
+        # An event rides on every other reply.
+        if n % 2:
+            session.events.append(_forced(n))
+        assert client.call(name, **CALL_ARGS[name]) == RESULTS[name], name
+        assert client.events == ([_forced(n)] if n % 2 else []), name
+        client.events.clear()
+    assert set(CALL_ARGS) | {"hello"} == set(OPS)
+
+
+def test_a_batch_of_results_and_refusals_reaches_the_caller_in_order():
+    client = ServedClient(_canned_daemon())
+    client.connect()
+    client.conn.session.events.extend([_forced(1), _forced(2)])
+    items = [(20, "write", CALL_ARGS["write"]),
+             (21, "read_u64", {"oid": 0}),              # refused
+             (22, "read", CALL_ARGS["read"]),
+             (23, "wirte", {}),                         # refused
+             (24, "metrics", {})]
+    outcomes = []
+    client._run(client._batch_steps(items, outcomes))
+    assert outcomes[0] == RESULTS["write"]
+    assert (outcomes[1].kind, outcomes[1].remote_message) == \
+        ("PmoError", "no such object")
+    assert outcomes[2] == RESULTS["read"]
+    assert outcomes[3].kind == "WireError"
+    assert outcomes[4] == RESULTS["metrics"]
+    # The events rode on the first reply, once.
+    assert client.events == [_forced(1), _forced(2)]
+    (body, _), = protocol.FrameSplitter().feed(client.replies[-1])
+    batch = protocol.decode_frame(body)
+    assert [type(reply[1]).__name__ for reply in batch] == \
+        ["list", "str", "list", "str", "list"]
 
 
 def test_pipeline_hands_the_burst_over_as_one_send():

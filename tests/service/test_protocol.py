@@ -125,14 +125,32 @@ class TestShapes:
             protocol.request(1, "no-such-op", {"x": 1})
 
     def test_ok_response_carries_events_only_when_present(self):
-        assert protocol.ok_response(1, {}) == [1, {}]
-        response = protocol.ok_response(1, {}, [{"event": "forced-detach"}])
-        assert response[2][0]["event"] == "forced-detach"
+        assert protocol.ok_response(1, [64]) == [1, [64]]
+        event = {"event": "forced-detach", "pmo": "p", "pmo_id": 3,
+                 "at_ns": 50, "reason": "budget"}
+        response = protocol.ok_response(1, [64], [event])
+        assert response[2] == [["forced-detach", "p", 3, 50, "budget"]]
+        assert protocol.named_events(response[2]) == [event]
+
+    def test_a_result_is_its_rows_values(self):
+        assert protocol.response(4, "write", {"n": 64}) == [4, [64]]
+        assert protocol.response(5, "ping", {
+            "sessions": 2, "now_ns": 9}) == [5, [9, 2]]
+        report = {"global": {}}
+        assert protocol.response(6, "metrics", report) == [6, [report]]
+        assert protocol.named_result("ping", [9, 2]) == \
+            {"now_ns": 9, "sessions": 2}
+        assert protocol.named_result("metrics", [report]) is report
+        for op, values in (("ping", [9]), ("ping", {"now_ns": 9}),
+                           ("no-such-op", [1])):
+            with pytest.raises(WireError):
+                protocol.named_result(op, values)
 
     def test_error_response(self):
-        response = protocol.error_response(3, "PmoError", "nope")
-        assert response == [3, ["PmoError", "nope"]]
-        assert protocol.result_of(response) is None
+        response = protocol.error_response(3, "PmoError", "nope: x")
+        assert response == [3, "PmoError: nope: x"]
+        assert protocol.error_of(response[1]) == ("PmoError", "nope: x")
+        assert not list(protocol.bin_slots(response))
 
     def test_bin_marker_length(self):
         assert protocol.bin_length({"bin": 64}) == 64
@@ -149,6 +167,8 @@ def roundtrip(client, payload=b"\x00\xffbinary\x00 payload\xfe" * 40):
     oid = client.pmalloc("v2rt", len(payload))
     assert client.write(oid, payload) == len(payload)
     assert client.read(oid, len(payload)) == payload
+    # A zero-byte read still answers its marker with bytes.
+    assert client.read(oid, 0) == b""
     client.detach("v2rt")
 
 
@@ -172,13 +192,13 @@ class TestNegotiation:
 
     def test_v1_hello_is_rejected_with_typed_error(self, terpd):
         # An old client omits "version" entirely (that *is* v1), or
-        # offers 1 or 2 outright; a future one might offer 4.  Each
+        # offers 1, 2 or 3 outright; a future one might offer 5.  Each
         # gets the typed refusal, the connection stays in sync, and the
         # same connection may still say a proper hello afterwards.
         with RawWire(terpd.bound_port) as wire:
             for rid, offer in enumerate(({}, {"version": 1},
-                                         {"version": 2},
-                                         {"version": 4}), start=1):
+                                         {"version": 2}, {"version": 3},
+                                         {"version": 5}), start=1):
                 response, sidecar = wire.exchange(
                     rid, "hello", dict(offer, user="old"))
                 assert response.rid == rid and sidecar == b""
@@ -301,7 +321,7 @@ class TestSidecarTraffic:
                 assert wire.exchange(rid + 1, "attach",
                                      {"name": "rep"})[0].ok
                 again, sidecar = wire.exchange(rid, "read", read)
-                assert again.result == {"bin": 16}
+                assert again.outcome == [{"bin": 16}]
                 assert sidecar == b"R" * 16
         finally:
             client.close()

@@ -28,7 +28,7 @@ from repro.service import protocol
 from repro.service.client import SyncTerpClient
 from repro.service.conn import DRAIN_MARK, Conn
 from repro.service.protocol import (
-    MAX_FRAME_BYTES, READ_BYTES, WireError, ok_response)
+    MAX_FRAME_BYTES, READ_BYTES, WireError)
 from repro.service.server import ServiceThread, TerpService
 
 #: Text a ``%`` format would read, and text JSON escapes.
@@ -39,7 +39,8 @@ FILTERS = ({}, {"pmo": 7}, {"pmo": "pmo-a"}, {"pmo": "7"},
            {"pmo": "pmo-c"}, {"kind": "forced-detach"},
            {"kind": "attach", "pmo": 8}, {"kind": "no-such-kind"},
            {"name": "lib.psync"}, {"name": "no-such-span"})
-EVENTS = [{"event": "forced-detach", "pmo": "pmo-a", "why": ODD}]
+EVENTS = [{"event": "forced-detach", "pmo": "pmo-a", "pmo_id": 7,
+           "at_ns": 10 ** 12, "reason": ODD}]
 
 
 def fill(obs: Observability) -> Observability:
@@ -68,7 +69,13 @@ def answer_dict(obs, limit, pmo=None, kind=None, name=None, now_ns=None):
     """The same answer from the dict readers."""
     return {"spans": obs.tracer.recent(limit, name),
             "audit": obs.audit.events(pmo=pmo, kind=kind, limit=limit),
-            "open_windows": obs.audit.open_windows(now_ns)}
+            "open_windows": obs.audit.open_windows(now_ns),
+            "now_ns": now_ns}
+
+
+def answered(rid, result, events=None):
+    """The ``trace`` response to ``rid`` carrying ``result``."""
+    return protocol.response(rid, "trace", result, events)
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +89,13 @@ def test_a_streamed_frame_is_the_dict_answer_encoded(obs, limit, events):
     """Chunked at any size, the frame is the one the dict answer
     encodes to, header included."""
     for rid, where in enumerate(FILTERS):
-        want = protocol.encode_frame(ok_response(
+        want = protocol.encode_frame(answered(
             rid, answer_dict(obs, limit, now_ns=10 ** 14, **where),
             events))
         answer = trace_json(obs.tracer, obs.audit, limit=limit,
                             now_ns=10 ** 14, **where)
         frame = protocol.frame_from_body(protocol.body_parts(
-            ok_response(rid, answer, events)))
+            answered(rid, answer, events)))
         assert isinstance(frame, protocol.StreamedFrame)
         assert len(frame) == len(want)
         for size in (1, 97, 4096, READ_BYTES):
@@ -101,11 +108,12 @@ def test_empty_rings_answer_empty_lists():
     empty = Observability()
     answer = trace_json(empty.tracer, empty.audit, limit=None)
     frame = protocol.frame_from_body(protocol.body_parts(
-        ok_response(1, answer)))
-    assert bytes(frame) == protocol.encode_frame(ok_response(
-        1, {"spans": [], "audit": [], "open_windows": []}))
+        answered(1, answer)))
+    assert bytes(frame) == protocol.encode_frame(answered(
+        1, {"spans": [], "audit": [], "open_windows": [],
+            "now_ns": None}))
     assert bytes(frame)[4:] == \
-        b'[1,{"spans":[],"audit":[],"open_windows":[]}]'
+        b'[1,[{"spans":[],"audit":[],"open_windows":[],"now_ns":null}]]'
 
 
 class Writer:
@@ -143,6 +151,7 @@ def test_the_serve_loop_streams_the_dict_answer():
     ``READ_BYTES``; a response carrying events is joined for the
     replay cache, and a batch splices its traces whole."""
     service = TerpService(port=0, obs=fill(Observability()))
+    service.now_ns = lambda: 10 ** 15      # each answer's clock, pinned
     obs, writer = service.obs, Writer()
     conn = Conn(writer, lambda frames: None)
     for rid, (limit, where) in enumerate(
@@ -156,7 +165,7 @@ def test_the_serve_loop_streams_the_dict_answer():
                            now_ns=service.lib.clock_ns, **where)
         want["spans"] = spans           # before this read's own span
         assert writer.frames() == \
-            [protocol.encode_frame(ok_response(rid, want))]
+            [protocol.encode_frame(answered(rid, want))]
 
     serve(service, conn, protocol.request(
         900, "hello", {"version": protocol.PROTOCOL_VERSION, "user": "u"}))
@@ -168,7 +177,7 @@ def test_the_serve_loop_streams_the_dict_answer():
     want = answer_dict(obs, 16384, now_ns=service.lib.clock_ns)
     want["spans"] = spans
     (frame,) = writer.frames()
-    assert frame == protocol.encode_frame(ok_response(901, want, EVENTS))
+    assert frame == protocol.encode_frame(answered(901, want, EVENTS))
     assert session.replay_get(901)[0] == frame[4:]
 
     spans = obs.tracer.recent(5, "lib.psync")
@@ -180,7 +189,7 @@ def test_the_serve_loop_streams_the_dict_answer():
     want["spans"] = spans
     empty = answer_dict(obs, 0, now_ns=service.lib.clock_ns)
     assert writer.frames() == [protocol.encode_frame(
-        [ok_response(902, want), ok_response(903, empty)])]
+        [answered(902, want), answered(903, empty)])]
 
 
 def test_no_lock_is_held_while_rows_are_encoded_or_written(monkeypatch):
@@ -226,11 +235,64 @@ def test_an_answer_over_the_frame_limit_is_refused_before_a_byte():
     serve(service, conn, protocol.request(5, "trace", {"limit": 16384}))
     want = answer_dict(obs, 16384, now_ns=service.lib.clock_ns)
     want["spans"] = spans
-    size = len(dumps(ok_response(5, want)))
+    size = len(dumps(answered(5, want)))
     assert size > MAX_FRAME_BYTES
     assert writer.frames() == [protocol.frame_from_body(protocol.refusal(
         5, WireError(f"frame of {size} bytes exceeds "
                      f"{MAX_FRAME_BYTES}")))]
+
+
+def _oversize_session():
+    """A daemon whose every ``trace`` is past ``MAX_FRAME_BYTES``, a
+    connection with a session on it, and two forced detaches pending
+    for that session."""
+    obs = Observability(audit_capacity=17)
+    for n in range(17):
+        obs.audit.record_fault("store.fsync", "eio", n,
+                               detail="x" * (1 << 20))
+    service = TerpService(port=0, obs=obs)
+    writer = Writer()
+    conn = Conn(writer, lambda frames: None)
+    serve(service, conn, protocol.request(
+        1, "hello", {"version": protocol.PROTOCOL_VERSION, "user": "u"}))
+    writer.frames()
+    pending = [dict(EVENTS[0], pmo_id=n) for n in (7, 8)]
+    conn.session.events.extend(pending)
+    return service, conn, writer, pending
+
+
+def test_an_oversize_answer_refused_carries_the_pending_events():
+    """The answer took the session's events before it was sized; its
+    refusal must carry them, as any refusal carries what is pending —
+    not leave them in a body that is never sent."""
+    service, conn, writer, pending = _oversize_session()
+    serve(service, conn, protocol.request(5, "trace", {"limit": 16384}))
+    (frame,) = writer.frames()
+    reply = protocol.decode_frame(frame[4:])
+    assert protocol.error_of(reply[1])[0] == "WireError"
+    assert protocol.named_events(reply[2]) == pending
+    serve(service, conn, protocol.request(6, "ping"))
+    (frame,) = writer.frames()
+    assert len(protocol.decode_frame(frame[4:])) == 2     # none again
+    assert not conn.session.events
+
+
+def test_a_retried_oversize_answer_runs_again_and_loses_nothing():
+    """The same rid again, as a client re-sends it after a drop: a
+    refusal is never cached, so the retry runs afresh and is refused
+    the same way — and the events, delivered once, are not lost in
+    between: they rode on the first refusal or wait for the retry's."""
+    service, conn, writer, pending = _oversize_session()
+    got = []
+    for _ in range(2):
+        serve(service, conn, protocol.request(5, "trace",
+                                              {"limit": 16384}))
+        (frame,) = writer.frames()
+        reply = protocol.decode_frame(frame[4:])
+        assert reply[0] == 5 and isinstance(reply[1], str)
+        got += protocol.named_events(reply[2]) if len(reply) > 2 else []
+    assert got == pending
+    assert conn.session.replay_get(5) is None
 
 
 def test_a_frame_whose_text_changed_length_is_cut_not_desynced():
@@ -244,7 +306,7 @@ def test_a_frame_whose_text_changed_length_is_cut_not_desynced():
     shared = obs.tracer.snapshot(1).cols[4][0][2]
     answer = trace_json(obs.tracer, obs.audit, limit=1)
     frame = protocol.frame_from_body(protocol.body_parts(
-        ok_response(1, answer)))
+        answered(1, answer)))
     shared["note"].append(2)           # an unhashable attr, mutated
     with pytest.raises(WireError, match="came out longer"):
         list(frame.chunks())
@@ -272,10 +334,10 @@ def test_a_slow_peer_gets_the_snapshot_while_the_daemon_serves_on():
         audit.record_detach(1001 + n % 4, 7, "slow", 10 ** 12 + n + 1,
                             forced=True, reason=why)
     args = {"limit": 16384, "pmo": "slow", "name": "fill"}
-    want = protocol.encode_frame(ok_response(7, {
+    want = protocol.encode_frame(answered(7, {
         "spans": tracer.recent(16384, "fill"),
         "audit": audit.events(pmo="slow", limit=16384),
-        "open_windows": []}))
+        "open_windows": [], "now_ns": None}))
     size, crc = len(want), zlib.crc32(want)
     del want
     assert size > 4 * DRAIN_MARK * 8
@@ -290,8 +352,17 @@ def test_a_slow_peer_gets_the_snapshot_while_the_daemon_serves_on():
             appended[0] += 1
             time.sleep(0.0002)
 
-    with ServiceThread(TerpService(port=0, obs=obs,
-                                   sweep_period_ns=60 * 10 ** 9)) as svc:
+    service = TerpService(port=0, obs=obs, sweep_period_ns=60 * 10 ** 9)
+    trace, span = service._handlers["trace"]
+
+    def unclocked(conn, args):
+        # The clock the answer is read at, left out: so the bytes
+        # wanted can be made before the read.
+        answer = trace(conn, args)
+        answer.now_ns = b"null"
+        return answer
+    service._handlers["trace"] = (unclocked, span)
+    with ServiceThread(service) as svc:
         peer = socket.socket()
         peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         peer.settimeout(10)
