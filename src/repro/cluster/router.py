@@ -54,7 +54,7 @@ from repro.service.conn import (
     DEFAULT_SEED, DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS,
     Conn, FrontDoor, admit)
 from repro.service.metrics import WireCounters
-from repro.service.ops import FANOUT, NAME, OID, SESSION, Op
+from repro.service.ops import FANOUT, NAME, OID, SESSION, Op, trace_limit
 from repro.service.sessions import SessionRegistry
 
 
@@ -438,9 +438,7 @@ class TerpRouter:
 
     async def _fanout_trace(self, conn: Conn, spec: Op,
                             args: Dict[str, Any]):
-        limit = int(args.get("limit", dict(spec.params)["limit"]))
-        if limit < 0:
-            raise ValueError(f"trace limit {limit} is negative")
+        limit = trace_limit(args)
         results, events = await self._poll(conn, spec, args)
         spans: List[dict] = []
         audit: List[dict] = []

@@ -9,10 +9,12 @@ on the hot path*:
                Prometheus text exposition and JSON dump —
                :class:`MetricsRegistry`
 ``tracing``    nestable spans (context manager or one-shot
-               ``record_since``) in a ring buffer — :class:`Tracer`
+               ``record_since``) in a ring — :class:`Tracer`
 ``audit``      the exposure-window audit timeline: every attach /
                detach / forced-detach / sweep with entity, PMO, and
-               held duration — :class:`AuditTimeline`
+               held duration, in a ring — :class:`AuditTimeline`
+``ring``       the one ring type both are, each row kind stated once
+               for its dict and its ``trace`` text — ``ring.Ring``
 
 :class:`Observability` bundles the three with a single ``enabled``
 switch; ``Observability(enabled=False)`` (or :meth:`Observability.noop`)
@@ -27,10 +29,10 @@ from itertools import chain
 from typing import Any, Callable, Dict, Hashable, Iterator, Optional
 
 from repro.obs import ring
-from repro.obs.audit import AuditTimeline, EventRows
+from repro.obs.audit import AuditTimeline
 from repro.obs.registry import (
     BUCKETS_NS, Counter, Gauge, Histogram, MetricsRegistry)
-from repro.obs.tracing import NULL_SPAN, Span, SpanRows, Tracer
+from repro.obs.tracing import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "AuditTimeline",
@@ -92,7 +94,7 @@ class TraceAnswer:
     column values, a few machine words each; its text is never whole
     in memory unless a reader joins it."""
 
-    def __init__(self, spans: SpanRows, events: EventRows,
+    def __init__(self, spans: ring.Rows, events: ring.Rows,
                  open_windows: bytes, now_ns: bytes) -> None:
         self.spans, self.events, self.open_windows, self.now_ns = \
             spans, events, open_windows, now_ns

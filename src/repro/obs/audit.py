@@ -24,11 +24,9 @@ constructed with ``enabled=False`` every recorder returns immediately.
 
 from __future__ import annotations
 
-import threading
-from itertools import islice
-from typing import (
-    Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
-    Tuple)
+from itertools import repeat
+from operator import itemgetter
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.obs import ring
 
@@ -45,19 +43,19 @@ SCRUB = "scrub"
 #: a PMO failed verification with no repair source
 QUARANTINE = "quarantine"
 
-#: The ring's ``kind`` column holds an index into this tuple.
-KINDS = (ATTACH, DETACH, FORCED_DETACH, SWEEP, FAULT, RESTART, SCRUB,
-         QUARANTINE)
-_CODE = {kind: code for code, kind in enumerate(KINDS)}
 #: The key order of every event :meth:`AuditTimeline.events` returns.
 _FIELDS = ("seq", "kind", "at_ns", "entity", "pmo_id", "pmo",
            "duration_ns", "reason")
-_EVENT_JSON = ring.object_template(_FIELDS)
-_NEXT_EVENT_JSON = b"," + _EVENT_JSON
-_KIND_JSON = {kind: ring.dumps(kind) for kind in KINDS}
-#: Stands for None in the entity and duration columns.
-_NONE = -2 ** 63
-_INT_OR_NONE = {int, type(None)}
+#: The (pmo_id, pmo) of an event of no PMO.
+_NO_PMO = (None, None)
+
+
+def _events(seqs: Iterable[int], ats: Iterable, entities: Iterable,
+            durations: Iterable, kinds: Iterable[str],
+            pairs: Iterable[Tuple], reasons: Iterable[str]) -> Tuple:
+    """Events' columns, in :data:`_FIELDS` order, of the ring's."""
+    return (seqs, kinds, ats, entities, map(itemgetter(0), pairs),
+            map(itemgetter(1), pairs), durations, reasons)
 
 
 class AuditTimeline:
@@ -67,24 +65,25 @@ class AuditTimeline:
                  enabled: bool = True) -> None:
         self.enabled = enabled
         self.capacity = capacity
-        # The ring (repro.obs.ring): kind as an index into KINDS; at_ns,
-        # entity and duration_ns in q columns; (pmo_id, pmo) by its index
-        # in ``_pairs``, which is no longer than ``_per_pmo``; the reason
-        # by reference.  The seq is the position: ``events_recorded``.
-        self._cols = ring.columns("BqqqiO", capacity)
-        self._slots = capacity or 1
-        self._pairs: Dict[Tuple[Hashable, Optional[str]], int] = {}
+        # A ring (repro.obs.ring) of at_ns, entity and duration_ns; the
+        # kind as a byte and (pmo_id, pmo) as an int, each a code into
+        # its column's table (the pairs' no longer than ``_per_pmo``);
+        # the reason by reference.  Its lock is the timeline's: one lock
+        # section per event keeps the seq and the stats atomic together.
+        self.ring = ring.Ring(_FIELDS, "qqqBiO", _events, capacity)
+        self._lock, self._put = self.ring.lock, self.ring.put
         #: the one copy of each sweep's "closed N window(s)"
         self._sweep_reasons: Dict[str, str] = {}
-        self._spill: Dict[int, Tuple] = {}
-        self._lock = threading.Lock()
         #: (entity, pmo_id) -> attach timestamp of the open window
         self._open: Dict[Tuple[Optional[int], Hashable], int] = {}
         #: pmo_id -> cumulative per-PMO stats (never rolls off)
         self._per_pmo: Dict[Hashable, Dict[str, Any]] = {}
-        self.events_recorded = 0
         self.sweeps = 0
         self.faults_injected = 0
+
+    @property
+    def events_recorded(self) -> int:
+        return self.ring.written
 
     # -- recording --------------------------------------------------------
 
@@ -100,35 +99,6 @@ class AuditTimeline:
             stats["pmo"] = pmo_name
         return stats
 
-    def _append_locked(self, kind: str, at_ns: int,
-                       entity: Optional[int], pmo_id: Hashable,
-                       pmo_name: Optional[str],
-                       duration_ns: Optional[int], reason: str) -> None:
-        # Caller holds self._lock — one lock section per event keeps
-        # the seq ordering and the stats update atomic together.
-        pair = self._pairs.setdefault((pmo_id, pmo_name), len(self._pairs))
-        kinds, ats, entities, durations, pairs, reasons = self._cols
-        n = self.events_recorded
-        self.events_recorded = n + 1
-        slot = n % self._slots
-        if slot == len(kinds):            # the ring is still filling
-            ring.grow(self._cols, self._slots)
-        kinds[slot], pairs[slot], reasons[slot] = _CODE[kind], pair, reason
-        if self._spill:
-            self._spill.pop(slot, None)
-        # Exact ints ride in the columns, None as _NONE; anything else —
-        # a float clock, 2**63, _NONE itself — is kept in the spill table.
-        numbers = (at_ns, entity, duration_ns)
-        try:
-            if type(at_ns) is not int or _NONE in numbers or \
-                    not {type(entity), type(duration_ns)} <= _INT_OR_NONE:
-                raise TypeError
-            ats[slot], entities[slot], durations[slot] = at_ns, \
-                _NONE if entity is None else entity, \
-                _NONE if duration_ns is None else duration_ns
-        except (TypeError, OverflowError):
-            self._spill[slot] = numbers
-
     def record_attach(self, entity: Optional[int], pmo_id: Hashable,
                       pmo_name: Optional[str], at_ns: int, *,
                       reason: str = "") -> None:
@@ -140,8 +110,8 @@ class AuditTimeline:
             # original start: exposure began at the first attach.
             self._open.setdefault((entity, pmo_id), at_ns)
             self._pmo_stats(pmo_id, pmo_name)["attaches"] += 1
-            self._append_locked(ATTACH, at_ns, entity, pmo_id,
-                                pmo_name, None, reason)
+            self._put(at_ns, entity, None, ATTACH, (pmo_id, pmo_name),
+                      reason)
 
     def record_detach(self, entity: Optional[int], pmo_id: Hashable,
                       pmo_name: Optional[str], at_ns: int, *,
@@ -159,9 +129,9 @@ class AuditTimeline:
                 stats["held_total_ns"] += duration
                 if duration > stats["held_max_ns"]:
                     stats["held_max_ns"] = duration
-            self._append_locked(FORCED_DETACH if forced else DETACH,
-                                at_ns, entity, pmo_id, pmo_name,
-                                duration, reason)
+            self._put(at_ns, entity, duration,
+                      FORCED_DETACH if forced else DETACH,
+                      (pmo_id, pmo_name), reason)
 
     def record_sweep(self, at_ns: int, *, closed: int,
                      duration_ns: Optional[int] = None) -> None:
@@ -172,8 +142,7 @@ class AuditTimeline:
             self.sweeps += 1
             reason = f"closed {closed} window(s)"
             reason = self._sweep_reasons.setdefault(reason, reason)
-            self._append_locked(SWEEP, at_ns, None, None, None,
-                                duration_ns, reason)
+            self._put(at_ns, None, duration_ns, SWEEP, _NO_PMO, reason)
 
     def record_fault(self, site: str, kind: str, at_ns: int, *,
                      detail: str = "") -> None:
@@ -191,8 +160,7 @@ class AuditTimeline:
             reason = f"{site} [{kind}]"
             if detail:
                 reason = f"{reason} {detail}"
-            self._append_locked(FAULT, at_ns, None, None, None, None,
-                                reason)
+            self._put(at_ns, None, None, FAULT, _NO_PMO, reason)
 
     def record_restart(self, at_ns: int, *, downtime_ns: int,
                        sessions_restored: int = 0,
@@ -211,8 +179,8 @@ class AuditTimeline:
             detail = reason or (
                 f"recovered {sessions_restored} session(s) after "
                 f"{downtime_ns / 1e6:.1f}ms down")
-            self._append_locked(RESTART, at_ns, None, None, None,
-                                max(0, downtime_ns), detail)
+            self._put(at_ns, None, max(0, downtime_ns), RESTART,
+                      _NO_PMO, detail)
 
     def record_scrub(self, at_ns: int, *, verified: int,
                      repaired: int, quarantined: int) -> None:
@@ -224,10 +192,9 @@ class AuditTimeline:
         if not self.enabled or (repaired == 0 and quarantined == 0):
             return
         with self._lock:
-            self._append_locked(
-                SCRUB, at_ns, None, None, None, None,
-                f"verified {verified}, repaired {repaired}, "
-                f"quarantined {quarantined}")
+            self._put(at_ns, None, None, SCRUB, _NO_PMO,
+                      f"verified {verified}, repaired {repaired}, "
+                      f"quarantined {quarantined}")
 
     def record_quarantine(self, pmo_id: Hashable,
                           pmo_name: Optional[str], at_ns: int, *,
@@ -237,44 +204,28 @@ class AuditTimeline:
             return
         with self._lock:
             self._pmo_stats(pmo_id, pmo_name)
-            self._append_locked(QUARANTINE, at_ns, None, pmo_id,
-                                pmo_name, None, reason)
+            self._put(at_ns, None, None, QUARANTINE, (pmo_id, pmo_name),
+                      reason)
 
     # -- querying ---------------------------------------------------------
 
     def snapshot(self, *, pmo: Optional[Hashable] = None,
                  kind: Optional[str] = None,
-                 limit: Optional[int] = None) -> "EventRows":
+                 limit: Optional[int] = None) -> ring.Rows:
         """The one reader: the newest ``limit`` retained events (of PMO
-        ``pmo``, id or name, and of ``kind``), copied out under the
-        lock in O(rows) — decoded (:meth:`events`) or encoded
-        (:meth:`EventRows.texts`, a ``trace`` answer) with it
-        released."""
-        kinds, pairs = self._cols[0], self._cols[4]
-        with self._lock:
-            # Newest first, filtering on the columns, stopping at `limit`
-            # matches: O(limit) rows under the lock appends take.
-            n = self.events_recorded
-            slots = ring.newest_first(n, self.capacity) if kind is None \
-                else ring.newest_first_equal(
-                    kinds, _CODE.get(kind, len(KINDS)), n, self.capacity)
-            if pmo is not None:
-                wanted = {ix for (pmo_id, name), ix in self._pairs.items()
-                          if pmo_id == pmo or name == pmo}
-                slots = (s for s in slots if pairs[s] in wanted)
-            return EventRows(self._cols, self._spill, islice(slots, limit),
-                             n, self._slots, list(self._pairs))
+        ``pmo``, id or name, and of ``kind``), copied out of the ring
+        — decoded (:meth:`events`) or encoded (a ``trace`` answer) with
+        its lock released."""
+        return self.ring.read(limit, kind, None if pmo is None else (
+            4, lambda pair: pmo in pair))      # the pair column
 
     def events(self, *, pmo: Optional[Hashable] = None,
                kind: Optional[str] = None,
                limit: Optional[int] = None) -> List[Dict[str, Any]]:
         """Retained events in sequence order, optionally filtered by
         PMO (id or name) and/or kind, optionally the last ``limit``."""
-        return [dict(zip(_FIELDS, (seq, event_kind, at_ns, entity, *pair,
-                                   duration_ns, reason)))
-                for seq, event_kind, at_ns, entity, pair, duration_ns,
-                reason in self.snapshot(pmo=pmo, kind=kind,
-                                        limit=limit)]
+        return list(map(dict, map(zip, repeat(_FIELDS), self.snapshot(
+            pmo=pmo, kind=kind, limit=limit))))
 
     def open_windows(self, now_ns: Optional[int] = None
                      ) -> List[Dict[str, Any]]:
@@ -321,56 +272,3 @@ class AuditTimeline:
             "held_max_ns": held_max,
             "per_pmo": per_pmo,
         }
-
-
-class EventRows(ring.Snapshot):
-    """Events a read picked (:meth:`AuditTimeline.snapshot`), with
-    what decodes them: the seq of each slot, given how many events were
-    ``written`` to a ring of ``ring_slots``, and the (pmo_id, pmo)
-    ``pairs`` the pair column indexes."""
-
-    __slots__ = ("written", "ring_slots", "pairs")
-
-    def __init__(self, cols: Sequence[Any], spill: Dict[int, Tuple],
-                 slots: Iterable[int], written: int, ring_slots: int,
-                 pairs: List[Tuple[Hashable, Optional[str]]]) -> None:
-        super().__init__(cols, spill, slots)
-        self.written, self.ring_slots, self.pairs = \
-            written, ring_slots, pairs
-
-    def __iter__(self) -> Iterator[Tuple]:
-        """``(seq, kind, at_ns, entity, (pmo_id, pmo), duration_ns,
-        reason)`` of each event, oldest first."""
-        n, slots, spill, pair_at = \
-            self.written, self.ring_slots, self.spill, self.pairs
-        kinds, ats, entities, durations, pairs, reasons = self.cols
-        for row, slot in enumerate(self.slots):
-            if spill and row in spill:
-                at_ns, entity, duration_ns = spill[row]
-            else:
-                at_ns, entity, duration_ns = \
-                    ats[row], entities[row], durations[row]
-                entity = None if entity == _NONE else entity
-                duration_ns = None if duration_ns == _NONE else duration_ns
-            yield (n - (n - 1 - slot) % slots, KINDS[kinds[row]], at_ns,
-                   entity, pair_at[pairs[row]], duration_ns, reasons[row])
-
-    def texts(self) -> Iterator[bytes]:
-        """Each event's JSON text, oldest first, every one after the
-        first led by its separating comma."""
-        pmo_texts: Dict[int, Tuple[bytes, ...]] = {}
-        reason_texts: Dict[str, bytes] = {}
-        number, template = ring.number, _EVENT_JSON
-        for seq, kind, at_ns, entity, pair, duration_ns, reason in self:
-            # Pairs and reasons are shared among events, so each is
-            # encoded once per pass.
-            pmo_text = pmo_texts.get(id(pair))
-            if pmo_text is None:
-                pmo_text = pmo_texts[id(pair)] = tuple(map(ring.dumps, pair))
-            why = reason_texts.get(reason)
-            if why is None:
-                why = reason_texts[reason] = ring.dumps(reason)
-            yield template % (number(seq), _KIND_JSON[kind],
-                              number(at_ns), number(entity), *pmo_text,
-                              number(duration_ns), why)
-            template = _NEXT_EVENT_JSON

@@ -28,7 +28,8 @@ import functools
 import itertools
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from operator import itemgetter, sub
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import ring
 
@@ -41,7 +42,7 @@ class Span:
 
     def __init__(self, tracer: "Tracer", name: str, span_id: int,
                  parent_id: Optional[int], start_ns: int,
-                 attrs: Dict[str, Any]) -> None:
+                 attrs: Dict[str, Any], thread: str) -> None:
         self._tracer = tracer
         self.name = name
         self.span_id = span_id
@@ -49,14 +50,14 @@ class Span:
         self.start_ns = start_ns
         self.end_ns: Optional[int] = None
         self.attrs = attrs
-        self.thread = threading.current_thread().name
+        self.thread = thread
 
     def set(self, key: str, value: Any) -> "Span":
         self.attrs[key] = value
         return self
 
     def __enter__(self) -> "Span":
-        self._tracer._push(self)
+        self._tracer._local.state[0].append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -83,10 +84,29 @@ class _NullSpan:
 
 NULL_SPAN = _NullSpan()
 
+
+class _Local(threading.local):
+    """A thread's span stack and name, made on its first use (a thread
+    never renames itself here, and current_thread() is costly), and
+    read in one lookup."""
+
+    def __init__(self) -> None:
+        self.state: Tuple[List[Span], str] = (
+            [], threading.current_thread().name)
+
+
 #: The key order of every span :meth:`Tracer.recent` returns.
 _FIELDS = ("name", "span_id", "parent_id", "thread", "start_ns",
            "end_ns", "duration_ns", "attrs")
-_SPAN_JSON = ring.object_template(_FIELDS)
+
+
+def _spans(seqs: Iterable[int], ids: Iterable[int], parents: Iterable,
+           starts: Iterable, ends: Iterable, whats: Iterable[Tuple]
+           ) -> Tuple:
+    """Spans' columns, in :data:`_FIELDS` order, of the ring's."""
+    return (map(itemgetter(0), whats), ids, parents,
+            map(itemgetter(1), whats), starts, ends, map(sub, ends, starts),
+            map(itemgetter(2), whats))
 
 
 class Tracer:
@@ -97,75 +117,48 @@ class Tracer:
         self.clock = clock
         self.enabled = enabled
         self.capacity = capacity
-        self.spans_started = 0
-        self.spans_recorded = 0
-        # The ring (repro.obs.ring): ids and times in q columns (parent 0
-        # is none: ids start at 1), and one (name, thread, attrs) shared
-        # by spans whose attrs are equal, of equal types, in key order.
+        self._open = 0                    # spans begun, not yet ended
+        # A ring (repro.obs.ring) of ids and times, and one (name,
+        # thread, attrs) shared by spans whose attrs are equal, of equal
+        # types, in key order.
         self._what = functools.lru_cache(maxsize=1024, typed=True)(
             lambda name, thread, /, **attrs: (name, thread, attrs))
-        self._cols = ring.columns("qqqqO", capacity)
-        self._slots = capacity or 1
-        self._spill: Dict[int, Tuple] = {}
+        self.ring = ring.Ring(_FIELDS, "qqqqO", _spans, capacity)
+        self._lock, self._put = self.ring.lock, self.ring.put
         self._ids = itertools.count(1)
-        self._lock = threading.Lock()
-        self._stacks = threading.local()
+        self._local = _Local()
+
+    @property
+    def spans_recorded(self) -> int:
+        return self.ring.written
+
+    @property
+    def spans_started(self) -> int:
+        return self.ring.written + self._open
 
     # -- span plumbing ----------------------------------------------------
 
-    def _local(self) -> Tuple[List[Span], str]:
-        # This thread's span stack and name, made once: a thread never
-        # renames itself here, and current_thread() is costly.
-        local = self._stacks
-        try:
-            return local.stack, local.thread
-        except AttributeError:
-            local.stack = []
-            local.thread = threading.current_thread().name
-            return local.stack, local.thread
-
-    def _push(self, span: Span) -> None:
-        self._local()[0].append(span)
-
     def _pop(self, span: Span) -> None:
-        stack = self._local()[0]
+        stack = self._local.state[0]
         if stack and stack[-1] is span:
             stack.pop()
+        self._open -= 1
         self._store(span.name, span.thread, span.attrs, span.span_id,
-                    span.parent_id or 0, span.start_ns, span.end_ns)
+                    span.parent_id, span.start_ns, span.end_ns)
 
     def _store(self, name: str, thread: str, attrs: Dict[str, Any],
-               span_id: int, parent_id: int, start_ns: int,
+               span_id: int, parent_id: Optional[int], start_ns: int,
                end_ns: int) -> None:
         try:
             what = self._what(name, thread, **attrs)
         except TypeError:                 # an unhashable value
             what = (name, thread, attrs)
-        ids, parents, starts, ends, whats = self._cols
         lock = self._lock
         lock.acquire()
         try:
-            n = self.spans_recorded
-            self.spans_recorded = n + 1
-            slot = n % self._slots
-            if slot == len(whats):        # the ring is still filling
-                ring.grow(self._cols, self._slots)
-            whats[slot] = what
-            if self._spill:
-                self._spill.pop(slot, None)
-            numbers = (span_id, parent_id, start_ns, end_ns)
-            try:        # a float clock, 2**63 and past: kept exactly
-                if type(start_ns) is not int or type(end_ns) is not int:
-                    raise TypeError
-                ids[slot], parents[slot], starts[slot], ends[slot] = numbers
-            except (TypeError, OverflowError):
-                self._spill[slot] = numbers
+            self._put(span_id, parent_id, start_ns, end_ns, what)
         finally:
             lock.release()
-
-    def current_span_id(self) -> Optional[int]:
-        stack = self._local()[0]
-        return stack[-1].span_id if stack else None
 
     # -- public API -------------------------------------------------------
 
@@ -173,9 +166,11 @@ class Tracer:
         """A context manager timing the enclosed block."""
         if not self.enabled:
             return NULL_SPAN
-        self.spans_started += 1
+        self._open += 1
+        stack, thread = self._local.state
         return Span(self, name, next(self._ids),
-                    self.current_span_id(), self.clock(), attrs)
+                    stack[-1].span_id if stack else None, self.clock(),
+                    attrs, thread)
 
     def record_since(self, name: str, start_ns: int,
                      **attrs: Any) -> None:
@@ -187,36 +182,29 @@ class Tracer:
         """
         if not self.enabled:
             return
-        self.spans_started += 1
         end_ns = self.clock()
-        stack, thread = self._local()
+        stack, thread = self._local.state
         self._store(name, thread, attrs, next(self._ids),
-                    stack[-1].span_id if stack else 0, start_ns, end_ns)
+                    stack[-1].span_id if stack else None, start_ns, end_ns)
 
     # -- reading back -----------------------------------------------------
 
     def snapshot(self, limit: Optional[int] = None,
-                 name: Optional[str] = None) -> "SpanRows":
+                 name: Optional[str] = None) -> ring.Rows:
         """The one reader: the newest ``limit`` finished spans (named
-        ``name``), copied out under the lock in O(rows) — decoded
-        (:meth:`recent`) or encoded (:meth:`SpanRows.texts`, a
-        ``trace`` answer) with it released."""
-        whats = self._cols[4]
-        with self._lock:
-            slots = ring.newest_first(self.spans_recorded, self.capacity)
-            if name is not None:
-                slots = (s for s in slots if whats[s][0] == name)
-            return SpanRows(self._cols, self._spill,
-                            itertools.islice(slots, limit))
+        ``name``), copied out of the ring — decoded (:meth:`recent`) or
+        encoded (a ``trace`` answer) with its lock released."""
+        return self.ring.read(limit, None, None if name is None else (
+            4, lambda what: what[0] == name))      # the what column
 
     def recent(self, limit: Optional[int] = None,
                name: Optional[str] = None) -> List[Dict[str, Any]]:
         """The most recent finished spans, oldest first."""
-        return [dict(zip(_FIELDS, (  # attrs are shared: copied
-            span_name, span_id, parent_id or None, thread, start_ns,
-            end_ns, end_ns - start_ns, dict(attrs))))
-            for span_id, parent_id, start_ns, end_ns,
-            (span_name, thread, attrs) in self.snapshot(limit, name)]
+        *cols, attrs = self.snapshot(limit, name).columns()
+        # dict(zip(_FIELDS, values)) of each row, its attrs (shared)
+        # copied, with no Python frame per row.
+        return list(map(dict, map(zip, itertools.repeat(_FIELDS),
+                                  zip(*cols, map(dict, attrs)))))
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -225,49 +213,3 @@ class Tracer:
             "retained": min(self.spans_recorded, self.capacity),
             "capacity": self.capacity,
         }
-
-
-class SpanRows(ring.Snapshot):
-    """Spans a read picked (:meth:`Tracer.snapshot`)."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[Tuple]:
-        """``(span_id, parent_id, start_ns, end_ns, (name, thread,
-        attrs))`` of each span, oldest first; ``parent_id`` 0 is
-        none."""
-        ids, parents, starts, ends, whats = spans = self.cols
-        spill = self.spill
-        if not spill:
-            return zip(*spans)
-        return ((*spill[row], what) if row in spill else
-                (ids[row], parents[row], starts[row], ends[row], what)
-                for row, what in enumerate(whats))
-
-    def texts(self) -> Iterator[bytes]:
-        """Each span's JSON text, oldest first, every one after the
-        first led by its separating comma."""
-        formats: Dict[int, bytes] = {}
-        comma = b""
-        for span_id, parent_id, start_ns, end_ns, what in self:
-            span_name, thread, attrs = what
-            if type(start_ns) is not int or type(end_ns) is not int:
-                # Spilled: every value through the encoder.
-                yield comma + _SPAN_JSON % tuple(map(ring.dumps, (
-                    span_name, span_id, parent_id or None, thread,
-                    start_ns, end_ns, end_ns - start_ns, attrs)))
-            else:
-                # The ring shares one (name, thread, attrs) among equal
-                # spans: their text is written into a format once per
-                # pass.
-                fmt = formats.get(id(what))
-                if fmt is None:
-                    fmt = formats[id(what)] = b"," + _SPAN_JSON % (
-                        ring.literal(span_name), b"%d", b"%b",
-                        ring.literal(thread), b"%d", b"%d", b"%d",
-                        ring.literal(attrs))
-                text = fmt % (span_id, b"%d" % parent_id if parent_id
-                              else b"null", start_ns, end_ns,
-                              end_ns - start_ns)
-                yield text if comma else text[1:]
-            comma = b","

@@ -136,3 +136,13 @@ EVENTS: Dict[str, Tuple[str, ...]] = {
 #: mode): they observe state but never mutate it.
 READ_ONLY_OPS: FrozenSet[str] = frozenset(
     op.name for op in OPS.values() if op.readonly)
+
+
+def trace_limit(args: Dict[str, Any]) -> int:
+    """A ``trace`` request's ``limit`` — its row's default when it is
+    not given, and never negative: what the daemon and the router
+    both read."""
+    limit = int(args.get("limit", dict(OPS["trace"].params)["limit"]))
+    if limit < 0:
+        raise ValueError(f"trace limit {limit} is negative")
+    return limit

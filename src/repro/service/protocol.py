@@ -101,7 +101,7 @@ def _length(part: Any) -> int:
     return len(part) if type(part) is bytes else part.size
 
 
-def body_parts(payload: Any) -> List[Any]:
+def body_parts(payload: Any, limit: int = MAX_FRAME_BYTES) -> List[Any]:
     """A request/response (or batch) as JSON body bytes, in pieces for
     one join with the frame header (:func:`frame_from_body`).
 
@@ -115,7 +115,9 @@ def body_parts(payload: Any) -> List[Any]:
     is encoded once and the running total is checked against
     ``MAX_FRAME_BYTES`` as it goes, so an oversized batch fails fast
     without materializing the frame; a sized part is checked by its
-    size, before a byte of it is written.
+    size, before a byte of it is written.  A single response is held
+    to ``limit`` (what is left of a batch's frame for one of its
+    items).
     """
     if is_batch(payload):
         parts: List[Any] = [b"["]
@@ -141,9 +143,8 @@ def body_parts(payload: Any) -> List[Any]:
     else:
         parts = [_dumps(payload)]
         size = len(parts[0])
-    if size > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {size} bytes exceeds "
-                        f"{MAX_FRAME_BYTES}")
+    if size > limit:
+        raise WireError(f"frame of {size} bytes exceeds {limit}")
     return parts
 
 

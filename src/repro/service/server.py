@@ -50,7 +50,7 @@ from repro.service.conn import (
     DEFAULT_EW_TARGET_US, DEFAULT_SEED, DEFAULT_SESSION_EW_NS,
     DEFAULT_SESSION_LINGER_NS, Conn, FrontDoor, admit)
 from repro.service.metrics import ServiceMetrics, metrics_report
-from repro.service.ops import OPS
+from repro.service.ops import OPS, trace_limit
 from repro.service.recovery import (
     RecoveryManager, RecoveryReport, SessionJournal)
 from repro.service.sessions import SessionManager
@@ -374,11 +374,16 @@ class TerpService:
                     # Each response is encoded exactly once, in
                     # _dispatch; body_parts splices the encoded items.
                     # A trace among them is joined: a batch's items are
-                    # spliced whole.
+                    # spliced whole.  A read may take what the items
+                    # before it left of the frame; one that would take
+                    # more is refused (it runs again if re-sent),
+                    # carrying the events it drained.
                     items: List[bytes] = []
+                    room = protocol.MAX_FRAME_BYTES - 2   # the brackets
                     for one in payload:
                         items.append(protocol.join_body(
-                            await self._dispatch(conn, one)))
+                            await self._dispatch(conn, one, room)))
+                        room -= len(items[-1]) + 1      # and a comma
                     body = protocol.body_parts(items)
                 else:
                     body = await self._dispatch(conn, payload)
@@ -419,10 +424,13 @@ class TerpService:
 
     # -- dispatch --------------------------------------------------------------
 
-    async def _dispatch(self, conn: Conn, req: Any) -> List[Any]:
+    async def _dispatch(self, conn: Conn, req: Any,
+                        room: int = protocol.MAX_FRAME_BYTES
+                        ) -> List[Any]:
         """Run one request; returns the *encoded* response body, as
         :func:`~repro.service.protocol.body_parts` for the frame's one
-        join.
+        join — a ``readonly`` op's of at most ``room`` bytes, or
+        refused.
 
         Encoding here (rather than in the serve loop) lets the replay
         cache hold pre-encoded bytes and lets a batch splice its parts
@@ -477,7 +485,8 @@ class TerpService:
             events = session.drain_events() if session else []
             ok = True
             body = protocol.body_parts(protocol.response(
-                rid, spec.name, result, events))
+                rid, spec.name, result, events),
+                room if spec.readonly else protocol.MAX_FRAME_BYTES)
             if session is not None and isinstance(rid, int) and \
                     not (spec.readonly and not events):
                 # Cached only where running twice could be observed:
@@ -493,8 +502,9 @@ class TerpService:
             raise                      # the "process" dies mid-request
         except (TerpError, KeyError, TypeError, ValueError) as exc:
             del conn.bin_out[bin_start:]
-            # A body refused once sized (an oversize ``trace``) had
-            # already taken the session's events: they ride here.
+            # A body refused once sized (an oversize ``trace``, or
+            # one past what its batch left) had already taken the
+            # session's events: they ride here.
             if session is not None:
                 events += session.drain_events()
             body = [protocol.refusal(rid, exc, events)]
@@ -538,13 +548,10 @@ class TerpService:
         snapshotted from the rings under their locks
         (:func:`repro.obs.trace_json`); the answer is sized, then
         written a chunk at a time, with no lock held."""
-        limit = int(args.get("limit", 100))
-        if limit < 0:
-            raise ValueError(f"trace limit {limit} is negative")
         kind = args.get("kind")
         name = args.get("name")
         return trace_json(
-            self.obs.tracer, self.obs.audit, limit=limit,
+            self.obs.tracer, self.obs.audit, limit=trace_limit(args),
             pmo=args.get("pmo"),
             kind=str(kind) if kind is not None else None,
             name=str(name) if name is not None else None,

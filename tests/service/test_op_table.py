@@ -15,6 +15,7 @@ reach a caller as the dicts the daemon's handlers returned.
 """
 
 import asyncio
+import dataclasses
 import types
 
 import pytest
@@ -541,6 +542,35 @@ def test_every_row_hands_its_handler_the_same_args():
         assert got == expected, (method, kwargs)
         covered.add(name)
     assert covered == set(OPS)
+
+
+def test_both_front_doors_read_trace_args_by_the_row(monkeypatch):
+    """``trace``'s ``limit`` is read in one place: with the row's
+    default changed, a daemon and a router given no ``limit`` both
+    answer that many spans, and both refuse a negative one."""
+    row = OPS["trace"]
+    monkeypatch.setitem(OPS, "trace", dataclasses.replace(row, params=tuple(
+        (name, 3 if name == "limit" else default)
+        for name, default in row.params)))
+    conn = Conn(writer=None, note_flush=None)
+    service = TerpService(port=0)
+    for n in range(10):
+        service.obs.tracer.record_since("terpd.ping", n)
+    trace = service._handlers["trace"][0]
+    assert len(list(trace(conn, {}).spans)) == 3
+    router = TerpRouter(shard_addrs=[("127.0.0.1", 1)])
+
+    async def poll(conn, spec, args):
+        spans = [{"end_ns": n} for n in range(10)]
+        return [(0, {"spans": spans, "audit": [], "now_ns": 0})], []
+    monkeypatch.setattr(router, "_poll", poll)
+    merged, _ = asyncio.run(router._fanout_trace(conn, OPS["trace"], {}))
+    assert len(merged["spans"]) == 3
+    for answer in (lambda: trace(conn, {"limit": -1}),
+                   lambda: asyncio.run(router._fanout_trace(
+                       conn, OPS["trace"], {"limit": -1}))):
+        with pytest.raises(ValueError, match="negative"):
+            answer()
 
 
 # -- one behaviour, two transports ---------------------------------------------

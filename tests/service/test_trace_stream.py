@@ -21,9 +21,7 @@ import zlib
 import pytest
 
 from repro.obs import Observability, trace_json
-from repro.obs.audit import EventRows
-from repro.obs.ring import dumps
-from repro.obs.tracing import SpanRows
+from repro.obs.ring import Rows, dumps
 from repro.service import protocol
 from repro.service.client import SyncTerpClient
 from repro.service.conn import DRAIN_MARK, Conn
@@ -195,21 +193,22 @@ def test_the_serve_loop_streams_the_dict_answer():
 def test_no_lock_is_held_while_rows_are_encoded_or_written(monkeypatch):
     """The rows are copied under ``lib.lock`` and the rings' locks;
     the sizing pass that follows, and every write, run with none of
-    them held."""
+    them held — for both halves of the answer."""
     service = TerpService(port=0, obs=fill(Observability()))
-    locks = (service.obs.audit._lock, service.obs.tracer._lock)
-    held = []
+    rings = (service.obs.audit.ring, service.obs.tracer.ring)
+    held, passes = [], []
 
     def note():
         held.append(service.lib.lock._is_owned()
-                    or any(lock.locked() for lock in locks))
+                    or any(ring.lock.locked() for ring in rings))
 
-    for rows in (EventRows, SpanRows):
-        def watched(self, texts=rows.texts):
-            for text in texts(self):
-                note()
-                yield text
-        monkeypatch.setattr(rows, "texts", watched)
+    def watched(self, texts=Rows.texts):
+        passes.append(0)
+        for text in texts(self):
+            note()
+            passes[-1] += 1
+            yield text
+    monkeypatch.setattr(Rows, "texts", watched)
     writer = Writer()
     monkeypatch.setattr(writer, "write",
                         lambda data, write=writer.write: (note(),
@@ -218,6 +217,10 @@ def test_no_lock_is_held_while_rows_are_encoded_or_written(monkeypatch):
     serve(service, conn, protocol.request(1, "trace", {"limit": 16384}))
     assert len(writer.frames()) == 1
     assert len(held) > 2 * 200 and not any(held)
+    # Both halves, each sized and then written: >= 122 spans, > 400
+    # events.
+    passes.sort()
+    assert len(passes) == 4 and passes[0] >= 122 and passes[2] > 400
 
 
 def test_an_answer_over_the_frame_limit_is_refused_before_a_byte():
@@ -293,6 +296,41 @@ def test_a_retried_oversize_answer_runs_again_and_loses_nothing():
         got += protocol.named_events(reply[2]) if len(reply) > 2 else []
     assert got == pending
     assert conn.session.replay_get(5) is None
+
+
+def test_an_oversize_batch_refuses_the_item_that_overflows():
+    """Two ~9 MB ``trace``s in one batch, events pending: each fits a
+    frame, both do not.  The first is answered, carrying the events;
+    the second, which would take the batch past ``MAX_FRAME_BYTES``,
+    is refused as a lone oversize answer is — the connection is kept,
+    not dropped with the events' one answer cached for a retry that
+    would fail the same way — and sent again alone, it is answered."""
+    obs = Observability(audit_capacity=9)
+    for n in range(9):
+        obs.audit.record_fault("store.fsync", "eio", n,
+                               detail="x" * (1 << 20))
+    service = TerpService(port=0, obs=obs)
+    writer = Writer()
+    conn = Conn(writer, lambda frames: None)
+    serve(service, conn, protocol.request(
+        1, "hello", {"version": protocol.PROTOCOL_VERSION, "user": "u"}))
+    writer.frames()
+    pending = [dict(EVENTS[0], pmo_id=n) for n in (7, 8)]
+    conn.session.events.extend(pending)
+    serve(service, conn, [protocol.request(rid, "trace", {"limit": 16384})
+                          for rid in (5, 6)])
+    (frame,) = writer.frames()
+    first, second = protocol.decode_frame(frame[4:])
+    assert first[0] == 5 and isinstance(first[1], list)
+    assert len(frame) > MAX_FRAME_BYTES // 2
+    assert protocol.named_events(first[2]) == pending
+    assert second[0] == 6 and len(second) == 2
+    assert protocol.error_of(second[1])[0] == "WireError"
+    serve(service, conn, protocol.request(6, "trace", {"limit": 16384}))
+    (frame,) = writer.frames()
+    reply = protocol.decode_frame(frame[4:])
+    assert reply[0] == 6 and isinstance(reply[1], list) and len(reply) == 2
+    assert not conn.session.events
 
 
 def test_a_frame_whose_text_changed_length_is_cut_not_desynced():
