@@ -14,8 +14,8 @@ tests pin both the totals and the sensitivity directions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.core.units import PAGE_SIZE
 
@@ -90,8 +90,10 @@ def attach_cost(*, embedded_subtree: bool = True,
 
 
 def detach_cost(*, embedded_subtree: bool = True,
-                pmo_pages: int = 1, remote_cores: int = 3) -> SyscallCost:
-    """The detach() path: unmap + mandatory TLB shootdown."""
+                pmo_pages: int = 1) -> SyscallCost:
+    """The detach() path: unmap + local TLB invalidate.  Table II's
+    separate 550-cycle entry is the local flush, charged here as part
+    of the composed path; no remote shootdown is charged."""
     pte_writes = 1 if embedded_subtree else max(1, pmo_pages)
     steps = (
         ("mode_switch", 1),
@@ -101,10 +103,6 @@ def detach_cost(*, embedded_subtree: bool = True,
         ("matrix_update", 1),
         ("pm_fence", 1),
         ("tlb_invalidate_local", 1),
-        # The detach must shoot down every core that may cache the
-        # translation; Table II's separate 550-cycle entry is the
-        # local flush, charged here as part of the composed path.
-        ("tlb_shootdown_ipi", 0 if remote_cores == 0 else 0),
     )
     return SyscallCost("detach", steps)
 

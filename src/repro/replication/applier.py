@@ -47,8 +47,7 @@ from repro.pmo.store import (
     HEADER_SPAN, home_file, journal_file, write_header, write_home,
     write_journal)
 from repro.replication.wire import (
-    REPL_PROTOCOL_VERSION, Buffer, ReplicationWireError, frame_fields,
-    recv_msg, send_msg)
+    REPL_PROTOCOL_VERSION, Buffer, ReplicationWireError, recv_msg, send_msg)
 from repro.service.conn import STARTUP_TIMEOUT_S
 from repro.service.launch import SETTINGS
 from repro.service.recovery import SessionJournal
@@ -225,7 +224,10 @@ class JournalApplier:
         crcs: List[int] = []
         view = memoryview(payload)
         for slot, entry in enumerate(meta):
-            index, crc = int(entry[0]), int(entry[1])
+            if type(entry) is not list or [*map(type, entry)] != [int, int]:
+                raise ReplicationWireError(
+                    f"page entry {entry!r} is not [index, crc]")
+            index, crc = entry
             page = view[slot * PAGE_SIZE:(slot + 1) * PAGE_SIZE]
             if zlib.crc32(page) & 0xFFFFFFFF != crc:
                 raise ReplicationWireError(
@@ -365,76 +367,69 @@ class StandbyDaemon:
             thread.start()
 
     def _serve(self, conn: socket.socket) -> None:
+        applier = self.applier
+        # What a standby is sent, by kind; any other drops the link.
+        # Once promoted the service owns the pool directory: the
+        # closed applier raises on every apply frame, which drops a
+        # straggling primary's link.
+        handlers = {
+            "hello": lambda m, _: self._hello(conn, m["version"]),
+            "promote": lambda m, _: self._answer_promote(
+                conn, m["port"], m["service"]),
+            "reset": lambda m, _: applier.apply_reset(m["pmos"]),
+            "header": lambda m, payload: applier.apply_header(
+                m["pmo"], payload),
+            "batch": lambda m, payload: applier.apply_batch(
+                m["pmo"], m["seq"], m["prev"], m["pages"], payload,
+                acked=lambda: send_msg(conn, {
+                    "t": "ack", "pmo": m["pmo"], "seq": m["seq"]})),
+            "journal": lambda m, _: applier.apply_journal(m["line"]),
+            "destroy": lambda m, _: applier.apply_destroy(m["pmo"]),
+        }
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            while not self._stop.is_set():
-                got = recv_msg(conn)
-                if got is None:
-                    return
-                header, payload = got
-                with frame_fields(header):
-                    if not self._dispatch(conn, header, payload):
-                        return
+            while not self._stop.is_set() and (got := recv_msg(conn)):
+                message, payload = got
+                if message["t"] not in handlers:
+                    raise ReplicationWireError(
+                        f"a standby is not sent {message['t']!r}")
+                handlers[message["t"]](message, payload)
                 # Park for the next frame holding none of this one.
-                del got, header, payload
-        except (OSError, ReplicationWireError, ReplicationChainError):
-            # Drop the link; the primary reconnects and bootstraps.
+                del got, message, payload
+        except (OSError, UnicodeError, ReplicationWireError,
+                ReplicationChainError):
+            # Drop the link; the primary reconnects and bootstraps.  A
+            # UnicodeError: a name no pool file can be named after.
             return
         finally:
             self._conns.pop(conn, None)
             with suppress(OSError):
                 conn.close()
 
-    def _dispatch(self, conn: socket.socket, header: Dict[str, Any],
-                  payload: memoryview) -> bool:
-        """Handle one frame; False ends the connection."""
-        kind = header.get("t")
-        if kind == "hello":
-            ok = int(header.get("version", 0)) == REPL_PROTOCOL_VERSION
-            send_msg(conn, {"t": "hello-ack", "ok": ok,
-                            "version": REPL_PROTOCOL_VERSION})
-            return ok
-        if kind == "promote":
-            try:
-                port = self.promote(int(header.get("port", 0)),
-                                    header.get("service") or None)
-            except Exception as exc:  # noqa: BLE001 — told, not dropped
-                # The promoter must learn why (it falls back to a cold
-                # restart), and this standby must keep listening.
-                send_msg(conn, {"t": "error", "error": repr(exc)})
-            else:
-                send_msg(conn, {"t": "promoted", "port": port})
-        # The rest are apply frames.  Once promoted the service owns
-        # the pool directory: the closed applier raises on each, which
-        # drops a straggling primary's link.
-        elif kind == "reset":
-            pmos = header.get("pmos")
-            self.applier.apply_reset(
-                pmos if isinstance(pmos, list) else [])
-        elif kind == "header":
-            self.applier.apply_header(str(header["pmo"]), payload)
-        elif kind == "batch":
-            name = str(header["pmo"])
-            seq = int(header["seq"])
-            self.applier.apply_batch(
-                name, seq, int(header.get("prev", -1)),
-                header.get("pages", []), payload,
-                acked=lambda: send_msg(
-                    conn, {"t": "ack", "pmo": name, "seq": seq}))
-        elif kind == "journal":
-            record = header.get("line")
-            if isinstance(record, dict):
-                self.applier.apply_journal(record)
-        elif kind == "destroy":
-            self.applier.apply_destroy(str(header["pmo"]))
-        return True                  # unknown frames are ignored
+    def _hello(self, conn: socket.socket, version: int) -> None:
+        ok = version == REPL_PROTOCOL_VERSION
+        send_msg(conn, {"t": "hello-ack", "ok": ok,
+                        "version": REPL_PROTOCOL_VERSION})
+        if not ok:
+            raise ReplicationWireError(
+                f"replication protocol {version} unsupported")
+
+    def _answer_promote(self, conn: socket.socket, port: int,
+                        service: Dict[str, Any]) -> None:
+        """The promoter must learn why a promote failed (it falls back
+        to a cold restart), and this standby must keep listening."""
+        try:
+            reply = {"t": "promoted", "port": self.promote(port, service)}
+        except Exception as exc:  # noqa: BLE001 — told, not dropped
+            reply = {"t": "error", "error": repr(exc)}
+        send_msg(conn, reply)
 
 
 def promote(host: str, repl_port: int, serve_port: int,
             **service_overrides: Any) -> int:
     """Ask the standby listening on ``host:repl_port`` to come up as a
     live terpd on ``serve_port`` (0 picks one) — the client of the
-    ``promote`` branch above.  ``service_overrides`` replace the
+    standby's ``promote`` handler.  ``service_overrides`` replace the
     standby's own :class:`~repro.service.server.TerpService` arguments
     (the supervisor points ``replicate_to`` at the replacement
     standby).  Returns the port the promoted daemon serves on; raises
@@ -447,8 +442,8 @@ def promote(host: str, repl_port: int, serve_port: int,
         send_msg(sock, {"t": "promote", "port": serve_port,
                         "service": service_overrides})
         got = recv_msg(sock)
-    if got is None or got[0].get("t") != "promoted":
+    if got is None or got[0]["t"] != "promoted":
         raise ReplicationWireError(
             "standby did not confirm promotion: "
             f"{got[0].get('error', got[0]) if got else 'link closed'}")
-    return int(got[0]["port"])
+    return got[0]["port"]

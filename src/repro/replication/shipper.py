@@ -26,20 +26,12 @@ kernel resets the link instead of draining it.
 Availability beats replication: a standby that is absent, dead, or
 too slow degrades the shipper (batches counted ``dropped``, commits
 proceed locally), never the primary.  A background dialer reconnects
-and then **bootstraps**: the standby first receives a reconciling
-``reset`` (the full registered set — it prunes mirrored files for
-anything else, so a destroy the link was down for cannot resurrect),
-then every registered PMO's durable header plus a snapshot batch of
-its committed pages (``prev = -1`` resets the per-PMO chain),
-followed by the session journal — so a standby attached mid-life
-converges to *exactly* the primary's durable state, not just the
-traffic after the connect.
-
-Per PMO the shipped stream is a gapless, monotone chain: each batch
-carries ``(prev, seq]`` and the applier refuses any link that does
-not extend its last applied seq.  Replication lag (shipped minus
-acked batches) is exported as the ``terpd_repl_lag_batches`` gauge,
-which the replication bench samples to report ``lag p99``.
+and then **bootstraps**: a ``reset``, every registered PMO's header and
+a snapshot batch of its committed pages, then the session journal
+(:data:`~repro.replication.wire.MESSAGES` says what each does) — so a
+standby attached mid-life converges to *exactly* the primary's
+durable state.  Replication lag (shipped minus acked batches) is the
+``terpd_repl_lag_batches`` gauge.
 """
 
 from __future__ import annotations
@@ -49,13 +41,13 @@ import socket
 import struct
 import threading
 import time
+from contextlib import suppress
 from typing import (
     TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple)
 
 from repro.pmo.store import page_crcs
 from repro.replication.wire import (
-    REPL_PROTOCOL_VERSION, ReplicationWireError, frame_fields, recv_msg,
-    send_msg)
+    REPL_PROTOCOL_VERSION, ReplicationWireError, recv_msg, send_msg)
 
 if TYPE_CHECKING:
     from repro.pmo.store import PmoStore
@@ -226,32 +218,18 @@ class JournalShipper:
     def ship_header(self, name: str, header: bytes) -> None:
         """Mirror a PMO registration (fire-and-forget)."""
         with self._send_lock:
-            if not self.connected:
-                return
-            if name in self._prev:
-                # A bootstrap that raced this register already shipped
-                # the header (plus a snapshot); re-shipping would
-                # truncate the mirror behind the snapshot's back.
-                return
-            try:
-                send_msg(self._sock, {"t": "header", "pmo": name},
-                         header)
-                self._push()
-                self._prev.setdefault(name, 0)
-            except (OSError, ReplicationWireError) as exc:
-                self._drop_connection(f"header: {exc}")
+            # Not if a bootstrap that raced this register already
+            # shipped the header (plus a snapshot): re-shipping would
+            # truncate the mirror behind the snapshot's back.
+            if name not in self._prev and self._ship(
+                    {"t": "header", "pmo": name}, header):
+                self._prev[name] = 0
 
     def ship_destroy(self, name: str) -> None:
         """Mirror a PMO destroy (fire-and-forget)."""
         with self._send_lock:
             self._prev.pop(name, None)
-            if not self.connected:
-                return
-            try:
-                send_msg(self._sock, {"t": "destroy", "pmo": name})
-                self._push()
-            except (OSError, ReplicationWireError) as exc:
-                self._drop_connection(f"destroy: {exc}")
+            self._ship({"t": "destroy", "pmo": name})
             with self._ack_cond:
                 # Under the send lock, so every batch of this chain is
                 # already queued: their acks, still to come, must not
@@ -267,12 +245,7 @@ class JournalShipper:
         corked in the kernel's send queue until the next pushed frame,
         the 200 ms cork timer, or the socket's close)."""
         with self._send_lock:
-            if not self.connected:
-                return
-            try:
-                send_msg(self._sock, {"t": "journal", "line": record})
-            except (OSError, ReplicationWireError) as exc:
-                self._drop_connection(f"journal: {exc}")
+            self._ship({"t": "journal", "line": record}, push=False)
 
     # -- connection management ---------------------------------------------
 
@@ -297,9 +270,10 @@ class JournalShipper:
             send_msg(sock, {"t": "hello",
                             "version": REPL_PROTOCOL_VERSION})
             got = recv_msg(sock)
-            if got is None or got[0].get("t") != "hello-ack":
+            if got is None or got[0]["t"] != "hello-ack" or \
+                    not got[0]["ok"]:
                 raise ReplicationWireError(
-                    "standby did not answer the hello")
+                    f"standby did not accept the hello: {got and got[0]}")
         except (OSError, ReplicationWireError) as exc:
             self.last_error = f"hello: {exc}"
             sock.close()
@@ -349,16 +323,12 @@ class JournalShipper:
                 # re-established.
                 return
             if self._sock is not None:
-                try:
-                    # shutdown() unblocks a reader parked in recv();
-                    # close() alone can leave it in the syscall.
+                # shutdown() unblocks a reader parked in recv();
+                # close() alone can leave it in the syscall.
+                with suppress(OSError):
                     self._sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
+                with suppress(OSError):
                     self._sock.close()
-                except OSError:
-                    pass
             self._sock = None
             if self.connected:
                 self.last_error = why
@@ -425,6 +395,22 @@ class JournalShipper:
             self._metrics.series["repl_batches_shipped"].inc()
         self._set_lag_gauge()
 
+    def _ship(self, message: Dict[str, Any], payload: bytes = b"",
+              push: bool = True) -> bool:
+        """Send one frame if the link is up, pushed unless it is a
+        mirrored record; whether it was sent (a failed send drops the
+        link).  Under the send lock."""
+        if not self.connected:
+            return False
+        try:
+            send_msg(self._sock, message, payload)
+            if push:
+                self._push()
+            return True
+        except (OSError, ReplicationWireError) as exc:
+            self._drop_connection(f"{message['t']}: {exc}")
+            return False
+
     def _push(self) -> None:
         """Send the frame just queued now, with every mirrored record
         corked ahead of it, in as few segments as they fill."""
@@ -455,12 +441,11 @@ class JournalShipper:
                     self._drop_connection("standby closed the link",
                                           sock)
                     return
-                header, _ = got
-                if header.get("t") != "ack":
-                    continue
-                with frame_fields(header):
-                    name = str(header.get("pmo", ""))
-                    seq = int(header.get("seq", -1))
+                ack, _ = got
+                if ack["t"] != "ack":
+                    raise ReplicationWireError(
+                        f"a shipper is not sent {ack['t']!r}")
+                name, seq = ack["pmo"], ack["seq"]
             except (OSError, ReplicationWireError) as exc:
                 self._drop_connection(f"ack stream: {exc}", sock)
                 return

@@ -1,56 +1,20 @@
-"""The replication wire: length-prefixed header+payload frames.
+"""The replication link: rows of :data:`MESSAGES` in the client frame.
 
-The shipper and applier speak a dedicated binary protocol on their own
-socket — never the client protocol, so replication traffic cannot
-starve (or be starved by) request traffic.  Every message is one
-frame::
+The shipper and applier speak on their own socket — never a client
+connection, so replication traffic cannot starve (or be starved by)
+request traffic — but in the client wire's one frame layout
+(:mod:`repro.service.protocol`, with its bounds)::
 
-    u32 total_len | u32 header_len | header JSON | payload bytes
+    u32be (SIDECAR_FLAG | body_len) | body | u32be sidecar_len | sidecar
 
-The JSON header carries the message type and metadata; bulk page
-images ride the binary payload untouched (the same split the
-client protocol's sidecar makes for reads and writes).  Message types:
-
-``hello`` / ``hello-ack``
-    version negotiation, sent once per connection in each direction.
-``reset``
-    primary → standby, first frame of every bootstrap: the complete
-    list of registered PMO names.  The applier deletes mirrored pool
-    files *not* in the list and restarts its mirrored session journal
-    (the primary re-ships the journal in full right after) — so a
-    destroy that raced a disconnect, or a stale prior generation in
-    the standby's directory, can never survive into a promotion.
-``header``
-    one PMO's 4096-byte durable file header (payload), shipped at
-    registration and again on every bootstrap.  Applying a header
-    truncates the mirrored file to the bare header: stale pages never
-    outlive the snapshot that follows.
-``batch``
-    one committed group-commit batch: PMO name/id, the committed
-    ``flush_seq``, the previous shipped seq (``prev``, so the applier
-    can verify the stream is gapless), and ``pages`` as
-    ``[index, crc32]`` pairs whose 4096-byte images are concatenated
-    in the payload.  ``prev == -1`` resets the chain (a bootstrap
-    snapshot).
-``journal``
-    one session-journal record, mirrored verbatim so a promoted
-    standby recovers sessions/epoch exactly as a warm restart would.
-    Queued on the corked socket (``TCP_CORK``): it leaves in the
-    segment of the next pushed frame, usually a ``batch``.
-``destroy``
-    a PMO's durable files were destroyed on the primary.
-``ack``
-    standby → primary: the named batch's journal is committed and
-    fsynced on the standby — recovery there replays it — sent before
-    the standby writes the batch's home slots.
-``promote`` / ``promoted``
-    control: turn the standby into a live terpd on the given port.
-``error``
-    standby → promoter: why a ``promote`` was refused.
-
-A frame whose fields are missing or do not parse is a
-:class:`ReplicationWireError` (:func:`frame_fields`) on either end,
-which drops the link: the shipper reconnects and bootstraps.
+The body is ``[kind, v1, …]``: the kind, then the values of its row in
+order.  Bulk page images ride the sidecar untouched.  :func:`send_msg`
+and :func:`recv_msg` take and give a message as ``{"t": kind, field:
+value, …}`` — named at the API, laid out by its row on the wire.  A
+frame whose kind no row names, whose values do not fill its row in
+number and JSON type, or that breaks the layout's bounds is a
+:class:`ReplicationWireError` on either end, which drops the link: the
+shipper reconnects and bootstraps.
 """
 
 from __future__ import annotations
@@ -58,32 +22,54 @@ from __future__ import annotations
 import json
 import mmap
 import socket
-import struct
-from contextlib import contextmanager
-from typing import (
-    Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import TerpError
 from repro.core.iov import write_gathered
+from repro.obs.ring import dumps
+from repro.service.protocol import (
+    HEADER, LEN_MASK, MAX_FRAME_BYTES, MAX_SIDECAR_BYTES, SIDECAR_FLAG)
 
-__all__ = ["ReplicationWireError", "send_msg", "recv_msg",
-           "frame_fields", "Buffer", "REPL_PROTOCOL_VERSION",
-           "MAX_FRAME_BYTES"]
+__all__ = ["ReplicationWireError", "MESSAGES", "send_msg", "recv_msg",
+           "Buffer", "REPL_PROTOCOL_VERSION"]
 
 #: Replication protocol revision (independent of the client protocol).
-#: v2 added the reconciling ``reset`` frame and truncate-on-header.
-REPL_PROTOCOL_VERSION = 2
+#: v3 lays messages out by their :data:`MESSAGES` row in the client
+#: wire's frame.
+REPL_PROTOCOL_VERSION = 3
 
-#: Frame size guard: a batch is at most ``COMMIT_MAX_BATCH`` merged
-#: snapshots of 4KB pages; 64 MiB leaves generous headroom over any
-#: legal batch.
-MAX_FRAME_BYTES = 64 * 1024 * 1024
+#: Every message of the link: its kind, then its fields in wire order,
+#: each with the JSON type its value must decode to.  A payload, where
+#: a message has one, is the frame's sidecar.
+MESSAGES: Dict[str, Tuple[Tuple[str, type], ...]] = {
+    # Once per link each way; a refused version ends the link.
+    "hello": (("version", int),),
+    "hello-ack": (("ok", bool), ("version", int)),
+    # First of every bootstrap: the registered PMOs, the only ones
+    # whose mirrors survive it (``JournalApplier.apply_reset``).
+    "reset": (("pmos", list),),
+    # A PMO's durable file header (payload): it truncates the mirror.
+    "header": (("pmo", str),),
+    # One committed batch, ``(prev, seq]`` of the PMO's chain
+    # (``prev == -1`` resets it: a bootstrap snapshot); ``pages`` are
+    # ``[index, crc32]`` pairs whose images, in order, are the payload.
+    "batch": (("pmo", str), ("pmo_id", int), ("seq", int),
+              ("prev", int), ("pages", list)),
+    # A session-journal record, mirrored verbatim (corked).
+    "journal": (("line", dict),),
+    "destroy": (("pmo", str),),
+    # Standby → primary: the batch's journal is fsynced on the standby.
+    "ack": (("pmo", str), ("seq", int)),
+    # Come up as a live terpd on ``port``, ``service`` overriding the
+    # standby's settings; answered ``promoted``, or ``error``: why not.
+    "promote": (("port", int), ("service", dict)),
+    "promoted": (("port", int),),
+    "error": (("error", str),),
+}
 
-#: Bodies up to this size are received into a heap buffer; larger
-#: ones into an anonymous mapping (:func:`recv_msg`).
+#: Bodies and sidecars up to this size are received into a heap
+#: buffer; larger ones into an anonymous mapping (:func:`recv_msg`).
 _EAGER_BYTES = 64 * 1024
-
-_LEN = struct.Struct(">I")
 
 #: What a frame's payload may be made of.
 Buffer = Union[bytes, bytearray, memoryview]
@@ -93,77 +79,88 @@ class ReplicationWireError(TerpError):
     """A malformed or oversized replication frame."""
 
 
-@contextmanager
-def frame_fields(header: Dict[str, Any]) -> Iterator[None]:
-    """Read ``header``'s fields inside this block: a field that is
-    missing or of the wrong type raises :class:`ReplicationWireError`,
-    the error both ends answer by dropping the link."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReplicationWireError(
-            f"malformed {header.get('t')!r} frame: {exc!r}") from exc
-
-
-def send_msg(sock: socket.socket, header: Dict[str, Any],
+def send_msg(sock: socket.socket, message: Dict[str, Any],
              payload: Union[Buffer, Sequence[Buffer]] = b"") -> None:
-    """Send one frame (blocking, complete).  ``payload`` is one buffer
-    or a sequence of them — a batch's page images — which go out
-    through one gather ``sendmsg`` as they are, never joined: the
-    bytes on the wire are those of the joined frame all the same."""
-    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    """Send one message (blocking, complete), laid out by its row; a
+    ``message`` whose fields are not its row's is a :class:`TypeError`.
+    ``payload`` is one buffer or a sequence of them — a batch's page
+    images — sent as the sidecar through one gather ``sendmsg``, never
+    joined: the bytes on the wire are the joined frame's all the same."""
+    kind = message["t"]
+    names = [name for name, _ in MESSAGES[kind]]
+    if message.keys() != {"t", *names}:
+        raise TypeError(f"a {kind!r} message is {names}: {message!r}")
+    body = dumps([kind, *(message[name] for name in names)])
     parts: List[Buffer] = [payload] if isinstance(
         payload, (bytes, bytearray, memoryview)) else list(payload)
-    total = _LEN.size + len(head) + sum(map(len, parts))
-    if total > MAX_FRAME_BYTES:
+    side = sum(map(len, parts))
+    if len(body) > MAX_FRAME_BYTES or side > MAX_SIDECAR_BYTES:
         raise ReplicationWireError(
-            f"replication frame of {total} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte bound")
-    parts.insert(0, _LEN.pack(total) + _LEN.pack(len(head)) + head)
+            f"a {kind!r} frame of {len(body)} + {side} bytes exceeds "
+            f"the {MAX_FRAME_BYTES} + {MAX_SIDECAR_BYTES}-byte bounds")
+    parts.insert(0, HEADER.pack(len(body) | SIDECAR_FLAG) + body
+                 + HEADER.pack(side) if side else
+                 HEADER.pack(len(body)) + body)
     write_gathered(sock.sendmsg, parts)
 
 
-def _recv_into(sock: socket.socket, buffer: Buffer) -> bool:
-    """Fill ``buffer`` from ``sock``; False on EOF before it is full."""
-    view = memoryview(buffer)
+def _recv_into(sock: socket.socket, view: memoryview) -> int:
+    """Fill ``view`` from ``sock``; how much of it came before EOF."""
     got = 0
-    while got < len(view):
-        n = sock.recv_into(view[got:])
-        if not n:
-            return False
+    while got < len(view) and (n := sock.recv_into(view[got:])):
         got += n
-    return True
+    return got
+
+
+def _recv_part(sock: socket.socket, size: int, bound: int) -> memoryview:
+    """The frame's next ``size`` bytes, refused past ``bound``.  Past
+    :data:`_EAGER_BYTES` they are received into an anonymous mapping,
+    whose pages become resident only as bytes arrive: a length word
+    alone commits no memory, whatever it announces."""
+    if size > bound:
+        raise ReplicationWireError(
+            f"replication frame part of {size} bytes exceeds {bound}")
+    view = memoryview(bytearray(size) if size <= _EAGER_BYTES else
+                      mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE))
+    if _recv_into(sock, view) < size:
+        raise ReplicationWireError("connection died mid-frame")
+    return view
+
+
+def _message(body: memoryview) -> Dict[str, Any]:
+    """A frame body as its message, its values checked against its
+    kind's row."""
+    try:
+        frame = json.loads(bytes(body))
+    except (ValueError, RecursionError) as exc:
+        raise ReplicationWireError(f"undecodable frame: {exc}") from None
+    kind, *values = frame if type(frame) is list and frame else [None]
+    row = MESSAGES.get(kind, ()) if type(kind) is str else ()
+    if not row or len(values) != len(row) or any(
+            type(value) is not expected
+            for value, (_, expected) in zip(values, row)):
+        raise ReplicationWireError(
+            f"malformed {kind!r} frame: {frame!r} is not its row "
+            f"{[(name, typ.__name__) for name, typ in row]}")
+    return {"t": kind, **{name: value
+                          for (name, _), value in zip(row, values)}}
 
 
 def recv_msg(sock: socket.socket
              ) -> Optional[Tuple[Dict[str, Any], memoryview]]:
-    """Receive one frame; ``None`` on orderly EOF at a frame boundary.
-    The payload is a view of the buffer the frame was received into.
-
-    A body past :data:`_EAGER_BYTES` is received into an anonymous
-    mapping, whose pages become resident only as its bytes arrive: a
-    length prefix alone commits no memory, whatever it announces."""
-    raw_len = bytearray(_LEN.size)
-    if not _recv_into(sock, raw_len):
+    """Receive one message; ``None`` on orderly EOF at a frame
+    boundary.  The payload is a view of the buffer the sidecar was
+    received into (empty when the frame has none)."""
+    word = memoryview(bytearray(HEADER.size))
+    got = _recv_into(sock, word)
+    if not got:
         return None
-    (total,) = _LEN.unpack(raw_len)
-    if total < _LEN.size or total > MAX_FRAME_BYTES:
-        raise ReplicationWireError(
-            f"replication frame length {total} out of bounds")
-    body = memoryview(bytearray(total) if total <= _EAGER_BYTES else
-                      mmap.mmap(-1, total, flags=mmap.MAP_PRIVATE))
-    if not _recv_into(sock, body):
+    if got < HEADER.size:
         raise ReplicationWireError("connection died mid-frame")
-    (head_len,) = _LEN.unpack_from(body, 0)
-    if head_len > total - _LEN.size:
-        raise ReplicationWireError(
-            f"header length {head_len} exceeds frame body")
-    try:
-        header = json.loads(bytes(body[_LEN.size:_LEN.size + head_len]))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ReplicationWireError(
-            f"undecodable frame header: {exc}") from exc
-    if not isinstance(header, dict) or "t" not in header:
-        raise ReplicationWireError("frame header must be an object "
-                                   "with a 't' field")
-    return header, body[_LEN.size + head_len:]
+    (length,) = HEADER.unpack(word)
+    body = _recv_part(sock, length & LEN_MASK, MAX_FRAME_BYTES)
+    payload = memoryview(b"")
+    if length & SIDECAR_FLAG:
+        (side,) = HEADER.unpack(_recv_part(sock, HEADER.size, HEADER.size))
+        payload = _recv_part(sock, side, MAX_SIDECAR_BYTES)
+    return _message(body), payload

@@ -17,6 +17,7 @@ from repro.pmo.store import PmoStore
 from repro.replication.shipper import JournalShipper
 from repro.replication.wire import REPL_PROTOCOL_VERSION, recv_msg, send_msg
 from tests.replication.test_commit_order import wait_for
+from tests.replication.test_wire import raw_frame
 
 
 class FakeStandby:
@@ -70,12 +71,19 @@ def test_malformed_ack_drops_the_link_and_the_dialer_reconnects(tmp_path):
         fake.close()
 
 
-@pytest.mark.parametrize("frame", [
-    {"t": "batch", "pmo": "p", "seq": "nope", "pages": []},
-    {"t": "batch", "seq": 1, "pages": []},
-    {"t": "batch", "pmo": "p", "seq": 1, "prev": -1, "pages": [5]},
-], ids=["seq-not-an-int", "no-pmo", "page-entry-not-a-list"])
-def test_malformed_frame_drops_only_that_link(standby, monkeypatch, frame):
+@pytest.mark.parametrize("values, pages", [
+    (["batch", "p", 1, "nope", -1, []], 0),
+    (["batch", 1, 1, -1, []], 0),
+    (["batch", "p", 1, 1, -1, [5]], 1),
+    (["header", "\ud800"], 1),
+], ids=["seq-not-an-int", "no-pmo", "page-entry-not-a-list",
+        "name-no-file-takes"])
+def test_malformed_frame_drops_only_that_link(standby, monkeypatch, values,
+                                              pages):
+    """Sent raw: ``send_msg`` lays a message out by its whole row, so it
+    cannot make the first two.  The last two fill their rows: the batch
+    check refuses the third, and the fourth's name (a lone surrogate)
+    cannot name a pool file."""
     escaped = []
     monkeypatch.setattr(threading, "excepthook", escaped.append)
 
@@ -86,9 +94,34 @@ def test_malformed_frame_drops_only_that_link(standby, monkeypatch, frame):
     address = ("127.0.0.1", standby.bound_port)
     with socket.create_connection(address, timeout=5.0) as sock:
         hello(sock)
-        send_msg(sock, frame, bytes(PAGE_SIZE * len(frame["pages"])))
+        sock.sendall(raw_frame(values, bytes(PAGE_SIZE * pages)))
         assert recv_msg(sock) is None          # the link is dropped
     wait_for(lambda: not standby._conns)
     assert escaped == []
     with socket.create_connection(address, timeout=5.0) as sock:
         hello(sock)                            # and the next is served
+
+
+@pytest.mark.parametrize("message", [
+    {"t": "ack", "pmo": "p", "seq": 1},
+    {"t": "hello-ack", "ok": True, "version": REPL_PROTOCOL_VERSION},
+    {"t": "promoted", "port": 7077},
+    {"t": "error", "error": "no"},
+    ["status"],
+    [],
+], ids=["ack", "hello-ack", "promoted", "error", "no-such-kind",
+        "no-kind"])
+def test_a_kind_the_standby_is_not_sent_drops_its_link(standby, message):
+    """A standby takes what a shipper or a promoter sends and nothing
+    else: any other kind drops the link, where it was once ignored.  A
+    kind no row names is sent raw (``send_msg`` has no row for it)."""
+    address = ("127.0.0.1", standby.bound_port)
+    with socket.create_connection(address, timeout=5.0) as sock:
+        send_msg(sock, {"t": "hello", "version": REPL_PROTOCOL_VERSION})
+        assert recv_msg(sock)[0]["t"] == "hello-ack"
+        if isinstance(message, dict):
+            send_msg(sock, message)
+        else:
+            sock.sendall(raw_frame(message))
+        assert recv_msg(sock) is None
+    wait_for(lambda: not standby._conns)
