@@ -7,9 +7,11 @@ request traffic — but in the client wire's one frame layout
 
     u32be (SIDECAR_FLAG | body_len) | body | u32be sidecar_len | sidecar
 
-The body is ``[kind, v1, …]``: the kind, then the values of its row in
-order.  Bulk page images ride the sidecar untouched.  :func:`send_msg`
-and :func:`recv_msg` take and give a message as ``{"t": kind, field:
+The body is ``[kind_index, v1, …]``: the kind as its row's position
+in :data:`MESSAGES` — a closed vocabulary travels as its index, on this
+link as on the client's — then the values of its row in order.  Bulk
+page images ride the sidecar untouched.  :func:`send_msg` and
+:func:`recv_msg` take and give a message as ``{"t": kind, field:
 value, …}`` — named at the API, laid out by its row on the wire.  A
 frame whose kind no row names, whose values do not fill its row in
 number and JSON type, or that breaks the layout's bounds is a
@@ -27,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.errors import TerpError
 from repro.core.iov import write_gathered
 from repro.obs.ring import dumps
+from repro.service.ops import entry
 from repro.service.protocol import (
     HEADER, LEN_MASK, MAX_FRAME_BYTES, MAX_SIDECAR_BYTES, SIDECAR_FLAG)
 
@@ -34,13 +37,14 @@ __all__ = ["ReplicationWireError", "MESSAGES", "send_msg", "recv_msg",
            "Buffer", "REPL_PROTOCOL_VERSION"]
 
 #: Replication protocol revision (independent of the client protocol).
-#: v3 lays messages out by their :data:`MESSAGES` row in the client
-#: wire's frame.
-REPL_PROTOCOL_VERSION = 3
+#: v3 laid messages out by their :data:`MESSAGES` row in the client
+#: wire's frame; v4 sends the kind as its row's index.
+REPL_PROTOCOL_VERSION = 4
 
 #: Every message of the link: its kind, then its fields in wire order,
 #: each with the JSON type its value must decode to.  A payload, where
-#: a message has one, is the frame's sidecar.
+#: a message has one, is the frame's sidecar.  A kind travels as its
+#: row's position here: rows are appended, never reordered.
 MESSAGES: Dict[str, Tuple[Tuple[str, type], ...]] = {
     # Once per link each way; a refused version ends the link.
     "hello": (("version", int),),
@@ -67,6 +71,11 @@ MESSAGES: Dict[str, Tuple[Tuple[str, type], ...]] = {
     "error": (("error", str),),
 }
 
+#: The kinds by wire index, and each kind's index.
+KINDS: Tuple[str, ...] = tuple(MESSAGES)
+_KIND_INDEX: Dict[str, int] = {kind: index
+                               for index, kind in enumerate(KINDS)}
+
 #: Bodies and sidecars up to this size are received into a heap
 #: buffer; larger ones into an anonymous mapping (:func:`recv_msg`).
 _EAGER_BYTES = 64 * 1024
@@ -90,7 +99,7 @@ def send_msg(sock: socket.socket, message: Dict[str, Any],
     names = [name for name, _ in MESSAGES[kind]]
     if message.keys() != {"t", *names}:
         raise TypeError(f"a {kind!r} message is {names}: {message!r}")
-    body = dumps([kind, *(message[name] for name in names)])
+    body = dumps([_KIND_INDEX[kind], *(message[name] for name in names)])
     parts: List[Buffer] = [payload] if isinstance(
         payload, (bytes, bytearray, memoryview)) else list(payload)
     side = sum(map(len, parts))
@@ -134,8 +143,9 @@ def _message(body: memoryview) -> Dict[str, Any]:
         frame = json.loads(bytes(body))
     except (ValueError, RecursionError) as exc:
         raise ReplicationWireError(f"undecodable frame: {exc}") from None
-    kind, *values = frame if type(frame) is list and frame else [None]
-    row = MESSAGES.get(kind, ()) if type(kind) is str else ()
+    index, *values = frame if type(frame) is list and frame else [None]
+    kind = entry(KINDS, index)
+    row = MESSAGES[kind] if kind is not None else ()
     if not row or len(values) != len(row) or any(
             type(value) is not expected
             for value, (_, expected) in zip(values, row)):

@@ -19,7 +19,7 @@ from typing import (
 
 from repro.core.errors import TerpError
 from repro.service import protocol
-from repro.service.ops import OPS, Op
+from repro.service.ops import OPS, Op, op_row
 from repro.service.protocol import PROTOCOL_VERSION, WireError
 from repro.service.sessions import Session
 
@@ -51,11 +51,13 @@ CLOSE_GRACE_S = 1.0
 def admit(request: Any, bins: protocol.BinReader, *,
           has_session: bool) -> Tuple[Op, Dict[str, Any]]:
     """Check one request against the op table — the daemon's and the
-    router's shared front door — and read it by its row: ``[rid, op,
-    v1, …]`` becomes the row and its args, named in ``params`` order,
-    a ``null`` (not given) left out.  Every ``{"bin": n}`` value takes
-    its bytes off ``bins`` before anything can refuse the request, so
-    the next request in the frame reads its own."""
+    router's shared front door — and read it by its row: ``[rid,
+    op_index, v1, …]`` becomes the row and its args, named in
+    ``params`` order, a ``null`` (not given) or a value left off
+    standing for its row default, if it has one, and left out if not.
+    Every ``{"bin": n}`` value takes its bytes off ``bins`` before
+    anything can refuse the request, so the next request in the frame
+    reads its own."""
     if isinstance(request, dict):
         raise TerpError(f"protocol version <{PROTOCOL_VERSION} (an "
                         "object frame) unsupported; server speaks "
@@ -65,9 +67,17 @@ def admit(request: Any, bins: protocol.BinReader, *,
     values = [bins.take(protocol.bin_length(value))
               if isinstance(value, dict) else value
               for value in request[2:]]
-    spec = OPS.get(request[1]) if isinstance(request[1], str) else None
+    op = request[1]
+    spec = op_row(op)
     if spec is None:
-        raise WireError(f"unknown op {request[1]!r}")
+        if isinstance(op, str) and op in OPS:
+            # An op sent by name: revision 4 and before.  A hello
+            # says which.
+            offered = values[0] if op == "hello" and values else \
+                f"<{PROTOCOL_VERSION} (an op sent by name)"
+            raise TerpError(f"protocol version {offered} unsupported; "
+                            f"server speaks {PROTOCOL_VERSION}")
+        raise WireError(f"unknown op {op!r}")
     if not has_session and not spec.sessionless:
         raise TerpError(f"op {spec.name!r} requires a session; "
                         "say hello first")
@@ -76,6 +86,8 @@ def admit(request: Any, bins: protocol.BinReader, *,
                         f"values, got {len(values)}")
     args = {name: value for (name, _), value in zip(spec.params, values)
             if value is not None}
+    for name, default in spec.defaults:
+        args.setdefault(name, default)
     if spec.bin_arg in args and not isinstance(args[spec.bin_arg], bytes):
         # Binary travels on the sidecar only: a typed refusal.
         protocol.bin_length(args[spec.bin_arg])

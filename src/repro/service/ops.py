@@ -11,7 +11,10 @@ Everything else is derived:
   ``params`` order and an answer's in ``results`` order, and
   :func:`repro.service.conn.admit` and the client core name them again
   and lift the sidecar values — the row is the wire schema, both ways
-  (an event's is its kind's row of :data:`EVENTS`);
+  (an event's is its kind's row of :data:`EVENTS`).  A name from a
+  closed table travels as its index there: an op as its row's position
+  in :data:`OPS`, an event kind as its row's in :data:`EVENTS`, an
+  outcome or a reason as its entry's in :data:`VOCABULARIES`;
 * :class:`~repro.service.server.TerpService` binds ``_op_<name>``
   handlers, span names and the sidecar result's lowering;
 * :class:`~repro.cluster.router.TerpRouter` routes by ``route`` and
@@ -21,14 +24,19 @@ Everything else is derived:
   open circuit still lets through);
 * :mod:`repro.service.client` generates both clients' typed methods.
 
-To add an op: add a row here, write ``TerpService._op_<name>``, and —
+To add an op: append a row here, write ``TerpService._op_<name>``, and —
 only if it is a fan-out op — ``TerpRouter._fanout_<name>``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Optional, Tuple
+from functools import cached_property
+from typing import Any, Dict, FrozenSet, Optional, Sequence, Tuple, TypeVar
+
+from repro.core.semantics import Outcome
+
+T = TypeVar("T")
 
 #: Routing keys: by the PMO ``name`` in the args (consistent-hash
 #: ring), by the packed ``oid`` (pool-id arithmetic), answered by
@@ -68,6 +76,13 @@ class Op:
     #: the typed client method's name; ``None`` = no typed method.
     method: Optional[str] = None
 
+    @cached_property
+    def defaults(self) -> Tuple[Tuple[str, Any], ...]:
+        """The ``(name, default)`` params that have a value to fall
+        back on: what a request leaves out, its handler is given."""
+        return tuple((name, default) for name, default in self.params
+                     if default is not None and default is not REQUIRED)
+
 
 def _op(name: str, route: str, *params: Any, method: Any = REQUIRED,
         **flags: Any) -> Op:
@@ -79,11 +94,13 @@ def _op(name: str, route: str, *params: Any, method: Any = REQUIRED,
 
 _OBSERVE = {"readonly": True, "sessionless": True}
 
+#: Every op, in wire order: a request names its op by the row's
+#: position here (:func:`op_row`).  A new row is appended at the end,
+#: so every index already in use keeps its meaning.
 OPS: Dict[str, Op] = {op.name: op for op in (
     # -- session ------------------------------------------------------------
-    # ``version`` first: any revision can read it at the same slot.
     # ``version`` first, both ways: any revision reads it at one slot.
-    _op("hello", SESSION, ("version", None), ("user", None),
+    _op("hello", SESSION, ("version", None), ("user", "root"),
         ("ew_budget_us", None), ("resume", None), ("token", None),
         results=("version", "session", "entity", "ew_budget_us", "token",
                  "resumed"),
@@ -125,11 +142,72 @@ OPS: Dict[str, Op] = {op.name: op for op in (
         returns=""),
 )}
 
+#: The op names by wire index: ``OP_NAMES[i]`` is row ``i`` of
+#: :data:`OPS`.
+OP_NAMES: Tuple[str, ...] = tuple(OPS)
+#: A row's wire index by its name.
+OP_INDEX: Dict[str, int] = {name: index
+                            for index, name in enumerate(OP_NAMES)}
+
+
+def entry(table: Sequence[T], index: Any) -> Optional[T]:
+    """What a wire index names in a closed table — ``table[index]`` for
+    an int in range — or ``None`` for anything else."""
+    return table[index] \
+        if type(index) is int and 0 <= index < len(table) else None
+
+
+def op_row(op: Any) -> Optional[Op]:
+    """The row a request's op slot names — a wire index into
+    :data:`OPS` — or ``None`` for anything else."""
+    name = entry(OP_NAMES, op)
+    return OPS[name] if name is not None else None
+
+
 #: Every event kind's fields after the kind itself, in wire order: an
-#: event travels as ``[kind, v1, …]`` and is the ``{"event": kind,
+#: event travels as ``[kind_index, v1, …]`` — its kind's position
+#: here, appended to like :data:`OPS` — and is the ``{"event": kind,
 #: …}`` dict a client's ``events`` holds.
 EVENTS: Dict[str, Tuple[str, ...]] = {
     "forced-detach": ("pmo", "pmo_id", "at_ns", "reason"),
+}
+#: The event kinds by wire index.
+EVENT_KINDS: Tuple[str, ...] = tuple(EVENTS)
+
+#: Every text the daemon puts in an attach/detach result's or a
+#: forced-detach event's ``reason``, as far as it is a fixed one.  The
+#: arch engine's cases come first, then the daemon's own and the
+#: reasons a session's windows are closed for; appended to only.
+REASONS: Tuple[str, ...] = (
+    # The arch engine's CONDAT / CONDDT cases
+    # (:class:`~repro.arch.cond_engine.TerpArchEngine`).
+    "case 1: first attach",
+    "case 5: full detach",
+    "case 6: delayed detach",
+    "case 3: silent attach (window combined)",
+    "case 2: subsequent attach",
+    "case 4: partial detach",
+    "case 1 after eviction",
+    "pair already closed by forced detach",
+    # The daemon's own detach outcome.
+    "already force-detached by sweeper",
+    # Why a session's window was closed for it.
+    "session EW budget elapsed",
+    "arch engine forced detach",
+    "connection lost",
+    "session crashed (injected)",
+    "daemon restart",
+    "EW budget elapsed during daemon outage",
+    "goodbye",
+    "shutdown",
+)
+
+#: The fields whose values come from a closed table, and the table: a
+#: value travels as its index there — or, if the table does not have
+#: it, as itself (an index is a JSON number, a text a string).
+VOCABULARIES: Dict[str, Tuple[str, ...]] = {
+    "outcome": tuple(outcome.value for outcome in Outcome),
+    "reason": REASONS,
 }
 
 #: Ops safe to issue while the circuit is open (degraded read-only

@@ -2,20 +2,30 @@
 
 A frame is a 4-byte big-endian unsigned length followed by that many
 bytes of UTF-8 JSON.  Frames carry values, not names, both ways: the
-op table (:mod:`repro.service.ops`) is the schema.
+op table (:mod:`repro.service.ops`) is the schema, and a name drawn
+from one of its closed tables travels as its index in that table.
 
-* **Request** ``[7, "attach", "mydata", "rw"]`` — rid, op, then the
-  values in the row's ``params`` order; trailing values not given are
-  dropped, an interior one travels as ``null`` ("not given").
-* **Response** ``[7, ["performed", "case 1: first attach"]]`` — rid
-  and outcome, plus ``[...]`` events as a third element when there are
-  any.  The outcome's JSON type tells the two kinds apart: an *array*
-  is a result, the values in the row's ``results`` order (an
-  open-ended answer — ``metrics``, ``trace``, ``repl_status`` — is one
-  object in its one slot); a *string* is a refusal, ``"PmoError:
-  message"``: the error kind, ``": "``, the message.
-* **Event** ``["forced-detach", "mydata", 3, 51200, "reason"]`` — the
-  kind, then its row of :data:`repro.service.ops.EVENTS` in order.
+* **Request** ``[7, 11, "mydata"]`` — rid, the op's row index in
+  :data:`~repro.service.ops.OPS` (``11`` is ``attach``), then the
+  values in the row's ``params`` order; trailing values not given, or
+  equal to their row default, are dropped (``attach``'s ``"rw"``), an
+  interior one not given travels as ``null``.
+* **Response** ``[7, [0, 0]]`` — rid and outcome, plus ``[...]``
+  events as a third element when there are any.  The outcome's JSON
+  type tells the two kinds apart: an *array* is a result, the values
+  in the row's ``results`` order (an open-ended answer — ``metrics``,
+  ``trace``, ``repl_status`` — is one object in its one slot); a
+  *string* is a refusal, ``"PmoError: message"``: the error kind,
+  ``": "``, the message.  ``[0, 0]`` is ``attach``'s ``performed``,
+  ``"case 1: first attach"``.
+* **Event** ``[0, "mydata", 3, 51200, 9]`` — the kind's index in
+  :data:`~repro.service.ops.EVENTS` (``forced-detach``), then its
+  row's values in order.
+* **Closed vocabularies** — a field of
+  :data:`~repro.service.ops.VOCABULARIES` (``outcome``, ``reason``)
+  travels as its value's index in the field's table, or as the text
+  itself when the table does not have it (``9`` is ``"session EW
+  budget elapsed"``; a reason made up at run time stays a string).
 * **Batch** — an array of requests, answered by an array of responses
   in the same order.
 
@@ -29,10 +39,10 @@ so a caller sees dicts.
 
 OIDs travel as their packed 64-bit integer
 (:meth:`repro.pmo.object_id.Oid.pack`).  ``hello``'s first value is
-the wire revision, ``4`` — the only one there is; anything else
-(absent included), and any object-shaped frame (revision 2 and
-before), is refused with a typed "protocol version N unsupported"
-error.
+the wire revision, ``5`` — the only one there is; anything else
+(absent included), an op sent by name (revision 4 and before), and
+any object-shaped frame (revision 2 and before), is refused with a
+typed "protocol version N unsupported" error.
 
 **The binary sidecar.**  Binary payloads (PMO data) never enter the
 JSON.  A frame may append a *binary sidecar* after the JSON body::
@@ -60,7 +70,8 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import TerpError
 from repro.obs.ring import dumps as _dumps
-from repro.service.ops import EVENTS, OPS, WHOLE
+from repro.service.ops import (
+    EVENT_KINDS, EVENTS, OP_INDEX, OPS, VOCABULARIES, WHOLE, entry, op_row)
 
 #: Frame header: payload length, 4-byte big-endian unsigned.  The same
 #: struct frames the sidecar length word.
@@ -71,7 +82,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: Upper bound on a frame's binary sidecar (a batch of large reads).
 MAX_SIDECAR_BYTES = 64 * 1024 * 1024
 #: The one protocol revision; ``hello`` must offer exactly this.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 #: Top bit of the length word: a binary sidecar follows the body.
 SIDECAR_FLAG = 0x80000000
 #: Mask recovering the JSON body length from a flagged length word.
@@ -249,7 +260,9 @@ def decode_frame(body: bytes) -> Any:
     """Parse a frame body (the bytes after the length header)."""
     try:
         return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8 or bad JSON; RecursionError: nesting
+        # deeper than the parser goes.
         raise WireError(f"undecodable frame: {exc}") from None
 
 
@@ -408,29 +421,62 @@ def absorb_sidecar(payload: Any, sidecar: bytes) -> Any:
 
 # -- request / response shapes ----------------------------------------------
 
+#: Per field of :data:`~repro.service.ops.VOCABULARIES`: each text of
+#: its table by its index.
+_CODES: Dict[str, Dict[str, int]] = {
+    field: {text: index for index, text in enumerate(table)}
+    for field, table in VOCABULARIES.items()}
+
+
+def _coded(name: str, value: Any) -> Any:
+    """A field's value as it travels: a closed vocabulary's text as its
+    index, anything else as it is."""
+    codes = _CODES.get(name)
+    return value if codes is None or type(value) is not str \
+        else codes.get(value, value)
+
+
+def _named(name: str, value: Any) -> Any:
+    """A field's value as it arrived, read back: an index into the
+    field's vocabulary is its text."""
+    table = VOCABULARIES.get(name)
+    if table is None or type(value) is not int:
+        return value
+    text = entry(table, value)
+    if text is None:
+        raise WireError(f"{name} index {value} is not in its table "
+                        f"of {len(table)}")
+    return text
+
+
 def request(rid: Any, op: str,
             args: Optional[Dict[str, Any]] = None) -> List[Any]:
-    """``[rid, op, v1, …]``: ``args`` by name, laid out in the op row's
-    ``params`` order.  A name the row does not declare is a
-    :class:`TypeError` — raised here, before anything is sent."""
+    """``[rid, op_index, v1, …]``: ``args`` by name, laid out in the op
+    row's ``params`` order, trailing values not given or equal to their
+    row default left off.  A name the row does not declare is a
+    :class:`TypeError` — raised here, before anything is sent; an op
+    no row names is sent as given, for the peer to refuse."""
     given = dict(args or ())
     spec = OPS.get(op)
-    values = [given.pop(name, None)
-              for name, _ in (spec.params if spec is not None else ())]
+    params = spec.params if spec is not None else ()
+    values = [given.pop(name, None) for name, _ in params]
     if given:
         raise TypeError(f"op {op!r} takes no argument "
                         f"{', '.join(map(repr, given))}")
-    while values and values[-1] is None:
+    while values and (values[-1] is None or
+                      values[-1] == params[len(values) - 1][1]):
         values.pop()
-    return [rid, op, *values]
+    return [rid, OP_INDEX.get(op, op), *values]
 
 
-def head(frame: Any) -> Tuple[Any, Any]:
-    """A request's ``(rid, op)``, ``None`` for what it lacks."""
+def head(frame: Any) -> Tuple[Any, Optional[str]]:
+    """A request's ``(rid, op name)``: ``None`` for what it lacks, and
+    for an op slot that is no row's index."""
     if not isinstance(frame, list):
         return None, None
+    spec = op_row(frame[1]) if len(frame) > 1 else None
     return (frame[0] if frame else None,
-            frame[1] if len(frame) > 1 else None)
+            spec.name if spec is not None else None)
 
 
 def response(rid: Any, op: str, result: Any,
@@ -440,7 +486,8 @@ def response(rid: Any, op: str, result: Any,
     its one slot.  A field the row does not declare is not sent."""
     fields = OPS[op].results
     return ok_response(rid, [result] if fields == (WHOLE,) else
-                       [result[name] for name in fields], events)
+                       [_coded(name, result[name]) for name in fields],
+                       events)
 
 
 def named_result(op: str, values: Any) -> Any:
@@ -451,22 +498,34 @@ def named_result(op: str, values: Any) -> Any:
     if type(values) is not list or len(values) != len(fields):
         raise WireError(f"a {op!r} result is {len(fields)} values, "
                         f"got {values!r}")
-    return values[0] if fields == (WHOLE,) else dict(zip(fields, values))
+    return values[0] if fields == (WHOLE,) else {
+        name: _named(name, value) for name, value in zip(fields, values)}
+
+
+#: An event kind's wire index.
+_KIND_INDEX = {kind: index for index, kind in enumerate(EVENT_KINDS)}
 
 
 def _event_values(event: Dict[str, Any]) -> List[Any]:
     kind = event["event"]
-    return [kind, *(event[name] for name in EVENTS[kind])]
+    return [_KIND_INDEX[kind],
+            *(_coded(name, event[name]) for name in EVENTS[kind])]
 
 
 def named_events(events: Any) -> List[Dict[str, Any]]:
     """A response's events as their ``{"event": kind, …}`` dicts."""
+    named = []
     try:
-        return [{"event": kind,
-                 **dict(zip(EVENTS[kind], values, strict=True))}
-                for kind, *values in events]
-    except (KeyError, TypeError, ValueError):
+        for index, *values in events:
+            kind = entry(EVENT_KINDS, index)
+            if kind is None:
+                raise ValueError(f"no event kind {index!r}")
+            named.append({"event": kind, **{
+                name: _named(name, value) for name, value
+                in zip(EVENTS[kind], values, strict=True)}})
+    except (TypeError, ValueError):
         raise WireError(f"malformed events {events!r}") from None
+    return named
 
 
 def ok_response(rid: Any, result: Any,

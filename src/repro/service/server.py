@@ -510,8 +510,7 @@ class TerpService:
             body = [protocol.refusal(rid, exc, events)]
             ok = False
         latency = time.perf_counter_ns() - t0
-        self.metrics.note_request(op if isinstance(op, str) else "?",
-                                  latency, ok=ok)
+        self.metrics.note_request(op or "?", latency, ok=ok)
         if self._tracer is not None:
             self._tracer.record_since(span, t0, ok=ok)
         if session is not None:
@@ -566,14 +565,14 @@ class TerpService:
     def _op_create(self, conn: Conn, args: Dict) -> Dict:
         session = conn.session
         pmo = self.lib.PMO_create(str(args["name"]), int(args["size"]),
-                                  int(args.get("mode", 0o600)),
+                                  int(args["mode"]),
                                   owner=session.user)
         return {"pmo": pmo.pmo_id, "name": pmo.name,
                 "size": pmo.size_bytes}
 
     def _op_open(self, conn: Conn, args: Dict) -> Dict:
         session = conn.session
-        access = Access.parse(str(args.get("access", "rw")))
+        access = Access.parse(str(args["access"]))
         pmo = self.lib.PMO_open(str(args["name"]), access,
                                 user=session.user)
         return {"pmo": pmo.pmo_id, "name": pmo.name,
@@ -598,7 +597,7 @@ class TerpService:
 
     def _op_attach(self, conn: Conn, args: Dict) -> Dict:
         session = conn.session
-        access = Access.parse(str(args.get("access", "rw")))
+        access = Access.parse(str(args["access"]))
         pmo = self.lib.manager.lookup(str(args["name"]))
         if not mode_allows(pmo.mode,
                            is_owner=(session.user == pmo.owner),

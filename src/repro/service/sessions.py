@@ -254,7 +254,7 @@ class SessionRegistry:
         else:
             budget_us = args.get("ew_budget_us")
             session = self.create(
-                user=str(args.get("user", "root")),
+                user=str(args["user"]),
                 ew_budget_ns=None if budget_us is None else int(
                     float(budget_us) * 1_000))
         conn.session = session

@@ -17,6 +17,7 @@ from repro.core.units import MIB
 from repro.pmo.object_id import Oid
 from repro.service import protocol
 from repro.service.client import SyncTerpClient
+from repro.service.ops import OP_INDEX
 from repro.service.server import ServiceThread, TerpService
 from tests.service.rawwire import RawWire
 from tests.service.test_burst_io import write_burst
@@ -179,12 +180,25 @@ def test_a_refused_batch_item_still_takes_its_bytes(routed):
             b"BBBB"
         # A value the row does not declare is refused by the router
         # itself, alone and inside a batch.
-        wire.send([13, "attach", "skip", "r", "extra"])
+        wire.send([13, OP_INDEX["attach"], "skip", "r", "extra"])
         assert wire.recv()[0].error[0] == "BadRequest"
-        wire.send([[14, "detach", "skip", "extra"],
+        wire.send([[14, OP_INDEX["detach"], "skip", "extra"],
                    protocol.request(15, "detach", {"name": "skip"})])
         (refused, detached), _ = wire.recv()
         assert refused.error[0] == "BadRequest" and detached.ok
+
+
+def test_a_revision_4_frame_is_refused_by_its_version(routed):
+    """The router refuses an op sent by name as a daemon does: a
+    revision-4 ``hello`` by the version it offers, and the connection
+    stays usable for a revision-5 one."""
+    router, _ = routed
+    with RawWire(router.bound_port) as wire:
+        wire.send([1, "hello", 4, "old"])
+        kind, message = wire.recv()[0].error
+        assert kind == "TerpError" and \
+            message.startswith("protocol version 4 unsupported"), message
+        assert wire.hello(rid=2)["version"] == protocol.PROTOCOL_VERSION
 
 
 def test_a_cluster_trace_costs_each_shard_its_answer(routed):
@@ -210,11 +224,9 @@ def test_a_cluster_trace_costs_each_shard_its_answer(routed):
         answer = client.trace(limit=16384, kind="forced-detach")
     assert len(answer["audit"]) == 2 * 5000
     for shard, frames in zip(shards, asked):
-        polls = [frame for frame in frames
-                 if b'"trace"' in frame[0]]
-        assert len(polls) == 1 and \
-            protocol.head(protocol.decode_frame(polls[0][0]))[1] == \
-            "trace", polls
+        polls = [frame for frame in frames if protocol.head(
+            protocol.decode_frame(frame[0]))[1] == "trace"]
+        assert len(polls) == 1, polls
         peak, writer = _served_peak(shard, polls)
         assert sum(writer.writes) > 1 << 20
         assert max(writer.writes) <= protocol.READ_BYTES

@@ -15,9 +15,10 @@ import pytest
 from repro.core.units import PAGE_SIZE
 from repro.pmo.store import PmoStore
 from repro.replication.shipper import JournalShipper
-from repro.replication.wire import REPL_PROTOCOL_VERSION, recv_msg, send_msg
+from repro.replication.wire import (
+    MESSAGES, REPL_PROTOCOL_VERSION, recv_msg, send_msg)
 from tests.replication.test_commit_order import wait_for
-from tests.replication.test_wire import raw_frame
+from tests.replication.test_wire import raw_frame, row
 
 
 class FakeStandby:
@@ -72,10 +73,10 @@ def test_malformed_ack_drops_the_link_and_the_dialer_reconnects(tmp_path):
 
 
 @pytest.mark.parametrize("values, pages", [
-    (["batch", "p", 1, "nope", -1, []], 0),
-    (["batch", 1, 1, -1, []], 0),
-    (["batch", "p", 1, 1, -1, [5]], 1),
-    (["header", "\ud800"], 1),
+    (row("batch", "p", 1, "nope", -1, []), 0),
+    (row("batch", 1, 1, -1, []), 0),
+    (row("batch", "p", 1, 1, -1, [5]), 1),
+    (row("header", "\ud800"), 1),
 ], ids=["seq-not-an-int", "no-pmo", "page-entry-not-a-list",
         "name-no-file-takes"])
 def test_malformed_frame_drops_only_that_link(standby, monkeypatch, values,
@@ -107,7 +108,7 @@ def test_malformed_frame_drops_only_that_link(standby, monkeypatch, values,
     {"t": "hello-ack", "ok": True, "version": REPL_PROTOCOL_VERSION},
     {"t": "promoted", "port": 7077},
     {"t": "error", "error": "no"},
-    ["status"],
+    [len(MESSAGES)],
     [],
 ], ids=["ack", "hello-ack", "promoted", "error", "no-such-kind",
         "no-kind"])

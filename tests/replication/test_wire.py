@@ -14,7 +14,7 @@ import pytest
 import repro
 from repro.core.units import PAGE_SIZE
 from repro.replication.wire import (
-    MESSAGES, ReplicationWireError, recv_msg, send_msg)
+    KINDS, MESSAGES, ReplicationWireError, recv_msg, send_msg)
 from repro.service.protocol import (
     HEADER, MAX_FRAME_BYTES, MAX_SIDECAR_BYTES, SIDECAR_FLAG)
 
@@ -32,6 +32,12 @@ def raw_frame(values, payload=b""):
         return HEADER.pack(len(body)) + body
     return (HEADER.pack(SIDECAR_FLAG | len(body)) + body
             + HEADER.pack(len(payload)) + payload)
+
+
+def row(kind, *values):
+    """A message body as it travels: its kind's row index, then
+    ``values``."""
+    return [KINDS.index(kind), *values]
 
 
 def batch(seq, pages=()):
@@ -154,18 +160,21 @@ class TestEofAndErrors:
     @pytest.mark.parametrize("values", [
         {"t": "ack", "pmo": "p", "seq": 1},
         [],
-        [7, "p", 1],
-        ["status"],
-        ["ack", "p"],
-        ["ack", "p", 1, 2],
-        ["ack", "p", "1"],
-        ["ack", "p", 1.0],
-        ["ack", "p", True],
-        ["hello-ack", 1, 3],
-        ["journal", ["not", "an", "object"]],
-    ], ids=["object", "empty", "kind-not-a-string", "no-such-kind",
+        ["ack", "p", 1],
+        [len(KINDS)],
+        row("ack", "p"),
+        row("ack", "p", 1, 2),
+        row("ack", "p", "1"),
+        row("ack", "p", 1.0),
+        row("ack", "p", True),
+        row("hello-ack", 1, 3),
+        row("journal", ["not", "an", "object"]),
+        [float(KINDS.index("ack")), "p", 1],
+        [-1, "p", 1],
+    ], ids=["object", "empty", "kind-by-name", "no-such-kind",
             "short", "long", "str-for-int", "float-for-int",
-            "bool-for-int", "int-for-bool", "list-for-dict"])
+            "bool-for-int", "int-for-bool", "list-for-dict",
+            "float-for-kind", "negative-kind"])
     def test_a_body_that_is_not_its_row_is_typed(self, values):
         a, b = pair()
         a.sendall(raw_frame(values))
@@ -232,5 +241,5 @@ class TestByteIdentity:
         while chunk := b.recv(1 << 16):
             got += chunk
         b.close()
-        assert bytes(got) == raw_frame(["batch", "p", 1, 3, 2, [[0, 1]]],
+        assert bytes(got) == raw_frame(row("batch", "p", 1, 3, 2, [[0, 1]]),
                                        joined)

@@ -7,15 +7,21 @@ row is the wire schema: a typed call's keyword arguments reach the
 handler as the same args dict whatever the frame spells.
 Golden: the sans-IO client core, driven through one scripted 12-op
 tenant cycle, emits exactly the positional frames recorded here — each
-shorter than the object frame the same call made on wire revision 2 —
-and a daemon answers that cycle with exactly the replies recorded
-here, each shorter than the named reply of revision 3.  Round trip:
+shorter than the frame the same call made on wire revision 4, which
+named its op — and a daemon answers that cycle with exactly the
+replies recorded here, whose closed vocabularies are indices.  Count
+budget: every row's request and result, every event kind's event and
+one ``mem_cycle`` cycle cost exactly the bytes recorded here, and every
+fixed reason the daemon gives is in ``REASONS``.  Round trip:
 every row's result, every event and a batch of results and refusals
 reach a caller as the dicts the daemon's handlers returned.
 """
 
+import ast
 import asyncio
 import dataclasses
+import inspect
+import pathlib
 import types
 
 import pytest
@@ -31,6 +37,7 @@ from repro.service.ops import FANOUT, NAME, OID, OPS, SESSION
 from repro.service.conn import Conn, admit
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.server import ServiceThread, TerpService
+from repro.service.sessions import Session, SessionManager
 from tests.service.rawwire import RawWire
 
 TYPED = {op.method for op in OPS.values() if op.method is not None}
@@ -147,29 +154,30 @@ GOLDEN_OID = Oid(3, 4096)
 GOLDEN_PAYLOAD = bytes(range(48))
 #: What the core sends for the cycle below: 12 ops in 11 frames (ops
 #: 8+9 share a batch frame), header + JSON body (+ sidecar length word
-#: + sidecar for the write) — 422 bytes.
+#: + sidecar for the write) — 336 bytes.  Each op is its row's index,
+#: and a trailing row default (``create``'s ``mode``) is left off.
 GOLDEN_FRAMES = [bytes.fromhex(frame) for frame in (
-    "0000001c5b312c2268656c6c6f222c342c22676f6c64656e222c3235302e305d",
-    "0000001f5b322c22637265617465222c22676f6c64222c343139343330342c3338"
-    "345d",
-    "000000185b332c22617474616368222c22676f6c64222c227277225d",
-    "000000175b342c22706d616c6c6f63222c22676f6c64222c36345d",
-    "800000265b352c227772697465222c3834343432343933303133363036342c7b22"
-    "62696e223a34387d5d00000030000102030405060708090a0b0c0d0e0f10111213"
-    "1415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f",
-    "000000215b362c2277726974655f753634222c3834343432343933303133363036"
-    "342c375d",
-    "000000125b372c227073796e63222c22676f6c64225d",
-    "0000003e5b5b382c2272656164222c3834343432343933303133363036342c3438"
-    "5d2c5b392c22726561645f753634222c3834343432343933303133363036345d5d",
-    "000000235b31302c227472616365222c352c6e756c6c2c22666f726365642d6465"
-    "74616368225d",
-    "000000145b31312c22646574616368222c22676f6c64225d",
-    "0000000e5b31322c22676f6f64627965225d",
+    "000000165b312c302c352c22676f6c64656e222c3235302e305d",
+    "000000145b322c372c22676f6c64222c343139343330345d",
+    "0000000d5b332c31312c22676f6c64225d",
+    "000000105b342c31332c22676f6c64222c36345d",
+    "800000215b352c31392c3834343432343933303133363036342c7b2262696e223a"
+    "34387d5d00000030000102030405060708090a0b0c0d0e0f101112131415161718"
+    "191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f",
+    "000000185b362c32312c3834343432343933303133363036342c375d",
+    "0000000d5b372c31342c22676f6c64225d",
+    "000000325b5b382c31382c3834343432343933303133363036342c34385d2c5b39"
+    "2c32302c3834343432343933303133363036345d5d",
+    "0000001d5b31302c342c352c6e756c6c2c22666f726365642d646574616368225d",
+    "0000000e5b31312c31322c22676f6c64225d",
+    "000000065b31322c315d",
 )]
-#: The same cycle's frame lengths on wire revision 2, whose JSON
-#: objects spelled ``"id"``, ``"op"``, ``"args"`` and every argument
-#: name: 801 bytes.
+#: The same cycle's frame lengths on wire revision 4, whose requests
+#: named their op and sent every default the typed method filled in:
+#: 422 bytes.
+NAMED_OP_FRAME_LENGTHS = [32, 35, 28, 27, 94, 37, 22, 66, 39, 24, 18]
+#: ... and on wire revision 2, whose JSON objects spelled ``"id"``,
+#: ``"op"``, ``"args"`` and every argument name: 801 bytes.
 OBJECT_FRAME_LENGTHS = [83, 75, 63, 60, 126, 70, 48, 120, 68, 50, 38]
 
 
@@ -274,10 +282,14 @@ def test_core_emits_the_parent_commits_request_frames():
     client.detach("gold")                                       # 11
     client.goodbye()                                            # 12
     assert client.sent == GOLDEN_FRAMES
-    # Values, not names: every frame shorter, the cycle under 480 B.
+    # Indices, not names: every frame shorter than revision 4's, which
+    # were all shorter than revision 2's.
+    assert all(len(frame) < before for frame, before
+               in zip(GOLDEN_FRAMES, NAMED_OP_FRAME_LENGTHS))
     assert all(len(frame) < before for frame, before
                in zip(GOLDEN_FRAMES, OBJECT_FRAME_LENGTHS))
-    assert sum(map(len, GOLDEN_FRAMES)) <= 480 < sum(OBJECT_FRAME_LENGTHS)
+    assert sum(map(len, GOLDEN_FRAMES)) == 336 < \
+        sum(NAMED_OP_FRAME_LENGTHS) == 422
     # Same bytes, fewer writes: the pipeline's two frames were one SEND.
     assert b"".join(client.sends) == b"".join(GOLDEN_FRAMES)
     assert len(client.sends) == len(GOLDEN_FRAMES) - 1
@@ -314,14 +326,14 @@ class ServedClient(ScriptedClient):
 
 
 #: What a daemon answers the cycle above with (its clock pinned, obs
-#: off): 12 results in 11 frames, the batch's two in one — 410 bytes.
+#: off): 12 results in 11 frames, the batch's two in one — 349 bytes.
+#: ``attach``'s and ``detach``'s outcome and reason are their indices.
 GOLDEN_REPLIES = [bytes.fromhex(frame) for frame in (
-    "000000405b312c5b342c312c313034383537372c3235302e302c22386262366631"
+    "000000405b312c5b352c312c313034383537372c3235302e302c22386262366631"
     "3461373134653966646334396636303534313838313861303062222c66616c7365"
     "5d5d",
     "000000165b322c5b312c22676f6c64222c343139343330345d5d",
-    "000000285b332c5b22706572666f726d6564222c226361736520313a2066697273"
-    "7420617474616368225d5d",
+    "000000095b332c5b302c305d5d",
     "000000155b342c5b3238313437343937363937323838305d5d",
     "000000085b352c5b34385d5d",
     "0000000a5b362c5b747275655d5d",
@@ -332,14 +344,16 @@ GOLDEN_REPLIES = [bytes.fromhex(frame) for frame in (
     "000000445b31302c5b7b227370616e73223a5b5d2c226175646974223a5b5d2c22"
     "6f70656e5f77696e646f7773223a5b5d2c226e6f775f6e73223a31303030303030"
     "3030307d5d5d",
-    "000000285b31312c5b2273696c656e74222c226361736520363a2064656c617965"
-    "6420646574616368225d5d",
+    "0000000a5b31312c5b312c325d5d",
     "000000085b31322c5b305d5d",
 )]
-#: The same daemon's replies on wire revision 3, whose results were
-#: objects naming every field (and ``attach``'s spelled its base VA):
-#: 581 bytes.  ``trace`` (10) alone grew: its answer now carries the
-#: clock it was read at.
+#: The same daemon's replies on wire revision 4, whose outcomes and
+#: reasons were their texts: 410 bytes.
+TEXT_REPLY_LENGTHS = [68, 26, 44, 25, 12, 14, 11, 82, 72, 44, 12]
+#: ... and on wire revision 3, whose results were objects naming every
+#: field (and ``attach``'s spelled its base VA): 581 bytes.
+#: ``trace`` (10) alone grew: its answer now carries the clock it was
+#: read at.
 NAMED_REPLY_LENGTHS = [130, 46, 89, 31, 16, 24, 21, 88, 50, 63, 23]
 
 
@@ -364,11 +378,15 @@ def test_a_daemon_answers_the_cycle_with_the_recorded_replies():
     client.detach("gold")
     client.goodbye()
     assert client.replies == GOLDEN_REPLIES
+    # Only the closed vocabularies shrank: attach's and detach's.
+    assert [len(reply) < before for reply, before in zip(
+        GOLDEN_REPLIES, TEXT_REPLY_LENGTHS)] == \
+        [False] * 2 + [True] + [False] * 6 + [True, False]
     assert [len(reply) < before for reply, before in zip(
         GOLDEN_REPLIES, NAMED_REPLY_LENGTHS)] == [True] * 8 + [False] + \
         [True] * 2
-    assert sum(map(len, GOLDEN_REPLIES)) == 410 < \
-        sum(NAMED_REPLY_LENGTHS) == 581
+    assert sum(map(len, GOLDEN_REPLIES)) == 349 < \
+        sum(TEXT_REPLY_LENGTHS) == 410 < sum(NAMED_REPLY_LENGTHS) == 581
 
 
 # -- the dict a handler returns is the dict a caller gets ---------------------
@@ -571,6 +589,164 @@ def test_both_front_doors_read_trace_args_by_the_row(monkeypatch):
                        conn, OPS["trace"], {"limit": -1}))):
         with pytest.raises(ValueError, match="negative"):
             answer()
+
+
+# -- count budget: what each row costs on the wire -----------------------------
+
+#: Every row's request body as the core sends it (rid 1, the row's
+#: :data:`CALL_ARGS`; ``hello`` as a fresh session says it) and its
+#: result body as a daemon lays :data:`RESULTS` out.
+ROW_BYTES = {
+    "hello": ('[1,0,5,"golden"]',
+              '[1,[5,1,1048577,250.0,"abababababababababababababababab",'
+              'false]]'),
+    "goodbye": ('[1,1]', '[1,[1]]'),
+    "ping": ('[1,2]', '[1,[1000000000,2]]'),
+    "metrics": ('[1,3]',
+                '[1,[{"global":{"requests":3},"runtime":{"calls":1}}]]'),
+    "trace": ('[1,4]', '[1,[{"spans":[],"audit":[],"open_windows":[],'
+                       '"now_ns":1000000000}]]'),
+    "prometheus": ('[1,5]', '[1,["terpd_up 1\\n"]]'),
+    "repl_status": ('[1,6]', '[1,[{"enabled":false}]]'),
+    "create": ('[1,7,"gold",64]', '[1,[3,"gold",4194304]]'),
+    "open": ('[1,8,"gold"]', '[1,[3,"gold",4194304]]'),
+    "close": ('[1,9,"gold"]', '[1,[3]]'),
+    "destroy": ('[1,10,"gold"]', '[1,["gold"]]'),
+    "attach": ('[1,11,"gold"]', '[1,[0,0]]'),
+    "detach": ('[1,12,"gold"]', '[1,[0,1]]'),
+    "pmalloc": ('[1,13,"gold",64]', '[1,[844424930136064]]'),
+    "psync": ('[1,14,"gold"]', '[1,[1]]'),
+    "tx_begin": ('[1,15,"gold"]', '[1,[1]]'),
+    "tx_abort": ('[1,16,"gold"]', '[1,[true]]'),
+    "pfree": ('[1,17,844424930136064]', '[1,[true]]'),
+    "read": ('[1,18,844424930136064,48]', '[1,[{"bin":48}]]'),
+    "write": ('[1,19,844424930136064,{"bin":48}]', '[1,[48]]'),
+    "read_u64": ('[1,20,844424930136064]', '[1,[7]]'),
+    "write_u64": ('[1,21,844424930136064,7]', '[1,[true]]'),
+}
+#: Every event kind's event, as the third element of a reply carries
+#: it (:func:`_forced`, its reason one of ``REASONS``).
+EVENT_BYTES = {"forced-detach": '[0,"lost-1",1,1000000001,9]'}
+
+
+def test_every_row_costs_its_recorded_bytes():
+    args = dict(CALL_ARGS, hello={"version": PROTOCOL_VERSION,
+                                  "user": "golden"})
+    assert set(ROW_BYTES) == set(OPS)
+    for op, (request, result) in ROW_BYTES.items():
+        payload, _ = ClientCore._prep(1, op, args[op])
+        assert protocol.encode_body(payload).decode() == request, op
+        response, _ = _answer(payload)
+        assert protocol.encode_body(response).decode() == result, op
+
+
+def test_every_event_kind_costs_its_recorded_bytes():
+    assert set(EVENT_BYTES) == set(ops.EVENTS)
+    event = dict(_forced(1), reason="session EW budget elapsed")
+    (carried,) = protocol.ok_response(1, [0], [event])[2]
+    assert protocol.encode_body(carried).decode() == \
+        EVENT_BYTES["forced-detach"]
+    assert protocol.named_events([carried]) == [event]
+
+
+#: One ``mem_cycle`` cycle, both ways: what its 12 request frames and
+#: 12 reply frames (64-byte payloads on their sidecars) add up to.
+#: Wire revision 4 spent 989 + 288 = 1 277 bytes on it: 10.6 more per
+#: op.
+MEM_CYCLE_BYTES = (923, 227)
+
+
+def test_a_mem_cycle_costs_its_recorded_bytes():
+    """attach, a pipeline of 8 × 64 B writes, psync, a 64 B read and
+    detach — the ``mem_cycle`` tenant's cycle, rids 4 to 15 — sent by
+    the core and answered by a daemon's serve loop."""
+    client = ServedClient(TerpService(port=0, obs_enabled=False))
+    client.connect()
+    client.create("mem", MIB)
+    oid = client.pmalloc("mem", 64).pack()
+    del client.sent[:], client.replies[:]
+    client.attach("mem")
+    client.pipeline([("write", {"oid": oid, "data": bytes([n]) * 64})
+                     for n in range(8)])
+    client.psync("mem")
+    assert client.call("read", oid=oid, n=64)["data"] == bytes([7]) * 64
+    client.detach("mem")
+    assert (len(client.sent), len(client.replies)) == (12, 12)
+    assert (sum(map(len, client.sent)), sum(map(len, client.replies))) \
+        == MEM_CYCLE_BYTES
+
+
+def _reason_texts():
+    """Every fixed text the daemon can give as an attach/detach
+    result's or a forced-detach event's ``reason``, read off the
+    source: the arch engine's non-error attach and detach decisions
+    (not its sweep's, which no result carries); every result or
+    event dict the service builds; and every argument a session's
+    ``reason``-taking method is called with (a local ``reason`` by the
+    texts assigned to it)."""
+    src = pathlib.Path(inspect.getfile(TerpService)).parents[1]
+
+    def texts(node):
+        return {n.value for n in ast.walk(node)
+                if isinstance(n, ast.Constant) and type(n.value) is str}
+
+    found = set()
+    engine = ast.parse((src / "arch" / "cond_engine.py").read_text())
+    calls = [call for fn in ast.walk(engine)
+             if isinstance(fn, ast.FunctionDef) and
+             fn.name in ("attach", "detach") for call in ast.walk(fn)]
+    for call in calls:
+        if isinstance(call, ast.Call) and getattr(
+                call.func, "id", None) == "Decision" and \
+                ast.unparse(call.args[0]) in (
+                    "Outcome.PERFORMED", "Outcome.SILENT"):
+            found |= {text for kw in call.keywords if kw.arg == "reason"
+                      for text in texts(kw.value)}
+    taking = {}
+    for cls in (Session, SessionManager):
+        for name, fn in inspect.getmembers(cls, inspect.isfunction):
+            params = list(inspect.signature(fn).parameters)
+            if "reason" in params:
+                taking[name] = params.index("reason") - 1   # self
+    for path in [*sorted((src / "service").glob("*.py")),
+                 src / "cluster" / "router.py"]:
+        tree = ast.parse(path.read_text())
+        local = set().union(*(
+            texts(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "reason"
+                for target in node.targets)))
+        for node in ast.walk(tree):
+            given = []
+            if isinstance(node, ast.Dict):
+                keys = [getattr(key, "value", None) for key in node.keys]
+                if "outcome" in keys or "event" in keys:
+                    given += [value for key, value in zip(keys, node.values)
+                              if key == "reason"]
+            elif isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", None) in taking:
+                given += [kw.value for kw in node.keywords
+                          if kw.arg == "reason"]
+                at = taking[node.func.attr]
+                given += node.args[at:at + 1]
+            for value in given:
+                found |= local if getattr(value, "id", None) == "reason" \
+                    else texts(value)
+    return found
+
+
+def test_every_fixed_reason_travels_as_its_index():
+    """A reason missing from ``REASONS`` would still arrive — as text,
+    and the saving with it would be gone without a test noticing."""
+    found = _reason_texts()
+    # The probe finds what it must: the engine's cases, the daemon's
+    # own outcome and the sweeper's, drop's and recovery's reasons.
+    assert {"case 1: first attach", "case 6: delayed detach",
+            "already force-detached by sweeper",
+            "session EW budget elapsed", "connection lost",
+            "daemon restart"} <= found
+    assert found - set(ops.REASONS) == set()
+    assert len(set(ops.REASONS)) == len(ops.REASONS)
 
 
 # -- one behaviour, two transports ---------------------------------------------

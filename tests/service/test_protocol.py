@@ -2,13 +2,16 @@
 the binary sidecar.
 
 The contract under test: a frame carries values, not names — a request
-is ``[rid, op, v1, …]`` in its ``OPS`` row's ``params`` order, a
-response ``[rid, outcome(, events)]``, a batch an array of either;
+is ``[rid, op_index, v1, …]`` in its ``OPS`` row's ``params`` order, a
+response ``[rid, outcome(, events)]``, a batch an array of either, and
+a name from a closed table (op, event kind, outcome, reason) its index
+there;
 client and server move PMO data as raw bytes in a frame sidecar (zero
 base64), and every ``{"bin": n}`` marker takes its bytes whether or
 not its request is refused; a ``hello`` that offers any revision but
-the current one — an absent ``version`` is v1 — or an object-shaped
-frame is refused with a typed error; and a truncated or short-counted
+the current one — an absent ``version`` is v1 — an op sent by name
+(revision 4 and before) or an object-shaped frame is refused with a
+typed error; and a truncated or short-counted
 sidecar is a typed :class:`WireError`, never a hang.
 """
 
@@ -26,6 +29,7 @@ from repro.service.client import (
 from repro.service.protocol import (
     HEADER, MAX_FRAME_BYTES, PROTOCOL_VERSION, SIDECAR_FLAG, WireError,
     decode_frame, encode_frame)
+from repro.service.ops import OP_INDEX, REASONS
 from tests.service.rawwire import RawWire, Reply
 
 
@@ -73,7 +77,7 @@ class TestAsyncStreamFraming:
         frame = encode_frame(protocol.request(1, "ping"))
         # Byte-at-a-time delivery must still reassemble the frame.
         result = self._read(*[frame[i:i + 1] for i in range(len(frame))])
-        assert result == [1, "ping"]
+        assert result == [1, OP_INDEX["ping"]]
 
     def test_read_frame_eof_is_none(self):
         assert self._read() is None
@@ -108,15 +112,26 @@ class TestBlockingSocketFraming:
 
 class TestShapes:
     def test_request_lays_values_out_in_params_order(self):
-        # Defaults are the caller's business: only what is given goes.
+        # The op is its row's index; the values follow in row order.
+        attach, trace = OP_INDEX["attach"], OP_INDEX["trace"]
+        assert (attach, trace) == (11, 4)
         assert protocol.request(1, "attach", {"access": "r", "name": "p"}) \
-            == [1, "attach", "p", "r"]
-        # Trailing values not given are dropped, interior ones are null.
+            == [1, attach, "p", "r"]
+        # Trailing values not given, or equal to their row default, are
+        # dropped; interior ones not given are null.
+        assert protocol.request(1, "attach", {"access": "rw", "name": "p"}) \
+            == [1, attach, "p"]
         assert protocol.request(2, "trace", {"limit": 5, "kind": "k"}) == \
-            [2, "trace", 5, None, "k"]
+            [2, trace, 5, None, "k"]
         assert protocol.request(3, "trace", {"limit": 5, "pmo": None}) == \
-            [3, "trace", 5]
-        assert protocol.request(4, "ping") == [4, "ping"]
+            [3, trace, 5]
+        assert protocol.request(3, "trace", {"limit": 100}) == [3, trace]
+        assert protocol.request(4, "ping") == [4, OP_INDEX["ping"]]
+        # An op no row names goes as given, for the peer to refuse.
+        assert protocol.request(5, "wirte") == [5, "wirte"]
+        assert protocol.head([5, trace, 5]) == (5, "trace")
+        assert protocol.head([5, "trace"]) == (5, None)
+        assert protocol.head([5, len(OP_INDEX)]) == (5, None)
 
     def test_request_refuses_an_undeclared_name(self):
         with pytest.raises(TypeError, match="acess"):
@@ -129,8 +144,19 @@ class TestShapes:
         event = {"event": "forced-detach", "pmo": "p", "pmo_id": 3,
                  "at_ns": 50, "reason": "budget"}
         response = protocol.ok_response(1, [64], [event])
-        assert response[2] == [["forced-detach", "p", 3, 50, "budget"]]
+        # The kind is its EVENTS row's index; a reason no table holds
+        # travels as its text, one the table holds as its index.
+        assert response[2] == [[0, "p", 3, 50, "budget"]]
         assert protocol.named_events(response[2]) == [event]
+        tabled = dict(event, reason="session EW budget elapsed")
+        response = protocol.ok_response(1, [64], [tabled])
+        assert response[2] == [[0, "p", 3, 50, 9]]
+        assert protocol.named_events(response[2]) == [tabled]
+        for bad in ([[1, "p", 3, 50, 9]], [["forced-detach", "p", 3, 50,
+                                            9]],
+                    [[0, "p", 3, 50, len(REASONS)]], [[0, "p", 3, 50]]):
+            with pytest.raises(WireError):
+                protocol.named_events(bad)
 
     def test_a_result_is_its_rows_values(self):
         assert protocol.response(4, "write", {"n": 64}) == [4, [64]]
@@ -141,8 +167,19 @@ class TestShapes:
         assert protocol.named_result("ping", [9, 2]) == \
             {"now_ns": 9, "sessions": 2}
         assert protocol.named_result("metrics", [report]) is report
+        # An outcome is its index in ``Outcome``, a reason its index in
+        # ``REASONS`` — or its text, when the table does not hold it.
+        attached = {"outcome": "performed", "reason": "case 1: first attach"}
+        assert protocol.response(7, "attach", attached) == [7, [0, 0]]
+        assert protocol.named_result("attach", [0, 0]) == attached
+        odd = {"outcome": "silent", "reason": "made up at run time"}
+        assert protocol.response(8, "detach", odd) == \
+            [8, [1, "made up at run time"]]
+        assert protocol.named_result("detach", [1, "made up at run time"]) \
+            == odd
         for op, values in (("ping", [9]), ("ping", {"now_ns": 9}),
-                           ("no-such-op", [1])):
+                           ("no-such-op", [1]), ("attach", [0, 99]),
+                           ("attach", [-1, 0])):
             with pytest.raises(WireError):
                 protocol.named_result(op, values)
 
@@ -192,13 +229,14 @@ class TestNegotiation:
 
     def test_v1_hello_is_rejected_with_typed_error(self, terpd):
         # An old client omits "version" entirely (that *is* v1), or
-        # offers 1, 2 or 3 outright; a future one might offer 5.  Each
+        # offers 1 to 4 outright; a future one might offer 6.  Each
         # gets the typed refusal, the connection stays in sync, and the
         # same connection may still say a proper hello afterwards.
         with RawWire(terpd.bound_port) as wire:
             for rid, offer in enumerate(({}, {"version": 1},
                                          {"version": 2}, {"version": 3},
-                                         {"version": 5}), start=1):
+                                         {"version": 4}, {"version": 6}),
+                                        start=1):
                 response, sidecar = wire.exchange(
                     rid, "hello", dict(offer, user="old"))
                 assert response.rid == rid and sidecar == b""
@@ -206,6 +244,20 @@ class TestNegotiation:
                 assert kind == "TerpError"
                 assert (f"protocol version {offer.get('version')} "
                         "unsupported") in message
+            # A revision-4 client names its op: its hello is refused by
+            # the version it offers, any other op by name alike.  An
+            # index no row has is an unknown op.
+            for frame, expected in (
+                    ([20, "hello", 4, "old"],
+                     ("TerpError", "protocol version 4 unsupported")),
+                    ([21, "ping"], ("TerpError", "protocol version <5")),
+                    ([22, len(OP_INDEX)],
+                     ("WireError", f"unknown op {len(OP_INDEX)}"))):
+                wire.send(frame)
+                response, _ = wire.recv()
+                kind, message = response.error
+                assert response.rid == frame[0] and kind == expected[0]
+                assert message.startswith(expected[1]), message
             # A v2 client's frame is an object: refused the same way,
             # however it spells its hello.
             wire.send({"id": 8, "op": "hello",
@@ -283,10 +335,10 @@ class TestSidecarTraffic:
             oid = attached(wire, "undeclared", attach=False)
             # attach declares (name, access): a third value is refused
             # before anything runs, alone and inside a batch.
-            wire.send([10, "attach", "undeclared", "r", "extra"])
+            wire.send([10, OP_INDEX["attach"], "undeclared", "r", "extra"])
             kind, message = wire.recv()[0].error
             assert kind == "BadRequest" and "takes 2 values" in message
-            wire.send([[11, "attach", "undeclared", "r", "extra"],
+            wire.send([[11, OP_INDEX["attach"], "undeclared", "r", "extra"],
                        protocol.request(12, "ping")])
             (refused, pong), _ = wire.recv()
             assert refused.error[0] == "BadRequest" and pong.ok

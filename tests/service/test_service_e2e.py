@@ -316,6 +316,10 @@ class TestLifecycleAndCli:
             assert err.value.kind == "BadRequest"
             assert "now_ns" in client.ping()
 
+    # No sweep may run: one that found a window open (attached longer
+    # than the EW target, not yet detached) would put a ``sweep`` event
+    # among the newest.
+    @pytest.mark.sweep_period_ns(600_000_000_000)
     def test_trace_limit_is_the_newest_n_of_the_whole_service(self, terpd):
         """Behind a router too: ``limit`` caps the merged reply, not
         each shard's part of it (two shards answered ``limit=2`` with

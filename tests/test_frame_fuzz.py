@@ -4,19 +4,21 @@ The client wire (``protocol.FrameSplitter`` + ``decode_frame``) and the
 replication link (``replication.wire.recv_msg``) share one frame
 layout.  Each is fed the same streams — frames with arbitrary JSON
 bodies and sidecars, replication rows with right and wrong values, and
-raw bytes — cut at arbitrary points.  A decoder may hand out a frame,
-``None`` (more to come, or a clean end), or its typed error; nothing
-else.  A replication message it hands out fills its row.
+raw bytes — cut at arbitrary points — and a body nested deeper than
+the JSON parser goes.  A decoder may hand out a frame, ``None`` (more
+to come, or a clean end), or its typed error; nothing else.  A
+replication message it hands out fills its row.
 """
 
 import socket
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.replication.wire import MESSAGES, ReplicationWireError, recv_msg
-from repro.service.protocol import FrameSplitter, WireError, decode_frame
-from tests.replication.test_wire import raw_frame
+from repro.service.protocol import (
+    HEADER, FrameSplitter, WireError, decode_frame)
+from tests.replication.test_wire import raw_frame, row
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2**40, 2**40)
@@ -31,13 +33,15 @@ TYPED = {int: st.integers(-2**40, 2**40), bool: st.booleans(),
 ROWS = st.sampled_from(sorted(MESSAGES)).flatmap(
     lambda kind: st.tuples(*(TYPED[typ] | JSON
                              for _, typ in MESSAGES[kind])).map(
-        lambda values: [kind, *values]))
+        lambda values: row(kind, *values)))
 FRAMES = st.builds(raw_frame, ROWS | JSON, st.binary(max_size=48))
 STREAMS = st.lists(FRAMES | st.binary(max_size=24), max_size=4).map(
     b"".join)
 CUTS = st.lists(st.integers(0, 512), max_size=4)
 
 FUZZ = settings(max_examples=100, deadline=None)
+#: A body nested deeper than the JSON parser recurses: 100 000 ``[``.
+DEEP = HEADER.pack(100_000) + b"[" * 100_000
 
 
 def pieces(stream, cuts):
@@ -48,6 +52,7 @@ def pieces(stream, cuts):
 
 @FUZZ
 @given(STREAMS, CUTS)
+@example(DEEP, [])
 def test_the_client_decoder_gives_frames_or_a_wire_error(stream, cuts):
     splitter = FrameSplitter()
     try:
@@ -65,6 +70,7 @@ def test_the_client_decoder_gives_frames_or_a_wire_error(stream, cuts):
 
 @FUZZ
 @given(STREAMS, CUTS)
+@example(DEEP, [])
 def test_the_replication_decoder_gives_rows_or_its_error(stream, cuts):
     a, b = socket.socketpair()
     try:
@@ -81,3 +87,4 @@ def test_the_replication_decoder_gives_rows_or_its_error(stream, cuts):
         pass
     finally:
         a.close(), b.close()
+
