@@ -505,7 +505,7 @@ class TerpRouter:
         # answers.
         parts: List[Any] = [None] * len(items)
         chunks: List[bytes] = [b""] * len(items)
-        by_shard: Dict[int, List[Tuple[int, Any, bytes]]] = {}
+        by_shard: Dict[int, List[Tuple[int, Op, Any, bytes]]] = {}
         for index, item in enumerate(items):
             start = len(sidecar) - bins.remaining
             try:
@@ -528,10 +528,11 @@ class TerpRouter:
             # cluster census.
             shard = self._home_shard(conn) if spec.route == FANOUT \
                 else self._route(spec, args, conn)
-            by_shard.setdefault(shard, []).append((index, item, take))
+            by_shard.setdefault(shard, []).append(
+                (index, spec, item, take))
 
         async def run_shard(shard: int,
-                            grouped: List[Tuple[int, Any, bytes]]):
+                            grouped: List[Tuple[int, Op, Any, bytes]]):
             async def merge(rbody: bytes, rside: bytes) -> None:
                 responses = protocol.decode_frame(rbody)
                 if not isinstance(responses, list) or \
@@ -541,16 +542,18 @@ class TerpRouter:
                         f"{len(grouped)} with "
                         f"{len(responses) if isinstance(responses, list) else 1}")
                 reply_bins = protocol.BinReader(rside)
-                for (index, _, _), response in zip(grouped, responses):
-                    n = sum(n for *_, n in protocol.bin_slots(response))
+                for (index, spec, _, _), response in zip(grouped,
+                                                         responses):
+                    # The item's row finds its result's byte count.
+                    _, n = protocol.bin_result(spec, response)
                     if n:
                         chunks[index] = reply_bins.take(n)
                     parts[index] = protocol.encode_body(response)
 
             up = await self._upstream(conn, shard)
             await up.relay([protocol.frame_from_body(
-                protocol.encode_body([item for _, item, _ in grouped]),
-                b"".join(chunk for _, _, chunk in grouped) or None)],
+                protocol.encode_body([item for *_, item, _ in grouped]),
+                b"".join(chunk for *_, chunk in grouped) or None)],
                 merge)
 
         if by_shard:

@@ -3,9 +3,9 @@
 The shipper and applier speak on their own socket — never a client
 connection, so replication traffic cannot starve (or be starved by)
 request traffic — but in the client wire's one frame layout
-(:mod:`repro.service.protocol`, with its bounds)::
+(:mod:`repro.service.protocol`: its head codec and its bounds)::
 
-    u32be (SIDECAR_FLAG | body_len) | body | u32be sidecar_len | sidecar
+    varint(body_len << 1 | has_sidecar) [varint(sidecar_len)] | body | sidecar
 
 The body is ``[kind_index, v1, …]``: the kind as its row's position
 in :data:`MESSAGES` — a closed vocabulary travels as its index, on this
@@ -30,16 +30,16 @@ from repro.core.errors import TerpError
 from repro.core.iov import write_gathered
 from repro.obs.ring import dumps
 from repro.service.ops import entry
-from repro.service.protocol import (
-    HEADER, LEN_MASK, MAX_FRAME_BYTES, MAX_SIDECAR_BYTES, SIDECAR_FLAG)
+from repro.service.protocol import WireError, pack_head, parse_head
 
 __all__ = ["ReplicationWireError", "MESSAGES", "send_msg", "recv_msg",
            "Buffer", "REPL_PROTOCOL_VERSION"]
 
 #: Replication protocol revision (independent of the client protocol).
 #: v3 laid messages out by their :data:`MESSAGES` row in the client
-#: wire's frame; v4 sends the kind as its row's index.
-REPL_PROTOCOL_VERSION = 4
+#: wire's frame; v4 sends the kind as its row's index; v5 frames with
+#: the client wire's varint head.
+REPL_PROTOCOL_VERSION = 5
 
 #: Every message of the link: its kind, then its fields in wire order,
 #: each with the JSON type its value must decode to.  A payload, where
@@ -102,14 +102,11 @@ def send_msg(sock: socket.socket, message: Dict[str, Any],
     body = dumps([_KIND_INDEX[kind], *(message[name] for name in names)])
     parts: List[Buffer] = [payload] if isinstance(
         payload, (bytes, bytearray, memoryview)) else list(payload)
-    side = sum(map(len, parts))
-    if len(body) > MAX_FRAME_BYTES or side > MAX_SIDECAR_BYTES:
-        raise ReplicationWireError(
-            f"a {kind!r} frame of {len(body)} + {side} bytes exceeds "
-            f"the {MAX_FRAME_BYTES} + {MAX_SIDECAR_BYTES}-byte bounds")
-    parts.insert(0, HEADER.pack(len(body) | SIDECAR_FLAG) + body
-                 + HEADER.pack(side) if side else
-                 HEADER.pack(len(body)) + body)
+    try:
+        head = pack_head(len(body), sum(map(len, parts)))
+    except WireError as exc:
+        raise ReplicationWireError(f"a {kind!r} frame: {exc}") from None
+    parts.insert(0, head + body)
     write_gathered(sock.sendmsg, parts)
 
 
@@ -121,14 +118,11 @@ def _recv_into(sock: socket.socket, view: memoryview) -> int:
     return got
 
 
-def _recv_part(sock: socket.socket, size: int, bound: int) -> memoryview:
-    """The frame's next ``size`` bytes, refused past ``bound``.  Past
-    :data:`_EAGER_BYTES` they are received into an anonymous mapping,
-    whose pages become resident only as bytes arrive: a length word
-    alone commits no memory, whatever it announces."""
-    if size > bound:
-        raise ReplicationWireError(
-            f"replication frame part of {size} bytes exceeds {bound}")
+def _recv_part(sock: socket.socket, size: int) -> memoryview:
+    """The frame's next ``size`` bytes.  Past :data:`_EAGER_BYTES` they
+    are received into an anonymous mapping, whose pages become
+    resident only as bytes arrive: a head alone commits no memory,
+    whatever it announces."""
     view = memoryview(bytearray(size) if size <= _EAGER_BYTES else
                       mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE))
     if _recv_into(sock, view) < size:
@@ -159,18 +153,25 @@ def _message(body: memoryview) -> Dict[str, Any]:
 def recv_msg(sock: socket.socket
              ) -> Optional[Tuple[Dict[str, Any], memoryview]]:
     """Receive one message; ``None`` on orderly EOF at a frame
-    boundary.  The payload is a view of the buffer the sidecar was
-    received into (empty when the frame has none)."""
-    word = memoryview(bytearray(HEADER.size))
-    got = _recv_into(sock, word)
-    if not got:
-        return None
-    if got < HEADER.size:
-        raise ReplicationWireError("connection died mid-frame")
-    (length,) = HEADER.unpack(word)
-    body = _recv_part(sock, length & LEN_MASK, MAX_FRAME_BYTES)
-    payload = memoryview(b"")
-    if length & SIDECAR_FLAG:
-        (side,) = HEADER.unpack(_recv_part(sock, HEADER.size, HEADER.size))
-        payload = _recv_part(sock, side, MAX_SIDECAR_BYTES)
-    return _message(body), payload
+    boundary.  The head is taken as far as it tells its own length
+    (:func:`~repro.service.protocol.parse_head`), so both bounds are
+    checked before a byte of the body is waited for.  The payload is a
+    view of the buffer the sidecar was received into (empty when the
+    frame has none)."""
+    head = bytearray()
+    try:
+        while True:
+            size, body, side = parse_head(head)
+            if body >= 0:
+                break
+            more = bytearray(size - len(head))
+            got = _recv_into(sock, memoryview(more))
+            if not head and not got:
+                return None
+            if got < len(more):
+                raise ReplicationWireError("connection died mid-frame")
+            head += more
+    except WireError as exc:
+        raise ReplicationWireError(str(exc)) from None
+    message = _message(_recv_part(sock, body))
+    return message, _recv_part(sock, side) if side else memoryview(b"")

@@ -138,33 +138,40 @@ class ClientCore:
         """One request array plus its sidecar bytes.  The op table
         orders the values and names the one whose ``bytes`` leave the
         JSON for the sidecar; the caller's dict is never mutated, so a
-        retry re-preps the same request."""
+        retry re-preps the same request.  That value must be bytes: its
+        slot carries their count, so anything else would be read as a
+        count and take the bytes of a later request in the frame."""
         spec = OPS.get(op)
         field = spec.bin_arg if spec is not None else None
         data = args.get(field) if field is not None else None
-        if not isinstance(data, (bytes, bytearray, memoryview)):
+        if data is None:
             return protocol.request(rid, op, args), b""
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise TypeError(f"op {op!r} sends {field!r} as bytes, not "
+                            f"{type(data).__name__}")
         return protocol.request(
-            rid, op, dict(args, **{field: {"bin": len(data)}})), \
-            bytes(data)
+            rid, op, dict(args, **{field: len(data)})), bytes(data)
 
     @staticmethod
-    def _decode(got: Optional[Tuple[bytes, bytes]]) -> Any:
-        """A received frame's payload, sidecar folded in; ``None`` on
-        EOF.  A torn frame (e.g. the server died mid-write) is a
-        connection failure, not a protocol dispute."""
+    def _decode(got: Optional[Tuple[bytes, bytes]]
+                ) -> Tuple[Any, protocol.BinReader]:
+        """A received frame's payload and a cursor over its sidecar,
+        which :meth:`take_result` takes each result's bytes off;
+        ``None`` for the payload on EOF.  A torn frame (e.g. the server
+        died mid-write) is a connection failure, not a protocol
+        dispute."""
         if got is None:
-            return None
+            return None, protocol.BinReader(b"")
         try:
-            # Absorbed even when empty: a zero-byte read's slot still
-            # holds its marker.
-            return protocol.absorb_sidecar(protocol.decode_frame(got[0]),
-                                           got[1])
+            return (protocol.decode_frame(got[0]),
+                    protocol.BinReader(got[1]))
         except WireError as exc:
             raise ConnectionLost(str(exc)) from exc
 
-    def take_result(self, response: Any, expect_id: int, op: str) -> Any:
-        """The result of ``op``'s response, named again by its row; a
+    def take_result(self, response: Any, expect_id: int, op: str,
+                    bins: protocol.BinReader) -> Any:
+        """The result of ``op``'s response, named again by its row, its
+        binary slot's bytes taken off ``bins`` (the frame's sidecar); a
         refusal raises :class:`RemoteError`.  Either way, the events it
         carried join :attr:`events` first."""
         if response is None:
@@ -181,13 +188,20 @@ class ClientCore:
         outcome = response[1]
         if isinstance(outcome, str):
             raise RemoteError(*protocol.error_of(outcome))
+        try:
+            # Absorbed even when empty: a zero-byte read's slot still
+            # holds its count.
+            protocol.absorb(op, response, bins)
+        except WireError as exc:
+            raise ConnectionLost(str(exc)) from exc
         return protocol.named_result(op, outcome)
 
-    def _outcome(self, response: Any, rid: int, op: str) -> Any:
+    def _outcome(self, response: Any, rid: int, op: str,
+                 bins: protocol.BinReader) -> Any:
         """:meth:`take_result`, with an error *response* returned as a
         value: the slot was answered, later slots must still be read."""
         try:
-            return self.take_result(response, rid, op)
+            return self.take_result(response, rid, op, bins)
         except ConnectionLost:
             raise
         except RemoteError as exc:
@@ -201,8 +215,8 @@ class ClientCore:
             rid, "hello", dict(extra, version=protocol.PROTOCOL_VERSION,
                                user=self._user,
                                ew_budget_us=self._budget)))
-        result = self.take_result(self._decode((yield (RECV,))), rid,
-                                  "hello")
+        response, bins = self._decode((yield (RECV,)))
+        result = self.take_result(response, rid, "hello", bins)
         self.session_id = result["session"]
         self.entity_id = result["entity"]
         self.ew_budget_us = result["ew_budget_us"]
@@ -273,9 +287,10 @@ class ClientCore:
                         protocol.encode_frame(*self._prep(*item))
                         for item in items[len(outcomes):]])
                     while len(outcomes) < len(items):
-                        outcomes.append(self._outcome(
-                            self._decode((yield (RECV,))),
-                            *items[len(outcomes)][:2]))
+                        response, bins = self._decode((yield (RECV,)))
+                        rid, op, _ = items[len(outcomes)]
+                        outcomes.append(
+                            self._outcome(response, rid, op, bins))
             except ConnectionLost:
                 yield (CLOSE,)
                 if breaker is not None:
@@ -315,15 +330,15 @@ class ClientCore:
         yield SEND, protocol.encode_frame(
             [payload for payload, _ in prepped],
             b"".join(sidecar for _, sidecar in prepped) or None)
-        responses = self._decode((yield (RECV,)))
+        responses, bins = self._decode((yield (RECV,)))
         if responses is None:
             raise ConnectionLost(
                 "server closed before the batch response")
         if not isinstance(responses, list) or \
                 len(responses) != len(items):
             raise WireError("batch response shape mismatch")
-        outcomes[:] = [self._outcome(response, rid, op) for response,
-                       (rid, op, _) in zip(responses, items)]
+        outcomes[:] = [self._outcome(response, rid, op, bins) for
+                       response, (rid, op, _) in zip(responses, items)]
 
     def _call(self, op: str, args: Dict[str, Any],
               finish: Callable[[Any], Any] = lambda result: result

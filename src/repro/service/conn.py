@@ -55,21 +55,23 @@ def admit(request: Any, bins: protocol.BinReader, *,
     op_index, v1, …]`` becomes the row and its args, named in
     ``params`` order, a ``null`` (not given) or a value left off
     standing for its row default, if it has one, and left out if not.
-    Every ``{"bin": n}`` value takes its bytes off ``bins`` before
-    anything can refuse the request, so the next request in the frame
-    reads its own."""
-    if isinstance(request, dict):
-        raise TerpError(f"protocol version <{PROTOCOL_VERSION} (an "
-                        "object frame) unsupported; server speaks "
-                        f"{PROTOCOL_VERSION}")
-    if not isinstance(request, list) or len(request) < 2:
-        raise WireError("request must be an array [id, op, ...]")
-    values = [bins.take(protocol.bin_length(value))
-              if isinstance(value, dict) else value
-              for value in request[2:]]
-    op = request[1]
-    spec = op_row(op)
+    The row's ``bin_arg`` slot holds a byte count, whose bytes are
+    taken off ``bins`` before anything else can refuse the request, so
+    the next request in the frame reads its own; a request whose count
+    cannot be read — no row, or not a count — loses ``bins`` for the
+    rest of the frame."""
+    spec = op_row(request[1]) if isinstance(request, list) and \
+        len(request) > 1 else None
     if spec is None:
+        bins.lose("an earlier request had no row to find its byte "
+                  "count by")
+        if isinstance(request, dict):
+            raise TerpError(f"protocol version <{PROTOCOL_VERSION} (an "
+                            "object frame) unsupported; server speaks "
+                            f"{PROTOCOL_VERSION}")
+        if not isinstance(request, list) or len(request) < 2:
+            raise WireError("request must be an array [id, op, ...]")
+        op, values = request[1], request[2:]
         if isinstance(op, str) and op in OPS:
             # An op sent by name: revision 4 and before.  A hello
             # says which.
@@ -78,6 +80,17 @@ def admit(request: Any, bins: protocol.BinReader, *,
             raise TerpError(f"protocol version {offered} unsupported; "
                             f"server speaks {PROTOCOL_VERSION}")
         raise WireError(f"unknown op {op!r}")
+    values = request[2:]
+    at = spec.bin_param
+    if at is not None:
+        try:
+            values[at] = bins.take(protocol.bin_length(
+                values[at] if at < len(values) else None))
+        except WireError:
+            bins.lose(f"an earlier {spec.name!r} took no bytes")
+            # Without a session, that is what it is refused for.
+            if has_session or spec.sessionless:
+                raise
     if not has_session and not spec.sessionless:
         raise TerpError(f"op {spec.name!r} requires a session; "
                         "say hello first")
@@ -88,9 +101,6 @@ def admit(request: Any, bins: protocol.BinReader, *,
             if value is not None}
     for name, default in spec.defaults:
         args.setdefault(name, default)
-    if spec.bin_arg in args and not isinstance(args[spec.bin_arg], bytes):
-        # Binary travels on the sidecar only: a typed refusal.
-        protocol.bin_length(args[spec.bin_arg])
     return spec, args
 
 

@@ -66,9 +66,11 @@ class Op:
     #: every field a result carries, in wire order; ``(WHOLE,)`` for an
     #: open-ended answer.
     results: Tuple[str, ...] = ()
-    #: request argument whose ``bytes`` ride the frame's sidecar.
+    #: request argument whose ``bytes`` ride the frame's sidecar; its
+    #: slot in the request holds their byte count, a bare int.
     bin_arg: Optional[str] = None
-    #: result field whose ``bytes`` ride the response's sidecar.
+    #: result field whose ``bytes`` ride the response's sidecar; its
+    #: slot in the result holds their byte count, a bare int.
     bin_result: Optional[str] = None
     #: what the typed method returns: a result field, ``None`` for the
     #: whole result dict, ``""`` for nothing.
@@ -82,6 +84,20 @@ class Op:
         back on: what a request leaves out, its handler is given."""
         return tuple((name, default) for name, default in self.params
                      if default is not None and default is not REQUIRED)
+
+    @cached_property
+    def bin_param(self) -> Optional[int]:
+        """Where a request's values hold :attr:`bin_arg`'s byte count,
+        or ``None`` for a row without one."""
+        names = [name for name, _ in self.params]
+        return names.index(self.bin_arg) if self.bin_arg else None
+
+    @cached_property
+    def bin_slot(self) -> Optional[int]:
+        """Where a result's values hold :attr:`bin_result`'s byte
+        count, or ``None`` for a row without one."""
+        return self.results.index(self.bin_result) \
+            if self.bin_result else None
 
 
 def _op(name: str, route: str, *params: Any, method: Any = REQUIRED,

@@ -1,9 +1,10 @@
 """The terpd wire protocol: length-prefixed JSON frames.
 
-A frame is a 4-byte big-endian unsigned length followed by that many
-bytes of UTF-8 JSON.  Frames carry values, not names, both ways: the
-op table (:mod:`repro.service.ops`) is the schema, and a name drawn
-from one of its closed tables travels as its index in that table.
+A frame is a head saying its lengths, then that many bytes of UTF-8
+JSON, then its binary sidecar, if any (below).  Frames carry values,
+not names, both ways: the op table (:mod:`repro.service.ops`) is the
+schema, and a name drawn from one of its closed tables travels as its
+index in that table.
 
 * **Request** ``[7, 11, "mydata"]`` — rid, the op's row index in
   :data:`~repro.service.ops.OPS` (``11`` is ``attach``), then the
@@ -39,24 +40,31 @@ so a caller sees dicts.
 
 OIDs travel as their packed 64-bit integer
 (:meth:`repro.pmo.object_id.Oid.pack`).  ``hello``'s first value is
-the wire revision, ``5`` — the only one there is; anything else
+the wire revision, ``6`` — the only one there is; anything else
 (absent included), an op sent by name (revision 4 and before), and
 any object-shaped frame (revision 2 and before), is refused with a
-typed "protocol version N unsupported" error.
+typed "protocol version N unsupported" error.  A peer still framing
+as revision 5 did (a four-byte length word) gets no typed refusal:
+its first frame, the hello, has no sidecar, so its length word starts
+with a 0 byte, which reads as a head announcing an empty body — a
+:class:`WireError` — and the connection is dropped.
 
-**The binary sidecar.**  Binary payloads (PMO data) never enter the
-JSON.  A frame may append a *binary sidecar* after the JSON body::
+**The head and the binary sidecar.**  Binary payloads (PMO data) never
+enter the JSON; they ride the frame's *binary sidecar*, after the
+body::
 
-    u32be (SIDECAR_FLAG | body_len) | body | u32be sidecar_len | sidecar
+    varint(body_len << 1 | has_sidecar) [varint(sidecar_len)] | body | sidecar
 
-The top bit of the length word marks the sidecar's presence — legal
-because ``MAX_FRAME_BYTES`` is far below 2**31.  JSON marks each
-binary value with ``{"bin": <len>}`` — the only object a request
-value may be, and what a binary result's slot holds; consumers take
-``len`` bytes off the sidecar in request (or response) order via
-:class:`BinReader`.  A batch frame has one
-combined sidecar: the concatenation of its items' chunks, in item
-order.
+A varint is QUIC's (RFC 9000 §16): the first byte's top two bits say
+whether it is 1, 2 or 4 bytes long (``00``, ``01``, ``10``), the rest
+is the value, big-endian — up to 63, 16 383 and 2**30 - 1.  Both
+lengths come before the body, so a reader checks both bounds from the
+head alone (:func:`parse_head`; :func:`pack_head` writes one).  The
+op row says which value is binary (``bin_arg``, ``bin_result``): its
+slot in the JSON holds the byte count, a bare int, and consumers take
+that many bytes off the sidecar in request (or response) order via
+:class:`BinReader`.  A batch frame has one combined sidecar: the
+concatenation of its items' chunks, in item order.
 """
 
 from __future__ import annotations
@@ -64,29 +72,22 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
-import struct
 from itertools import chain
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import TerpError
 from repro.obs.ring import dumps as _dumps
 from repro.service.ops import (
-    EVENT_KINDS, EVENTS, OP_INDEX, OPS, VOCABULARIES, WHOLE, entry, op_row)
+    EVENT_KINDS, EVENTS, OP_INDEX, OPS, VOCABULARIES, WHOLE, Op, entry,
+    op_row)
 
-#: Frame header: payload length, 4-byte big-endian unsigned.  The same
-#: struct frames the sidecar length word.
-HEADER = struct.Struct(">I")
 #: Upper bound on a single frame, a sanity guard against a desynced or
 #: hostile peer streaming garbage lengths (16 MiB fits any sane batch).
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: Upper bound on a frame's binary sidecar (a batch of large reads).
 MAX_SIDECAR_BYTES = 64 * 1024 * 1024
 #: The one protocol revision; ``hello`` must offer exactly this.
-PROTOCOL_VERSION = 5
-#: Top bit of the length word: a binary sidecar follows the body.
-SIDECAR_FLAG = 0x80000000
-#: Mask recovering the JSON body length from a flagged length word.
-LEN_MASK = 0x7FFFFFFF
+PROTOCOL_VERSION = 6
 #: What every reader, asyncio transports included, takes per read
 #: (their 256 KiB default page-faulted twice per relayed frame).
 READ_BYTES = 65536
@@ -94,6 +95,79 @@ READ_BYTES = 65536
 
 class WireError(TerpError):
     """Malformed frame, oversized frame, or truncated stream."""
+
+
+# -- the head ----------------------------------------------------------------
+
+#: A varint's size and value mask by its first byte's top two bits; an
+#: 8-byte form (``11``) announces more than any bound allows.
+_FORMS = ((1, 0x3F), (2, 0x3FFF), (4, 0x3FFF_FFFF), None)
+
+
+def _varint(n: int) -> bytes:
+    """``n`` (below 2**30) in its shortest form."""
+    if n < 0x40:
+        return bytes((n,))
+    if n < 0x4000:
+        return (n | 0x4000).to_bytes(2, "big")
+    return (n | 0x8000_0000).to_bytes(4, "big")
+
+
+def pack_head(body_len: int, side_len: int = 0) -> bytes:
+    """The head of a frame with a ``body_len``-byte body and a
+    ``side_len``-byte sidecar (none when 0); what :func:`parse_head`
+    would refuse is a :class:`WireError` here."""
+    if not 0 < body_len <= MAX_FRAME_BYTES:
+        raise WireError(f"frame body of {body_len} bytes is outside "
+                        f"1..{MAX_FRAME_BYTES}")
+    if side_len > MAX_SIDECAR_BYTES:
+        raise WireError(f"sidecar of {side_len} bytes exceeds "
+                        f"{MAX_SIDECAR_BYTES}")
+    if not side_len:
+        return _varint(body_len << 1)
+    return _varint(body_len << 1 | 1) + _varint(side_len)
+
+
+def _parse_varint(buf: Any, at: int) -> Tuple[int, int]:
+    """The varint at ``buf[at]`` (which must exist): ``(size,
+    value)``, the value -1 while ``buf`` ends inside it."""
+    form = _FORMS[buf[at] >> 6]
+    if form is None:
+        raise WireError(f"an 8-byte length form ({buf[at]:#04x}): no "
+                        "frame part is that long")
+    size, mask = form
+    if at + size > len(buf):
+        return size, -1
+    return size, int.from_bytes(buf[at:at + size], "big") & mask
+
+
+def parse_head(buf: Any, pos: int = 0) -> Tuple[int, int, int]:
+    """The head at ``buf[pos:]`` as ``(head_len, body_len,
+    side_len)``, ``side_len`` 0 for a frame without a sidecar.  Until
+    ``buf`` holds the whole head, ``body_len`` is -1 and ``head_len``
+    is as much of the head as the bytes already in tell: a blocking
+    reader may take that many without reading past it, then ask again.
+    An empty or oversize body is a :class:`WireError` as soon as its
+    varint is in, an oversize sidecar as soon as its own is — before a
+    byte of either is waited for."""
+    if pos >= len(buf):
+        return 1, -1, -1
+    size, word = _parse_varint(buf, pos)
+    if word < 0:
+        return size, -1, -1
+    body = word >> 1
+    if not 0 < body <= MAX_FRAME_BYTES:
+        raise WireError(f"frame length {body} is outside "
+                        f"1..{MAX_FRAME_BYTES}")
+    if not word & 1:
+        return size, body, 0
+    if pos + size >= len(buf):
+        return size + 1, -1, -1
+    side_size, side = _parse_varint(buf, pos + size)
+    if side > MAX_SIDECAR_BYTES:
+        raise WireError(f"sidecar length {side} exceeds "
+                        f"{MAX_SIDECAR_BYTES}")
+    return size + side_size, body if side >= 0 else -1, side
 
 
 # -- framing ----------------------------------------------------------------
@@ -114,7 +188,7 @@ def _length(part: Any) -> int:
 
 def body_parts(payload: Any, limit: int = MAX_FRAME_BYTES) -> List[Any]:
     """A request/response (or batch) as JSON body bytes, in pieces for
-    one join with the frame header (:func:`frame_from_body`).
+    one join with the frame head (:func:`frame_from_body`).
 
     ``bytes`` are pre-encoded JSON and spliced in as they are: a
     batch's items — the batch response path encodes each response
@@ -185,11 +259,10 @@ class StreamedFrame:
     __slots__ = ("parts", "size")
 
     def __init__(self, body: List[Any], sidecar: Optional[bytes]) -> None:
-        size = sum(map(_length, body))
-        self.parts = [HEADER.pack(size | SIDECAR_FLAG) if sidecar
-                      else HEADER.pack(size), *body]
+        self.parts = [pack_head(sum(map(_length, body)),
+                                len(sidecar) if sidecar else 0), *body]
         if sidecar:
-            self.parts += (HEADER.pack(len(sidecar)), sidecar)
+            self.parts.append(sidecar)
         self.size = sum(map(_length, self.parts))
 
     def __len__(self) -> int:
@@ -201,7 +274,7 @@ class StreamedFrame:
     def chunks(self, limit: int = READ_BYTES) -> Iterator[bytes]:
         """The frame's bytes in order, in chunks of at most ``limit``:
         pieces gathered, one longer than a chunk cut.  Every chunk is a
-        new object, never changed once handed out.  The header promised
+        new object, never changed once handed out.  The head promised
         ``size`` bytes: parts whose text came out another length (an
         attr mutated since the sizing pass) are a :class:`WireError`
         before more than that, or after fewer, have left — the
@@ -234,20 +307,16 @@ def frame_from_body(body: Union[bytes, List[Any]],
                     sidecar: Optional[bytes] = None
                     ) -> Union[bytes, StreamedFrame]:
     """Wrap pre-encoded body bytes — or :func:`body_parts` — and an
-    optional sidecar in a frame: one join, header included; a
+    optional sidecar in a frame: one join, head included; a
     :class:`StreamedFrame` when the body has a sized part."""
     parts = [body] if isinstance(body, bytes) else body
-    if sidecar and len(sidecar) > MAX_SIDECAR_BYTES:
-        raise WireError(f"sidecar of {len(sidecar)} bytes exceeds "
-                        f"{MAX_SIDECAR_BYTES}")
     try:
         size = sum(map(len, parts))
     except TypeError:                 # a sized part, which has no len()
         return StreamedFrame(parts, sidecar)
     if not sidecar:
-        return b"".join([HEADER.pack(size), *parts])
-    return b"".join([HEADER.pack(size | SIDECAR_FLAG), *parts,
-                     HEADER.pack(len(sidecar)), sidecar])
+        return b"".join([pack_head(size), *parts])
+    return b"".join([pack_head(size, len(sidecar)), *parts, sidecar])
 
 
 def encode_frame(payload: Any,
@@ -257,7 +326,7 @@ def encode_frame(payload: Any,
 
 
 def decode_frame(body: bytes) -> Any:
-    """Parse a frame body (the bytes after the length header)."""
+    """Parse a frame body (the bytes after its head)."""
     try:
         return json.loads(body.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -267,16 +336,17 @@ def decode_frame(body: bytes) -> Any:
 
 
 class FrameSplitter:
-    """The one parser of the header/sidecar layout, doing no I/O.
+    """The one parser of the head/sidecar layout, doing no I/O.
 
     :meth:`feed` it whatever the transport read — half a frame, a
     pipelined burst — and it hands out the complete ``(body,
     sidecar)`` frames (``sidecar`` is ``b""`` for a frame without one;
     the JSON body stays undecoded, so the cluster router can relay it
-    verbatim).  A length word is checked as soon as its four bytes are
-    in: an oversize body or sidecar is a :class:`WireError` from the
-    header alone, before a byte of it is waited for.  A stream that
-    ends mid-frame is the same typed error, from :meth:`eof`.
+    verbatim).  A head is checked as soon as its bytes are in
+    (:func:`parse_head`): an empty or oversize body, or an oversize
+    sidecar, is a :class:`WireError` from the head alone, before a
+    byte of either is waited for.  A stream that ends mid-frame is
+    the same typed error, from :meth:`eof`.
     """
 
     __slots__ = ("_buf", "_pos")
@@ -287,8 +357,8 @@ class FrameSplitter:
 
     def feed(self, data: bytes) -> Iterator[Tuple[bytes, bytes]]:
         """Take in what a read returned; iterate the frames it
-        completed (a bad length word raises at its turn, after the
-        frames ahead of it were handed out)."""
+        completed (a bad head raises at its turn, after the frames
+        ahead of it were handed out)."""
         if self._pos:
             del self._buf[:self._pos]
             self._pos = 0
@@ -298,26 +368,14 @@ class FrameSplitter:
     def next_frame(self) -> Optional[Tuple[bytes, bytes]]:
         """The next complete frame, or ``None`` until more is fed."""
         buf, pos = self._buf, self._pos
-        if len(buf) - pos < HEADER.size:
-            return None
-        (word,) = HEADER.unpack_from(buf, pos)
-        if word & LEN_MASK > MAX_FRAME_BYTES:
-            raise WireError(f"frame length {word & LEN_MASK} exceeds "
-                            f"{MAX_FRAME_BYTES}")
-        body_end = side_at = end = pos + HEADER.size + (word & LEN_MASK)
-        if word & SIDECAR_FLAG:
-            side_at = end = body_end + HEADER.size
-            if side_at <= len(buf):
-                (side_len,) = HEADER.unpack_from(buf, body_end)
-                if side_len > MAX_SIDECAR_BYTES:
-                    raise WireError(f"sidecar length {side_len} "
-                                    f"exceeds {MAX_SIDECAR_BYTES}")
-                end += side_len
-        if end > len(buf):
+        head, body, side = parse_head(buf, pos)
+        body_at = pos + head
+        end = body_at + body + side
+        if body < 0 or end > len(buf):
             return None
         self._pos = end
-        return (bytes(buf[pos + HEADER.size:body_end]),
-                bytes(buf[side_at:end]))
+        return (bytes(buf[body_at:body_at + body]),
+                bytes(buf[body_at + body:end]))
 
     def eof(self) -> None:
         """The stream ended: fine between frames, :class:`WireError`
@@ -361,61 +419,80 @@ class BinReader:
     """Sequential, bounds-checked cursor over a frame's sidecar.
 
     Requests (or responses) consume their binary chunks in frame
-    order; an underrun — a ``{"bin": n}`` marker claiming more bytes
-    than the sidecar holds — is a typed :class:`WireError`.
+    order; an underrun — a count claiming more bytes than the sidecar
+    holds — is a typed :class:`WireError`.  A request whose count
+    cannot be read (:meth:`lose`) leaves the cursor where the next
+    request's bytes may not start: from then on every take is refused,
+    so nothing is read off a misaligned cursor.
     """
 
-    __slots__ = ("_buf", "_pos", "_size")
+    __slots__ = ("_buf", "_pos", "_size", "_lost")
 
     def __init__(self, buf: bytes) -> None:
         self._buf = buf
         self._pos = 0
         self._size = len(buf)
+        self._lost: Optional[str] = None
 
     def take(self, n: int) -> bytes:
         pos = self._pos
+        if self._lost is not None:
+            raise WireError(f"sidecar cursor lost: {self._lost}")
         if n < 0 or pos + n > self._size:
-            raise WireError(f"sidecar underrun: need {n} bytes at "
-                            f"offset {pos} of {self._size}")
+            self.lose(f"need {n} bytes at offset {pos} of {self._size}")
+            raise WireError(f"sidecar underrun: {self._lost}")
         self._pos = pos + n
         return self._buf[pos:pos + n]
+
+    def lose(self, why: str) -> None:
+        """Refuse every later take: where this frame's next binary
+        chunk starts is no longer known (``why``)."""
+        if self._lost is None:
+            self._lost = why
 
     @property
     def remaining(self) -> int:
         return self._size - self._pos
 
 
-def bin_length(marker: Any) -> int:
-    """The byte count a request's ``{"bin": n}`` marker claims."""
-    if not isinstance(marker, dict) or \
-            not isinstance(marker.get("bin"), int):
-        raise WireError("a binary argument must be a {'bin': <len>} "
-                        "marker for bytes on the frame's sidecar")
-    return marker["bin"]
+def bin_length(value: Any) -> int:
+    """The byte count a binary slot holds: a non-negative int, else
+    a :class:`WireError`."""
+    if type(value) is not int or value < 0:
+        raise WireError(f"a binary slot holds its byte count on the "
+                        f"frame's sidecar, not {value!r}")
+    return value
 
 
-def bin_slots(response: Any) -> Iterator[Tuple[List[Any], int, int]]:
-    """Each ``{"bin": n}`` slot of a response's result, as ``(values,
-    index, n)``; a refusal has none."""
-    values = response[1] if isinstance(response, list) and \
-        len(response) > 1 else None
-    if type(values) is list:
-        for index, value in enumerate(values):
-            if type(value) is dict and len(value) == 1 and \
-                    isinstance(value.get("bin"), int):
-                yield values, index, value["bin"]
+def bin_result(spec: Optional[Op], response: Any
+               ) -> Tuple[Optional[List[Any]], int]:
+    """Where a response to ``spec``'s op holds its binary result:
+    ``(values, n)`` — the result's values and the byte count in their
+    ``bin_result`` slot — or ``(None, 0)`` for a refusal, or a row
+    without one."""
+    at = spec.bin_slot if spec is not None else None
+    values = response[1] if at is not None and \
+        type(response) is list and len(response) > 1 else None
+    if type(values) is not list or at >= len(values):
+        return None, 0
+    return values, bin_length(values[at])
+
+
+def absorb(op: Optional[str], response: Any, bins: BinReader) -> None:
+    """Put a response's binary result in its slot, in place of its
+    count: the bytes, taken off ``bins``."""
+    spec = OPS.get(op)
+    values, n = bin_result(spec, response)
+    if values is not None:
+        values[spec.bin_slot] = bins.take(n)
 
 
 def absorb_sidecar(payload: Any, sidecar: bytes) -> Any:
-    """Fold a response frame's sidecar back into its results.
-
-    Every ``{"bin": n}`` slot of a result gets its raw bytes instead,
-    consumed from the sidecar in response order.
-    """
-    bins = BinReader(sidecar)
-    for response in payload if is_batch(payload) else (payload,):
-        for values, index, n in bin_slots(response):
-            values[index] = bins.take(n)
+    """A response frame's payload, its binary slots left holding their
+    counts: which slot is binary is said by the op each response
+    answers, which a frame does not carry — a client that knows it
+    takes each slot's bytes with :func:`absorb`.  Kept so callers of
+    the revision-5 entry still run."""
     return payload
 
 

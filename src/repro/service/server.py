@@ -475,10 +475,10 @@ class TerpService:
                 result = {"flushed": result.base + result.ticket.wait(0)}
             if spec.bin_result is not None:
                 # ...and the other way: the result's bytes leave on the
-                # response sidecar, a marker in their slot.
+                # response sidecar, their count in their slot.
                 data = result[spec.bin_result]
                 conn.bin_out.append(data)
-                result[spec.bin_result] = {"bin": len(data)}
+                result[spec.bin_result] = len(data)
             # Hello binds a session; goodbye's response still carries
             # the events of the one it ended.
             session = conn.session or session

@@ -7,6 +7,7 @@ a burst that alternates shards still answers in request order.
 """
 
 import asyncio
+import socket
 import threading
 import time
 
@@ -22,6 +23,7 @@ from repro.service.server import ServiceThread, TerpService
 from tests.service.rawwire import RawWire
 from tests.service.test_burst_io import write_burst
 from tests.service.test_footprint import _hold_and_force, _served_peak
+from tests.service.test_protocol import REVISION_5_HELLO
 
 
 @pytest.fixture
@@ -142,8 +144,8 @@ def test_a_client_that_stops_reading_stalls_the_shard_too(routed):
         assert wire.exchange(3, "attach", {"name": "big"})[0].ok
         oid = wire.exchange(4, "pmalloc", {
             "name": "big", "size": 65536})[0].result["oid"]
-        assert wire.exchange(5, "write", {"oid": oid, "data": {
-            "bin": 65536}}, b"\xc3" * 65536)[0].ok
+        assert wire.exchange(5, "write", {"oid": oid, "data": 65536},
+                             b"\xc3" * 65536)[0].ok
         before = shards[owner].metrics.wire_frames
         wire.sock.sendall(b"".join(
             protocol.encode_frame(protocol.request(
@@ -170,11 +172,11 @@ def test_a_refused_batch_item_still_takes_its_bytes(routed):
         oid = wire.exchange(3, "pmalloc", {
             "name": "skip", "size": 64})[0].result["oid"]
         assert wire.exchange(4, "attach", {"name": "skip"})[0].ok
-        wire.send([[10, "wirte", oid, {"bin": 4}],
+        wire.send([[10, OP_INDEX["write"], oid, 4, "extra"],
                    protocol.request(11, "write", {
-                       "oid": oid, "data": {"bin": 4}})], b"AAAABBBB")
+                       "oid": oid, "data": 4})], b"AAAABBBB")
         (refused, written), _ = wire.recv()
-        assert refused.error == ("WireError", "unknown op 'wirte'")
+        assert refused.error[0] == "BadRequest"
         assert written.result == {"n": 4}
         assert wire.exchange(12, "read", {"oid": oid, "n": 4})[1] == \
             b"BBBB"
@@ -188,10 +190,58 @@ def test_a_refused_batch_item_still_takes_its_bytes(routed):
         assert refused.error[0] == "BadRequest" and detached.ok
 
 
+def test_an_unreadable_count_refuses_the_batchs_later_writes(routed):
+    """A count is found by its item's row: after an unknown op
+    carrying 64 bytes, where the write's bytes start is not known —
+    the router refuses the write rather than send a shard bytes off a
+    misaligned cursor (``AAAA…`` where ``BBBB`` was meant), and the
+    pool keeps what it held."""
+    router, _ = routed
+    with RawWire(router.bound_port) as wire:
+        wire.hello()
+        assert wire.exchange(2, "create",
+                             {"name": "lost", "size": MIB})[0].ok
+        oid = wire.exchange(3, "pmalloc", {
+            "name": "lost", "size": 64})[0].result["oid"]
+        assert wire.exchange(4, "attach", {"name": "lost"})[0].ok
+        assert wire.exchange(5, "write", {"oid": oid, "data": 4},
+                             b"ZZZZ")[0].ok
+        wire.send([[10, len(OP_INDEX), oid, 64],
+                   protocol.request(11, "ping"),
+                   protocol.request(12, "write", {
+                       "oid": oid, "data": 4})], b"A" * 64 + b"BBBB")
+        (refused, pong, lost), _ = wire.recv()
+        assert refused.error == ("WireError",
+                                 f"unknown op {len(OP_INDEX)}")
+        assert pong.ok
+        kind, message = lost.error
+        assert kind == "WireError" and \
+            message.startswith("sidecar cursor lost"), message
+        assert wire.exchange(13, "read", {"oid": oid, "n": 4})[1] == \
+            b"ZZZZ"
+
+
+def test_a_revision_5_peer_is_dropped_unanswered(routed):
+    """The router reads one framing, as a daemon does: a revision-5
+    hello's length word is a head announcing an empty body, so the
+    connection is dropped — no session bound here, nothing sent on to
+    a shard — and the router serves on."""
+    router, shards = routed
+    with socket.create_connection(("127.0.0.1", router.bound_port),
+                                  timeout=10) as sock:
+        sock.sendall(REVISION_5_HELLO)
+        assert sock.recv(1) == b""
+    assert not list(router.registry)
+    assert [shard.metrics.ops.get("hello", 0) for shard in shards] == \
+        [0, 0]
+    with RawWire(router.bound_port) as wire:
+        assert wire.hello()["version"] == protocol.PROTOCOL_VERSION
+
+
 def test_a_revision_4_frame_is_refused_by_its_version(routed):
     """The router refuses an op sent by name as a daemon does: a
     revision-4 ``hello`` by the version it offers, and the connection
-    stays usable for a revision-5 one."""
+    stays usable for a current one."""
     router, _ = routed
     with RawWire(router.bound_port) as wire:
         wire.send([1, "hello", 4, "old"])

@@ -7,6 +7,7 @@ every later commit waits out the ack timeout), and the standby closes
 that one link quietly (instead of an uncaught error in its thread).
 """
 
+import json
 import socket
 import threading
 
@@ -126,3 +127,28 @@ def test_a_kind_the_standby_is_not_sent_drops_its_link(standby, message):
             sock.sendall(raw_frame(message))
         assert recv_msg(sock) is None
     wait_for(lambda: not standby._conns)
+
+
+def test_a_revision_4_hello_is_dropped_unanswered(standby, monkeypatch):
+    """A shipper framing as revision 4 did — a four-byte length word
+    before its ``hello`` — gets no typed refusal: the word reads as a
+    head announcing an empty body, and the link is dropped before a
+    message is read, with no ``hello-ack`` sent and nothing escaping
+    the standby's thread.  The next link, framed as today, is served."""
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    body = json.dumps(row("hello", 4), separators=(",", ":")).encode()
+    address = ("127.0.0.1", standby.bound_port)
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.sendall(len(body).to_bytes(4, "big") + body)
+        try:
+            answer = recv_msg(sock)
+        except ConnectionResetError:   # closed with the body unread
+            answer = None
+        assert answer is None
+    wait_for(lambda: not standby._conns)
+    assert escaped == []
+    with socket.create_connection(address, timeout=5.0) as sock:
+        send_msg(sock, {"t": "hello", "version": REPL_PROTOCOL_VERSION})
+        assert recv_msg(sock)[0] == {"t": "hello-ack", "ok": True,
+                                     "version": REPL_PROTOCOL_VERSION}

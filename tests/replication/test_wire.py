@@ -16,7 +16,8 @@ from repro.core.units import PAGE_SIZE
 from repro.replication.wire import (
     KINDS, MESSAGES, ReplicationWireError, recv_msg, send_msg)
 from repro.service.protocol import (
-    HEADER, MAX_FRAME_BYTES, MAX_SIDECAR_BYTES, SIDECAR_FLAG)
+    MAX_FRAME_BYTES, MAX_SIDECAR_BYTES, pack_head)
+from tests.service.test_frame_splitter import varint
 
 
 def pair():
@@ -28,10 +29,7 @@ def raw_frame(values, payload=b""):
     """A frame with ``values`` as its JSON body, whatever they are:
     the client wire's layout, sidecar flagged when there is one."""
     body = json.dumps(values, separators=(",", ":")).encode()
-    if not payload:
-        return HEADER.pack(len(body)) + body
-    return (HEADER.pack(SIDECAR_FLAG | len(body)) + body
-            + HEADER.pack(len(payload)) + payload)
+    return pack_head(len(body), len(payload)) + body + payload
 
 
 def row(kind, *values):
@@ -106,9 +104,10 @@ class TestEofAndErrors:
         b.close()
 
     def test_eof_mid_frame_is_typed(self):
-        """In the body, in a length word, in the sidecar."""
-        for stream in (HEADER.pack(100) + b"short", HEADER.pack(100)[:2],
-                       raw_frame(["header", "p"], b"page")[:-2]):
+        """In the body, in the head, in the sidecar."""
+        for stream in (pack_head(100) + b"short", pack_head(100, 5)[:1],
+                       pack_head(100, 500)[:3],
+                       raw_frame(row("header", "p"), b"page")[:-2]):
             a, b = pair()
             a.sendall(stream)
             a.close()
@@ -137,12 +136,14 @@ class TestEofAndErrors:
         b.close()
 
     def test_oversized_length_prefix_refused(self):
-        """A body word past ``MAX_FRAME_BYTES``, flagged or not, and a
-        sidecar word past ``MAX_SIDECAR_BYTES``."""
-        for word in (HEADER.pack(MAX_FRAME_BYTES + 1),
-                     HEADER.pack(SIDECAR_FLAG | (MAX_FRAME_BYTES + 1)),
-                     HEADER.pack(SIDECAR_FLAG | 2) + b"[]"
-                     + HEADER.pack(MAX_SIDECAR_BYTES + 1)):
+        """A body length past ``MAX_FRAME_BYTES``, flagged or not, a
+        sidecar length past ``MAX_SIDECAR_BYTES`` — refused from the
+        head, no body byte sent — and an empty body (revision 4's
+        length word reads as one)."""
+        for word in (varint((MAX_FRAME_BYTES + 1) << 1),
+                     varint((MAX_FRAME_BYTES + 1) << 1 | 1),
+                     varint(2 << 1 | 1, 1) + varint(MAX_SIDECAR_BYTES + 1),
+                     b"\x00\x00\x00\x05[0,4]"):
             a, b = pair()
             a.sendall(word)
             with pytest.raises(ReplicationWireError):
@@ -152,7 +153,7 @@ class TestEofAndErrors:
     def test_garbage_header_is_typed(self):
         """A body that is not JSON."""
         a, b = pair()
-        a.sendall(HEADER.pack(8) + b"not json")
+        a.sendall(pack_head(8) + b"not json")
         with pytest.raises(ReplicationWireError):
             recv_msg(b)
         a.close(), b.close()
@@ -183,8 +184,9 @@ class TestEofAndErrors:
         a.close(), b.close()
 
     def test_a_length_prefix_alone_commits_no_memory(self):
-        """A word announcing the largest legal body, or sidecar, then
-        EOF: the typed error, and the receiver's ``VmHWM`` rises by
+        """A head announcing the largest legal body, or sidecar (behind
+        a body that is its row), then EOF: the typed error, and the
+        receiver's ``VmHWM`` rises by
         under 2 MiB (a buffer committed up front rose by all that was
         announced).  Measured in a fresh interpreter, whose high-water
         mark no earlier test has raised."""
@@ -209,9 +211,9 @@ class TestEofAndErrors:
         """)
         env = {**os.environ,
                "PYTHONPATH": str(Path(repro.__file__).parents[1])}
-        for words in (HEADER.pack(MAX_FRAME_BYTES),
-                      HEADER.pack(SIDECAR_FLAG | 2) + b"[]"
-                      + HEADER.pack(MAX_SIDECAR_BYTES)):
+        body = json.dumps(row("header", "p")).encode()
+        for words in (pack_head(MAX_FRAME_BYTES),
+                      pack_head(len(body), MAX_SIDECAR_BYTES) + body):
             out = subprocess.run(
                 [sys.executable, "-c", probe, words.hex()], env=env,
                 capture_output=True, text=True, timeout=60)

@@ -28,7 +28,7 @@ def write_burst(oid, count, first_rid=100):
     return b"".join(
         protocol.encode_frame(
             protocol.request(rid, "write",
-                             {"oid": oid.pack(), "data": {"bin": 8}}),
+                             {"oid": oid.pack(), "data": 8}),
             bytes([rid % 256]) * 8)
         for rid in rids), rids
 

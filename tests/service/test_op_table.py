@@ -7,9 +7,10 @@ row is the wire schema: a typed call's keyword arguments reach the
 handler as the same args dict whatever the frame spells.
 Golden: the sans-IO client core, driven through one scripted 12-op
 tenant cycle, emits exactly the positional frames recorded here — each
-shorter than the frame the same call made on wire revision 4, which
-named its op — and a daemon answers that cycle with exactly the
-replies recorded here, whose closed vocabularies are indices.  Count
+shorter than the frame the same call made on wire revision 5, whose
+head was a four-byte length word — and a daemon answers that cycle
+with exactly the replies recorded here, whose closed vocabularies are
+indices and whose binary slot is its byte count.  Count
 budget: every row's request and result, every event kind's event and
 one ``mem_cycle`` cycle cost exactly the bytes recorded here, and every
 fixed reason the daemon gives is in ``REASONS``.  Round trip:
@@ -153,28 +154,32 @@ class TestConformance:
 GOLDEN_OID = Oid(3, 4096)
 GOLDEN_PAYLOAD = bytes(range(48))
 #: What the core sends for the cycle below: 12 ops in 11 frames (ops
-#: 8+9 share a batch frame), header + JSON body (+ sidecar length word
-#: + sidecar for the write) — 336 bytes.  Each op is its row's index,
-#: and a trailing row default (``create``'s ``mode``) is left off.
+#: 8+9 share a batch frame), head + JSON body (+ sidecar for the
+#: write) — 293 bytes.  Each op is its row's index, a trailing row
+#: default (``create``'s ``mode``) is left off, and the write's data
+#: slot holds its byte count, ``48``.
 GOLDEN_FRAMES = [bytes.fromhex(frame) for frame in (
-    "000000165b312c302c352c22676f6c64656e222c3235302e305d",
-    "000000145b322c372c22676f6c64222c343139343330345d",
-    "0000000d5b332c31312c22676f6c64225d",
-    "000000105b342c31332c22676f6c64222c36345d",
-    "800000215b352c31392c3834343432343933303133363036342c7b2262696e223a"
-    "34387d5d00000030000102030405060708090a0b0c0d0e0f101112131415161718"
-    "191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f",
-    "000000185b362c32312c3834343432343933303133363036342c375d",
-    "0000000d5b372c31342c22676f6c64225d",
-    "000000325b5b382c31382c3834343432343933303133363036342c34385d2c5b39"
-    "2c32302c3834343432343933303133363036345d5d",
-    "0000001d5b31302c342c352c6e756c6c2c22666f726365642d646574616368225d",
-    "0000000e5b31312c31322c22676f6c64225d",
-    "000000065b31322c315d",
+    "2c5b312c302c362c22676f6c64656e222c3235302e305d",
+    "285b322c372c22676f6c64222c343139343330345d",
+    "1a5b332c31312c22676f6c64225d",
+    "205b342c31332c22676f6c64222c36345d",
+    "33305b352c31392c3834343432343933303133363036342c34385d000102030405"
+    "060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223242526"
+    "2728292a2b2c2d2e2f",
+    "305b362c32312c3834343432343933303133363036342c375d",
+    "1a5b372c31342c22676f6c64225d",
+    "40645b5b382c31382c3834343432343933303133363036342c34385d2c5b392c32"
+    "302c3834343432343933303133363036345d5d",
+    "3a5b31302c342c352c6e756c6c2c22666f726365642d646574616368225d",
+    "1c5b31312c31322c22676f6c64225d",
+    "0c5b31322c315d",
 )]
-#: The same cycle's frame lengths on wire revision 4, whose requests
-#: named their op and sent every default the typed method filled in:
-#: 422 bytes.
+#: The same cycle's frame lengths on wire revision 5, whose head was a
+#: four-byte length word (and a second one for the sidecar) and whose
+#: write spelled its count ``{"bin":48}``: 336 bytes.
+LENGTH_WORD_FRAME_LENGTHS = [26, 24, 17, 20, 89, 28, 17, 54, 33, 18, 10]
+#: ... on wire revision 4, whose requests named their op and sent
+#: every default the typed method filled in: 422 bytes.
 NAMED_OP_FRAME_LENGTHS = [32, 35, 28, 27, 94, 37, 22, 66, 39, 24, 18]
 #: ... and on wire revision 2, whose JSON objects spelled ``"id"``,
 #: ``"op"``, ``"args"`` and every argument name: 801 bytes.
@@ -215,7 +220,7 @@ def _answer(request):
     rid, op = protocol.head(request)
     result = dict(RESULTS[op])
     if op == "read":
-        result["data"] = {"bin": len(GOLDEN_PAYLOAD)}
+        result["data"] = len(GOLDEN_PAYLOAD)
     return protocol.response(rid, op, result), \
         GOLDEN_PAYLOAD if op == "read" else b""
 
@@ -282,13 +287,15 @@ def test_core_emits_the_parent_commits_request_frames():
     client.detach("gold")                                       # 11
     client.goodbye()                                            # 12
     assert client.sent == GOLDEN_FRAMES
-    # Indices, not names: every frame shorter than revision 4's, which
-    # were all shorter than revision 2's.
-    assert all(len(frame) < before for frame, before
-               in zip(GOLDEN_FRAMES, NAMED_OP_FRAME_LENGTHS))
-    assert all(len(frame) < before for frame, before
-               in zip(GOLDEN_FRAMES, OBJECT_FRAME_LENGTHS))
-    assert sum(map(len, GOLDEN_FRAMES)) == 336 < \
+    # A varint head: every frame shorter than revision 5's, which were
+    # all shorter than revision 4's (indices, not names), which were
+    # all shorter than revision 2's.
+    for history in (LENGTH_WORD_FRAME_LENGTHS, NAMED_OP_FRAME_LENGTHS,
+                    OBJECT_FRAME_LENGTHS):
+        assert all(len(frame) < before for frame, before
+                   in zip(GOLDEN_FRAMES, history))
+    assert sum(map(len, GOLDEN_FRAMES)) == 293 < \
+        sum(LENGTH_WORD_FRAME_LENGTHS) == 336 < \
         sum(NAMED_OP_FRAME_LENGTHS) == 422
     # Same bytes, fewer writes: the pipeline's two frames were one SEND.
     assert b"".join(client.sends) == b"".join(GOLDEN_FRAMES)
@@ -326,29 +333,32 @@ class ServedClient(ScriptedClient):
 
 
 #: What a daemon answers the cycle above with (its clock pinned, obs
-#: off): 12 results in 11 frames, the batch's two in one — 349 bytes.
-#: ``attach``'s and ``detach``'s outcome and reason are their indices.
+#: off): 12 results in 11 frames, the batch's two in one — 307 bytes.
+#: ``attach``'s and ``detach``'s outcome and reason are their indices;
+#: the read's slot holds its byte count, ``48``.
 GOLDEN_REPLIES = [bytes.fromhex(frame) for frame in (
-    "000000405b312c5b352c312c313034383537372c3235302e302c22386262366631"
-    "3461373134653966646334396636303534313838313861303062222c66616c7365"
-    "5d5d",
-    "000000165b322c5b312c22676f6c64222c343139343330345d5d",
-    "000000095b332c5b302c305d5d",
-    "000000155b342c5b3238313437343937363937323838305d5d",
-    "000000085b352c5b34385d5d",
-    "0000000a5b362c5b747275655d5d",
-    "000000075b372c5b305d5d",
-    "8000001a5b5b382c5b7b2262696e223a34387d5d5d2c5b392c5b375d5d5d000000"
-    "30070000000000000008090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
-    "202122232425262728292a2b2c2d2e2f",
-    "000000445b31302c5b7b227370616e73223a5b5d2c226175646974223a5b5d2c22"
-    "6f70656e5f77696e646f7773223a5b5d2c226e6f775f6e73223a31303030303030"
-    "3030307d5d5d",
-    "0000000a5b31312c5b312c325d5d",
-    "000000085b31322c5b305d5d",
+    "40805b312c5b362c312c313034383537372c3235302e302c223862623666313461"
+    "373134653966646334396636303534313838313861303062222c66616c73655d5d",
+    "2c5b322c5b312c22676f6c64222c343139343330345d5d",
+    "125b332c5b302c305d5d",
+    "2a5b342c5b3238313437343937363937323838305d5d",
+    "105b352c5b34385d5d",
+    "145b362c5b747275655d5d",
+    "0e5b372c5b305d5d",
+    "25305b5b382c5b34385d5d2c5b392c5b375d5d5d070000000000000008090a0b0c"
+    "0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d"
+    "2e2f",
+    "40885b31302c5b7b227370616e73223a5b5d2c226175646974223a5b5d2c226f70"
+    "656e5f77696e646f7773223a5b5d2c226e6f775f6e73223a313030303030303030"
+    "307d5d5d",
+    "145b31312c5b312c325d5d",
+    "105b31322c5b305d5d",
 )]
-#: The same daemon's replies on wire revision 4, whose outcomes and
-#: reasons were their texts: 410 bytes.
+#: The same daemon's replies on wire revision 5, framed by four-byte
+#: length words, the read's count spelled ``{"bin":48}``: 349 bytes.
+LENGTH_WORD_REPLY_LENGTHS = [68, 26, 13, 25, 12, 14, 11, 82, 72, 14, 12]
+#: ... on wire revision 4, whose outcomes and reasons were their
+#: texts: 410 bytes.
 TEXT_REPLY_LENGTHS = [68, 26, 44, 25, 12, 14, 11, 82, 72, 44, 12]
 #: ... and on wire revision 3, whose results were objects naming every
 #: field (and ``attach``'s spelled its base VA): 581 bytes.
@@ -378,14 +388,17 @@ def test_a_daemon_answers_the_cycle_with_the_recorded_replies():
     client.detach("gold")
     client.goodbye()
     assert client.replies == GOLDEN_REPLIES
-    # Only the closed vocabularies shrank: attach's and detach's.
-    assert [len(reply) < before for reply, before in zip(
-        GOLDEN_REPLIES, TEXT_REPLY_LENGTHS)] == \
-        [False] * 2 + [True] + [False] * 6 + [True, False]
+    # A varint head: every reply shorter than revision 5's, and so
+    # than revision 4's, whose closed vocabularies were texts.
+    for history in (LENGTH_WORD_REPLY_LENGTHS, TEXT_REPLY_LENGTHS):
+        assert all(len(reply) < before for reply, before
+                   in zip(GOLDEN_REPLIES, history))
+    # ... and all but trace's than revision 3's, which named fields.
     assert [len(reply) < before for reply, before in zip(
         GOLDEN_REPLIES, NAMED_REPLY_LENGTHS)] == [True] * 8 + [False] + \
         [True] * 2
-    assert sum(map(len, GOLDEN_REPLIES)) == 349 < \
+    assert sum(map(len, GOLDEN_REPLIES)) == 307 < \
+        sum(LENGTH_WORD_REPLY_LENGTHS) == 349 < \
         sum(TEXT_REPLY_LENGTHS) == 410 < sum(NAMED_REPLY_LENGTHS) == 581
 
 
@@ -485,7 +498,7 @@ def test_pipeline_hands_the_burst_over_as_one_send():
     assert client.sends[0] == b"".join(
         protocol.encode_frame(
             protocol.request(2 + i, "write", {
-                "oid": GOLDEN_OID.pack(), "data": {"bin": i + 1}}),
+                "oid": GOLDEN_OID.pack(), "data": i + 1}),
             bytes([i]) * (i + 1))
         for i in range(8))
     assert len(client.sent) == 8
@@ -597,8 +610,8 @@ def test_both_front_doors_read_trace_args_by_the_row(monkeypatch):
 #: :data:`CALL_ARGS`; ``hello`` as a fresh session says it) and its
 #: result body as a daemon lays :data:`RESULTS` out.
 ROW_BYTES = {
-    "hello": ('[1,0,5,"golden"]',
-              '[1,[5,1,1048577,250.0,"abababababababababababababababab",'
+    "hello": ('[1,0,6,"golden"]',
+              '[1,[6,1,1048577,250.0,"abababababababababababababababab",'
               'false]]'),
     "goodbye": ('[1,1]', '[1,[1]]'),
     "ping": ('[1,2]', '[1,[1000000000,2]]'),
@@ -619,11 +632,14 @@ ROW_BYTES = {
     "tx_begin": ('[1,15,"gold"]', '[1,[1]]'),
     "tx_abort": ('[1,16,"gold"]', '[1,[true]]'),
     "pfree": ('[1,17,844424930136064]', '[1,[true]]'),
-    "read": ('[1,18,844424930136064,48]', '[1,[{"bin":48}]]'),
-    "write": ('[1,19,844424930136064,{"bin":48}]', '[1,[48]]'),
+    "read": ('[1,18,844424930136064,48]', '[1,[48]]'),
+    "write": ('[1,19,844424930136064,48]', '[1,[48]]'),
     "read_u64": ('[1,20,844424930136064]', '[1,[7]]'),
     "write_u64": ('[1,21,844424930136064,7]', '[1,[true]]'),
 }
+#: The bodies revision 5 spelled longer: a binary slot held
+#: ``{"bin":48}``.  Every other row's body is the same length.
+LENGTH_WORD_ROW_LENGTHS = {"read": (25, 16), "write": (33, 10)}
 #: Every event kind's event, as the third element of a reply carries
 #: it (:func:`_forced`, its reason one of ``REASONS``).
 EVENT_BYTES = {"forced-detach": '[0,"lost-1",1,1000000001,9]'}
@@ -634,10 +650,21 @@ def test_every_row_costs_its_recorded_bytes():
                                   "user": "golden"})
     assert set(ROW_BYTES) == set(OPS)
     for op, (request, result) in ROW_BYTES.items():
-        payload, _ = ClientCore._prep(1, op, args[op])
+        payload, sidecar = ClientCore._prep(1, op, args[op])
         assert protocol.encode_body(payload).decode() == request, op
-        response, _ = _answer(payload)
+        response, reply_sidecar = _answer(payload)
         assert protocol.encode_body(response).decode() == result, op
+        # No frame is longer than revision 5's: its body (the same, or
+        # longer) behind a four-byte word, and a second for a sidecar.
+        before = LENGTH_WORD_ROW_LENGTHS.get(op, (len(request),
+                                                  len(result)))
+        for frame, body, side in (
+                (protocol.encode_frame(payload, sidecar or None),
+                 before[0], sidecar),
+                (protocol.encode_frame(response, reply_sidecar or None),
+                 before[1], reply_sidecar)):
+            assert len(frame) < 4 + body + (4 + len(side) if side
+                                            else 0), op
 
 
 def test_every_event_kind_costs_its_recorded_bytes():
@@ -651,9 +678,9 @@ def test_every_event_kind_costs_its_recorded_bytes():
 
 #: One ``mem_cycle`` cycle, both ways: what its 12 request frames and
 #: 12 reply frames (64-byte payloads on their sidecars) add up to.
-#: Wire revision 4 spent 989 + 288 = 1 277 bytes on it: 10.6 more per
-#: op.
-MEM_CYCLE_BYTES = (923, 227)
+#: Wire revision 5 spent 923 + 227 = 1 150 bytes on it, 9.7 more per
+#: op; revision 4 989 + 288 = 1 277.
+MEM_CYCLE_BYTES = (807, 181)
 
 
 def test_a_mem_cycle_costs_its_recorded_bytes():
@@ -806,7 +833,7 @@ SCRIPT = [
     ("create", {"name": "once", "size": MIB}),
     ("open", {"name": "once"}), ("attach", {"name": "once"}),
     ("pmalloc", {"name": "once", "size": 64}),
-    ("write", {"oid": None, "data": {"bin": 8}}),
+    ("write", {"oid": None, "data": 8}),
     ("read", {"oid": None, "n": 8}),
     ("write_u64", {"oid": None, "value": 7}), ("read_u64", {"oid": None}),
     ("psync", {"name": "once"}), ("tx_begin", {"name": "once"}),
@@ -872,7 +899,7 @@ class TestExactlyOnce:
             wire.exchange(3, "attach", {"name": "evt"})
             oid = wire.exchange(
                 4, "pmalloc", {"name": "evt", "size": 8})[0].result["oid"]
-            wire.exchange(5, "write", {"oid": oid, "data": {"bin": 8}},
+            wire.exchange(5, "write", {"oid": oid, "data": 8},
                           b"E" * 8)
             args = dict(SCRIPT, read={"oid": oid, "n": 8},
                         read_u64={"oid": oid})

@@ -7,8 +7,10 @@ response ``[rid, outcome(, events)]``, a batch an array of either, and
 a name from a closed table (op, event kind, outcome, reason) its index
 there;
 client and server move PMO data as raw bytes in a frame sidecar (zero
-base64), and every ``{"bin": n}`` marker takes its bytes whether or
-not its request is refused; a ``hello`` that offers any revision but
+base64), a binary slot holds its byte count, and a request with a
+row takes its bytes whether or not it is refused — one without a row,
+or without a count, loses the rest of the frame's sidecar; a ``hello``
+that offers any revision but
 the current one — an absent ``version`` is v1 — an op sent by name
 (revision 4 and before) or an object-shaped frame is refused with a
 typed error; and a truncated or short-counted
@@ -17,7 +19,6 @@ sidecar is a typed :class:`WireError`, never a hang.
 
 import asyncio
 import socket
-import struct
 import threading
 
 import pytest
@@ -27,24 +28,30 @@ from repro.service import protocol
 from repro.service.client import (
     ConnectionLost, SyncTerpClient, TerpClient)
 from repro.service.protocol import (
-    HEADER, MAX_FRAME_BYTES, PROTOCOL_VERSION, SIDECAR_FLAG, WireError,
-    decode_frame, encode_frame)
-from repro.service.ops import OP_INDEX, REASONS
+    MAX_FRAME_BYTES, PROTOCOL_VERSION, WireError, decode_frame,
+    encode_frame, parse_head)
+from repro.service.ops import OP_INDEX, OPS, REASONS
+from repro.service.server import ServiceThread, TerpService
 from tests.service.rawwire import RawWire, Reply
+
+#: A revision-5 client's first frame, its ``hello``: a four-byte length
+#: word, then ``[1,0,5,"golden"]``.
+REVISION_5_HELLO = bytes.fromhex(
+    "000000165b312c302c352c22676f6c64656e222c3235302e305d")
 
 
 class TestFraming:
     def test_roundtrip(self):
         payload = protocol.request(1, "trace", {"limit": 3, "kind": "x"})
         frame = encode_frame(payload)
-        (length,) = HEADER.unpack(frame[:HEADER.size])
-        assert length == len(frame) - HEADER.size
-        assert decode_frame(frame[HEADER.size:]) == payload
+        head, length, side = parse_head(frame)
+        assert (head, side) == (1, 0) and length == len(frame) - head
+        assert decode_frame(frame[head:]) == payload
 
     def test_batch_is_an_array(self):
         batch = [protocol.request(1, "ping"), protocol.request(2, "ping")]
         frame = encode_frame(batch)
-        decoded = decode_frame(frame[HEADER.size:])
+        decoded = decode_frame(frame[parse_head(frame)[0]:])
         assert isinstance(decoded, list) and len(decoded) == 2
         assert protocol.is_batch(decoded)
         assert not protocol.is_batch(batch[0])
@@ -89,7 +96,8 @@ class TestAsyncStreamFraming:
 
     def test_read_frame_hostile_length(self):
         with pytest.raises(WireError):
-            self._read(struct.pack(">I", MAX_FRAME_BYTES + 1))
+            self._read(((MAX_FRAME_BYTES + 1) << 1 | 0x8000_0000)
+                       .to_bytes(4, "big"))
 
 
 class TestBlockingSocketFraming:
@@ -187,16 +195,39 @@ class TestShapes:
         response = protocol.error_response(3, "PmoError", "nope: x")
         assert response == [3, "PmoError: nope: x"]
         assert protocol.error_of(response[1]) == ("PmoError", "nope: x")
-        assert not list(protocol.bin_slots(response))
+        # A refusal holds no binary result, whatever its op's row says.
+        read, write = OPS["read"], OPS["write"]
+        assert protocol.bin_result(read, response) == (None, 0)
+        assert protocol.bin_result(read, [3, [48]]) == ([48], 48)
+        assert protocol.bin_result(write, [3, [48]]) == (None, 0)
 
     def test_bin_marker_length(self):
-        assert protocol.bin_length({"bin": 64}) == 64
-        # Anything but a {"bin": n} marker — base64 text included, the
-        # retired v1 encoding — is a typed error, never a guess.
-        for bad in ("aGVsbG8=", {"bin": "64"}, {}, None, 64):
+        # A binary slot holds its byte count, a bare int.
+        assert protocol.bin_length(64) == 64
+        assert protocol.bin_length(0) == 0
+        # Anything else — base64 text (the retired v1 encoding) and
+        # revision 5's ``{"bin": n}`` object included — is a typed
+        # error, never a guess.
+        for bad in ("aGVsbG8=", {"bin": 64}, "64", None, -1, True, 6.4):
             with pytest.raises(WireError):
                 protocol.bin_length(bad)
 
+    def test_absorb_finds_each_slot_by_its_row(self):
+        bins = protocol.BinReader(b"abcde")
+        batch = [[1, [3]], [2, "PmoError: no"], [3, [9, 2]], [4, [2]]]
+        for response, op in zip(batch, ["read", "read", "ping", "read"]):
+            protocol.absorb(op, response, bins)
+        assert batch == [[1, [b"abc"]], [2, "PmoError: no"],
+                         [3, [9, 2]], [4, [b"de"]]]
+        with pytest.raises(WireError, match="underrun"):
+            protocol.absorb("read", [1, [3]], protocol.BinReader(b"xy"))
+
+    def test_absorb_sidecar_leaves_each_count_in_place(self):
+        # A frame does not say which op it answers, so the two-argument
+        # entry finds no slot — whatever the slot holds, it stays.
+        assert protocol.absorb_sidecar([1, [2]], b"xy") == [1, [2]]
+        assert protocol.absorb_sidecar([[1, [{"bin": 2}]]], b"xy") == \
+            [[1, [{"bin": 2}]]]
 
 def roundtrip(client, payload=b"\x00\xffbinary\x00 payload\xfe" * 40):
     client.create("v2rt", MIB)
@@ -204,7 +235,7 @@ def roundtrip(client, payload=b"\x00\xffbinary\x00 payload\xfe" * 40):
     oid = client.pmalloc("v2rt", len(payload))
     assert client.write(oid, payload) == len(payload)
     assert client.read(oid, len(payload)) == payload
-    # A zero-byte read still answers its marker with bytes.
+    # A zero-byte read still answers its count with bytes.
     assert client.read(oid, 0) == b""
     client.detach("v2rt")
 
@@ -229,14 +260,14 @@ class TestNegotiation:
 
     def test_v1_hello_is_rejected_with_typed_error(self, terpd):
         # An old client omits "version" entirely (that *is* v1), or
-        # offers 1 to 4 outright; a future one might offer 6.  Each
+        # offers 1 to 5 outright; a future one might offer 7.  Each
         # gets the typed refusal, the connection stays in sync, and the
         # same connection may still say a proper hello afterwards.
         with RawWire(terpd.bound_port) as wire:
             for rid, offer in enumerate(({}, {"version": 1},
                                          {"version": 2}, {"version": 3},
-                                         {"version": 4}, {"version": 6}),
-                                        start=1):
+                                         {"version": 4}, {"version": 5},
+                                         {"version": 7}), start=1):
                 response, sidecar = wire.exchange(
                     rid, "hello", dict(offer, user="old"))
                 assert response.rid == rid and sidecar == b""
@@ -250,7 +281,7 @@ class TestNegotiation:
             for frame, expected in (
                     ([20, "hello", 4, "old"],
                      ("TerpError", "protocol version 4 unsupported")),
-                    ([21, "ping"], ("TerpError", "protocol version <5")),
+                    ([21, "ping"], ("TerpError", "protocol version <6")),
                     ([22, len(OP_INDEX)],
                      ("WireError", f"unknown op {len(OP_INDEX)}"))):
                 wire.send(frame)
@@ -268,6 +299,27 @@ class TestNegotiation:
             response, _ = wire.exchange(9, "hello", {
                 "user": "new", "version": PROTOCOL_VERSION})
             assert response.result["version"] == PROTOCOL_VERSION
+
+    def test_a_revision_5_peer_is_dropped_unanswered(self):
+        """Revision 5 framed with a four-byte length word; a hello's
+        has no sidecar flag, so its first byte, 0, reads as a head
+        announcing an empty body.  No typed
+        refusal — one framing, no fallback — but the connection is
+        dropped before anything runs, and the daemon serves on."""
+        service = TerpService(port=0)
+        thread = ServiceThread(service)
+        port = thread.start().bound_port
+        try:
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10) as sock:
+                sock.sendall(REVISION_5_HELLO)
+                assert sock.recv(1) == b""
+            assert service.metrics.ops.get("hello", 0) == 0
+            assert not list(service.sessions)
+            with SyncTerpClient(port=port) as client:
+                assert client.protocol_version == PROTOCOL_VERSION
+        finally:
+            thread.stop()
 
     def test_base64_payload_is_refused_typed(self, terpd):
         # The v1 encoding of binary data (base64 text under "data")
@@ -311,21 +363,72 @@ class TestSidecarTraffic:
             assert "now_ns" in results[1]
             assert results[2]["data"] == payloads[2]
 
+    def test_a_count_in_a_bytes_slot_is_refused_before_sending(self,
+                                                              terpd):
+        """A write's ``data`` is sent as bytes, its slot carrying their
+        count: an int there would be read as a count, and the item
+        would take the next write's bytes — ``BBBB`` written into the
+        first object, the second underrun.  The client refuses it
+        before a byte leaves, and the pool is unchanged."""
+        with SyncTerpClient(port=terpd.bound_port) as client:
+            client.create("cnt", MIB)
+            client.attach("cnt")
+            oa, ob = (client.pmalloc("cnt", 4) for _ in range(2))
+            a, b = oa.pack(), ob.pack()
+            client.batch([("write", {"oid": a, "data": b"aaaa"}),
+                          ("write", {"oid": b, "data": b"bbbb"})])
+            sends = (client.batch, client.pipeline,
+                     lambda requests: [client.call(op, **args)
+                                       for op, args in requests])
+            for send in sends:
+                with pytest.raises(TypeError, match="bytes, not int"):
+                    send([("write", {"oid": a, "data": 4}),
+                          ("write", {"oid": b, "data": b"BBBB"})])
+            assert client.read(oa, 4) == b"aaaa"
+            assert client.read(ob, 4) == b"bbbb"
+
     def test_a_refused_batch_item_still_takes_its_bytes(self, terpd):
-        """Regression: an item refused before its handler ran (here an
-        unknown op) left its sidecar bytes for the next item, which
-        then wrote them — ``AAAA`` where ``BBBB`` was sent."""
+        """Regression: an item refused before its handler ran (here a
+        write with a value its row does not declare) left its sidecar
+        bytes for the next item, which then wrote them — ``AAAA``
+        where ``BBBB`` was sent."""
         with RawWire(terpd.bound_port) as wire:
             oid = attached(wire, "skip")
-            wire.send([[10, "wirte", oid, {"bin": 4}],
+            wire.send([[10, OP_INDEX["write"], oid, 4, "extra"],
                        protocol.request(11, "write", {
-                           "oid": oid, "data": {"bin": 4}})],
+                           "oid": oid, "data": 4})],
                       b"AAAABBBB")
             (refused, written), _ = wire.recv()
-            assert refused.error == ("WireError", "unknown op 'wirte'")
+            assert refused.error[0] == "BadRequest"
             assert written.result == {"n": 4}
             assert wire.exchange(12, "read", {"oid": oid, "n": 4})[1] \
                 == b"BBBB"
+
+    def test_an_unreadable_count_refuses_every_later_take(self, terpd):
+        """A count is found by its request's row: after an item with
+        no row, or with no count in its binary slot, where the next
+        item's bytes start is not known, so every later write in the
+        frame is refused — never fed bytes off a misaligned cursor —
+        and items that take no bytes still run."""
+        with RawWire(terpd.bound_port) as wire:
+            oid = attached(wire, "lost")
+            write = OP_INDEX["write"]
+            assert wire.exchange(5, "write", {"oid": oid, "data": 4},
+                                 b"ZZZZ")[0].ok
+            for rid, first in ((10, [10, "wirte", oid, 4]),
+                               (20, [20, len(OP_INDEX), oid, 4]),
+                               (30, [30, write, oid, {"bin": 4}]),
+                               (40, [40, write, oid, "4"]),
+                               (50, [50, write, oid])):
+                wire.send([first, protocol.request(rid + 1, "ping"),
+                           [rid + 2, write, oid, 4]], b"AAAABBBB")
+                (refused, pong, lost), _ = wire.recv()
+                assert not refused.ok and pong.ok, first
+                kind, message = lost.error
+                assert kind == "WireError", first
+                assert message.startswith("sidecar cursor lost"), message
+                assert wire.exchange(rid + 3, "read", {
+                    "oid": oid, "n": 4})[1] == b"ZZZZ", first
 
     def test_a_frame_with_undeclared_values_is_refused(self, terpd):
         """A value the row does not declare is never dropped — a
@@ -343,7 +446,7 @@ class TestSidecarTraffic:
             (refused, pong), _ = wire.recv()
             assert refused.error[0] == "BadRequest" and pong.ok
             refused, _ = wire.exchange(13, "write", {
-                "oid": oid, "data": {"bin": 1}}, b"w")
+                "oid": oid, "data": 1}, b"w")
             assert "not attached" in refused.error[1]
 
     def test_a_retried_read_after_resume_is_refused(self, terpd):
@@ -373,7 +476,7 @@ class TestSidecarTraffic:
                 assert wire.exchange(rid + 1, "attach",
                                      {"name": "rep"})[0].ok
                 again, sidecar = wire.exchange(rid, "read", read)
-                assert again.outcome == [{"bin": 16}]
+                assert again.outcome == [16]
                 assert sidecar == b"R" * 16
         finally:
             client.close()
@@ -382,14 +485,14 @@ class TestSidecarTraffic:
 class TestTruncationAndHostileFrames:
     def _write_frame_with_sidecar(self) -> bytes:
         body = protocol.encode_body(protocol.request(
-            2, "write", {"oid": 12345, "data": {"bin": 64}}))
+            2, "write", {"oid": 12345, "data": 64}))
         return protocol.frame_from_body(body, b"\xab" * 64)
 
     def test_truncated_sidecar_is_wire_error_not_hang(self, terpd):
         frame = self._write_frame_with_sidecar()
-        assert HEADER.unpack(frame[:4])[0] & SIDECAR_FLAG
-        # Cut everywhere — mid-header, mid-body, at the sidecar length
-        # word, mid-sidecar — through the daemon's serve loop (the
+        assert parse_head(frame)[2] == 64
+        # Cut everywhere — mid-head, mid-body, mid-sidecar — through
+        # the daemon's serve loop (the
         # splitter alone meets every cut point of a longer stream in
         # test_frame_splitter.py).
         for cut in range(1, len(frame)):
@@ -406,20 +509,23 @@ class TestTruncationAndHostileFrames:
                 assert got is None, cut
 
     def test_sidecar_underrun_is_typed_error(self):
-        # A {"bin": n} marker claiming more bytes than the sidecar
-        # holds must fail the request, not desync the stream.
+        # A count claiming more bytes than the sidecar holds must
+        # fail the request, not desync the stream: the cursor is lost,
+        # and no later take is served off it.
         bins = protocol.BinReader(b"abc")
         assert bins.take(2) == b"ab"
         with pytest.raises(WireError, match="underrun"):
             bins.take(10)
+        with pytest.raises(WireError, match="lost"):
+            bins.take(1)
         with pytest.raises(WireError):
-            bins.take(-1)
+            protocol.BinReader(b"abc").take(-1)
 
     def test_server_rejects_sidecar_underrun_request(self, terpd):
         with RawWire(terpd.bound_port) as wire:
             wire.hello()
             response, sidecar = wire.exchange(
-                7, "write", {"oid": 1, "data": {"bin": 4096}}, b"short")
+                7, "write", {"oid": 1, "data": 4096}, b"short")
             assert sidecar == b""
             assert "underrun" in response.error[1]
 
@@ -429,7 +535,8 @@ class TestTruncationAndHostileFrames:
         # or a hang.
         server, client = socket.socketpair()
         try:
-            client.sendall(HEADER.pack(SIDECAR_FLAG | 0x7FFFFFFF))
+            # A four-byte varint announcing a 2**29-byte body.
+            client.sendall(b"\xbf\xff\xff\xff")
             client.close()
             with pytest.raises(WireError):
                 RawWire(sock=server).recv()

@@ -170,7 +170,7 @@ def test_a_failed_ticket_is_refused_at_its_own_slot(tmp_path):
                                                "size": 64})[0].result
             wire.send([
                 protocol.request(10, "write",
-                                 {"oid": oid["oid"], "data": {"bin": 4}}),
+                                 {"oid": oid["oid"], "data": 4}),
                 protocol.request(11, "psync", {"name": "slot"}),
                 protocol.request(12, "ping")], b"data")
             replies, _ = wire.recv()

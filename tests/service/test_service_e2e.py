@@ -19,7 +19,7 @@ import pytest
 from repro.core.units import MIB
 from repro.service.client import (
     RemoteError, SyncTerpClient, TerpClient)
-from repro.service.protocol import HEADER
+from repro.service.protocol import pack_head
 from repro.service.server import ServiceThread, TerpService
 from tests.service.rawwire import RawWire
 
@@ -243,7 +243,7 @@ class TestLifecycleAndCli:
         sock = socket.create_connection(("127.0.0.1",
                                          terpd.bound_port), timeout=10)
         try:
-            sock.sendall(HEADER.pack(64) + b"\xff" * 64)
+            sock.sendall(pack_head(64) + b"\xff" * 64)
             # Server drops the connection on an undecodable frame.
             assert sock.recv(1) == b""
         finally:

@@ -110,7 +110,7 @@ def test_empty_rings_answer_empty_lists():
     assert bytes(frame) == protocol.encode_frame(answered(
         1, {"spans": [], "audit": [], "open_windows": [],
             "now_ns": None}))
-    assert bytes(frame)[4:] == \
+    assert body_of(bytes(frame)) == \
         b'[1,[{"spans":[],"audit":[],"open_windows":[],"now_ns":null}]]'
 
 
@@ -130,8 +130,12 @@ class Writer:
         frames = list(splitter.feed(b"".join(self.writes)))
         splitter.eof()
         self.writes.clear()
-        return [protocol.HEADER.pack(len(body)) + body
-                for body, _ in frames]
+        return [protocol.frame_from_body(body) for body, _ in frames]
+
+
+def body_of(frame):
+    """A frame's body: what follows its head."""
+    return frame[protocol.parse_head(frame)[0]:]
 
 
 def serve(service, conn, *requests):
@@ -176,7 +180,7 @@ def test_the_serve_loop_streams_the_dict_answer():
     want["spans"] = spans
     (frame,) = writer.frames()
     assert frame == protocol.encode_frame(answered(901, want, EVENTS))
-    assert session.replay_get(901)[0] == frame[4:]
+    assert session.replay_get(901)[0] == body_of(frame)
 
     spans = obs.tracer.recent(5, "lib.psync")
     serve(service, conn, [
@@ -271,12 +275,12 @@ def test_an_oversize_answer_refused_carries_the_pending_events():
     service, conn, writer, pending = _oversize_session()
     serve(service, conn, protocol.request(5, "trace", {"limit": 16384}))
     (frame,) = writer.frames()
-    reply = protocol.decode_frame(frame[4:])
+    reply = protocol.decode_frame(body_of(frame))
     assert protocol.error_of(reply[1])[0] == "WireError"
     assert protocol.named_events(reply[2]) == pending
     serve(service, conn, protocol.request(6, "ping"))
     (frame,) = writer.frames()
-    assert len(protocol.decode_frame(frame[4:])) == 2     # none again
+    assert len(protocol.decode_frame(body_of(frame))) == 2     # none again
     assert not conn.session.events
 
 
@@ -291,7 +295,7 @@ def test_a_retried_oversize_answer_runs_again_and_loses_nothing():
         serve(service, conn, protocol.request(5, "trace",
                                               {"limit": 16384}))
         (frame,) = writer.frames()
-        reply = protocol.decode_frame(frame[4:])
+        reply = protocol.decode_frame(body_of(frame))
         assert reply[0] == 5 and isinstance(reply[1], str)
         got += protocol.named_events(reply[2]) if len(reply) > 2 else []
     assert got == pending
@@ -320,7 +324,7 @@ def test_an_oversize_batch_refuses_the_item_that_overflows():
     serve(service, conn, [protocol.request(rid, "trace", {"limit": 16384})
                           for rid in (5, 6)])
     (frame,) = writer.frames()
-    first, second = protocol.decode_frame(frame[4:])
+    first, second = protocol.decode_frame(body_of(frame))
     assert first[0] == 5 and isinstance(first[1], list)
     assert len(frame) > MAX_FRAME_BYTES // 2
     assert protocol.named_events(first[2]) == pending
@@ -328,7 +332,7 @@ def test_an_oversize_batch_refuses_the_item_that_overflows():
     assert protocol.error_of(second[1])[0] == "WireError"
     serve(service, conn, protocol.request(6, "trace", {"limit": 16384}))
     (frame,) = writer.frames()
-    reply = protocol.decode_frame(frame[4:])
+    reply = protocol.decode_frame(body_of(frame))
     assert reply[0] == 6 and isinstance(reply[1], list) and len(reply) == 2
     assert not conn.session.events
 

@@ -28,16 +28,56 @@ import subprocess
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_no_bytecode_tracked_by_git():
+#: What ``.gitignore`` must keep out of git for bytecode to stay out.
+BYTECODE_PATTERNS = ("__pycache__/", "*.py[cod]")
+
+
+def bytecode_tracking_problems(root) -> list:
+    """Why bytecode is, or could get, into git at ``root``: in a git
+    work tree, each tracked bytecode path; in an export (``git
+    archive``, which has no index to ask), each of
+    :data:`BYTECODE_PATTERNS` its ``.gitignore`` no longer holds."""
+    try:
+        inside = subprocess.run(
+            ["git", "rev-parse", "--is-inside-work-tree"], cwd=root,
+            capture_output=True, text=True).stdout.strip() == "true"
+    except FileNotFoundError:          # no git at all
+        inside = False
+    if not inside:
+        ignore = pathlib.Path(root, ".gitignore")
+        held = set(ignore.read_text().split()) if ignore.exists() \
+            else set()
+        return [f".gitignore does not hold {pattern!r}"
+                for pattern in BYTECODE_PATTERNS if pattern not in held]
     tracked = subprocess.run(
-        ["git", "ls-files"], cwd=REPO_ROOT, capture_output=True,
+        ["git", "ls-files"], cwd=root, capture_output=True,
         text=True, check=True).stdout.splitlines()
-    offenders = [path for path in tracked
-                 if "__pycache__" in path.split("/")
-                 or path.endswith((".pyc", ".pyo"))]
+    return [path for path in tracked
+            if "__pycache__" in path.split("/")
+            or path.endswith((".pyc", ".pyo"))]
+
+
+def test_no_bytecode_tracked_by_git():
+    offenders = bytecode_tracking_problems(REPO_ROOT)
     assert not offenders, (
         f"bytecode tracked by git (git rm --cached them): "
         f"{offenders}")
+
+
+def test_an_export_checks_what_gitignore_keeps_out(tmp_path):
+    """Outside a work tree the check neither errors nor passes
+    blindly: it holds ``.gitignore`` to the bytecode patterns."""
+    export = tmp_path / "export"
+    export.mkdir()
+    assert bytecode_tracking_problems(export) == [
+        f".gitignore does not hold {pattern!r}"
+        for pattern in BYTECODE_PATTERNS]
+    (export / ".gitignore").write_text("build/\n__pycache__/\n")
+    assert bytecode_tracking_problems(export) == [
+        ".gitignore does not hold '*.py[cod]'"]
+    (export / ".gitignore").write_text(
+        pathlib.Path(REPO_ROOT, ".gitignore").read_text())
+    assert bytecode_tracking_problems(export) == []
 
 
 def test_no_sourceless_bytecode_on_disk():
