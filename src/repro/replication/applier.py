@@ -276,8 +276,8 @@ class StandbyDaemon:
         self._listener = listener
         self.port = listener.getsockname()[1]
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="terp-standby-accept",
-            daemon=True)
+            target=self._accept_loop, args=(listener,),
+            name="terp-standby-accept", daemon=True)
         self._accept_thread.start()
         return self.port
 
@@ -354,10 +354,12 @@ class StandbyDaemon:
 
     # -- the replication socket --------------------------------------------
 
-    def _accept_loop(self) -> None:
+    def _accept_loop(self, listener: socket.socket) -> None:
+        # Its own reference: ``stop()`` clears ``self._listener`` while
+        # this loop may be between two accepts.
         while not self._stop.is_set():
             try:
-                conn, _ = self._listener.accept()
+                conn, _ = listener.accept()
             except OSError:
                 return
             thread = threading.Thread(

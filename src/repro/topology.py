@@ -30,8 +30,9 @@ Every topology takes the daemon settings as one dict of
 in-process, as ``ClusterConfig.service``, or as flags
 (``launch.to_flags``).  Child processes go through one :class:`Proc`,
 which owns the startup banner patterns and enforces the startup
-deadline.  Nothing here is imported by a serving process.  (``benchmarks/terpbench`` keeps its
-own spawner until a ``[benchmark]`` PR can point it here.)
+deadline, and which stops a child's whole process group.  Nothing
+here is imported by a serving process.  (``benchmarks/terpbench``
+keeps its own spawner until a ``[benchmark]`` PR can point it here.)
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -73,8 +75,11 @@ _SRC_DIR = str(Path(__file__).resolve().parents[1])
 
 
 class Proc:
-    """One ``python -m <module>`` child: spawn it, wait for its startup
-    banner under an enforced deadline, SIGKILL it, stop it.
+    """One ``python -m <module>`` child in a session of its own: spawn
+    it, wait for its startup banner under an enforced deadline, SIGKILL
+    it, stop it.  Both signals go to the child's whole process group,
+    so a supervisor's forked children get the group's SIGTERM and then
+    the supervisor's own, as from a terminal's Ctrl-C.
 
     A reader thread owns the child's stdout from the first byte (and
     keeps the last 50 lines), so waiting for the banner is waiting on
@@ -91,9 +96,10 @@ class Proc:
         self.popen = subprocess.Popen(
             [sys.executable, "-m", module, *args],
             stdout=subprocess.PIPE, stderr=stderr,
-            stdin=subprocess.DEVNULL, text=True,
+            stdin=subprocess.DEVNULL, text=True, start_new_session=True,
             env={**os.environ, "PYTHONUNBUFFERED": "1",
                  "PYTHONPATH": path})
+        self.pid = self.popen.pid
         self.lines: Deque[str] = deque(maxlen=50)
         self.port: Optional[int] = None
         #: set at the banner, or at EOF without one
@@ -137,18 +143,24 @@ class Proc:
         except subprocess.TimeoutExpired:
             return None
 
+    def _signal_group(self, sig: int) -> None:
+        try:
+            os.killpg(self.pid, sig)
+        except ProcessLookupError:      # the whole group is gone
+            pass
+
     def sigkill(self) -> None:
-        """``kill -9``, reaped."""
-        self.popen.kill()
+        """``kill -9`` of the group, reaped."""
+        self._signal_group(signal.SIGKILL)
         self.stop()
 
     def stop(self) -> int:
-        """SIGTERM (SIGKILL if that is ignored), reap, and release the
-        stdout pipe; returns the exit code.  Idempotent."""
+        """SIGTERM the group (SIGKILL if that is ignored), reap, and
+        release the stdout pipe; returns the exit code.  Idempotent."""
         if self.popen.poll() is None:
-            self.popen.terminate()
+            self._signal_group(signal.SIGTERM)
         if self._wait(10.0) is None:
-            self.popen.kill()
+            self._signal_group(signal.SIGKILL)
             self.popen.wait(timeout=10.0)
         self._reader.join(timeout=5.0)
         assert self.popen.stdout is not None
@@ -208,9 +220,11 @@ class _Topology:
 class ThreadDaemon(_Topology):
     """One daemon on a :class:`ServiceThread`.  In-process, so a
     :class:`FaultPlan` reaches every layer and ``kill`` is
-    :meth:`ServiceThread.kill`; the recovered daemon runs fault-free."""
+    :meth:`ServiceThread.kill`; the recovered daemon runs fault-free.
+    ``service`` is the serving :class:`TerpService` itself."""
 
     victims = ("daemon",)
+    service: Optional[TerpService] = None
 
     def __init__(self, settings: Dict[str, Any], *, durable: bool,
                  faults: Optional[FaultPlan] = None) -> None:
@@ -222,7 +236,8 @@ class ThreadDaemon(_Topology):
         self._thread = ServiceThread(TerpService(
             host=HOST, port=self.port, pool_dir=self.root,
             faults=self.faults, **self.settings))
-        return self._thread.start().bound_port or 0
+        self.service = self._thread.start()
+        return self.service.bound_port or 0
 
     def kill(self, victim: str) -> None:
         self._check(victim)

@@ -152,3 +152,24 @@ def test_a_revision_4_hello_is_dropped_unanswered(standby, monkeypatch):
         send_msg(sock, {"t": "hello", "version": REPL_PROTOCOL_VERSION})
         assert recv_msg(sock)[0] == {"t": "hello-ack", "ok": True,
                                      "version": REPL_PROTOCOL_VERSION}
+
+
+def test_a_stop_between_two_accepts_escapes_nothing(standby, monkeypatch):
+    """``stop()`` clears the standby's listener while its accept loop
+    may be past its stop check, on the way to the next ``accept()``.
+    The loop keeps its own reference, so that accept ends on an
+    ``OSError`` once the listener is closed; it reached ``None`` and
+    died on an ``AttributeError`` in its thread."""
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    listener, standby._listener = standby._listener, None
+    address = ("127.0.0.1", standby.bound_port)
+    try:
+        for _ in range(2):       # the second is the next accept's
+            with socket.create_connection(address, timeout=5.0) as sock:
+                send_msg(sock, {"t": "hello",
+                                "version": REPL_PROTOCOL_VERSION})
+                assert recv_msg(sock)[0]["t"] == "hello-ack"
+    finally:
+        standby._listener = listener
+    assert escaped == []

@@ -193,10 +193,10 @@ def test_a_client_that_stops_reading_stalls_itself_not_the_daemon():
                     protocol.encode_frame(protocol.request(
                         rid, "read", {"oid": oid.pack(), "n": 4096}))
                     for rid in rids)
-            before = rss_kib(daemon.popen.pid)
+            before = rss_kib(daemon.pid)
             wire.sock.sendall(reads(range(10, 2010)))
             time.sleep(0.2)
-            grown = rss_kib(daemon.popen.pid) - before
+            grown = rss_kib(daemon.pid) - before
             assert grown < 3072, f"daemon grew {grown} KiB"
             for rid in range(10, 2010):
                 response, sidecar = wire.recv()

@@ -43,7 +43,7 @@ class TestDoubleAttach:
         assert engine.attach(1, 1, Access.RW, 20).silent
 
     def test_service_surfaces_double_attach_as_error(self, terpd):
-        with SyncTerpClient(port=terpd.bound_port) as client:
+        with SyncTerpClient(port=terpd.port) as client:
             client.create("dbl", MIB)
             client.attach("dbl")
             with pytest.raises(RemoteError) as err:
@@ -161,7 +161,7 @@ class TestCircularBufferWraparound:
         assert len(engine.cb) == 2
 
     def test_wraparound_through_the_service(self, terpd):
-        with SyncTerpClient(port=terpd.bound_port) as client:
+        with SyncTerpClient(port=terpd.port) as client:
             for i in range(36):
                 name = f"wrap{i}"
                 client.create(name, MIB)

@@ -97,7 +97,7 @@ def test_no_serving_process_maps_openssl(tmp_path):
     try:
         for proc in procs.values():
             proc.ready()
-        pids = {role: proc.popen.pid for role, proc in procs.items()}
+        pids = {role: proc.pid for role, proc in procs.items()}
         cluster = json.loads(state.read_text())
         for kind in ("shards", "routers"):
             for child in cluster[kind]:
@@ -342,12 +342,12 @@ def test_large_reads_are_not_pinned_by_the_daemon():
             # is the allocator's to keep, and not what is measured.
             client.read(oid, MIB)
             assert len(client.trace(limit=65536)["audit"]) > 16384
-            before = rss_kib(daemon.popen.pid)
+            before = rss_kib(daemon.pid)
             for _ in range(64):
                 assert client.read(oid, MIB) == b"\xa5" * MIB
             for _ in range(16):
                 client.trace(limit=65536)
-            grown = rss_kib(daemon.popen.pid) - before
+            grown = rss_kib(daemon.pid) - before
             client.detach("big")
     finally:
         daemon.stop()
@@ -393,15 +393,16 @@ def test_a_session_keeps_no_pmo_bytes_past_detach():
 def test_trace_op_carries_the_rings_records_verbatim(terpd):
     """JSON keeps key order, so the reply must equal — keys, order,
     values — what the daemon's own read paths return."""
-    if not hasattr(terpd, "obs"):
+    service = getattr(terpd, "service", None)
+    if service is None:
         pytest.skip("needs the in-process daemon's rings")
-    with SyncTerpClient(port=terpd.bound_port) as client:
+    with SyncTerpClient(port=terpd.port) as client:
         client.create("shape", MIB)
         client.attach("shape")
         client.detach("shape")
         reply = client.trace(limit=1000)
-        audit = terpd.obs.audit.events(limit=1000)
-        spans = terpd.obs.tracer.recent(limit=1000)
+        audit = service.obs.audit.events(limit=1000)
+        spans = service.obs.tracer.recent(limit=1000)
     assert [e["kind"] for e in reply["audit"]][-2:] == \
         ["attach", "detach"]
     assert reply["audit"] == audit[:len(reply["audit"])]

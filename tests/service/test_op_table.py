@@ -139,7 +139,7 @@ class TestConformance:
     def test_sessionless_is_the_tables_projection(self, terpd):
         # Before hello, exactly the sessionless rows get past the
         # session check (they may fail later, on their arguments).
-        with RawWire(terpd.bound_port) as wire:
+        with RawWire(terpd.port) as wire:
             for rid, (name, op) in enumerate(OPS.items(), start=1):
                 if name == "hello":
                     continue            # would bind a session
@@ -783,12 +783,12 @@ def either_client(request, terpd):
     """``(client, do)``: ``do(client.op(...))`` is the op's result on
     either transport (the asyncio client's methods return awaitables)."""
     if request.param == "blocking":
-        with SyncTerpClient(port=terpd.bound_port) as client:
+        with SyncTerpClient(port=terpd.port) as client:
             yield client, lambda value: value
         return
     loop = asyncio.new_event_loop()
     client = loop.run_until_complete(
-        TerpClient(port=terpd.bound_port).connect())
+        TerpClient(port=terpd.port).connect())
     yield client, loop.run_until_complete
     loop.run_until_complete(client.close())
     loop.close()

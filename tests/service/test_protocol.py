@@ -20,6 +20,7 @@ sidecar is a typed :class:`WireError`, never a hang.
 import asyncio
 import socket
 import threading
+import time
 
 import pytest
 
@@ -254,7 +255,7 @@ def attached(wire, name, *, attach=True):
 
 class TestNegotiation:
     def test_default_is_v2_both_ways(self, terpd):
-        with SyncTerpClient(port=terpd.bound_port) as client:
+        with SyncTerpClient(port=terpd.port) as client:
             assert client.protocol_version == PROTOCOL_VERSION
             roundtrip(client)
 
@@ -263,7 +264,7 @@ class TestNegotiation:
         # offers 1 to 5 outright; a future one might offer 7.  Each
         # gets the typed refusal, the connection stays in sync, and the
         # same connection may still say a proper hello afterwards.
-        with RawWire(terpd.bound_port) as wire:
+        with RawWire(terpd.port) as wire:
             for rid, offer in enumerate(({}, {"version": 1},
                                          {"version": 2}, {"version": 3},
                                          {"version": 4}, {"version": 5},
@@ -324,7 +325,7 @@ class TestNegotiation:
     def test_base64_payload_is_refused_typed(self, terpd):
         # The v1 encoding of binary data (base64 text under "data")
         # is no longer read: a typed refusal, not a decode attempt.
-        with RawWire(terpd.bound_port) as wire:
+        with RawWire(terpd.port) as wire:
             wire.hello()
             response, _ = wire.exchange(2, "write",
                                         {"oid": 1, "data": "eHh4eA=="})
@@ -333,7 +334,7 @@ class TestNegotiation:
 
     def test_async_client_negotiates_v2(self, terpd):
         async def drive():
-            async with TerpClient(port=terpd.bound_port) as new:
+            async with TerpClient(port=terpd.port) as new:
                 assert new.protocol_version == PROTOCOL_VERSION
                 await new.create("anew", MIB)
                 await new.attach("anew")
@@ -345,7 +346,7 @@ class TestNegotiation:
 
 class TestSidecarTraffic:
     def test_batch_sidecar_orders_chunks_per_item(self, terpd):
-        with SyncTerpClient(port=terpd.bound_port) as client:
+        with SyncTerpClient(port=terpd.port) as client:
             client.create("bat", MIB)
             client.attach("bat")
             oids = [client.pmalloc("bat", 8) for _ in range(3)]
@@ -370,7 +371,7 @@ class TestSidecarTraffic:
         would take the next write's bytes — ``BBBB`` written into the
         first object, the second underrun.  The client refuses it
         before a byte leaves, and the pool is unchanged."""
-        with SyncTerpClient(port=terpd.bound_port) as client:
+        with SyncTerpClient(port=terpd.port) as client:
             client.create("cnt", MIB)
             client.attach("cnt")
             oa, ob = (client.pmalloc("cnt", 4) for _ in range(2))
@@ -392,7 +393,7 @@ class TestSidecarTraffic:
         write with a value its row does not declare) left its sidecar
         bytes for the next item, which then wrote them — ``AAAA``
         where ``BBBB`` was sent."""
-        with RawWire(terpd.bound_port) as wire:
+        with RawWire(terpd.port) as wire:
             oid = attached(wire, "skip")
             wire.send([[10, OP_INDEX["write"], oid, 4, "extra"],
                        protocol.request(11, "write", {
@@ -410,7 +411,7 @@ class TestSidecarTraffic:
         item's bytes start is not known, so every later write in the
         frame is refused — never fed bytes off a misaligned cursor —
         and items that take no bytes still run."""
-        with RawWire(terpd.bound_port) as wire:
+        with RawWire(terpd.port) as wire:
             oid = attached(wire, "lost")
             write = OP_INDEX["write"]
             assert wire.exchange(5, "write", {"oid": oid, "data": 4},
@@ -434,7 +435,7 @@ class TestSidecarTraffic:
         """A value the row does not declare is never dropped — a
         misspelt ``access`` used to attach ``rw`` — the frame is
         refused before anything runs."""
-        with RawWire(terpd.bound_port) as wire:
+        with RawWire(terpd.port) as wire:
             oid = attached(wire, "undeclared", attach=False)
             # attach declares (name, access): a third value is refused
             # before anything runs, alone and inside a batch.
@@ -455,7 +456,7 @@ class TestSidecarTraffic:
         ``readonly``), so the same request id on a fresh connection
         runs again — against the window the drop force-closed — and
         the bytes come back only once the tenant re-attaches."""
-        port = terpd.bound_port
+        port = terpd.port
         client = SyncTerpClient(port=port).connect()
         try:
             client.create("rep", MIB)
@@ -466,9 +467,17 @@ class TestSidecarTraffic:
             assert client.read(oid, 16) == b"R" * 16   # served at rid
             with RawWire(port) as wire:
                 client._drop_socket()   # free the session binding
-                terpd.sweeper.run_sweep()   # let the daemon notice
-                wire.hello(99, user="root", resume=client.session_id,
-                           token=client.resume_token)
+                resume = {"user": "root", "version": PROTOCOL_VERSION,
+                          "resume": client.session_id,
+                          "token": client.resume_token}
+                # Bound until the daemon has read the drop's EOF.
+                for _ in range(500):
+                    hello, _ = wire.exchange(99, "hello", resume)
+                    if hello.ok:
+                        break
+                    assert "still bound" in hello.error[1], hello
+                    time.sleep(0.01)
+                assert hello.ok, hello
                 read = {"oid": oid.pack(), "n": 16}
                 refused, sidecar = wire.exchange(rid, "read", read)
                 assert sidecar == b""
@@ -496,7 +505,7 @@ class TestTruncationAndHostileFrames:
         # splitter alone meets every cut point of a longer stream in
         # test_frame_splitter.py).
         for cut in range(1, len(frame)):
-            with RawWire(terpd.bound_port, timeout=5.0) as wire:
+            with RawWire(terpd.port, timeout=5.0) as wire:
                 wire.hello()
                 wire.sock.sendall(frame[:cut])
                 wire.sock.shutdown(socket.SHUT_WR)
@@ -522,7 +531,7 @@ class TestTruncationAndHostileFrames:
             protocol.BinReader(b"abc").take(-1)
 
     def test_server_rejects_sidecar_underrun_request(self, terpd):
-        with RawWire(terpd.bound_port) as wire:
+        with RawWire(terpd.port) as wire:
             wire.hello()
             response, sidecar = wire.exchange(
                 7, "write", {"oid": 1, "data": 4096}, b"short")
@@ -546,7 +555,7 @@ class TestTruncationAndHostileFrames:
     def test_client_absorbs_clean_eof_mid_pipeline(self, terpd):
         # Sanity: ConnectionLost (not a hang) when the server dies
         # between pipelined sidecar frames.
-        client = SyncTerpClient(port=terpd.bound_port).connect()
+        client = SyncTerpClient(port=terpd.port).connect()
         try:
             client.create("eof", MIB)
             client._drop_socket()

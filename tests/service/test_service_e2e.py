@@ -29,7 +29,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 
 class TestConcurrentSessions:
     def test_two_sessions_share_one_pmo(self, terpd):
-        port = terpd.bound_port
+        port = terpd.port
         with SyncTerpClient(port=port, user="alice") as alice, \
                 SyncTerpClient(port=port, user="bob") as bob:
             alice.create("shared", 4 * MIB, mode=0o666)
@@ -42,9 +42,9 @@ class TestConcurrentSessions:
             alice.tx_begin("shared")
             alice.write(oid, b"cross-session payload")
             flushed = alice.psync("shared")
-            # In-memory: exactly the one dirty data page.  Durable
-            # replica mode also flushes header/allocator metadata.
-            if os.environ.get("TERP_REPLICA") == "1":
+            # In-memory: exactly the one dirty data page.  A durable
+            # pool also flushes header/allocator metadata.
+            if terpd.durable:
                 assert flushed >= 1
             else:
                 assert flushed == 1
@@ -54,7 +54,7 @@ class TestConcurrentSessions:
                                                        "silent")
 
     def test_concurrent_attach_write_psync_detach_loops(self, terpd):
-        port = terpd.bound_port
+        port = terpd.port
         with SyncTerpClient(port=port) as setup:
             setup.create("loop", 4 * MIB, mode=0o666)
             oids = [setup.pmalloc("loop", 64) for _ in range(4)]
@@ -92,7 +92,7 @@ class TestConcurrentSessions:
                     checker.read(oid, 1)
 
     def test_pipelining_and_batching(self, terpd):
-        with SyncTerpClient(port=terpd.bound_port) as client:
+        with SyncTerpClient(port=terpd.port) as client:
             client.create("pipe", MIB)
             client.attach("pipe")
             oid = client.pmalloc("pipe", 256)
@@ -110,7 +110,7 @@ class TestConcurrentSessions:
             client.detach("pipe")
 
     def test_batch_error_isolated_to_its_slot(self, terpd):
-        with SyncTerpClient(port=terpd.bound_port) as client:
+        with SyncTerpClient(port=terpd.port) as client:
             client.create("iso", MIB)
             responses = client.batch([("attach", {"name": "iso"}),
                                       ("ping", {})])
@@ -126,7 +126,7 @@ class TestConcurrentSessions:
 
 class TestPermissions:
     def test_mode_bits_gate_foreign_users(self, terpd):
-        port = terpd.bound_port
+        port = terpd.port
         with SyncTerpClient(port=port, user="alice") as alice, \
                 SyncTerpClient(port=port, user="mallory") as mallory:
             alice.create("private", MIB, mode=0o600)
@@ -135,7 +135,7 @@ class TestPermissions:
             assert err.value.kind == "PmoError"
 
     def test_read_only_grant_blocks_writes(self, terpd):
-        port = terpd.bound_port
+        port = terpd.port
         with SyncTerpClient(port=port, user="alice") as alice, \
                 SyncTerpClient(port=port, user="bob") as bob:
             alice.create("ro", MIB, mode=0o644)
@@ -148,7 +148,7 @@ class TestPermissions:
             assert err.value.kind == "ProtectionFault"
 
     def test_destroy_requires_ownership(self, terpd):
-        port = terpd.bound_port
+        port = terpd.port
         with SyncTerpClient(port=port, user="alice") as alice, \
                 SyncTerpClient(port=port, user="bob") as bob:
             alice.create("mine", MIB, mode=0o666)
@@ -194,7 +194,7 @@ class TestSweeperEnforcement:
                 assert report["global"]["sweep_latency"]["count"] >= 1
 
     def test_negotiated_budget_is_clamped_to_server_max(self, terpd):
-        with SyncTerpClient(port=terpd.bound_port,
+        with SyncTerpClient(port=terpd.port,
                             ew_budget_us=10 ** 12) as client:
             assert client.ew_budget_us <= 2_000_000_000 / 1_000
 
@@ -233,7 +233,7 @@ class TestLifecycleAndCli:
         client.close()
 
     def test_hello_required_before_table1_ops(self, terpd):
-        with RawWire(terpd.bound_port) as wire:
+        with RawWire(terpd.port) as wire:
             response, _ = wire.exchange(1, "create",
                                         {"name": "x", "size": MIB})
             assert response.ok is False
@@ -241,7 +241,7 @@ class TestLifecycleAndCli:
 
     def test_malformed_frame_disconnects_without_crash(self, terpd):
         sock = socket.create_connection(("127.0.0.1",
-                                         terpd.bound_port), timeout=10)
+                                         terpd.port), timeout=10)
         try:
             sock.sendall(pack_head(64) + b"\xff" * 64)
             # Server drops the connection on an undecodable frame.
@@ -249,7 +249,7 @@ class TestLifecycleAndCli:
         finally:
             sock.close()
         # ...but keeps serving everyone else.
-        with SyncTerpClient(port=terpd.bound_port) as client:
+        with SyncTerpClient(port=terpd.port) as client:
             assert "now_ns" in client.ping()
 
     def test_unix_socket_round_trip_with_both_clients(self, tmp_path):
@@ -289,7 +289,7 @@ class TestLifecycleAndCli:
         assert "--session-ew-ms" in proc.stdout
 
     def test_metrics_report_shape(self, terpd):
-        with SyncTerpClient(port=terpd.bound_port) as client:
+        with SyncTerpClient(port=terpd.port) as client:
             client.create("shape", MIB)
             client.attach("shape")
             client.detach("shape")
@@ -303,8 +303,38 @@ class TestLifecycleAndCli:
             assert report["runtime"]["attach_calls"] >= 1
             assert "case1_first_attach" in report["arch_cases"]
 
+    @pytest.mark.sweep_period_ns(10_000_000)
+    def test_round_trip_with_audit_timeline_assertions(self, terpd):
+        """One tenant's whole cycle, and the audit timeline saw the
+        window open and close within the session's EW budget."""
+        session_ew_ns = 200_000_000
+        with SyncTerpClient(port=terpd.port, user="smoke",
+                            ew_budget_us=session_ew_ns / 1_000) as client:
+            client.create("smoke", MIB)
+            client.attach("smoke")
+            oid = client.pmalloc("smoke", 64)
+            client.write(oid, b"smoke test payload")
+            assert client.read(oid, 18) == b"smoke test payload"
+            flushed = client.psync("smoke")
+            # A durable pool flushes the page and its metadata too.
+            assert flushed >= 1 if terpd.durable else flushed == 0
+            client.detach("smoke")
+            report = client.metrics()
+            assert report["global"]["attaches"] == 1
+            assert report["audit"]["attaches"] == 1
+            tl = client.trace(limit=50)
+            kinds = [e["kind"] for e in tl["audit"]]
+            assert "attach" in kinds, kinds
+            assert "detach" in kinds, kinds
+            closed = [e for e in tl["audit"]
+                      if e["kind"] == "detach"][-1]
+            assert closed["duration_ns"] is not None
+            assert closed["duration_ns"] <= session_ew_ns, closed
+            assert tl["open_windows"] == []
+            assert "terpd_requests_total" in client.prometheus()
+
     def test_trace_limit_zero_is_none_and_negative_is_refused(self, terpd):
-        with SyncTerpClient(port=terpd.bound_port) as client:
+        with SyncTerpClient(port=terpd.port) as client:
             client.create("lim", MIB)
             client.attach("lim")
             client.detach("lim")
@@ -325,7 +355,7 @@ class TestLifecycleAndCli:
         each shard's part of it (two shards answered ``limit=2`` with
         four audit events and four spans), and the newest events are
         the last ones made, whatever each shard's clock origin."""
-        with SyncTerpClient(port=terpd.bound_port) as client:
+        with SyncTerpClient(port=terpd.port) as client:
             for i in range(6):              # names land on every shard
                 client.create(f"newest-{i}", MIB)
                 client.attach(f"newest-{i}")

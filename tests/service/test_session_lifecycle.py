@@ -252,7 +252,7 @@ def test_goodbye_leaves_no_session_to_attach_with(terpd):
     refused, and a ``hello`` there opens a fresh session.  Before, the
     daemon left the ended session bound, the attach succeeded, and the
     window it opened was one no sweep and no teardown would close."""
-    with SyncTerpClient(port=terpd.bound_port, user="leaver") as client:
+    with SyncTerpClient(port=terpd.port, user="leaver") as client:
         client.create("leaver", MIB)
         first = client.session_id
         assert client.goodbye() == {"released": 0}
@@ -262,7 +262,7 @@ def test_goodbye_leaves_no_session_to_attach_with(terpd):
                             user="leaver")
         assert fresh["session"] != first and not fresh["resumed"]
         client.attach("leaver")
-    with SyncTerpClient(port=terpd.bound_port) as observer:
+    with SyncTerpClient(port=terpd.port) as observer:
         deadline = time.monotonic() + 5.0
         while observer.trace(limit=1)["open_windows"] and \
                 time.monotonic() < deadline:

@@ -1,8 +1,8 @@
 """Repository hygiene: no bytecode in git, no source-less bytecode,
-a change log that stays a log, no module without a caller, and no
-stale flag in the docs.
+a change log that stays a log, no module without a caller, no stale
+flag in the docs, and no daemon CI starts by hand.
 
-Five failure modes this guards against, all of which have bitten
+Six failure modes this guards against, all of which have bitten
 real checkouts:
 
 * a ``__pycache__`` entry (or any ``.pyc``) committed to git — stale
@@ -16,7 +16,9 @@ real checkouts:
 * a ``src/repro`` module that nothing outside ``tests/`` imports
   (DESIGN §3: a path needs a caller);
 * a ``--flag`` in README.md or the verify skill that no parser
-  declares any more.
+  declares any more;
+* a daemon started by hand in CI, beside :mod:`repro.topology`, or a
+  ``TERP_TOPOLOGY`` value that names no topology.
 """
 
 import ast
@@ -249,3 +251,57 @@ def test_every_flag_in_the_docs_is_declared():
         if missing:
             stale[doc] = sorted(missing)
     assert not stale, f"flags no parser declares: {stale}"
+
+
+CI = os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")
+
+
+def ci_run_blocks() -> list:
+    """Each ``run:`` of ci.yml: a one-liner, or a block's lines (every
+    line indented past its key) joined.  Read as text: CI's tier-1 job
+    installs no YAML parser."""
+    with open(CI, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    blocks = []
+    for i, line in enumerate(lines):
+        key = re.match(r"( *)(?:- )?run: *(.*)$", line)
+        if key is None:
+            continue
+        if key.group(2) not in ("|", ">"):
+            blocks.append(key.group(2))
+            continue
+        body = []
+        for follower in lines[i + 1:]:
+            if follower.strip() and len(follower) - \
+                    len(follower.lstrip()) <= len(key.group(1)):
+                break
+            body.append(follower)
+        blocks.append("\n".join(body))
+    return blocks
+
+
+#: How a script stands a daemon up by hand; ``--help`` starts none.
+HAND_LAUNCH = re.compile(
+    r"\b(?:ServiceThread|Proc|Popen)\b"
+    r"|python3?\s+-m\s+repro\.(?:service|cluster|replication)\b"
+    r"(?!\s+--help)")
+
+
+def test_ci_starts_no_daemon_by_hand():
+    """CI's daemons are the tests' (``repro.topology``, run by name):
+    a launch script in a ``run:`` block is a second launcher whose
+    assertions no tier-1 run sees."""
+    blocks = ci_run_blocks()
+    assert any("python -m repro.service --help" in b for b in blocks)
+    assert [b for b in blocks if HAND_LAUNCH.search(b)] == []
+
+
+def test_every_terp_topology_value_names_a_topology():
+    from repro.topology import TOPOLOGIES
+
+    named = set()
+    for doc in (CI, os.path.join(REPO_ROOT, "README.md")):
+        with open(doc, encoding="utf-8") as fh:
+            named.update(re.findall(r"TERP_TOPOLOGY=(\w*)", fh.read()))
+    assert {"cluster", "pair"} <= named
+    assert named <= set(TOPOLOGIES), sorted(named - set(TOPOLOGIES))
