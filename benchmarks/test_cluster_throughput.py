@@ -1,12 +1,10 @@
 """Sharded terpd throughput: what the cluster buys over one process.
 
-The same closed-loop tenant workload from ``test_service_throughput``
-runs twice in one bench: first against a single in-process daemon,
-then against an N-shard cluster behind the router (``--cluster N``,
-default 4) — tenants' PMO names are picked so the ring spreads them
-one per shard.  The bench emits ``BENCH_cluster.json`` (schema
-``terp-cluster-bench/1``) with both runs' requests/s and the measured
-speedup, the series CI pins run over run.
+A closed-loop tenant workload runs twice in one bench: first against a
+single in-process daemon, then against an N-shard cluster behind the
+router (``--cluster N``, default 4) — tenants' PMO names are picked so
+the ring spreads them one per shard.  Both legs must serve the whole
+workload, every shard real load.
 
 The headline claim — >=1.8x single-process requests/s at 4 shards —
 is a *parallelism* claim: each shard owns its PMOs' exposure clocks
@@ -14,17 +12,16 @@ and sweeps locally, so requests to different shards execute on
 different cores with no shared lock.  The assertion is therefore
 gated on the runner actually having cores to parallelise over
 (``os.cpu_count() >= 4``); on smaller runners the bench still runs
-both legs, records the measured ratio, and asserts only that the
-cluster serves the full workload correctly.
+both legs and asserts only that the cluster serves the full workload
+correctly.  What the router hop costs per op is terpbench's
+``cluster_cycle`` against ``mem_cycle``.
 
 Run (benchmark tier)::
 
     PYTHONPATH=src python -m pytest benchmarks/test_cluster_throughput.py -q -s
 """
 
-import json
 import os
-import pathlib
 import threading
 import time
 
@@ -45,11 +42,6 @@ CYCLE_REQUESTS = PIPELINE_DEPTH + 4
 #: Generous budget: this bench measures throughput, not sweeping.
 SESSION_EW_MS = 2_000
 RING_SEED = 2022
-
-BENCH_OUT = pathlib.Path(os.environ.get(
-    "TERP_BENCH_OUT",
-    pathlib.Path(__file__).resolve().parent.parent /
-    "BENCH_cluster.json"))
 
 
 def _tenant_names(shards: int) -> "list[str]":
@@ -148,56 +140,17 @@ def test_cluster_throughput(benchmark, request):
     cluster_rps = issued / cluster_s
     speedup = cluster_rps / single_rps
     merged = cluster_report["global"]
-    audit = cluster_report["audit"]
-    bench_report = {
-        "schema": "terp-cluster-bench/1",
-        "config": {
-            "shards": shards,
-            "sessions": SESSIONS,
-            "rounds": ROUNDS,
-            "pipeline_depth": PIPELINE_DEPTH,
-            "session_ew_ms": SESSION_EW_MS,
-            "cpu_count": os.cpu_count(),
-        },
-        "throughput": {
-            "requests": issued,
-            "elapsed_s": round(cluster_s, 3),
-            "requests_per_s": round(cluster_rps, 1),
-        },
-        "single": {
-            "requests": issued,
-            "elapsed_s": round(single_s, 3),
-            "requests_per_s": round(single_rps, 1),
-        },
-        "speedup_vs_single": round(speedup, 3),
-        "latency_us": {
-            "request_p50": merged["request_latency"]["p50_us"],
-            "request_p99": merged["request_latency"]["p99_us"],
-        },
-        "exposure": {
-            "forced_detaches": merged["forced_detaches"],
-            "attaches": merged["attaches"],
-            "detaches": merged["detaches"],
-            "tew_max_us": round(audit["held_max_ns"] / 1e3, 1),
-        },
-        "cluster": {
-            "per_shard_requests":
-                cluster_report["cluster"]["per_shard_requests"],
-            "unreachable": cluster_report["cluster"]["unreachable"],
-        },
-    }
-    BENCH_OUT.write_text(json.dumps(bench_report, indent=2) + "\n",
-                         encoding="utf-8")
-    print()
-    print(json.dumps(bench_report, indent=2))
+    print(f"\nsingle {single_rps:.0f} req/s, {shards} shards "
+          f"{cluster_rps:.0f} req/s: {speedup:.2f}x on "
+          f"{os.cpu_count()} cpu(s)")
 
     # Shape: both legs served the identical workload, fully.
     assert single_report["global"]["attaches"] >= SESSIONS * ROUNDS
     assert merged["attaches"] >= SESSIONS * ROUNDS
     assert merged["errors"] == 0
-    assert bench_report["cluster"]["unreachable"] == 0
+    assert cluster_report["cluster"]["unreachable"] == 0
     # Every shard served real load — the ring spread the tenants.
-    per_shard = bench_report["cluster"]["per_shard_requests"]
+    per_shard = cluster_report["cluster"]["per_shard_requests"]
     assert len(per_shard) == shards
     assert all(count > ROUNDS for count in per_shard.values()), per_shard
     assert merged["forced_detaches"] == 0

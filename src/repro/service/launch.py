@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import os
 import signal
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -193,13 +193,32 @@ async def serve(node: Any, *, ready: Callable[[int], None],
 
 def wait_for_signal(node: Any, *, ready: Callable[[int], None]) -> None:
     """:func:`serve` for a node whose ``start`` and ``stop`` block:
-    the calling (main) thread parks until a handler wakes it."""
-    stop = threading.Event()
+    the calling (main) thread parks reading a pipe until a handler
+    writes it a byte.
+
+    The handler runs on the main thread between two of its bytecodes,
+    so it may take no lock the wait holds: ``Event.set`` from a handler
+    that lands inside ``Event.wait`` takes the lock ``wait`` holds, and
+    the process hangs past every later SIGTERM.  A pipe's ``read``
+    holds none.  Only this process writes: the supervisor's forked
+    shards and standbys inherit the handler until they install theirs,
+    and share the pipe, which stays open as long as the handler does.
+    """
+    wake_r, wake_w = os.pipe()
+    owner = os.getpid()
+
+    def first_signal(*_: Any) -> None:
+        if os.getpid() != owner:
+            return
+        for sig in _SIGNALS:
+            signal.signal(sig, signal.SIG_IGN)
+        os.write(wake_w, b"\0")
+
     for sig in _SIGNALS:
-        signal.signal(sig, lambda *_: stop.set())
+        signal.signal(sig, first_signal)
     node.start()
     try:
         ready(node.bound_port)
-        stop.wait()
+        os.read(wake_r, 1)
     finally:
         node.stop()

@@ -14,8 +14,10 @@ too.
 import json
 import os
 import pstats
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -166,3 +168,61 @@ def test_a_repeated_sigterm_neither_kills_the_drain_nor_is_written():
         text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (0, "drained\n", "")
+
+
+#: ``wait_for_signal`` with a signal landing at the worst instant for a
+#: ``threading.Event`` wait: while ``wait`` holds the lock ``set`` takes.
+#: Before the probe waits, a forked child (which inherits the handler,
+#: as the supervisor's shards and standbys do) takes a SIGTERM too.
+SIGNAL_IN_THE_WAIT = """
+import os, signal, threading
+from repro.service.launch import wait_for_signal
+
+class LockHeldAtTheSignal(threading.Event):
+    def wait(self, timeout=None):
+        with self._cond:
+            os.kill(os.getpid(), signal.SIGTERM)
+        return super().wait(timeout)
+
+class Node:
+    bound_port = 0
+
+    def start(self):
+        pass
+
+    def stop(self):
+        print("stopped", flush=True)
+
+def ready(port):
+    child = os.fork()
+    if child == 0:
+        os.kill(os.getpid(), signal.SIGTERM)
+        os._exit(0)
+    os.waitpid(child, 0)
+    print("ready", flush=True)
+
+threading.Event = LockHeldAtTheSignal
+wait_for_signal(Node(), ready=ready)
+"""
+
+
+def test_a_signal_in_the_wait_stops_the_node_and_a_childs_does_not():
+    """At the parent the handler called ``Event.set`` inside that
+    ``wait``: it printed ``ready`` and hung, past every later SIGTERM,
+    until SIGKILL.  The wait is a pipe read now, which holds no lock,
+    and only the waiting process writes the pipe."""
+    src = os.path.dirname(repro.__path__[0])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", SIGNAL_IN_THE_WAIT], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.2)
+        assert proc.poll() is None       # the child's signal woke nothing
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()                      # the bound: SIGKILL
+        proc.wait()
+    assert (proc.returncode, out, err) == (0, "stopped\n", "")

@@ -13,10 +13,12 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.units import MIB
+from repro.replication.applier import StandbyDaemon
 from repro.service.client import (
     RemoteError, SyncTerpClient, TerpClient)
 from repro.service.protocol import pack_head
@@ -192,6 +194,107 @@ class TestSweeperEnforcement:
                 assert report["global"]["forced_detaches"] >= 1
                 assert report["global"]["sweep_runs"] >= 1
                 assert report["global"]["sweep_latency"]["count"] >= 1
+
+    #: The holder's own (negotiated) budget; the fleet's is 2 s, so a
+    #: slow fsync never forces a well-behaved tenant.
+    HOLD_BUDGET_US = 25_000
+    HOLD_ROUNDS = 4
+    FLEET, ROUNDS, DEPTH = 2, 20, 8
+
+    @pytest.mark.parametrize("backend", ["memory", "file", "replicated"])
+    def test_a_slow_holder_is_forced_every_round_beside_a_fleet(
+            self, backend, tmp_path):
+        """A fleet cycling attach / pipelined writes / psync / read /
+        detach, and a holder that sleeps past its budget every round,
+        on each backend: the sweeper forces every one of the holder's
+        windows, and the counters, the audit timeline, the durable
+        pool's scrubber and the replication link all tell one story."""
+        standby = None
+        kwargs = {}
+        if backend != "memory":
+            kwargs["pool_dir"] = tmp_path / "primary"
+        if backend == "replicated":
+            standby = StandbyDaemon(tmp_path / "standby")
+            kwargs["replicate_to"] = f"127.0.0.1:{standby.start()}"
+        service = TerpService(port=0, session_ew_ns=2_000_000_000,
+                              sweep_period_ns=5_000_000, **kwargs)
+
+        def tenant(port, idx, oid):
+            payload = bytes([0x40 + idx]) * 64
+            with SyncTerpClient(port=port, user=f"tenant{idx}") as client:
+                for _ in range(self.ROUNDS):
+                    client.attach("fleet")
+                    client.pipeline([("write", {"oid": oid.pack(),
+                                                "data": payload})
+                                     for _ in range(self.DEPTH)])
+                    client.psync("fleet")
+                    assert client.read(oid, 64) == payload
+                    client.detach("fleet")
+
+        def holder(port):
+            with SyncTerpClient(port=port, user="holder",
+                                ew_budget_us=self.HOLD_BUDGET_US) as client:
+                for _ in range(self.HOLD_ROUNDS):
+                    client.attach("fleet")
+                    before = client.forced_detaches
+                    deadline = time.monotonic() + 5.0
+                    while client.forced_detaches == before:
+                        assert time.monotonic() < deadline, \
+                            "sweeper never fired"
+                        time.sleep(0.005)
+                        client.ping()
+                    # Its own detach lost the race to the sweeper.
+                    assert client.detach("fleet")["outcome"] == "silent"
+                return client.forced_detaches
+
+        try:
+            with ServiceThread(service) as svc:
+                port = svc.bound_port
+                with SyncTerpClient(port=port, user="root") as setup:
+                    setup.create("fleet", 4 * MIB, mode=0o666)
+                    oids = [setup.pmalloc("fleet", 64)
+                            for _ in range(self.FLEET)]
+                with ThreadPoolExecutor(self.FLEET + 1) as pool:
+                    runs = [pool.submit(tenant, port, i, oids[i])
+                            for i in range(self.FLEET)]
+                    runs.append(pool.submit(holder, port))
+                    forced = [run.result(timeout=60) for run in runs][-1]
+                with SyncTerpClient(port=port, user="root") as probe:
+                    deadline = time.monotonic() + 5.0
+                    while backend != "memory" and \
+                            probe.metrics()["global"][
+                                "scrub_pages_verified"] == 0:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                    report = probe.metrics()
+                    repl = probe.repl_status()
+        finally:
+            if standby is not None:
+                standby.stop()
+
+        stats, audit = report["global"], report["audit"]
+        assert stats["requests"] >= \
+            self.FLEET * self.ROUNDS * (self.DEPTH + 4)
+        assert stats["request_latency"]["p99_us"] >= \
+            stats["request_latency"]["p50_us"]
+        assert forced == self.HOLD_ROUNDS
+        assert stats["forced_detaches"] >= self.HOLD_ROUNDS
+        assert stats["sweep_runs"] > 0
+        # Every attach audited; the holder's windows, closed by force
+        # at its budget, set the maximum.
+        assert audit["attaches"] >= stats["attaches"]
+        assert audit["forced_detaches"] >= self.HOLD_ROUNDS
+        assert audit["held_max_ns"] >= self.HOLD_BUDGET_US * 1_000
+        if backend != "memory":
+            assert stats["scrub_pages_verified"] > 0
+            assert stats["scrub_pages_repaired"] == 0
+            assert stats["pmos_quarantined"] == 0
+        if backend == "replicated":
+            assert repl["enabled"] and repl["connected"]
+            assert repl["acked"] == repl["shipped"] >= self.ROUNDS
+            assert repl["dropped"] == 0 and repl["lag"] == 0
+        else:
+            assert repl == {"enabled": False}
 
     def test_negotiated_budget_is_clamped_to_server_max(self, terpd):
         with SyncTerpClient(port=terpd.port,

@@ -2,7 +2,7 @@
 a change log that stays a log, no module without a caller, no stale
 flag in the docs, and no daemon CI starts by hand.
 
-Six failure modes this guards against, all of which have bitten
+Seven failure modes this guards against, all of which have bitten
 real checkouts:
 
 * a ``__pycache__`` entry (or any ``.pyc``) committed to git — stale
@@ -18,7 +18,9 @@ real checkouts:
 * a ``--flag`` in README.md or the verify skill that no parser
   declares any more;
 * a daemon started by hand in CI, beside :mod:`repro.topology`, or a
-  ``TERP_TOPOLOGY`` value that names no topology.
+  ``TERP_TOPOLOGY`` value that names no topology;
+* a CI step naming a ``benchmarks/`` or ``tests/`` file (or a test in
+  one) that is gone: a retired file leaves a dead step behind.
 """
 
 import ast
@@ -305,3 +307,26 @@ def test_every_terp_topology_value_names_a_topology():
             named.update(re.findall(r"TERP_TOPOLOGY=(\w*)", fh.read()))
     assert {"cluster", "pair"} <= named
     assert named <= set(TOPOLOGIES), sorted(named - set(TOPOLOGIES))
+
+
+#: A ``benchmarks/`` or ``tests/`` path, and any ``::`` node after it.
+CI_PATH = re.compile(r"\b(?:benchmarks|tests)/[\w./-]*(?:::[\w:]+)?")
+
+
+def test_every_path_ci_names_exists():
+    """A step's files exist, and a node it runs by name is a ``def`` or
+    a ``class`` of its file."""
+    with open(CI, encoding="utf-8") as fh:
+        named = set(CI_PATH.findall(fh.read()))
+    assert any(n.startswith("benchmarks/terpbench") for n in named)
+    missing = []
+    for name in sorted(named):
+        path, *nodes = name.split("::")
+        target = pathlib.Path(REPO_ROOT, path)
+        if not target.exists():
+            missing.append(name)
+        elif nodes and not all(re.search(rf"^\s*(?:def|class) {node}\b",
+                                         target.read_text(), re.MULTILINE)
+                               for node in nodes):
+            missing.append(name)
+    assert missing == [], missing
