@@ -25,40 +25,47 @@ See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 regeneration of every table and figure in the paper's evaluation.
 """
 
-from repro.core.errors import (
-    CompilerError, ConfigurationError, CrashConsistencyError,
-    OutOfPersistentMemory, PmoError, ProtectionFault,
-    SegmentationFault, SemanticsViolation, SimulationError, TerpError)
-from repro.core.exposure import ExposureMonitor, Window, WindowTracker
-from repro.core.permissions import (
-    Access, Entity, EntityKind, PermissionGroup, PermissionSet)
-from repro.core.poset import Mechanism, ProtectionLevel, TerpPoset
-from repro.core.runtime import Handle, TerpRuntime
-from repro.core.semantics import (
-    BasicSemantics, EwConsciousSemantics, FcfsSemantics,
-    make_semantics, Outcome, OutermostSemantics)
-from repro.arch.cond_engine import TerpArchEngine
-from repro.pmo.api import PmoLibrary
-from repro.pmo.object_id import Oid
-from repro.pmo.pmo import Pmo
-from repro.pmo.pool import PmoManager
+import importlib
+from typing import Any, Dict
+
+#: Each quick-start name and the module it lives in.  A name is
+#: imported on first use (PEP 562), so a process that imports one
+#: ``repro`` module loads that module, not all of these: a warm
+#: standby, which never builds a library, loads none of them.
+_EXPORTS: Dict[str, str] = {
+    **dict.fromkeys((
+        "CompilerError", "ConfigurationError", "CrashConsistencyError",
+        "OutOfPersistentMemory", "PmoError", "ProtectionFault",
+        "SegmentationFault", "SemanticsViolation", "SimulationError",
+        "TerpError"), "repro.core.errors"),
+    **dict.fromkeys(("ExposureMonitor", "Window", "WindowTracker"),
+                    "repro.core.exposure"),
+    **dict.fromkeys((
+        "Access", "Entity", "EntityKind", "PermissionGroup",
+        "PermissionSet"), "repro.core.permissions"),
+    **dict.fromkeys(("Mechanism", "ProtectionLevel", "TerpPoset"),
+                    "repro.core.poset"),
+    **dict.fromkeys(("Handle", "TerpRuntime"), "repro.core.runtime"),
+    **dict.fromkeys((
+        "BasicSemantics", "EwConsciousSemantics", "FcfsSemantics",
+        "make_semantics", "Outcome", "OutermostSemantics"),
+        "repro.core.semantics"),
+    "TerpArchEngine": "repro.arch.cond_engine",
+    "PmoLibrary": "repro.pmo.api",
+    "Oid": "repro.pmo.object_id",
+    "Pmo": "repro.pmo.pmo",
+    "PmoManager": "repro.pmo.pool",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # facade
-    "PmoLibrary", "Access", "Oid", "Pmo", "PmoManager", "Handle",
-    # framework
-    "TerpPoset", "Mechanism", "ProtectionLevel", "PermissionSet",
-    "PermissionGroup", "Entity", "EntityKind",
-    "ExposureMonitor", "WindowTracker", "Window",
-    # semantics and runtime
-    "BasicSemantics", "OutermostSemantics", "FcfsSemantics",
-    "EwConsciousSemantics", "TerpArchEngine", "make_semantics",
-    "Outcome", "TerpRuntime",
-    # errors
-    "TerpError", "SemanticsViolation", "ProtectionFault",
-    "SegmentationFault", "PmoError", "OutOfPersistentMemory",
-    "CrashConsistencyError", "CompilerError", "SimulationError",
-    "ConfigurationError",
-]
+__all__ = [*_EXPORTS]

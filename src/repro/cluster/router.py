@@ -50,9 +50,9 @@ from repro.pmo.object_id import OFFSET_BITS
 from repro.service import protocol
 from repro.service.client import (
     OPEN, RECV, SEND, ConnectionLost, RemoteError, TerpClient)
-from repro.service.conn import (
-    DEFAULT_SEED, DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS,
-    Conn, FrontDoor, admit)
+from repro.service.conn import Conn, FrontDoor, admit
+from repro.service.launch import (
+    DEFAULT_SEED, DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS)
 from repro.service.metrics import WireCounters
 from repro.service.ops import FANOUT, NAME, OID, SESSION, Op, trace_limit
 from repro.service.sessions import SessionRegistry

@@ -54,8 +54,11 @@ from dataclasses import dataclass, field
 from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Tuple)
 
-from repro.service.conn import DEFAULT_SEED, STARTUP_TIMEOUT_S
-from repro.service.launch import SETTINGS, serve, wait_for_signal
+from repro.service.launch import (
+    DEFAULT_SEED, SETTINGS, STARTUP_TIMEOUT_S, serve, wait_for_signal)
+# Imported here, not in ``_shard_main``: every forked shard inherits
+# the daemon's modules instead of importing them after the fork.
+from repro.service import server
 
 #: Per-child restart budget before the supervisor gives up on it.
 MAX_RESTARTS = 5
@@ -135,10 +138,8 @@ def _shard_main(config: ClusterConfig, index: int, port: int,
                 pool_dir: Optional[str], replicate_to: Optional[str],
                 report) -> None:
     """Child entry point: one terpd shard (module-level: picklable)."""
-    from repro.service.server import TerpService
-
     with _reporting(report, config, f"shard {index} serving") as ready:
-        service = TerpService(
+        service = server.TerpService(
             port=port, pool_dir=pool_dir, replicate_to=replicate_to,
             **_service_kwargs(config, index))
         asyncio.run(serve(

@@ -18,7 +18,6 @@ and the function that makes its columns."""
 
 from __future__ import annotations
 
-import json
 import threading
 from array import array
 from functools import partial
@@ -27,18 +26,13 @@ from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
     Tuple)
 
+from repro.core.jsonbytes import dumps
+
 #: Slots each column gains at once while its ring fills.
 GROW_BY = 1024
 #: Stands for None in a number column.
 NONE = -2 ** 63
 _DECODE_NONE = {NONE: None}.get
-
-_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def dumps(value: Any) -> bytes:
-    """``json.dumps(value, separators=(",", ":"))``, as bytes."""
-    return _ENCODE(value).encode()
 
 
 class Ring:

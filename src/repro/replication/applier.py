@@ -18,8 +18,10 @@ and the primary's reconnect bootstraps from scratch: gaps heal by
 snapshot, never by guessing.
 
 :class:`StandbyDaemon` wraps the applier in a listening socket plus a
-``promote`` control path.  Promotion is deliberately thin: it closes
-the applier (waiting out an apply in flight) and constructs a
+``promote`` control path.  Until then it loads no serving stack — no
+asyncio, sessions or observability: it applies, and that is all.
+Promotion is deliberately thin: it imports the service, closes the
+applier (waiting out an apply in flight) and constructs a
 :class:`~repro.service.server.TerpService` over the standby's pool
 directory on the primary's port — and
 :class:`~repro.service.recovery.RecoveryManager` runs **verbatim** in
@@ -39,7 +41,8 @@ import threading
 import zlib
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple)
 
 from repro.core.errors import TerpError
 from repro.core.units import PAGE_SIZE
@@ -48,10 +51,11 @@ from repro.pmo.store import (
     write_journal)
 from repro.replication.wire import (
     REPL_PROTOCOL_VERSION, Buffer, ReplicationWireError, recv_msg, send_msg)
-from repro.service.conn import STARTUP_TIMEOUT_S
-from repro.service.launch import SETTINGS
+from repro.service.launch import SETTINGS, STARTUP_TIMEOUT_S
 from repro.service.recovery import SessionJournal
-from repro.service.server import ServiceThread, TerpService
+
+if TYPE_CHECKING:
+    from repro.service.server import ServiceThread
 
 __all__ = ["JournalApplier", "StandbyDaemon", "ReplicationChainError",
            "promote"]
@@ -327,7 +331,13 @@ class StandbyDaemon:
         standby applying.  One that fails later — recovery, or the
         bind — leaves it unpromoted with the applier closed and no
         service behind, so the next promote tries again.
+
+        A standby is an applier until this call: the serving stack is
+        imported here, first, so an import that fails refuses the
+        promote before the applier closes.
         """
+        from repro.service.server import ServiceThread, TerpService
+
         unknown = set(overrides or ()) - set(SETTINGS) - {"replicate_to"}
         if unknown:
             raise ReplicationWireError(

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import TerpError
 from repro.core.iov import write_gathered
-from repro.obs.ring import dumps
+from repro.core.jsonbytes import dumps
 from repro.service.ops import entry
 from repro.service.protocol import WireError, pack_head, parse_head
 

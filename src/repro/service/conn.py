@@ -6,9 +6,9 @@ terminate client connections, and both do it with exactly these
 pieces: the listening sockets and the one read loop per connection
 (:class:`FrontDoor`, which each side hands only its per-burst handler
 and its teardown), the op-table check every request passes first
-(:func:`admit`), the per-connection state with its response queue and
-flush rule (:class:`Conn`), and the session defaults both sides must
-agree on.
+(:func:`admit`), and the per-connection state with its response
+queue and flush rule (:class:`Conn`).  The session defaults both sides
+must agree on are :mod:`repro.service.launch`'s.
 """
 
 from __future__ import annotations
@@ -23,22 +23,6 @@ from repro.service.ops import OPS, Op, op_row
 from repro.service.protocol import PROTOCOL_VERSION, WireError
 from repro.service.sessions import Session
 
-#: Default wall-clock exposure budget per session: 50ms.  Generous next
-#: to the paper's 40us simulated target, but terpd enforces over real
-#: client round-trips, not simulated cycles.
-DEFAULT_SESSION_EW_NS = 50_000_000
-#: How long a dropped session's identity lingers for resume: 2s.
-DEFAULT_SESSION_LINGER_NS = 2_000_000_000
-#: The arch engine's EW target, the paper's 40us (Section V).
-DEFAULT_EW_TARGET_US = 40.0
-#: Layout randomization, session tokens and the hash ring all draw
-#: from this unless told otherwise.
-DEFAULT_SEED = 2022
-#: How long whoever started a daemon waits for it to come up — the
-#: supervisor for a child's port, a promoter for ``promoted``, a
-#: harness for the startup banner.  Generous: a durable daemon replays
-#: its journal before it binds.
-STARTUP_TIMEOUT_S = 30.0
 #: Backpressure: responses pending past this are written mid-burst,
 #: and a transport backlog past it is waited out (a peer that stops
 #: reading stalls its own connection, not the daemon's memory).

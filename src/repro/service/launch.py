@@ -12,6 +12,9 @@ and router; a standby refuses a ``promote`` override that is not a
 row; and a harness holding keywords spells a ``python -m`` child's
 flags with :func:`to_flags`, the exact inverse of :func:`from_args`.
 To add a setting: add the ``TerpService`` keyword and a row here.
+The service's own defaults are declared here too, and the daemon and
+the router take them from here: this module imports neither, so a
+warm standby reads the table without loading a daemon.
 
 **Serving.**  :func:`serve` is the one way a terpd process runs:
 install the SIGINT/SIGTERM handlers, *then* start the node, *then*
@@ -24,7 +27,6 @@ A node is anything with ``start()``, ``stop()`` and ``bound_port``.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import os
 import signal
 from contextlib import contextmanager
@@ -34,10 +36,25 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 from repro.arch.circular_buffer import NUM_ENTRIES
 from repro.core.units import NS_PER_MS
 from repro.pmo.store import DEFAULT_COMMIT_INTERVAL_US
-from repro.service.conn import (
-    DEFAULT_EW_TARGET_US, DEFAULT_SEED, DEFAULT_SESSION_EW_NS,
-    DEFAULT_SESSION_LINGER_NS)
-from repro.service.server import DEFAULT_SWEEP_PERIOD_NS
+
+#: Default wall-clock exposure budget per session: 50ms.  Generous next
+#: to the paper's 40us simulated target, but terpd enforces over real
+#: client round-trips, not simulated cycles.
+DEFAULT_SESSION_EW_NS = 50_000_000
+#: How long a dropped session's identity lingers for resume: 2s.
+DEFAULT_SESSION_LINGER_NS = 2_000_000_000
+#: The arch engine's EW target, the paper's 40us (Section V).
+DEFAULT_EW_TARGET_US = 40.0
+#: Default sweep period: 10ms, a 5x oversampling of the budget.
+DEFAULT_SWEEP_PERIOD_NS = 10_000_000
+#: Layout randomization, session tokens and the hash ring all draw
+#: from this unless told otherwise.
+DEFAULT_SEED = 2022
+#: How long whoever started a daemon waits for it to come up — the
+#: supervisor for a child's port, a promoter for ``promoted``, a
+#: harness for the startup banner.  Generous: a durable daemon replays
+#: its journal before it binds.
+STARTUP_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -164,6 +181,10 @@ async def serve(node: Any, *, ready: Callable[[int], None],
     the supervisor's pipe.  After the first signal both are ignored
     until the loop closes; a harness escalates to SIGKILL.
     """
+    # Its caller runs an event loop, so asyncio is loaded already; a
+    # standby, which never serves this way, loads none.
+    import asyncio
+
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
 

@@ -69,17 +69,21 @@ concatenation of its items' chunks, in item order.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 from itertools import chain
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union)
 
 from repro.core.errors import TerpError
-from repro.obs.ring import dumps as _dumps
+from repro.core.jsonbytes import dumps as _dumps
 from repro.service.ops import (
     EVENT_KINDS, EVENTS, OP_INDEX, OPS, VOCABULARIES, WHOLE, Op, entry,
     op_row)
+
+if TYPE_CHECKING:
+    # An annotation only: a standby speaks the frame without asyncio.
+    import asyncio
 
 #: Upper bound on a single frame, a sanity guard against a desynced or
 #: hostile peer streaming garbage lengths (16 MiB fits any sane batch).

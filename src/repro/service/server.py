@@ -46,18 +46,16 @@ from repro.pmo.object_id import Oid
 from repro.pmo.pool import mode_allows
 from repro.pmo.store import DEFAULT_COMMIT_INTERVAL_US, CommitTicket, PmoStore
 from repro.service import protocol
-from repro.service.conn import (
+from repro.service.conn import Conn, FrontDoor, admit
+from repro.service.launch import (
     DEFAULT_EW_TARGET_US, DEFAULT_SEED, DEFAULT_SESSION_EW_NS,
-    DEFAULT_SESSION_LINGER_NS, Conn, FrontDoor, admit)
+    DEFAULT_SESSION_LINGER_NS, DEFAULT_SWEEP_PERIOD_NS)
 from repro.service.metrics import ServiceMetrics, metrics_report
 from repro.service.ops import OPS, trace_limit
 from repro.service.recovery import (
     RecoveryManager, RecoveryReport, SessionJournal)
 from repro.service.sessions import SessionManager
 from repro.service.sweeping import Sweeper
-
-#: Default sweep period: 10ms, a 5x oversampling of the budget.
-DEFAULT_SWEEP_PERIOD_NS = 10_000_000
 
 
 class _PendingFlush:

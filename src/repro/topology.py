@@ -53,8 +53,7 @@ from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
 from repro.faults.plan import FaultPlan
 from repro.replication.applier import promote
 from repro.service.client import SyncTerpClient
-from repro.service.conn import STARTUP_TIMEOUT_S
-from repro.service.launch import to_flags
+from repro.service.launch import STARTUP_TIMEOUT_S, to_flags
 from repro.service.server import ServiceThread, TerpService
 
 __all__ = ["BANNERS", "Proc", "TOPOLOGIES", "fetch_audit",

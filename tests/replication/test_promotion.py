@@ -11,6 +11,7 @@ outage attribution.
 """
 
 import socket
+import sys
 import time
 
 import pytest
@@ -176,6 +177,29 @@ class TestFailedPromotion:
         with SyncTerpClient(port=port, user="bob") as bob:
             bob.attach("pmo")
             assert bob.read_u64(oid) == 2
+
+    def test_a_serving_stack_that_fails_to_import_refuses_the_promote(
+            self, pair, monkeypatch):
+        """A standby imports the service only when promoted, and before
+        its applier closes: an import that fails leaves it applying."""
+        service, thread, standby = pair
+        client = SyncTerpClient(port=service.bound_port,
+                                user="alice").connect()
+        client.create("pmo", MIB, mode=0o666)
+        client.attach("pmo")
+        oid = client.pmalloc("pmo", 64)
+        self.write(client, oid, 1)
+        before = standby.applier.status()["batches_applied"]
+        with monkeypatch.context() as patch:
+            patch.setitem(sys.modules, "repro.service.server", None)
+            with pytest.raises(ReplicationWireError,
+                               match="repro.service.server halted"):
+                promote("127.0.0.1", standby.bound_port, 0)
+        assert not standby.promoted
+        self.write(client, oid, 2)
+        assert standby.applier.status()["batches_applied"] > before
+        assert client.call("repl_status")["lag"] == 0
+        client.close()
 
     def test_a_failed_bind_is_retried_with_the_mirror_intact(self, pair):
         service, thread, standby = pair

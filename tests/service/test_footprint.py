@@ -23,11 +23,12 @@ import pytest
 
 from repro.core.units import GIB, MIB
 from repro.obs import AuditTimeline, Observability, Tracer
+from repro.replication.applier import promote
 from repro.service import protocol
 from repro.service.client import SyncTerpClient
 from repro.service.conn import Conn
 from repro.service.server import ServiceThread, TerpService
-from repro.topology import Proc
+from repro.topology import BANNERS, Proc
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -133,6 +134,110 @@ def test_the_daemon_as_launched_loads_no_client_and_no_checker(
     assert "repro.service.server" in loaded
     assert loaded & {"repro.service.client", "repro.service.retry",
                      "repro.faults.invariants"} == set()
+
+
+class LoggedProc(Proc):
+    """A :class:`Proc` that keeps every line, not the last 50: with
+    ``PYTHONPROFILEIMPORTTIME`` set and stderr joined to stdout, the
+    import log and the banner sit in the order the child wrote them."""
+
+    def _read(self) -> None:
+        # Proc sets ``lines`` before its reader starts.
+        self.lines = []
+        super()._read()
+
+    def imports(self) -> tuple:
+        """The modules imported before the banner and after it."""
+        banner = BANNERS[self.module]
+        at = next(n for n, line in enumerate(self.lines)
+                  if banner.search(line))
+        return tuple([line.rsplit("|", 1)[1].strip() for line in part
+                      if line.startswith("import time:")]
+                     for part in (self.lines[:at], self.lines[at:]))
+
+
+#: What only a daemon runs: the service and its sessions, connections
+#: and sweeper, the observability it records into, and the event loop.
+SERVING_STACK = {
+    "repro.service.server", "repro.service.sessions",
+    "repro.service.conn", "repro.service.sweeping", "repro.obs.audit",
+    "repro.obs.registry", "repro.obs.tracing", "asyncio"}
+
+
+def test_a_standby_loads_no_serving_stack_until_promoted(
+        monkeypatch, tmp_path):
+    """A standby applies shipped batches, and that is all it loads: the
+    serving stack is imported by ``promote``.  At the parent a standby
+    at its banner had loaded all of it, through the applier's and the
+    settings table's imports, and read ``VmHWM`` 21.9 MiB."""
+    monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+    standby = LoggedProc("repro.replication", [
+        "--pool-dir", str(tmp_path), "--listen-port", "0"])
+    try:
+        port = promote("127.0.0.1", standby.ready(), 0)
+        with SyncTerpClient(port=port) as client:
+            assert client.ping()["now_ns"] > 0
+    finally:
+        code = standby.stop()
+    at_banner, after = standby.imports()
+    assert code == 0
+    assert SERVING_STACK & set(at_banner) == set()
+    assert SERVING_STACK <= set(after)
+
+
+def test_the_supervisor_brings_the_daemon_its_shards_fork_with():
+    """Forked shards inherit what the supervisor imported; a shard
+    that imported the daemon after the fork started later."""
+    probe = ("import sys, repro.cluster.supervisor\n"
+             "print('repro.service.server' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
+def serve_a_cycle(port: int) -> None:
+    """attach, 8 writes, psync, read, detach: the tenant cycle."""
+    with SyncTerpClient(port=port) as client:
+        client.create("cycle", MIB)
+        client.attach("cycle")
+        oid = client.pmalloc("cycle", 4096)
+        for n in range(8):
+            client.write(oid, bytes([n]) * 512)
+        client.psync("cycle")
+        assert client.read(oid, 512) == bytes([7]) * 512
+        client.detach("cycle")
+
+
+@pytest.mark.parametrize("shape", ["memory", "file", "replicated"])
+def test_nothing_is_imported_on_the_serving_path(shape, monkeypatch,
+                                                 tmp_path):
+    """Every repro module a daemon serves with is loaded by its banner:
+    a lazy import (a package ``__getattr__``, a function-local import)
+    must not move one onto the first request, whose latency it would
+    then carry — nor onto the shutdown drain."""
+    monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+    args = ["--port", "0"]
+    standby = None
+    if shape != "memory":
+        args += ["--pool-dir", str(tmp_path / "primary")]
+    if shape == "replicated":
+        standby = Proc("repro.replication", [
+            "--pool-dir", str(tmp_path / "standby"),
+            "--listen-port", "0"])
+        args += ["--replicate-to", f"127.0.0.1:{standby.ready()}"]
+    daemon = LoggedProc("repro.service", args)
+    try:
+        serve_a_cycle(daemon.ready())
+    finally:
+        code = daemon.stop()
+        if standby is not None:
+            standby.stop()
+    at_banner, after = daemon.imports()
+    assert code == 0
+    assert "repro.service.server" in at_banner
+    assert [m for m in after if m.split(".")[0] == "repro"] == []
 
 
 #: Ring owners and on-media file names: what a durable pool or cluster

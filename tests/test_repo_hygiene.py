@@ -24,6 +24,7 @@ real checkouts:
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import re
@@ -181,6 +182,11 @@ def modules_without_a_caller() -> list:
                     name = f"{package}.{alias.asname or alias.name}"
                     if name not in modules:
                         reexports[name] = node.module
+        # A lazy re-export (PEP 562) is a row of the package's
+        # ``_EXPORTS``: name → the module it is imported from.
+        lazy = vars(importlib.import_module(package)).get("_EXPORTS", {})
+        reexports.update({f"{package}.{name}": module
+                          for name, module in lazy.items()})
     imported = set()
     for path in python_files("src", "benchmarks", "examples"):
         if path.name == "__init__.py":
