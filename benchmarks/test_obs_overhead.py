@@ -6,7 +6,7 @@ Two measurements, two purposes:
   closed-loop tenant cycle that drives the throughput bench runs
   against a terpd with observability enabled and one in no-op mode;
   the enabled run must stay within a few percent.  At this level a
-  request already crosses a socket and the asyncio loop, so the
+  request already crosses a socket and the event loop, so the
   instrumentation's fixed per-event cost is amortised the way it is in
   production.  Best-of-two runs per mode damps scheduler noise.
 

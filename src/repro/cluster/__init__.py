@@ -1,11 +1,12 @@
 """terpd cluster — multi-process sharded serving behind one router.
 
-A single asyncio process caps terpd's throughput; the paper's per-PMO
-exposure accounting partitions cleanly by PMOID, so the cluster runs N
-worker shards — each a full :class:`~repro.service.server.TerpService`
-owning a partition of the PMO namespace, its own sweeper, and (when
-durable) its own store directory — behind an asyncio router that
-speaks the daemon's wire protocol to unmodified clients.
+A single event-loop process caps terpd's throughput; the paper's
+per-PMO exposure accounting partitions cleanly by PMOID, so the
+cluster runs N worker shards — each a full
+:class:`~repro.service.server.TerpService` owning a partition of the
+PMO namespace, its own sweeper, and (when durable) its own store
+directory — behind a router that speaks the daemon's wire protocol to
+unmodified clients.
 
 Modules:
 

@@ -36,7 +36,6 @@ cache still de-duplicates the retried op.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from typing import (
     Any, Awaitable, Callable, Dict, Iterator, List, Optional, Tuple)
@@ -47,9 +46,10 @@ from repro.cluster.aggregate import (
 from repro.cluster.ring import HashRing
 from repro.obs.registry import MetricsRegistry
 from repro.pmo.object_id import OFFSET_BITS
-from repro.service import protocol
+from repro.service import protocol, reactor
 from repro.service.client import (
-    OPEN, RECV, SEND, ConnectionLost, RemoteError, TerpClient)
+    OPEN, RECV, SEND, ClientCore, ConnectionLost, RemoteError, Steps,
+    drive)
 from repro.service.conn import Conn, FrontDoor, admit
 from repro.service.launch import (
     DEFAULT_SEED, DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS)
@@ -62,20 +62,29 @@ class UpstreamLost(Exception):
     """A shard connection died mid-request; the client must retry."""
 
 
-class Upstream(TerpClient):
-    """One router->shard connection: the asyncio client — so hello,
+class Upstream(ClientCore):
+    """One router->shard connection: the client core — so hello,
     resume after a shard restart and the fresh-session fallback are
-    the client core's, and the shard-side identity lives on this
-    object across reconnects — plus a verbatim frame relay.
+    the core's, and the shard-side identity lives on this object
+    across reconnects — driven on the router's loop (a third transport
+    beside :class:`~repro.service.client.SyncTerpClient` and
+    :class:`~repro.service.client.TerpClient`), plus a verbatim frame
+    relay.
 
-    One request at a time (the client's lock): batch fan-out
-    parallelism comes from using *different* connections per shard.
+    One request at a time (its lock): batch fan-out parallelism comes
+    from using *different* connections per shard.
     """
 
-    def __init__(self, shard: int, addr: Tuple[str, int],
-                 **hello: Any) -> None:
-        super().__init__(host=addr[0], port=addr[1], **hello)
+    def __init__(self, shard: int, addr: Tuple[str, int], *,
+                 user: str = "root",
+                 ew_budget_us: Optional[float] = None) -> None:
+        super().__init__(user=user, ew_budget_us=ew_budget_us,
+                         retry=None, breaker=None)
         self.shard = shard
+        self._addr = addr
+        self._stream: Optional[reactor.Stream] = None
+        self._splitter = protocol.FrameSplitter()
+        self._lock = reactor.Lock()
 
     def next_id(self) -> int:
         # The router's *own* requests count down from -1: client rids
@@ -88,7 +97,36 @@ class Upstream(TerpClient):
 
     @property
     def alive(self) -> bool:
-        return self._writer is not None
+        return self._stream is not None
+
+    async def _run(self, steps: Steps) -> Any:
+        async with self._lock:
+            return await drive(steps, self._do)
+
+    async def _do(self, kind: str, arg: Any = None) -> Any:
+        if kind == SEND or kind == RECV:
+            stream = self._stream
+            if stream is None:
+                raise ConnectionLost("not connected")
+            try:
+                if kind == SEND:
+                    stream.write(arg)
+                    return await stream.drain()
+                return await protocol.read_frame(stream, self._splitter)
+            except (OSError, protocol.WireError) as exc:
+                await self.close()
+                raise ConnectionLost(f"{kind} failed: {exc}") from exc
+        # No retry policy, so no SLEEP: OPEN or CLOSE.
+        await self.close()
+        if kind == OPEN:
+            self._stream = await reactor.connect(*self._addr)
+            self._splitter = protocol.FrameSplitter()
+
+    async def close(self) -> None:
+        stream, self._stream = self._stream, None
+        if stream is not None:
+            stream.close()
+            await stream.wait_closed()
 
     async def dial(self, *, hello: bool) -> "Upstream":
         """(Re)open the connection; with ``hello``, also establish
@@ -187,7 +225,7 @@ class TerpRouter:
         self.wire = WireCounters(self.metrics, {"hop": "router"})
         self.front = FrontDoor(self._serve_burst, self._teardown,
                                self.wire.note_flush)
-        self._purge_task: Optional[asyncio.Task] = None
+        self._purge_task: Optional[reactor.Task] = None
         self._t0 = time.monotonic_ns()
         self.bound_port: Optional[int] = None
 
@@ -197,16 +235,16 @@ class TerpRouter:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        self.bound_port = await self.front.listen(
+        self.bound_port = self.front.listen(
             self.host, self.port, reuse_port=self.reuse_port)
-        self._purge_task = asyncio.create_task(self._purge_loop())
+        self._purge_task = reactor.spawn(self._purge_loop())
 
     async def stop(self) -> None:
         if self._purge_task is not None:
             self._purge_task.cancel()
             try:
                 await self._purge_task
-            except asyncio.CancelledError:
+            except reactor.Cancelled:
                 pass
         self.front.stop_listening()
         for upstreams in self._upstreams.values():
@@ -218,7 +256,7 @@ class TerpRouter:
     async def _purge_loop(self) -> None:
         """Expire lingering (dropped, never resumed) sessions."""
         while True:
-            await asyncio.sleep(0.1)
+            await reactor.sleep(0.1)
             for session in self.registry.purge(self.now_ns(),
                                                self.session_linger_ns):
                 await _close_all(self._upstreams.pop(
@@ -257,11 +295,11 @@ class TerpRouter:
                 await self._relay_run(conn, shard, run)
         except UpstreamLost:
             # Map shard death onto the client's typed retry path: an
-            # aborted transport is a ConnectionLost, and the retried
+            # aborted connection is a ConnectionLost, and the retried
             # request (same rid, resumed session) re-routes to the
             # restarted shard.
             conn.flush()
-            conn.writer.transport.abort()
+            conn.writer.abort()
             return False
         return True
 
@@ -406,7 +444,7 @@ class TerpRouter:
                 return (shard, *await up.ask(spec.name, args))
             except UpstreamLost:
                 return None
-        answers = [a for a in await asyncio.gather(
+        answers = [a for a in await reactor.gather(
             *(one(shard) for shard in range(self.shard_count))) if a]
         return ([(shard, result) for shard, result, _ in answers
                  if result is not None],
@@ -557,7 +595,7 @@ class TerpRouter:
                 merge)
 
         if by_shard:
-            done = await asyncio.gather(
+            done = await reactor.gather(
                 *(run_shard(shard, grouped)
                   for shard, grouped in by_shard.items()),
                 return_exceptions=True)

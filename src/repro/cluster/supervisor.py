@@ -40,7 +40,6 @@ pipe once ready — so a child known to be up can be stopped cleanly.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import json
 import multiprocessing
@@ -58,7 +57,7 @@ from repro.service.launch import (
     DEFAULT_SEED, SETTINGS, STARTUP_TIMEOUT_S, serve, wait_for_signal)
 # Imported here, not in ``_shard_main``: every forked shard inherits
 # the daemon's modules instead of importing them after the fork.
-from repro.service import server
+from repro.service import reactor, server
 
 #: Per-child restart budget before the supervisor gives up on it.
 MAX_RESTARTS = 5
@@ -142,7 +141,7 @@ def _shard_main(config: ClusterConfig, index: int, port: int,
         service = server.TerpService(
             port=port, pool_dir=pool_dir, replicate_to=replicate_to,
             **_service_kwargs(config, index))
-        asyncio.run(serve(
+        reactor.run(serve(
             service, ready=ready,
             profile=config.profile and f"{config.profile}.shard{index}"))
 
@@ -186,7 +185,7 @@ def _router_main(config: ClusterConfig, index: int, port: int,
             **{key: config.service[key] for key in
                ("session_ew_ns", "session_linger_ns", "seed")
                if key in config.service})
-        asyncio.run(serve(
+        reactor.run(serve(
             router, ready=ready,
             profile=config.profile and f"{config.profile}.router{index}"))
 

@@ -64,7 +64,7 @@ from repro.service.retry import (
 from repro.topology import TOPOLOGIES
 
 #: Extra bounded-exposure slack for host scheduling jitter: the
-#: sweeper is an asyncio task on a shared CI box, not a hardware
+#: sweeper is an event-loop task on a shared CI box, not a hardware
 #: timer, so a pass can land arbitrarily late under load.
 SCHEDULING_SLACK_NS = 250_000_000
 #: How long a worker thread may outlive its run before it is a hang.

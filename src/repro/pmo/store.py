@@ -67,10 +67,10 @@ import hashlib
 import os
 import re
 import struct
+import sys
 import threading
 import time
 import zlib
-from concurrent import futures
 from itertools import islice
 from pathlib import Path
 from typing import (
@@ -84,6 +84,7 @@ if TYPE_CHECKING:
 from repro.core.errors import IntegrityError, PmoError
 from repro.core.iov import pwrite_gathered, write_gathered
 from repro.core.units import PAGE_SIZE
+from repro.pmo import DEFAULT_COMMIT_INTERVAL_US
 from repro.pmo.pmo import SparseBytes
 
 FILE_MAGIC = b"TERPDUR1"
@@ -104,9 +105,6 @@ _JRN_COMMIT = struct.Struct("<8sQ")
 #: Default bound on pages verified per scrub pass.
 SCRUB_PAGES_PER_PASS = 8
 
-#: Group commit window: how long the flusher thread waits for more
-#: concurrent flushers to pile onto a batch before fsyncing it.
-DEFAULT_COMMIT_INTERVAL_US = 200
 #: Upper bound on snapshots folded into one group-commit batch.
 COMMIT_MAX_BATCH = 64
 
@@ -372,36 +370,66 @@ class CommitTicket:
     whole batch is journaled, home, and fsynced.  ``wait`` returns the
     snapshot's page count or re-raises the batch's failure; a caller
     that must not block registers :meth:`add_done_callback` instead.
-    A stdlib future underneath orders a registration against the
-    retirement under its own lock.
+    One lock orders a registration against the retirement, so each
+    callback runs exactly once.
     """
 
-    __slots__ = ("_future",)
+    __slots__ = ("_cond", "_done", "_pages", "_error", "_callbacks")
 
     def __init__(self) -> None:
-        self._future: futures.Future[int] = futures.Future()
+        self._cond = threading.Condition(threading.Lock())
+        self._done = False
+        self._pages = 0
+        self._error: Optional[BaseException] = None
+        self._callbacks: List[Callable[[CommitTicket], None]] = []
 
     def complete(self, pages: int) -> None:
-        self._future.set_result(pages)
+        self._retire(pages, None)
 
     def fail(self, error: BaseException) -> None:
-        self._future.set_exception(error)
+        self._retire(0, error)
+
+    def _retire(self, pages: int, error: Optional[BaseException]) -> None:
+        with self._cond:
+            if self._done:
+                raise PmoError("commit ticket retired twice")
+            self._done, self._pages, self._error = True, pages, error
+            callbacks, self._callbacks = self._callbacks, []
+            self._cond.notify_all()
+        for fn in callbacks:
+            self._call(fn)
 
     def add_done_callback(self,
                           fn: Callable[[CommitTicket], None]) -> None:
         """Run ``fn(ticket)`` exactly once: now if the ticket has
         retired, else on the thread that retires it (an exception
-        ``fn`` raises is logged, never raised into the flusher)."""
-        self._future.add_done_callback(lambda _: fn(self))
+        ``fn`` raises is reported on stderr, never raised into the
+        flusher)."""
+        with self._cond:
+            if not self._done:
+                self._callbacks.append(fn)
+                return
+        self._call(fn)
+
+    def _call(self, fn: Callable[[CommitTicket], None]) -> None:
+        try:
+            fn(self)
+        except Exception as exc:  # noqa: BLE001 -- reported, not raised
+            print(f"commit ticket callback {fn!r} failed",
+                  file=sys.stderr, flush=True)
+            sys.excepthook(type(exc), exc, exc.__traceback__)
 
     def wait(self, timeout: Optional[float] = 60.0) -> int:
-        if not futures.wait((self._future,), timeout).done:
-            raise PmoError("group commit ticket timed out")
-        return self._future.result()
+        with self._cond:
+            if not self._cond.wait_for(lambda: self._done, timeout):
+                raise PmoError("group commit ticket timed out")
+        if self._error is not None:
+            raise self._error
+        return self._pages
 
     @property
     def done(self) -> bool:
-        return self._future.done()
+        return self._done
 
 
 class GroupCommitter:

@@ -19,7 +19,7 @@ snapshot, never by guessing.
 
 :class:`StandbyDaemon` wraps the applier in a listening socket plus a
 ``promote`` control path.  Until then it loads no serving stack — no
-asyncio, sessions or observability: it applies, and that is all.
+event loop, sessions or observability: it applies, and that is all.
 Promotion is deliberately thin: it imports the service, closes the
 applier (waiting out an apply in flight) and constructs a
 :class:`~repro.service.server.TerpService` over the standby's pool

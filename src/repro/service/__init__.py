@@ -21,12 +21,13 @@ Modules:
                ``metrics`` / ``--metrics-dump`` report assembly
 ``conn``       per-connection plumbing the daemon and the cluster
                router share (admission, response queue, shutdown)
-``server``     the asyncio daemon (``TerpService``) and thread harness
+``server``     the daemon (``TerpService``) and thread harness
+``reactor``    the event loop every serving process runs on
 ``launch``     the settings table (every tuning flag declared once) and
                the one serve-until-signalled loop
 ``sweeping``   the exposure sweeper (session budgets + engine sweep)
 ``recovery``   session journal and warm restart
-``client``     asyncio and blocking clients with pipelining support
+``client``     blocking and asyncio clients with pipelining support
 ``retry``      retry policy and circuit breaker for the clients
 
 Observability lives in :mod:`repro.obs`: the daemon's counters and

@@ -21,20 +21,20 @@ import sys
 # ruff: noqa: E402
 if __name__ == "__main__":
     # Serving needs neither TLS nor OpenSSL's digests: run as a
-    # program, this process is the build without OpenSSL that both
-    # asyncio and hashlib support (``ssl`` is None, ``sha1`` and
-    # ``blake2b`` are the builtins, byte for byte), and libcrypto
-    # (3.5 MiB resident) is never mapped.  Forked children inherit
-    # it, and so does a promoted standby.  Only when run: importing
-    # this module changes nothing.
+    # program, this process is the build without OpenSSL that hashlib
+    # supports (``ssl`` is None, ``sha1`` and ``blake2b`` are the
+    # builtins, byte for byte), and libcrypto (3.5 MiB resident) is
+    # never mapped.  Forked children inherit it, and so does a
+    # promoted standby.  Only when run: importing this module changes
+    # nothing.
     sys.modules.setdefault("ssl", None)
     sys.modules.setdefault("_hashlib", None)
 
 import argparse
-import asyncio
 import json
 from typing import Optional
 
+from repro.service import reactor
 from repro.service.launch import add_flags, from_args, serve
 from repro.service.metrics import observability_dump
 from repro.service.server import TerpService
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
               f"(session EW budget {args.session_ew_ms}ms, "
               f"sweep every {args.sweep_period_ms}ms)", flush=True)
 
-    asyncio.run(serve(service, ready=ready, profile=args.profile))
+    reactor.run(serve(service, ready=ready, profile=args.profile))
     if args.profile and not args.quiet:
         print(f"terpd profile written to {args.profile}", flush=True)
     if args.metrics_dump:

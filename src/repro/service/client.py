@@ -11,7 +11,9 @@ bytes, sleep — and a transport's only job is to carry the steps out:
 * :class:`SyncTerpClient` — a plain blocking socket, for threads,
   scripts, and load generators;
 * :class:`TerpClient` — asyncio streams; every method returns an
-  awaitable.
+  awaitable.  asyncio is imported by it alone, so no serving process
+  loads it (the cluster router's shard connections drive the same core
+  on :mod:`repro.service.reactor`).
 
 So both expose the same surface: ``call()`` (one request, one
 response), ``pipeline()`` (a burst of request frames sent back-to-back
@@ -46,9 +48,9 @@ arguments; without them a failure simply raises):
 
 from __future__ import annotations
 
-import asyncio
 import socket
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import (
+    Any, Awaitable, Callable, Dict, Generator, List, Optional, Tuple)
 
 from repro.core.errors import TerpError
 from repro.pmo.object_id import Oid
@@ -67,6 +69,24 @@ from repro.service.retry import (
 #: EOF; ``SLEEP`` carries the seconds to wait.
 OPEN, CLOSE, SEND, RECV, SLEEP = "open", "close", "send", "recv", "sleep"
 Steps = Generator[Tuple[Any, ...], Any, Any]
+
+
+async def drive(steps: Steps,
+                do: Callable[..., Awaitable[Any]]) -> Any:
+    """Carry ``steps`` out on an event loop: ``await do(*step)`` for
+    each, its value sent back in, its failure thrown — the attempt loop
+    of every awaitable transport."""
+    try:
+        step = next(steps)
+        while True:
+            try:
+                value = await do(*step)
+            except (OSError, TerpError) as exc:
+                step = steps.throw(exc)
+            else:
+                step = steps.send(value)
+    except StopIteration as stop:
+        return stop.value
 
 
 class RemoteError(TerpError):
@@ -498,6 +518,8 @@ class TerpClient(ClientCore):
                  ew_budget_us: Optional[float] = None,
                  retry: Optional[RetryPolicy] = None,
                  breaker: Optional[CircuitBreaker] = None) -> None:
+        import asyncio
+
         super().__init__(user=user, ew_budget_us=ew_budget_us,
                          retry=retry, breaker=breaker)
         if (port is None) == (unix_path is None):
@@ -510,19 +532,11 @@ class TerpClient(ClientCore):
 
     async def _run(self, steps: Steps) -> Any:
         async with self._lock:
-            try:
-                step = next(steps)
-                while True:
-                    try:
-                        value = await self._do(*step)
-                    except (OSError, TerpError) as exc:
-                        step = steps.throw(exc)
-                    else:
-                        step = steps.send(value)
-            except StopIteration as stop:
-                return stop.value
+            return await drive(steps, self._do)
 
     async def _do(self, kind: str, arg: Any = None) -> Any:
+        import asyncio
+
         if kind == SEND or kind == RECV:
             if self._writer is None:
                 raise ConnectionLost("not connected")
@@ -545,7 +559,6 @@ class TerpClient(ClientCore):
             else:
                 self._reader, self._writer = \
                     await asyncio.open_connection(self._host, self._port)
-            self._writer.transport.max_size = protocol.READ_BYTES
             self._splitter = protocol.FrameSplitter()
 
     async def close(self) -> None:

@@ -13,22 +13,21 @@ must agree on are :mod:`repro.service.launch`'s.
 
 from __future__ import annotations
 
-import asyncio
 from typing import (
     Any, Awaitable, Callable, Dict, List, Optional, Tuple, Union)
 
 from repro.core.errors import TerpError
-from repro.service import protocol
+from repro.service import protocol, reactor
 from repro.service.ops import OPS, Op, op_row
 from repro.service.protocol import PROTOCOL_VERSION, WireError
 from repro.service.sessions import Session
 
 #: Backpressure: responses pending past this are written mid-burst,
-#: and a transport backlog past it is waited out (a peer that stops
+#: and a socket backlog past it is waited out (a peer that stops
 #: reading stalls its own connection, not the daemon's memory).
 DRAIN_MARK = 65536
 #: Shutdown: how long closed connections get to flush to a peer that
-#: is not reading before their transports are aborted.
+#: is not reading before their sockets are aborted.
 CLOSE_GRACE_S = 1.0
 
 
@@ -102,7 +101,7 @@ class Conn:
     __slots__ = ("session", "generation", "bins", "bin_out", "writer",
                  "note_flush", "out", "out_bytes")
 
-    def __init__(self, writer: asyncio.StreamWriter,
+    def __init__(self, writer: reactor.Stream,
                  note_flush: Callable[[int], None]) -> None:
         self.session: Optional[Session] = None
         #: the session's bind generation this connection owns; teardown
@@ -117,7 +116,7 @@ class Conn:
         self.writer = writer
         #: told each write's frame count (the wire counters).
         self.note_flush = note_flush
-        #: response frames not yet handed to the transport.
+        #: response frames not yet handed to the socket.
         self.out: List[bytes] = []
         self.out_bytes = 0
 
@@ -137,24 +136,23 @@ class Conn:
     async def stream(self, frame: protocol.StreamedFrame) -> None:
         """Write a frame a chunk (``READ_BYTES``) at a time, as it is
         made, after what the burst had already queued; wait for the
-        peer whenever the transport holds more than ``DRAIN_MARK``."""
+        peer whenever the socket's backlog passes ``DRAIN_MARK``."""
         self.flush()
-        transport = self.writer.transport
+        writer = self.writer
         frames = 1                       # counted with its first write
         for chunk in frame.chunks(protocol.READ_BYTES):
-            if transport.is_closing():
-                # The peer left: the rest is not made (asyncio would
-                # log each write to a lost connection).
+            if writer.closing:
+                # The peer left: the rest is not made.
                 raise ConnectionResetError("peer gone mid-frame")
             self.note_flush(frames)
             frames = 0
-            self.writer.write(chunk)
+            writer.write(chunk)
             del chunk                    # not held while the next is made
-            if transport.get_write_buffer_size() > DRAIN_MARK:
-                await self.writer.drain()
+            if writer.buffered() > DRAIN_MARK:
+                await writer.drain()
 
     def flush(self) -> None:
-        """Hand everything queued to the transport as one write."""
+        """Hand everything queued to the socket as one write."""
         if self.out:
             # Counted first: whoever reads the responses may look at
             # the counters next.
@@ -166,17 +164,14 @@ class Conn:
     async def drain(self) -> None:
         """:meth:`flush`, then wait while the peer is not reading."""
         self.flush()
-        if self.writer.transport.get_write_buffer_size() > DRAIN_MARK:
+        if self.writer.buffered() > DRAIN_MARK:
             await self.writer.drain()
 
     async def close(self) -> None:
         """:meth:`flush`, close the socket, and wait for it to go."""
         self.flush()
         self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        await self.writer.wait_closed()
 
 
 class FrontDoor:
@@ -191,71 +186,63 @@ class FrontDoor:
         self._serve_burst = serve_burst
         self._teardown = teardown
         self._note_flush = note_flush
-        self._servers: List[asyncio.AbstractServer] = []
+        self._listeners: List[reactor.Listener] = []
         #: open client connections and the task serving each.
-        self._writers: Dict[asyncio.StreamWriter, asyncio.Task] = {}
+        self._writers: Dict[reactor.Stream, reactor.Task] = {}
 
-    async def listen(self, host: str, port: Optional[int],
-                     unix_path: Optional[str] = None, *,
-                     reuse_port: bool = False) -> Optional[int]:
+    def listen(self, host: str, port: Optional[int],
+               unix_path: Optional[str] = None, *,
+               reuse_port: bool = False) -> Optional[int]:
         """Bind the endpoints given; returns the TCP port bound.
         ``reuse_port``: several routers share one front port
         (``SO_REUSEPORT``: the kernel spreads the accepts)."""
         bound = None
         if port is not None:
-            server = await asyncio.start_server(
-                self._serve, host, port, reuse_port=reuse_port)
-            self._servers.append(server)
-            bound = server.sockets[0].getsockname()[1]
+            listener = reactor.listen(self._serve, host, port,
+                                      reuse_port=reuse_port)
+            self._listeners.append(listener)
+            bound = listener.port
         if unix_path is not None:
-            self._servers.append(await asyncio.start_unix_server(
-                self._serve, path=unix_path))
+            self._listeners.append(
+                reactor.listen_unix(self._serve, unix_path))
         return bound
 
     def stop_listening(self) -> None:
-        for server in self._servers:
-            server.close()
+        for listener in self._listeners:
+            listener.close()
 
     def abort(self) -> None:
         """Like ``kill -9``: stop accepting, reset every connection."""
         self.stop_listening()
         for writer in list(self._writers):
-            writer.transport.abort()
+            writer.abort()
 
     async def close(self) -> None:
-        """Close every client connection, wait for its serve loop, then
-        for the listeners.
-
-        Each loop reads EOF and runs its own teardown, deregistering
-        only as its last act — a loop already mid-teardown when this
-        runs (its client hung up a moment ago) is still here to be
-        waited for — so nothing is left for ``asyncio.run`` to cancel:
-        on Python 3.11 a cancelled stream handler makes asyncio's own
-        done-callback print a traceback.
-        """
+        """Close every client connection and wait for its serve loop:
+        each reads EOF and runs its own teardown, deregistering only as
+        its last act, so a loop already mid-teardown when this runs
+        (its client hung up a moment ago) is still here to be waited
+        for.  A peer that has not read its last responses within
+        ``CLOSE_GRACE_S`` has its socket aborted."""
         tasks = list(self._writers.values())
         for writer in list(self._writers):
             writer.close()
         if tasks:
-            _, stuck = await asyncio.wait(tasks, timeout=CLOSE_GRACE_S)
-            if stuck:
-                for writer in list(self._writers):
-                    writer.transport.abort()
-                await asyncio.wait(stuck)
-        # Only now: from Python 3.12 a server is not closed until its
-        # last connection is.
-        for server in self._servers:
-            await server.wait_closed()
+            grace = reactor.running().call_later(
+                CLOSE_GRACE_S, lambda: [writer.abort()
+                                        for writer in list(self._writers)])
+            try:
+                await reactor.gather(*tasks)
+            finally:
+                grace.cancel()
 
-    async def _serve(self, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
+    async def _serve(self, writer: reactor.Stream) -> None:
         conn = Conn(writer, self._note_flush)
-        writer.transport.max_size = protocol.READ_BYTES
-        self._writers[writer] = asyncio.current_task()
+        self._writers[writer] = reactor.running().current
         splitter = protocol.FrameSplitter()
         try:
             while True:
-                data = await reader.read(protocol.READ_BYTES)
+                data = await writer.read(protocol.READ_BYTES)
                 if not data:
                     splitter.eof()
                     break

@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.arch.circular_buffer import NUM_ENTRIES
 from repro.core.units import NS_PER_MS
-from repro.pmo.store import DEFAULT_COMMIT_INTERVAL_US
+from repro.pmo import DEFAULT_COMMIT_INTERVAL_US
 
 #: Default wall-clock exposure budget per session: 50ms.  Generous next
 #: to the paper's 40us simulated target, but terpd enforces over real
@@ -174,40 +174,36 @@ _SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
 async def serve(node: Any, *, ready: Callable[[int], None],
                 profile: Optional[str] = None) -> None:
-    """Run ``node`` (a service or a router) until SIGINT/SIGTERM.
+    """Run ``node`` (a service or a router) on the running
+    :mod:`~repro.service.reactor` loop until SIGINT/SIGTERM.
 
     The handlers go in before the node starts and ``ready(port)`` is
     called after it has: print the banner there, or send the port up
-    the supervisor's pipe.  After the first signal both are ignored
-    until the loop closes; a harness escalates to SIGKILL.
+    the supervisor's pipe.  A handler writes a byte to a pipe the loop
+    waits on, as in :func:`wait_for_signal`, and takes no lock.  After
+    the first signal both are ignored until the process ends: a
+    cluster shard takes the group's SIGTERM and then the supervisor's
+    own, whose default action would kill the drain (rc -15).  A harness
+    escalates to SIGKILL.
     """
-    # Its caller runs an event loop, so asyncio is loaded already; a
+    # Its caller runs the loop, so the reactor is loaded already; a
     # standby, which never serves this way, loads none.
-    import asyncio
+    from repro.service import reactor
 
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
+    wake_r, wake_w = os.pipe()
 
-    def first_signal() -> None:
-        # The kernel drops every later one.  A cluster shard takes the
-        # group's SIGTERM and then the supervisor's own; the default
-        # action would kill the drain (rc -15), and the loop's handler
-        # would write to its wakeup fd, which ``loop.close()`` closes
-        # before it unregisters it (a stderr traceback).
+    def first_signal(*_: Any) -> None:
         for sig in _SIGNALS:
             signal.signal(sig, signal.SIG_IGN)
-        stop.set()
+        os.write(wake_w, b"\0")
 
     for sig in _SIGNALS:
-        try:
-            loop.add_signal_handler(sig, first_signal)
-        except NotImplementedError:   # non-Unix event loops
-            pass
+        signal.signal(sig, first_signal)
     with profiled(profile):
         await node.start()
         try:
             ready(node.bound_port)
-            await stop.wait()
+            await reactor.readable(wake_r)
         finally:
             await node.stop()
 

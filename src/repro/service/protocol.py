@@ -72,18 +72,13 @@ from __future__ import annotations
 import json
 import socket
 from itertools import chain
-from typing import (
-    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union)
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.errors import TerpError
 from repro.core.jsonbytes import dumps as _dumps
 from repro.service.ops import (
     EVENT_KINDS, EVENTS, OP_INDEX, OPS, VOCABULARIES, WHOLE, Op, entry,
     op_row)
-
-if TYPE_CHECKING:
-    # An annotation only: a standby speaks the frame without asyncio.
-    import asyncio
 
 #: Upper bound on a single frame, a sanity guard against a desynced or
 #: hostile peer streaming garbage lengths (16 MiB fits any sane batch).
@@ -92,8 +87,8 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 MAX_SIDECAR_BYTES = 64 * 1024 * 1024
 #: The one protocol revision; ``hello`` must offer exactly this.
 PROTOCOL_VERSION = 6
-#: What every reader, asyncio transports included, takes per read
-#: (their 256 KiB default page-faulted twice per relayed frame).
+#: What every reader takes per read (asyncio's 256 KiB default
+#: page-faulted twice per relayed frame).
 READ_BYTES = 65536
 
 
@@ -403,10 +398,11 @@ def recv_frame(sock: socket.socket, splitter: FrameSplitter
     return frame
 
 
-async def read_frame(reader: asyncio.StreamReader,
-                     splitter: FrameSplitter
+async def read_frame(reader: Any, splitter: FrameSplitter
                      ) -> Optional[Tuple[bytes, bytes]]:
-    """Asyncio-stream counterpart of :func:`recv_frame`."""
+    """:func:`recv_frame` for an awaitable stream: ``reader`` is
+    anything with ``async read(n)`` (a :class:`repro.service.reactor
+    .Stream`, an asyncio ``StreamReader``)."""
     frame = splitter.next_frame()
     while frame is None:
         data = await reader.read(READ_BYTES)

@@ -1,4 +1,4 @@
-"""terpd — the asyncio PMO daemon.
+"""terpd — the PMO daemon.
 
 :class:`TerpService` multiplexes many client sessions onto one shared
 :class:`~repro.pmo.api.PmoLibrary` whose semantics engine is the
@@ -11,7 +11,8 @@ Temporal enforcement is two-layered:
 
 * **engine sweep** — the arch engine's periodic sweep closes expired
   delayed-detach windows and re-randomizes held PMOs (Figure 7a),
-  driven here by a background asyncio task instead of a hardware timer;
+  driven here by a background task on the daemon's event loop
+  (:mod:`repro.service.reactor`) instead of a hardware timer;
 * **session-scoped enforcement** — each session carries a wall-clock
   exposure budget; the same background task force-detaches any PMO a
   session has held past its budget, delivering a ``forced-detach``
@@ -27,10 +28,10 @@ runtime are real wall-clock durations.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple)
 
 from repro.arch.circular_buffer import NUM_ENTRIES
 from repro.arch.cond_engine import TerpArchEngine
@@ -41,21 +42,24 @@ from repro.faults.plan import FaultPlan, Injection
 from repro.mem.mpk import NUM_KEYS
 from repro.core.permissions import Access
 from repro.obs import Observability, TraceAnswer, trace_json
+from repro.pmo import DEFAULT_COMMIT_INTERVAL_US
 from repro.pmo.api import PmoLibrary
 from repro.pmo.object_id import Oid
 from repro.pmo.pool import mode_allows
-from repro.pmo.store import DEFAULT_COMMIT_INTERVAL_US, CommitTicket, PmoStore
-from repro.service import protocol
+from repro.service import protocol, reactor
 from repro.service.conn import Conn, FrontDoor, admit
 from repro.service.launch import (
     DEFAULT_EW_TARGET_US, DEFAULT_SEED, DEFAULT_SESSION_EW_NS,
     DEFAULT_SESSION_LINGER_NS, DEFAULT_SWEEP_PERIOD_NS)
 from repro.service.metrics import ServiceMetrics, metrics_report
 from repro.service.ops import OPS, trace_limit
-from repro.service.recovery import (
-    RecoveryManager, RecoveryReport, SessionJournal)
 from repro.service.sessions import SessionManager
 from repro.service.sweeping import Sweeper
+
+if TYPE_CHECKING:
+    # A durable daemon's alone: a memory daemon loads neither.
+    from repro.pmo.store import CommitTicket, PmoStore
+    from repro.service.recovery import RecoveryReport, SessionJournal
 
 
 class _PendingFlush:
@@ -75,23 +79,20 @@ async def _retired(ticket: CommitTicket) -> None:
     """Park until the flusher retires ``ticket``.  The retiring thread
     wakes this loop directly (one ``call_soon_threadsafe`` per
     ticket), so no thread parks per psync."""
-    loop = asyncio.get_running_loop()
-    retired = loop.create_future()
-
-    def settle() -> None:
-        if not retired.done():         # not timed out meanwhile
-            retired.set_result(None)
+    loop = reactor.running()
+    retired = reactor.Future()
 
     def wake(_: CommitTicket) -> None:
         try:
-            loop.call_soon_threadsafe(settle)
+            # Settled already, by the timeout: the late wake is dropped.
+            loop.call_soon_threadsafe(retired.set_result, None)
         except RuntimeError:
             pass                       # the loop closed: stop / crash
 
     ticket.add_done_callback(wake)
     try:
-        await asyncio.wait_for(retired, 60.0)    # ``ticket.wait``'s bound
-    except asyncio.TimeoutError:
+        await reactor.wait_for(retired, 60.0)    # ``ticket.wait``'s bound
+    except TimeoutError:
         raise PmoError("group commit ticket timed out") from None
 
 
@@ -161,6 +162,7 @@ class TerpService:
         self.recovery_report: Optional[RecoveryReport] = None
         self._epoch_wall_ns: Optional[int] = None
         if pool_dir is not None:
+            from repro.pmo.store import PmoStore
             self.store = PmoStore(pool_dir, faults=faults,
                                   commit_interval_us=commit_interval_us)
         self.lib = PmoLibrary(semantics=engine, seed=seed, strict=True,
@@ -189,7 +191,7 @@ class TerpService:
             faults=faults, tracer=self._tracer)
         self.front = FrontDoor(self._serve_burst, self._teardown,
                                self.metrics.wire.note_flush)
-        self._sweeper: Optional[asyncio.Task] = None
+        self._sweeper: Optional[reactor.Task] = None
         self._stopped = False
         self._crashed = False
         self.bound_port: Optional[int] = None
@@ -205,6 +207,8 @@ class TerpService:
             # are restored (lingering, same resume token), and every
             # holding open at the crash is force-detached on the
             # unbroken exposure clock — all before the first request.
+            from repro.service.recovery import (
+                RecoveryManager, SessionJournal)
             self.session_journal = SessionJournal(pool_dir)
             self.sessions.journal = self.session_journal
             self.recovery_report = RecoveryManager(self).recover()
@@ -269,15 +273,14 @@ class TerpService:
 
     async def start(self) -> None:
         """Bind the configured endpoints and launch the sweeper."""
-        self.bound_port = await self.front.listen(self.host, self.port,
-                                                  self.unix_path)
+        self.bound_port = self.front.listen(self.host, self.port,
+                                            self.unix_path)
         if self.shipper is not None:
             # The first dial (and bootstrap) happens off the event
             # loop; an unreachable standby degrades to the background
             # dialer, never delays serving.
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.shipper.start)
-        self._sweeper = asyncio.create_task(self.sweeper.loop())
+            await reactor.in_thread(self.shipper.start)
+        self._sweeper = reactor.spawn(self.sweeper.loop())
 
     async def stop(self) -> None:
         """Graceful shutdown: stop sweeping, detach every session."""
@@ -307,7 +310,7 @@ class TerpService:
             self._sweeper.cancel()
             try:
                 await self._sweeper
-            except asyncio.CancelledError:
+            except reactor.Cancelled:
                 pass
 
     async def crash(self) -> None:
@@ -398,7 +401,7 @@ class TerpService:
                 rule = faults.fire("server.delay_response")
                 if rule is not None and rule.delay_ns > 0:
                     conn.flush()
-                    await asyncio.sleep(rule.delay_ns / 1e9)
+                    await reactor.sleep(rule.delay_ns / 1e9)
                 rule = faults.fire("server.partial_frame")
                 if rule is not None:
                     # The request executed; only a truncated frame
@@ -709,9 +712,11 @@ class ServiceThread:
     def __init__(self, service: TerpService) -> None:
         self.service = service
         self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop: Optional[reactor.Loop] = None
         self._started = threading.Event()
-        self._stop: Optional[asyncio.Event] = None
+        self._stop: Optional[reactor.Event] = None
+        #: how the loop ends once ``_stop`` is set: crash, or stop.
+        self._kill = False
         self._error: Optional[BaseException] = None
 
     def start(self, timeout: float = 10.0) -> TerpService:
@@ -726,14 +731,14 @@ class ServiceThread:
 
     def _run(self) -> None:
         try:
-            asyncio.run(self._main())
+            reactor.run(self._main())
         except BaseException as exc:   # surface to start()/stop()
             self._error = exc
             self._started.set()
 
     async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
+        self._loop = reactor.running()
+        self._stop = reactor.Event()
         try:
             await self.service.start()
         except BaseException:
@@ -743,14 +748,19 @@ class ServiceThread:
             raise
         self._started.set()
         await self._stop.wait()
-        if not self.service._crashed:
+        if self._kill:
+            await self.service.crash()
+        elif not self.service._crashed:
             await self.service.stop()
 
     def stop(self, timeout: float = 10.0) -> None:
         if self._thread is None:
             return
         if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
+            try:
+                self._loop.call_soon_threadsafe(self._stop.set)
+            except RuntimeError:
+                pass                   # the loop has ended already
         self._thread.join(timeout)
         if self._thread.is_alive():
             raise TerpError("terpd thread did not stop in time")
@@ -765,15 +775,7 @@ class ServiceThread:
         constructing a fresh :class:`TerpService` on the same
         ``pool_dir``.
         """
-        if self._thread is None:
-            return
-        if self._loop is not None and self._stop is not None:
-            future = asyncio.run_coroutine_threadsafe(
-                self.service.crash(), self._loop)
-            try:
-                future.result(timeout)
-            except Exception:
-                pass
+        self._kill = True
         self.stop(timeout)
 
     def __enter__(self) -> TerpService:

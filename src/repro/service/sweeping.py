@@ -15,12 +15,12 @@ exposure clocks of the PMOs that shard serves.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from typing import Callable, Optional
 
 from repro.faults.plan import FaultPlan
 from repro.obs.tracing import NULL_SPAN
+from repro.service import reactor
 from repro.service.sessions import SessionManager
 
 
@@ -45,7 +45,7 @@ class Sweeper:
         """The background task body: one pass per period, forever."""
         period_s = self.sweep_period_ns / 1e9
         while True:
-            await asyncio.sleep(period_s)
+            await reactor.sleep(period_s)
             self.run_sweep()
 
     def run_sweep(self) -> int:

@@ -6,7 +6,6 @@ one shard owns goes upstream as one write and comes back as one, and
 a burst that alternates shards still answers in request order.
 """
 
-import asyncio
 import socket
 import threading
 import time
@@ -16,12 +15,13 @@ import pytest
 from repro.cluster.router import TerpRouter
 from repro.core.units import MIB
 from repro.pmo.object_id import Oid
-from repro.service import protocol
+from repro.service import protocol, reactor
 from repro.service.client import SyncTerpClient
 from repro.service.ops import OP_INDEX
 from repro.service.server import ServiceThread, TerpService
+from tests.replication.test_ship_replay import data_segs_out
 from tests.service.rawwire import RawWire
-from tests.service.test_burst_io import write_burst
+from tests.service.test_burst_io import nodelay, served_end, write_burst
 from tests.service.test_footprint import _hold_and_force, _served_peak
 from tests.service.test_protocol import REVISION_5_HELLO
 
@@ -36,15 +36,25 @@ def routed():
     router = TerpRouter(
         shard_addrs=[("127.0.0.1", s.bound_port) for s in shards],
         session_ew_ns=5_000_000_000)
-    loop = asyncio.new_event_loop()
-    pump = threading.Thread(target=loop.run_forever, daemon=True)
+    started, running = threading.Event(), []
+
+    async def serve():
+        await router.start()
+        halt = reactor.Event()
+        running.append((reactor.running(), halt))
+        started.set()
+        await halt.wait()
+        await router.stop()
+
+    pump = threading.Thread(target=reactor.run, args=(serve(),),
+                            daemon=True)
     pump.start()
-    asyncio.run_coroutine_threadsafe(router.start(), loop).result(10)
+    assert started.wait(10)
     yield router, shards
-    asyncio.run_coroutine_threadsafe(router.stop(), loop).result(10)
-    loop.call_soon_threadsafe(loop.stop)
+    loop, halt = running[0]
+    loop.call_soon_threadsafe(halt.set)
     pump.join(10)
-    loop.close()
+    assert not pump.is_alive()
     for thread in threads:
         thread.stop()
 
@@ -104,6 +114,39 @@ def test_a_one_shard_burst_is_one_write_on_every_hop(routed):
         text = wire.exchange(201, "prometheus")[0].result["text"]
         assert 'terpd_wire_frames_total{hop="router"}' in text
         assert f'terpd_wire_frames_total{{shard="{owner}"}}' in text
+
+
+def test_every_hop_is_nodelay_and_a_burst_one_segment_each_way(routed):
+    """The sockets under the counters: the router's accepted client
+    connection and its dialed shard connection carry ``TCP_NODELAY``,
+    as the shard's end does, and a one-shard burst of eight crosses
+    each hop in one data segment each way."""
+    router, shards = routed
+    owner = router.ring.owner("relay")
+    with RawWire(router.bound_port) as wire:
+        wire.hello()
+        assert wire.exchange(2, "create",
+                             {"name": "relay", "size": MIB})[0].ok
+        assert wire.exchange(3, "attach", {"name": "relay"})[0].ok
+        oid = Oid.unpack(wire.exchange(4, "pmalloc", {
+            "name": "relay", "size": 64})[0].result["oid"])
+        front = served_end(router.front, wire.sock)
+        (upstreams,) = router._upstreams.values()   # the one session's
+        (upstream,) = upstreams.values()
+        dialed = upstream._stream.sock
+        shard_end = served_end(shards[owner].front, dialed)
+        sockets = (front.sock, dialed, shard_end.sock)
+        assert [nodelay(sock) for sock in sockets] == [True] * 3
+        before = [data_segs_out(sock) for sock in sockets]
+        if None in before:
+            pytest.skip("no tcpi_data_segs_out in this kernel")
+        wire.sock.sendall(write_burst(oid, 8)[0])
+        for i in range(8):
+            assert wire.recv()[0].rid == 100 + i
+        # The answers to the client, the relayed run to the shard, and
+        # the shard's answers to the router: one segment each.
+        assert [data_segs_out(sock) - n
+                for sock, n in zip(sockets, before)] == [1, 1, 1]
 
 
 def test_a_burst_alternating_shards_answers_in_request_order(routed):

@@ -660,6 +660,34 @@ class TestTicketCallbacks:
         with pytest.raises(PmoError, match="batch failed"):
             ticket.wait(0)
 
+    def test_a_raising_callback_is_reported_not_raised(self, capfd):
+        # On the flusher's thread, a raise would end the batch's
+        # retirement: every later callback, and ``wait``, still run.
+        ticket = CommitTicket()
+        seen = []
+
+        def broken(_):
+            raise ValueError("callback broke")
+
+        ticket.add_done_callback(broken)
+        ticket.add_done_callback(seen.append)
+        ticket.complete(2)
+        assert seen == [ticket]
+        assert ticket.wait(0) == 2
+        ticket.add_done_callback(broken)     # retired: runs at once
+        err = capfd.readouterr().err
+        assert err.count("ValueError: callback broke") == 2
+        assert "commit ticket callback" in err
+
+    def test_a_wait_past_its_timeout_raises(self):
+        ticket = CommitTicket()
+        with pytest.raises(PmoError, match="timed out"):
+            ticket.wait(0.01)
+        assert not ticket.done
+        ticket.fail(PmoError("late"))
+        with pytest.raises(PmoError, match="late"):
+            ticket.wait(0)
+
     def test_exactly_once_under_a_register_retire_race(self):
         # Four registering threads against the retiring one, more
         # threads than cores, switching as often as the interpreter

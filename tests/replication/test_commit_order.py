@@ -166,7 +166,9 @@ class TestPrimaryCrashPoints:
         monkeypatch.undo()
         store.abort_commits()
         shipper.abort()
-        assert settled(standby)["applied"]["p"] == 2   # it was sent
+        # It was sent: the standby applies it on its own thread, which
+        # a loaded host may not have run yet.
+        wait_for(lambda: settled(standby)["applied"]["p"] == 2)
 
         restarted = PmoStore(tmp_path / "primary")
         assert restarted.load_all().journals_applied == 1

@@ -9,7 +9,10 @@ removed.
 """
 
 import re
+import socket
 import time
+
+import pytest
 
 from repro.core.units import MIB
 from repro.faults.plan import FaultPlan, FaultRule
@@ -18,6 +21,7 @@ from repro.service.client import SyncTerpClient
 from repro.service.retry import RetryPolicy
 from repro.service.server import ServiceThread, TerpService
 from repro.topology import Proc
+from tests.replication.test_ship_replay import data_segs_out
 from tests.service.rawwire import RawWire
 from tests.service.test_footprint import rss_kib
 
@@ -76,6 +80,38 @@ def test_eight_frames_in_one_segment_leave_in_one_write():
                              re.M)
             assert re.search(r"^terpd_wire_frames_total \d+$", text,
                              re.M)
+
+
+def served_end(front, peer):
+    """The stream a front door serves ``peer``'s connection on."""
+    (stream,) = [stream for stream in front._writers
+                 if stream.sock.getpeername() == peer.getsockname()]
+    return stream
+
+
+def nodelay(sock) -> bool:
+    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+
+def test_a_burst_leaves_a_nodelay_socket_in_one_segment():
+    """Under the counters, the socket: the daemon sets ``TCP_NODELAY``
+    on every connection it accepts (a reply waits on no ACK of the
+    last), and the eight responses to a pipelined burst leave in one
+    data segment."""
+    with ServiceThread(TerpService(
+            port=0, session_ew_ns=5_000_000_000)) as service:
+        wire, oid = prepared(service.bound_port)
+        with wire:
+            served = served_end(service.front, wire.sock)
+            assert nodelay(served.sock)
+            before = data_segs_out(served.sock)
+            if before is None:
+                pytest.skip("no tcpi_data_segs_out in this kernel")
+            burst, rids = write_burst(oid, 8)
+            wire.sock.sendall(burst)
+            for rid in rids:
+                assert wire.recv()[0].rid == rid
+            assert data_segs_out(served.sock) - before == 1
 
 
 def test_a_response_never_waits_behind_a_later_fsync(tmp_path):

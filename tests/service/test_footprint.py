@@ -161,7 +161,7 @@ class LoggedProc(Proc):
 SERVING_STACK = {
     "repro.service.server", "repro.service.sessions",
     "repro.service.conn", "repro.service.sweeping", "repro.obs.audit",
-    "repro.obs.registry", "repro.obs.tracing", "asyncio"}
+    "repro.obs.registry", "repro.obs.tracing", "repro.service.reactor"}
 
 
 def test_a_standby_loads_no_serving_stack_until_promoted(
@@ -183,6 +183,50 @@ def test_a_standby_loads_no_serving_stack_until_promoted(
     assert code == 0
     assert SERVING_STACK & set(at_banner) == set()
     assert SERVING_STACK <= set(after)
+    # Idle or promoted, on the daemon's loop: no asyncio.
+    assert loaded_of(at_banner + after, ASYNCIO) == []
+
+
+#: What asyncio brought into every serving process: 2.6 MiB and ~45
+#: modules, ``concurrent.futures`` and ``logging`` among them.
+ASYNCIO = ("asyncio", "concurrent.futures", "logging")
+#: What only a durable node runs.
+STORE = ("repro.pmo.store", "repro.service.recovery")
+
+
+def loaded_of(modules, families) -> list:
+    """The names in ``modules`` of a package in ``families``."""
+    return sorted({name for name in modules for family in families
+                   if name == family or name.startswith(family + ".")})
+
+
+@pytest.mark.parametrize("module, args, absent", [
+    # A memory daemon: no event-loop stack and no store.
+    ("repro.service", ["--port", "0"], ASYNCIO + STORE),
+    # A durable one: its store, still no asyncio.
+    ("repro.service", ["--port", "0", "--pool-dir", "{pool}"], ASYNCIO),
+    # The supervisor, two memory shards and the router: one import log
+    # for the process tree, since the children share its stderr.
+    ("repro.cluster", ["--port", "0", "--shards", "2"], ASYNCIO + STORE),
+])
+def test_no_serving_process_loads_asyncio(module, args, absent,
+                                          monkeypatch, tmp_path):
+    """Every serving process runs on :mod:`repro.service.reactor`:
+    none of them imports asyncio or what it pulls in, before its banner
+    or while it serves a tenant cycle, and a node without a pool loads
+    no store.  At the parent each daemon, shard, router and supervisor
+    loaded asyncio (VmHWM 21.95 MiB for an idle daemon)."""
+    monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+    proc = LoggedProc(module, [arg.format(pool=tmp_path / "pool")
+                               for arg in args])
+    try:
+        serve_a_cycle(proc.ready())
+    finally:
+        code = proc.stop()
+    at_banner, after = proc.imports()
+    assert code == 0
+    assert "repro.service.reactor" in at_banner
+    assert loaded_of(at_banner + after, absent) == []
 
 
 def test_the_supervisor_brings_the_daemon_its_shards_fork_with():
@@ -524,15 +568,18 @@ class _Writer:
     """What a connection's frames are written to: counted, never kept
     — each write's size, and the CRC of the bytes so far."""
 
+    closing = False
+
     def __init__(self) -> None:
         self.writes = []
         self.crc = 0
-        self.transport = types.SimpleNamespace(
-            get_write_buffer_size=lambda: 0, is_closing=lambda: False)
 
     def write(self, data: bytes) -> None:
         self.writes.append(len(data))
         self.crc = zlib.crc32(data, self.crc)
+
+    def buffered(self) -> int:
+        return 0
 
 
 def _hold_and_force(service):

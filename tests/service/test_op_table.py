@@ -31,7 +31,7 @@ from repro.cluster.router import TerpRouter
 from repro.core.errors import PmoError
 from repro.core.units import MIB
 from repro.pmo.object_id import OFFSET_BITS, Oid
-from repro.service import ops, protocol, retry
+from repro.service import ops, protocol, reactor, retry
 from repro.service.client import (
     RECV, SEND, ClientCore, RemoteError, SyncTerpClient, TerpClient)
 from repro.service.ops import FANOUT, NAME, OID, OPS, SESSION
@@ -315,10 +315,8 @@ class ServedClient(ScriptedClient):
         self.replies = []
         self.writes = []
         self.conn = Conn(types.SimpleNamespace(
-            write=self.writes.append,
-            transport=types.SimpleNamespace(
-                get_write_buffer_size=lambda: 0,
-                is_closing=lambda: False)), lambda frames: None)
+            write=self.writes.append, buffered=lambda: 0, closing=False),
+            lambda frames: None)
 
     def _serve(self, body, sidecar):
         serve = self.service._serve_burst(self.conn,
@@ -595,10 +593,10 @@ def test_both_front_doors_read_trace_args_by_the_row(monkeypatch):
         spans = [{"end_ns": n} for n in range(10)]
         return [(0, {"spans": spans, "audit": [], "now_ns": 0})], []
     monkeypatch.setattr(router, "_poll", poll)
-    merged, _ = asyncio.run(router._fanout_trace(conn, OPS["trace"], {}))
+    merged, _ = reactor.run(router._fanout_trace(conn, OPS["trace"], {}))
     assert len(merged["spans"]) == 3
     for answer in (lambda: trace(conn, {"limit": -1}),
-                   lambda: asyncio.run(router._fanout_trace(
+                   lambda: reactor.run(router._fanout_trace(
                        conn, OPS["trace"], {"limit": -1}))):
         with pytest.raises(ValueError, match="negative"):
             answer()

@@ -2,8 +2,8 @@
 
 The daemon awaits a group-commit ticket through the ticket's done
 callback, which the flusher thread runs as it retires the batch and
-which resolves a future on the event loop.  No default-executor thread
-is parked per psync in flight, and the ways a wait can end — retired,
+which resolves a future on the event loop.  No thread is parked per
+psync in flight, and the ways a wait can end — retired,
 failed, the daemon stopped or crashed under it, its loop gone — each
 have a test here.
 """
@@ -18,7 +18,7 @@ from repro.core.errors import PmoError
 from repro.core.units import MIB
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.pmo.store import CommitTicket, PmoStore
-from repro.service import protocol
+from repro.service import protocol, reactor
 from repro.service.client import (
     ConnectionLost, SyncTerpClient, TerpClient)
 from repro.service.retry import RetryPolicy
@@ -28,11 +28,12 @@ from tests.service.rawwire import RawWire
 SESSIONS = 32
 
 
-def new_executor_threads(before):
-    """Default-executor workers (``asyncio_N``) started since
-    ``before``."""
+def new_parked_threads(before):
+    """Threads started since ``before`` other than the daemon's loop
+    and its flusher: one parked per psync would be among them."""
     return [thread.name for thread in threading.enumerate()
-            if thread not in before and thread.name.startswith("asyncio_")]
+            if thread not in before
+            and thread.name not in ("terpd", "terp-group-commit")]
 
 
 async def psync_burst(port, sessions):
@@ -64,9 +65,9 @@ def test_concurrent_psyncs_park_no_executor_thread(tmp_path):
         flushed = asyncio.run(psync_burst(service.bound_port, SESSIONS))
         assert all(count >= 1 for count in flushed)
         assert committer.submitted - submitted == SESSIONS
-        # Taken with the daemon still up: an executor keeps its idle
-        # workers until its loop shuts down.
-        assert new_executor_threads(before) == []
+        # Taken with the daemon still up: a thread parked per psync
+        # would still be here.
+        assert new_parked_threads(before) == []
 
 
 def stalled_service(tmp_path, stall_s):
@@ -181,14 +182,15 @@ def test_a_failed_ticket_is_refused_at_its_own_slot(tmp_path):
             wire.exchange(13, "detach", {"name": "slot"})
 
 
-def test_a_ticket_retired_after_its_loop_closed_is_dropped():
+def test_a_ticket_retired_after_its_loop_closed_is_dropped(capfd):
     ticket = CommitTicket()
-    loop = asyncio.new_event_loop()
-    waiter = loop.create_task(_retired(ticket))
-    loop.run_until_complete(asyncio.sleep(0))      # registered
+    loop = reactor.Loop()
+    waiter = loop.spawn(_retired(ticket))
+    loop.run(reactor.sleep(0))                     # registered
     waiter.cancel()
-    with pytest.raises(asyncio.CancelledError):
-        loop.run_until_complete(waiter)
+    with pytest.raises(reactor.Cancelled):
+        loop.run(waiter)
     loop.close()
     ticket.complete(1)                  # the flusher retires it: quiet
     assert ticket.wait(0) == 1
+    assert capfd.readouterr().err == ""

@@ -92,8 +92,8 @@ class TestSigtermAtTheBanner:
 def test_a_process_group_sigterm_stops_a_cluster_quietly():
     """``Proc.stop`` signals the child's whole group, so each shard
     takes the group's SIGTERM and then the supervisor's own, as from
-    terpbench or a terminal's Ctrl-C.  The repeat used to reach
-    asyncio's wakeup fd after the loop had closed it (a stderr
+    terpbench or a terminal's Ctrl-C.  The repeat used to reach the
+    event loop's wakeup fd after the loop had closed it (a stderr
     traceback in up to 2 of 10 stops)."""
     def one(_):
         proc = Proc("repro.cluster", ["--port", "0", "--shards", "2"],
@@ -133,7 +133,8 @@ def test_metrics_are_dumped_at_shutdown(tmp_path):
 #: supervisor's own lands once the loop's wakeup fd is closed but still
 #: registered (stood in for here by a closed socket).
 REPEAT_IN_THE_DRAIN = """
-import asyncio, os, signal, socket
+import os, signal, socket
+from repro.service import reactor
 from repro.service.launch import serve
 
 class Node:
@@ -150,10 +151,10 @@ class Node:
         b.close()
         os.kill(os.getpid(), signal.SIGTERM)
         signal.set_wakeup_fd(previous)
-        await asyncio.sleep(0.05)
+        await reactor.sleep(0.05)
         print("drained", flush=True)
 
-asyncio.run(serve(
+reactor.run(serve(
     Node(), ready=lambda port: os.kill(os.getpid(), signal.SIGTERM)))
 """
 

@@ -12,10 +12,12 @@ table-built parsers must reproduce it, the one addition being
 ``tests/test_topology.py::TestSettings``.
 """
 
+import ast
 import inspect
 import json
 import os
 import re
+import textwrap
 
 import pytest
 
@@ -119,9 +121,33 @@ class Pipe:
         pass
 
 
+def resolves(main, module, name) -> bool:
+    """Whether ``main`` looks ``name`` up on ``module`` each time it
+    runs: as ``alias.name`` for a global ``alias`` bound to ``module``,
+    or by a ``from module import name`` in its body — so a patch of
+    ``module.name`` is what it will call."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(main)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == name and \
+                isinstance(node.value, ast.Name) and \
+                main.__globals__.get(node.value.id) is module:
+            return True
+        if isinstance(node, ast.ImportFrom) and \
+                node.module == module.__name__ and \
+                any(alias.name == name for alias in node.names):
+            return True
+    return False
+
+
 def captured(monkeypatch, module, name, main, *args):
     """The keywords child entry point ``main`` builds its node with
-    (``module.name``, replaced by a constructor that raises them)."""
+    (``module.name``, replaced by a constructor that raises them).
+
+    Checked before ``main`` runs: an entry point that resolved the name
+    elsewhere would build the real node and serve forever."""
+    assert resolves(main, module, name), \
+        f"{main.__qualname__} does not look up {module.__name__}.{name}"
+
     def refuse(*_, **kwargs):
         raise Captured(kwargs)
     monkeypatch.setattr(module, name, refuse)
