@@ -14,9 +14,9 @@ by any timing simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.arch.circular_buffer import CircularBuffer
+from repro.core.record import record
 
 #: 45nm process: 6T SRAM bit-cell area in um^2 (ITRS-class value).
 SRAM_CELL_UM2_45NM = 0.346
@@ -28,7 +28,7 @@ PERIPHERY_K = 1330.0
 NEHALEM_DIE_MM2 = 263.0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AreaEstimate:
     bits: int
     bytes: int

@@ -15,10 +15,10 @@ CONDAT/CONDDT (cases 1–6 of Figures 7b/7c) lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Optional
 
 from repro.core.errors import SimulationError
+from repro.core.record import record
 
 #: Hardware sizing (Section V-B: 32 entries x 34 bits = 140 bytes
 #: including the timer).
@@ -33,7 +33,7 @@ TIMER_BITS = 32
 TIMER_TICK_NS = 1_000
 
 
-@dataclass
+@record
 class CbEntry:
     """One circular-buffer entry."""
 

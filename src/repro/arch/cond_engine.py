@@ -30,7 +30,6 @@ partial-combining case of Figure 6c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Set, Tuple)
 
@@ -40,12 +39,13 @@ if TYPE_CHECKING:
 
 from repro.core.errors import InjectedFault
 from repro.core.permissions import Access
+from repro.core.record import record
 from repro.core.semantics import (
     Action, ActionKind, Decision, Outcome, SemanticsEngine)
 from repro.arch.circular_buffer import CircularBuffer, TIMER_TICK_NS
 
 
-@dataclass
+@record
 class CaseCounters:
     """How often each of the six hardware cases fired."""
 

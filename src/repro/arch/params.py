@@ -13,13 +13,13 @@ attributes them to the Figure 9/10/11 breakdown categories
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.core.record import field, record
 from repro.core.units import cycles_to_ns
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimParams:
     """Table II: the rows the simulator reads.
 
@@ -59,7 +59,7 @@ DEFAULT_PARAMS = SimParams()
 CATEGORIES = ("attach", "detach", "rand", "cond", "other")
 
 
-@dataclass
+@record
 class CostBreakdown:
     """Cycles charged per category; the unit of the overhead figures."""
 

@@ -30,29 +30,31 @@ Multiple routers bind the same front port with ``SO_REUSEPORT`` so the
 kernel shards accepted connections across them — the cheap fast path
 for connection-heavy workloads.
 
-Everything a child needs travels through a :class:`ClusterConfig`
-(picklable, so ``spawn`` works where ``fork`` is unavailable): the
-topology plus one ``service`` mapping of daemon settings (rows of
-:data:`repro.service.launch.SETTINGS`).  Each child runs through
-``launch.serve`` / ``wait_for_signal`` and sends its bound port up a
-pipe once ready — so a child known to be up can be stopped cleanly.
+Everything a child needs travels through a :class:`ClusterConfig`:
+the topology plus one ``service`` mapping of daemon settings (rows of
+:data:`repro.service.launch.SETTINGS`).  Each child is a bare
+``os.fork`` (POSIX only) of the supervisor, so it starts with the
+daemon already imported and nothing else: no ``multiprocessing``,
+``pickle`` or ``subprocess``.  It runs through ``launch.serve`` /
+``wait_for_signal`` and writes its bound port up a pipe as one JSON
+line once ready — so a child known to be up can be stopped cleanly.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import atexit
 import json
-import multiprocessing
 import os
+import select
 import signal
 import sys
 import threading
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
 from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Tuple)
 
+from repro.core.record import field, record, replace
 from repro.service.launch import (
     DEFAULT_SEED, SETTINGS, STARTUP_TIMEOUT_S, serve, wait_for_signal)
 # Imported here, not in ``_shard_main``: every forked shard inherits
@@ -65,7 +67,7 @@ MAX_RESTARTS = 5
 MONITOR_PERIOD_S = 0.15
 
 
-@dataclass
+@record
 class ClusterConfig:
     """Everything the supervisor and its children need to agree on."""
 
@@ -136,7 +138,7 @@ def _reporting(report, config: ClusterConfig,
 def _shard_main(config: ClusterConfig, index: int, port: int,
                 pool_dir: Optional[str], replicate_to: Optional[str],
                 report) -> None:
-    """Child entry point: one terpd shard (module-level: picklable)."""
+    """Child entry point: one terpd shard."""
     with _reporting(report, config, f"shard {index} serving") as ready:
         service = server.TerpService(
             port=port, pool_dir=pool_dir, replicate_to=replicate_to,
@@ -148,7 +150,7 @@ def _shard_main(config: ClusterConfig, index: int, port: int,
 
 def _standby_main(config: ClusterConfig, index: int, port: int,
                   pool_dir: str, report) -> None:
-    """Child entry point: one warm standby (module-level: picklable).
+    """Child entry point: one warm standby.
 
     The directory is deliberately NOT wiped here.  Stale content — a
     prior generation's mirror, or a since-destroyed PMO — is pruned by
@@ -174,7 +176,7 @@ def _standby_main(config: ClusterConfig, index: int, port: int,
 def _router_main(config: ClusterConfig, index: int, port: int,
                  shard_addrs: List[Tuple[str, int]],
                  reuse_port: bool, report) -> None:
-    """Child entry point: one router process (module-level: picklable)."""
+    """Child entry point: one router process."""
     from repro.cluster.router import TerpRouter
 
     with _reporting(report, config, f"router {index} serving") as ready:
@@ -190,6 +192,131 @@ def _router_main(config: ClusterConfig, index: int, port: int,
             profile=config.profile and f"{config.profile}.router{index}"))
 
 
+class _Report:
+    """A child's end of its report pipe, with what the entry points use
+    of a ``multiprocessing`` connection: ``send`` writes one JSON line,
+    and a send after ``close`` raises ``OSError``."""
+
+    __slots__ = ("fd",)
+
+    def __init__(self, fd: int) -> None:
+        self.fd: Optional[int] = fd
+
+    def send(self, message: Dict[str, Any]) -> None:
+        if self.fd is None:
+            raise OSError("report pipe closed")
+        os.write(self.fd, json.dumps(message).encode() + b"\n")
+
+    def close(self) -> None:
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+
+
+class _Forked:
+    """A child made by :func:`os.fork`, with what the supervisor used
+    of ``multiprocessing.Process``: ``pid``, ``exitcode`` (negative for
+    a signal), ``is_alive``, ``join``, ``terminate`` and ``kill``.
+
+    ``waitpid`` reaps it once, under a lock: the monitor thread and a
+    caller may both ask.  A signal to a reaped child is not sent, since
+    its pid may already be someone else's."""
+
+    __slots__ = ("pid", "exitcode", "_lock")
+
+    #: how often ``join`` with a timeout looks again
+    POLL_S = 0.005
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.exitcode: Optional[int] = None
+        self._lock = threading.Lock()
+
+    def is_alive(self) -> bool:
+        with self._lock:
+            if self.exitcode is None:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+                if pid:
+                    self.exitcode = os.waitstatus_to_exitcode(status)
+            return self.exitcode is None
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        deadline = time.monotonic() + (
+            float("inf") if timeout is None else timeout)
+        while self.is_alive():
+            left = deadline - time.monotonic()
+            if left <= 0:
+                return
+            time.sleep(min(self.POLL_S, left))
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+    def _signal(self, sig: int) -> None:
+        with self._lock:
+            if self.exitcode is None:
+                os.kill(self.pid, sig)
+
+
+def _fork(target: Callable[..., None], args: tuple
+          ) -> Tuple[_Forked, int]:
+    """Fork a child that runs ``target(*args, report)`` (a
+    :class:`_Report`); returns it and the read end of the report pipe.
+    The child reads ``/dev/null`` as stdin and ends with ``os._exit``:
+    0 when ``target`` returns, 1 with its traceback on stderr when it
+    raises."""
+    report_r, report_w = os.pipe()
+    # Whatever is buffered would be written twice, once by each side.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid:
+        os.close(report_w)
+        return _Forked(pid), report_r
+    code = 1
+    try:
+        os.close(report_r)
+        devnull = os.open(os.devnull, os.O_RDONLY)
+        os.dup2(devnull, 0)
+        os.close(devnull)
+        target(*args, _Report(report_w))
+        code = 0
+    except BaseException:
+        # Reported here: the child must never unwind into the
+        # supervisor's frames it was forked from.
+        import traceback
+        traceback.print_exc()
+    finally:
+        with suppress(Exception):
+            sys.stdout.flush()
+            sys.stderr.flush()
+        os._exit(code)
+
+
+def _read_report(fd: int, timeout_s: float) -> Optional[Dict[str, Any]]:
+    """The one JSON line a child writes up its report pipe, or None if
+    it closed the pipe without one or said nothing in time."""
+    deadline = time.monotonic() + timeout_s
+    readable = select.poll()
+    readable.register(fd, select.POLLIN)
+    data = b""
+    try:
+        while not data.endswith(b"\n"):
+            left = deadline - time.monotonic()
+            if left <= 0 or not readable.poll(left * 1000):
+                return None
+            chunk = os.read(fd, 4096)
+            if not chunk:
+                return None
+            data += chunk
+    finally:
+        os.close(fd)
+    return json.loads(data)
+
+
 class _Child:
     """One supervised process and what it takes to respawn it."""
 
@@ -200,8 +327,7 @@ class _Child:
         self.kind = kind             # "shard" | "router"
         self.index = index
         self.port: Optional[int] = None
-        self.process: Optional[multiprocessing.process.BaseProcess] = \
-            None
+        self.process: Optional[_Forked] = None
         self.restarts = 0
         self.given_up = False
 
@@ -218,7 +344,7 @@ class ClusterSupervisor:
                     if key in SETTINGS}
         overrides["service"] = {
             **overrides.get("service", base.service), **settings}
-        config = dataclasses.replace(base, **overrides)
+        config = replace(base, **overrides)
         if config.shards < 1:
             raise ValueError("need at least one shard")
         if config.routers < 1:
@@ -227,10 +353,6 @@ class ClusterSupervisor:
             raise ValueError("replicas need a pool_dir: only durable "
                              "state can be shipped to a standby")
         self.config = config
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:       # pragma: no cover - non-posix
-            self._ctx = multiprocessing.get_context("spawn")
         self._shards = [_Child("shard", i)
                         for i in range(config.shards)]
         self._routers = [_Child("router", i)
@@ -301,6 +423,9 @@ class ClusterSupervisor:
             raise
 
     def _start(self) -> None:
+        # A child must not outlive an interpreter that never called
+        # ``stop`` (``multiprocessing`` did this for daemonic children).
+        atexit.register(self.stop)
         if self.config.pool_dir is not None:
             os.makedirs(self.config.pool_dir, exist_ok=True)
         for child in self._standbys:
@@ -326,6 +451,7 @@ class ClusterSupervisor:
         self._monitor.start()
 
     def stop(self, timeout_s: float = 10.0) -> None:
+        atexit.unregister(self.stop)
         self._stopping.set()
         if self._monitor is not None:
             self._monitor.join(timeout=timeout_s)
@@ -400,22 +526,18 @@ class ClusterSupervisor:
     # -- spawning ----------------------------------------------------------
 
     def _spawn(self, child: _Child, target, args: tuple) -> None:
-        parent_end, child_end = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=target, args=args + (child_end,),
-            name=f"terpd-{child.kind}{child.index}", daemon=True)
-        process.start()
-        child_end.close()
-        if not parent_end.poll(STARTUP_TIMEOUT_S):
-            process.kill()
-            raise RuntimeError(
-                f"{child.kind} {child.index} never reported a port")
-        reported = parent_end.recv()
-        parent_end.close()
-        if "error" in reported:
+        process, report = _fork(target, args)
+        reported = _read_report(report, STARTUP_TIMEOUT_S)
+        if reported is None or "error" in reported:
+            # Reaped before the raise: a child that never came up is
+            # no one's to join later.
+            if reported is None:
+                process.kill()
             process.join(timeout=2.0)
-            raise RuntimeError(f"{child.kind} {child.index} failed "
-                               f"to start: {reported['error']}")
+            reason = "never reported a port" if reported is None \
+                else f"failed to start: {reported['error']}"
+            raise RuntimeError(f"{child.kind} {child.index} {reason} "
+                               f"(exit code {process.exitcode})")
         child.port = int(reported["port"])
         child.process = process
 

@@ -19,7 +19,6 @@ well-formedness the EW-conscious semantics requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.compiler.cfg import Cfg
@@ -29,9 +28,10 @@ from repro.compiler.pointer_analysis import PointsTo, analyze
 from repro.compiler.regions import RegionHierarchy, block_cycles
 from repro.compiler.wfg import build_wfg, PmoWfg
 from repro.core.errors import CompilerError
+from repro.core.record import record
 
 
-@dataclass
+@record
 class InsertionReport:
     """What the pass did, per function."""
 

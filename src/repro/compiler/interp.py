@@ -10,7 +10,6 @@ semantics and (b) keeps the measured TEW under the compiler's budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -22,11 +21,12 @@ from repro.compiler.regions import ACCESS_CYCLES, TERP_OP_CYCLES
 from repro.core.errors import CompilerError, SimulationError
 from repro.core.exposure import WindowTracker
 from repro.core.permissions import Access
+from repro.core.record import record
 from repro.core.semantics import Outcome, SemanticsEngine
 from repro.core.units import cycles_to_ns
 
 
-@dataclass
+@record
 class InterpResult:
     """Observed behaviour of one run."""
 

@@ -14,41 +14,41 @@ from).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import CompilerError
+from repro.core.record import record
 
 
 # -- instructions -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Instr:
     """Base class; concrete instructions below."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Compute(Instr):
     """Straight-line computation costing ``cycles``."""
 
     cycles: int = 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Load(Instr):
     """Read through ``ptr``; a PMO access if ptr aliases a PMO."""
 
     ptr: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Store(Instr):
     """Write through ``ptr``."""
 
     ptr: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assign(Instr):
     """``dst = src`` pointer copy (creates aliases)."""
 
@@ -56,7 +56,7 @@ class Assign(Instr):
     src: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Gep(Instr):
     """``dst = src + offset`` — pointer arithmetic keeps the alias."""
 
@@ -64,7 +64,7 @@ class Gep(Instr):
     src: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Call(Instr):
     """Call another function in the program."""
 
@@ -72,12 +72,12 @@ class Call(Instr):
 
 
 #: Instructions inserted by the TERP pass.
-@dataclass(frozen=True)
+@record(frozen=True)
 class CondAttach(Instr):
     pmo: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CondDetach(Instr):
     pmo: str
 

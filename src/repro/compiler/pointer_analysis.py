@@ -17,14 +17,14 @@ call edges are walked to mark callee accesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Set, Tuple
 
 from repro.compiler.ir import (
     Assign, Call, Function, Gep, Load, Program, Store)
+from repro.core.record import record
 
 
-@dataclass
+@record
 class PointsTo:
     """The analysis result."""
 

@@ -17,12 +17,12 @@ trip count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.compiler.cfg import Cfg
 from repro.compiler.ir import (
     Compute, CondAttach, CondDetach, Function, Instr, Load, Store)
+from repro.core.record import record
 
 #: "We follow the common practice in static analysis to assume it to
 #: be a large number (e.g., 1k)" for statically unknown trip counts.
@@ -48,7 +48,7 @@ def block_cycles(fn: Function, name: str) -> int:
     return max(total, 1)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Region:
     """A region: a block set with a distinguished header."""
 

@@ -15,16 +15,16 @@ LET stays under the threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.compiler.cfg import Cfg
 from repro.compiler.ir import Function, Program
 from repro.compiler.pointer_analysis import PointsTo, analyze
 from repro.compiler.regions import Region, RegionHierarchy
+from repro.core.record import record
 
 
-@dataclass
+@record
 class WfgRegion:
     """One PMO-WFG subgraph, with its insertion anchor points."""
 
@@ -38,7 +38,7 @@ class WfgRegion:
     confluence: Optional[str]
 
 
-@dataclass
+@record
 class PmoWfg:
     """The PMO-WFG of one function."""
 

@@ -22,13 +22,13 @@ decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, List
 
 from repro.core.errors import TerpError
+from repro.core.record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Window:
     """One closed exposure interval ``[start_ns, end_ns)``."""
 
@@ -40,7 +40,7 @@ class Window:
         return self.end_ns - self.start_ns
 
 
-@dataclass
+@record
 class WindowStats:
     """Summary statistics over a set of windows."""
 

@@ -11,8 +11,9 @@ grants.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable
+
+from repro.core.record import field, record
 
 
 class Access(enum.Flag):
@@ -51,7 +52,7 @@ class Access(enum.Flag):
                ("x" if self & Access.EXECUTE else "-")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PermissionSet:
     """A permission set P over named objects (Definition 1).
 
@@ -118,7 +119,7 @@ class EntityKind(enum.Enum):
     USER_GROUP = "user_group"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Entity:
     """An agent g with its own permission set p(g)."""
 
@@ -129,7 +130,7 @@ class Entity:
         return f"{self.kind.value}:{self.name}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PermissionGroup:
     """A permission group G(P): entities sharing permission set P.
 

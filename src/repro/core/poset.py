@@ -15,10 +15,10 @@ mechanism one level down (Section IV-C).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.errors import TerpError
+from repro.core.record import record
 
 
 class ProtectionLevel(enum.IntEnum):
@@ -34,7 +34,7 @@ class ProtectionLevel(enum.IntEnum):
     USER_GROUP_PERMISSION = 4
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Mechanism:
     """One TERP protection mechanism (an element of a TERP poset)."""
 

@@ -23,7 +23,6 @@ manual clock is fine; in the simulator the machine's clock drives it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -32,6 +31,7 @@ if TYPE_CHECKING:
 from repro.core.errors import ProtectionFault, SegmentationFault, TerpError
 from repro.core.exposure import ExposureMonitor
 from repro.core.permissions import Access
+from repro.core.record import record
 from repro.core.semantics import (
     ActionKind, Decision, Outcome, SemanticsEngine)
 from repro.mem.address_space import AddressSpace
@@ -39,7 +39,7 @@ from repro.pmo.object_id import Oid
 from repro.pmo.pool import PmoManager
 
 
-@dataclass
+@record
 class RuntimeCounters:
     """Per-outcome tallies — the inputs to the Silent% and overhead
     breakdowns of the evaluation."""
@@ -309,7 +309,7 @@ class TerpRuntime:
         self.monitor.finish(now_ns)
 
 
-@dataclass
+@record
 class AttachResult:
     decision: Decision
     handle: Optional[Handle]

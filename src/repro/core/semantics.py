@@ -46,11 +46,11 @@ Semantics implemented (Figure 3):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.errors import SemanticsViolation
 from repro.core.permissions import Access
+from repro.core.record import field, record
 
 
 class Outcome(enum.Enum):
@@ -76,7 +76,7 @@ class ActionKind(enum.Enum):
     RANDOMIZE = "randomize"      # relocate the PMO (threads suspended)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Action:
     kind: ActionKind
     pmo_id: Hashable
@@ -84,7 +84,7 @@ class Action:
     access: Access = Access.NONE
 
 
-@dataclass
+@record
 class Decision:
     """Engine verdict for one event."""
 
@@ -101,7 +101,7 @@ class Decision:
         return self.outcome is Outcome.SILENT
 
 
-@dataclass
+@record
 class _PmoState:
     """Per-PMO bookkeeping shared by the engines."""
 

@@ -19,14 +19,14 @@ counterexamples with hypothesis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, List, Sequence, Tuple
 
 from repro.core.errors import TerpError
 from repro.core.exposure import ExposureMonitor, Window
+from repro.core.record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Schedule:
     """A region's temporal protection history.
 

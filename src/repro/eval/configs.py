@@ -21,11 +21,11 @@ engine/policy pair per run (state is never shared across runs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict
 
 from repro.arch.cond_engine import TerpArchEngine
 from repro.core.errors import ConfigurationError
+from repro.core.record import record
 from repro.core.semantics import BasicSemantics, EwConsciousSemantics
 from repro.core.units import us
 from repro.sim.machine import Machine
@@ -36,7 +36,7 @@ DEFAULT_EW_US = 40.0
 DEFAULT_TEW_US = 2.0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scheme:
     """One scheme: its label, engine, insertion policy and hardware."""
 
@@ -75,7 +75,7 @@ SCHEMES: Dict[str, Scheme] = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EvalConfig:
     """One row of :data:`SCHEMES` at given window targets; ``build``
     produces a ready Machine."""

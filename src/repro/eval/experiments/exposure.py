@@ -8,15 +8,15 @@ that PMO's.  Table III is the WHISPER run, Table IV the SPEC one.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
 from typing import List, Optional, Sequence
 
+from repro.core.record import fields, record
 from repro.eval import runner
 from repro.eval.configs import config
 from repro.eval.tables import render_table
 
 
-@dataclass
+@record
 class ExposureRow:
     name: str
     n_pmos: float
@@ -31,13 +31,14 @@ class ExposureRow:
     tt_ter_percent: float
 
 
-@dataclass
+@record
 class ExposureResult:
     rows: List[ExposureRow]
 
     def averages(self) -> ExposureRow:
         n = len(self.rows)
-        columns = list(zip(*(astuple(r)[1:] for r in self.rows)))
+        columns = [[getattr(r, f.name) for r in self.rows]
+                   for f in fields(ExposureRow)[1:]]
         n_pmos, *rest = (sum(column) / n for column in columns)
         return ExposureRow("Avg.", round(n_pmos, 1), *rest)
 

@@ -8,13 +8,12 @@ what justifies the 2µs TEW target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.core.record import record
 from repro.security.dead_time import DeadTimeDistribution
 from repro.workloads.heaplayers import all_dead_times_us
 
 
-@dataclass
+@record
 class Fig8Result:
     distribution: DeadTimeDistribution
 

@@ -19,15 +19,15 @@ broken down into attach / detach / rand / cond / other components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.record import record
 from repro.eval import runner
 from repro.eval.configs import config, EvalConfig
 from repro.eval.tables import render_grouped_bars
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OverheadFigure:
     """One figure: a suite's benchmarks under a list of configurations."""
 
@@ -68,14 +68,14 @@ FIGURES: Dict[str, OverheadFigure] = {
 }
 
 
-@dataclass
+@record
 class OverheadBar:
     label: str
     total_percent: float
     breakdown_percent: Dict[str, float]
 
 
-@dataclass
+@record
 class OverheadResult:
     figure: OverheadFigure
     #: benchmark -> [bars in the figure's configuration order]

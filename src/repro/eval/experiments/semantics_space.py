@@ -25,10 +25,10 @@ the axes the paper argues about:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.core.permissions import Access
+from repro.core.record import record
 from repro.core.runtime import TerpRuntime
 from repro.core.semantics import make_semantics, Outcome
 from repro.core.theorem import schedule_of
@@ -39,7 +39,7 @@ SEMANTICS = ["basic", "outermost", "fcfs", "ew-conscious"]
 EW = us(40)
 
 
-@dataclass
+@record
 class SemanticsScore:
     name: str
     nested_errors: int          # same-thread nested pairs

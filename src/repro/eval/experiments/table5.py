@@ -8,9 +8,9 @@ small fraction (TER/ER) of each exposure window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.core.record import record
 from repro.eval.tables import render_table
 from repro.security.probability import (
     merr_success_percent, placement_entropy_bits, reduction_factor,
@@ -18,7 +18,7 @@ from repro.security.probability import (
 from repro.security.threat_model import AttackClass, DEFAULT_THREAT_MODEL
 
 
-@dataclass
+@record
 class Table5Result:
     entropy_bits: int
     merr_1us: float

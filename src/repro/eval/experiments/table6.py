@@ -11,9 +11,9 @@ in SPEC; MERR leaves 24.5% / 27.2% of gadgets armed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Mapping, Optional
 
+from repro.core.record import record
 from repro.eval.configs import config
 from repro.eval.runner import run_suite, SUITES
 from repro.eval.tables import render_table
@@ -21,7 +21,7 @@ from repro.security.gadgets import (
     census_from_runs, GadgetCensus, scenario_table, ScenarioVerdict)
 
 
-@dataclass
+@record
 class Table6Result:
     whisper: GadgetCensus
     spec: GadgetCensus

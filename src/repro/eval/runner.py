@@ -13,16 +13,16 @@ window statistics, which converge far earlier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
+from repro.core.record import record
 from repro.eval.configs import EvalConfig
 from repro.sim.stats import RunResult
 from repro.workloads.spec.base import Benchmark, SPEC
 from repro.workloads.whisper.benchmarks import WHISPER
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Suite:
     """One benchmark suite."""
 

@@ -38,7 +38,6 @@ code here, as a :class:`Workload` of plain functions.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import random
@@ -47,12 +46,12 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import (
     Any, Callable, Dict, List, Mapping, Optional, Tuple, Union)
 
 from repro.cluster.ring import HashRing
+from repro.core.record import field, record, replace
 from repro.faults.invariants import (
     InvariantReport, check_acked_writes, check_events)
 from repro.faults.plan import FaultPlan, FaultRule
@@ -181,7 +180,7 @@ class Tally:
             self.by_kind[kind] = self.by_kind.get(kind, 0) + count
 
 
-@dataclass
+@record
 class Verdict:
     """What one seeded run of one scenario found."""
 
@@ -531,7 +530,7 @@ def _counters_finish(run: Run) -> None:
         acks_after_promote=sum(w.post_acks))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Workload:
     """A traffic shape, as plain functions over the :class:`Run`."""
 
@@ -692,7 +691,7 @@ CHECKS: Dict[str, Callable[[Run], bool]] = {
 
 # -- the table ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Kill:
     """Whom to SIGKILL and when; ranges are drawn from the seed.  How
     the victim comes back is its topology's ``recover``."""
@@ -706,7 +705,7 @@ class Kill:
     outage_s: Tuple[float, float]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scenario:
     """One row: everything a run is, as data."""
 
@@ -753,7 +752,7 @@ SCENARIOS: Dict[str, Scenario] = {row.name: row for row in (
     _RESTART,
     # The same row on a real process: no plan can reach it, the kill
     # is a real ``kill -9``, and only the wire judges.
-    dataclasses.replace(
+    replace(
         _RESTART, name="restart-proc", topology="process", plan=None,
         summary="the restart row on a real subprocess: kill -9, then "
                 "the same command line"),
@@ -796,7 +795,7 @@ SCENARIOS: Dict[str, Scenario] = {row.name: row for row in (
 def run(scenario: Union[str, Scenario], seed: int,
         **sizes: int) -> Verdict:
     """One seeded run of one row (or of a row a test derived with
-    ``dataclasses.replace``); returns the full verdict.  ``sizes``
+    ``repro.core.record.replace``); returns the full verdict.  ``sizes``
     override the row's own."""
     row = SCENARIOS[scenario] if isinstance(scenario, str) else scenario
     unknown = set(sizes) - set(row.sizes)

@@ -46,16 +46,16 @@ does this per scope).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+from repro.core.record import field, record
 from repro.obs.audit import ATTACH, DETACH, FORCED_DETACH, RESTART
 
 __all__ = ["Violation", "InvariantReport", "check_events",
            "check_acked_writes"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Violation:
     """One invariant breach, with enough context to debug it."""
 
@@ -68,7 +68,7 @@ class Violation:
         return f"[{self.invariant}] {self.detail}{suffix}"
 
 
-@dataclass
+@record
 class InvariantReport:
     """The verdict of one replay of the audit record."""
 

@@ -53,10 +53,10 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.errors import TerpError
+from repro.core.record import field, record
 
 __all__ = ["FaultRule", "FaultPlan", "Injection", "NO_FAULTS", "SITES"]
 
@@ -77,7 +77,7 @@ SITES = (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FaultRule:
     """One declarative injection rule.
 
@@ -118,7 +118,7 @@ class FaultRule:
                 "after": self.after, "delay_ns": self.delay_ns}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Injection:
     """One fault that actually fired: the replay/audit record."""
 
@@ -130,7 +130,7 @@ class Injection:
     delay_ns: int = 0
 
 
-@dataclass
+@record
 class _RuleState:
     """Mutable per-rule bookkeeping (the rule itself is frozen)."""
 
@@ -145,7 +145,7 @@ class _RuleState:
             self.fires >= self.rule.count
 
 
-@dataclass
+@record
 class FaultPlan:
     """A seeded set of injection rules shared by a whole stack.
 

@@ -26,18 +26,18 @@ attributes can be attached, keeping this module independent of the
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.errors import SegmentationFault, TerpError
 from repro.core.permissions import Access
+from repro.core.record import record
 from repro.mem.mpk import ProtectionDomains
 from repro.mem.page_table import (
     ENTRIES_PER_NODE, ENTRY_SPAN, Frame, PageTable, VA_SPAN, index_at_level)
 from repro.mem.permission_matrix import PermissionMatrix
 
 
-@dataclass
+@record
 class Mapping:
     """One attached PMO: where it sits and how it may be used."""
 

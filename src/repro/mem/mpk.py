@@ -19,17 +19,17 @@ process-wide detach (mapping removal) is the stronger mechanism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Hashable, Optional
 
 from repro.core.errors import TerpError
 from repro.core.permissions import Access
+from repro.core.record import record
 
 NUM_KEYS = 16
 DEFAULT_KEY = 0
 
 
-@dataclass
+@record
 class Pkru:
     """One thread's protection-key rights register.
 

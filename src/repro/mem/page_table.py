@@ -21,10 +21,10 @@ bits ``[12 + 9*(N-1), 12 + 9*N)``.  Entries of a level-1 node are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.errors import TerpError
+from repro.core.record import record
 from repro.core.units import PAGE_SIZE
 
 BITS_PER_LEVEL = 9
@@ -39,7 +39,7 @@ ENTRY_SPAN = {level: PAGE_SIZE * (ENTRIES_PER_NODE ** (level - 1))
 VA_SPAN = ENTRY_SPAN[ROOT_LEVEL] * ENTRIES_PER_NODE
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Frame:
     """A symbolic physical frame: which PMO (or anon region) and page."""
 

@@ -12,14 +12,14 @@ exactly the gap TERP's thread permissions (:mod:`repro.mem.mpk`) fill.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, Optional
 
 from repro.core.errors import TerpError
 from repro.core.permissions import Access
+from repro.core.record import record
 
 
-@dataclass
+@record
 class MatrixEntry:
     pmo_id: Hashable
     base_va: int

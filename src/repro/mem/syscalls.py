@@ -14,9 +14,9 @@ tests pin both the totals and the sensitivity directions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from repro.core.record import record
 from repro.core.units import PAGE_SIZE
 
 #: Individual syscall-path step costs, in cycles.
@@ -49,7 +49,7 @@ STEP_COSTS: Dict[str, int] = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SyscallCost:
     """A composed cost: named steps and the resulting total."""
 

@@ -18,14 +18,14 @@ happens alongside the TLB lookup.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.arch.params import DEFAULT_PARAMS, SimParams
+from repro.core.record import record
 from repro.core.units import PAGE_SIZE
 
 
-@dataclass
+@record
 class TlbStats:
     hits: int = 0
     misses: int = 0

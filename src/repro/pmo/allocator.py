@@ -15,10 +15,10 @@ recovery by scanning headers, as a PM allocator would).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import OutOfPersistentMemory, PmoError
+from repro.core.record import record
 
 #: Header occupies 16 bytes (u64 size+flag word, 8 bytes pad) so that
 #: payloads stay 16-byte aligned when block sizes are multiples of 16.
@@ -32,7 +32,7 @@ def _align(size: int) -> int:
     return (size + ALIGNMENT - 1) & ~(ALIGNMENT - 1)
 
 
-@dataclass
+@record
 class _Block:
     offset: int          # offset of the header within the heap area
     payload_size: int

@@ -14,9 +14,8 @@ role of a persistent NULL pointer; pool id 0 is reserved for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.errors import PmoError
+from repro.core.record import record
 
 POOL_BITS = 16
 OFFSET_BITS = 48
@@ -24,7 +23,7 @@ MAX_POOL_ID = (1 << POOL_BITS) - 1
 MAX_OFFSET = (1 << OFFSET_BITS) - 1
 
 
-@dataclass(frozen=True, order=True)
+@record(frozen=True, order=True)
 class Oid:
     """A 64-bit persistent pointer: (pool_id, offset)."""
 

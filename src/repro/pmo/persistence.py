@@ -28,10 +28,10 @@ Record format (little endian)::
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import CrashConsistencyError
+from repro.core.record import record
 
 TAG_END = 0
 TAG_WRITE = 1

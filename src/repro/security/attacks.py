@@ -25,11 +25,11 @@ and learned addresses die at every randomization.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
+from repro.core.record import record
 from repro.core.units import MIB, us
 from repro.pmo.object_id import Oid
 from repro.pmo.pmo import Pmo
@@ -41,7 +41,7 @@ class Protection(enum.Enum):
     TERP = "terp"
 
 
-@dataclass
+@record
 class AttackConfig:
     protection: Protection
     ew_us: float = 40.0
@@ -64,7 +64,7 @@ class AttackConfig:
     network_rtt_us: float = 1_000.0
 
 
-@dataclass
+@record
 class AttackOutcome:
     corrupted_nodes: int
     total_nodes: int

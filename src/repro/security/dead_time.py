@@ -17,11 +17,11 @@ over the PMO heap — and summarized into the paper's histogram bins.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.core.record import record
 from repro.core.units import ns_to_us, us
 
 #: Figure 8's histogram bin upper edges, in microseconds.
@@ -31,7 +31,7 @@ FIG8_BIN_EDGES_US = [
 ]
 
 
-@dataclass
+@record
 class ObjectLifetime:
     """One tracked heap object's events (times in ns)."""
 
@@ -69,7 +69,7 @@ class DeadTimeTracker:
         return np.array([ns_to_us(o.dead_time_ns) for o in self.completed])
 
 
-@dataclass
+@record
 class DeadTimeDistribution:
     """Figure 8: the binned distribution plus the headline statistic."""
 

@@ -19,13 +19,13 @@ three-case analysis of gadget/window relationships.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.core.record import record
 from repro.sim.stats import RunResult
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GadgetCensus:
     """Fraction of gadgets armed/disarmed under each scheme."""
 
@@ -83,7 +83,7 @@ class AttackCapability(enum.Enum):
     GADGET_LOOP = "an infinite loop with several arbitrary reads/writes"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScenarioVerdict:
     relation: GadgetRelation
     capability: AttackCapability

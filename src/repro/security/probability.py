@@ -23,11 +23,11 @@ Carlo probe simulator for cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from repro.core.record import record
 from repro.core.units import GIB
 
 
@@ -44,7 +44,7 @@ def placement_entropy_bits(pmo_size: int = GIB,
     return int(np.log2(slots))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AttackScenario:
     """One column of Table V."""
 

@@ -11,8 +11,9 @@ explicit predicates so analyses can state what they rely on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import FrozenSet, List
+
+from repro.core.record import record
 
 
 class Assumption(enum.Enum):
@@ -45,7 +46,7 @@ class PmoState(enum.Enum):
     ATTACHED_WITH_PERMISSION = "attached with thread permission"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ThreatModel:
     """What the attacker can and cannot do."""
 

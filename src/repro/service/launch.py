@@ -30,10 +30,10 @@ import argparse
 import os
 import signal
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.arch.circular_buffer import NUM_ENTRIES
+from repro.core.record import record
 from repro.core.units import NS_PER_MS
 from repro.pmo import DEFAULT_COMMIT_INTERVAL_US
 
@@ -57,7 +57,7 @@ DEFAULT_SEED = 2022
 STARTUP_TIMEOUT_S = 30.0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Setting:
     #: the ``TerpService`` keyword this row sets
     field: str

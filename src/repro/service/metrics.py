@@ -26,9 +26,9 @@ the registry's long-lived series namespace.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
+from repro.core.record import asdict, record
 from repro.obs.registry import Counter, MetricsRegistry, merge_histograms
 
 if TYPE_CHECKING:
@@ -77,7 +77,7 @@ class CounterFamily:
                 for label_value, counter in self._members.items()}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Series:
     #: what the series is read and reported as: ``metrics.<key>``,
     #: ``metrics.series[key]``, ``metrics()["global"][key]``.
@@ -248,7 +248,7 @@ class WireCounters:
                         (self.flushes.value, self.frames.value)))
 
 
-@dataclass
+@record
 class SessionMetrics:
     """One session's share of the daemon's work."""
 

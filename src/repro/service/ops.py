@@ -30,10 +30,10 @@ only if it is a fan-out op — ``TerpRouter._fanout_<name>``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Dict, FrozenSet, Optional, Sequence, Tuple, TypeVar
 
+from repro.core.record import record
 from repro.core.semantics import Outcome
 
 T = TypeVar("T")
@@ -50,7 +50,7 @@ REQUIRED: Any = object()
 WHOLE = "*"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Op:
     name: str
     #: one of :data:`NAME`, :data:`OID`, :data:`FANOUT`, :data:`SESSION`

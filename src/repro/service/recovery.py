@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+from repro.core.record import asdict, field, record
 
 if TYPE_CHECKING:
     from repro.service.server import TerpService
@@ -119,7 +120,7 @@ class SessionJournal:
         os.replace(tmp, self.path)
 
 
-@dataclass
+@record
 class _JournaledSession:
     sid: int
     user: str
@@ -130,7 +131,7 @@ class _JournaledSession:
     holdings: Dict[int, Tuple[int, str]] = field(default_factory=dict)
 
 
-@dataclass
+@record
 class RecoveryReport:
     """What one warm restart found and did."""
 

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, Optional
 
 from repro.core.errors import TerpError
+from repro.core.record import field, record
 from repro.service.ops import READ_ONLY_OPS
 
 __all__ = ["RetryPolicy", "CircuitBreaker", "CircuitOpenError",
@@ -44,7 +44,7 @@ class CircuitOpenError(TerpError):
     """The circuit breaker is open; the operation was not attempted."""
 
 
-@dataclass
+@record
 class RetryPolicy:
     """Exponential backoff with seeded jitter.
 

@@ -57,12 +57,12 @@ from __future__ import annotations
 import itertools
 import random
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING, Any, Deque, Dict, Hashable, Iterator, List, Optional,
     Set, Tuple)
 
 from repro.core.errors import PmoError, TerpError
+from repro.core.record import field, record
 from repro.service.metrics import ServiceMetrics, SessionMetrics
 from repro.service.protocol import PROTOCOL_VERSION
 
@@ -78,7 +78,7 @@ REPLAY_CACHE_SIZE = 256
 MAX_PENDING_EVENTS = 256
 
 
-@dataclass
+@record
 class Session:
     """One connected client: identity, holdings, pending events."""
 

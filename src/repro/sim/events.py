@@ -27,18 +27,19 @@ Events:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Tuple
 
+from repro.core.record import record
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class Compute:
     """Pure computation for ``ns`` nanoseconds of baseline time."""
 
     ns: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Burst:
     """A cluster of accesses to one PMO.
 
@@ -63,7 +64,7 @@ class Burst:
         return int(self.n_accesses * self.write_fraction)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TxBegin:
     """Start of a logical operation touching the named PMOs."""
 
@@ -74,12 +75,12 @@ class TxBegin:
         return cls(tuple(pmos))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TxEnd:
     """End of the current logical operation."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegionEnd:
     """End of a PMO-access code region.
 

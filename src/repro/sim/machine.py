@@ -29,13 +29,13 @@ thread x PMO) through the TERP runtime's monitor.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.arch.cond_engine import TerpArchEngine
 from repro.arch.params import CostBreakdown, CostModel, DEFAULT_PARAMS, SimParams
 from repro.core.errors import SimulationError
 from repro.core.permissions import Access
+from repro.core.record import field, record
 from repro.core.runtime import TerpRuntime
 from repro.core.semantics import ActionKind, Outcome, SemanticsEngine
 from repro.core.units import cycles_to_ns, us
@@ -48,7 +48,7 @@ from repro.sim.stats import RunResult, collect_exposure
 BLOCK_POLL_NS = us(1)
 
 
-@dataclass
+@record
 class _ThreadState:
     tid: int
     events: Iterator

@@ -25,10 +25,10 @@ against the semantics engine and charges costs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.permissions import Access
+from repro.core.record import record
 from repro.sim.events import Burst, Compute, RegionEnd, TxBegin, TxEnd
 
 
@@ -37,7 +37,7 @@ class OpKind(enum.Enum):
     DETACH = "detach"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Op:
     kind: OpKind
     pmo: str

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional
 
 from repro.arch.params import CostBreakdown
 from repro.core.exposure import ExposureMonitor, WindowStats
+from repro.core.record import record
 from repro.core.runtime import RuntimeCounters
 from repro.core.units import ns_to_us
 
 
-@dataclass
+@record
 class PmoExposure:
     """Per-PMO exposure summary (Tables III/IV are averages of these)."""
 
@@ -23,7 +23,7 @@ class PmoExposure:
     ter_percent: float
 
 
-@dataclass
+@record
 class RunResult:
     """The complete outcome of one simulated run."""
 

@@ -19,17 +19,17 @@ solver-style benchmarks (SPEC) skew long.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.record import record
 from repro.core.units import MIB, us
 from repro.pmo.pmo import Pmo
 from repro.security.dead_time import DeadTimeTracker
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HeapProfile:
     """One benchmark's allocation behaviour."""
 

@@ -31,18 +31,18 @@ exactly reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.record import record
 from repro.core.units import MIB, us
 from repro.sim.events import Burst, Compute, RegionEnd, TxBegin, TxEnd
 from repro.workloads.structures.counting import CountingPmo
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OpStats:
     """Measured per-operation access statistics."""
 
@@ -51,7 +51,7 @@ class OpStats:
     write_fraction: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Benchmark:
     """Calibrated shape for one paper benchmark.
 

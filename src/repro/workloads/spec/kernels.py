@@ -31,12 +31,12 @@ Each kernel implements the same interface::
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.errors import PmoError
+from repro.core.record import record
 from repro.core.units import MIB
 from repro.pmo.array import PmoArray
 from repro.pmo.pool import PmoManager

@@ -9,13 +9,13 @@ sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Set
 
+from repro.core.record import field, record
 from repro.core.units import PAGE_SIZE
 
 
-@dataclass
+@record
 class AccessCounts:
     reads: int = 0
     writes: int = 0

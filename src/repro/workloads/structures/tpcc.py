@@ -11,12 +11,12 @@ simulator measures are representative.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from repro.core.errors import PmoError
+from repro.core.record import record
 from repro.pmo.object_id import Oid
 
 _HEADER = struct.Struct("<QIIII")  # magic, warehouses, districts/w, customers/d, max orders
@@ -28,7 +28,7 @@ CUSTOMER_STRIDE = 128     # balance, ytd_payment, payment_cnt, data
 ORDER_STRIDE = 64         # customer, item count, amount, timestamp
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TpccConfig:
     warehouses: int = 2
     districts_per_warehouse: int = 10

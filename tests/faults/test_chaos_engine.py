@@ -9,12 +9,12 @@ engine replaced (``to_dict()`` captured at the parent commit of the PR
 that introduced it) are all still in the one verdict's.
 """
 
-import dataclasses
 import json
 import os
 
 import pytest
 
+from repro.core import record
 from repro.faults import chaos
 from repro.faults.chaos import (
     CHECKS, SCENARIOS, SCOPES, WORKLOADS, Tally, Verdict, Workload, run)
@@ -59,7 +59,7 @@ class TestConformance:
 
     def test_restart_and_restart_proc_differ_in_topology_and_plan(self):
         thread, proc = SCENARIOS["restart"], SCENARIOS["restart-proc"]
-        differing = {f.name for f in dataclasses.fields(thread)
+        differing = {f.name for f in record.fields(thread)
                      if getattr(thread, f.name) != getattr(proc, f.name)}
         assert differing == {"name", "summary", "topology", "plan"}
         assert (thread.topology, proc.topology) == ("thread", "process")
@@ -108,7 +108,7 @@ class TestVerdict:
 
     def test_a_harness_error_is_a_failed_verdict_not_a_crash(self):
         # The cycles workload on a row with no sizes: setup raises.
-        row = dataclasses.replace(SCENARIOS["restart"],
+        row = record.replace(SCENARIOS["restart"],
                                   workload="cycles")
         verdict = run(row, 3)
         assert not verdict.ok
@@ -120,7 +120,7 @@ class TestVerdict:
         monkeypatch.setitem(WORKLOADS, "wedge", Workload(
             worker=lambda run, idx, tally: run.stop.wait(),
             size="sessions"))
-        row = dataclasses.replace(SCENARIOS["chaos"], workload="wedge")
+        row = record.replace(SCENARIOS["chaos"], workload="wedge")
         verdict = run(row, 3, sessions=1)
         assert not verdict.ok
         assert verdict.unexpected == [

@@ -12,10 +12,9 @@ seed and the minimal fault plan:
 reproduce the run outside pytest.
 """
 
-import dataclasses
-
 import pytest
 
+from repro.core import record
 from repro.faults.chaos import (
     SCENARIOS, Verdict, random_plan, restart_plan, run)
 from repro.faults.plan import FaultPlan, FaultRule
@@ -46,7 +45,7 @@ class TestAcceptanceRun:
 
     @pytest.fixture(scope="class")
     def result(self) -> Verdict:
-        row = dataclasses.replace(
+        row = record.replace(
             SCENARIOS["chaos"], plan=lambda seed: FaultPlan(
                 seed=seed, rules=list(self.PLAN_RULES)))
         return run(row, 4242, sessions=2, requests=3)
@@ -100,7 +99,7 @@ class TestRestartAcceptanceRun:
         # live scrubber from healing the final tear before the kill,
         # so the repair demonstrably comes from the recovery journal
         # replay.
-        row = dataclasses.replace(
+        row = record.replace(
             SCENARIOS["restart"], sweep_period_ns=60_000_000_000,
             plan=lambda seed: FaultPlan(seed=seed, rules=[
                 FaultRule("store.torn_page", "torn", probability=1.0,

@@ -7,10 +7,12 @@ grows with the number of tenant cycles served, and a shutdown that
 ends every connection handler instead of leaving it to be cancelled.
 """
 
+import ast
 import gc
 import itertools
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -183,7 +185,10 @@ def test_a_standby_loads_no_serving_stack_until_promoted(
     assert code == 0
     assert SERVING_STACK & set(at_banner) == set()
     assert SERVING_STACK <= set(after)
-    # Idle or promoted, on the daemon's loop: no asyncio.
+    # Idle or promoted, on the daemon's loop: no asyncio, and records
+    # that need no introspection stack.
+    assert loaded_of(at_banner, INTROSPECTION) == []
+    assert loaded_of(after, INTROSPECTION) == []
     assert loaded_of(at_banner + after, ASYNCIO) == []
 
 
@@ -192,6 +197,12 @@ def test_a_standby_loads_no_serving_stack_until_promoted(
 ASYNCIO = ("asyncio", "concurrent.futures", "logging")
 #: What only a durable node runs.
 STORE = ("repro.pmo.store", "repro.service.recovery")
+#: What ``import dataclasses`` brought into every serving process and
+#: the standby: 1.1 MiB of ``VmHWM``.  ``repro.core.record`` needs none.
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+#: What the supervisor's ``multiprocessing`` brought, and every forked
+#: shard and router inherited: 0.8 MiB.  Children are bare forks.
+MULTIPROCESSING = ("multiprocessing", "pickle", "subprocess")
 
 
 def loaded_of(modules, families) -> list:
@@ -202,12 +213,14 @@ def loaded_of(modules, families) -> list:
 
 @pytest.mark.parametrize("module, args, absent", [
     # A memory daemon: no event-loop stack and no store.
-    ("repro.service", ["--port", "0"], ASYNCIO + STORE),
+    ("repro.service", ["--port", "0"], ASYNCIO + STORE + INTROSPECTION),
     # A durable one: its store, still no asyncio.
-    ("repro.service", ["--port", "0", "--pool-dir", "{pool}"], ASYNCIO),
+    ("repro.service", ["--port", "0", "--pool-dir", "{pool}"],
+     ASYNCIO + INTROSPECTION),
     # The supervisor, two memory shards and the router: one import log
     # for the process tree, since the children share its stderr.
-    ("repro.cluster", ["--port", "0", "--shards", "2"], ASYNCIO + STORE),
+    ("repro.cluster", ["--port", "0", "--shards", "2"],
+     ASYNCIO + STORE + INTROSPECTION + MULTIPROCESSING),
 ])
 def test_no_serving_process_loads_asyncio(module, args, absent,
                                           monkeypatch, tmp_path):
@@ -215,7 +228,9 @@ def test_no_serving_process_loads_asyncio(module, args, absent,
     none of them imports asyncio or what it pulls in, before its banner
     or while it serves a tenant cycle, and a node without a pool loads
     no store.  At the parent each daemon, shard, router and supervisor
-    loaded asyncio (VmHWM 21.95 MiB for an idle daemon)."""
+    loaded asyncio (VmHWM 21.95 MiB for an idle daemon); later, each
+    still loaded ``dataclasses`` and the supervisor ``multiprocessing``
+    (VmHWM 19.09 MiB for an idle daemon)."""
     monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
     proc = LoggedProc(module, [arg.format(pool=tmp_path / "pool")
                                for arg in args])
@@ -227,6 +242,26 @@ def test_no_serving_process_loads_asyncio(module, args, absent,
     assert code == 0
     assert "repro.service.reactor" in at_banner
     assert loaded_of(at_banner + after, absent) == []
+
+
+def test_no_source_file_imports_dataclasses_or_multiprocessing():
+    """One record idiom (``repro.core.record``) and one way to start a
+    child (``os.fork``): an import of either stdlib module anywhere in
+    ``src/`` would put it back into some process's closure."""
+    banned = {"dataclasses", "multiprocessing"}
+    found = []
+    for path in sorted(pathlib.Path(REPO_ROOT, "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in names
+                      if name.split(".")[0] in banned]
+    assert found == []
 
 
 def test_the_supervisor_brings_the_daemon_its_shards_fork_with():

@@ -20,7 +20,6 @@ reach a caller as the dicts the daemon's handlers returned.
 
 import ast
 import asyncio
-import dataclasses
 import inspect
 import pathlib
 import types
@@ -28,6 +27,7 @@ import types
 import pytest
 
 from repro.cluster.router import TerpRouter
+from repro.core import record
 from repro.core.errors import PmoError
 from repro.core.units import MIB
 from repro.pmo.object_id import OFFSET_BITS, Oid
@@ -578,7 +578,7 @@ def test_both_front_doors_read_trace_args_by_the_row(monkeypatch):
     default changed, a daemon and a router given no ``limit`` both
     answer that many spans, and both refuse a negative one."""
     row = OPS["trace"]
-    monkeypatch.setitem(OPS, "trace", dataclasses.replace(row, params=tuple(
+    monkeypatch.setitem(OPS, "trace", record.replace(row, params=tuple(
         (name, 3 if name == "limit" else default)
         for name, default in row.params)))
     conn = Conn(writer=None, note_flush=None)
